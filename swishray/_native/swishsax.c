@@ -1,13 +1,15 @@
 /* swishsax — optional C event-batching SAX front-end.
  *
- * Runs the SAME system libxml2 the ctypes path drives (verified: the
- * loader links the identical soname, so tag-soup recovery, entity
+ * Runs the SAME system libxml2 the ctypes front-end in libxml.py drives
+ * (the loader links the identical soname, so tag-soup recovery, entity
  * substitution and event ordering are byte-identical by construction)
  * but records the whole document's SAX events into one Python list in
  * C, replacing ~100k CFUNCTYPE trampoline crossings per document with
- * a single C call + a tight Python replay loop (libxml.py:_replay).
+ * a single C call. Either front-end's (rc, events) batch is consumed by
+ * libxml.py:_replay, the only event path.
  *
- * Event tuples mirror libxml.py's thunk outputs exactly:
+ * Event tuples (the ctypes recorder, libxml.py:_Recorder, builds the
+ * same ones; libxml._sax_selftest checks the two batches with ==):
  *   (1, name, atts|None)              SAX1 startElement; atts is the
  *                                     FLAT (name, value, ...) list,
  *                                     values may be None

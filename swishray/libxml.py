@@ -11,6 +11,15 @@ characters, comment; cdataBlock is left NULL so CDATA falls back to
 characters, and ignorableWhitespace is left NULL so the HTML parser
 drops "blank" runs — both exactly as the reference behaves.
 
+There is one event path. A libxml2 front-end records a whole document's
+SAX events into one ``(rc, events)`` batch, in the tuple format
+documented at the top of ``_native/swishsax.c``; ``_replay`` then
+feeds the batch to a consumer. Two front-ends build the same batch:
+the C extension ``swishsax`` (used when it loads) and the ctypes
+``_Recorder`` here. At import ``_sax_selftest`` checks that both
+return equal batches on a small corpus, and a mismatch drops the
+C front-end.
+
 Entry points mirror parser.c:
   * xml_parse(buffer, target)  — xmlSAXUserParseMemory with SAX2 magic
     and global entity substitution on (parser.c:287-288, 2450-2535)
@@ -22,9 +31,8 @@ Entry points mirror parser.c:
   * html_tag_is_inline(tag)    — htmlTagLookup()->isinline, the
     bump_word table (bake_tag, parser.c:395-425)
 
-The library handle and callback thunks are process-global (one per Ray
-worker process; built once at import, mirroring xmlInitParser() in
-swish_parser_init).
+The library handle and the ctypes recorder are process-global (one per
+Ray worker process, mirroring xmlInitParser() in swish_parser_init).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import ctypes
 from ctypes import (
     CFUNCTYPE, POINTER, Structure, c_char_p, c_int, c_uint, c_void_p,
-    c_ushort, string_at, cast,
+    string_at, cast,
 )
 
 _lib = None
@@ -108,7 +116,10 @@ class _xmlSAXHandler(Structure):
 
 
 class SaxTarget:
-    """Interface the extraction state machine implements."""
+    """Per-event interface for the small ops targets (feeds, sitemaps,
+    links, main content). ``_replay`` calls these methods for each
+    event of a batch; a target with its own ``replay(events)``
+    (ExtractionState) consumes the batch directly instead."""
 
     def start_document(self) -> None: ...
     def end_document(self) -> None: ...
@@ -133,191 +144,139 @@ class SaxTarget:
     def comment(self, data: bytes) -> None: ...
 
 
-class _Dispatcher:
-    """Holds the ctypes thunks; routes events to the current target.
+class _Recorder:
+    """The ctypes front-end: thunks that record one parse's events as the
+    same tuples swishsax builds (see _native/swishsax.c), merging
+    consecutive characters events the way its C buffer does.
 
-    One instance per process: the parse calls are reentrant-safe
-    because parsing is synchronous (the target is swapped around each
-    parse; XInclude-style nested parses are not used by the engine).
-    """
+    A thunk must never unwind an exception through C: the first one
+    is latched in ``error``, later events are dropped, and the parse
+    call raises it once libxml2 has returned. One instance per process;
+    parses never nest (XInclude children parse during the replay,
+    after the outer parse has returned)."""
 
     def __init__(self) -> None:
-        self.target: SaxTarget | None = None
+        self.events: list = []
+        self.chars: list[bytes] = []
         self.error: BaseException | None = None
 
-        # callbacks must never unwind an exception through C; each one
-        # inlines the error latch (a decorator indirection here costs a
-        # measurable fraction of parse time at ~100k events/doc)
-        def _start_doc(ctx):
-            if self.error is None:
-                try:
-                    self.target.start_document()
-                except BaseException as e:
-                    self.error = e
+        def latched(fn):
+            def thunk(ctx, *args):
+                if self.error is None:
+                    try:
+                        fn(*args)
+                    except BaseException as e:
+                        self.error = e
+            return thunk
 
-        def _end_doc(ctx):
-            if self.error is None:
-                try:
-                    self.target.end_document()
-                except BaseException as e:
-                    self.error = e
+        def chars(ch, length):
+            if length > 0:
+                self.chars.append(string_at(ch, length))
 
-        def _start_el(ctx, name, atts):
+        def start_el(name, atts):
             # SAX1: NULL-terminated flat (name, value, ...) array;
             # values may be NULL for valueless attributes
-            if self.error is not None:
-                return
-            try:
-                alist = None
-                if atts:
-                    alist = []
-                    i = 0
-                    while atts[i] is not None:
-                        alist.append(atts[i])
-                        alist.append(atts[i + 1])  # may be None
-                        i += 2
-                    if not alist:
-                        alist = None
-                self.target.start_element(name, alist)
-            except BaseException as e:
-                self.error = e
+            alist = None
+            if atts and atts[0] is not None:
+                alist = []
+                i = 0
+                while atts[i] is not None:
+                    alist += (atts[i], atts[i + 1])
+                    i += 2
+            self.emit((1, name, alist))
 
-        def _end_el(ctx, name):
-            if self.error is not None:
-                return
-            try:
-                self.target.end_element(name)
-            except BaseException as e:
-                self.error = e
-
-        def _chars(ctx, ch, length):
-            if self.error is not None:
-                return
-            try:
-                self.target.characters(string_at(ch, length))
-            except BaseException as e:
-                self.error = e
-
-        def _comment(ctx, data):
-            if self.error is not None:
-                return
-            try:
-                self.target.comment(data or b"")
-            except BaseException as e:
-                self.error = e
-
-        def _start_el_ns_inner(ctx, localname, prefix, uri, nb_ns,
-                               namespaces, nb_attrs, nb_defaulted,
-                               attributes):
+        def start_el_ns(localname, prefix, uri, nb_ns, namespaces,
+                        nb_attrs, nb_defaulted, attributes):
             # mystartElementNs (parser.c:876-961): 5 pointers per attr
             # (localname, prefix, URI, value_start, value_end); an attr
             # with an EMPTY value truncates the list at that position
             # (parser.c:898-911 sets atts[j]=NULL on len<=0).
-            alist = None
-            if nb_attrs > 0:
-                alist = []
-                arr = cast(attributes, POINTER(c_void_p))
-                for i in range(0, nb_attrs * 5, 5):
-                    aname = cast(arr[i], c_char_p).value
-                    vstart = arr[i + 3]
-                    vend = arr[i + 4]
-                    vlen = (vend or 0) - (vstart or 0)
-                    if vlen <= 0:
-                        break  # reference truncates the atts array here
-                    alist.append(aname)
-                    alist.append(string_at(vstart, vlen))
-                if not alist:
-                    alist = None
-            self.target.start_element_ns(localname, prefix or None,
-                                         uri or None, alist)
+            alist = []
+            arr = cast(attributes, POINTER(c_void_p))
+            for i in range(0, nb_attrs * 5, 5):
+                vstart, vend = arr[i + 3], arr[i + 4]
+                if not vstart or not vend or vend - vstart <= 0:
+                    break
+                alist += (cast(arr[i], c_char_p).value,
+                          string_at(vstart, vend - vstart))
+            self.emit((5, localname, prefix, uri, alist or None))
 
-        def _start_el_ns(ctx, localname, prefix, uri, nb_ns, namespaces,
-                         nb_attrs, nb_defaulted, attributes):
-            if self.error is not None:
-                return
-            try:
-                _start_el_ns_inner(ctx, localname, prefix, uri, nb_ns,
-                                   namespaces, nb_attrs, nb_defaulted,
-                                   attributes)
-            except BaseException as e:
-                self.error = e
-
-        def _end_el_ns(ctx, localname, prefix, uri):
-            if self.error is not None:
-                return
-            try:
-                self.target.end_element_ns(localname, prefix or None)
-            except BaseException as e:
-                self.error = e
-
-        self._thunks = dict(
-            startDocument=_startDocumentF(_start_doc),
-            endDocument=_endDocumentF(_end_doc),
-            startElement=_startElementF(_start_el),
-            endElement=_endElementF(_end_el),
-            characters=_charactersF(_chars),
-            comment=_commentF(_comment),
-            startElementNs=_startElementNsF(_start_el_ns),
-            endElementNs=_endElementNsF(_end_el_ns),
+        thunks = dict(
+            startDocument=_startDocumentF(latched(
+                lambda: self.emit((7,)))),
+            endDocument=_endDocumentF(latched(lambda: self.emit((8,)))),
+            startElement=_startElementF(latched(start_el)),
+            endElement=_endElementF(latched(
+                lambda name: self.emit((2, name)))),
+            characters=_charactersF(latched(chars)),
+            comment=_commentF(latched(
+                lambda data: self.emit((4, data or b"")))),
+            startElementNs=_startElementNsF(latched(start_el_ns)),
+            endElementNs=_endElementNsF(latched(
+                lambda localname, prefix, uri:
+                    self.emit((6, localname, prefix)))),
         )
-        self.sax = _xmlSAXHandler()
-        for k, v in self._thunks.items():
-            setattr(self.sax, k, v)
-        self.sax.initialized = _XML_SAX2_MAGIC
+        self._thunks = thunks  # keep the CFUNCTYPE objects alive
+        self.sax = _xmlSAXHandler(initialized=_XML_SAX2_MAGIC, **thunks)
+
+    def flush(self) -> None:
+        if self.chars:
+            self.events.append((3, b"".join(self.chars)))
+            self.chars.clear()
+
+    def emit(self, ev: tuple) -> None:
+        self.flush()
+        self.events.append(ev)
+
+    def parse(self, buffer: bytes, html: bool) -> tuple[int, list]:
+        lib = _load()
+        self.events, self.chars, self.error = [], [], None
+        if html:
+            rc = 0
+            doc = lib.htmlSAXParseDoc(buffer, None, ctypes.byref(self.sax),
+                                      None)
+            if doc:
+                lib.xmlFreeDoc(doc)
+        else:
+            rc = lib.xmlSAXUserParseMemory(ctypes.byref(self.sax), None,
+                                           buffer, len(buffer))
+        self.flush()
+        events, error = self.events, self.error
+        self.events, self.error = [], None
+        if error is not None:
+            raise error
+        return rc, events
 
 
-_dispatcher: _Dispatcher | None = None
+_recorder: _Recorder | None = None
 
 
-def _get_dispatcher() -> _Dispatcher:
-    global _dispatcher
-    if _dispatcher is None:
-        _load()
-        _dispatcher = _Dispatcher()
-    return _dispatcher
-
-
-def _xml_parse_ctypes(buffer: bytes, target: SaxTarget) -> int:
-    lib = _load()
-    d = _get_dispatcher()
-    prev_t, prev_e = d.target, d.error
-    d.target, d.error = target, None
-    try:
-        ret = lib.xmlSAXUserParseMemory(
-            ctypes.byref(d.sax), None, buffer, len(buffer))
-        if d.error is not None:
-            raise d.error
-        return ret
-    finally:
-        d.target, d.error = prev_t, prev_e
-
-
-def _html_parse_ctypes(buffer: bytes, target: SaxTarget) -> int:
-    lib = _load()
-    d = _get_dispatcher()
-    prev_t, prev_e = d.target, d.error
-    d.target, d.error = target, None
-    try:
+def _parse_ctypes(buffer: bytes, html: bool) -> tuple[int, list]:
+    """Same contract as swishsax.parse_html/parse_xml: (rc, events)."""
+    global _recorder
+    if _recorder is None:
+        lib = _load()
+        sax = POINTER(_xmlSAXHandler)
+        lib.htmlSAXParseDoc.argtypes = [c_char_p, c_char_p, sax, c_void_p]
         lib.htmlSAXParseDoc.restype = c_void_p
-        doc = lib.htmlSAXParseDoc(buffer, None, ctypes.byref(d.sax), None)
-        if doc:
-            lib.xmlFreeDoc(c_void_p(doc))
-        if d.error is not None:
-            raise d.error
-        return 0
-    finally:
-        d.target, d.error = prev_t, prev_e
+        lib.xmlSAXUserParseMemory.argtypes = [sax, c_void_p, c_char_p,
+                                              c_int]
+        lib.xmlSAXUserParseMemory.restype = c_int
+        lib.xmlFreeDoc.argtypes = [c_void_p]
+        lib.xmlFreeDoc.restype = None
+        _recorder = _Recorder()
+    if type(buffer) is not bytes:
+        buffer = bytes(buffer)  # ctypes needs a bytes object
+    return _recorder.parse(buffer, html)
 
 
-def _replay(events: list, target: SaxTarget) -> None:
-    """Feed a swishsax event batch through the SaxTarget interface —
-    same calls, same order, same payloads as the ctypes thunks (the
-    shim merges only CONSECUTIVE characters events, an equivalence of
-    buffer_characters; see swishsax.c). An exception stops the replay
-    exactly where the ctypes error latch would have frozen state."""
+def _replay(events: list, target) -> None:
+    """Feed an event batch to ``target``: its fused ``replay(events)``
+    when it has one (ExtractionState), else the SaxTarget methods —
+    same calls, same order, same payloads. An exception stops the
+    replay where it was raised."""
     replay = getattr(target, "replay", None)
     if replay is not None:
-        # targets may provide a fused consumer (ExtractionState.replay)
         replay(events)
         return
     chars = target.characters
@@ -345,32 +304,28 @@ def _replay(events: list, target: SaxTarget) -> None:
             target.end_document()
 
 
-def xml_parse(buffer: bytes, target: SaxTarget) -> int:
+def xml_parse(buffer: bytes, target) -> int:
     """SAX2 parse of an in-memory XML document (parser.c:2450-2535).
     Returns 0 if well-formed, else the libxml2 errNo; SAX events fired
-    for whatever prefix parsed (no recovery flag, like the reference).
-    Uses the C event-batching front-end when available (same libxml2,
-    A/B-verified at import)."""
+    for whatever prefix parsed (no recovery flag, like the reference)."""
     if _sax_native is not None:
         rc, events = _sax_native.parse_xml(buffer)
-        _replay(events, target)
-        return rc
-    if not isinstance(buffer, (bytes, bytearray)):
-        buffer = bytes(buffer)  # ctypes path needs a bytes object
-    return _xml_parse_ctypes(buffer, target)
+    else:
+        rc, events = _parse_ctypes(buffer, html=False)
+    _replay(events, target)
+    return rc
 
 
-def html_parse(buffer: bytes, target: SaxTarget) -> int:
+def html_parse(buffer: bytes, target) -> int:
     """HTML tag-soup SAX parse (parser.c:2537-2597): NUL-terminated
     buffer, libxml2's own meta-charset detection, default encoding
     ISO-8859-1 per the HTML spec — all inside libxml2."""
     if _sax_native is not None:
         rc, events = _sax_native.parse_html(buffer)
-        _replay(events, target)
-        return rc
-    if not isinstance(buffer, (bytes, bytearray)):
-        buffer = bytes(buffer)  # ctypes path needs a bytes object
-    return _html_parse_ctypes(buffer, target)
+    else:
+        rc, events = _parse_ctypes(buffer, html=True)
+    _replay(events, target)
+    return rc
 
 
 def check_utf8(data: bytes) -> bool:
@@ -409,45 +364,6 @@ def html_tag_lookup_isinline(tag: bytes) -> int | None:
     return v
 
 
-class _RecordingTarget(SaxTarget):
-    """Self-test capture: records the normalized call stream."""
-
-    def __init__(self) -> None:
-        self.calls: list = []
-
-    def _chars(self, data: bytes) -> None:
-        # normalize: merge consecutive characters (the shim's merge is
-        # an equivalence; comparison must be over the merged form)
-        if self.calls and self.calls[-1][0] == "chars":
-            self.calls[-1] = ("chars", self.calls[-1][1] + data)
-        else:
-            self.calls.append(("chars", data))
-
-    def start_document(self) -> None:
-        self.calls.append(("startdoc",))
-
-    def end_document(self) -> None:
-        self.calls.append(("enddoc",))
-
-    def start_element(self, name, atts) -> None:
-        self.calls.append(("start", name, atts))
-
-    def end_element(self, name) -> None:
-        self.calls.append(("end", name))
-
-    def start_element_ns(self, localname, prefix, uri, atts) -> None:
-        self.calls.append(("startns", localname, prefix, uri, atts))
-
-    def end_element_ns(self, localname, prefix) -> None:
-        self.calls.append(("endns", localname, prefix))
-
-    def characters(self, data: bytes) -> None:
-        self._chars(data)
-
-    def comment(self, data: bytes) -> None:
-        self.calls.append(("comment", data))
-
-
 _SAX_SELFTEST_DOCS = [
     ("html", b"<html><head><title>T &amp; t</title>"
              b"<meta name=\"a\" content=\"b\"></head>"
@@ -463,19 +379,11 @@ _SAX_SELFTEST_DOCS = [
 
 
 def _sax_selftest() -> bool:
+    """The ctypes and C front-ends must return equal (rc, events)."""
     for kind, doc in _SAX_SELFTEST_DOCS:
-        ct, nt = _RecordingTarget(), _RecordingTarget()
-        try:
-            if kind == "html":
-                rc1 = _html_parse_ctypes(doc, ct)
-                rc2, events = _sax_native.parse_html(doc)
-            else:
-                rc1 = _xml_parse_ctypes(doc, ct)
-                rc2, events = _sax_native.parse_xml(doc)
-            _replay(events, nt)
-        except Exception:
-            return False
-        if rc1 != rc2 or ct.calls != nt.calls:
+        native = (_sax_native.parse_html if kind == "html"
+                  else _sax_native.parse_xml)
+        if _parse_ctypes(doc, kind == "html") != native(doc):
             return False
     return True
 

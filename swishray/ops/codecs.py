@@ -1070,6 +1070,12 @@ def encode_y4m(frames: np.ndarray, fps: tuple[int, int] = (30, 1)) -> bytes:
 # spec, public). Codecs other than MJPG raise NotImplementedError.
 
 
+# LIST nesting bound for the recursive chunk walks: real AVIs nest
+# 3-4 deep, and a crafted file nesting thousands deep would otherwise
+# raise RecursionError, which no decoder error catch expects
+_RIFF_MAX_DEPTH = 32
+
+
 def _riff_chunks(blob: bytes, start: int, end: int):
     """Yield (fourcc, payload_start, payload_size) within a RIFF
     region; LIST chunks yield ('LIST:' + list_type, ...) spanning
@@ -1102,11 +1108,13 @@ def decode_avi_mjpeg(blob: bytes) -> tuple[np.ndarray, dict]:
     frames: list[np.ndarray] = []
     fps_num = fps_den = 0
 
-    def walk(start: int, end: int) -> None:
+    def walk(start: int, end: int, depth: int = 0) -> None:
         nonlocal handler, strf_comp, cur_stream, fps_num, fps_den
+        if depth > _RIFF_MAX_DEPTH:
+            raise ValueError("AVI LIST nesting too deep")
         for fcc, off, size in _riff_chunks(blob, start, end):
             if fcc.startswith(b"LIST:"):
-                walk(off, off + size)
+                walk(off, off + size, depth + 1)
             elif fcc == b"strh" and size >= 32:
                 cur_stream = blob[off:off + 4]
                 if cur_stream == b"vids":

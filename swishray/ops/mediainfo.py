@@ -590,18 +590,20 @@ def _y4m_info(blob: bytes) -> dict:
 
 @_corrupt_guard
 def _avi_info(blob: bytes) -> dict:
-    from .codecs import _riff_chunks
+    from .codecs import _RIFF_MAX_DEPTH, _riff_chunks
     if blob[:4] != b"RIFF" or blob[8:12] != b"AVI ":
         raise ValueError("not an AVI")
     out: dict = {"codec": None, "width": None, "height": None,
                  "n_frames": 0, "fps": None}
     cur_stream = None
 
-    def walk(start: int, end: int) -> None:
+    def walk(start: int, end: int, depth: int = 0) -> None:
         nonlocal cur_stream
+        if depth > _RIFF_MAX_DEPTH:
+            raise ValueError("AVI LIST nesting too deep")
         for fcc, off, size in _riff_chunks(blob, start, end):
             if fcc.startswith(b"LIST:"):
-                walk(off, off + size)
+                walk(off, off + size, depth + 1)
             elif fcc == b"strh" and size >= 32:
                 cur_stream = blob[off:off + 4]
                 if cur_stream == b"vids":

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from . import constants as C
 from .config import Config
-from .libxml import SaxTarget, html_tag_lookup_isinline
+from .libxml import html_tag_lookup_isinline
 from .text import glibc_lower, skip_ws, str_all_ws, trim_ws
 from .tokenizer import TokenList, tokenize_into
 
-_XINCLUDE_NS = b"http://www.w3.org/2003/XInclude"
-_XINCLUDE_OLD_NS = b"http://www.w3.org/2001/XInclude"
+_XINCLUDE_NSS = (b"http://www.w3.org/2003/XInclude",
+                 b"http://www.w3.org/2001/XInclude")
 
 # process-wide tag-name decode cache: tag vocabularies are tiny and
 # wildly repetitive (~50 distinct names per million events), so the
@@ -95,7 +95,7 @@ class _TagStack:
         return self.join.join([x.baked for x in self.items] + [baked])
 
 
-class ExtractionState(SaxTarget):
+class ExtractionState:
     """swish_ParserData equivalent for one document."""
 
     def __init__(self, config: Config, uri: str = "", tokenizer=None):
@@ -523,30 +523,6 @@ class ExtractionState(SaxTarget):
             self.flush_buffer(st.baked, st.context)
         self.domstack.pop()
 
-    # -- SaxTarget interface --------------------------------------------
-
-    def start_document(self) -> None:
-        pass
-
-    def end_document(self) -> None:
-        # parser.c:831-846 — flush whatever's left
-        self.flush_buffer(C.DEFAULT_METANAME, C.DEFAULT_METANAME)
-
-    def start_element(self, name: bytes,
-                      atts: list[bytes | None] | None) -> None:
-        t = _dtag(name)
-        a = None
-        # SAX1 == the HTML parser; attributes only influence an HTML
-        # bake for <meta> tags (bake_tag, parser.c:432-449), so skip
-        # the per-attribute decode everywhere else
-        if atts is not None and t.lower() == "meta":
-            a = [x.decode("utf-8", "replace") if x is not None else None
-                 for x in atts]
-        self.open_tag(t, a, None)
-
-    def end_element(self, name: bytes) -> None:
-        self.close_tag(_dtag(name), None)
-
     def _classify_fast(self, raw: bytes, name: str) -> None:
         """Admit ``name`` to the replay fast map when its open/close
         provably reduce to a bump_word update under the CURRENT state:
@@ -580,14 +556,14 @@ class ExtractionState(SaxTarget):
             self._fast_sax[raw] = (baked, c[1])
 
     def replay(self, events: list) -> None:
-        """Specialized swishsax event-batch consumer: identical
-        semantics to the per-event SaxTarget methods (libxml._replay
-        falls back to those for targets without this hook), with the
-        per-event wrapper frames inlined and a per-tag-name FAST PATH
+        """The only event entry point: consume one ``(rc, events)``
+        batch's event list (tuple format at the top of
+        _native/swishsax.c; both libxml2 front-ends build it). The
+        per-event handlers are inlined, with a per-tag-name FAST PATH
         for boring tags (see _classify_fast) — the per-tag Python
         state machine was the measured per-core hot path (~480k
-        open/close calls per 200 HTML docs)."""
-        buffer_characters = self.buffer_characters
+        open/close calls per 200 HTML docs). Rare events (XInclude,
+        comments, the end-of-document flush) take small branches."""
         open_tag = self.open_tag
         close_tag = self.close_tag
         dtag = _dtag
@@ -640,63 +616,45 @@ class ExtractionState(SaxTarget):
                         continue
                 close_tag(dtag(ev[1]), None)
             elif t == 5:
-                uri = ev[3]
-                if uri is not None and uri in (_XINCLUDE_NS,
-                                               _XINCLUDE_OLD_NS):
-                    # rare path with side effects (xinclude hook)
-                    self.start_element_ns(ev[1], ev[2], ev[3], ev[4])
-                else:
-                    atts = ev[4]
-                    a = None
-                    if atts is not None:
-                        a = [x.decode("utf-8", "replace")
-                             if x is not None else None for x in atts]
-                    prefix = ev[2]
-                    open_tag(dtag(ev[1]), a,
-                             dtag(prefix) if prefix else None)
+                atts = ev[4]
+                if ev[3] in _XINCLUDE_NSS:
+                    self._xinclude(ev[1], atts)
+                a = None
+                if atts is not None:
+                    a = [x.decode("utf-8", "replace")
+                         if x is not None else None for x in atts]
+                prefix = ev[2]
+                open_tag(dtag(ev[1]), a, dtag(prefix) if prefix else None)
             elif t == 6:
                 prefix = ev[2]
                 close_tag(dtag(ev[1]), dtag(prefix) if prefix else None)
             elif t == 4:
                 self.comment(ev[1])
-            elif t == 7:
-                self.start_document()
             elif t == 8:
-                self.end_document()
+                # parser.c:831-846 — flush whatever's left
+                self.flush_buffer(C.DEFAULT_METANAME, C.DEFAULT_METANAME)
 
-    def start_element_ns(self, localname: bytes, prefix: bytes | None,
-                         uri: bytes | None,
-                         atts: list[bytes] | None) -> None:
-        # XInclude (parser.c:924-951): with a resolver wired in, the
-        # referenced doc is parsed and merged in-line (process_xinclude
-        # semantics); without one, the engine records the miss instead
-        # of touching the filesystem (table-scale rows have no paths)
-        if (uri in (_XINCLUDE_NS, _XINCLUDE_OLD_NS)
-                and localname == b"include" and atts
-                and self.config.follow_xinclude):
-            href = None
-            is_text = False
-            for i in range(0, len(atts) - 1, 2):
-                if atts[i] == b"href" and atts[i + 1] is not None:
-                    href = atts[i + 1]
-                elif atts[i] == b"parse":
-                    is_text = atts[i + 1] == b"text"
-            if href is not None:
-                if self.xinclude_cb is not None:
-                    self.xinclude_cb(href.decode("utf-8", "replace"),
-                                     is_text)
-                else:
-                    self.parse_error = "xinclude-not-followed"
-        a = None
-        if atts is not None:
-            a = [x.decode("utf-8", "replace") if x is not None else None
-                 for x in atts]
-        self.open_tag(_dtag(localname), a,
-                      _dtag(prefix) if prefix else None)
-
-    def end_element_ns(self, localname: bytes, prefix: bytes | None) -> None:
-        self.close_tag(_dtag(localname),
-                       _dtag(prefix) if prefix else None)
+    def _xinclude(self, localname: bytes, atts: list[bytes] | None) -> None:
+        """XInclude (parser.c:924-951): with a resolver wired in, the
+        referenced doc is parsed and merged in-line (process_xinclude
+        semantics); without one, the engine records the miss instead
+        of touching the filesystem (table-scale rows have no paths)."""
+        if localname != b"include" or not atts \
+                or not self.config.follow_xinclude:
+            return
+        href = None
+        is_text = False
+        for i in range(0, len(atts) - 1, 2):
+            if atts[i] == b"href" and atts[i + 1] is not None:
+                href = atts[i + 1]
+            elif atts[i] == b"parse":
+                is_text = atts[i + 1] == b"text"
+        if href is None:
+            return
+        if self.xinclude_cb is not None:
+            self.xinclude_cb(href.decode("utf-8", "replace"), is_text)
+        else:
+            self.parse_error = "xinclude-not-followed"
 
     def comment(self, data: bytes) -> None:
         """mycomments (parser.c:1318-1388)."""
@@ -720,9 +678,6 @@ class ExtractionState(SaxTarget):
             return
         # any other comment bumps position (prevents phrase matching)
         self.bump_word = True
-
-
-ExtractionState.characters = ExtractionState.buffer_characters
 
 
 def concat_buffers(parent_nb: dict, child_nb: dict) -> None:

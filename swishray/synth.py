@@ -87,6 +87,17 @@ FIXTURE_DOCS = [
 ]
 
 
+def _fixture_docs() -> list[tuple[str, bytes]]:
+    """(name, bytes) for every FIXTURE_DOCS file present in _FIXDIR."""
+    docs = [(name, (_FIXDIR / name).read_bytes()) for name in FIXTURE_DOCS
+            if (_FIXDIR / name).exists()]
+    if not docs:
+        raise FileNotFoundError(
+            f"no fixture documents in {_FIXDIR} (the libswish3 "
+            f"src/test_docs corpus)")
+    return docs
+
+
 def fixture_pages_table(n_rows: int, skew_big_frac: float = 0.0,
                         seed: int = 42) -> pa.Table:
     """Deterministic pages table built from the fixture corpus.
@@ -96,11 +107,7 @@ def fixture_pages_table(n_rows: int, skew_big_frac: float = 0.0,
     partitioning (SURVEY.md §4 skew row)."""
     import random
     rng = random.Random(seed)
-    docs = []
-    for name in FIXTURE_DOCS:
-        p = _FIXDIR / name
-        if p.exists():
-            docs.append((name, p.read_bytes()))
+    docs = _fixture_docs()
     big = [d for d in docs if d[0] in ("revelation.txt", "testutf.xml")]
     urls, ts, bodies, langs = [], [], [], []
     for i in range(n_rows):
@@ -136,11 +143,7 @@ def fixture_pages(n_rows: int, skew_big_frac: float = 0.0, seed: int = 42,
     # large corpora: generate in parallel, deterministically by row
     # index, with the fixture bytes broadcast once via the object store
     import ray
-    docs = []
-    for name in FIXTURE_DOCS:
-        p = _FIXDIR / name
-        if p.exists():
-            docs.append((name, p.read_bytes()))
+    docs = _fixture_docs()
     docs_ref = ray.put(docs)
     # fine-grained blocks: ~32 pages per block gives the streaming
     # executor room to balance skewed pages across the pool

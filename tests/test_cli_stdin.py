@@ -7,8 +7,12 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 STDIN = pathlib.Path("/root/reference/src/test_stdin")
 PERL = pathlib.Path("/root/reference/bindings/perl/t")
+T_HTML = STDIN.parent / "test_docs" / "t.html"
+DOM_CONF = STDIN.parent / "test_configs" / "dom.conf"
 
 
 def run_lint_stdin(path: pathlib.Path) -> str:
@@ -19,26 +23,29 @@ def run_lint_stdin(path: pathlib.Path) -> str:
     return r.stdout.decode()
 
 
+@pytest.mark.needs_path(STDIN)
 def test_stdin_doc_xml():
     out = run_lint_stdin(STDIN / "doc.xml")
     assert "total words: 8410" in out
 
 
+@pytest.mark.needs_path(STDIN)
 def test_stdin_parser_type_override():
     out = run_lint_stdin(STDIN / "test.txt")
     assert "total words: 1" in out
 
 
+@pytest.mark.needs_path(PERL)
 def test_perl_multi_doc_stream():
     out = run_lint_stdin(PERL / "test.stream")
     assert "3 files parsed" in out
     assert "total words: 232" in out
 
 
+@pytest.mark.needs_path(T_HTML)
 def test_cli_lint_file():
     r = subprocess.run(
-        [sys.executable, "-m", "swishray", "lint", "-v",
-         "/root/reference/src/test_docs/t.html"],
+        [sys.executable, "-m", "swishray", "lint", "-v", str(T_HTML)],
         capture_output=True, cwd="/root/repo")
     assert b"nwords: 6" in r.stdout
     assert b"total words: 6" in r.stdout
@@ -54,14 +61,15 @@ def test_cli_tokenize():
     assert lines[1] == "parsed 3 tokens: http foobar com"
 
 
+@pytest.mark.needs_path(DOM_CONF)
 def test_cli_header_roundtrip():
     r = subprocess.run(
-        [sys.executable, "-m", "swishray", "header",
-         "/root/reference/src/test_configs/dom.conf"],
+        [sys.executable, "-m", "swishray", "header", str(DOM_CONF)],
         capture_output=True, cwd="/root/repo")
     assert b"doc.one.two" in r.stdout
 
 
+@pytest.mark.needs_path(T_HTML)
 def test_cli_dump_matches_reference_shape(tmp_path):
     """`swishray dump` emits golden_dump-shaped JSON records that
     diff clean against the reference tool on the same doc."""
@@ -71,7 +79,7 @@ def test_cli_dump_matches_reference_shape(tmp_path):
     import subprocess
     import sys
 
-    doc = "/root/reference/src/test_docs/t.html"
+    doc = str(T_HTML)
     r = subprocess.run([sys.executable, "-m", "swishray", "dump", doc],
                        capture_output=True, cwd="/root/repo")
     mine = json.loads(r.stdout)

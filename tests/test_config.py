@@ -2,6 +2,8 @@
 
 import pathlib
 
+import pytest
+
 from swishray.config import Config, string_to_boolean
 
 TC = pathlib.Path("/root/reference/src/test_configs")
@@ -34,6 +36,7 @@ def test_string_to_boolean_quirks():
     assert not string_to_boolean(None)
 
 
+@pytest.mark.needs_path(TC)
 def test_kitchen_sink_swish_xml():
     cfg = Config.default().add(str(TC / "swish.xml"))
     # MetaNames: attrs + alias children
@@ -65,6 +68,7 @@ def test_kitchen_sink_swish_xml():
     assert cfg.cascade_meta_context is True
 
 
+@pytest.mark.needs_path(TC)
 def test_xmlns_config_keeps_prefixes():
     cfg = Config.default().add(str(TC / "xmlns.xml"))
     assert "foo:name" in cfg.metanames
@@ -73,12 +77,14 @@ def test_xmlns_config_keeps_prefixes():
     assert cfg.ignore_xmlns is False
 
 
+@pytest.mark.needs_path(TC)
 def test_include_config_file():
     cfg = Config.default().add(str(TC / "includeconffile.xml"))
     # pulls in test_configs/xinclude.xml which defines doc/doc2
     assert "doc" in cfg.metanames and "doc2" in cfg.metanames
 
 
+@pytest.mark.needs_path(TC)
 def test_stringlist_merge():
     cfg = Config.default().add(str(TC / "UPPERlower.XML"))
     sl = cfg.stringlists["XMLClassAttributes"]

@@ -22,6 +22,7 @@ from swishray.extractor import DocumentExtractor
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens" / "fixtures.jsonl"
 FIX = pathlib.Path("/root/reference/src/test_docs")
+UNDEFTAGS_CONF = FIX.parent / "test_configs" / "undeftags-error.conf"
 
 CASES = [json.loads(line) for line in GOLDENS.open()]
 
@@ -91,13 +92,13 @@ def test_fixture_byte_identity(case):
     assert mine_tokens == ref_tokens, "token stream"
 
 
+@pytest.mark.needs_path(UNDEFTAGS_CONF, FIX / "undeftags.xml")
 def test_undef_metas_error_policy():
     """t/006: UndefinedMetaTags=error croaks in the reference ("XML tag
     'doc' is not a defined MetaName"); the engine lands the same
     message in the per-row error column instead of dying."""
     cfg = Config.default()
-    cfg.add(str(pathlib.Path(
-        "/root/reference/src/test_configs/undeftags-error.conf")))
+    cfg.add(str(UNDEFTAGS_CONF))
     ex = DocumentExtractor(cfg)
     doc = FIX / "undeftags.xml"
     rec = ex.extract(str(doc), doc.read_bytes())

@@ -142,3 +142,19 @@ def test_import_polars_repairs_stale_binding():
         # repair replaced the modules wholesale; nothing to restore
         # beyond ensuring a consistent end state
         assert import_polars() is not None
+
+
+def test_all_to_all_seam_is_pinned(ray_session):
+    """_has_all_to_all reads Ray's private logical plan and answers
+    True when anything fails. Pin the import, so that if Ray moves the
+    module this fails instead of every join silently materializing."""
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll)
+    from swishray.ops.joins import _has_all_to_all
+
+    ds = rd.range(8)
+    assert _has_all_to_all(ds) is False
+    grouped = ds.groupby("id").count()
+    assert isinstance(grouped._plan._logical_plan.dag, AbstractAllToAll)
+    assert _has_all_to_all(grouped) is True

@@ -6,8 +6,14 @@ import pathlib
 import tempfile
 
 import pyarrow as pa
+import pytest
+
+from swishray.synth import _FIXDIR
+
+SWISH_XML = _FIXDIR.parent / "test_configs" / "swish.xml"
 
 
+@pytest.mark.needs_path(_FIXDIR)
 def test_write_partitioned_and_resume(ray_session):
     from swishray.manifest import (read_manifests, write_partitioned,
                                    completed_buckets)
@@ -59,6 +65,7 @@ def _read_all_buckets(out):
     return sorted(urls)
 
 
+@pytest.mark.needs_path(_FIXDIR)
 def test_write_partitioned_multifile_bucket(ray_session):
     """A bucket larger than one part file streams out as several files
     (grouped mode never holds a bucket as a single write unit)."""
@@ -77,6 +84,7 @@ def test_write_partitioned_multifile_bucket(ray_session):
         assert len(_read_all_buckets(out)) == 120
 
 
+@pytest.mark.needs_path(_FIXDIR)
 def test_write_partitioned_stream_mode(ray_session):
     """Shuffle-free streamed writer: same contents, manifests derived
     from the per-file stats aggregate, resume skips complete buckets."""
@@ -157,10 +165,10 @@ def test_directory_source(ray_session):
         assert names == ["x.txt", "y.txt"]
 
 
+@pytest.mark.needs_path(SWISH_XML)
 def test_config_to_xml_roundtrip():
     from swishray.config import Config
-    cfg = Config.default().add(
-        "/root/reference/src/test_configs/swish.xml")
+    cfg = Config.default().add(str(SWISH_XML))
     xml = cfg.to_xml()
     cfg2 = Config.default().add(xml)
     assert set(cfg2.metanames) == set(cfg.metanames)

@@ -250,6 +250,29 @@ def test_av_probes_match_encoders():
             ai["fps"]) == ("MJPG", 16, 12, 4, 30.0)
 
 
+def _nested_avi(depth: int) -> bytes:
+    """A RIFF AVI whose body is ``depth`` LIST chunks, each nested in
+    the one before."""
+    heads = [b"LIST" + struct.pack("<I", 4 + 12 * (depth - 1 - k)) + b"movi"
+             for k in range(depth)]
+    return (b"RIFF" + struct.pack("<I", 4 + 12 * depth) + b"AVI "
+            + b"".join(heads))
+
+
+def test_avi_walks_bound_nesting_depth():
+    """Both recursive AVI chunk walks stop a deeply nested file with
+    ValueError instead of RecursionError, which would kill the batch."""
+    from swishray.ops.codecs import decode_avi_mjpeg
+    deep, shallow = _nested_avi(3000), _nested_avi(8)
+    with pytest.raises(ValueError, match="nesting"):
+        _avi_info(deep)
+    with pytest.raises(ValueError, match="nesting"):
+        decode_avi_mjpeg(deep)
+    assert _avi_info(shallow)["n_frames"] == 0
+    with pytest.raises(ValueError, match="stream header"):
+        decode_avi_mjpeg(shallow)
+
+
 # ---------------------------------------------------------------------------
 # the Ray stage
 

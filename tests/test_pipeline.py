@@ -8,6 +8,7 @@ import pytest
 FIX = pathlib.Path("/root/reference/src/test_docs")
 
 
+@pytest.mark.needs_path(FIX)
 def test_extract_pages_matches_unit_extractor(ray_session):
     """Pipeline output == direct per-document extraction (the unit
     path is itself byte-identical to the reference, test_conformance)."""
@@ -30,6 +31,13 @@ def test_extract_pages_matches_unit_extractor(ray_session):
             r["url"]
         assert o["token_values"] == rec.token_values or \
             list(o["token_values"]) == rec.token_values, r["url"]
+
+
+def test_fixture_pages_names_missing_corpus(tmp_path, monkeypatch):
+    from swishray import synth
+    monkeypatch.setattr(synth, "_FIXDIR", tmp_path)
+    with pytest.raises(FileNotFoundError, match=str(tmp_path)):
+        synth.fixture_pages_table(4)
 
 
 def test_extract_error_rows_do_not_kill_job(ray_session):
@@ -63,6 +71,7 @@ def test_truncation_flag(ray_session):
     assert out.column("error").to_pylist()[0].startswith("truncated@50")
 
 
+@pytest.mark.needs_path(FIX)
 def test_facet_and_topwords(ray_session):
     from swishray.pipeline import (extract_pages, facet_counts,
                                    top_n_words, total_word_count,

@@ -23,21 +23,28 @@ SCRIPT = textwrap.dedent("""
     import sys
     sys.path.insert(0, "/root/repo")
     import ray
+    import pyarrow as pa
+    import ray.data as rd
     ray.init(address="local", num_cpus=4, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     from swishray.manifest import write_partitioned
     from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
+    from swishray.synth import pages_from_documents_batch
 
     out_dir = sys.argv[1]
     slow = len(sys.argv) > 2 and sys.argv[2] == "--slow"
-    ext = extract_pages(fixture_pages(240), emit="text", concurrency=2,
-                        batch_size=16)
+    docs = pa.table({
+        "doc_id": pa.array(range(240), type=pa.int64()),
+        "text": [f"page {i} " + "alpha beta gamma " * (1 + i % 7)
+                 for i in range(240)],
+        "lang": ["en"] * 240})
+    pages = rd.from_arrow(pages_from_documents_batch(docs)).repartition(15)
+    ext = extract_pages(pages, emit="text", concurrency=2, batch_size=16)
     if slow:
         # stretch the write phase so the kill lands mid-run
-        import pyarrow as pa, time as _t
+        import time as _t
 
         def drag(batch: pa.Table) -> pa.Table:
             _t.sleep(0.6)

@@ -31,8 +31,12 @@ SCRIPT = textwrap.dedent("""
     pairs = minhash_dedup(ds, threshold=0.8).take_all()
     assert len(pairs) == 1, pairs
     from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
-    n = extract_pages(fixture_pages(12), emit="text").sum("nwords")
+    from swishray.synth import pages_from_documents_batch
+    docs = pa.table({"doc_id": pa.array(range(12), type=pa.int64()),
+                     "text": [f"page {i} alpha beta" for i in range(12)],
+                     "lang": ["en"] * 12})
+    pages = rd.from_arrow(pages_from_documents_batch(docs)).repartition(2)
+    n = extract_pages(pages, emit="text").sum("nwords")
     assert n > 0
     ray.shutdown()
     print("TINY_OK")
