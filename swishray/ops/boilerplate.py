@@ -177,7 +177,7 @@ def remove_duplicate_lines(ds: Any, col: str = "text",
     # large_string through the exchanges (union needs one schema) and
     # is cast back to the input's Arrow type at the end — resolved on
     # the DRIVER (a worker-side closure mutation would not propagate).
-    from .joins import field_type
+    from .joins import field_type, hash_exchange
     ktype = field_type(ds, key)
     from .dedup import _mix64
 
@@ -232,23 +232,12 @@ def remove_duplicate_lines(ds: Any, col: str = "text",
             "side": pa.array(["h"] * n),
         })
 
-    # Both exchanges group on a bounded BUCKET count, never per key:
-    # Ray invokes the map_groups fn once per group, and per-line-hash /
-    # per-doc invocation overhead (a Python frame + block build each)
-    # was the measured round-2 bench cost on minhash (dedup.py:418-425
-    # carries the same pattern).  Inside a bucket everything is one
-    # vectorized pandas pass.
+    # Both exchanges are hash_exchange with a fixed 256 buckets, never
+    # per key: inside a bucket everything is one vectorized pandas
+    # pass.
     n_buckets = 256
-
-    def add_hash_bucket(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        h = batch.column("line_hash").to_numpy(zero_copy_only=False)
-        b = (h.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int32)
-        return batch.append_column("hb", pa.array(b))
-
     both = ds.map_batches(explode, batch_format="pyarrow").union(
-        hot.map_batches(tag_hot, batch_format="pyarrow")).map_batches(
-        add_hash_bucket, batch_format="pyarrow")
+        hot.map_batches(tag_hot, batch_format="pyarrow"))
 
     def drop_hot(g) -> Any:
         dead = set(g.loc[g["side"] == "h", "line_hash"])
@@ -258,14 +247,7 @@ def remove_duplicate_lines(ds: Any, col: str = "text",
             (g["line_no"] == -1) | ~g["line_hash"].isin(dead))
         return g[keep]
 
-    kept = both.groupby("hb").map_groups(drop_hot, batch_format="pandas")
-
-    def add_key_bucket(batch: pa.Table) -> pa.Table:
-        from .joins import _key_hash64
-        import numpy as np
-        kb = (_key_hash64(batch.column(key).combine_chunks())
-              % np.uint64(n_buckets)).astype(np.int32)
-        return batch.append_column("kb", pa.array(kb))
+    kept = hash_exchange(both, "line_hash", drop_hot, n_buckets)
 
     def reassemble(g) -> Any:
         import pandas as pd
@@ -281,8 +263,7 @@ def remove_duplicate_lines(ds: Any, col: str = "text",
             "int64").values
         return out
 
-    out = kept.map_batches(add_key_bucket, batch_format="pyarrow") \
-        .groupby("kb").map_groups(reassemble, batch_format="pandas")
+    out = hash_exchange(kept, key, reassemble, n_buckets)
 
     def fix_types(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -234,7 +234,6 @@ def dedup_keep_canonical(docs: Any, pairs: Any, key: str = "doc_id",
 
 
 def triangle_count(edges: Any, a: str = "a", b: str = "b",
-                   n_buckets: int | None = None,
                    dense_max_edges: int | None = None) -> Any:
     """Total number of TRIANGLES in the undirected graph given by the
     (possibly duplicated, possibly self-looping) edge list — the
@@ -268,7 +267,8 @@ def triangle_count(edges: Any, a: str = "a", b: str = "b",
     from ray.data.aggregate import Sum
 
     from ..util import _session_cpus
-    B = n_buckets or max(8, 2 * _session_cpus())
+    from .joins import hash_exchange
+    B = max(8, 2 * _session_cpus())
 
     def canon(batch: pa.Table) -> pa.Table:
         ok = pc.and_(pc.is_valid(batch.column(a)),
@@ -348,12 +348,6 @@ def triangle_count(edges: Any, a: str = "a", b: str = "b",
     oriented = with_deg.map_batches(orient, batch_format="pyarrow") \
         .materialize()  # consumers: wedge gen + closure probe
 
-    def bucket_src(batch: pa.Table) -> pa.Table:
-        bk = pa.array((batch.column("src").to_numpy()
-                       .view(np.uint64) % np.uint64(B))
-                      .astype(np.int32))
-        return batch.append_column("__bk", bk)
-
     def wedges(g: pd.DataFrame) -> pa.Table:
         outs = []
         for _, grp in g.groupby("src", sort=False):
@@ -378,10 +372,7 @@ def triangle_count(edges: Any, a: str = "a", b: str = "b",
             "wn": pa.array(np.ones(len(m), dtype=np.int64)),
             "en": pa.array(np.zeros(len(m), dtype=np.int64))})
 
-    wedge_rows = (oriented.map_batches(bucket_src,
-                                       batch_format="pyarrow")
-                  .groupby("__bk")
-                  .map_groups(wedges, batch_format="pandas"))
+    wedge_rows = hash_exchange(oriented, "src", wedges, B)
 
     edge_rows = oriented.map_batches(
         lambda t: pa.table({

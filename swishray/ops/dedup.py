@@ -308,30 +308,27 @@ def band_hash_matrix(flat: np.ndarray, n: int, bands: int) -> np.ndarray:
 
 def lsh_candidate_pairs(sigs: Any, bands: int = 16,
                         key: str = "doc_id",
-                        bucket_cap: int = DEFAULT_BUCKET_CAP,
-                        num_superbuckets: int | None = None) -> Any:
+                        bucket_cap: int = DEFAULT_BUCKET_CAP) -> Any:
     """Explode signatures to (band_id, band_hash, key) rows, shuffle on
-    a SUPERBUCKET (band_hash mod a small fixed count), pair up within
-    band buckets. Returns candidate pairs (a < b), deduped per block —
-    a pair matching in several bands can appear once per band;
-    consumers dedup the (small) final set.
+    a SUPERBUCKET (a :func:`~.joins.hash_exchange` on band_hash, 4x
+    the default bucket count), pair up within band buckets. Returns
+    candidate pairs (a < b), deduped per block — a pair matching in
+    several bands can appear once per band; consumers dedup the
+    (small) final set.
 
     Superbuckets keep the reduce side vectorized: the shuffle
     co-locates many band buckets per group, and one PANDAS groupby
     inside the task walks them — thousands of per-band-bucket Ray
     map_groups invocations (one Python frame + block build each) were
     the measured r2 cost, not the bytes. Skew note: a superbucket
-    holds ~#buckets/num_superbuckets band buckets, and the star cap
+    holds ~#buckets/#superbuckets band buckets, and the star cap
     below bounds any single bucket, so group size stays ~uniform.
 
     Buckets larger than ``bucket_cap`` emit star pairs only (see
     module docstring) so one boilerplate-heavy bucket cannot explode
     into O(n^2) pairs."""
     import pandas as pd
-
-    if num_superbuckets is None:
-        from .joins import default_join_partitions
-        num_superbuckets = 4 * default_join_partitions()
+    from .joins import default_join_partitions, hash_exchange
 
     def explode(batch: pa.Table) -> pa.Table:
         """Vectorized banding: the (n, num_perm) signature matrix
@@ -344,7 +341,6 @@ def lsh_candidate_pairs(sigs: Any, bands: int = 16,
             return pa.table({
                 "band_id": pa.array([], type=pa.int32()),
                 "band_hash": pa.array([], type=pa.int64()),
-                "__sb": pa.array([], type=pa.int32()),
                 key: pa.array([], type=batch.schema.field(key).type),
             })
         mh = batch.column("minhash").combine_chunks()
@@ -356,7 +352,6 @@ def lsh_candidate_pairs(sigs: Any, bands: int = 16,
             "band_id": pa.array(np.tile(np.arange(bands, dtype=np.int32),
                                         n)),
             "band_hash": pa.array(bh),
-            "__sb": pa.array((bh % num_superbuckets).astype(np.int32)),
             key: batch.column(key).combine_chunks().take(idx),
         })
 
@@ -384,25 +379,9 @@ def lsh_candidate_pairs(sigs: Any, bands: int = 16,
         return pa.table({"a": pa.array(m["a"]).cast(kt),
                          "b": pa.array(m["b"]).cast(kt)})
 
-    from .joins import default_join_partitions
-    # Coalesce the exploded table before the superbucket shuffle: the
-    # groupby emits one sub-block per (map block, reduce partition)
-    # pair, all driver-owned, and sub-blocks under Ray's ~100 KB
-    # inline threshold live in the driver's in-process store rather
-    # than plasma (joins.coalesce_before_shuffle doc). The exploded
-    # table is bands x the corpus keys (~300 MB at soak x100), so at
-    # M ~ 64 map blocks its sub-blocks sit UNDER the threshold and
-    # the whole table transits the driver: measured driver private
-    # RSS +395 MB at x100, persisting after materialize. Coalescing
-    # to ~CPU-count blocks makes every sub-block plasma-sized:
-    # measured 509 -> 155 MB (M=32) at identical wall time; block
-    # bytes grow with corpus size, so sub-blocks only get safer at
-    # scale (Ray's dynamic block splitting re-caps map outputs at
-    # target_max_block_size if they outgrow worker heaps).
-    exploded = sigs.map_batches(explode, batch_format="pyarrow") \
-        .repartition(default_join_partitions())
-    return exploded.groupby("__sb").map_groups(
-        pairs_super, batch_format="pandas")
+    exploded = sigs.map_batches(explode, batch_format="pyarrow")
+    return hash_exchange(exploded, "band_hash", pairs_super,
+                         4 * default_join_partitions())
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -420,34 +399,25 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
 
 def attach_pair_sets(cand: Any, sets: Any, key: str, ktype) -> Any:
     """Attach per-key binary set blobs to candidate pairs: (a, b) x
-    (key, __sh) -> (a, b, __sha, __shb) via two bucketed merges (the
-    hash_join shape inlined). Shared by minhash_dedup and
-    setsim_join.
+    (key, __sh) -> (a, b, __sha, __shb) via two
+    :func:`~.joins.hash_exchange` merges, on a then on b. Shared by
+    minhash_dedup, setsim_join and containment_join.
 
-    Grouping is on a FIXED bucket count (not per key): each reduce
-    task runs one vectorized pandas merge over its bucket instead of
-    Ray invoking a Python function per key — the r2 per-group
-    invocation overhead was the measured cost at sf0.1, not bytes.
-    All copies of a pair (duplicated e.g. across LSH bands) hash to
-    the same a-bucket, so stage A's drop_duplicates is a GLOBAL pair
-    dedup for free. No column is ever null-padded (set rows carry
+    Each reduce task runs one vectorized pandas merge over its bucket
+    instead of Ray invoking a Python function per key. All copies of
+    a pair (duplicated e.g. across LSH bands) hash to the same
+    a-bucket, so stage A's drop_duplicates is a GLOBAL pair dedup for
+    free. No column is ever null-padded (set rows carry
     their own key in the unused slot), so int64 keys never pass
     through float64/NaN (exact for keys > 2^53 too)."""
     import pandas as pd
-    from .joins import _key_hash64, default_join_partitions
-    B = default_join_partitions()
-
-    def _bk(arr) -> pa.Array:
-        return pa.array((_key_hash64(arr) % np.uint64(B))
-                        .astype(np.int32))
+    from .joins import hash_exchange
 
     def tag_pairs_a(batch: pa.Table) -> pa.Table:
-        a = batch.column("a")
         return pa.table({
-            "a": a, "b": batch.column("b"),
+            "a": batch.column("a"), "b": batch.column("b"),
             "__sh": pa.array([b""] * batch.num_rows,
                              type=pa.large_binary()),
-            "__bk": _bk(a),
             "__is_set": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
         })
 
@@ -461,13 +431,12 @@ def attach_pair_sets(cand: Any, sets: Any, key: str, ktype) -> Any:
             if side == "a":
                 return pa.table({
                     "a": k, "b": k, "__sh": batch.column("__sh"),
-                    "__bk": _bk(k), "__is_set": ones})
+                    "__is_set": ones})
             return pa.table({
                 "a": k, "b": k,
                 "__sha": pa.array([b""] * batch.num_rows,
                                   type=pa.large_binary()),
-                "__sh": batch.column("__sh"),
-                "__bk": _bk(k), "__is_set": ones})
+                "__sh": batch.column("__sh"), "__is_set": ones})
         return f
 
     def merge_a(g: pd.DataFrame) -> pa.Table:
@@ -485,24 +454,17 @@ def attach_pair_sets(cand: Any, sets: Any, key: str, ktype) -> Any:
             "__sha": pa.array(m["__sh"].tolist(),
                               type=pa.large_binary())})
 
-    # coalesce both unions to B blocks before the bucket shuffle:
-    # same driver-resident sub-block pathology and fix as
-    # lsh_candidate_pairs above (the gram-set blobs are the bulk of
-    # the union bytes; measured at soak x100 in BASELINE.md)
-    stage_a = cand.map_batches(tag_pairs_a, batch_format="pyarrow") \
-        .union(sets.map_batches(tag_sets("a"),
-                                     batch_format="pyarrow")) \
-        .repartition(B) \
-        .groupby("__bk").map_groups(merge_a, batch_format="pandas")
+    stage_a = hash_exchange(
+        cand.map_batches(tag_pairs_a, batch_format="pyarrow").union(
+            sets.map_batches(tag_sets("a"), batch_format="pyarrow")),
+        "a", merge_a)
 
     def tag_pairs_b(batch: pa.Table) -> pa.Table:
-        b = batch.column("b")
         return pa.table({
-            "a": batch.column("a"), "b": b,
+            "a": batch.column("a"), "b": batch.column("b"),
             "__sha": batch.column("__sha"),
             "__sh": pa.array([b""] * batch.num_rows,
                              type=pa.large_binary()),
-            "__bk": _bk(b),
             "__is_set": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
         })
 
@@ -519,11 +481,10 @@ def attach_pair_sets(cand: Any, sets: Any, key: str, ktype) -> Any:
             "__shb": pa.array(m["__sh"].tolist(),
                               type=pa.large_binary())})
 
-    return stage_a.map_batches(tag_pairs_b, batch_format="pyarrow") \
-        .union(sets.map_batches(tag_sets("b"),
-                                     batch_format="pyarrow")) \
-        .repartition(B) \
-        .groupby("__bk").map_groups(merge_b, batch_format="pandas")
+    return hash_exchange(
+        stage_a.map_batches(tag_pairs_b, batch_format="pyarrow").union(
+            sets.map_batches(tag_sets("b"), batch_format="pyarrow")),
+        "b", merge_b)
 
 
 def minhash_dedup(ds: Any, threshold: float = 0.8, num_perm: int = 64,
@@ -839,44 +800,34 @@ def dedup_against_corpus(new: Any, ref: Any, threshold: float = 0.8,
 
 # ---- exact set-similarity self-join (prefix filtering) ----------------
 
-def setsim_join(ds: Any, threshold: float = 0.8, shingle_k: int = 3,
-                col: str = "text", key: str = "doc_id",
-                n_buckets: int | None = None) -> Any:
-    """EXACT Jaccard self-join via prefix filtering (AllPairs/PPJoin
-    family, Bayardo et al. 2007; Chaudhuri et al. 2006) — the exact
-    counterpart of :func:`minhash_dedup`: returns EVERY pair with
-    gram-set Jaccard >= threshold, no LSH recall loss.
+def _prefix_filter_join(ds: Any, threshold: float, shingle_k: int,
+                        col: str, key: str, candidates, measure,
+                        out_col: str) -> Any:
+    """The machinery setsim_join and containment_join share.
 
-    Candidate completeness: order each doc's unique gram-hash set by
-    (global gram frequency asc, hash asc) and keep the PREFIX of
-    length |x| - ceil(t·|x|) + 1 (ceil in exact rational arithmetic).
-    For J(x,y) >= t the overlap o >= ceil(t·|x|), so the smallest
-    common gram (in that total order) sits within BOTH prefixes — an
-    equi-join of prefix rows on the gram finds every qualifying pair.
-
-    Scale shape: the (key, gram, size) index is the only big
-    intermediate (materialized once — two consumers; spill-backed);
-    gram frequencies are a slim groupby; the prefix join buckets on
-    the gram so each reduce task runs one vectorized self-merge;
-    rare-first ordering is what keeps those buckets small (a bucket
-    blows up only if many docs' RAREST retained gram coincides —
-    i.e. a true near-dup cluster, which is output-sized anyway).
-    Verify reuses the minhash machinery: Bloom-pruned set blobs,
-    :func:`attach_pair_sets`, one vectorized exact Jaccard per pair.
-    Empty docs never pair (they emit no grams), matching the SQL
-    replay. Output: (a, b, jaccard)."""
+    Index: one (key, gram, size) row per unique gram of each doc —
+    the only big intermediate (materialized once, two consumers;
+    spill-backed). Gram frequencies are a slim groupby joined back on
+    the gram; a :func:`~.joins.hash_exchange` on the key then keeps
+    each doc's PREFIX (|x| - ceil(t·|x|) + 1 grams, ceil in exact
+    rational arithmetic) in (global gram frequency asc, hash asc)
+    order. ``candidates(rows, pref, ktype, p, q)`` (t = p/q) turns the
+    full index and the prefixes into (a, b) pairs; verify is
+    Bloom-pruned set blobs, :func:`attach_pair_sets` and one
+    vectorized ``measure(set_a, set_b)`` per pair, kept when
+    >= threshold. Empty docs emit no grams, so they never pair.
+    Output: (a, b, ``out_col``)."""
     import math
     from fractions import Fraction
 
     import pandas as pd
     import pyarrow.compute as pc
-    from .joins import (_key_hash64, bloom_keys, bloom_semi_filter,
-                        default_join_partitions)
+    from .joins import (bloom_keys, bloom_semi_filter,
+                        default_join_partitions, field_type, hash_exchange,
+                        hash_join)
 
-    from .joins import field_type
     ktype = field_type(ds, key)
     t_frac = Fraction(str(threshold))
-    B = n_buckets or default_join_partitions()
     src = ds.select_columns([key, col])
 
     def rows_f(batch: pa.Table) -> pa.Table:
@@ -905,17 +856,12 @@ def setsim_join(ds: Any, threshold: float = 0.8, shingle_k: int = 3,
                             "gfreq": t.column("count()")}),
         batch_format="pyarrow")
 
-    from .joins import hash_join
-    ranked = hash_join(rows, freq, key="w", num_buckets=B)
+    ranked = hash_join(rows, freq, key="w",
+                       num_buckets=default_join_partitions())
     # hash_join pre-suffixes right non-key columns unconditionally,
     # so the name is static — probing ranked.schema() here would
     # EXECUTE the whole join once for the probe and again downstream
     freq_col = "gfreq_r"
-
-    def bucket_by_key(batch: pa.Table) -> pa.Table:
-        bk = pa.array((_key_hash64(batch.column(key))
-                       % np.uint64(B)).astype(np.int32))
-        return batch.append_column("__bk", bk)
 
     def prefix(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, freq_col, "w"])
@@ -926,36 +872,10 @@ def setsim_join(ds: Any, threshold: float = 0.8, shingle_k: int = 3,
         keep = pos < np.array([plen[s] for s in sizes])
         return g.loc[keep, [key, "w", "size"]]
 
-    pref = ranked.map_batches(bucket_by_key, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(prefix, batch_format="pandas")
-
-    def bucket_by_w(batch: pa.Table) -> pa.Table:
-        bk = pa.array((batch.column("w").to_numpy()
-                       .view(np.uint64) % np.uint64(B))
-                      .astype(np.int32))
-        return batch.append_column("__bk", bk)
-
-    p_num, q_den = t_frac.numerator, t_frac.denominator
-
-    def pair_up(g: pd.DataFrame) -> pa.Table:
-        df = g[[key, "w", "size"]]
-        m = df.merge(df, on="w", suffixes=("_a", "_b"))
-        m = m[m[f"{key}_a"] < m[f"{key}_b"]]
-        # length filter (Arasu et al. 2006): J(x,y) <= min/max of the
-        # set sizes, so J >= t needs q*min >= p*max — exact integers,
-        # drops size-incompatible candidates before the verify join
-        sa = m["size_a"].to_numpy()
-        sb = m["size_b"].to_numpy()
-        m = m.loc[q_den * np.minimum(sa, sb)
-                  >= p_num * np.maximum(sa, sb)]
-        m = m.drop_duplicates(subset=[f"{key}_a", f"{key}_b"])
-        return pa.table({
-            "a": pa.array(m[f"{key}_a"], type=ktype),
-            "b": pa.array(m[f"{key}_b"], type=ktype)})
-
-    cand = pref.map_batches(bucket_by_w, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(pair_up, batch_format="pandas") \
-        .repartition(B).materialize()
+    pref = hash_exchange(ranked, key, prefix)
+    cand = candidates(rows, pref, ktype, t_frac.numerator,
+                      t_frac.denominator) \
+        .repartition(default_join_partitions()).materialize()
 
     mask_ref = bloom_keys(cand, ["a", "b"])
     sets_src = bloom_semi_filter(src, mask_ref, key)
@@ -973,18 +893,65 @@ def setsim_join(ds: Any, threshold: float = 0.8, shingle_k: int = 3,
     def verify_batch(batch: pa.Table) -> pa.Table:
         sha = batch.column("__sha").to_pylist()
         shb = batch.column("__shb").to_pylist()
-        js = np.empty(len(sha), dtype=np.float64)
+        vs = np.empty(len(sha), dtype=np.float64)
         for i, (x, y) in enumerate(zip(sha, shb)):
-            js[i] = hashed_jaccard(
-                np.frombuffer(x or b"", dtype=np.uint64),
-                np.frombuffer(y or b"", dtype=np.uint64))
+            vs[i] = measure(np.frombuffer(x or b"", dtype=np.uint64),
+                            np.frombuffer(y or b"", dtype=np.uint64))
         out = pa.table({
             "a": pc.cast(batch.column("a"), ktype),
             "b": pc.cast(batch.column("b"), ktype),
-            "jaccard": pa.array(js, type=pa.float64())})
-        return out.filter(pa.array(js >= threshold))
+            out_col: pa.array(vs, type=pa.float64())})
+        return out.filter(pa.array(vs >= threshold))
 
     return attached.map_batches(verify_batch, batch_format="pyarrow")
+
+
+def setsim_join(ds: Any, threshold: float = 0.8, shingle_k: int = 3,
+                col: str = "text", key: str = "doc_id") -> Any:
+    """EXACT Jaccard self-join via prefix filtering (AllPairs/PPJoin
+    family, Bayardo et al. 2007; Chaudhuri et al. 2006) — the exact
+    counterpart of :func:`minhash_dedup`: returns EVERY pair with
+    gram-set Jaccard >= threshold, no LSH recall loss.
+
+    Candidate completeness: order each doc's unique gram-hash set by
+    (global gram frequency asc, hash asc) and keep the PREFIX of
+    length |x| - ceil(t·|x|) + 1 (ceil in exact rational arithmetic).
+    For J(x,y) >= t the overlap o >= ceil(t·|x|), so the smallest
+    common gram (in that total order) sits within BOTH prefixes — an
+    equi-join of prefix rows on the gram finds every qualifying pair.
+
+    Scale shape (:func:`_prefix_filter_join`): the prefix self-join
+    is a hash exchange on the gram, so each reduce task runs one
+    vectorized self-merge; rare-first ordering is what keeps those
+    buckets small (a bucket blows up only if many docs' RAREST
+    retained gram coincides — i.e. a true near-dup cluster, which is
+    output-sized anyway). Empty docs never pair, matching the SQL
+    replay. Output: (a, b, jaccard)."""
+    import pandas as pd
+    from .joins import hash_exchange
+
+    def candidates(rows, pref, ktype, p_num, q_den):
+        def pair_up(g: pd.DataFrame) -> pa.Table:
+            df = g[[key, "w", "size"]]
+            m = df.merge(df, on="w", suffixes=("_a", "_b"))
+            m = m[m[f"{key}_a"] < m[f"{key}_b"]]
+            # length filter (Arasu et al. 2006): J(x,y) <= min/max of
+            # the set sizes, so J >= t needs q*min >= p*max — exact
+            # integers, drops size-incompatible candidates before the
+            # verify join
+            sa = m["size_a"].to_numpy()
+            sb = m["size_b"].to_numpy()
+            m = m.loc[q_den * np.minimum(sa, sb)
+                      >= p_num * np.maximum(sa, sb)]
+            m = m.drop_duplicates(subset=[f"{key}_a", f"{key}_b"])
+            return pa.table({
+                "a": pa.array(m[f"{key}_a"], type=ktype),
+                "b": pa.array(m[f"{key}_b"], type=ktype)})
+
+        return hash_exchange(pref, "w", pair_up)
+
+    return _prefix_filter_join(ds, threshold, shingle_k, col, key,
+                               candidates, hashed_jaccard, "jaccard")
 
 
 def hashed_containment(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -999,8 +966,7 @@ def hashed_containment(sa: np.ndarray, sb: np.ndarray) -> float:
 
 def containment_join(ds: Any, threshold: float = 0.9,
                      shingle_k: int = 3, col: str = "text",
-                     key: str = "doc_id",
-                     n_buckets: int | None = None) -> Any:
+                     key: str = "doc_id") -> Any:
     """EXACT asymmetric containment self-join: every ORDERED pair
     (a, b), a != b, where >= ``threshold`` of a's unique word
     ``shingle_k``-grams also occur in b — near-subset / quotation /
@@ -1020,134 +986,40 @@ def containment_join(ds: Any, threshold: float = 0.9,
     so a common gram contributes many index rows but almost no probe
     rows — the per-bucket product stays near the true candidate
     count.  Verify = one vectorized exact containment per distinct
-    pair over Bloom-pruned hashed-shingle blobs (shared
-    attach_pair_sets machinery).  Empty-gram docs never pair, either
-    side.  Output: (a, b, containment)."""
-    import math
-    from fractions import Fraction
-
+    pair (:func:`_prefix_filter_join`).  Empty-gram docs never pair,
+    either side.  Output: (a, b, containment)."""
     import pandas as pd
     import pyarrow.compute as pc
-    from .joins import (_key_hash64, bloom_keys, bloom_semi_filter,
-                        default_join_partitions)
+    from .joins import hash_exchange
 
-    from .joins import field_type
-    ktype = field_type(ds, key)
-    t_frac = Fraction(str(threshold))
-    B = n_buckets or default_join_partitions()
-    src = ds.select_columns([key, col])
+    def candidates(rows, pref, ktype, p_num, q_den):
+        def tag(side: int, src_ds):
+            def f(batch: pa.Table) -> pa.Table:
+                return pa.table({
+                    key: pc.cast(batch.column(key), ktype),
+                    "w": batch.column("w"),
+                    "size": batch.column("size"),
+                    "__p": pa.array(
+                        np.full(batch.num_rows, side, dtype=np.int8))})
+            return src_ds.map_batches(f, batch_format="pyarrow")
 
-    def rows_f(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key).to_pylist()
-        ks, ws, szs = [], [], []
-        for kk, tt in zip(keys, batch.column(col).to_pylist()):
-            h = np.unique(gram_hashes(tt or "", shingle_k))
-            if not len(h):
-                continue
-            ks.extend([kk] * len(h))
-            ws.append(h)
-            szs.extend([len(h)] * len(h))
-        w = (np.concatenate(ws) if ws
-             else np.empty(0, dtype=np.uint64))
-        return pa.table({
-            key: pa.array(ks, type=ktype),
-            "w": pa.array(w.view(np.int64)),
-            "size": pa.array(szs, type=pa.int64())})
-
-    rows = src.map_batches(rows_f, batch_format="pyarrow") \
-        .materialize()
-
-    freq = rows.groupby("w").count().map_batches(
-        lambda t: pa.table({"w": t.column("w"),
-                            "gfreq": t.column("count()")}),
-        batch_format="pyarrow")
-
-    from .joins import hash_join
-    ranked = hash_join(rows, freq, key="w", num_buckets=B)
-    # hash_join pre-suffixes right non-key columns unconditionally,
-    # so the name is static — probing ranked.schema() here would
-    # EXECUTE the whole join once for the probe and again downstream
-    freq_col = "gfreq_r"
-
-    def bucket_by_key(batch: pa.Table) -> pa.Table:
-        bk = pa.array((_key_hash64(batch.column(key))
-                       % np.uint64(B)).astype(np.int32))
-        return batch.append_column("__bk", bk)
-
-    def prefix(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, freq_col, "w"])
-        pos = g.groupby(key, sort=False).cumcount().to_numpy()
-        sizes = g["size"].to_numpy()
-        plen = {s: s - int(math.ceil(t_frac * s)) + 1
-                for s in np.unique(sizes)}
-        keep = pos < np.array([plen[s] for s in sizes])
-        return g.loc[keep, [key, "w", "size"]]
-
-    pref = ranked.map_batches(bucket_by_key, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(prefix, batch_format="pandas")
-
-    def tag(side: int, src_ds):
-        def f(batch: pa.Table) -> pa.Table:
-            bk = pa.array((batch.column("w").to_numpy()
-                           .view(np.uint64) % np.uint64(B))
-                          .astype(np.int32))
+        def pair_up(g: pd.DataFrame) -> pa.Table:
+            p = g.loc[g["__p"] == 0, [key, "w", "size"]]
+            ix = g.loc[g["__p"] == 1, [key, "w", "size"]]
+            m = p.merge(ix, on="w", suffixes=("_a", "_b"))
+            m = m[m[f"{key}_a"] != m[f"{key}_b"]]
+            # length filter: containment = o/|a| with o <= |b|, so
+            # >= t needs q*|b| >= p*|a| (exact integers)
+            m = m.loc[q_den * m["size_b"].to_numpy()
+                      >= p_num * m["size_a"].to_numpy()]
+            m = m.drop_duplicates(subset=[f"{key}_a", f"{key}_b"])
             return pa.table({
-                key: pc.cast(batch.column(key), ktype),
-                "w": batch.column("w"),
-                "size": batch.column("size"),
-                "__p": pa.array(
-                    np.full(batch.num_rows, side, dtype=np.int8)),
-                "__bk": bk})
-        return src_ds.map_batches(f, batch_format="pyarrow")
+                "a": pa.array(m[f"{key}_a"], type=ktype),
+                "b": pa.array(m[f"{key}_b"], type=ktype)})
 
-    probe = tag(0, pref)
-    index = tag(1, rows.map_batches(
-        lambda t: t.select([key, "w", "size"]), batch_format="pyarrow"))
-    p_num, q_den = t_frac.numerator, t_frac.denominator
+        return hash_exchange(tag(0, pref).union(tag(1, rows)), "w",
+                             pair_up)
 
-    def pair_up(g: pd.DataFrame) -> pa.Table:
-        p = g.loc[g["__p"] == 0, [key, "w", "size"]]
-        ix = g.loc[g["__p"] == 1, [key, "w", "size"]]
-        m = p.merge(ix, on="w", suffixes=("_a", "_b"))
-        m = m[m[f"{key}_a"] != m[f"{key}_b"]]
-        # length filter: containment = o/|a| with o <= |b|, so
-        # >= t needs q*|b| >= p*|a| (exact integers)
-        m = m.loc[q_den * m["size_b"].to_numpy()
-                  >= p_num * m["size_a"].to_numpy()]
-        m = m.drop_duplicates(subset=[f"{key}_a", f"{key}_b"])
-        return pa.table({
-            "a": pa.array(m[f"{key}_a"], type=ktype),
-            "b": pa.array(m[f"{key}_b"], type=ktype)})
-
-    cand = probe.union(index) \
-        .groupby("__bk").map_groups(pair_up, batch_format="pandas") \
-        .repartition(B).materialize()
-
-    mask_ref = bloom_keys(cand, ["a", "b"])
-    sets_src = bloom_semi_filter(src, mask_ref, key)
-
-    def to_sets(batch: pa.Table) -> pa.Table:
-        sets = [np.unique(gram_hashes(t or "", shingle_k)).tobytes()
-                for t in batch.column(col).to_pylist()]
-        return pa.table({
-            key: batch.column(key),
-            "__sh": pa.array(sets, type=pa.large_binary())})
-
-    blobs = sets_src.map_batches(to_sets, batch_format="pyarrow")
-    attached = attach_pair_sets(cand, blobs, key, ktype)
-
-    def verify_batch(batch: pa.Table) -> pa.Table:
-        sha = batch.column("__sha").to_pylist()
-        shb = batch.column("__shb").to_pylist()
-        cs = np.empty(len(sha), dtype=np.float64)
-        for i, (x, y) in enumerate(zip(sha, shb)):
-            cs[i] = hashed_containment(
-                np.frombuffer(x or b"", dtype=np.uint64),
-                np.frombuffer(y or b"", dtype=np.uint64))
-        out = pa.table({
-            "a": pc.cast(batch.column("a"), ktype),
-            "b": pc.cast(batch.column("b"), ktype),
-            "containment": pa.array(cs, type=pa.float64())})
-        return out.filter(pa.array(cs >= threshold))
-
-    return attached.map_batches(verify_batch, batch_format="pyarrow")
+    return _prefix_filter_join(ds, threshold, shingle_k, col, key,
+                               candidates, hashed_containment,
+                               "containment")

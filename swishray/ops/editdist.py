@@ -24,8 +24,9 @@ Scale shape: per string of length L the signature stage emits
 O(C(L,k)) slim (hash, s) rows — the classic SymSpell space trade,
 viable because the operator CONTRACT is short strings (<= ~64
 chars; longer inputs should go through the gram-set joins instead).
-Candidate pairing buckets signatures mod B so each reduce task runs
-one vectorized pandas self-merge; duplicate candidate pairs collapse
+Candidate pairing is one hash exchange on the signature
+(joins.hash_exchange), so each reduce task runs one vectorized
+pandas self-merge; duplicate candidate pairs collapse
 in a second slim groupby BEFORE the (per-pair, Python, banded
 O(k·L)) verify, so each distinct pair is verified exactly once.
 Nothing is ever collected on the driver.
@@ -93,8 +94,7 @@ def lev_within(a: str, b: str, k: int) -> int | None:
     return prev[lb] if prev[lb] <= k else None
 
 
-def editdist_join(ds: Any, col: str, k: int = 1,
-                  n_buckets: int | None = None) -> Any:
+def editdist_join(ds: Any, col: str, k: int = 1) -> Any:
     """Every distinct pair of DISTINCT values of ``ds[col]`` with
     Levenshtein distance <= ``k`` (see module doc).  Input rows need
     not be unique — values are deduplicated first, so identical
@@ -102,10 +102,8 @@ def editdist_join(ds: Any, col: str, k: int = 1,
     ``SELECT DISTINCT`` + ``a < b`` SQL oracle)."""
     import pandas as pd
 
-    from .joins import default_join_partitions
+    from .joins import hash_exchange
     from .md5vec import md5_u32
-
-    B = n_buckets or default_join_partitions()
 
     distinct = (ds.select_columns([col])
                 .groupby(col).count()
@@ -131,12 +129,6 @@ def editdist_join(ds: Any, col: str, k: int = 1,
 
     sig_rows = distinct.map_batches(sigs, batch_format="pyarrow")
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        bk = pa.array((batch.column("sig").to_numpy()
-                       .view(np.uint64) % np.uint64(B))
-                      .astype(np.int32))
-        return batch.append_column("__bk", bk)
-
     def pair_up(g: pd.DataFrame) -> pa.Table:
         df = g[["sig", "s"]]
         m = df.merge(df, on="sig", suffixes=("_a", "_b"))
@@ -146,9 +138,8 @@ def editdist_join(ds: Any, col: str, k: int = 1,
             "a": pa.array(m["s_a"], type=pa.large_string()),
             "b": pa.array(m["s_b"], type=pa.large_string())})
 
-    cand = (sig_rows.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bk").map_groups(pair_up, batch_format="pandas")
-            .groupby(["a", "b"]).count())
+    cand = hash_exchange(sig_rows, "sig", pair_up) \
+        .groupby(["a", "b"]).count()
 
     def verify(batch: pa.Table) -> pa.Table:
         a_list = batch.column("a").to_pylist()

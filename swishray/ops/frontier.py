@@ -89,8 +89,7 @@ def schedule_politely(frontier: Any, *, host_col: str = "site",
                       url_col: str = "url",
                       priority_col: str | None = None,
                       delay_col: str | None = None,
-                      default_delay: float = 1.0,
-                      num_buckets: int | None = None) -> Any:
+                      default_delay: float = 1.0) -> Any:
     """Politeness scheduling over a frontier: assign each url its
     per-host fetch slot honoring crawl-delay (RFC 9309 §2.4 /
     the de-facto ``Crawl-delay`` extension the robots module parses)
@@ -102,24 +101,20 @@ def schedule_politely(frontier: Any, *, host_col: str = "site",
     host's queue in ``seq`` order; two workers never share a host, so
     the delay contract holds without coordination.
 
-    Scale shape: hosts hash into a fixed bucket count; one pandas
-    sort + per-host cumcount per bucket (the same bucketed map_groups
-    idiom as the joins) — slim ``(url, host, priority, delay)`` rows
-    are the only exchange, and no single group is ever one host
-    unless that host IS the bucket (salt upstream if one host
-    dominates a crawl)."""
-    import numpy as np
+    Scale shape: one :func:`~.joins.hash_exchange` on the host, then
+    one pandas sort + per-host cumcount per bucket — slim ``(url,
+    host, priority, delay)`` rows are the only exchange, and no single
+    group is ever one host unless that host IS the bucket (salt
+    upstream if one host dominates a crawl)."""
     import pandas as pd
 
-    from .joins import _key_hash64, default_join_partitions
-    nb = num_buckets or default_join_partitions()
+    from .joins import hash_exchange
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def slim(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        hosts = batch.column(host_col).combine_chunks()
         cols = {
             "url": batch.column(url_col),
-            "host": hosts,
+            "host": batch.column(host_col),
             "__prio": (pc.cast(batch.column(priority_col),
                                pa.float64())
                        if priority_col is not None
@@ -128,8 +123,6 @@ def schedule_politely(frontier: Any, *, host_col: str = "site",
                         if delay_col is not None
                         else pa.array([default_delay]
                                       * batch.num_rows)),
-            "__b": pa.array((_key_hash64(hosts)
-                             % np.uint64(nb)).astype(np.int32)),
         }
         return pa.table(cols)
 
@@ -144,5 +137,5 @@ def schedule_politely(frontier: Any, *, host_col: str = "site",
             "seq": seq.astype("int64"),
             "fetch_at": (seq * delay).astype("float64")})
 
-    return frontier.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__b").map_groups(slot, batch_format="pandas")
+    return hash_exchange(
+        frontier.map_batches(slim, batch_format="pyarrow"), "host", slot)

@@ -9,6 +9,10 @@ plus keyed upsert/anti-join at the sink (swish_xapian.cpp:563-601,
   * keep-first upsert — dedup_by_url (pipeline.py)
   * partitioned hash join — the generic both-sides-large fallback
     (bucket both sides on the key hash, join matching buckets)
+
+Every bucketed operator in the engine (the upsert, the hash join, the
+dedup/set-similarity/graph pair-ups) exchanges rows through the one
+:func:`hash_exchange` below.
 """
 
 from __future__ import annotations
@@ -70,7 +74,10 @@ def _key_hash64(arr: pa.Array):
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     if pa.types.is_integer(arr.type):
-        v = arr.cast(pa.int64()).to_numpy(
+        # nulls hash as 0: converting a column WITH nulls goes through
+        # float64, which rounds large keys, so a key's hash would
+        # depend on whether its block also holds a null
+        v = pc.fill_null(arr.cast(pa.int64()), 0).to_numpy(
             zero_copy_only=False).astype(np.uint64)
     else:
         v = np.fromiter((crc32(str(s).encode()) for s in arr.to_pylist()),
@@ -217,27 +224,62 @@ def default_join_partitions(cap: int = 64) -> int:
     return max(2, min(cap, _session_cpus()))
 
 
-def coalesce_before_shuffle(ds: Any, num_buckets: int) -> Any:
-    """Bound a pull-based shuffle's M x R sub-object fan by coalescing
-    the map side to O(num_buckets v CPUs) blocks first.
+_TAG = "__hx"
 
-    Ray's groupby shuffle emits one sub-block per (map task, reduce
-    partition) pair, ALL OWNED BY THE DRIVER, and sub-blocks under the
-    ~100 KB inline threshold live in the driver's in-process store
-    rather than plasma: with M ~ R ~ input blocks, a many-block map
-    side drove driver PRIVATE RSS to ~1.9 GB at soak x20 in hash_join
-    (traced: Python heap was 26 MB — all native core-worker memory).
-    Coalescing keeps M x R quadratic-free and every sub-block
-    plasma-sized, so driver memory stays flat in corpus size
-    (measured: 1.6 GB -> ~0.3 GB at x20, flat to x100; tools/soak.py
-    reports the private/shared split). repartition() here is Ray's
-    metadata-level block coalesce, not an extra all-to-all."""
-    try:
-        import ray as _ray
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return ds.repartition(max(num_buckets, 2 * cpus))
+
+def hash_exchange(ds: Any, key: str, fn, num_buckets: int | None = None,
+                  batch_format: str = "pandas") -> Any:
+    """The keyed exchange: route every row to bucket
+    ``_key_hash64(key) % num_buckets`` (default
+    :func:`default_join_partitions`) and run ``fn`` once per bucket —
+    one vectorized pandas/polars pass over all of a bucket's keys.
+    All rows of one key reach the same ``fn`` call. ``fn`` never sees
+    the bucket tag, so it never leaks into the output and exchanges
+    chain freely.
+
+    Buckets, not keys: Ray invokes the map_groups fn once per group,
+    and per-key invocation overhead (a Python frame + block build per
+    key), not the bytes moved, was the measured bench cost.
+
+    The input is coalesced to ``default_join_partitions()`` blocks
+    before it is tagged and shuffled. Ray's groupby emits one
+    sub-block per (map block, reduce partition) pair, ALL OWNED BY THE
+    DRIVER, and sub-blocks under the ~100 KB inline threshold live in
+    the driver's in-process store rather than plasma: with M ~ R ~
+    input blocks, a many-block map side drove driver PRIVATE RSS to
+    ~1.9 GB at soak x20 in hash_join (traced: Python heap 26 MB — all
+    native core-worker memory), and the LSH band table (~300 MB at
+    soak x100, M ~ 64) added +395 MB that persisted after
+    materialize. Coalescing keeps M x R small and every sub-block
+    plasma-sized (measured: 1.6 GB -> ~0.3 GB at x20, flat to x100;
+    LSH 509 -> 155 MB at identical wall time); block bytes grow with
+    the corpus, so sub-blocks only get safer at scale (Ray's dynamic
+    block splitting re-caps blocks at target_max_block_size if they
+    outgrow worker heaps). repartition() here is Ray's block
+    coalesce, not an extra all-to-all. Tagging after the coalesce
+    runs one tag task per coalesced block, not one per input block (a
+    separate stage after a union); on the sf0.01 minhash, setsim and
+    containment queries that beat tagging first.
+
+    Partitioning assumption: one bucket's rows fit a task heap; salt
+    hot keys upstream."""
+    import numpy as np
+    nb = num_buckets or default_join_partitions()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        b = (_key_hash64(batch.column(key)) % np.uint64(nb)) \
+            .astype(np.int32)
+        return batch.append_column(_TAG, pa.array(b))
+
+    def untagged(g):
+        if batch_format == "pandas":
+            del g[_TAG]
+            return fn(g)
+        return fn(g.drop_columns([_TAG]))
+
+    return ds.repartition(default_join_partitions()) \
+        .map_batches(tag, batch_format="pyarrow") \
+        .groupby(_TAG).map_groups(untagged, batch_format=batch_format)
 
 
 def native_join(left: Any, right: Any, key: str,
@@ -459,13 +501,11 @@ def _join_empty_side(left: Any, lschema, right: Any, rschema,
 
 def hash_join(left: Any, right: Any, key: str, num_buckets: int = 32,
               how: str = "inner") -> Any:
-    """Both-sides-large partitioned hash join: bucket both sides on
-    crc32(key) % B, union under a padded common schema, groupby the
-    bucket, pandas-merge within buckets. Documented partitioning
+    """Both-sides-large partitioned hash join: union both sides under
+    a padded common schema, then one :func:`hash_exchange` on the key
+    with a polars join per bucket. Documented partitioning
     assumption: each bucket's slice of both sides fits in one task's
     heap (raise num_buckets for skew; salt hot keys upstream)."""
-    import pandas as pd
-
     left, lschema = _schema_or_materialize(left)
     right, rschema = _schema_or_materialize(right)
     if lschema is None or rschema is None:
@@ -484,23 +524,15 @@ def hash_join(left: Any, right: Any, key: str, num_buckets: int = 32,
     def tag(side: str, own: list[str], own_out: list[str],
             other_out: list[str]):
         def f(batch: pa.Table) -> pa.Table:
-            import numpy as np
-            # vectorized bucket tag (splitmix64 over int keys, C-speed
-            # crc32 over strings) — this runs over EVERY row of both
-            # sides of every join; a per-row Python crc32 loop here
-            # was measurable at sf0.1
             n = batch.num_rows
-            b = (_key_hash64(batch.column(key))
-                 % np.uint64(num_buckets)).astype(np.int32)
             arrays = {key: batch.column(key),
-                      "__bucket": pa.array(b),
                       "__side": pa.array([side] * n)}
             for c, co in zip(own, own_out):
                 arrays[co] = batch.column(c)
             for co in other_out:
                 arrays[co] = pa.nulls(n, type=types[co])
             # stable column order so both sides union under one schema
-            order = [key, "__bucket", "__side"] + lcols + rcols_out
+            order = [key, "__side"] + lcols + rcols_out
             return pa.table({c: arrays[c] for c in order})
         return f
 
@@ -508,7 +540,6 @@ def hash_join(left: Any, right: Any, key: str, num_buckets: int = 32,
                          batch_format="pyarrow")
     r = right.map_batches(tag("r", rcols, rcols_out, lcols),
                           batch_format="pyarrow")
-    both = coalesce_before_shuffle(l.union(r), num_buckets)
 
     def join_bucket(g: pa.Table) -> pa.Table:
         # polars join, zero-copy from/to Arrow: several times the
@@ -528,8 +559,8 @@ def hash_join(left: Any, right: Any, key: str, num_buckets: int = 32,
                       coalesce=(how != "inner"))
         return out.select([key] + lcols + rcols_out).to_arrow()
 
-    joined = both.groupby("__bucket").map_groups(join_bucket,
-                                                 batch_format="pyarrow")
+    joined = hash_exchange(l.union(r), key, join_bucket, num_buckets,
+                           batch_format="pyarrow")
 
     # Union padding can still surface value columns with nulls, and
     # polars emits large_string/large_binary — restore every column

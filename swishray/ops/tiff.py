@@ -303,8 +303,9 @@ def decode_tiff(blob: bytes) -> tuple[np.ndarray, dict]:
     if tiled:
         tw = _tag(entries, _T_TILE_WIDTH, (0,))[0]
         th = _tag(entries, _T_TILE_LENGTH, (0,))[0]
-        if not tw or not th:
-            raise ValueError("bad TIFF tile dimensions")
+        # a tile is decoded whole before cropping: a 16x16 image with
+        # 20000x20000 tiles would commit ~400 MP from a few KB of file
+        check_dims(tw, th, "TIFF tile")
         offsets = _tag(entries, _T_TILE_OFFSETS)
         counts = _tag(entries, _T_TILE_COUNTS)
         across = -(-w // tw)

@@ -128,12 +128,9 @@ class ExtractPages:
             resolver = None
             docs = self.xinclude_docs
             if docs is not None:
-                try:
-                    import ray
-                    if isinstance(docs, ray.ObjectRef):
-                        docs = ray.get(docs)
-                except Exception:
-                    pass
+                import ray
+                if isinstance(docs, ray.ObjectRef):
+                    docs = ray.get(docs)
                 resolver = docs.get
             self._ex = DocumentExtractor(cfg, self.swish_encoding,
                                          xinclude_resolver=resolver)
@@ -512,7 +509,7 @@ def sort_by_string(ds: "Any", sort_string: str) -> "Any":
     return ds.sort([k for k, _ in keys], descending=[d for _, d in keys])
 
 
-def dedup_by_url(extracted: "Any", num_buckets: int | None = None) -> "Any":
+def dedup_by_url(extracted: "Any") -> "Any":
     """§2.4 upsert-by-uri (swish_xapian.cpp:563-601) as a batch op.
 
     Keep-first is idempotent and associative, so a map-side combiner
@@ -521,33 +518,21 @@ def dedup_by_url(extracted: "Any", num_buckets: int | None = None) -> "Any":
     per input block, bounding both the bytes moved and the largest
     group to <= #blocks rows.
 
-    The exchange itself is a HASH-BUCKET groupby (crc32-family hash of
-    url mod a fixed bucket count), not a groupby on the url itself:
-    full extraction records cross the wire once and are never SORTED
-    by their wide columns (the r2 shape sorted whole records by url —
-    the sort, not the bytes, was the avoidable cost), and the collapse
-    is one vectorized drop_duplicates per bucket instead of a Python
-    head(1) per url. Partitioning assumption: one bucket's combined
-    candidates (<= #blocks rows per url in it) fit a task heap; raise
-    ``num_buckets`` for very wide corpora."""
-    import numpy as np
+    The exchange itself is a :func:`~swishray.ops.joins.hash_exchange`
+    on url (4x the default bucket count), not a groupby on the url
+    itself: full extraction records cross the wire once and are never
+    SORTED by their wide columns (the r2 shape sorted whole records by
+    url — the sort, not the bytes, was the avoidable cost), and the
+    collapse is one vectorized drop_duplicates per bucket instead of a
+    Python head(1) per url. Partitioning assumption: one bucket's
+    combined candidates (<= #blocks rows per url in it) fit a task
+    heap."""
     import pandas as pd
-    from .ops.joins import _key_hash64, default_join_partitions
+    from .ops.joins import default_join_partitions, hash_exchange
 
-    B = num_buckets or 4 * default_join_partitions()
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def keep_first(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(subset=["url"], keep="first")
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        bk = (_key_hash64(batch.column("url")) % np.uint64(B)) \
-            .astype(np.int32)
-        return batch.append_column("__bk", pa.array(bk))
-
-    def collapse(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=["url"], keep="first") \
-            .drop(columns=["__bk"])
-
-    pre = extracted.map_batches(combine, batch_format="pandas")
-    return pre.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("__bk").map_groups(collapse, batch_format="pandas")
+    pre = extracted.map_batches(keep_first, batch_format="pandas")
+    return hash_exchange(pre, "url", keep_first,
+                         4 * default_join_partitions())

@@ -63,6 +63,9 @@ def map_batches_stateful(ds, cls, fn_constructor_kwargs=None,
 
 
 def _session_cpus() -> int:
+    """CPUs of the current Ray session (this host's when no session
+    is up, 4 when neither can be read) — the one CPU probe every
+    sizing default uses."""
     try:
         import ray
         if ray.is_initialized():
@@ -82,16 +85,7 @@ def default_concurrency(reserve: int = 1, cap: int = 8) -> int:
     executor silently — this helper is the guard used by every default
     concurrency in the engine (the driver controls the session size,
     so a fixed number is never safe)."""
-    try:
-        import ray
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-        else:
-            import os
-            cpus = os.cpu_count() or 4
-    except Exception:
-        cpus = 4
-    return max(1, min(cap, cpus - reserve))
+    return max(1, min(cap, _session_cpus() - reserve))
 
 
 def import_polars():

@@ -1,6 +1,7 @@
 """Join ops, analyzer hooks, sort strings."""
 
 import pyarrow as pa
+import pytest
 
 
 def test_anti_semi_join(ray_session):
@@ -39,6 +40,55 @@ def test_hash_join(ray_session):
         rd.from_arrow(pa.table({"k": [2], "b": [9]})),
         "k", how="left").take_all()
     assert len(louter) == 2
+
+
+def test_key_hash_ignores_nulls_in_block():
+    # the bucket of a key must not depend on its block-mates: a null
+    # beside a large int64 key used to route it through float64
+    from swishray.ops.joins import _key_hash64
+    big = 2**62 + 1
+    assert _key_hash64(pa.array([big, None]))[0] == \
+        _key_hash64(pa.array([big]))[0]
+
+
+@pytest.mark.parametrize("kind", ["string", "int64"])
+def test_hash_exchange_contract(ray_session, kind):
+    """Every key's rows reach exactly one fn call, fn never sees the
+    bucket tag, the tag never reaches the output, and exchanges chain
+    (the remove_duplicate_lines shape)."""
+    import collections
+    import uuid
+
+    import pandas as pd
+    import ray.data as rd
+    from swishray.ops.joins import hash_exchange
+
+    ids = [i % 13 for i in range(200)]
+    keys = ([f"key-{i}" for i in ids] if kind == "string"
+            else [i * 10**15 + 7 for i in ids])
+    ds = rd.from_arrow(pa.table({"k": keys, "v": list(range(200))})) \
+        .repartition(6)
+
+    def per_call(g: pd.DataFrame) -> pd.DataFrame:
+        assert list(g.columns) == ["k", "v"]
+        n = g.groupby("k", sort=False).size()
+        return pd.DataFrame({"k": n.index, "n": n.to_numpy(),
+                             "call": str(uuid.uuid4())})
+
+    out = hash_exchange(ds, "k", per_call, num_buckets=4).materialize()
+    assert sorted(out.schema().names) == ["call", "k", "n"]
+    got = out.to_pandas()
+    assert got["k"].is_unique  # one fn call saw all of each key's rows
+    assert dict(zip(got["k"], got["n"])) == collections.Counter(keys)
+    assert got["call"].nunique() <= 4
+
+    def same(g):
+        return g
+
+    chained = hash_exchange(hash_exchange(ds, "k", same), "v", same,
+                            batch_format="pyarrow").materialize()
+    assert sorted(chained.schema().names) == ["k", "v"]
+    assert chained.to_pandas().sort_values("v")["k"].tolist() == keys
 
 
 def test_custom_tokenizer_hook():

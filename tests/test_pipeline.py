@@ -376,6 +376,24 @@ def test_xinclude_pipeline(ray_session):
     assert list(r["token_positions"]) == [1, 2, 3, 4, 5]
 
 
+def test_xinclude_broadcast_failure_propagates(ray_session, monkeypatch):
+    """A failed fetch of the broadcast doc map reaches the caller as
+    itself, not as an AttributeError on the unfetched ObjectRef."""
+    import ray
+    from swishray.pipeline import ExtractPages
+
+    class Lost(Exception):
+        pass
+
+    def lost(*args, **kwargs):
+        raise Lost("doc map lost")
+
+    ref = ray.put({"https://x.example/part.xml": b"<x/>"})
+    monkeypatch.setattr(ray, "get", lost)
+    with pytest.raises(Lost, match="doc map lost"):
+        ExtractPages(xinclude_docs=ref)._extractor()
+
+
 def test_xinclude_depth_cap():
     """A self-including doc (the reference recurses to death) stops at
     the engine's depth cap with a per-row error marker."""

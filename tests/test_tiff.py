@@ -328,6 +328,19 @@ def test_error_taxonomy():
                              332: (3, 1, [2])}))
 
 
+def test_tile_dims_are_capped():
+    # 16x16 image whose one PackBits tile claims 20000x20000: the tile
+    # is decoded whole before cropping, so it must hit the pixel cap
+    payload_off = 8 + 2 + 12 * 9 + 4
+    blob = _hand_tiff("<", [
+        (256, 4, 1, [16]), (257, 4, 1, [16]), (258, 3, 1, [8]),
+        (259, 3, 1, [32773]), (262, 3, 1, [1]),
+        (322, 4, 1, [20000]), (323, 4, 1, [20000]),
+        (324, 4, 1, [payload_off]), (325, 4, 1, [2])], b"\x00\x00")
+    with pytest.raises(ValueError, match="TIFF tile"):
+        decode_tiff(blob)
+
+
 def test_dispatch_from_decode_image():
     from swishray.ops.codecs import decode_image, sniff_image
     img = np.arange(64, dtype=np.uint8).reshape(8, 8) * 3
