@@ -3311,13 +3311,13 @@ def q_link_graph(sf_dir: str):
     from swishray.ops.links import extract_links, link_graph
 
     # no explicit concurrency: cached-task mode — a reserved actor
-    # pool would starve the downstream join's aggregator actors
+    # pool would starve the downstream join's tasks
     links = extract_links(_link_pages(sf_dir), key="doc_id",
                           url_col="url")
     # keep the src url on each link row for the site rollup
     pages = _link_pages(sf_dir)
-    from swishray.ops.joins import native_join
-    joined = native_join(
+    from swishray.ops.joins import hash_join
+    joined = hash_join(
         links.map_batches(lambda t: t.select(
             ["doc_id", "resolved"]), batch_format="pyarrow"),
         pages.map_batches(lambda t: t.select(
@@ -3340,13 +3340,13 @@ def q_anchor_stats(sf_dir: str):
     synthetic pages — the oracle knows the closed form."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from swishray.ops.joins import native_join
+    from swishray.ops.joins import hash_join
     from swishray.ops.links import anchor_stats, extract_links
 
     links = extract_links(_link_pages(sf_dir), key="doc_id",
                           url_col="url")
     pages = _link_pages(sf_dir)
-    joined = native_join(
+    joined = hash_join(
         links.map_batches(lambda t: t.select(
             ["doc_id", "resolved", "rel", "anchor_text"]),
             batch_format="pyarrow"),

@@ -321,7 +321,7 @@ def compact_index(out_dir: str, num_buckets: int | None = None,
     1. every segment's rows stream in tagged with their ordinal,
     2. winners = per-key max ordinal from the docstore/tombstone rows
        (a slim (key, seg) exchange + groupby max),
-    3. an inner ``native_join`` keeps only rows whose segment IS the
+    3. an inner ``hash_join`` keeps only rows whose segment IS the
        winner and whose winner is not a tombstone,
     4. rows are re-bucketed and written as a single fresh segment;
        ``segments.json`` is swapped atomically afterwards.
@@ -333,7 +333,7 @@ def compact_index(out_dir: str, num_buckets: int | None = None,
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from .ops.joins import native_join
+    from .ops.joins import hash_join
 
     segs = _load_segments(out_dir)
     if not segs:
@@ -402,15 +402,10 @@ def compact_index(out_dir: str, num_buckets: int | None = None,
         alive = [not dead_by_seg[s]
                  for s in batch.column("max_seg").to_pylist()]
         return batch.filter(pa.array(alive))
-    # repartition folds the groupby's schema-less empty blocks into
-    # schema-bearing ones — the built-in hash join raises ArrowInvalid
-    # ("no match for FieldRef key") on a schema-less right partition
-    from .ops.joins import default_join_partitions
-    win = win.map_batches(drop_dead, batch_format="pyarrow") \
-        .repartition(default_join_partitions())
+    win = win.map_batches(drop_dead, batch_format="pyarrow")
 
     allrows = tagged[0] if len(tagged) == 1 else tagged[0].union(*tagged[1:])
-    joined = native_join(allrows, win, key="key", how="inner")
+    joined = hash_join(allrows, win, key="key", how="inner")
 
     nb = num_buckets
 

@@ -11,8 +11,8 @@ fixpoint.
 
 Ray-Data shape per round (all slim ``(node,label)`` exchanges):
 
-    prop = native_join(sym_edges, labels, on=node)   # nbr gets label
-    dbl  = native_join(labels-as-lookup, labels)     # label's label
+    prop = hash_join(sym_edges, labels, on=node)   # nbr gets label
+    dbl  = hash_join(labels-as-lookup, labels)     # label's label
     labels' = union(prop, dbl, labels).groupby(node).min
 
 The ``dbl`` stream is pointer doubling — each node also adopts its
@@ -39,7 +39,7 @@ from typing import Any
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .joins import field_type, hash_join, native_join
+from .joins import field_type, hash_join
 
 
 def connected_components(edges: Any, a: str = "a", b: str = "b",
@@ -56,7 +56,6 @@ def connected_components(edges: Any, a: str = "a", b: str = "b",
     the graph fits its gates — near-dup pair graphs almost always do,
     since pairs are a tiny fraction of the corpus.  Falls back to the
     join loop below past the gates; ``dense_max_nodes=0`` forces it."""
-    import ray.data  # noqa: F401 — edges is a Dataset already
     from ray.data.aggregate import Max, Min
 
     from ..util import _session_cpus
@@ -74,9 +73,9 @@ def connected_components(edges: Any, a: str = "a", b: str = "b",
     e1 = edges.map_batches(slim, batch_format="pyarrow").materialize()
 
     # An empty pair list (all-unique corpus — the common production
-    # outcome) leaves every derived side schema-less, and Ray 2.49
-    # drops empty blocks before the join shuffle (joins.schema_guard
-    # doc). The answer is known anyway: no edges, no components.
+    # outcome) leaves every derived side schema-less, so the joins
+    # would lose their ``_r`` columns (joins.schema_guard doc). The
+    # answer is known anyway: no edges, no components.
     # count() is O(1) metadata on the already-materialized edges.
     if e1.count() == 0:
         import ray.data as rd
@@ -131,15 +130,6 @@ def connected_components(edges: Any, a: str = "a", b: str = "b",
         .repartition(nparts).materialize()
 
     for _ in range(max_rounds):
-        # Ray 2.49: groupby output can contain schema-less empty
-        # blocks that break the built-in hash join — the repartition
-        # above (and below) re-blocks them away.
-        # portable bucketed hash_join, NOT the builtin join: each
-        # builtin join spins up num_partitions aggregator actors and
-        # this loop builds 2 joins x O(log diameter) rounds — the
-        # actor-pool churn alone ran 20+ minutes at sf0.1/32cpu
-        # while the bucketed pandas path finishes in seconds on the
-        # same slim (node,label) rows
         prop = hash_join(edges_sym, labels, "node",
                          num_buckets=nparts)
 

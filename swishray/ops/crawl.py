@@ -49,12 +49,12 @@ def _fingerprints(ds: Any, key: str, content: str) -> Any:
 
     import ray.data as rd
 
-    # Ray 2.49 loses the schema of all-empty sides (repartition
-    # rebuilds 0-row blocks schema-LESS) and the built-in join's
-    # aggregator then raises "no match for key field". Seed a single
-    # NULL-key sentinel row so the side is never empty: null keys
-    # never match in acero's join, and snapshot_delta drops null keys
-    # after the join (null urls are garbage rows by contract anyway).
+    # An all-empty side has no schema, and the join's empty-side
+    # answer would lack the ``fp``/``fp_r`` columns snapshot_delta's
+    # status reads. Seed a single NULL-key sentinel row so the side is
+    # never empty: null keys never match in the join, and
+    # snapshot_delta drops null keys after the join (null urls are
+    # garbage rows by contract anyway).
     sch = ds.schema()
     ktype = (sch.base_schema.field(key).type
              if sch is not None else pa.string())
@@ -65,8 +65,7 @@ def _fingerprints(ds: Any, key: str, content: str) -> Any:
 
 
 def snapshot_delta(old: Any, new: Any, key: str = "url",
-                   content: str = "content",
-                   num_partitions: int | None = None) -> Any:
+                   content: str = "content") -> Any:
     """Per-key crawl delta: ``(key, status)`` with status in
     {added, removed, changed, unchanged}.
 
@@ -82,18 +81,11 @@ def snapshot_delta(old: Any, new: Any, key: str = "url",
     Null keys are dropped (a url-less crawl record is garbage by
     contract, and the internal never-empty sentinel rides on that).
     """
-    from .joins import default_join_partitions, native_join
+    from .joins import hash_join
 
-    # repartition folds the union's passthrough blocks into uniform
-    # typed blocks — without it the built-in join's hash partitions
-    # that receive zero left rows build a schema-LESS empty table and
-    # acero raises "No match for FieldRef(key)" (Ray 2.49; same trap
-    # and fix as exact_dedup, dedup.py:137). Metadata-level, not an
-    # extra all-to-all.
-    parts = num_partitions or default_join_partitions()
-    o = _fingerprints(old, key, content).repartition(parts)
-    n = _fingerprints(new, key, content).repartition(parts)
-    j = native_join(o, n, key, how="outer", num_partitions=parts)
+    o = _fingerprints(old, key, content)
+    n = _fingerprints(new, key, content)
+    j = hash_join(o, n, key, how="outer")
 
     def status(batch: pa.Table) -> pa.Table:
         # drop the sentinel seed rows (and any garbage null keys)

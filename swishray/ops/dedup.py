@@ -81,7 +81,6 @@ def exact_dedup_keys(ds: Any, col: str = "text", key: str = "doc_id",
 
     Returns a Dataset with a single ``key`` column.
     """
-    import pandas as pd
     from ray.data.aggregate import Min
 
     if hash_col is None:
@@ -123,19 +122,11 @@ def exact_dedup(ds: Any, col: str = "text", key: str = "doc_id",
     map-side combined) collapses them.
     """
     import pandas as pd
-    from .joins import default_join_partitions, native_join
+    from .joins import hash_join
 
     hashed = add_content_hash(ds, col)
     winners = exact_dedup_keys(hashed, col, key, hash_col="content_hash")
-    # Ray 2.49's sort-based Aggregate emits zero-row blocks with an
-    # EMPTY schema for reduce partitions that got no groups; the
-    # built-in hash join rejects such blocks ("no match for key field
-    # on right side"). repartition() is a metadata-level block
-    # coalesce (not a shuffle) that folds them into schema-bearing
-    # blocks — cheap even though winners is corpus-cardinality,
-    # because it only carries keys.
-    winners = winners.repartition(default_join_partitions())
-    kept = native_join(hashed, winners, key)
+    kept = hash_join(hashed, winners, key)
     if unique_keys:
         return kept
 
@@ -528,8 +519,6 @@ def minhash_dedup(ds: Any, threshold: float = 0.8, num_perm: int = 64,
 
     The ``key`` column may be any integer or string type — its Arrow
     type is carried through to the output ``a``/``b`` columns."""
-    import pandas as pd
-
     from .joins import field_type
     ktype = field_type(ds, key)
 
@@ -856,8 +845,7 @@ def _prefix_filter_join(ds: Any, threshold: float, shingle_k: int,
                             "gfreq": t.column("count()")}),
         batch_format="pyarrow")
 
-    ranked = hash_join(rows, freq, key="w",
-                       num_buckets=default_join_partitions())
+    ranked = hash_join(rows, freq, key="w")
     # hash_join pre-suffixes right non-key columns unconditionally,
     # so the name is static — probing ranked.schema() here would
     # EXECUTE the whole join once for the probe and again downstream

@@ -235,7 +235,7 @@ def cap_per_group(ds: Any, group: str, key: str, n: int,
     its full row set in one reduce task; the winner keys then
     inner-join back to the full rows on the (uniform) ``key``."""
     from .aggregates import topk_per_group
-    from .joins import default_join_partitions, native_join
+    from .joins import hash_join
 
     slim = ds.map_batches(
         lambda t: t.select([group, key]), batch_format="pyarrow")
@@ -243,10 +243,7 @@ def cap_per_group(ds: Any, group: str, key: str, n: int,
                              descending=not ascending)
     keys_only = winners.map_batches(
         lambda t: t.select([key]), batch_format="pyarrow")
-    # schema-less empty blocks out of map_groups break the built-in
-    # join's FieldRef lookup (Ray 2.49) — repartition re-packs them
-    keys_only = keys_only.repartition(default_join_partitions())
-    return native_join(ds, keys_only, key)
+    return hash_join(ds, keys_only, key)
 
 
 # -- URL / domain blocklist filtering ----------------------------------
@@ -308,7 +305,7 @@ def url_blocklist(ds: Any, domains: Sequence[str],
         raise ValueError("join mode needs a unique `key` column")
     import ray
 
-    from .joins import default_join_partitions, native_join
+    from .joins import default_join_partitions, hash_join
 
     def suffixes(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -339,16 +336,15 @@ def url_blocklist(ds: Any, domains: Sequence[str],
                                              pa.large_string())})
     bl_ds = ray.data.from_arrow(block_tbl)
     sfx = ds.map_batches(suffixes, batch_format="pyarrow")
-    hit = native_join(sfx, bl_ds, "suffix")
+    hit = hash_join(sfx, bl_ds, "suffix")
     hit_keys = hit.map_batches(
         lambda t: t.select([key]), batch_format="pyarrow") \
         .repartition(default_join_partitions())
     from ray.data.aggregate import Count
     hit1 = hit_keys.groupby(key).aggregate(Count(alias_name="__hits"))
     # re-type every block, INCLUDING the schema-less empties the
-    # groupby emits when nothing is blocked (a schema-less right side
-    # breaks the join — the Ray 2.49 FieldRef trap, dedup.py:440);
-    # the repartition folds them so the join sees uniform blocks
+    # groupby emits when nothing is blocked; groupbys may also narrow
+    # the key type, and both join sides must union under one schema
     from .joins import field_type
     ktype = field_type(ds, key)
 
@@ -361,10 +357,10 @@ def url_blocklist(ds: Any, domains: Sequence[str],
 
     # materialize: hit1 is slim (one 16-byte count row per blocked
     # key) and the join needs its schema resolvable; when NOTHING is
-    # blocked it stays schema-less (zero blocks) and would break the
-    # join — short-circuit that case, the answer is known
-    hit1 = hit1.map_batches(typed, batch_format="pyarrow") \
-        .repartition(default_join_partitions()).materialize()
+    # blocked it stays schema-less (zero blocks) and the join's
+    # empty-side answer would carry no ``__hits_r`` — short-circuit
+    # that case, the answer is known
+    hit1 = hit1.map_batches(typed, batch_format="pyarrow").materialize()
     if hit1.count() == 0:
         def none_blocked(batch: pa.Table) -> pa.Table:
             host = _host_of(batch, url_col)
@@ -374,7 +370,7 @@ def url_blocklist(ds: Any, domains: Sequence[str],
                     np.zeros(len(batch), dtype=bool)))
         return ds.map_batches(none_blocked, batch_format="pyarrow")
 
-    joined = native_join(ds, hit1, key, how="left")
+    joined = hash_join(ds, hit1, key, how="left")
 
     def shape(batch: pa.Table) -> pa.Table:
         host = _host_of(batch, url_col)
@@ -515,10 +511,8 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
     # join mode
     from ray.data.aggregate import Count
 
-    from .joins import default_join_partitions, native_join, \
-        schema_guard
+    from .joins import field_type, hash_join, schema_guard
 
-    from .joins import field_type
     ktype = field_type(ds, key)
     # schema_guard on bgrams: an empty/short benchmark produces zero
     # grams and the side would reach the join schema-less; on hits: a
@@ -531,12 +525,11 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
         pa.schema([("gram", pa.large_string()), ("__b", pa.int64())]))
     dgrams = ds.map_batches(doc_grams, batch_format="pyarrow")
     hits = schema_guard(
-        native_join(dgrams, bgrams, "gram")
+        hash_join(dgrams, bgrams, "gram")
         .groupby(key).aggregate(Count(alias_name="__m")),
         pa.schema([(key, ktype), ("__m", pa.int64())]))
-    totals = ds.map_batches(gram_counts, batch_format="pyarrow") \
-        .repartition(default_join_partitions())  # dedup.py:440
-    out = native_join(totals, hits, key, how="left")
+    totals = ds.map_batches(gram_counts, batch_format="pyarrow")
+    out = hash_join(totals, hits, key, how="left")
 
     def shape(batch: pa.Table) -> pa.Table:
         m = pc.cast(pc.coalesce(pc.cast(
@@ -695,7 +688,7 @@ def self_dup_ngram_stats(ds: Any, n: int = 13, col: str = "text",
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    from .joins import default_join_partitions, native_join
+    from .joins import field_type, hash_join, schema_guard
 
     def gram_col(g_str):
         if hashed:
@@ -742,22 +735,14 @@ def self_dup_ngram_stats(ds: Any, n: int = 13, col: str = "text",
         # type with the pairs side or the join raises ArrowInvalid
         return pa.table({"gram": pc.cast(kept.column("gram"), gtype)})
 
-    from .joins import schema_guard
-    from .joins import field_type
     ktype2 = field_type(ds, key)
-    # schema_guard (not repartition): an all-unique corpus leaves
-    # `dup` and `hits` all-empty, and empty blocks never reach the
-    # join shuffle at all — both are inner/left right-sides, so the
-    # guards' null sentinels never surface downstream
+    # schema_guard: an all-unique corpus leaves `dup` and `hits`
+    # all-empty, and a schema-less side would drop the join's `_r`
+    # columns — both are inner/left right-sides, so the guards' null
+    # sentinels never surface downstream
     dup = schema_guard(
         dup.map_batches(dup_only, batch_format="pyarrow"),
         pa.schema([("gram", gtype)]))
-    # hash_join (portable bucketed merges), not the builtin join:
-    # two overlapping builtin joins spin up 2x num_partitions
-    # aggregator actors plus shuffle workers — measured 82s of
-    # process churn vs 13s total with the bucketed pandas path on
-    # these slim rows (sf0.1/32cpu)
-    from .joins import hash_join
     hits = schema_guard(
         hash_join(pairs, dup.map_batches(
             lambda t: t.append_column("__d", pa.array(
@@ -765,8 +750,7 @@ def self_dup_ngram_stats(ds: Any, n: int = 13, col: str = "text",
             batch_format="pyarrow"), "gram")
         .groupby(key).aggregate(Count(alias_name="n_dup")),
         pa.schema([(key, ktype2), ("n_dup", pa.int64())]))
-    tot = ds.map_batches(totals, batch_format="pyarrow") \
-        .repartition(default_join_partitions())
+    tot = ds.map_batches(totals, batch_format="pyarrow")
     out = hash_join(tot, hits, key, how="left")
 
     def shape(batch: pa.Table) -> pa.Table:

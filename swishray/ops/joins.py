@@ -7,8 +7,9 @@ plus keyed upsert/anti-join at the sink (swish_xapian.cpp:563-601,
   * broadcast semi/anti filter — the delete path (--Delete) and
     skip-list path (--Skip-duplicates against an existing index)
   * keep-first upsert — dedup_by_url (pipeline.py)
-  * partitioned hash join — the generic both-sides-large fallback
-    (bucket both sides on the key hash, join matching buckets)
+  * partitioned hash join — :func:`hash_join`, the one both-sides-
+    large equi-join (bucket both sides on the key hash, join matching
+    buckets)
 
 Every bucketed operator in the engine (the upsert, the hash join, the
 dedup/set-similarity/graph pair-ups) exchanges rows through the one
@@ -161,38 +162,18 @@ def bloom_semi_filter(ds: Any, mask_ref, col: str) -> Any:
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def _retype_empties(ds: Any, schema: pa.Schema) -> Any:
-    """Re-pack field-less empty blocks as typed empties; non-empty
-    blocks pass through untouched (zero-copy). Ray 2.49's repartition
-    emits FIELD-LESS empty remainder blocks whenever rows <
-    partitions, and the hash-join shuffle broadcasts the schema of
-    whichever block it processes FIRST — a field-less winner poisons
-    every join partition that receives no real rows (racy: depends on
-    block arrival order). native_join applies this to both sides."""
-    def f(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or (t.num_rows == 0
-                                  and t.schema != schema):
-            return schema.empty_table()
-        return t
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
 def schema_guard(ds: Any, schema: pa.Schema) -> Any:
-    """Make a join side immune to the Ray 2.49 empty-side trap.
+    """Give a join side a schema even when it holds no rows.
 
-    Ray's hash-join shuffle learns each side's schema from the blocks
-    it receives — but EMPTY blocks are dropped before they reach the
-    aggregators, so a side that ends up all-empty (a zero-group
-    aggregate, a filter that matched nothing — e.g. a CLEAN corpus in
-    a contamination scrub) arrives schema-LESS and acero raises "No
-    match for key FieldRef.Name(...)". Typed empty seeds, repartition
-    and retyping empties do NOT help (verified: empty blocks never
-    reach the shuffle at all); the only thing that does is a real
-    row. This guard (a) casts every non-empty block to ``schema``
-    (groupbys narrow large_string -> string, which would otherwise
-    fail the aggregator concat) and (b) unions in ONE all-null
-    sentinel row.
+    A side that ends up all-empty (a zero-group aggregate, a filter
+    that matched nothing — e.g. a CLEAN corpus in a contamination
+    scrub) executes to zero blocks with no schema, and
+    :func:`hash_join` then returns the degenerate empty-side answer
+    (:func:`_join_empty_side`): no ``_r`` columns for the side that
+    had none. Callers that read those columns need a real row. This
+    guard (a) casts every non-empty block to ``schema`` (groupbys
+    narrow large_string -> string, which would otherwise fail the
+    join's union) and (b) unions in ONE all-null sentinel row.
 
     Contract: null join keys never match, so for INNER and LEFT joins
     with the guarded side on the right the sentinel never reaches the
@@ -214,12 +195,11 @@ def schema_guard(ds: Any, schema: pa.Schema) -> Any:
 
 
 def default_join_partitions(cap: int = 64) -> int:
-    """Join partition count sized to the CURRENT session: the built-in
-    hash join launches ~num_partitions aggregator actors, so a fixed
-    large number deadlocks small sessions (actors wait for CPUs the
-    producer tasks hold). One partition per CPU is the safe shape at
-    any session size; ``cap`` bounds actor count on big nodes (each
-    partition can still hold many blocks)."""
+    """Bucket count of :func:`hash_exchange` (and the block count it
+    coalesces its input to) sized to the CURRENT session: one bucket
+    per CPU keeps every CPU busy with one reduce task and the number
+    of shuffle sub-blocks small; ``cap`` bounds the task count on big
+    nodes (each bucket can still hold many keys)."""
     from ..util import _session_cpus
     return max(2, min(cap, _session_cpus()))
 
@@ -280,82 +260,6 @@ def hash_exchange(ds: Any, key: str, fn, num_buckets: int | None = None,
     return ds.repartition(default_join_partitions()) \
         .map_batches(tag, batch_format="pyarrow") \
         .groupby(_TAG).map_groups(untagged, batch_format=batch_format)
-
-
-def native_join(left: Any, right: Any, key: str,
-                num_partitions: int | None = None,
-                how: str = "inner") -> Any:
-    """Ray Data's built-in hash-partitioned join when this Ray version
-    ships it (2.49 does); falls back to the portable bucketed
-    hash_join otherwise. Right-side non-key columns get an ``_r``
-    suffix to match hash_join's output shape."""
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-    # resolve both sides' schemas up front (single-execution probe);
-    # an empty-with-unknown-schema side short-circuits to the join's
-    # degenerate answer instead of poisoning the built-in shuffle
-    left, lsch_w = _schema_or_materialize(left)
-    right, rsch_w = _schema_or_materialize(right)
-    if lsch_w is None or rsch_w is None:
-        out = _join_empty_side(left, lsch_w, right, rsch_w, how)
-        if out is not None:
-            return out
-    if _known_empty(left) or _known_empty(right):
-        # a resolved-but-empty side never reaches the built-in join's
-        # aggregators (empty blocks are dropped — the schema_guard
-        # trap); the portable union-based join handles typed empties
-        # for every `how`
-        return hash_join(left, right, key, num_buckets=num_partitions,
-                         how=how)
-    from ..util import _session_cpus
-    if _session_cpus() < 2:
-        # the built-in join's aggregator ACTORS (0.125 CPU each) plus
-        # 1-CPU producer tasks cannot co-schedule on a single-CPU
-        # session — the executor deadlocks silently; the portable
-        # task-based join has no actors to starve
-        return hash_join(left, right, key, num_buckets=num_partitions,
-                         how=how)
-    if hasattr(left, "join"):
-        try:
-            # pre-suffix right's non-key columns so the output shape
-            # matches hash_join regardless of collisions (the built-in
-            # only suffixes colliding names); the built-in spells
-            # outer joins "left_outer"/... — map the short names so
-            # a how="left" doesn't silently fall back to the portable
-            # bucketed join
-            jt = {"left": "left_outer", "right": "right_outer",
-                  "outer": "full_outer", "full": "full_outer"} \
-                .get(how, how)
-            # neutralize field-less empty blocks on BOTH sides (the
-            # repartition remainder-block race, _retype_empties doc)
-            # whenever the side's schema is ALREADY KNOWN — read/
-            # materialized/from_arrow sides.  fetch_if_missing=False
-            # is load-bearing: a fetching probe would EXECUTE an
-            # unmaterialized lineage (a groupby side runs its whole
-            # shuffle) once for the probe and again for the join.
-            # An all-empty side has no schema either way and needs
-            # the caller's schema_guard.
-            lsch = left.schema(fetch_if_missing=False)
-            if lsch is not None and isinstance(lsch.base_schema,
-                                               pa.Schema):
-                left = _retype_empties(left, lsch.base_schema)
-            rsch = right.schema(fetch_if_missing=False)
-            if rsch is not None and not isinstance(rsch.base_schema,
-                                                   pa.Schema):
-                rsch = None
-            renamed = right.map_batches(
-                lambda t: t.rename_columns(
-                    [c if c == key else c + "_r" for c in t.column_names]),
-                batch_format="pyarrow")
-            if rsch is not None:
-                renamed = _retype_empties(renamed, pa.schema(
-                    [(f.name if f.name == key else f.name + "_r",
-                      f.type) for f in rsch.base_schema]))
-            return left.join(renamed, join_type=jt,
-                             num_partitions=num_partitions, on=(key,))
-        except Exception:
-            pass  # fall through to the portable implementation
-    return hash_join(left, right, key, num_buckets=num_partitions, how=how)
 
 
 def _schema_types(schema) -> dict:
@@ -446,16 +350,6 @@ def _has_all_to_all(ds: Any) -> bool:
         return True
 
 
-def _known_empty(ds: Any) -> bool:
-    """True only when emptiness is already known without execution
-    (a materialized side) — streaming sides are never probed."""
-    try:
-        from ray.data.dataset import MaterializedDataset
-        return isinstance(ds, MaterializedDataset) and ds.count() == 0
-    except Exception:
-        return False
-
-
 def field_type(ds: Any, name: str, default=None):
     """Arrow type of ``ds[name]`` via the single-execution schema
     probe. For an all-empty mapped lineage the type is unknowable —
@@ -499,8 +393,8 @@ def _join_empty_side(left: Any, lschema, right: Any, rschema,
     return left if lschema is not None else right
 
 
-def hash_join(left: Any, right: Any, key: str, num_buckets: int = 32,
-              how: str = "inner") -> Any:
+def hash_join(left: Any, right: Any, key: str,
+              num_buckets: int | None = None, how: str = "inner") -> Any:
     """Both-sides-large partitioned hash join: union both sides under
     a padded common schema, then one :func:`hash_exchange` on the key
     with a polars join per bucket. Documented partitioning

@@ -357,9 +357,6 @@ def pagerank(edges: Any, src: str = "src", dst: str = "dst",
     for _ in range(iters):
         # rank/outdeg per source; nodes missing from outdeg are
         # dangling — their rank is the round's redistributed scalar
-        # hash_join (bucketed pandas), not the builtin join: three
-        # joins x iters rounds of builtin aggregator-pool spin-up is
-        # pure churn on slim (node,float) rows (components.py doc)
         rd = hash_join(ranks, outdeg, "node", how="left",
                        num_buckets=nparts)
 

@@ -78,17 +78,17 @@ _ENC_CACHE: dict[tuple, StandardEncryptor] = {}
 
 
 def _encryptor(flavor: str, id0: bytes, seed: bytes,
-               user_password: bytes = b"") -> StandardEncryptor:
+               user_password: bytes = b"", **opts) -> StandardEncryptor:
     """Key derivation (especially the AES-256 R6 iterated hash) costs
-    tens of ms and depends only on (flavor, id0, seed) — cache it so
-    per-document synthesis at corpus scale doesn't re-derive."""
-    key = (flavor, id0, seed, user_password)
+    tens of ms and depends only on the constructor arguments — cache
+    it so per-document synthesis at corpus scale doesn't re-derive."""
+    key = (flavor, id0, seed, user_password, tuple(sorted(opts.items())))
     enc = _ENC_CACHE.get(key)
     if enc is None:
         if len(_ENC_CACHE) > 256:
             _ENC_CACHE.clear()
         enc = _ENC_CACHE[key] = StandardEncryptor(
-            flavor, id0, seed, user_password=user_password)
+            flavor, id0, seed, user_password=user_password, **opts)
     return enc
 
 
@@ -175,6 +175,8 @@ def build_pdf(pages: list[list[str]], *,
               info: dict | None = None,
               xmp: dict | None = None,
               user_password: bytes = b"",
+              encrypt_metadata: bool = True,
+              encrypt_strings: bool = True,
               links: list[str] | None = None,
               outline: list | None = None,
               seed: bytes = b"swishray-pdf") -> bytes:
@@ -188,8 +190,10 @@ def build_pdf(pages: list[list[str]], *,
         (len(pages), font, differences, tuple(filters), xref_stream,
          object_streams, encrypt, use_tj, two_column,
          form_xobject)).encode()).digest()
-    enc = _encryptor(encrypt, id0, seed,
-                     user_password=user_password) if encrypt else None
+    enc = _encryptor(encrypt, id0, seed, user_password=user_password,
+                     encrypt_metadata=encrypt_metadata,
+                     encrypt_strings=encrypt_strings) \
+        if encrypt else None
 
     objs: dict[int, bytes | tuple] = {}  # num -> body | (dict, raw)
     next_num = 1
@@ -254,7 +258,7 @@ def build_pdf(pages: list[list[str]], *,
         /ObjStm body ciphers at stream level instead (§7.5.7), so
         member strings stay plain here."""
         if enc and not object_streams:
-            raw = enc.encrypt(raw, objnum, 0)
+            raw = enc.encrypt_string(raw, objnum, 0)
         return b"<" + raw.hex().encode() + b">"
 
     info_num = 0
@@ -389,6 +393,7 @@ def build_pdf(pages: list[list[str]], *,
                            len(outline))) if top else b"<< >>"
 
     meta_ref = b""
+    xmp_num = 0
     if xmp:
         # XMP packet (/Root /Metadata): element form for dc:title
         # (rdf:Alt/rdf:li), attribute form for the simple fields —
@@ -489,7 +494,8 @@ def build_pdf(pages: list[list[str]], *,
 
     for n in sorted(stream_objs):
         _, payload, extra = stream_objs[n]
-        emit_stream(n, payload, extra)
+        emit_stream(n, payload, extra,
+                    encrypt_it=n != xmp_num or encrypt_metadata)
 
     if enc:
         emit_plain(encrypt_num, enc.encrypt_dict_body())

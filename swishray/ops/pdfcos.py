@@ -944,7 +944,10 @@ class PdfDocument:
     def _decrypt_stream_raw(self, st: Stream) -> bytes:
         # xref streams and the /Encrypt dict itself are never
         # encrypted (§7.5.8.2); /ObjStm bodies are, at stream level.
-        if st.dict.get("Type") == "XRef":
+        # /EncryptMetadata false leaves /Metadata streams plain too.
+        typ = st.dict.get("Type")
+        if typ == "XRef" or (typ == "Metadata"
+                             and not self._decryptor.encrypt_metadata):
             return st.raw
         try:
             return self._decryptor.decrypt_stream(

@@ -376,20 +376,16 @@ class StandardDecryptor:
         self.r = int(enc.get("R", 2))
         if self.v not in (1, 2, 4, 5):
             raise ValueError(f"unsupported /V {self.v}")
-        # crypt-filter method for V4/V5 (StmF/StrF both default to
-        # /Identity; real files overwhelmingly point both at /StdCF)
-        self.method = "RC4"
-        if self.v >= 4:
-            cf = enc.get("CF") or {}
-            stmf = str(enc.get("StmF", "Identity"))
-            cfd = cf.get(stmf) if isinstance(cf, dict) else None
-            cfm = str(cfd.get("CFM", "V2")) if isinstance(cfd, dict) \
-                else "Identity"
-            self.method = {"V2": "RC4", "AESV2": "AES",
-                           "AESV3": "AES", "Identity": "NONE"}.get(
-                               cfm, "RC4")
+        # crypt-filter methods for V4/V5: streams follow /StmF,
+        # strings /StrF (both default to /Identity; real files
+        # overwhelmingly point both at /StdCF)
+        self.stm_method = self._cf_method(enc, "StmF")
+        self.str_method = self._cf_method(enc, "StrF")
+        # V4+ only: /EncryptMetadata false leaves the /Metadata
+        # streams in the clear (and changes the file key, algorithm 2)
+        self.encrypt_metadata = not (
+            self.v >= 4 and enc.get("EncryptMetadata") is False)
         if self.v == 5:
-            self.method = "AES"
             self.key = self._v5_key(enc, password)
         else:
             self.key = _alg2_file_key(enc, id0, password)
@@ -403,6 +399,23 @@ class StandardDecryptor:
                 if not self._check_u(enc, id0):
                     raise ValueError(
                         "password required (U mismatch)")
+
+    def _cf_method(self, enc: dict, which: str) -> str:
+        """"RC4", "AES" or "NONE" for the crypt filter that /StmF or
+        /StrF names; V1/V2 files have no crypt filters (always RC4)."""
+        if self.v < 4:
+            return "RC4"
+        name = str(enc.get(which, "Identity"))
+        if name == "Identity":
+            return "NONE"
+        if self.v == 5:
+            return "AES"
+        cf = enc.get("CF") or {}
+        cfd = cf.get(name) if isinstance(cf, dict) else None
+        cfm = str(cfd.get("CFM", "V2")) if isinstance(cfd, dict) \
+            else "Identity"
+        return {"V2": "RC4", "AESV2": "AES", "AESV3": "AES",
+                "Identity": "NONE"}.get(cfm, "RC4")
 
     def _check_u(self, enc: dict, id0: bytes) -> bool:
         """Algorithms 6/4: does the current key reproduce /U?"""
@@ -468,21 +481,22 @@ class StandardDecryptor:
             return AES(ikey).cbc_decrypt(oe[:32], b"\0" * 16)
         raise ValueError("password required (V5 hash mismatch)")
 
-    def _object_key(self, num: int, gen: int) -> bytes:
+    def _object_key(self, num: int, gen: int, method: str) -> bytes:
         if self.v == 5:
             return self.key
         h = hashlib.md5()
         h.update(self.key)
         h.update(struct.pack("<I", num)[:3])
         h.update(struct.pack("<I", gen)[:2])
-        if self.method == "AES":
+        if method == "AES":
             h.update(b"sAlT")
         return h.digest()[:min(len(self.key) + 5, 16)]
 
-    def _decrypt(self, data: bytes, num: int, gen: int) -> bytes:
-        if self.method == "NONE":
+    def _decrypt(self, data: bytes, num: int, gen: int,
+                 method: str) -> bytes:
+        if method == "NONE":
             return data
-        if self.method == "AES":
+        if method == "AES":
             if len(data) < 16:
                 return b""
             if self.v == 5:
@@ -492,15 +506,15 @@ class StandardDecryptor:
                 if aes is None:
                     aes = self._aes5 = AES(self.key)
             else:
-                aes = AES(self._object_key(num, gen))
+                aes = AES(self._object_key(num, gen, method))
             return _cbc_unpad(aes.cbc_decrypt(data[16:], data[:16]))
-        return rc4(self._object_key(num, gen), data)
+        return rc4(self._object_key(num, gen, method), data)
 
     def decrypt_stream(self, data: bytes, num: int, gen: int) -> bytes:
-        return self._decrypt(data, num, gen)
+        return self._decrypt(data, num, gen, self.stm_method)
 
     def decrypt_string(self, data: bytes, num: int, gen: int) -> bytes:
-        return self._decrypt(data, num, gen)
+        return self._decrypt(data, num, gen, self.str_method)
 
 
 # ---------------------------------------------------------------------
@@ -511,13 +525,23 @@ class StandardEncryptor:
     builder.  ``flavor`` in {"rc4-40", "rc4-128", "aes-128",
     "aes-256"}; empty user password, owner password = b"owner".
     All "random" material is derived from ``seed`` via SHA-256 so
-    built files are byte-deterministic."""
+    built files are byte-deterministic.  The AES flavors (V4/V5 crypt
+    filters) can leave /Metadata streams plain
+    (``encrypt_metadata=False``) or strings plain
+    (``encrypt_strings=False``: /StrF /Identity)."""
 
     def __init__(self, flavor: str, id0: bytes,
                  seed: bytes = b"swishray",
                  user_password: bytes = b"",
-                 owner_password: bytes = b"owner") -> None:
+                 owner_password: bytes = b"owner",
+                 encrypt_metadata: bool = True,
+                 encrypt_strings: bool = True) -> None:
+        if not (encrypt_metadata and encrypt_strings) and \
+                flavor not in ("aes-128", "aes-256"):
+            raise ValueError(f"{flavor} has no crypt filters")
         self.flavor = flavor
+        self.encrypt_metadata = encrypt_metadata
+        self.encrypt_strings = encrypt_strings
         self.id0 = id0
         self.rand = hashlib.sha256(
             seed + b"|" + flavor.encode("ascii")
@@ -546,7 +570,8 @@ class StandardEncryptor:
             for i in range(1, 20):
                 o = rc4(bytes(b ^ i for b in okey), o)
         self.o = o
-        enc = {"R": self.r, "O": o, "P": p, "Length": self.length}
+        enc = {"R": self.r, "O": o, "P": p, "Length": self.length,
+               "EncryptMetadata": encrypt_metadata}
         self.key = _alg2_file_key(enc, id0, user_pw)
         # /U (algorithms 4/5)
         if self.r == 2:
@@ -571,7 +596,8 @@ class StandardEncryptor:
         self.oe = AES(oe_key).cbc_encrypt(self.key, b"\0" * 16)
         self.p = -44
         perms = (struct.pack("<i", self.p) + b"\xff\xff\xff\xff"
-                 + b"T" + b"adb" + r[:4])
+                 + (b"T" if self.encrypt_metadata else b"F")
+                 + b"adb" + r[:4])
         self.perms = AES(self.key).encrypt_block(perms)
 
     # -- object encryption -------------------------------------------
@@ -594,25 +620,35 @@ class StandardEncryptor:
             return iv + AES(key).cbc_encrypt(_cbc_pad(data), iv)
         return rc4(key, data)
 
+    def encrypt_string(self, data: bytes, num: int, gen: int) -> bytes:
+        if not self.encrypt_strings:
+            return data
+        return self.encrypt(data, num, gen)
+
     def encrypt_dict_body(self) -> bytes:
         """The /Encrypt dictionary, serialized (strings hex-escaped
         so the writer can emit it verbatim)."""
         def hx(b: bytes) -> bytes:
             return b"<" + b.hex().encode() + b">"
 
+        filters = (b" /StmF /StdCF /StrF /"
+                   + (b"StdCF" if self.encrypt_strings else b"Identity")
+                   + (b"" if self.encrypt_metadata
+                      else b" /EncryptMetadata false"))
         if self.v == 5:
             return (b"<< /Filter /Standard /V 5 /R 6 /Length 256"
                     b" /P %d /O %s /U %s /OE %s /UE %s /Perms %s"
                     b" /CF << /StdCF << /CFM /AESV3 /Length 32 >> >>"
-                    b" /StmF /StdCF /StrF /StdCF >>"
+                    b"%s >>"
                     % (self.p, hx(self.o), hx(self.u),
-                       hx(self.oe), hx(self.ue), hx(self.perms)))
+                       hx(self.oe), hx(self.ue), hx(self.perms),
+                       filters))
         if self.flavor == "aes-128":
             return (b"<< /Filter /Standard /V 4 /R 4 /Length 128"
                     b" /P %d /O %s /U %s"
                     b" /CF << /StdCF << /CFM /AESV2 /Length 16 >> >>"
-                    b" /StmF /StdCF /StrF /StdCF >>"
-                    % (self.p, hx(self.o), hx(self.u)))
+                    b"%s >>"
+                    % (self.p, hx(self.o), hx(self.u), filters))
         return (b"<< /Filter /Standard /V %d /R %d /Length %d"
                 b" /P %d /O %s /U %s >>"
                 % (self.v, self.r, self.length, self.p,

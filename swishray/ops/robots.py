@@ -259,7 +259,7 @@ def _robots_filter_join(ds: Any, robots: Any, *, url_col: str,
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from .joins import field_type, native_join, schema_guard
+    from .joins import field_type, hash_join, schema_guard
 
     if key is None:
         raise ValueError("robots_filter(mode='join') needs a unique "
@@ -298,7 +298,7 @@ def _robots_filter_join(ds: Any, robots: Any, *, url_col: str,
                    ("__path", pa.large_string())]))
 
     # inner join: URLs on rule-less hosts drop out (default allow)
-    joined = native_join(probes, rules_ds, "__rhost", how="inner")
+    joined = hash_join(probes, rules_ds, "__rhost", how="inner")
 
     def verdicts(t: pa.Table) -> pa.Table:
         keys = t.column(key).combine_chunks()
@@ -324,7 +324,7 @@ def _robots_filter_join(ds: Any, robots: Any, *, url_col: str,
         joined.map_batches(verdicts, batch_format="pyarrow"),
         pa.schema([(key, ktype), ("__bl", pa.int8())]))
 
-    out = native_join(ds, blocked, key, how="left")
+    out = hash_join(ds, blocked, key, how="left")
 
     def shape(batch: pa.Table) -> pa.Table:
         allowed = pc.is_null(batch.column("__bl_r"))

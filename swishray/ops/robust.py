@@ -80,7 +80,7 @@ def semi_join_large(left: Any, right: Any, key: str,
     side is reduced MAP-SIDE to per-batch distinct keys, then a
     groupby-count makes them globally distinct (the exchange carries
     bare keys, nothing else), and the slim key table inner-joins back
-    to ``left`` via native_join — the winners pattern exact_dedup
+    to ``left`` via hash_join — the winners pattern exact_dedup
     uses (dedup.py).
     """
     rk = right_key or key
@@ -90,7 +90,7 @@ def semi_join_large(left: Any, right: Any, key: str,
 
     from ray.data.aggregate import Count
 
-    from .joins import native_join
+    from .joins import hash_join
 
     keys = right.map_batches(distinct_keys, batch_format="pyarrow") \
         .groupby(key).aggregate(Count(alias_name="__c"))
@@ -100,14 +100,14 @@ def semi_join_large(left: Any, right: Any, key: str,
     if sch is not None:
         left_cols = list(sch.names)
 
-    # an all-empty keys side is handled inside native_join (resolved
+    # an all-empty keys side is handled inside hash_join (resolved
     # schemas + degenerate empty-side answers)
-    out = native_join(left, keys, key, how="inner")
+    out = hash_join(left, keys, key, how="inner")
     if left_cols is not None:
         out = out.select_columns(left_cols)
     else:
         # schema unknown (unmaterialized lineage — probing would run
-        # it twice, see native_join); strip the count column by name
+        # it twice, see hash_join); strip the count column by name
         def strip(batch: pa.Table) -> pa.Table:
             drop = [c for c in ("__c", "__c_r") if c in
                     batch.column_names]

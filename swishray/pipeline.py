@@ -301,7 +301,6 @@ def files_parsed_count(extracted: "Any") -> int:
 def facet_counts(extracted: "Any", prop: str) -> "Any":
     """§2.5 FacetFinder (swish_xapian.cpp:224-276): property value ->
     count over the result set, values split on \\x03."""
-    import pyarrow.compute as pc
 
     def explode(batch: pa.Table) -> pa.Table:
         vals = []

@@ -102,8 +102,8 @@ def test_dedup_keep_canonical_no_pairs(ray_session):
 
 def test_dedup_keep_canonical_sparse_overpartitioned(ray_session):
     # rows < partitions on the loser side emits field-less empty
-    # remainder blocks; native_join must not let one poison the
-    # shuffle schema (joins._retype_empties)
+    # remainder blocks; the join must not let one poison the
+    # exchange's schema
     docs = rd.from_items(
         [{"doc_id": i, "text": f"t{i}"} for i in range(50)]) \
         .repartition(4)

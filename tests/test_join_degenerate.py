@@ -16,6 +16,7 @@ but no UDF ever executes to notice.
 """
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from swishray.ops.joins import hash_join
@@ -80,3 +81,28 @@ def test_empty_blocks_dropped_among_nonempty(ray_session):
 
     out = ds.map_batches(udf, batch_format="pyarrow")
     assert out.count() == 8
+
+
+@pytest.mark.parametrize("how,rows,n_r", [
+    ("inner", 2, [(0, 10), (1, 10)]),
+    ("left", 3, [(0, 10), (1, 10), (5, None)]),
+    ("outer", 4, [(0, 10), (1, 10), (2, 10), (5, None)]),
+])
+def test_aggregate_side_with_schemaless_empty_blocks(ray_session, how,
+                                                     rows, n_r):
+    # a groupby-aggregate with fewer groups than input blocks emits
+    # schema-less empty blocks for the reduce partitions that got no
+    # group; hash_join must join such a side directly, with no
+    # repartition in front of it
+    from ray.data.aggregate import Count
+    right = rd.from_items([{"k": i % 3} for i in range(30)]) \
+        .repartition(8).groupby("k").aggregate(Count(alias_name="n"))
+    left = rd.from_arrow(pa.table({"k": pa.array([0, 1, 5], pa.int64()),
+                                   "x": ["a", "b", "c"]}))
+    t = pa.Table.from_pandas(
+        hash_join(left, right, key="k", how=how).to_pandas())
+    assert t.num_rows == rows
+    assert sorted(t.column_names) == ["k", "n_r", "x"]
+    got = sorted(zip(t.column("k").to_pylist(),
+                     t.column("n_r").to_pylist()))
+    assert [(k, None if v != v else v) for k, v in got] == n_r

@@ -328,6 +328,9 @@ LINKS = ["https://example.com/a?b=1", "mailto:x@y.z",
     dict(object_streams=True),
     dict(object_streams=True, encrypt="aes-128"),
     dict(xref_stream=True, encrypt="aes-128"),
+    # /StrF /Identity: strings stay plain while streams are encrypted
+    dict(encrypt="aes-128", encrypt_strings=False),
+    dict(encrypt="aes-256", encrypt_strings=False),
 ], ids=lambda k: str(sorted(k.items())))
 def test_info_and_links_roundtrip(kw):
     from swishray.ops.pdfcos import document_info, document_links
@@ -513,8 +516,12 @@ class TestXmpAndPasswords:
            "Producer": "swishray <1&2>"}
 
     @pytest.mark.parametrize("kw", [
-        dict(), dict(encrypt="aes-128"), dict(object_streams=True)],
-        ids=["plain", "aes-128", "objstm"])
+        dict(), dict(encrypt="aes-128"), dict(object_streams=True),
+        # /EncryptMetadata false: the XMP stream is stored plain
+        dict(encrypt="aes-128", encrypt_metadata=False),
+        dict(encrypt="aes-256", encrypt_metadata=False)],
+        ids=["plain", "aes-128", "objstm", "aes-128-plain-xmp",
+             "aes-256-plain-xmp"])
     def test_xmp_roundtrip_and_fallback(self, kw):
         from swishray.ops.pdfcos import document_info, document_xmp
         pdf = build_pdf([["body"]], xmp=self.XMP, **kw)

@@ -289,22 +289,6 @@ def test_video_and_audio_decode(ray_session):
     assert "NotImplementedError" in e["error"]
 
 
-def test_native_join_matches_hash_join(ray_session):
-    import ray.data as rd
-    from swishray.ops.joins import hash_join, native_join
-    left = rd.from_arrow(pa.table({"k": [1, 2, 3, 4], "a": list("wxyz")}))
-    right = rd.from_arrow(pa.table({"k": [2, 3, 5], "b": [20, 30, 50]}))
-    got_n = sorted((r["k"], r["a"], r["b_r"]) for r in
-                   native_join(left, right, "k", 4).take_all())
-    got_h = sorted((r["k"], r["a"], r["b_r"]) for r in
-                   hash_join(rd.from_arrow(pa.table({"k": [1, 2, 3, 4],
-                                                     "a": list("wxyz")})),
-                             rd.from_arrow(pa.table({"k": [2, 3, 5],
-                                                     "b": [20, 30, 50]})),
-                             "k").take_all())
-    assert got_n == got_h == [(2, "x", 20), (3, "y", 30)]
-
-
 def test_lang_id_model_slot(ray_session, tmp_path):
     """lang_id's pluggable model: the factory runs once per actor (in
     __init__), and predictions flow from the injected model."""

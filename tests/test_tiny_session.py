@@ -1,12 +1,11 @@
 """Deadlock-safety gate for tiny Ray sessions.
 
 The streaming executor deadlocks SILENTLY when actor-based operators
-(actor pools, join/shuffle aggregators) plus 1-CPU producer tasks
-cannot co-schedule. Every stateful stage routes through
-util.map_batches_stateful (task-mode fallback below 4 CPUs) and
-native_join falls back to the portable task-based hash_join on 1-CPU
-sessions — this test pins the worst case (num_cpus=1) end-to-end in a
-subprocess with a hard timeout."""
+(actor pools) plus 1-CPU producer tasks cannot co-schedule. Every
+stateful stage routes through util.map_batches_stateful (task-mode
+fallback below 4 CPUs) and every equi-join is the task-based
+hash_join — this test pins the worst case (num_cpus=1) end-to-end in
+a subprocess with a hard timeout."""
 
 import subprocess
 import sys

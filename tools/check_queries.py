@@ -3,10 +3,19 @@ queries() entry at sf0.01 side-by-side with its oracle_sql() in DuckDB
 and compare row count, column names, and order-insensitive values.
 
 Usage: python tools/check_queries.py [sf_dir] [query ...]
+
+The Ray session gets ``CHECK_CPUS`` CPUs (default: the CPUs this
+process may be scheduled on, ``len(os.sched_getaffinity(0))``).
+
+Known Ray 2.49 issue: a run can abort in Ray's core worker with
+``task_manager.cc:930 Check failed: it != submissible_tasks_.end()
+Tried to complete task that was not pending``. The process is killed,
+so every later query is lost; run ``ray stop --force`` and rerun.
 """
 
-import sys
+import os
 import pathlib
+import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
@@ -47,8 +56,8 @@ def main():
     only = set(sys.argv[2:])
 
     if not ray.is_initialized():
-        import os
-        ncpu = int(os.environ.get("CHECK_CPUS", "8"))
+        ncpu = int(os.environ.get("CHECK_CPUS",
+                                  len(os.sched_getaffinity(0))))
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
                  logging_level="ERROR")
     from ray.data import DataContext
