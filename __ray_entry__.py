@@ -45,11 +45,6 @@ def _pages(sf_dir: str):
     return pages_from_documents(sf_dir)
 
 
-def _conc():
-    from swishray.util import default_concurrency
-    return default_concurrency(reserve=1, cap=8)
-
-
 _EXTRACT_MEMO: dict = {}
 
 
@@ -69,8 +64,7 @@ def _extracted(sf_dir: str, emit: str = "text", **kw):
         hit = _EXTRACT_MEMO.get(key)
         if hit is not None:
             return hit
-    out = extract_pages(_pages(sf_dir), emit=emit,
-                        concurrency=_conc(), **kw)
+    out = extract_pages(_pages(sf_dir), emit=emit, **kw)
     if key is not None:
         out = out.materialize()
         _EXTRACT_MEMO[key] = out
@@ -119,10 +113,8 @@ def entry() -> Any:
     """Flagship: synthetic pages -> full extraction records."""
     from swishray.pipeline import extract_pages
     from swishray.synth import pages_from_documents
-    from swishray.util import default_concurrency
     pages = pages_from_documents("/root/testdata/sf0.001")
-    return extract_pages(pages, emit="full",
-                         concurrency=default_concurrency())
+    return extract_pages(pages, emit="full")
 
 
 # ---------------------------------------------------------------------
@@ -375,8 +367,7 @@ def q_extract_cascade(sf_dir: str):
     import pyarrow.compute as pc
     from swishray.pipeline import extract_pages
     cfg_xml = "<swish><CascadeMetaContext>1</CascadeMetaContext></swish>"
-    ext = extract_pages(_pages(sf_dir), emit="text", concurrency=_conc(),
-                        config_xml=cfg_xml)
+    ext = extract_pages(_pages(sf_dir), emit="text", config_xml=cfg_xml)
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -420,7 +411,7 @@ def q_extract_txt(sf_dir: str):
 
     pages = _docs(sf_dir, ["doc_id", "text"]).map_batches(to_txt_pages,
                                                   batch_format="pyarrow")
-    ext = extract_pages(pages, emit="text", concurrency=_conc())
+    ext = extract_pages(pages, emit="text")
 
     def shape(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -452,7 +443,7 @@ def q_extract_xml(sf_dir: str):
 
     pages = _docs(sf_dir, ["doc_id", "text"]).map_batches(to_xml_pages,
                                                   batch_format="pyarrow")
-    ext = extract_pages(pages, emit="text", concurrency=_conc())
+    ext = extract_pages(pages, emit="text")
 
     def shape(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -495,8 +486,7 @@ def q_typed_property_sort(sf_dir: str):
 
     pages = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         to_xml_pages, batch_format="pyarrow")
-    ext = extract_pages(pages, emit="buffers", concurrency=_conc(),
-                        config_xml=cfg_xml)
+    ext = extract_pages(pages, emit="buffers", config_xml=cfg_xml)
     cfg = Config.default()
     cfg.add(cfg_xml)
     proj = project_properties(ext, cfg, props=["docnum", "swishtitle"])
@@ -541,7 +531,7 @@ def q_stream_source(sf_dir: str):
 
     pages = read_swish_stream(path).repartition(
         max(8, 2 * _session_cpus()))
-    ext = extract_pages(pages, emit="text", concurrency=_conc())
+    ext = extract_pages(pages, emit="text")
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -576,7 +566,7 @@ def q_warc_source(sf_dir: str):
         f.write(build_warc_bytes(recs, gzip_members=True))
 
     pages = read_warc(path).repartition(max(8, 2 * _session_cpus()))
-    ext = extract_pages(pages, emit="text", concurrency=_conc())
+    ext = extract_pages(pages, emit="text")
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -628,7 +618,7 @@ def q_filelist_source(sf_dir: str):
             "nwords": pa.array([], pa.int64()),
             "title": pa.array([], pa.string())}))
     pages = read_filelist(fl).repartition(max(8, 2 * _session_cpus()))
-    ext = extract_pages(pages, emit="text", concurrency=_conc())
+    ext = extract_pages(pages, emit="text")
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -763,8 +753,7 @@ def q_main_content(sf_dir: str):
     pages = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         synth, batch_format="pyarrow")
     out = extract_main_content(pages, html_col="html", key="doc_id",
-                               min_stopword_density=0.0,
-                               concurrency=_conc())
+                               min_stopword_density=0.0)
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -838,7 +827,7 @@ def _tier_norm_text(out):
 def q_tier_extract(sf_dir: str):
     """Tier-routing extraction cascade (the reference's ext->MIME->
     parser pick, mime_types.c:235-274, re-expressed as content
-    sniffing): one router actor pass must sniff each synthetic body,
+    sniffing): one router pass must sniff each synthetic body,
     unwrap gzip, dispatch to the pdf / main-content / txt kernel, and
     recover the text in closed form per tier."""
     import pyarrow as pa
@@ -847,7 +836,7 @@ def q_tier_extract(sf_dir: str):
 
     out = _tier_norm_text(tiered_extract(
         _tier_pages(sf_dir), body_col="body", key="doc_id",
-        min_stopword_density=0.0, concurrency=_conc()))
+        min_stopword_density=0.0))
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -869,7 +858,7 @@ def q_tier_metrics(sf_dir: str):
 
     ext = _tier_norm_text(tiered_extract(
         _tier_pages(sf_dir), body_col="body", key="doc_id",
-        min_stopword_density=0.0, concurrency=_conc()))
+        min_stopword_density=0.0))
     m = tier_metrics(ext)
 
     def shape(batch: pa.Table) -> pa.Table:
@@ -1024,8 +1013,7 @@ def q_pdf_text(sf_dir: str):
 
     pdfs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         synth, batch_format="pyarrow")
-    out = extract_pdf_text(pdfs, pdf_col="pdf", key="doc_id",
-                           concurrency=_conc())
+    out = extract_pdf_text(pdfs, pdf_col="pdf", key="doc_id")
 
     def shape(batch: pa.Table) -> pa.Table:
         norm = pc.utf8_trim_whitespace(pc.replace_substring_regex(
@@ -1076,7 +1064,7 @@ def q_pdf_text_structured(sf_dir: str):
     pdfs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         synth, batch_format="pyarrow")
     out = extract_pdf_text(pdfs, pdf_col="pdf", key="doc_id",
-                           concurrency=_conc(), mode="auto")
+                           mode="auto")
 
     def shape(batch: pa.Table) -> pa.Table:
         norm = pc.utf8_trim_whitespace(pc.replace_substring_regex(
@@ -1170,7 +1158,7 @@ def q_decode_images(sf_dir: str):
     """REAL PNG decode end-to-end: per document, synthesize a PNG
     whose pixel j is (doc_id*37 + j*11) % 251 (analytic — the DuckDB
     oracle recomputes pixel_sum from the formula), encode it with the
-    from-scratch encoder, decode it through the actor-pool stage
+    from-scratch encoder, decode it through the stateful stage
     (zlib inflate + scanline un-filtering), and emit the decoded
     geometry + sample checksum."""
     import numpy as np
@@ -1178,7 +1166,6 @@ def q_decode_images(sf_dir: str):
     import ray.data as rd
     from swishray.ops.codecs import encode_png
     from swishray.ops.multimodal import decode_images
-    from swishray.util import default_concurrency
 
     n_px = _IMG_W * _IMG_H * _IMG_C
 
@@ -1194,7 +1181,7 @@ def q_decode_images(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    out = decode_images(media, concurrency=default_concurrency(cap=2))
+    out = decode_images(media)
     return out.select_columns(
         ["media_id", "width", "height", "channels", "pixel_sum"])
 
@@ -1216,7 +1203,7 @@ def q_decode_audio(sf_dir: str):
     import ray.data as rd
     from swishray.ops.flac import encode_flac
     from swishray.ops.multimodal import SampleAudioFrames
-    from swishray.util import default_concurrency, map_batches_stateful
+    from swishray.util import map_batches_stateful
 
     def synth(t: pa.Table) -> pa.Table:
         j = np.arange(_AUD_N, dtype=np.int64)
@@ -1243,8 +1230,7 @@ def q_decode_audio(sf_dir: str):
     out = map_batches_stateful(
         media, SampleAudioFrames,
         fn_constructor_kwargs=dict(every_n=_AUD_EVERY),
-        batch_format="pyarrow", batch_size=64,
-        concurrency=default_concurrency(cap=2), num_cpus=1)
+        batch_format="pyarrow", batch_size=64)
     return out.select_columns(
         ["media_id", "sample_rate", "n_frames_sampled",
          "mean_abs_amplitude"])
@@ -1260,7 +1246,7 @@ def q_decode_video(sf_dir: str):
     import ray.data as rd
     from swishray.ops.codecs import encode_y4m
     from swishray.ops.multimodal import SampleVideoFrames
-    from swishray.util import default_concurrency, map_batches_stateful
+    from swishray.util import map_batches_stateful
 
     fsz = _VID_W * _VID_H
 
@@ -1281,8 +1267,7 @@ def q_decode_video(sf_dir: str):
     out = map_batches_stateful(
         media, SampleVideoFrames,
         fn_constructor_kwargs=dict(every_n=_VID_EVERY),
-        batch_format="pyarrow", batch_size=64,
-        concurrency=default_concurrency(cap=2), num_cpus=1)
+        batch_format="pyarrow", batch_size=64)
     return out.select_columns(
         ["media_id", "n_frames", "n_sampled", "y_sum"])
 
@@ -1300,7 +1285,7 @@ def q_decode_apng(sf_dir: str):
     import ray.data as rd
     from swishray.ops.codecs import encode_apng
     from swishray.ops.multimodal import SampleVideoFrames
-    from swishray.util import default_concurrency, map_batches_stateful
+    from swishray.util import map_batches_stateful
 
     w, h, n = 8, 6, 6
     fsz = w * h
@@ -1323,8 +1308,7 @@ def q_decode_apng(sf_dir: str):
     out = map_batches_stateful(
         media, SampleVideoFrames,
         fn_constructor_kwargs=dict(every_n=2),
-        batch_format="pyarrow", batch_size=64,
-        concurrency=default_concurrency(cap=2), num_cpus=1)
+        batch_format="pyarrow", batch_size=64)
     return out.select_columns(
         ["media_id", "n_frames", "n_sampled", "y_sum"])
 
@@ -1341,7 +1325,7 @@ def q_decode_gif(sf_dir: str):
     import ray.data as rd
     from swishray.ops.codecs import encode_gif
     from swishray.ops.multimodal import SampleVideoFrames
-    from swishray.util import default_concurrency, map_batches_stateful
+    from swishray.util import map_batches_stateful
 
     W, H, N = 8, 6, 6
     pal = np.stack([np.arange(16, dtype=np.uint8) * 16] * 3, axis=1)
@@ -1363,8 +1347,7 @@ def q_decode_gif(sf_dir: str):
     out = map_batches_stateful(
         media, SampleVideoFrames,
         fn_constructor_kwargs=dict(every_n=2),
-        batch_format="pyarrow", batch_size=64,
-        concurrency=default_concurrency(cap=2), num_cpus=1)
+        batch_format="pyarrow", batch_size=64)
     return out.select_columns(
         ["media_id", "n_frames", "n_sampled", "y_sum"])
 
@@ -1377,14 +1360,13 @@ def q_decode_jpeg(sf_dir: str):
     approximation) for odd ones; the default all-8 quantizer makes a
     flat block's roundtrip EXACT under both (DC = v-128, all AC = 0
     — ops/jpeg.py module docstring) — and decode through the same
-    actor-pool stage as decode_images. The oracle recomputes
+    stateful stage as decode_images. The oracle recomputes
     pixel_sum = 64 * sum of block values."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
     from swishray.ops.jpeg import encode_jpeg, encode_jpeg_progressive
     from swishray.ops.multimodal import decode_images
-    from swishray.util import default_concurrency
 
     b = np.arange(6, dtype=np.int64)
 
@@ -1402,7 +1384,7 @@ def q_decode_jpeg(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    out = decode_images(media, concurrency=default_concurrency(cap=2))
+    out = decode_images(media)
     return out.select_columns(
         ["media_id", "width", "height", "channels", "pixel_sum"])
 
@@ -1411,7 +1393,7 @@ def q_decode_tiff(sf_dir: str):
     """REAL TIFF decode across four layout/compression flavors by
     doc_id % 4: LZW+predictor strips (0), Deflate+predictor strips
     (1), PackBits TILED layout (2), and CCITT Group 4 fax over a
-    bilevel pattern (3) — all through the decode_images actor stage
+    bilevel pattern (3) — all through the decode_images stage
     (every flavor here is lossless, so the roundtrip is exact).
     Content: pixel j = (doc_id*23 + j*13) % 256 for the gray flavors,
     255*((doc_id*23 + j*13) % 2) for the fax flavor (G4 wants {0,255}
@@ -1422,7 +1404,6 @@ def q_decode_tiff(sf_dir: str):
     import ray.data as rd
     from swishray.ops.tiff import encode_tiff
     from swishray.ops.multimodal import decode_images
-    from swishray.util import default_concurrency
 
     j = np.arange(160, dtype=np.int64)
 
@@ -1450,7 +1431,7 @@ def q_decode_tiff(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    out = decode_images(media, concurrency=default_concurrency(cap=2))
+    out = decode_images(media)
     return out.select_columns(
         ["media_id", "width", "height", "channels", "pixel_sum"])
 
@@ -1468,7 +1449,7 @@ def q_decode_tiff_jpeg(sf_dir: str):
     import ray.data as rd
     from swishray.ops.jpeg import decode_jpeg, encode_jpeg
     from swishray.ops.tiff import decode_tiff, encode_tiff
-    from swishray.util import default_concurrency
+    from swishray.util import map_batches_stateful
 
     j = np.arange(16 * 24, dtype=np.int64)
 
@@ -1493,11 +1474,10 @@ def q_decode_tiff_jpeg(sf_dir: str):
                                                 pa.int64()),
                              "bitexact": pa.array(bitexact)})
 
-    return rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]) \
-        .map_batches(DecodeCheck, batch_size=64,
-                     batch_format="pyarrow",
-                     concurrency=default_concurrency(cap=2))
+    return map_batches_stateful(
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id"]),
+        DecodeCheck, batch_size=64, batch_format="pyarrow")
 
 
 def q_media_inspect(sf_dir: str):
@@ -1505,7 +1485,7 @@ def q_media_inspect(sf_dir: str):
     per document a deterministic blob rotating the inspect-only MP4
     container (doc_id % 5 == 0), an MPEG-1 Layer III stream (== 1),
     a decodable PNG (== 2), an Ogg-Vorbis stream (== 3) and a WebM
-    segment (== 4) through the InspectMedia actor stage —
+    segment (== 4) through the InspectMedia stage —
     container/codec/dims/duration/frame metadata WITHOUT decoding
     sample data (the triage tier for codecs whose decode is out of
     scope: H.264/VP9, MP3/Vorbis synthesis). The oracle recomputes
@@ -1521,7 +1501,6 @@ def q_media_inspect(sf_dir: str):
                                         synth_mp4_blob,
                                         synth_ogg_vorbis_blob,
                                         synth_webm_blob)
-    from swishray.util import default_concurrency
 
     def synth(t: pa.Table) -> pa.Table:
         blobs = []
@@ -1553,8 +1532,7 @@ def q_media_inspect(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    out = inspect_media(media,
-                        concurrency=default_concurrency(cap=2))
+    out = inspect_media(media)
 
     def finish(t: pa.Table) -> pa.Table:
         cols = {"media_id": t.column("media_id"),
@@ -1580,7 +1558,6 @@ def q_pdf_inspect(sf_dir: str):
     import ray.data as rd
     from swishray.ops.mediainfo import inspect_media
     from swishray.ops.pdfbuild import build_pdf
-    from swishray.util import default_concurrency
 
     flavors = [None, "rc4-128", "aes-128", "aes-256"]
 
@@ -1597,8 +1574,7 @@ def q_pdf_inspect(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    out = inspect_media(media,
-                        concurrency=default_concurrency(cap=2))
+    out = inspect_media(media)
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1647,8 +1623,7 @@ def q_pdf_docinfo(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"])
-    return map_batches_stateful(ds, Extract, batch_format="pyarrow",
-                                force_tasks=True)
+    return map_batches_stateful(ds, Extract, batch_format="pyarrow")
 
 
 def q_pdf_links(sf_dir: str):
@@ -1686,8 +1661,7 @@ def q_pdf_links(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"])
-    return map_batches_stateful(ds, Extract, batch_format="pyarrow",
-                                force_tasks=True)
+    return map_batches_stateful(ds, Extract, batch_format="pyarrow")
 
 
 def q_pdf_outline(sf_dir: str):
@@ -1729,8 +1703,7 @@ def q_pdf_outline(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"])
-    return map_batches_stateful(ds, Extract, batch_format="pyarrow",
-                                force_tasks=True)
+    return map_batches_stateful(ds, Extract, batch_format="pyarrow")
 
 
 def q_decode_webp(sf_dir: str):
@@ -1739,7 +1712,7 @@ def q_decode_webp(sf_dir: str):
     the encoder cannot legally alter RGB) with the container's
     libwebp via ctypes (an INDEPENDENT writer, like stdlib ``wave``
     for decode_audio), then decode through the from-scratch VP8L
-    decoder (ops/webp.py) in the decode_images actor stage. The
+    decoder (ops/webp.py) in the decode_images stage. The
     oracle recomputes pixel_sum = analytic RGB sum + 255*128 (the
     returned RGBA alpha plane)."""
     import ctypes
@@ -1748,7 +1721,6 @@ def q_decode_webp(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
     from swishray.ops.multimodal import decode_images
-    from swishray.util import default_concurrency
 
     j = np.arange(16 * 8 * 3, dtype=np.int64)
 
@@ -1774,7 +1746,7 @@ def q_decode_webp(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    out = decode_images(media, concurrency=default_concurrency(cap=2))
+    out = decode_images(media)
     return out.select_columns(
         ["media_id", "width", "height", "channels", "pixel_sum"])
 
@@ -1789,11 +1761,11 @@ def q_decode_webp_lossy(sf_dir: str):
     frame geometry. Lossy decode is deterministic, so the oracle
     predicts bitexact=TRUE for every row — a hash-compared per-row
     conformance gate (same design as the test suite's A/B, but
-    driver-checkable). Stateful ctypes handles live per actor
-    (warm-state pattern, pipeline.py:84)."""
+    driver-checkable). Stateful ctypes handles live once per worker
+    (util.map_batches_stateful)."""
     import pyarrow as pa
     import ray.data as rd
-    from swishray.util import default_concurrency
+    from swishray.util import map_batches_stateful
 
     class LossyRoundtrip:
         def __init__(self):
@@ -1857,11 +1829,10 @@ def q_decode_webp_lossy(sf_dir: str):
                 "has_alpha": pa.array(alphas, pa.bool_()),
                 "bitexact": pa.array(bits, pa.bool_())})
 
-    return rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]) \
-        .map_batches(LossyRoundtrip,
-                     concurrency=default_concurrency(cap=2),
-                     batch_size=256, batch_format="pyarrow")
+    return map_batches_stateful(
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id"]),
+        LossyRoundtrip, batch_size=256, batch_format="pyarrow")
 
 
 def q_decode_mjpeg(sf_dir: str):
@@ -1877,7 +1848,7 @@ def q_decode_mjpeg(sf_dir: str):
     import ray.data as rd
     from swishray.ops.codecs import encode_avi_mjpeg
     from swishray.ops.multimodal import SampleVideoFrames
-    from swishray.util import default_concurrency, map_batches_stateful
+    from swishray.util import map_batches_stateful
 
     f = np.arange(4, dtype=np.int64)[:, None]
     b = np.arange(6, dtype=np.int64)[None, :]
@@ -1898,8 +1869,7 @@ def q_decode_mjpeg(sf_dir: str):
     out = map_batches_stateful(
         media, SampleVideoFrames,
         fn_constructor_kwargs=dict(every_n=2),
-        batch_format="pyarrow", batch_size=64,
-        concurrency=default_concurrency(cap=2), num_cpus=1)
+        batch_format="pyarrow", batch_size=64)
     return out.select_columns(
         ["media_id", "n_frames", "n_sampled", "y_sum"])
 
@@ -1913,14 +1883,13 @@ def q_image_dedup(sf_dir: str):
     distinct bases are >= 18 bits apart (pinned in
     tests/test_imagehash.py), so the exact near-dup ground truth is
     (doc_id % 40 equal) — which is what the oracle computes. Decode +
-    hash run in the actor stage; the pairing is the generic banded
+    hash run in the stateful stage; the pairing is the generic banded
     Hamming blocking (slim hash-only shuffle, no media bytes)."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
     from swishray.ops.codecs import encode_png
     from swishray.ops.imagehash import imagehash_near_dups
-    from swishray.util import default_concurrency
 
     def mixbits(b: int) -> int:
         x = (b + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -1952,9 +1921,7 @@ def q_image_dedup(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    return imagehash_near_dups(
-        media, max_hamming=2,
-        concurrency=default_concurrency(cap=2))
+    return imagehash_near_dups(media, max_hamming=2)
 
 
 def q_audio_dedup(sf_dir: str):
@@ -1974,7 +1941,6 @@ def q_audio_dedup(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
     from swishray.ops.audiohash import _band_edges, audiohash_near_dups
-    from swishray.util import default_concurrency
 
     RATE, WIN = 8000, 1000
 
@@ -2024,9 +1990,7 @@ def q_audio_dedup(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    return audiohash_near_dups(
-        media, max_hamming=2,
-        concurrency=default_concurrency(cap=2))
+    return audiohash_near_dups(media, max_hamming=2)
 
 
 def q_video_dedup(sf_dir: str):
@@ -2041,7 +2005,6 @@ def q_video_dedup(sf_dir: str):
     import ray.data as rd
     from swishray.ops.codecs import encode_y4m
     from swishray.ops.imagehash import videohash_near_dups
-    from swishray.util import default_concurrency
 
     def mixbits(b: int) -> int:
         x = (b + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -2078,9 +2041,7 @@ def q_video_dedup(sf_dir: str):
     media = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id"]) \
         .map_batches(synth, batch_format="pyarrow")
-    return videohash_near_dups(
-        media, max_hamming=2,
-        concurrency=default_concurrency(cap=2))
+    return videohash_near_dups(media, max_hamming=2)
 
 
 def q_extract_fixture_corpus(sf_dir: str):
@@ -2088,9 +2049,7 @@ def q_extract_fixture_corpus(sf_dir: str):
     metanames/properties maps + token columns)."""
     from swishray.pipeline import extract_pages
     from swishray.synth import fixture_pages
-    from swishray.util import default_concurrency
-    return extract_pages(fixture_pages(120), emit="full",
-                         concurrency=default_concurrency()) \
+    return extract_pages(fixture_pages(120), emit="full") \
         .select_columns(["url", "nwords", "title", "error"])
 
 
@@ -2153,7 +2112,6 @@ def q_quantiles_continuous(sf_dir: str):
     is effectively all-distinct — the histogram-of-values discrete op
     cannot hold its 'small distinct set' assumption there): iterative
     range-narrowing histogram passes + bounded unique-value collect."""
-    import pyarrow as pa
     import ray.data as rd
     from swishray.ops.aggregates import continuous_quantiles
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -2751,8 +2709,7 @@ def q_dedup_incremental(sf_dir: str):
             m3 = pc.subtract(did, pc.multiply(pc.divide(did, 3), 3))
             return t.filter(pc.not_equal(m3, 0))
 
-        prior = docs.map_batches(keep_prior, batch_format="pyarrow") \
-            .repartition(_conc())
+        prior = docs.map_batches(keep_prior, batch_format="pyarrow")
         write_fingerprint_store(prior, store, num_buckets=8)
 
         def mutate(batch: pa.Table) -> pa.Table:
@@ -2768,7 +2725,7 @@ def q_dedup_incremental(sf_dir: str):
         new = docs.map_batches(mutate, batch_format="pyarrow")
         kept = dedup_incremental(new, store, keep_md5=True)
         # materialize before the store dir is removed — the probe
-        # actors read blooms + fingerprints during execution
+        # probe tasks read blooms + fingerprints during execution
         return kept.map_batches(
             lambda t: t.select(["doc_id", "md5"]),
             batch_format="pyarrow").materialize()
@@ -2931,7 +2888,7 @@ def q_warc_roundtrip(sf_dir: str):
                                 pa.binary())})
 
         pages = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            shape, batch_format="pyarrow").repartition(_conc())
+            shape, batch_format="pyarrow")
         write_warc(pages, out)
         shards = sorted(glob.glob(f"{out}/part-*.warc.gz"))
         if not shards:  # empty corpus wrote no WARC shards
@@ -3043,8 +3000,7 @@ def q_dedup_store(sf_dir: str):
                 return t.filter(m if r == 0 else pc.invert(m))
             return f
 
-        prior = docs.map_batches(mod5(0), batch_format="pyarrow") \
-            .repartition(_conc())
+        prior = docs.map_batches(mod5(0), batch_format="pyarrow")
         write_minhash_store(prior, store, num_buckets=8)
         new = docs.map_batches(mod5(1), batch_format="pyarrow")
         return dedup_against_store(new, store, threshold=0.5) \
@@ -3290,8 +3246,7 @@ def q_extract_links(sf_dir: str):
     import pyarrow.compute as pc
     from swishray.ops.links import extract_links
 
-    out = extract_links(_link_pages(sf_dir), key="doc_id",
-                        concurrency=_conc())
+    out = extract_links(_link_pages(sf_dir), key="doc_id")
 
     def shape(batch: pa.Table) -> pa.Table:
         cols = {"doc_id": pc.cast(batch.column("doc_id"), pa.int64())}
@@ -3310,8 +3265,6 @@ def q_link_graph(sf_dir: str):
     import pyarrow.compute as pc
     from swishray.ops.links import extract_links, link_graph
 
-    # no explicit concurrency: cached-task mode — a reserved actor
-    # pool would starve the downstream join's tasks
     links = extract_links(_link_pages(sf_dir), key="doc_id",
                           url_col="url")
     # keep the src url on each link row for the site rollup
@@ -3765,7 +3718,6 @@ def q_distinct_users(sf_dir: str):
 def q_intersect(sf_dir: str):
     """SQL INTERSECT: distinct customer keys that actually placed
     orders (both sides deduped map-side, one slim flag groupby)."""
-    import pyarrow as pa
     import ray.data as rd
     from swishray.ops.aggregates import intersect_distinct
 
@@ -3848,7 +3800,6 @@ def q_full_outer(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
-    from ray.data.aggregate import Count
     from swishray.ops.joins import hash_join
 
     def evens(t: pa.Table) -> pa.Table:
@@ -3904,7 +3855,6 @@ def q_minmax_norm(sf_dir: str):
     bit-for-bit."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
     from swishray.ops.stats import minmax_normalize
 
     docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
@@ -4642,12 +4592,10 @@ def q_snapshot_diff(sf_dir: str):
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def old_side(t: pa.Table) -> pa.Table:
-        import numpy as np
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         return t.filter(pa.array(ids % 7 != 0))
 
     def new_side(t: pa.Table) -> pa.Table:
-        import numpy as np
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         t = t.filter(pa.array(ids % 11 != 0))
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -4703,7 +4651,6 @@ def q_triangles(sf_dir: str):
         columns=["l_orderkey", "l_partkey", "l_suppkey"])
 
     def derive(t: pa.Table) -> pa.Table:
-        import numpy as np
         keep = (t.column("l_orderkey").to_numpy() % 10) == 0
         p = t.column("l_partkey").to_numpy()[keep] % 500
         s = t.column("l_suppkey").to_numpy()[keep] % 500
@@ -4802,7 +4749,6 @@ def q_survivorship(sf_dir: str):
     docs = _docs(sf_dir, ["doc_id", "text", "lang", "n_chars"])
 
     def with_cluster(t: pa.Table) -> pa.Table:
-        import numpy as np
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         return t.append_column(
             "cluster", pa.array(ids % 50, type=pa.int64()))
@@ -4880,7 +4826,6 @@ def q_impute(sf_dir: str):
                          columns=["event_id", "event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        import numpy as np
         iv = pc.cast(pc.floor(t.column("value")), pa.int64())
         ids = t.column("event_id").to_numpy(zero_copy_only=False)
         iv = pc.if_else(pa.array(ids % 13 == 0),

@@ -65,7 +65,6 @@ def _quiet_ray_data_workers() -> None:
 
 def run_benchmarks() -> dict:
     import logging
-    import warnings
     import ray
     if not ray.is_initialized():
         _quiet_ray_data_workers()
@@ -78,8 +77,6 @@ def run_benchmarks() -> dict:
     # known-benign log noise: map-typed columns (metanames/properties)
     # defeat Ray's schema-dedup hashing, and sort-based shuffles emit
     # schema-less empty blocks that trip a schema-consistency warning
-    warnings.filterwarnings(
-        "ignore", message=".*minimum number of concurrent actors.*")
     logging.getLogger(
         "ray.data._internal.execution.streaming_executor_state"
     ).setLevel(logging.ERROR)
@@ -90,17 +87,13 @@ def run_benchmarks() -> dict:
     from swishray.ops.dedup import minhash_dedup
     from swishray.ops.windows import tumbling_counts
 
-    # Materialized-input stages can use every core (no task stage
-    # competes); chains with live read/generation stages must leave
-    # cores for them or the streaming executor deadlocks.
-    # Bandwidth-aware sizing: past ~16 one-core actors this box's
-    # memory bandwidth saturates and extraction throughput REGRESSES
-    # (32x1: ~4-5k docs/s vs 16x2: ~6.4k). Large sessions therefore
-    # run fewer, 2-core extraction actors (see extract_pages docstring).
+    # Bandwidth-aware sizing: past ~16 one-core extraction workers a
+    # 32-core host's memory bandwidth saturated and extraction
+    # throughput REGRESSED (32x1: ~4-5k docs/s vs 16x2: ~6.4k). Large
+    # sessions therefore run 2-core extraction tasks (see the
+    # extract_pages docstring).
     ex_cpus = int(os.environ.get("BENCH_EX_CPUS",
                                  "2" if NUM_CPUS > 16 else "1"))
-    conc = NUM_CPUS // ex_cpus           # for materialized inputs
-    conc_chain = max(1, (NUM_CPUS - 2) // ex_cpus)  # unmaterialized chains
     # single-box run-to-run variance is ±10-40% under outside load;
     # the full bench repeats each query and reports PER-QUERY MEDIANS
     # (+ min/max spread) so one noisy pass can't read as a regression.
@@ -114,17 +107,15 @@ def run_benchmarks() -> dict:
     all_timings: dict[str, list] = {}
 
     def _wait_for_idle(timeout: float = 45.0) -> None:
-        # The PREVIOUS query's full-box actor pool tears down
-        # asynchronously; a new pool launched during that churn waits
-        # out worker leases (measured 12-20 s on an idle box).  Real
-        # pipelines don't build and destroy a full-box pool every few
-        # seconds, so steady-state query time excludes the churn:
+        # The PREVIOUS query's workers release their leases
+        # asynchronously; a stage launched during that churn waits
+        # them out.  Steady-state query time excludes the churn:
         # block until the session's CPUs are actually free.
         deadline = time.perf_counter() + timeout
         stable = 0
         while time.perf_counter() < deadline:
             avail = ray.available_resources().get("CPU", 0)
-            # resources free != workers settled: the dying pool's
+            # resources free != workers settled: the previous query's
             # processes release their CPUs before the raylet finishes
             # reaping them, so require the idle reading to HOLD for a
             # second before trusting it
@@ -145,8 +136,8 @@ def run_benchmarks() -> dict:
                     round(time.perf_counter() - self.t0, 3))
         return _T()
 
-    # warm the page cache + actor pool creation outside the timing of
-    # the first real run
+    # warm the page cache + worker start-up outside the timing of the
+    # first real run
     pages_tbl = fixture_pages(N_PAGES, skew_big_frac=0.1)
     pages_tbl = pages_tbl.materialize()
     import pyarrow.compute as _pc
@@ -191,7 +182,7 @@ def run_benchmarks() -> dict:
         nonlocal n_docs, twords
         with timed("extract_fixture"):
             ext = extract_pages(pages_tbl, emit="buffers", num_cpus=ex_cpus,
-                                concurrency=conc, batch_size=128)
+                                batch_size=128)
             row = ext.aggregate(_Count(alias_name="n"),
                                 _Sum("nwords", alias_name="twords"))
             n_docs, twords = row["n"], row["twords"]
@@ -200,38 +191,30 @@ def run_benchmarks() -> dict:
 
         from swishray.ops.maincontent import extract_main_content
         mc = extract_main_content(pages_tbl, html_col="html",
-                                  key="url", concurrency=conc,
-                                  batch_size=64)
+                                  key="url", batch_size=64)
         with timed("main_content"):
             mc.aggregate(_Sum("main_chars", alias_name="mc"))
 
         from swishray.ops.links import extract_links
-        # cached-task mode (no dedicated pool): a third actor-pool
-        # teardown here bleeds worker-lease churn into the next
-        # query's unmaterialized chain (measured 2.7s -> 16s median
-        # on extract_documents with a pool)
         lk = extract_links(lp_tbl, batch_size=128)
         with timed("extract_links"):
             lk.count()
 
         # NOTE on plan-vs-execution timing: rd.read_parquet's
         # driver-side metadata fetch runs as a tiny remote task; when
-        # the PREVIOUS query's 30-CPU actor pool is still tearing down,
-        # that task waits out the worker-lease churn — measured 12-20 s
-        # stalls on an otherwise idle box, pure bench artifact of
-        # back-to-back pool churn (no real pipeline builds and destroys
-        # a full-box pool every 3 s). Plans are therefore constructed
-        # OUTSIDE the timed window; everything the timer covers is
-        # actual execution (which includes the file reads themselves).
+        # the PREVIOUS query's workers are still releasing their
+        # leases, that task waits out the churn. Plans are therefore
+        # constructed OUTSIDE the timed window; everything the timer
+        # covers is actual execution (which includes the file reads
+        # themselves).
         pages2 = pages_from_documents(SF_DIR)
         ext2 = extract_pages(pages2, emit="text", num_cpus=ex_cpus,
-                             concurrency=conc_chain, batch_size=64)
+                             batch_size=64)
         with timed("extract_documents"):
             ext2.sum("nwords")
 
         ext3_plan = extract_pages(pages_tbl, emit="full",
-                                  num_cpus=ex_cpus, concurrency=conc,
-                                  batch_size=64)
+                                  num_cpus=ex_cpus, batch_size=64)
         with timed("extract_full"):
             ext3 = ext3_plan.materialize()
         with timed("top_words"):
@@ -274,7 +257,7 @@ def run_benchmarks() -> dict:
         # media decode headline: one 128x96 image per document
         # (JPEG for even doc_ids, PNG for odd — both from-scratch
         # codecs), synthesized and MATERIALIZED outside the timer so
-        # the window measures pure decode through the actor pool
+        # the window measures pure decode
         import numpy as _np
 
         from swishray.ops.jpeg import encode_jpeg
@@ -292,22 +275,13 @@ def run_benchmarks() -> dict:
             return pa.table({"media_id": t.column("doc_id"),
                              "payload": pa.array(blobs, pa.binary())})
 
-        def decode_media(batch):
-            # cached-task mode like extract_links: the decode work at
-            # bench scale is <1 s, so a dedicated actor pool would
-            # measure its own spin-up, not decoding (the production
-            # stage, ops.multimodal.decode_images, is an actor pool —
-            # right for stages that hold real state)
-            from swishray.ops.multimodal import DecodeImages
-            return DecodeImages()(batch)
-
         media = rd.read_parquet(f"{SF_DIR}/documents.parquet",
                                 columns=["doc_id"]) \
             .repartition(2 * NUM_CPUS) \
             .map_batches(synth_media, batch_format="pyarrow") \
             .materialize()
-        dec = media.map_batches(decode_media, batch_format="pyarrow",
-                                batch_size=32)
+        from swishray.ops.multimodal import decode_images
+        dec = decode_images(media, batch_size=32)
         with timed("media_decode"):
             dec.aggregate(_Sum("pixel_sum", alias_name="ps"))
         del media

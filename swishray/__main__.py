@@ -268,19 +268,15 @@ def cmd_extract(args) -> int:
     if args.config:
         with open(args.config[0]) as f:
             config_xml = f.read()
-    # leave a core for the read/write task stages: an actor pool that
-    # reserves every CPU deadlocks the streaming executor
-    conc = max(1, args.num_cpus - 1)
     if args.tiered:
         # crawl-mode cascade: content-sniff each body (pdf/html/txt,
         # gzip unwrap) instead of assuming every page is markup
         from .ops.tiered import tiered_extract
         ext = tiered_extract(pages, body_col="html", key="url",
-                             concurrency=conc,
                              batch_size=args.batch_size)
     else:
         ext = extract_pages(pages, emit=args.emit,
-                            config_xml=config_xml, concurrency=conc,
+                            config_xml=config_xml,
                             batch_size=args.batch_size)
     summary = write_partitioned(ext, args.out,
                                 num_buckets=args.num_buckets,
@@ -319,9 +315,8 @@ def cmd_index(args) -> int:
         if args.config:
             with open(args.config[0]) as f:
                 config_xml = f.read()
-        conc = max(1, args.num_cpus - 1)
         ext = extract_pages(pages, emit="full", config_xml=config_xml,
-                            concurrency=conc, batch_size=64)
+                            batch_size=64)
         info = build_index(ext, args.out, key="url", text_col=None,
                            token_col="token_values",
                            meta_col="token_metas",
@@ -433,7 +428,6 @@ def cmd_pipeline(args) -> int:
     from .manifest import write_partitioned
     from .pipeline import extract_pages
 
-    conc = max(1, args.num_cpus - 1)
     stages = []
     # extraction joins block texts with the \x03 bumper
     # (SWISH_META_VALUES), not newlines — the line-based stages
@@ -447,10 +441,9 @@ def cmd_pipeline(args) -> int:
         if args.tiered:
             from .ops.tiered import tiered_extract
             ext = tiered_extract(pages, body_col="html", key="url",
-                                 concurrency=conc,
                                  batch_size=args.batch_size)
         else:
-            ext = extract_pages(pages, emit="text", concurrency=conc,
+            ext = extract_pages(pages, emit="text",
                                 batch_size=args.batch_size)
         recs = ext.map_batches(
             lambda t: pa.table({
@@ -479,12 +472,8 @@ def cmd_pipeline(args) -> int:
             or args.dedup_against):
         # every stage from here on consumes its input MORE THAN ONCE
         # (boilerplate census + strip; dedup winners + join-back;
-        # minhash sign + gram sets).  Materialize once so (a) the
-        # extraction actor pool doesn't re-run per consumer and (b)
-        # the streaming executor never runs join aggregator actors
-        # while the extraction pool still holds its CPUs (the
-        # actor-pool + unmaterialized-upstream deadlock, .claude
-        # verify notes)
+        # minhash sign + gram sets).  Materialize once so extraction
+        # does not re-run per consumer
         recs = recs.materialize()
     if args.line_dedup:
         from .ops.boilerplate import remove_duplicate_lines
@@ -504,13 +493,12 @@ def cmd_pipeline(args) -> int:
         stages.append("exact-dedup")
     if args.exact_against:
         from .ops.increment import dedup_incremental
-        recs = dedup_incremental(recs, args.exact_against, col="text",
-                                 concurrency=conc)
+        recs = dedup_incremental(recs, args.exact_against, col="text")
         stages.append("exact-against-store")
     if args.dedup_against:
         from .ops.increment import dedup_against_store
         recs = dedup_against_store(
-            recs, args.dedup_against, col="text", concurrency=conc,
+            recs, args.dedup_against, col="text",
             threshold=(args.near_dedup
                        if args.near_dedup is not None else 0.5))
         stages.append("near-against-store")
@@ -673,21 +661,18 @@ def cmd_media(args) -> int:
     ds = rd.read_parquet(args.table, columns=[args.key, args.col])
     if args.mode == "inspect":
         from .ops.mediainfo import inspect_media
-        out = inspect_media(ds, key=args.key, col=args.col,
-                            concurrency=args.num_cpus - 1)
+        out = inspect_media(ds, key=args.key, col=args.col)
     elif args.mode == "decode":
         from .ops.multimodal import decode_images
-        out = decode_images(ds, key=args.key, col=args.col,
-                            concurrency=args.num_cpus - 1)
+        out = decode_images(ds, key=args.key, col=args.col)
     elif args.mode == "hash":
         from .ops.imagehash import image_hashes
-        out = image_hashes(ds, key=args.key, col=args.col,
-                           concurrency=args.num_cpus - 1)
+        out = image_hashes(ds, key=args.key, col=args.col)
     else:  # dedup
         from .ops.imagehash import imagehash_near_dups
         out = imagehash_near_dups(
             ds, max_hamming=args.max_hamming, key=args.key,
-            col=args.col, concurrency=args.num_cpus - 1)
+            col=args.col)
     out.write_parquet(args.out)
     if _started_ray:
         ray.shutdown()
@@ -740,7 +725,6 @@ def cmd_pdf(args) -> int:
     if args.mode == "text":
         from .ops.pdftext import extract_pdf_text
         out = extract_pdf_text(ds, pdf_col=args.col, key=args.key,
-                               concurrency=args.num_cpus - 1,
                                mode="auto", password=pw)
     else:
         # structural modes share one batch shape: per-row probe with

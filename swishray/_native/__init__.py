@@ -1,12 +1,21 @@
 """Optional native accelerators (import-try gated, per task brief).
 
-Three extensions, each independently optional:
-  * ``swishtok`` — the C tokenizer (A/B-verified against
-    swishray/tokenizer.py by tokenizer._native_selftest before use)
-  * ``swishsax`` — the C event-batching SAX front-end (A/B-verified
-    against the ctypes event stream by libxml._sax_selftest before use)
-  * ``swishpng`` — the PNG scanline un-filter kernel (A/B-verified
-    against the numpy path by ops.codecs._native_selftest before use)
+Seven extensions, each independently optional and each A/B-verified
+against its pure-Python (or ctypes) path by the module that uses it
+before first use:
+  * ``swishtok`` — the C tokenizer (tokenizer._native_selftest)
+  * ``swishsax`` — the C event-batching SAX front-end, checked against
+    the ctypes event stream (libxml._sax_selftest)
+  * ``swishpng`` — the PNG scanline un-filter kernel
+    (ops.codecs._native_selftest)
+  * ``swishjpeg`` — the JPEG entropy-decode scan loop
+    (ops.jpeg._native_selftest)
+  * ``swishwebp`` — the VP8L (WebP lossless) pixel loop
+    (ops.webp._native_selftest)
+  * ``swishlzw`` — the GIF and TIFF LZW decoders (ops.codecs,
+    ops.tiff._native_selftest)
+  * ``swishaes`` — AES-128/192/256 ECB/CBC for the PDF security
+    handler (ops.pdfcrypt._aes_selftest, FIPS-197 vectors)
 
 On first import, tries to load a prebuilt extension from this
 directory; if absent and a C compiler is available, compiles it

@@ -15,7 +15,7 @@ Mirrors the reference's config system:
     parses then merges onto the current config
 
 The Config object is small, immutable-after-build, picklable, and is
-broadcast to Ray actors as a constructor argument.
+broadcast to Ray workers as a constructor argument.
 """
 
 from __future__ import annotations

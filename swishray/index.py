@@ -504,7 +504,6 @@ class IndexSearcher:
         tagged with the segment ordinal.  ``with_pos`` adds the
         ``pos`` position-list column (null for segments built without
         ``positions=True``)."""
-        import pyarrow.compute as pc
         import pyarrow.dataset as pads
         parts = []
         for ord_, seg in enumerate(self.segments, start=1):
@@ -543,7 +542,6 @@ class IndexSearcher:
         """key -> ordinal of the newest segment that re-indexed or
         tombstoned it (0 = none). Probes newest→oldest with key-bucket
         + isin pruned reads; cost ∝ len(keys)."""
-        import pyarrow.compute as pc
         import pyarrow.dataset as pads
         import pyarrow.parquet as pq
         latest: dict = {}

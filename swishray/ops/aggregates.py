@@ -24,7 +24,6 @@ def discrete_quantiles(ds: Any, col: str, qs: Sequence[float]) -> Any:
     Partitioning assumption: the DISTINCT value set is small (ids,
     grades, bucketed measures); for continuous doubles bucket first
     or use a sketch."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -480,7 +479,6 @@ def build_vocab(ds: Any, col: str = "text", min_count: int = 2,
 
     def partial(batch: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         txt = pc.coalesce(batch.column(col), "")
         words = pc.split_pattern_regex(txt, " +")
         flat = pc.list_flatten(words).to_pandas()
@@ -788,7 +786,6 @@ def grouping_sets(ds: Any, sets: "list[list[str]]", keys: "list[str]",
 
     Scale: identical to a plain pre-aggregated groupby — the only
     all-to-all is the tiny (keys..., grouping_id) exchange."""
-    import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
@@ -944,7 +941,6 @@ def _flagged_distinct(ds_l: Any, ds_r: Any, cols: "list[str]") -> Any:
     sides are deduped map-side first, so the single groupby exchange
     carries at most #blocks copies of each distinct tuple, never raw
     row counts. Shared by intersect/except."""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Max
 
     def tag(side: str):
@@ -1195,8 +1191,7 @@ def impute_group_mean(ds: Any, group: str, col: str,
                 out, pa.array(v, type=pa.float64(),
                               from_pandas=True))
 
-    from ..util import default_concurrency, map_batches_stateful
+    from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, Fill, fn_constructor_kwargs=dict(ref=means_ref),
-        batch_format="pyarrow",
-        concurrency=default_concurrency())
+        batch_format="pyarrow")

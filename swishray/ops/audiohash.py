@@ -15,7 +15,7 @@ spectrogram. Invariant to global gain (scaling multiplies every
 energy), to DC offset (band 0 starts at 300 Hz), and robust to
 16-bit requantization.
 
-Scale shape: per-row FFT work in an actor pool; only 64-bit hashes
+Scale shape: per-row FFT work in a stateful map stage; only 64-bit hashes
 ride the pairing shuffle.
 """
 
@@ -114,25 +114,21 @@ class AudioHashes:
 
 
 def audio_hashes(ds: Any, key: str = "media_id",
-                 col: str = "payload", concurrency=None,
-                 batch_size: int = 32) -> Any:
+                 col: str = "payload", batch_size: int = 32) -> Any:
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, AudioHashes, fn_constructor_kwargs=dict(key=key, col=col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def audiohash_near_dups(ds: Any, max_hamming: int = 2,
                         key: str = "media_id", col: str = "payload",
-                        concurrency=None,
                         bucket_cap: int = DEFAULT_BUCKET_CAP) -> Any:
     """Audio near-duplicate pairs by banded spectral-fingerprint
     Hamming distance. Returns (a, b, hamming), a < b."""
     import pyarrow.compute as pc
 
-    hashed = audio_hashes(ds, key=key, col=col,
-                          concurrency=concurrency)
+    hashed = audio_hashes(ds, key=key, col=col)
 
     def drop_errors(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.is_null(batch.column("error")))

@@ -8,9 +8,9 @@ counting — runs distributed with map-side combining (the same slim
 ``(word, count)`` exchange as ``top_n_words``); the merge loop then
 runs driver-side over the unique-word table, which is orders of
 magnitude smaller than the corpus (capped at ``max_words`` for a
-hard bound). Encoding fans back out as a broadcast-merges actor
-stage with a per-unique-word memo, so a word is BPE-segmented once
-per batch regardless of its frequency.
+hard bound). Encoding fans back out as a broadcast-merges stateful
+stage with a per-unique-word memo, so a word is BPE-segmented once per
+batch regardless of its frequency.
 
 Reference anchor: libswish3's tokenizer emits word+position streams
 (``src/libswish3/tokenizer.c``); this is the subword analog a
@@ -150,7 +150,7 @@ def _encode_word(word: str, ranks: dict) -> list[str]:
 
 
 class BPEEncoder:
-    """Actor-pool encode stage: merge ranks arrive once per actor via
+    """Stateful encode stage: merge ranks arrive once per worker via
     the object store (``ray.put`` handle), segmentation is memoised
     per unique word — a batch's cost is per-DISTINCT-word, not
     per-token."""
@@ -206,15 +206,12 @@ class BPEEncoder:
 
 def bpe_token_counts(ds: Any, merges: pa.Table, col: str = "text",
                      key: str = "doc_id", lowercase: bool = True,
-                     concurrency: int = 4,
                      batch_size: int = 256) -> Any:
     """Per-document BPE token counts under a learned merge table.
 
-    Cached-task mode (``force_tasks=True``): the encoder state is a
-    small dict, and a reserved actor pool feeding off an
-    unmaterialized upstream can deadlock a small session (the
-    conftest 4-CPU trap) — tasks with per-worker cached state give
-    the same warm-state behavior without the reservation."""
+    The merge table is broadcast once through the object store; each
+    worker builds its encoder from it on first use and keeps it for
+    every later batch (``util.map_batches_stateful``)."""
     import ray
     from swishray.util import map_batches_stateful
     ref = ray.put(merges)
@@ -222,5 +219,4 @@ def bpe_token_counts(ds: Any, merges: pa.Table, col: str = "text",
         ds, BPEEncoder,
         fn_constructor_kwargs={"merges_ref": ref, "col": col,
                                "key": key, "lowercase": lowercase},
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size, force_tasks=True)
+        batch_format="pyarrow", batch_size=batch_size)

@@ -21,7 +21,7 @@ section 2.2.2.3); tests/test_tiff.py validates every run length
 0..2800 A/B against the container's libtiff.so.6 in both directions.
 
 Scale shape: per-blob CPU decode with zero driver state, identical
-to the other codecs — parallelizes under map_batches actor pools.
+to the other codecs — parallelizes under map_batches tasks.
 
 Reference parity note: the reference engine (karpet/libswish3) has
 no image pipeline at all; this module exists for the multimodal tier

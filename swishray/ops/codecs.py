@@ -7,7 +7,7 @@ else (chunk walking, scanline un-filtering, Adam7 de-interlacing,
 palette/tRNS expansion, sample widening) is implemented here with
 numpy.
 
-These are the decode kernels behind ops/multimodal.py's actor-pool
+These are the decode kernels behind ops/multimodal.py's stateful
 stages (the reference engine, libswish3, is text-only — multimodal
 columns are the builder's brief, not reference parity). Error
 discipline: a CORRUPT file of a known format raises ``ValueError``
@@ -18,7 +18,7 @@ two failure classes stay distinguishable downstream. JPEG (baseline
 ``decode_image`` here; GIF (LZW) is below.
 
 Scale notes: decoding is per-row CPU work with zero driver state —
-it parallelizes embarrassingly under map_batches actor pools. The
+it parallelizes embarrassingly under map_batches tasks. The
 PNG un-filter is vectorized across each pixel's bytes and across the
 row for filters 0/1/2 (None/Sub/Up); Average/Paeth walk pixels
 left-to-right (inherent data dependency) with numpy math per pixel
@@ -35,7 +35,7 @@ import numpy as np
 # Safety cap for attacker-controlled dimensions: decoders allocate
 # output buffers from header fields BEFORE touching sample data, so a
 # 100-byte blob could otherwise claim a multi-GB canvas and OOM the
-# decode actor. 2^28 px (268 MP — ~1 GB as RGBA) exceeds any sane web
+# decode worker. 2^28 px (268 MP — ~1 GB as RGBA) exceeds any sane web
 # image; beyond it raise ValueError, the error-column class.
 MAX_PIXELS = 1 << 28
 

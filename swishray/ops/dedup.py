@@ -1,7 +1,7 @@
 """Deduplication operators.
 
 Scale design: every variant is a map_batches sketch/signature stage
-(vectorized, stateless or actor-held tables) followed by ONE keyed
+(vectorized, stateless or per-worker tables) followed by ONE keyed
 shuffle on a small signature table — never an all-pairs comparison on
 the full corpus and never a driver-side materialization. The only
 all-to-all exchanges move (signature, id) rows, orders of magnitude
@@ -208,7 +208,7 @@ def _mulmod_p(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class MinHasher:
     """Stateful batch signer: permutation parameters generated once per
-    actor (seeded — deterministic across the cluster). The permutation
+    worker (seeded — deterministic across the cluster). The permutation
     family is the standard universal hash h(x) = (a*x + b) mod p with
     p = 2^61 - 1, computed with an exact vectorized Mersenne modmul
     (no silent wrap mod 2^64)."""
@@ -255,17 +255,13 @@ class MinHasher:
 
 def minhash_signatures(ds: Any, num_perm: int = 64, shingle_k: int = 3,
                        seed: int = 42, col: str = "text",
-                       key: str = "doc_id", concurrency=None) -> Any:
+                       key: str = "doc_id") -> Any:
     from ..util import map_batches_stateful
-    # cached-task mode: signer state is tiny and the downstream dedup
-    # pipeline runs join aggregator actors — a pinned actor pool plus
-    # those aggregators can exceed the session's CPUs and deadlock
     return map_batches_stateful(
         ds, MinHasher, fn_constructor_kwargs=dict(
             num_perm=num_perm, shingle_k=shingle_k, seed=seed,
             col=col, key=key),
-        batch_format="pyarrow", concurrency=concurrency,
-        force_tasks=concurrency is None)
+        batch_format="pyarrow")
 
 
 def _bucket_pairs(ks: np.ndarray, cap: int) -> tuple:

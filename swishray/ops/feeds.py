@@ -167,11 +167,10 @@ class ParseFeeds:
 
 
 def parse_feeds(ds: Any, body_col: str = "body", key: str = "url",
-                concurrency=None, batch_size: int = 64) -> Any:
+                batch_size: int = 64) -> Any:
     """Dataset-level feed parse (see module docstring)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, ParseFeeds,
         fn_constructor_kwargs=dict(body_col=body_col, key=key),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size, force_tasks=concurrency is None)
+        batch_format="pyarrow", batch_size=batch_size)

@@ -274,7 +274,7 @@ def url_blocklist(ds: Any, domains: Sequence[str],
     ``join`` handles blocklists of millions of domains (UT1 is ~4M):
     the host's suffix chain (``a.b.c`` -> ``a.b.c``, ``b.c``, ``c``)
     explodes into a slim ``(row, suffix)`` table that semi-joins the
-    blocklist Dataset — no driver-side or per-actor copy of the list.
+    blocklist Dataset — no driver-side or per-worker copy of the list.
     ``auto`` picks regex below 4096 domains."""
     import numpy as np
     import pyarrow.compute as pc

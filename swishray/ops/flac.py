@@ -23,7 +23,7 @@ LPC branch is exercised by a bitstream we can roundtrip. Lossless:
 decode(encode(x)) == x exactly for arbitrary input.
 
 Scale shape: identical to the other codecs — per-blob CPU work, zero
-driver state, embarrassingly parallel inside audio actor pools
+driver state, embarrassingly parallel inside audio decode stages
 (ops/multimodal.py SampleAudioFrames, ops/audiohash.py).
 """
 

@@ -32,8 +32,7 @@ def build_frontier(pages: Any, *, robots: Any = None,
                    agent: str = "*", html_col: str = "html",
                    url_col: str = "url", canonical: bool = True,
                    strip_params: tuple = (),
-                   include_nofollow: bool = False,
-                   concurrency=None) -> Any:
+                   include_nofollow: bool = False) -> Any:
     """See module docstring.  ``robots``: optional (host, body)
     table/Dataset; ``blocklist``: blocked domain suffixes;
     ``per_site_cap``: max frontier urls per registrable site."""
@@ -46,7 +45,7 @@ def build_frontier(pages: Any, *, robots: Any = None,
     from .textstats import url_canonicalize
 
     links = extract_links(pages, html_col=html_col, url_col=url_col,
-                          key=url_col, concurrency=concurrency)
+                          key=url_col)
 
     def followable(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch.column("tag"), "a")

@@ -10,7 +10,7 @@ bucket-shuffle slim (key, band, hash) rows, Hamming-verify within
 buckets — no all-pairs, no driver state, media bytes never ride the
 shuffle (only 64-bit hashes do).
 
-Scale notes: hashing is per-row CPU work in an actor pool (decode
+Scale notes: hashing is per-row CPU work in a stateful map stage (decode
 state warm per worker); at crawl scale the stage streams and the
 pairing exchanges O(rows x bands) fixed-width rows. Skewed buckets
 (e.g. monochrome thumbnails all hashing to 0) are capped by
@@ -116,15 +116,13 @@ class ImageHashes:
 
 
 def image_hashes(ds: Any, key: str = "media_id",
-                 col: str = "payload", concurrency=None,
-                 batch_size: int = 32) -> Any:
-    """Per-image perceptual hashes as an actor-pool stage (small
+                 col: str = "payload", batch_size: int = 32) -> Any:
+    """Per-image perceptual hashes as a stateful stage (small
     batch_size: batch BYTES bound worker heap, not row count)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, ImageHashes, fn_constructor_kwargs=dict(key=key, col=col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def vhash64(frames: np.ndarray) -> int:
@@ -196,7 +194,7 @@ class VideoHashes:
 
 def videohash_near_dups(ds: Any, max_hamming: int = 2,
                         every_n: int = 2, key: str = "media_id",
-                        col: str = "payload", concurrency=None,
+                        col: str = "payload",
                         bucket_cap: int = DEFAULT_BUCKET_CAP) -> Any:
     """Video near-duplicate pairs by banded majority-dHash Hamming
     distance. Returns (a, b, hamming), a < b."""
@@ -206,8 +204,7 @@ def videohash_near_dups(ds: Any, max_hamming: int = 2,
     hashed = map_batches_stateful(
         ds, VideoHashes,
         fn_constructor_kwargs=dict(every_n=every_n, key=key, col=col),
-        batch_format="pyarrow", batch_size=16,
-        concurrency=concurrency, num_cpus=1)
+        batch_format="pyarrow", batch_size=16)
 
     def drop_errors(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.is_null(batch.column("error")))
@@ -220,16 +217,14 @@ def videohash_near_dups(ds: Any, max_hamming: int = 2,
 
 def imagehash_near_dups(ds: Any, max_hamming: int = 2,
                         key: str = "media_id", col: str = "payload",
-                        concurrency=None,
                         bucket_cap: int = DEFAULT_BUCKET_CAP) -> Any:
     """Image near-duplicate pairs by banded dHash Hamming distance:
-    hash in an actor pool, drop undecodable rows (their error rows
+    hash in a stateful stage, drop undecodable rows (their error rows
     are the decode stage's concern), then the generic banded-Hamming
     blocking. Returns (a, b, hamming), a < b."""
     import pyarrow.compute as pc
 
-    hashed = image_hashes(ds, key=key, col=col,
-                          concurrency=concurrency)
+    hashed = image_hashes(ds, key=key, col=col)
 
     def drop_errors(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.is_null(batch.column("error")))

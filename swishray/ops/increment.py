@@ -22,14 +22,15 @@ Store layout (``write_fingerprint_store``)::
   only rewrites the blooms of buckets it touched (OR-ing new bits
   into the existing bitmap).
 
-Probe (``dedup_incremental``): an actor pool holds every bucket
-bloom in memory (``bits_per_key``/8 bytes per prior doc — ~2 GB per
-actor per 10^9 prior docs at the default 16, the standard Bloom
-trade) plus an open ``pyarrow.dataset`` over the fingerprints.  Per
-batch: vectorized double-hash Bloom test over all rows; bloom MISSES
-are definitely new and pass straight through; the few bloom HITS are
-verified with a bucket+``isin``-pruned parquet read — candidate-
-proportional I/O, no shuffle, no store scan.  Total cost per run is
+Probe (``dedup_incremental``): every probe worker maps every bucket
+bloom from the object store (one shared copy per node,
+``bits_per_key``/8 bytes per prior doc — ~2 GB per 10^9 prior docs
+at the default 16, the standard Bloom trade) plus an open
+``pyarrow.dataset`` over the fingerprints.  Per batch: vectorized
+double-hash Bloom test over all rows; bloom MISSES are definitely
+new and pass straight through; the few bloom HITS are verified with
+a bucket+``isin``-pruned parquet read — candidate-proportional I/O,
+no shuffle, no store scan.  Total cost per run is
 O(new corpus) + O(dup_rate x pruned lookups), which is the point.
 
 Reference anchor: the reference's own incremental story is
@@ -93,8 +94,7 @@ def write_fingerprint_store(ds: Any, store_dir: str, *,
     call).  Single WRITER at a time (the nightly-batch model —
     concurrent appends could interleave the read-OR-write of one
     bucket's bitmap); probes can run concurrently with a write and
-    simply see the store as of their actor start."""
-    import pyarrow.compute as pc
+    simply see the store as of their probe call."""
     import ray.data  # noqa: F401
 
     from ..util import _session_cpus
@@ -167,10 +167,11 @@ def write_fingerprint_store(ds: Any, store_dir: str, *,
 
 
 class _Prober:
-    """Actor: the bucket blooms (read from the OBJECT STORE — loaded
-    once by the driver and shared zero-copy per node, so N probe
-    actors cost one bitmap copy per machine, not per actor) + an open
-    dataset over the fingerprints for the exact-verify lookups."""
+    """Stateful stage: the bucket blooms (read from the OBJECT STORE —
+    loaded once by the driver and shared zero-copy per node, so N
+    probe workers cost one bitmap copy per machine, not per worker) +
+    an open dataset over the fingerprints for the exact-verify
+    lookups."""
 
     def __init__(self, store_dir: str, col: str, keep_md5: bool,
                  bloom_refs: dict):
@@ -252,7 +253,8 @@ def write_minhash_store(ds: Any, store_dir: str, *,
 
         mstore/_meta.json                 # signer params (fixed by
                                           # the first call; appends
-                                          # must match)
+                                          # must match) + a write
+                                          # generation, +1 per call
         mstore/bands/bucket=N/*.parquet   # (band, bh, key) hive rows,
                                           # bucket = bh % num_buckets
         mstore/sets/bucket=N/*.parquet    # (key, sh) gram-set blobs,
@@ -284,8 +286,10 @@ def write_minhash_store(ds: Any, store_dir: str, *,
             raise ValueError(f"minhash store built with {have}, "
                              f"append asked for {want}")
         nb = meta["num_buckets"]
+        generation = meta.get("generation", 0) + 1
     else:
         nb = num_buckets or max(8, 2 * _session_cpus())
+        generation = 1
         os.makedirs(store_dir, exist_ok=True)
         # 'complete' flips true only after BOTH sinks land (ADVICE r3)
         with open(meta_path, "w") as f:
@@ -336,27 +340,24 @@ def write_minhash_store(ds: Any, store_dir: str, *,
     with open(tmp, "w") as f:
         json.dump({"num_perm": num_perm, "bands": bands,
                    "shingle_k": shingle_k, "seed": seed,
-                   "num_buckets": nb, "complete": True}, f)
+                   "num_buckets": nb, "generation": generation,
+                   "complete": True}, f)
     os.replace(tmp, meta_path)
     return {"num_buckets": nb, "bands": bands, "num_perm": num_perm}
 
 
 class _MinhashProber:
-    """Actor: signer + open band/set datasets; per batch, candidate
-    retrieval and exact hashed-Jaccard verify are both pruned reads."""
+    """Stateful stage: signer + open band/set datasets; per batch,
+    candidate retrieval and exact hashed-Jaccard verify are both
+    pruned reads.  ``meta`` is the store's ``_meta.json`` as the
+    driver read it."""
 
-    def __init__(self, store_dir: str, col: str, threshold: float):
+    def __init__(self, store_dir: str, col: str, threshold: float,
+                 meta: dict):
         import pyarrow.dataset as pads
 
         from .dedup import MinHasher
-        with open(os.path.join(store_dir, "_meta.json")) as f:
-            m = json.load(f)
-        if not m.get("complete"):
-            raise ValueError(
-                f"minhash store {store_dir} is incomplete (the build "
-                "died mid-write); probing it would silently miss "
-                "prior near-dups — rebuild the store")
-        self.meta = m
+        self.meta = m = meta
         self.col = col
         self.threshold = threshold
         self.signer = MinHasher(num_perm=m["num_perm"],
@@ -445,7 +446,6 @@ class _MinhashProber:
 
 def dedup_against_store(ds: Any, store_dir: str, *,
                         threshold: float = 0.5, col: str = "text",
-                        concurrency: int | None = None,
                         batch_size: int = 128) -> Any:
     """Rows of ``ds`` with no stored near-dup: LSH band probes find
     candidates (pruned reads), exact hashed-Jaccard over the stored
@@ -454,40 +454,47 @@ def dedup_against_store(ds: Any, store_dir: str, *,
     recomputed or shuffled.  LSH recall caveats are identical to the
     batch path (band/row trade; certain at the J>=0.9 the corpus'
     organic dups sit at)."""
-    from ..util import _session_cpus
-    conc = concurrency or max(1, _session_cpus() - 1)
-    return ds.map_batches(
-        _MinhashProber,
-        fn_constructor_args=(store_dir, col, threshold),
-        concurrency=conc, batch_size=batch_size,
-        batch_format="pyarrow")
+    from ..util import map_batches_stateful
+    with open(os.path.join(store_dir, "_meta.json")) as f:
+        meta = json.load(f)
+    if not meta.get("complete"):
+        raise ValueError(
+            f"minhash store {store_dir} is incomplete (the build "
+            "died mid-write); probing it would silently miss "
+            "prior near-dups — rebuild the store")
+    # the meta's write generation is part of the workers' cache key:
+    # a prober cached before an append is not reused after it
+    return map_batches_stateful(
+        ds, _MinhashProber,
+        fn_constructor_kwargs=dict(store_dir=store_dir, col=col,
+                                   threshold=threshold, meta=meta),
+        batch_size=batch_size, batch_format="pyarrow")
 
 
 def dedup_incremental(ds: Any, store_dir: str, *, col: str = "text",
                       keep_md5: bool = False,
-                      concurrency: int | None = None,
                       batch_size: int = 256) -> Any:
     """Rows of ``ds`` whose text fingerprint is NOT in the store —
     exact semantics (bloom is only the prefilter; every bloom hit is
     verified with a pruned read, so false positives cannot drop
     rows).  Blooms are loaded once here and broadcast via the object
-    store — each NODE holds one shared copy regardless of actor
+    store — each NODE holds one shared copy regardless of worker
     count (~bits_per_key/8 bytes per prior doc)."""
     import ray
 
-    from ..util import _session_cpus
-    conc = concurrency or max(1, _session_cpus() - 1)
+    from ..util import map_batches_stateful
     bdir = os.path.join(store_dir, "bloom")
     bloom_refs = {
         int(name[len("bucket="):-len(".bloom")]):
             ray.put(np.fromfile(os.path.join(bdir, name),
                                 dtype=np.uint8))
         for name in os.listdir(bdir) if name.endswith(".bloom")}
-    return ds.map_batches(
-        _Prober,
-        fn_constructor_args=(store_dir, col, keep_md5, bloom_refs),
-        concurrency=conc, batch_size=batch_size,
-        batch_format="pyarrow")
+    return map_batches_stateful(
+        ds, _Prober,
+        fn_constructor_kwargs=dict(store_dir=store_dir, col=col,
+                                   keep_md5=keep_md5,
+                                   bloom_refs=bloom_refs),
+        batch_size=batch_size, batch_format="pyarrow")
 
 
 def snapshot_diff(old: Any, new: Any, key: str, col: str = "text") -> Any:

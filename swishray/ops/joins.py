@@ -485,7 +485,7 @@ def hash_join(left: Any, right: Any, key: str,
 
 def interval_join_grid(points: Any, intervals: Any, point_col: str,
                        lo_col: str, hi_col: str,
-                       cell: float, num_buckets: int = 32) -> Any:
+                       cell: float) -> Any:
     """Both-sides-LARGE interval overlap join (points ⋈ intervals on
     ``lo <= v <= hi``) — the shuffle-partitioned complement of the
     broadcast :func:`range_join_broadcast`.
@@ -522,8 +522,7 @@ def interval_join_grid(points: Any, intervals: Any, point_col: str,
     p = points.map_batches(tag_points, batch_format="pyarrow")
     iv = intervals.map_batches(explode_intervals,
                                batch_format="pyarrow")
-    joined = hash_join(p, iv, key="__cell",
-                       num_buckets=num_buckets, how="inner")
+    joined = hash_join(p, iv, key="__cell", how="inner")
 
     def residual(t: pa.Table) -> pa.Table:
         v = t.column(point_col)

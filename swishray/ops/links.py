@@ -12,7 +12,7 @@ regex harvest would miss implied closes and attribute quoting.
 
 Three layers:
 
-1. :func:`extract_links` — actor-pool stage, one output row per link:
+1. :func:`extract_links` — stateful map stage, one output row per link:
    ``(key, seq, tag, href, resolved, rel, anchor_text)``.  ``<base
    href>`` is honoured (first one wins, per HTML5); ``resolved``
    joins relative hrefs against base-or-page-url.
@@ -186,23 +186,14 @@ class ExtractLinks:
 
 def extract_links(ds: Any, html_col: str = "html",
                   url_col: str | None = "url", key: str = "url",
-                  concurrency=None, batch_size: int = 64,
-                  **kwargs) -> Any:
-    """Dataset-level href harvest (see module docstring).
-
-    Defaults to cached-TASK mode (state is cheap — the libxml2
-    dispatcher is process-cached): a reserved actor pool feeding a
-    downstream join/shuffle can starve the aggregator actors and
-    deadlock the streaming executor (dedup.py:277 precedent).  Pass
-    ``concurrency`` explicitly for a dedicated pool in map-only
-    pipelines."""
+                  batch_size: int = 64, **kwargs) -> Any:
+    """Dataset-level href harvest (see module docstring)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, ExtractLinks,
         fn_constructor_kwargs=dict(html_col=html_col, url_col=url_col,
                                    key=key, **kwargs),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size, force_tasks=concurrency is None)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def _site_of(batch: pa.Table, col: str):

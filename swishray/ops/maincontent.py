@@ -24,7 +24,7 @@ C event-batch fast path included):
 
 Segmentation is per-document SAX (C-backed); scoring and
 classification run vectorized (numpy over the batch's flattened
-blocks).  The stage is an actor pool: the class-rule regex, stopword
+blocks).  The stage is stateful: the class-rule regex, stopword
 set and libxml2 dispatcher are warm per worker.
 
 Scale notes: pure map-side (no shuffle); output carries only the main
@@ -271,8 +271,8 @@ class MainContentExtract:
 
 
 def extract_main_content(ds: Any, html_col: str = "html",
-                         key: str = "url", concurrency=None,
-                         batch_size: int = 64, **kwargs) -> Any:
+                         key: str = "url", batch_size: int = 64,
+                         **kwargs) -> Any:
     """Dataset-level main-content extraction (see module docstring).
 
     ``kwargs`` pass through to :class:`MainContentExtract`
@@ -282,5 +282,4 @@ def extract_main_content(ds: Any, html_col: str = "html",
     return map_batches_stateful(
         ds, MainContentExtract,
         fn_constructor_kwargs=dict(html_col=html_col, key=key, **kwargs),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size)
+        batch_format="pyarrow", batch_size=batch_size)

@@ -18,7 +18,7 @@ work. This module provides that tier:
   sample rate, channel mode; walks frame-to-frame for an exact frame
   count and duration, honors ID3v2 prefixes (syncsafe size) and the
   Xing/Info VBR header's frame count when present.
-* :class:`InspectMedia` / :func:`inspect_media` — actor-pool
+* :class:`InspectMedia` / :func:`inspect_media` — stateful
   map_batches stage dispatching on magic bytes across EVERYTHING the
   engine knows (decodable image/audio/video containers AND the
   inspect-only MP4/MP3 tier), emitting one metadata row per blob
@@ -40,7 +40,6 @@ import functools
 import struct
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -49,7 +48,7 @@ def _corrupt_guard(fn):
     adversarial bytes can otherwise surface as struct.error /
     IndexError / OverflowError from offset arithmetic, which would
     escape the inspect stage's error-column catch and kill the
-    actor (fuzz-verified in tests/test_mediainfo.py)."""
+    worker (fuzz-verified in tests/test_mediainfo.py)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -807,7 +806,7 @@ _INSPECT_SCHEMA = pa.schema([
 
 
 class InspectMedia:
-    """Actor-pool stage: one metadata row per blob, header-only (no
+    """Stateful map stage: one metadata row per blob, header-only (no
     sample decode). Unknown magics and corrupt headers land in the
     error column (multimodal taxonomy); every known container —
     decodable or inspect-only — yields container/codec/dims/duration
@@ -1057,13 +1056,12 @@ def synth_webm_blob(duration_ms: int, width: int,
 
 
 def inspect_media(ds: Any, key: str = "media_id",
-                  col: str = "payload", concurrency: int = 4,
-                  batch_size: int = 64) -> Any:
+                  col: str = "payload", batch_size: int = 64) -> Any:
     """Header-only media inspection over a blob column — the triage
     stage of a multimodal pipeline (route by codec, filter by
     dims/duration, budget decode work) that never touches sample
-    data. One actor pool, zero shuffles."""
-    return ds.map_batches(InspectMedia(key, col),
-                          batch_format="pyarrow",
-                          batch_size=batch_size,
-                          concurrency=concurrency)
+    data. One stateful map stage, zero shuffles."""
+    from ..util import map_batches_stateful
+    return map_batches_stateful(
+        ds, InspectMedia, fn_constructor_kwargs=dict(key=key, col=col),
+        batch_format="pyarrow", batch_size=batch_size)

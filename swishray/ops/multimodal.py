@@ -69,7 +69,7 @@ class DecodeImages:
         from . import codecs
         self.key = key
         self.col = col
-        self.codecs = codecs  # warm module ref, once per actor
+        self.codecs = codecs  # warm module ref, once per worker
 
     def _feature(self, sample_bytes: bytes) -> list[float]:
         digest = hashlib.blake2b(sample_bytes,
@@ -118,14 +118,13 @@ class DecodeImages:
 
 
 def decode_images(ds: Any, key: str = "media_id", col: str = "payload",
-                  concurrency=None, batch_size: int = 32) -> Any:
+                  batch_size: int = 32) -> Any:
     """Small batch_size: media blobs are large; batch bytes — not row
     count — must bound worker heap (SURVEY.md §4 memory row)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, DecodeImages, fn_constructor_kwargs=dict(key=key, col=col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 class SampleAudioFrames:
@@ -286,14 +285,13 @@ class SampleVideoFrames:
 
 
 def sample_video_frames(ds: Any, every_n: int = 2, key: str = "media_id",
-                        col: str = "payload", concurrency=None,
+                        col: str = "payload",
                         batch_size: int = 16) -> Any:
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, SampleVideoFrames,
         fn_constructor_kwargs=dict(every_n=every_n, key=key, col=col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def synth_media_dataset(n: int, kind: str = "image", seed: int = 42):
@@ -376,11 +374,10 @@ class ResizeImages:
 
 def resize_images(ds: Any, out_w: int = 8, out_h: int = 6,
                   key: str = "media_id", col: str = "payload",
-                  concurrency=None, batch_size: int = 32) -> Any:
+                  batch_size: int = 32) -> Any:
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, ResizeImages,
         fn_constructor_kwargs=dict(out_w=out_w, out_h=out_h,
                                    key=key, col=col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
+        batch_format="pyarrow", batch_size=batch_size)

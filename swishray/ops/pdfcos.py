@@ -37,7 +37,6 @@ parse" requirement.
 from __future__ import annotations
 
 import re
-import struct
 import zlib
 from typing import Any, Iterator
 
@@ -342,7 +341,7 @@ def parse_object(data: bytes, pos: int = 0) -> tuple[Any, int]:
 
 # predictor post-processing and LZW expansion run per-byte in
 # Python; a deflate/LZW bomb claiming them could stall a decode
-# actor for minutes even under the 64 MB byte cap.  Real predictor
+# worker for minutes even under the 64 MB byte cap.  Real predictor
 # use is xref streams (KBs) and real LZW content streams are small.
 MAX_PREDICTOR_BYTES = 8 << 20
 MAX_LZW_BYTES = 16 << 20

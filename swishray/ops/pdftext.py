@@ -252,7 +252,7 @@ class PdfTextExtract:
 
 
 def extract_pdf_text(ds: Any, pdf_col: str = "pdf", key: str = "url",
-                     concurrency=None, batch_size: int = 32,
+                     batch_size: int = 32,
                      mode: str = "scan",
                      password: bytes = b"") -> Any:
     """Dataset-level PDF text extraction.  Small default batch size:
@@ -264,8 +264,7 @@ def extract_pdf_text(ds: Any, pdf_col: str = "pdf", key: str = "url",
         ds, PdfTextExtract,
         fn_constructor_kwargs=dict(pdf_col=pdf_col, key=key,
                                    mode=mode, password=password),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------

@@ -167,7 +167,7 @@ class RobotsFilter:
     """Actor stage: annotate/filter URL rows by REP permission.
 
     ``ref`` is a ray.put of {host: robots_body}; rules are parsed
-    once per actor here, not per batch."""
+    once per worker here, not per batch."""
 
     def __init__(self, ref, url_col: str, agent: str,
                  keep_only: bool) -> None:
@@ -197,7 +197,7 @@ class RobotsFilter:
 def robots_filter(ds: Any, robots: Any, url_col: str = "url",
                   host_col: str = "host", body_col: str = "body",
                   agent: str = "*", keep_only: bool = False,
-                  concurrency=None, batch_size: int = 4096,
+                  batch_size: int = 4096,
                   key: str | None = None, mode: str = "auto",
                   broadcast_max_hosts: int = 65536) -> Any:
     """Filter/annotate a URL Dataset by robots.txt permission.
@@ -240,8 +240,7 @@ def robots_filter(ds: Any, robots: Any, url_col: str = "url",
         ds, RobotsFilter,
         fn_constructor_kwargs=dict(ref=ref, url_col=url_col,
                                    agent=agent, keep_only=keep_only),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size, force_tasks=concurrency is None)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def _robots_filter_join(ds: Any, robots: Any, *, url_col: str,

@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (list<float>).
 
   * brute_force_topk — numpy matmul per batch against a broadcast
-    query matrix (ray.put once, fetched in each actor's __init__ — the
+    query matrix (ray.put once, fetched in each worker's __init__ — the
     small-side broadcast join pattern, never re-shipped per batch)
   * ivf_topk — IVF-style scale path: deterministic k-means-lite
     centroids from a sample, bucket assignment via groupby, probe the
@@ -62,8 +62,7 @@ class _BruteScorer:
 
 def brute_force_topk(ds: Any, query_ids: list[int],
                      query_vecs: "np.ndarray", k: int = 10,
-                     key: str = "vec_id", col: str = "embedding",
-                     concurrency=None) -> Any:
+                     key: str = "vec_id", col: str = "embedding") -> Any:
     """Exact cosine top-k for each query vector. Returns
     (query_id, vec_id, score) — k rows per query, ties broken by id."""
     import pandas as pd
@@ -80,7 +79,7 @@ def brute_force_topk(ds: Any, query_ids: list[int],
     partial = map_batches_stateful(
         ds, _BruteScorer,
         fn_constructor_kwargs=dict(queries_ref=qref, k=k, key=key, col=col),
-        batch_format="pyarrow", concurrency=concurrency)
+        batch_format="pyarrow")
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         return g.sort_values(["score", key],

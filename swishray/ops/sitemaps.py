@@ -124,11 +124,10 @@ class ParseSitemaps:
 
 
 def parse_sitemaps(ds: Any, xml_col: str = "body", key: str = "url",
-                   concurrency=None, batch_size: int = 64) -> Any:
+                   batch_size: int = 64) -> Any:
     """Dataset-level sitemap parse (see module docstring)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, ParseSitemaps,
         fn_constructor_kwargs=dict(xml_col=xml_col, key=key),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size, force_tasks=concurrency is None)
+        batch_format="pyarrow", batch_size=batch_size)

@@ -256,7 +256,6 @@ def zscore_outliers(ds: Any, group: str, col: str,
     t = float(threshold)
 
     def f(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         m, s = ray.get(ref)
         g = batch.column(group).to_pylist()
         x = batch.column(col).to_numpy(zero_copy_only=False) \
@@ -338,8 +337,6 @@ def quantile_sketch(ds: Any, col: str, qs, cap: int = 4096) -> Any:
     when blocks are balanced) — the streaming complement of the
     EXACT multi-round continuous_quantiles for 100-TB single-scan
     use. Returns (q, value) rows."""
-    import pandas as pd
-
     qs = [float(q) for q in qs]
 
     def partial(batch: pa.Table) -> pa.Table:

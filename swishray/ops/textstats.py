@@ -3,7 +3,7 @@
 BPE-ish regex), and document fingerprinting (md5 + rolling hash).
 
 All vectorized-per-batch; the language profiles and compiled regexes
-are actor state (built once per worker)."""
+are stage state, built once per worker."""
 
 from __future__ import annotations
 
@@ -63,12 +63,11 @@ class BpeishCounter:
 
 
 def token_count_bpeish(ds: Any, col: str = "text",
-                       key: str = "doc_id", concurrency=None) -> Any:
+                       key: str = "doc_id") -> Any:
     from ..util import map_batches_stateful
     return map_batches_stateful(ds, BpeishCounter,
                                 fn_constructor_kwargs=dict(col=col, key=key),
-                                batch_format="pyarrow",
-                                concurrency=concurrency)
+                                batch_format="pyarrow")
 
 
 def _word_stat_arrays(txt):
@@ -151,10 +150,10 @@ def quality_counts(ds: Any, col: str = "text", key: str = "doc_id") -> Any:
 
 
 class LangId:
-    """Language scorer actor with a pluggable model slot.
+    """Language scorer stage with a pluggable model slot.
 
     ``model_factory`` (a zero-arg callable, e.g. one that loads a
-    fasttext-style model from a path) runs ONCE per actor in
+    fasttext-style model from a path) runs ONCE per worker in
     ``__init__``; its return value must be callable ``(text) -> lang``.
     Without a factory the deterministic n-gram hint scorer is used —
     not a trained model, suitable for pipeline plumbing/bucketing."""
@@ -230,13 +229,13 @@ class LangId:
 
 
 def lang_id(ds: Any, col: str = "text", key: str = "doc_id",
-            concurrency=None, model_factory=None) -> Any:
+            model_factory=None) -> Any:
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, LangId,
         fn_constructor_kwargs=dict(col=col, key=key,
                                    model_factory=model_factory),
-        batch_format="pyarrow", concurrency=concurrency)
+        batch_format="pyarrow")
 
 
 _ROLL_B = 1000003
@@ -550,7 +549,7 @@ def bigram_rarity(ds: Any, col: str = "text", key: str = "doc_id",
 
     return map_batches_stateful(
         ds, Score, fn_constructor_kwargs={"ref": ref},
-        batch_format="pyarrow", force_tasks=True)
+        batch_format="pyarrow")
 
 
 def url_parts(ds: Any, col: str = "url", key: str | None = None) -> Any:
@@ -787,7 +786,7 @@ def quality_model_score(ds: Any, col: str = "text",
                         weights: dict | None = None) -> Any:
     """Linear quality-model scoring stage — the model-inference shape
     of a CCNet/fastText-style document quality classifier with the
-    weights as broadcast state: ``ray.put`` once, read in each actor's
+    weights as broadcast state: ``ray.put`` once, read in each worker's
     ``__init__``, scored vectorized per batch.
 
     Everything is integer fixed-point (per-mille ratios, floor
@@ -1026,7 +1025,6 @@ def readability_counts(ds: Any, col: str = "text",
 
     Fully vectorized: three RE2 count/match kernels per batch, no
     Python loop, map-side only."""
-    import numpy as np
     import pyarrow.compute as pc
 
     def f(batch: pa.Table) -> pa.Table:

@@ -1,4 +1,4 @@
-"""Tiered extraction cascade: MIME-sniff routing in ONE actor pass.
+"""Tiered extraction cascade: MIME-sniff routing in ONE map pass.
 
 The reference resolves each document to a parser before parsing it —
 ext -> MIME -> parser (mime_types.c:235-274 via docinfo.c), gzip
@@ -26,7 +26,7 @@ tier-agnostic.
 Scale notes: pure map stage (no shuffle); routing partitions the
 batch by tier and runs each kernel VECTORIZED over its subset, then
 scatters results back to input order.  Warm state (compiled class
-rules, stopword set, libxml2 dispatcher) lives in the actor.  Giant
+rules, stopword set, libxml2 dispatcher) is built once per worker.  Giant
 mixed batches are fine: memory is bounded by batch_size × mean doc
 size, same as the single-tier stages.
 """
@@ -149,7 +149,7 @@ class TieredExtract:
 
 
 def tiered_extract(ds: Any, body_col: str = "body", key: str = "url",
-                   concurrency=None, batch_size: int = 64,
+                   batch_size: int = 64,
                    **mc_kwargs: Any) -> Any:
     """Dataset-level tiered extraction (see module docstring)."""
     from ..util import map_batches_stateful
@@ -157,8 +157,7 @@ def tiered_extract(ds: Any, body_col: str = "body", key: str = "url",
         ds, TieredExtract,
         fn_constructor_kwargs=dict(body_col=body_col, key=key,
                                    **mc_kwargs),
-        batch_format="pyarrow", concurrency=concurrency,
-        batch_size=batch_size)
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def tier_metrics(extracted: Any) -> Any:

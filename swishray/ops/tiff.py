@@ -28,7 +28,7 @@ encoder compressions are lossless).
 
 Scale shape: per-row CPU work with zero driver state, identical to
 the other codecs — decode parallelizes embarrassingly under
-map_batches actor pools (ops/multimodal.py).
+map_batches tasks (ops/multimodal.py).
 
 A/B oracle: tests/test_tiff.py drives the container's libtiff.so.6
 via ctypes in BOTH directions (libtiff-written strips decoded by this

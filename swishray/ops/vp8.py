@@ -34,8 +34,8 @@ system libwebp by tools/gen_vp8_tables.py (anchored against rows
 quoted in the RFC) into ops/_vp8_data.py.
 
 Scale shape: identical to the other codecs — per-blob CPU work, zero
-driver state, embarrassingly parallel inside decode_images actor
-pools (ops/multimodal.py). Python-loop hot paths (bool decoder,
+driver state, embarrassingly parallel inside decode_images
+tasks (ops/multimodal.py). Python-loop hot paths (bool decoder,
 token loop) are the correctness reference; blobs decode at ~0.1
 MP/s/core, which bounds batch sizing, not correctness.
 """

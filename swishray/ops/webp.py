@@ -29,7 +29,7 @@ MP/s per core) that is A/B-gated at import against the pure-Python
 reference path; tests/test_webp.py pins BOTH paths bit-exact against
 the container's libwebp.so.7 across a feature matrix. Scale shape
 matches the other codecs: zero driver state, embarrassingly parallel
-under map_batches actor pools.
+under map_batches tasks.
 """
 
 from __future__ import annotations

@@ -178,7 +178,6 @@ def retention_cohorts(ds: Any, user_col: str = "user_id",
     Output: (cohort_start: timestamp, period_offset: int64,
     n_users: int64)."""
     import numpy as np
-    import pandas as pd
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Min
 

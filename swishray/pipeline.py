@@ -2,15 +2,17 @@
 
 Flagship graph (SURVEY.md §7.2):
 
-    ray.data.read_parquet(pages)            # url, warc_ts, html, text, lang
-      .map_batches(ExtractPages,            # actor pool: warm libxml2 +
-                   batch_format="pyarrow",  #   config + tokenizer tables
-                   concurrency=N, batch_size=B)
+    pages = ray.data.read_parquet(path)     # url, warc_ts, html, text, lang
+    extract_pages(pages, batch_size=B)      # ExtractPages, one warm
+                                            #   libxml2 + config +
+                                            #   tokenizer per worker
       .write_parquet(out)                   # or downstream aggregates
 
 Scale design notes (SURVEY.md §4):
-  * the extractor is a CALLABLE CLASS -> Ray actor pool; config/
-    libxml2/chartables built once per worker (swish_3 equivalent)
+  * the extractor is a CALLABLE CLASS run as Ray tasks through
+    util.map_batches_stateful; config/libxml2/chartables are built
+    once per worker process and reused by every later batch
+    (swish_3 equivalent)
   * batches are Arrow in / Arrow out; the per-document parse is
     necessarily row-oriented (SAX), but all column assembly is
     vectorized and the tokenizer is regex-at-C-speed
@@ -83,7 +85,7 @@ def _binary_views(col) -> list:
 
 
 class ExtractPages:
-    """Actor-pool batch extractor.
+    """Batch extractor, one cached instance per worker process.
 
     Parameters are picklable; heavy state (libxml2 bindings, compiled
     regexes, glibc tables) initializes lazily in the worker process on
@@ -116,7 +118,8 @@ class ExtractPages:
         self.keep_input_columns = tuple(keep_input_columns)
         # XInclude doc map: {resolved_uri: bytes}, a plain dict or a
         # ray.ObjectRef to one (broadcast with ray.put once — fetched
-        # zero-copy per actor in __init__, never re-shipped per batch)
+        # once per worker when the extractor is built, never
+        # re-shipped per batch)
         self.xinclude_docs = xinclude_docs
         self._ex: DocumentExtractor | None = None
 
@@ -228,7 +231,7 @@ def rebatch_by_bytes(ds: "Any", col: str = "html",
     carries more than ~``target_bytes`` of ``col`` payload — a 100 MB
     html blob travels alone instead of ballooning a 128-row batch's
     heap. Generator UDF: each yielded slice becomes its own block, so
-    downstream actor batches stay byte-bounded regardless of row
+    downstream stage batches stay byte-bounded regardless of row
     count; zero-copy (pure Arrow slices)."""
     import pyarrow.compute as pc
 
@@ -254,23 +257,24 @@ def rebatch_by_bytes(ds: "Any", col: str = "html",
 def extract_pages(ds: "Any", *, config_xml: str | None = None,
                   swish_encoding: str = C.DEFAULT_ENCODING,
                   emit: Literal["text", "buffers", "full"] = "buffers",
-                  concurrency: int | tuple[int, int] | None = None,
                   batch_size: int = 64,
                   keep_input_columns: tuple[str, ...] = (),
                   xinclude_docs=None, num_cpus: float = 1) -> "Any":
     """The flagship stage: Dataset of pages -> Dataset of extraction
-    records. Actor pool with warm parser state; small batch_size
-    because rows are whole web pages (memory-aware batching,
-    SURVEY.md §4).
+    records. Tasks with warm per-worker parser state
+    (``util.map_batches_stateful``); small batch_size because rows are
+    whole web pages (memory-aware batching, SURVEY.md §4).
 
-    ``num_cpus`` sizes the per-actor CPU reservation. The extraction
-    kernel is memory-bandwidth-bound once the C SAX front-end removed
-    most per-byte Python cost; on bandwidth-saturated hosts fewer,
-    wider actors (``num_cpus=2`` -> cores/2 actors) measurably beat
-    one actor per core (this box: 32 one-core actors ~4-5k docs/s vs
-    16 two-core actors ~6.4k docs/s on the same corpus). On a real
-    multi-node cluster, size actors-per-node to the node's measured
-    bandwidth ceiling, not its core count."""
+    ``num_cpus`` is each extraction task's CPU request, so it caps
+    how many tasks run at once. The extraction kernel is
+    memory-bandwidth-bound once the C SAX front-end removed most
+    per-byte Python cost; on bandwidth-saturated hosts fewer, wider
+    tasks (``num_cpus=2`` -> cores/2 at once) can beat one per core
+    (measured on a 32-core host when this stage still ran as an actor
+    pool of the same per-worker width: 32 one-core workers ~4-5k
+    docs/s vs 16 two-core ~6.4k docs/s). On a real multi-node cluster,
+    size it to the node's measured bandwidth ceiling, not its core
+    count."""
     from .util import map_batches_stateful
     fn_kwargs = dict(config_xml=config_xml, swish_encoding=swish_encoding,
                      emit=emit, keep_input_columns=keep_input_columns,
@@ -281,7 +285,6 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        concurrency=concurrency,
         num_cpus=num_cpus,
     )
 

@@ -101,7 +101,7 @@ class ExtractionState:
     def __init__(self, config: Config, uri: str = "", tokenizer=None):
         # per-document copy-on-write view of the mutable config parts:
         # undef auto policies vivify metanames mid-parse
-        # (parser.c:478-491) and must stay document-local so actors are
+        # (parser.c:478-491) and must stay document-local so workers are
         # deterministic across batch order (SURVEY.md §7.5 risk 3)
         self.config = config
         self._cfg_copied = False

@@ -137,7 +137,7 @@ def fixture_pages(n_rows: int, skew_big_frac: float = 0.0, seed: int = 42,
     if n_rows <= 8192:
         tbl = fixture_pages_table(n_rows, skew_big_frac, seed)
         ds = rd.from_arrow(tbl)
-        # a single arrow block starves downstream actor pools
+        # a single arrow block serializes downstream map stages
         blocks = override_num_blocks or max(2, min(64, n_rows // 16))
         return ds.repartition(blocks)
     # large corpora: generate in parallel, deterministically by row

@@ -2,51 +2,47 @@
 
 from __future__ import annotations
 
-# per-worker-process cache for stateless-task mode: Ray reuses worker
-# processes, so state built on first call is amortized like an actor's
+# per-worker-process cache of stateful-stage instances: Ray reuses
+# worker processes, so state built on first call is amortized across
+# every later batch the worker runs. Least recently used out past
+# _TASK_STATE_MAX: a stage whose kwargs hold a fresh ray.put ref gets a
+# new key on every call, and each cached instance keeps its state (and
+# any object-store buffers it maps) alive for the worker's lifetime
 _TASK_STATE_CACHE: dict = {}
+_TASK_STATE_MAX = 8
 
 
 def _cached_call(batch, _cls, _kwargs, _key):
-    fn = _TASK_STATE_CACHE.get((_cls, _key))
+    k = (_cls, _key)
+    fn = _TASK_STATE_CACHE.pop(k, None)
     if fn is None:
-        fn = _TASK_STATE_CACHE[(_cls, _key)] = _cls(**_kwargs)
+        fn = _cls(**_kwargs)
+        while len(_TASK_STATE_CACHE) >= _TASK_STATE_MAX:
+            del _TASK_STATE_CACHE[next(iter(_TASK_STATE_CACHE))]
+    _TASK_STATE_CACHE[k] = fn
     return fn(batch)
 
 
-def map_batches_stateful(ds, cls, fn_constructor_kwargs=None,
-                         concurrency=None, force_tasks=False, **mb_kwargs):
-    """map_batches with a stateful callable, deadlock-safe at any
-    session size.
+def map_batches_stateful(ds, cls, fn_constructor_kwargs=None, **mb_kwargs):
+    """map_batches with a stateful callable: stateless TASKS whose
+    state is built once per worker process, on first call, and then
+    reused by every batch (and every later stage with the same class
+    and constructor kwargs) that worker runs, up to _TASK_STATE_MAX
+    instances per worker — libswish3's
+    init-once/parse-many session shape. Tasks release their CPU after
+    every batch, so no stage reserves cores for the pipeline's
+    lifetime and none can starve an upstream task stage at any
+    session size; ``mb_kwargs`` (``batch_size``, ``num_cpus``, ...)
+    pass through to ``Dataset.map_batches``.
 
-    On sessions with >=4 CPUs: a normal actor pool (state in
-    __init__, cores reserved). On tiny sessions (the 1-2 CPU case
-    where a reserved pool starves the read stage and hangs the
-    streaming executor): stateless TASKS with per-worker-process
-    cached state — same warm-state behavior, no reservation.
-
-    ``force_tasks=True`` uses cached-task mode at ANY session size.
-    Use it for stages with cheap state (compiled params, small numpy
-    tables) that feed pipelines containing actor-based operators
-    (the built-in join/shuffle aggregators): an actor pool pins its
-    CPUs for the pipeline's whole lifetime, and pool + aggregators
-    can together exceed the session and deadlock the executor,
-    whereas tasks release their slot after every batch."""
+    The cache is keyed by (class, constructor kwargs), so state must
+    be a function of those kwargs alone: a constructor that reads
+    files which can change between calls takes a kwarg that changes
+    with them (``increment.dedup_against_store`` passes the store's
+    metadata, generation included)."""
     import functools
 
     kwargs = dict(fn_constructor_kwargs or {})
-    cpus = _session_cpus()
-    if not force_tasks and cpus >= 4:
-        if concurrency is None:
-            concurrency = default_concurrency()
-        # max_restarts=0: fault tolerance comes from task lineage +
-        # pool-level actor replacement; a per-actor restart would pull
-        # constructor args back out of the object store and fail if
-        # they were lost (ray#53727 — this also silences its
-        # misleading core_worker warning on every pool)
-        return ds.map_batches(cls, fn_constructor_kwargs=kwargs,
-                              concurrency=concurrency,
-                              max_restarts=0, **mb_kwargs)
     # cache key: deterministic digest of the constructor kwargs,
     # computed ONCE on the driver (kwargs values may be unhashable —
     # dicts, ObjectRefs — so a hash of the pickled form is used)
@@ -74,18 +70,6 @@ def _session_cpus() -> int:
         return os.cpu_count() or 4
     except Exception:
         return 4
-
-
-def default_concurrency(reserve: int = 1, cap: int = 8) -> int:
-    """Actor-pool size that can never starve task stages: total CPUs
-    of the CURRENT Ray session minus ``reserve``, capped.
-
-    An actor pool that reserves every CPU while an upstream read /
-    generation task still needs a slot deadlocks the streaming
-    executor silently — this helper is the guard used by every default
-    concurrency in the engine (the driver controls the session size,
-    so a fixed number is never safe)."""
-    return max(1, min(cap, _session_cpus() - reserve))
 
 
 def import_polars():

@@ -96,11 +96,10 @@ def test_audio_pipeline_end_to_end(ray_session):
     ds = rd.from_arrow(pa.table({
         "media_id": pa.array(ks, type=pa.int64()),
         "payload": pa.array(ps, type=pa.binary())}))
-    hashed = audio_hashes(ds, concurrency=1).take_all()
+    hashed = audio_hashes(ds).take_all()
     errs = [r for r in hashed if r["error"] is not None]
     assert len(errs) == 1 and errs[0]["media_id"] == 99
-    pairs = audiohash_near_dups(ds, max_hamming=2,
-                                concurrency=1).take_all()
+    pairs = audiohash_near_dups(ds, max_hamming=2).take_all()
     got = {(r["a"], r["b"]) for r in pairs}
     want = {(a, b) for a in range(9) for b in range(a + 1, 9)
             if a % 3 == b % 3}

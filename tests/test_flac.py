@@ -270,8 +270,7 @@ def test_audio_stage_dispatch(ray_session):
         "media_id": [1], "payload": pa.array([flac], pa.binary())}))
     out = map_batches_stateful(
         ds, SampleAudioFrames, fn_constructor_kwargs=dict(every_n=8),
-        batch_format="pyarrow", batch_size=8, concurrency=1,
-        num_cpus=1).take_all()
+        batch_format="pyarrow", batch_size=8, num_cpus=1).take_all()
     assert out[0]["sample_rate"] == 16000
     assert out[0]["error"] is None
     want = float(np.abs(s[::8].astype(np.float64)).mean())

@@ -102,13 +102,12 @@ def test_imagehash_pipeline_end_to_end(ray_session):
     ds = rd.from_arrow(pa.table({
         "media_id": pa.array(rows_k, type=pa.int64()),
         "payload": pa.array(rows_p, type=pa.binary())}))
-    hashed = image_hashes(ds, concurrency=1).take_all()
+    hashed = image_hashes(ds).take_all()
     errs = [r for r in hashed if r["error"] is not None]
     assert len(errs) == 1 and errs[0]["media_id"] == 99
     assert all(r["dhash"] is not None for r in hashed
                if r["error"] is None)
-    pairs = imagehash_near_dups(ds, max_hamming=2,
-                                concurrency=1).take_all()
+    pairs = imagehash_near_dups(ds, max_hamming=2).take_all()
     got = {(r["a"], r["b"]) for r in pairs}
     want = {(a, b) for a in range(12) for b in range(a + 1, 12)
             if a % 3 == b % 3}
@@ -134,7 +133,7 @@ def test_empty_input(ray_session):
     ds = rd.from_arrow(pa.table({
         "media_id": pa.array([], type=pa.int64()),
         "payload": pa.array([], type=pa.binary())}))
-    assert imagehash_near_dups(ds, concurrency=1).take_all() == []
+    assert imagehash_near_dups(ds).take_all() == []
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +175,7 @@ def test_videohash_pipeline(ray_session):
     ds = rd.from_arrow(pa.table({
         "media_id": pa.array(ks, type=pa.int64()),
         "payload": pa.array(ps, type=pa.binary())}))
-    pairs = videohash_near_dups(ds, max_hamming=2,
-                                concurrency=1).take_all()
+    pairs = videohash_near_dups(ds, max_hamming=2).take_all()
     got = {(r["a"], r["b"]) for r in pairs}
     want = {(a, b) for a in range(9) for b in range(a + 1, 9)
             if a % 3 == b % 3}

@@ -102,6 +102,23 @@ def test_minhash_store_append_and_param_guard(ray_session, tmp_path):
         write_minhash_store(_tbl([(3, "x")]), store, bands=8)
 
 
+def test_minhash_probe_after_append_sees_new_rows(ray_session, tmp_path):
+    """A probe, an append, then the same probe again in one session:
+    the second probe must see the appended rows. Probe state is cached
+    per worker process, keyed by its constructor kwargs; the store's
+    write generation in those kwargs retires the stale prober."""
+    from swishray.ops.increment import (dedup_against_store,
+                                        write_minhash_store)
+    store = str(tmp_path / "mstore")
+    other = ("second snapshot text all new words entirely "
+             "different from before")
+    write_minhash_store(_tbl([(1, BASE)]), store, num_buckets=4)
+    probe = _tbl([(10, other)])
+    assert len(dedup_against_store(probe, store).to_pandas()) == 1
+    write_minhash_store(_tbl([(2, other)]), store)
+    assert len(dedup_against_store(probe, store).to_pandas()) == 0
+
+
 def test_minhash_store_agrees_with_batch_path(ray_session, tmp_path):
     """Store-probe results equal dedup_against_corpus on the same
     split (shared signer params + band fold + verify)."""

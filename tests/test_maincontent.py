@@ -133,8 +133,7 @@ def test_dataset_stage(ray_session):
                       b"</footer></body></html>")}
             for i in range(40)]
     ds = rd.from_items(rows).repartition(4)
-    out = extract_main_content(ds, html_col="html", key="url",
-                               concurrency=2).to_pandas()
+    out = extract_main_content(ds, html_col="html", key="url").to_pandas()
     assert len(out) == 40
     assert (out["main_text"] == GOOD_TEXT).all()
     assert (out["n_content_blocks"] == 1).all()

@@ -22,7 +22,7 @@ def test_write_partitioned_and_resume(ray_session):
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        ext = extract_pages(fixture_pages(60), emit="text", concurrency=2)
+        ext = extract_pages(fixture_pages(60), emit="text")
         s1 = write_partitioned(ext, out, num_buckets=8)
         assert s1["rows"] == 60 and s1["skipped"] == 0
         mans = read_manifests(out)
@@ -30,14 +30,14 @@ def test_write_partitioned_and_resume(ray_session):
         assert all("nwords" in m and "seconds" in m for m in mans)
         done_before = completed_buckets(out)
         # rerun: everything already complete -> all skipped
-        ext2 = extract_pages(fixture_pages(60), emit="text", concurrency=2)
+        ext2 = extract_pages(fixture_pages(60), emit="text")
         s2 = write_partitioned(ext2, out, num_buckets=8)
         assert s2["written"] == 0 and s2["skipped"] == len(done_before)
         # kill one bucket's manifest -> only that bucket rewrites
         victim = sorted(done_before)[0]
         os.remove(os.path.join(out, f"bucket={victim:04d}",
                                "_manifest.json"))
-        ext3 = extract_pages(fixture_pages(60), emit="text", concurrency=2)
+        ext3 = extract_pages(fixture_pages(60), emit="text")
         s3 = write_partitioned(ext3, out, num_buckets=8)
         assert s3["written"] == 1
         assert s3["skipped"] == len(done_before) - 1
@@ -75,7 +75,7 @@ def test_write_partitioned_multifile_bucket(ray_session):
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        ext = extract_pages(fixture_pages(120), emit="text", concurrency=2)
+        ext = extract_pages(fixture_pages(120), emit="text")
         s = write_partitioned(ext, out, num_buckets=2, rows_per_file=16)
         assert s["rows"] == 120
         mans = read_manifests(out)
@@ -94,8 +94,7 @@ def test_write_partitioned_stream_mode(ray_session):
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        ext = extract_pages(fixture_pages(60), emit="text", concurrency=2,
-                            batch_size=16)
+        ext = extract_pages(fixture_pages(60), emit="text", batch_size=16)
         s = write_partitioned(ext, out, num_buckets=8, mode="stream")
         assert s["rows"] == 60 and s["skipped"] == 0
         mans = read_manifests(out)
@@ -103,7 +102,7 @@ def test_write_partitioned_stream_mode(ray_session):
         urls1 = _read_all_buckets(out)
         assert len(urls1) == 60
         # rerun skips everything
-        ext2 = extract_pages(fixture_pages(60), emit="text", concurrency=2)
+        ext2 = extract_pages(fixture_pages(60), emit="text")
         s2 = write_partitioned(ext2, out, num_buckets=8, mode="stream")
         assert s2["written"] == 0 and s2["skipped"] == len(mans)
         assert _read_all_buckets(out) == urls1
@@ -126,7 +125,7 @@ def test_swish_stream_source(ray_session):
     tbl = swish_stream_table(stream)
     assert tbl.num_rows == 2
     out = {r["url"]: r for r in
-           extract_pages(rd.from_arrow(tbl), concurrency=1).take_all()}
+           extract_pages(rd.from_arrow(tbl)).take_all()}
     a = out["http://x.example/a.html"]
     assert a["title"] == "T1" and a["nwords"] == 3
     b = out["http://x.example/b.weird"]

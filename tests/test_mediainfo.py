@@ -293,7 +293,7 @@ def test_inspect_media_stage(ray_session):
     ds = rd.from_arrow(pa.table({
         "media_id": pa.array(range(len(blobs)), pa.int64()),
         "payload": pa.array(blobs, pa.binary())}))
-    out = inspect_media(ds, concurrency=1).to_pandas() \
+    out = inspect_media(ds).to_pandas() \
         .sort_values("media_id").reset_index(drop=True)
     assert out.loc[0, "container"] == "mp4"
     assert out.loc[0, "codec"] == "avc1"
@@ -450,7 +450,7 @@ def test_inspect_ogg_and_webm(ray_session):
     ds = rd.from_arrow(pa.table({
         "media_id": pa.array(range(3), pa.int64()),
         "payload": pa.array(blobs, pa.binary())}))
-    out = inspect_media(ds, concurrency=1).to_pandas() \
+    out = inspect_media(ds).to_pandas() \
         .sort_values("media_id").reset_index(drop=True)
     assert out.loc[0, "container"] == "webm"
     assert out.loc[0, "codec"] == "V_VP9"
@@ -467,7 +467,7 @@ def test_fuzz_inspect_never_escapes_error_taxonomy():
     """Adversarial robustness: random mutations + truncations of
     valid fixtures must land in the two documented error classes
     (or parse), never in struct.error / IndexError — those would
-    kill the inspect actor instead of filling the error column."""
+    kill the inspect worker instead of filling the error column."""
     import random
     from swishray.ops.mediainfo import (synth_mp3_blob,
                                         synth_mp4_blob,

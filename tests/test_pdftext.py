@@ -96,8 +96,7 @@ def test_dataset_stage(ray_session):
     rows = [{"k": f"d{i}", "pdf": build_simple_pdf(
         [f"doc {i} line one", "line two"])} for i in range(30)]
     out = extract_pdf_text(rd.from_items(rows).repartition(4),
-                           pdf_col="pdf", key="k",
-                           concurrency=2).to_pandas()
+                           pdf_col="pdf", key="k").to_pandas()
     assert len(out) == 30
     assert (out["n_streams"] == 1).all()
     assert out["text"].str.endswith("line two").all()

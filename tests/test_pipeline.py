@@ -19,7 +19,7 @@ def test_extract_pages_matches_unit_extractor(ray_session):
 
     ds = fixture_pages(40)
     out = {r["url"]: r for r in
-           extract_pages(ds, emit="full", concurrency=2).take_all()}
+           extract_pages(ds, emit="full").take_all()}
     ex = DocumentExtractor(Config.default())
     rows = fixture_pages(40).take_all()
     assert len(out) == 40
@@ -51,7 +51,7 @@ def test_extract_error_rows_do_not_kill_job(ray_session):
         "text": ["", ""],
         "lang": ["en", "en"],
     })
-    out = extract_pages(rd.from_arrow(tbl), concurrency=1).take_all()
+    out = extract_pages(rd.from_arrow(tbl)).take_all()
     by_url = {r["url"]: r for r in out}
     assert by_url["a.txt.gz"]["error"] is not None
     assert by_url["b.html"]["error"] is None
@@ -78,7 +78,7 @@ def test_facet_and_topwords(ray_session):
                                    files_parsed_count, dedup_by_url)
     from swishray.synth import fixture_pages
     ds = fixture_pages(30)
-    ext = extract_pages(ds, emit="full", concurrency=2)
+    ext = extract_pages(ds, emit="full")
     assert files_parsed_count(ext) == 30
     assert total_word_count(ext) > 0
     top = top_n_words(ext, 5).take_all()
@@ -88,7 +88,7 @@ def test_facet_and_topwords(ray_session):
     assert all(r["count()"] >= 1 for r in fc)
     # dedup: double the corpus, expect original count back
     doubled = ds.union(fixture_pages(30))
-    ext2 = extract_pages(doubled, emit="text", concurrency=2)
+    ext2 = extract_pages(doubled, emit="text")
     assert dedup_by_url(ext2).count() == 30
 
 
@@ -142,7 +142,7 @@ def test_multimodal_decode(ray_session):
     from swishray.ops.codecs import encode_png
     from swishray.ops.multimodal import (decode_images,
                                          synth_media_dataset)
-    out = decode_images(synth_media_dataset(10), concurrency=1).take_all()
+    out = decode_images(synth_media_dataset(10)).take_all()
     assert len(out) == 10
     assert all(r["width"] == 32 and r["error"] is None for r in out)
     # REAL PNG payloads decode through the from-scratch codec
@@ -151,7 +151,7 @@ def test_multimodal_decode(ray_session):
     real = rd.from_arrow(pa.table({
         "media_id": pa.array([1], type=pa.int64()),
         "payload": pa.array([encode_png(px)], type=pa.binary())}))
-    o = decode_images(real, concurrency=1).take_all()[0]
+    o = decode_images(real).take_all()[0]
     assert o["error"] is None and (o["width"], o["height"]) == (5, 6)
     assert o["pixel_sum"] == int(px.astype(np.int64).sum())
     # REAL JPEG payloads decode through the from-scratch codec too
@@ -161,7 +161,7 @@ def test_multimodal_decode(ray_session):
     jp = rd.from_arrow(pa.table({
         "media_id": pa.array([1], type=pa.int64()),
         "payload": pa.array([encode_jpeg(flat)], type=pa.binary())}))
-    o = decode_images(jp, concurrency=1).take_all()[0]
+    o = decode_images(jp).take_all()[0]
     assert o["error"] is None and (o["width"], o["height"]) == (16, 8)
     assert o["pixel_sum"] == int(flat.astype(np.int64).sum())
     # uncoded flavor (animated WebP; lossy VP8 decodes now) ->
@@ -171,13 +171,13 @@ def test_multimodal_decode(ray_session):
         "payload": pa.array([b"RIFF\x10\x00\x00\x00WEBP"
                              b"ANIM\x04\x00\x00\x00abcd"],
                             type=pa.binary())}))
-    o = decode_images(bad, concurrency=1).take_all()[0]
+    o = decode_images(bad).take_all()[0]
     assert "NotImplementedError" in o["error"]
     # corrupt file of a SUPPORTED format -> ValueError in the column
     trunc = rd.from_arrow(pa.table({
         "media_id": pa.array([1], type=pa.int64()),
         "payload": pa.array([encode_png(px)[:30]], type=pa.binary())}))
-    o = decode_images(trunc, concurrency=1).take_all()[0]
+    o = decode_images(trunc).take_all()[0]
     assert "ValueError" in o["error"]
 
 
@@ -204,8 +204,7 @@ def test_size_aware_split_and_extract(ray_session):
     small, big = split_by_size(ds, threshold_bytes=1000)
     assert small.count() == 1 and big.count() == 1
     out = extract_pages_size_aware(rd.from_arrow(tbl),
-                                   threshold_bytes=1000,
-                                   concurrency=1).take_all()
+                                   threshold_bytes=1000).take_all()
     by_url = {r["url"]: r for r in out}
     assert by_url["small.html"]["nwords"] == 1
     assert by_url["big.html"]["nwords"] == 200000
@@ -289,9 +288,35 @@ def test_video_and_audio_decode(ray_session):
     assert "NotImplementedError" in e["error"]
 
 
+def test_stage_state_cache_is_bounded():
+    """The per-worker stage cache reuses an instance per (class,
+    kwargs key) and keeps at most _TASK_STATE_MAX of them, dropping the
+    least recently used: a stage broadcasting a fresh ray.put ref per
+    call gets a new key each time and must not pin every one."""
+    from swishray import util
+
+    class Stage:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def __call__(self, batch):
+            return self
+
+    util._TASK_STATE_CACHE.clear()
+    first = util._cached_call(None, Stage, {"tag": 0}, "k0")
+    assert util._cached_call(None, Stage, {"tag": 0}, "k0") is first
+    for i in range(1, 3 * util._TASK_STATE_MAX):
+        util._cached_call(None, Stage, {"tag": i}, f"k{i}")
+        util._cached_call(None, Stage, {"tag": 0}, "k0")  # keep k0 hot
+    assert len(util._TASK_STATE_CACHE) == util._TASK_STATE_MAX
+    assert util._cached_call(None, Stage, {"tag": 0}, "k0") is first
+    util._TASK_STATE_CACHE.clear()
+
+
 def test_lang_id_model_slot(ray_session, tmp_path):
-    """lang_id's pluggable model: the factory runs once per actor (in
-    __init__), and predictions flow from the injected model."""
+    """lang_id's pluggable model: the factory runs once per worker
+    process (in __init__, not per batch), and predictions flow from the
+    injected model."""
     import ray.data as rd
     from swishray.ops.textstats import lang_id
 
@@ -302,8 +327,9 @@ def test_lang_id_model_slot(ray_session, tmp_path):
     def fake_factory(_dir=marker_dir):
         import os
         import uuid
-        # one marker per factory invocation (= per actor init)
-        open(os.path.join(_dir, uuid.uuid4().hex), "w").close()
+        # one marker per factory invocation, named by its worker
+        open(os.path.join(_dir, f"{os.getpid()}-{uuid.uuid4().hex}"),
+             "w").close()
 
         def model(text: str) -> str:
             return "xx" if text else "und"
@@ -312,10 +338,13 @@ def test_lang_id_model_slot(ray_session, tmp_path):
     tbl = pa.table({"doc_id": pa.array(range(64), type=pa.int64()),
                     "text": ["some text"] * 64})
     ds = rd.from_arrow(tbl).repartition(8)
-    out = lang_id(ds, concurrency=2, model_factory=fake_factory).take_all()
+    out = lang_id(ds, model_factory=fake_factory).take_all()
     assert all(r["lang_pred"] == "xx" for r in out)
-    n_loads = len(os.listdir(marker_dir))
-    assert 1 <= n_loads <= 2, f"model loaded {n_loads} times, not per-actor"
+    loads = os.listdir(marker_dir)
+    pids = {name.split("-")[0] for name in loads}
+    # 8 batches on a 4-CPU session: at most one load per worker
+    assert 1 <= len(loads) <= 4 and len(pids) == len(loads), \
+        f"model loaded {len(loads)} times in {len(pids)} workers"
     # default path unchanged
     out2 = lang_id(ds).take_all()
     assert all("lang_pred" in r for r in out2)
@@ -332,7 +361,7 @@ def test_swish_stream_missing_content_length():
 
 def test_xinclude_pipeline(ray_session):
     """In-memory XInclude through the Ray stage: hrefs resolve against
-    a broadcast doc map (ray.put once, fetched per actor)."""
+    a broadcast doc map (ray.put once, fetched once per worker)."""
     import ray
     import ray.data as rd
     from swishray.pipeline import extract_pages
@@ -348,8 +377,7 @@ def test_xinclude_pipeline(ray_session):
         "url": pa.array(["https://x.example/doc.xml"]),
         "html": pa.array([parent], type=pa.binary()),
     }))
-    out = extract_pages(pages, emit="full", concurrency=2,
-                        xinclude_docs=docs_ref).take_all()
+    out = extract_pages(pages, emit="full", xinclude_docs=docs_ref).take_all()
     assert len(out) == 1
     r = out[0]
     assert r["error"] is None
@@ -413,7 +441,7 @@ def test_resize_images_stage(ray_session):
     from swishray.ops.multimodal import (DecodeImages, ResizeImages,
                                          resize_images, synth_media_dataset)
     media = synth_media_dataset(30, "image")
-    out = resize_images(media, out_w=8, out_h=6, concurrency=2).take_all()
+    out = resize_images(media, out_w=8, out_h=6).take_all()
     assert len(out) == 30
     assert all(r["error"] is None for r in out)
     dec = DecodeImages()
@@ -462,7 +490,7 @@ def test_extract_pages_nul_bytes_match_unit_extractor(ray_session):
         "url": [f"https://x.example/{i}.html" for i in range(3)],
         "html": pa.array(bodies, pa.binary())}))
     out = {r["url"]: r for r in
-           extract_pages(ds, emit="text", concurrency=1).take_all()}
+           extract_pages(ds, emit="text").take_all()}
     ex = DocumentExtractor(Config.default())
     for i, b in enumerate(bodies):
         url = f"https://x.example/{i}.html"

@@ -148,8 +148,7 @@ def test_project_properties_typed(ray_session):
         "url": [f"https://x/{i}.xml" for i, _ in docs],
         "html": pa.array([b for _, b in docs], type=pa.binary()),
     }))
-    ext = extract_pages(pages, emit="buffers", config_xml=cfg_xml,
-                        concurrency=2)
+    ext = extract_pages(pages, emit="buffers", config_xml=cfg_xml)
     cfg = Config.default()
     cfg.add(cfg_xml)
     proj = project_properties(ext, cfg, props=["docnum", "docdate"])

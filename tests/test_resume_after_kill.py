@@ -41,7 +41,7 @@ SCRIPT = textwrap.dedent("""
                  for i in range(240)],
         "lang": ["en"] * 240})
     pages = rd.from_arrow(pages_from_documents_batch(docs)).repartition(15)
-    ext = extract_pages(pages, emit="text", concurrency=2, batch_size=16)
+    ext = extract_pages(pages, emit="text", batch_size=16)
     if slow:
         # stretch the write phase so the kill lands mid-run
         import time as _t

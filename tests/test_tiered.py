@@ -93,7 +93,7 @@ def test_dataset_stage_and_metrics(ray_session):
             + [{"url": "t0", "body": GOOD.encode()}])
     ds = ray.data.from_items(rows)
     ext = tiered_extract(ds, body_col="body", key="url",
-                         min_stopword_density=0.0, concurrency=1)
+                         min_stopword_density=0.0)
     m = {r["tier"]: r for r in
          tier_metrics(ext).take_all()}
     assert m["pdf"]["sum(docs)"] == 3

@@ -1,11 +1,12 @@
-"""Deadlock-safety gate for tiny Ray sessions.
+"""Progress gate for the smallest Ray session (num_cpus=1).
 
-The streaming executor deadlocks SILENTLY when actor-based operators
-(actor pools) plus 1-CPU producer tasks cannot co-schedule. Every
-stateful stage routes through util.map_batches_stateful (task-mode
-fallback below 4 CPUs) and every equi-join is the task-based
-hash_join — this test pins the worst case (num_cpus=1) end-to-end in
-a subprocess with a hard timeout."""
+Every stateful stage runs as tasks through util.map_batches_stateful
+and every equi-join is the task-based hash_join, so no operator holds
+a CPU between batches and a single CPU must carry any pipeline to the
+end. This test pins that in a subprocess with a hard timeout: dedup,
+extraction, and the two store probes of ops.increment, each probe fed
+by an unmaterialized upstream (a stage that reserved the only CPU
+would starve it and hang silently)."""
 
 import subprocess
 import sys
@@ -37,6 +38,30 @@ SCRIPT = textwrap.dedent("""
     pages = rd.from_arrow(pages_from_documents_batch(docs)).repartition(2)
     n = extract_pages(pages, emit="text").sum("nwords")
     assert n > 0
+    import os, shutil, tempfile
+    from swishray.ops.increment import (dedup_against_store,
+                                        dedup_incremental,
+                                        write_fingerprint_store,
+                                        write_minhash_store)
+    body = "prior doc {} alpha beta gamma delta epsilon"
+    prior = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(8), type=pa.int64()),
+        "text": [body.format(i) for i in range(8)]}))
+    store = tempfile.mkdtemp()
+    write_fingerprint_store(prior, os.path.join(store, "fp"))
+    write_minhash_store(prior, os.path.join(store, "mh"))
+    # 4 exact copies of prior rows, 4 new rows; unmaterialized upstream
+    new = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(100, 108), type=pa.int64()),
+        "text": [body.format(i) for i in range(4)]
+                + [f"fresh page {i} omega" for i in range(4)]})) \
+        .repartition(4).map_batches(lambda t: t, batch_format="pyarrow")
+    kept = dedup_incremental(new, os.path.join(store, "fp")).count()
+    assert kept == 4, kept
+    kept = dedup_against_store(new, os.path.join(store, "mh"),
+                               threshold=0.5).count()
+    assert kept == 4, kept
+    shutil.rmtree(store)
     ray.shutdown()
     print("TINY_OK")
 """)

@@ -509,8 +509,7 @@ def test_animated_webp_video_sampling(lw, ray_session):
         "media_id": [1], "payload": pa.array([blob], pa.binary())}))
     out = map_batches_stateful(
         ds, SampleVideoFrames, fn_constructor_kwargs=dict(every_n=2),
-        batch_format="pyarrow", batch_size=4, concurrency=1,
-        num_cpus=1).take_all()[0]
+        batch_format="pyarrow", batch_size=4, num_cpus=1).take_all()[0]
     assert out["error"] is None
     assert out["n_frames"] == 4 and out["n_sampled"] == 2
     # luma rule matches the GIF path: integer mean of R,G,B
