@@ -17,19 +17,26 @@ before first use:
   * ``swishaes`` — AES-128/192/256 ECB/CBC for the PDF security
     handler (ops.pdfcrypt._aes_selftest, FIPS-197 vectors)
 
-On first import, tries to load a prebuilt extension from this
-directory; if absent and a C compiler is available, compiles it
-quietly (atomic rename, safe under concurrent workers). Any failure
-leaves the symbol ``None`` and the pure-Python/ctypes path runs.
+Each extension is built into this directory as
+``<name>.<digest><EXT_SUFFIX>``, the digest taken over its ``.c``
+source and build flags. On import the file for the current source is
+loaded; if it is absent and a C compiler is available it is compiled
+quietly (atomic rename, safe under concurrent workers) and the
+extension's builds for other digests are deleted. So an edited source
+is never served by a stale binary whose interface no longer matches
+its Python caller. Any failure leaves the symbol ``None`` and the
+pure-Python/ctypes path runs.
 
 Set SWISHRAY_NO_NATIVE=1 to force the non-native paths.
 """
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import importlib.util
 import os
 import subprocess
-import sys
 import sysconfig
 
 swishtok = None
@@ -41,21 +48,25 @@ swishlzw = None
 swishaes = None
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
+_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 _LIBXML2_CFLAGS = ["-I/usr/include/libxml2"]
 _LIBXML2_LIBS = ["-L/usr/lib/x86_64-linux-gnu", "-lxml2"]
 
 
-def _so_path(name: str) -> str:
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    return os.path.join(_HERE, name + suffix)
+def _so_path(name: str, here: str, cflags: list[str],
+             libs: list[str]) -> str:
+    """The build path of ``name`` for its current source and flags."""
+    h = hashlib.sha256()
+    with open(os.path.join(here, name + ".c"), "rb") as f:
+        h.update(f.read())
+    h.update("\0".join(cflags + libs).encode())
+    return os.path.join(here, f"{name}.{h.hexdigest()[:16]}{_SUFFIX}")
 
 
-def _try_build(name: str, cflags: list[str], libs: list[str]) -> bool:
-    src = os.path.join(_HERE, name + ".c")
-    out = _so_path(name)
-    if not os.path.exists(src):
-        return False
+def _try_build(name: str, out: str, here: str, cflags: list[str],
+               libs: list[str]) -> bool:
+    src = os.path.join(here, name + ".c")
     include = sysconfig.get_paths()["include"]
     tmp = out + f".tmp.{os.getpid()}"
     cmd = (["gcc", "-O2", "-shared", "-fPIC", f"-I{include}"]
@@ -65,7 +76,6 @@ def _try_build(name: str, cflags: list[str], libs: list[str]) -> bool:
         if r.returncode != 0:
             return False
         os.replace(tmp, out)  # atomic; concurrent builders race safely
-        return True
     except Exception:
         return False
     finally:
@@ -74,17 +84,31 @@ def _try_build(name: str, cflags: list[str], libs: list[str]) -> bool:
                 os.remove(tmp)
             except OSError:
                 pass
+    # builds of older sources; a process that already loaded one
+    # keeps its mapping
+    for stale in (glob.glob(os.path.join(here, f"{name}.*{_SUFFIX}"))
+                  + [os.path.join(here, name + _SUFFIX)]):
+        if stale != out:
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
+    return True
 
 
-def _load_one(name: str, cflags: list[str], libs: list[str]):
+def _load_one(name: str, cflags: list[str], libs: list[str],
+              here: str = _HERE):
+    """Load (building if needed) the extension ``name`` from the
+    ``<name>.c`` in ``here``; None on any failure."""
     try:
-        if not os.path.exists(_so_path(name)):
-            if not _try_build(name, cflags, libs):
+        out = _so_path(name, here, cflags, libs)
+        if not os.path.exists(out):
+            if not _try_build(name, out, here, cflags, libs):
                 return None
-        if _HERE not in sys.path:
-            sys.path.insert(0, _HERE)
-        import importlib
-        return importlib.import_module(name)
+        spec = importlib.util.spec_from_file_location(name, out)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
     except Exception:
         return None
 

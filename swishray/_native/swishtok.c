@@ -12,13 +12,24 @@
  * _uniprops tables were probed from.
  *
  * Interface:
- *   tokenize(data: bytes, start_pos: int)
- *     -> (values: list[bytes], positions: list[int], end_pos: int)
+ *   tokenize(data: bytes, start_pos: int, start_offset: int = 0)
+ *     -> (values: bytes, lens: bytes, positions: bytes,
+ *         end_pos: int, end_offset: int)
+ *
+ * One call returns the whole buffer's tokens as three flat buffers
+ * (libswish3's swish_TokenList arena, tokenizer.c:366-437): ``values``
+ * is every token's bytes back to back, ``lens`` one native int32 byte
+ * length per token and ``positions`` one native uint32 position per
+ * token. No per-token Python object is made. ``end_pos`` is the
+ * position counter after the last token or \x03 bump; ``end_offset``
+ * is ``start_offset`` plus len+1 per token (the NUL-joined arena the
+ * reference addresses tokens in).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <locale.h>
+#include <stdint.h>
 #include <string.h>
 #include <wctype.h>
 
@@ -156,38 +167,59 @@ utf8_start_advance(const unsigned char *tb, Py_ssize_t n)
     return base;
 }
 
-/* growable output collector */
+/* grow *p (capacity *cap > 0 elements of size elem) to hold need */
+static int
+grow(void **p, Py_ssize_t *cap, Py_ssize_t need, size_t elem)
+{
+    Py_ssize_t c = *cap;
+    void *q;
+    if (need <= c)
+        return 0;
+    while (need > c)
+        c *= 2;
+    q = PyMem_Realloc(*p, c * elem);
+    if (!q) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *p = q;
+    *cap = c;
+    return 0;
+}
+
+/* output arena: token bytes, int32 lengths, uint32 positions */
 typedef struct {
-    PyObject *values;     /* list[bytes] */
-    PyObject *positions;  /* list[int] */
-    PyObject *offsets;    /* list[int]: running byte offsets */
+    unsigned char *values;
+    int32_t *lens;
+    uint32_t *positions;
+    Py_ssize_t vlen, vcap;   /* bytes in / capacity of values */
+    Py_ssize_t n, ncap;      /* tokens in / capacity of lens, positions */
     long pos;
-    long long offset;     /* next token's byte offset */
+    long long offset;        /* next token's byte offset */
 } Out;
 
 static int
 emit(Out *o, const unsigned char *v, Py_ssize_t len)
 {
-    PyObject *b = PyBytes_FromStringAndSize((const char *)v, len);
-    PyObject *p;
-    if (!b)
+    if (o->vlen + len > o->vcap
+        && grow((void **)&o->values, &o->vcap, o->vlen + len, 1) < 0)
         return -1;
-    if (PyList_Append(o->values, b) < 0) { Py_DECREF(b); return -1; }
-    Py_DECREF(b);
+    if (o->n == o->ncap) {
+        Py_ssize_t c = o->ncap;
+        if (grow((void **)&o->lens, &c, o->n + 1, sizeof(int32_t)) < 0)
+            return -1;
+        c = o->ncap;
+        if (grow((void **)&o->positions, &c, o->n + 1,
+                 sizeof(uint32_t)) < 0)
+            return -1;
+        o->ncap = c;
+    }
+    memcpy(o->values + o->vlen, v, len);
+    o->vlen += len;
+    o->lens[o->n] = (int32_t)len;
     o->pos += 1;
-    p = PyLong_FromLong(o->pos);
-    if (!p)
-        return -1;
-    if (PyList_Append(o->positions, p) < 0) { Py_DECREF(p); return -1; }
-    Py_DECREF(p);
-    /* offsets[i] = byte offset of token i in the joined value
-       stream (len+1 separators) — was a per-call Python
-       accumulate() over every token, visible at extraction scale */
-    p = PyLong_FromLongLong(o->offset);
-    if (!p)
-        return -1;
-    if (PyList_Append(o->offsets, p) < 0) { Py_DECREF(p); return -1; }
-    Py_DECREF(p);
+    o->positions[o->n] = (uint32_t)o->pos;
+    o->n += 1;
     o->offset += (long long)len + 1;
     return 0;
 }
@@ -337,30 +369,34 @@ tokenize(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     unsigned char *run = NULL;
     Py_ssize_t *bounds = NULL;
-    Py_ssize_t run_cap = 0, bounds_cap = 0;
+    Py_ssize_t run_cap = 1024, bounds_cap = 512;
     Py_ssize_t run_len = 0, nchars = 0;
 
     if (!PyArg_ParseTuple(args, "y#l|L", &data, &dlen, &start_pos,
                           &start_offset))
         return NULL;
 
-    o.values = PyList_New(0);
-    o.positions = PyList_New(0);
-    o.offsets = PyList_New(0);
+    memset(&o, 0, sizeof o);
     o.pos = start_pos;
     o.offset = start_offset;
-    if (!o.values || !o.positions || !o.offsets)
-        goto fail;
 
     for (i = 0; i < dlen; i++)
         if (data[i] >= 0x80) { ascii_mode = 0; break; }
 
-    run_cap = 1024;
-    bounds_cap = 512;
+    /* sized so the arena rarely grows: lowercased token bytes seldom
+     * exceed the input's, and a token plus its separator takes at
+     * least 2 input bytes except in cut >256-byte runs */
+    o.vcap = dlen + 16;
+    o.ncap = dlen / 2 + 16;
     run = PyMem_Malloc(run_cap);
     bounds = PyMem_Malloc(bounds_cap * sizeof(Py_ssize_t));
-    if (!run || !bounds)
-        goto fail;
+    o.values = PyMem_Malloc(o.vcap);
+    o.lens = PyMem_Malloc(o.ncap * sizeof(int32_t));
+    o.positions = PyMem_Malloc(o.ncap * sizeof(uint32_t));
+    if (!run || !bounds || !o.values || !o.lens || !o.positions) {
+        PyErr_NoMemory();
+        goto done;
+    }
 
     if (ascii_mode) {
         /* table-driven scan: no per-char u8_decode/towlower calls */
@@ -373,18 +409,14 @@ tokenize(PyObject *self, PyObject *args)
                     i++;
                 } while (i < dlen && ascii_word_tab[data[i]]);
                 len = i - s;
-                if (len > run_cap) {
-                    while (len > run_cap)
-                        run_cap *= 2;
-                    run = PyMem_Realloc(run, run_cap);
-                    if (!run)
-                        goto fail;
-                }
+                if (len > run_cap
+                    && grow((void **)&run, &run_cap, len, 1) < 0)
+                    goto done;
                 for (k = 0; k < len; k++)
                     run[k] = ascii_lower_tab[data[s + k]];
                 if (process_run(&o, 1, run, len, NULL, len,
                                 i == dlen) < 0)
-                    goto fail;
+                    goto done;
             }
             else {
                 if (c == 0x03)
@@ -392,53 +424,44 @@ tokenize(PyObject *self, PyObject *args)
                 i++;
             }
         }
-        result = Py_BuildValue("(OOOlL)", o.values, o.positions,
-                               o.offsets, o.pos, o.offset);
-        goto fail; /* shared cleanup */
+        goto build;
     }
 
     i = 0;
     while (i < dlen) {
-        int clen;
-        unsigned int cp = u8_decode(data + i, dlen - i, &clen);
         unsigned int lcp;
         int word;
-        if (cp < 0x80) {
-            lcp = ascii_lower_tab[cp];
-            word = ascii_word_tab[cp];
+        if (data[i] < 0x80) {
+            lcp = ascii_lower_tab[data[i]];
+            word = ascii_word_tab[data[i]];
+            i += 1;
         }
         else {
-            lcp = (unsigned int)towlower((wint_t)cp);
+            int clen;
+            lcp = (unsigned int)towlower(
+                (wint_t)u8_decode(data + i, dlen - i, &clen));
             word = is_word_cp(lcp);
+            i += clen;
         }
-        i += clen;
         if (word) {
-            unsigned char enc[4];
-            int elen = u8_encode(lcp, enc);
-            if (run_len + elen > run_cap) {
-                run_cap *= 2;
-                run = PyMem_Realloc(run, run_cap);
-                if (!run)
-                    goto fail;
-            }
-            if (nchars + 2 > bounds_cap) {
-                bounds_cap *= 2;
-                bounds = PyMem_Realloc(bounds,
-                                       bounds_cap * sizeof(Py_ssize_t));
-                if (!bounds)
-                    goto fail;
-            }
-            bounds[nchars] = run_len;
-            memcpy(run + run_len, enc, elen);
-            run_len += elen;
-            nchars++;
+            if ((run_len + 4 > run_cap
+                 && grow((void **)&run, &run_cap, run_len + 4, 1) < 0)
+                || (nchars + 2 > bounds_cap
+                    && grow((void **)&bounds, &bounds_cap, nchars + 2,
+                            sizeof(Py_ssize_t)) < 0))
+                goto done;
+            bounds[nchars++] = run_len;
+            if (lcp < 0x80)
+                run[run_len++] = (unsigned char)lcp;
+            else
+                run_len += u8_encode(lcp, run + run_len);
         }
         else {
             if (run_len) {
                 bounds[nchars] = run_len;
                 if (process_run(&o, ascii_mode, run, run_len, bounds,
                                 nchars, 0) < 0)
-                    goto fail;
+                    goto done;
                 run_len = 0;
                 nchars = 0;
             }
@@ -450,24 +473,28 @@ tokenize(PyObject *self, PyObject *args)
         bounds[nchars] = run_len;
         if (process_run(&o, ascii_mode, run, run_len, bounds, nchars,
                         1) < 0)
-            goto fail;
+            goto done;
     }
 
-    result = Py_BuildValue("(OOOlL)", o.values, o.positions,
-                           o.offsets, o.pos, o.offset);
-    /* fallthrough for cleanup */
-fail:
+build:
+    result = Py_BuildValue("(y#y#y#lL)", o.values, o.vlen,
+                           o.lens, o.n * (Py_ssize_t)sizeof(int32_t),
+                           o.positions, o.n * (Py_ssize_t)sizeof(uint32_t),
+                           o.pos, o.offset);
+done:
     PyMem_Free(run);
     PyMem_Free(bounds);
-    Py_XDECREF(o.values);
-    Py_XDECREF(o.positions);
-    Py_XDECREF(o.offsets);
+    PyMem_Free(o.values);
+    PyMem_Free(o.lens);
+    PyMem_Free(o.positions);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"tokenize", tokenize, METH_VARARGS,
-     "tokenize(data, start_pos, start_offset=0) -> (values, positions, offsets, end_pos, end_offset)"},
+     "tokenize(data, start_pos, start_offset=0) -> (values, lens, "
+     "positions, end_pos, end_offset): token bytes back to back, int32 "
+     "lengths and uint32 positions as flat native-endian buffers"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -21,6 +21,7 @@ from .libxml import check_utf8, html_parse, xml_parse
 from .mime import file_ext, get_mime_type, get_parser
 from .sax import ExtractionState, ParseAbort, concat_buffers
 from .text import scrub_nulls
+from .tokenizer import TokenList
 
 
 @dataclass
@@ -42,13 +43,30 @@ class ExtractionRecord:
     docinfo: DocInfo
     metanames: dict[str, bytes] = field(default_factory=dict)
     properties: dict[str, bytes] = field(default_factory=dict)
-    # token columns (parallel lists)
-    token_values: list[bytes] = field(default_factory=list)
-    token_positions: list[int] = field(default_factory=list)
-    token_metas: list[str] = field(default_factory=list)
-    token_contexts: list[str] = field(default_factory=list)
-    token_offsets: list[int] = field(default_factory=list)
+    # the token stream as a columnar arena; the token_* properties
+    # below are list views of it
+    tokens: TokenList = field(default_factory=TokenList)
     error: str | None = None
+
+    @property
+    def token_values(self) -> list[bytes]:
+        return self.tokens.values
+
+    @property
+    def token_positions(self) -> list[int]:
+        return self.tokens.positions
+
+    @property
+    def token_metas(self) -> list[str]:
+        return self.tokens.metas
+
+    @property
+    def token_contexts(self) -> list[str]:
+        return self.tokens.contexts
+
+    @property
+    def token_offsets(self) -> list[int]:
+        return self.tokens.offsets
 
 
 def resolve_docinfo(cfg: Config, uri: str, size: int,
@@ -266,9 +284,7 @@ class DocumentExtractor:
 
         # xinclude_handler: child tokens append with fresh consecutive
         # parent positions (swish_token_list_add_token ++pos)
-        tl = child.token_list
-        for v, m, c in zip(tl.values, tl.metas, tl.contexts):
-            parent.token_list.add(v, m, c)
+        parent.token_list.extend(child.token_list)
         parent.nwords += child.nwords
         concat_buffers(parent.metanames, child.metanames)
         concat_buffers(parent.properties, child.properties)
@@ -325,23 +341,12 @@ class DocumentExtractor:
                     except UnicodeDecodeError:
                         rec.properties[name] = val[:prop.max]
         tl = state.token_list
-        if self.stemmer is not None and tl.values:
+        if self.stemmer is not None and len(tl):
             try:
-                stem = self.stemmer
-                tl.values = [stem(v) for v in tl.values]
-                off = 0
-                offs = []
-                for v in tl.values:
-                    offs.append(off)
-                    off += len(v) + 1
-                tl.offsets = offs
+                tl.map_values(self.stemmer)
             except Exception as e:  # extract() never raises per-row
                 if rec.error is None:
                     rec.error = f"stemmer: {type(e).__name__}: {e}"
-        rec.token_values = tl.values
-        rec.token_positions = tl.positions
-        rec.token_metas = tl.metas
-        rec.token_contexts = tl.contexts
-        rec.token_offsets = tl.offsets
+        rec.tokens = tl
         if rec.error is None and state.parse_error is not None:
             rec.error = state.parse_error

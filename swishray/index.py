@@ -175,8 +175,13 @@ def build_index(ds: Any, out_dir: str, *, key: str = "doc_id",
                 metas = batch.column(meta_col)
                 if isinstance(metas, pa.ChunkedArray):
                     metas = metas.combine_chunks()
-                mflat = pc.list_flatten(metas).to_pandas().fillna(
-                    _DEFAULT_META)
+                mflat = pc.list_flatten(metas)
+                if pa.types.is_dictionary(mflat.type):
+                    # ExtractPages' dictionary metas: a pandas
+                    # Categorical would make the (doc, meta, term)
+                    # groupby emit every unobserved combination
+                    mflat = mflat.dictionary_decode()
+                mflat = mflat.to_pandas().fillna(_DEFAULT_META)
             else:
                 mflat = pd.Series([_DEFAULT_META] * len(flat))
             doc_idx = np.repeat(np.arange(n), lens)

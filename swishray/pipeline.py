@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Literal
 
+import numpy as np
 import pyarrow as pa
 
 from . import constants as C
@@ -48,7 +49,6 @@ def _binary_views(col) -> list:
     run, io.c:43-73) are detected with ONE vectorized kernel and
     materialized to bytes so the scrub path sees them; everything
     downstream (extractor._docparse) can skip the scan for views."""
-    import numpy as np
     import pyarrow.compute as pc
 
     if isinstance(col, pa.ChunkedArray):
@@ -84,12 +84,114 @@ def _binary_views(col) -> list:
     return out
 
 
+# Largest byte or element count an int32 Arrow offset can address. A
+# batch whose token stream is larger is split into several chunks.
+_MAX_INT32_OFFSET = 2**31 - 1
+
+
+def _dictionary_runs(labels: list[str], counts: np.ndarray) -> pa.Array:
+    """``labels[i]`` repeated ``counts[i]`` times, dictionary-encoded
+    with one dictionary for the batch (int32 indices: a tag-rich XML
+    batch can exceed int16, and batches with mixed index widths do not
+    concatenate)."""
+    ids: dict[str, int] = {}
+    idx = np.fromiter((ids.setdefault(s, len(ids)) for s in labels),
+                      np.int32, len(labels))
+    return pa.DictionaryArray.from_arrays(
+        pa.array(np.repeat(idx, counts), pa.int32()),
+        pa.array(list(ids), pa.string()))
+
+
+def _row_chunks(vbounds: np.ndarray, tbounds: np.ndarray) -> list[int]:
+    """Row boundaries ``[0, ..., n]`` such that no chunk's token bytes
+    or token count passes ``_MAX_INT32_OFFSET``. ``vbounds`` and
+    ``tbounds`` are the cumulative bytes and counts at each row
+    boundary (``n + 1`` entries from 0)."""
+    n = len(tbounds) - 1
+    bounds = [0]
+    while True:
+        r0 = bounds[-1]
+        r1 = int(min(
+            np.searchsorted(vbounds, vbounds[r0] + _MAX_INT32_OFFSET,
+                            "right"),
+            np.searchsorted(tbounds, tbounds[r0] + _MAX_INT32_OFFSET,
+                            "right"))) - 1
+        if r1 <= r0 < n:
+            raise OverflowError(
+                f"row {r0}: its token stream passes the int32 offset "
+                f"range ({_MAX_INT32_OFFSET})")
+        bounds.append(r1)
+        if r1 >= n:
+            return bounds
+
+
+def token_columns(tokens: list) -> dict[str, Any]:
+    """The ``emit="full"`` token columns of a batch, one row per
+    ``TokenList``, built from the lists' arena chunks: the batch's
+    value bytes, lengths and positions are each joined once and become
+    Arrow buffers, with no per-token Python object.
+
+    ``token_values`` is ``list<binary>``, ``token_positions``
+    ``list<uint32>``, ``token_metas``/``token_contexts``
+    ``list<dictionary<int32, string>>``. Each is one array, or a
+    ``ChunkedArray`` split at row boundaries when the batch's token
+    bytes or count pass the int32 offset range."""
+    toffs = np.zeros(len(tokens) + 1, np.int64)
+    np.cumsum([len(tl) for tl in tokens], out=toffs[1:])
+    values = pa.py_buffer(b"".join(c for tl in tokens
+                                   for c in tl.value_chunks))
+    lens = np.frombuffer(b"".join(c for tl in tokens
+                                  for c in tl.len_chunks), np.int32)
+    positions = pa.py_buffer(b"".join(c for tl in tokens
+                                      for c in tl.pos_chunks))
+    runs = [r for tl in tokens for r in tl.runs]
+    run_counts = np.fromiter((r[2] for r in runs), np.int64, len(runs))
+    dicts = {"token_metas": _dictionary_runs([r[0] for r in runs],
+                                             run_counts),
+             "token_contexts": _dictionary_runs([r[1] for r in runs],
+                                                run_counts)}
+    voffs = np.zeros(len(lens) + 1, np.int64)
+    np.cumsum(lens, out=voffs[1:])
+
+    cols: dict[str, list] = {}
+    bounds = _row_chunks(voffs[toffs], toffs)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        t0, t1 = int(toffs[r0]), int(toffs[r1])
+        b0, b1 = int(voffs[t0]), int(voffs[t1])
+        row_offs = pa.py_buffer((toffs[r0:r1 + 1] - t0).astype(np.int32))
+        children = {
+            "token_values": pa.Array.from_buffers(
+                pa.binary(), t1 - t0,
+                [None,
+                 pa.py_buffer((voffs[t0:t1 + 1] - b0).astype(np.int32)),
+                 values.slice(b0, b1 - b0)]),
+            "token_positions": pa.Array.from_buffers(
+                pa.uint32(), t1 - t0,
+                [None, positions.slice(4 * t0, 4 * (t1 - t0))]),
+            **{name: arr.slice(t0, t1 - t0) for name, arr in dicts.items()}}
+        for name, child in children.items():
+            cols.setdefault(name, []).append(pa.Array.from_buffers(
+                pa.list_(child.type), r1 - r0, [None, row_offs],
+                children=[child]))
+    return {k: v[0] if len(v) == 1 else pa.chunked_array(v)
+            for k, v in cols.items()}
+
+
 class ExtractPages:
     """Batch extractor, one cached instance per worker process.
 
     Parameters are picklable; heavy state (libxml2 bindings, compiled
     regexes, glibc tables) initializes lazily in the worker process on
     first __call__ via DocumentExtractor.
+
+    Output columns, one row per input row: ``OUTPUT_BASE_FIELDS``
+    always; with ``emit="buffers"`` or ``"full"`` also ``metanames``
+    and ``properties`` (``map<string, large_string>``); with
+    ``emit="full"`` also the token stream as four parallel lists,
+    ``token_values: list<binary>``, ``token_positions: list<uint32>``,
+    ``token_metas`` and ``token_contexts:
+    list<dictionary<int32, string>>`` (built by ``token_columns``);
+    then ``keep_input_columns`` unchanged.
     """
 
     OUTPUT_BASE_FIELDS = [
@@ -158,11 +260,7 @@ class ExtractPages:
         if emit_buffers:
             cols["metanames"] = []
             cols["properties"] = []
-        if emit_tokens:
-            cols["token_values"] = []
-            cols["token_positions"] = []
-            cols["token_metas"] = []
-            cols["token_contexts"] = []
+        tokens = []
 
         cap = self.max_doc_bytes
         for i in range(n):
@@ -197,10 +295,7 @@ class ExtractPages:
                     [(k, v.decode("utf-8", "replace"))
                      for k, v in rec.properties.items()])
             if emit_tokens:
-                cols["token_values"].append(rec.token_values)
-                cols["token_positions"].append(rec.token_positions)
-                cols["token_metas"].append(rec.token_metas)
-                cols["token_contexts"].append(rec.token_contexts)
+                tokens.append(rec.tokens)
 
         arrays: dict[str, pa.Array] = {}
         for name, typ in self.OUTPUT_BASE_FIELDS:
@@ -210,14 +305,7 @@ class ExtractPages:
             arrays["metanames"] = pa.array(cols["metanames"], type=mtype)
             arrays["properties"] = pa.array(cols["properties"], type=mtype)
         if emit_tokens:
-            arrays["token_values"] = pa.array(
-                cols["token_values"], type=pa.list_(pa.binary()))
-            arrays["token_positions"] = pa.array(
-                cols["token_positions"], type=pa.list_(pa.uint32()))
-            arrays["token_metas"] = pa.array(
-                cols["token_metas"], type=pa.list_(pa.string()))
-            arrays["token_contexts"] = pa.array(
-                cols["token_contexts"], type=pa.list_(pa.string()))
+            arrays.update(token_columns(tokens))
         for k in self.keep_input_columns:
             if k in batch.column_names:
                 arrays[k] = batch.column(k)
@@ -236,7 +324,6 @@ def rebatch_by_bytes(ds: "Any", col: str = "html",
     import pyarrow.compute as pc
 
     def slices(batch: pa.Table):
-        import numpy as np
         sizes = pc.binary_length(
             pc.cast(batch.column(col), pa.large_binary())).to_numpy(
             zero_copy_only=False).astype("int64")
@@ -264,6 +351,13 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
     records. Tasks with warm per-worker parser state
     (``util.map_batches_stateful``); small batch_size because rows are
     whole web pages (memory-aware batching, SURVEY.md §4).
+
+    ``emit`` picks the output schema (``ExtractPages``): ``"text"``
+    gives the docinfo fields, ``title`` and ``text``; ``"buffers"``
+    adds the ``metanames``/``properties`` maps; ``"full"`` adds the
+    token stream, ``token_values: list<binary>``, ``token_positions:
+    list<uint32>``, ``token_metas``/``token_contexts:
+    list<dictionary<int32, string>>``.
 
     ``num_cpus`` is each extraction task's CPU request, so it caps
     how many tasks run at once. The extraction kernel is
@@ -406,7 +500,6 @@ def top_n_words(extracted: "Any", n: int = 20) -> "Any":
     desc, limit N. Pre-aggregates per batch (vectorized in polars)
     before the shuffle so the groupby moves (token, partial_count)
     rows, not every token."""
-    import numpy as np
     from .util import import_polars
     pl = import_polars()
     import pyarrow.compute as pc

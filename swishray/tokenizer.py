@@ -25,14 +25,25 @@ Reproduces src/libswish3/tokenizer.c:
   * positions are 1-based and continue across calls on one TokenList;
     offsets index a byte arena of NUL-joined values (tokenizer.c:371-437)
 
-The hot path is a single compiled-regex scan per buffer — no per-char
-Python. Faithful per-char fallbacks run only for tokens that need the
-quirky strip or exceed 256 bytes.
+Storage follows swish_TokenList's arena (tokenizer.c:366-437): a
+``TokenList`` keeps one chunk per flushed buffer, three flat buffers
+of token bytes, int32 lengths and uint32 positions, plus one
+``(meta, context, count)`` run, and no Python object per token.
+
+Two scanners fill it. The ``swishtok`` C extension returns a buffer's
+chunk in one call and is used whenever it builds, loads and matches
+the Python scanner on a sample (``_native_selftest``). The Python
+scanner is the validated reference-exact implementation: one
+compiled-regex scan per buffer, with faithful per-char fallbacks only
+for tokens that need the quirky strip or exceed 256 bytes.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+
+import numpy as np
 
 from ._uniprops import WORD_RANGES, LOWER_MAP
 from .constants import BUMPER_CHR, MAX_WORD_LEN, MIN_WORD_LEN
@@ -80,32 +91,131 @@ def _is_ignore_start(cp: int) -> bool:
     return not _is_word_cp(cp)
 
 
-class TokenList:
-    """Columnar token accumulator for one document."""
+_I32 = struct.Struct("=i")
+_U32 = struct.Struct("=I")
 
-    __slots__ = ("values", "positions", "metas", "contexts", "pos", "_offset",
-                 "offsets")
+
+class TokenList:
+    """One document's token stream as a columnar arena.
+
+    Each tokenized flush appends one chunk: the tokens' bytes back to
+    back, their native int32 lengths and their native uint32
+    positions (``value_chunks``/``len_chunks``/``pos_chunks``), plus
+    one ``(meta, context, count)`` entry in ``runs`` (adjacent runs of
+    the same pair merge). Nothing is kept per token as a Python object;
+    ``pipeline.ExtractPages`` joins a batch's chunks into its Arrow
+    token columns directly.
+
+    ``values``, ``positions``, ``metas``, ``contexts`` and ``offsets``
+    are read-only list views of the same stream for the CLI, tests and
+    fuzz tools; ``offsets`` index the NUL-joined arena the reference
+    addresses tokens in (tokenizer.c:371-437). Two lists are equal when
+    their token streams are."""
+
+    __slots__ = ("value_chunks", "len_chunks", "pos_chunks", "runs",
+                 "pos", "_offset", "_n")
 
     def __init__(self) -> None:
-        self.values: list[bytes] = []
-        self.positions: list[int] = []
-        self.metas: list[str] = []
-        self.contexts: list[str] = []
-        self.offsets: list[int] = []
+        self.value_chunks: list[bytes] = []
+        self.len_chunks: list[bytes] = []
+        self.pos_chunks: list[bytes] = []
+        self.runs: list[tuple[str, str, int]] = []
         self.pos = 0          # running position counter (bumped by \x03)
-        self._offset = 0      # arena byte offset
+        self._offset = 0      # arena byte offset: sum of len + 1
+        self._n = 0
+
+    def _append(self, values: bytes, lens: bytes, positions: bytes,
+                meta: str, context: str) -> int:
+        n = len(lens) >> 2
+        if n:
+            self.value_chunks.append(values)
+            self.len_chunks.append(lens)
+            self.pos_chunks.append(positions)
+            self._add_run(meta, context, n)
+            self._n += n
+        return n
+
+    def _add_run(self, meta: str, context: str, n: int) -> None:
+        runs = self.runs
+        if runs and runs[-1][0] == meta and runs[-1][1] == context:
+            runs[-1] = (meta, context, runs[-1][2] + n)
+        else:
+            runs.append((meta, context, n))
 
     def add(self, value: bytes, meta: str, context: str) -> None:
+        """Append one token (the custom-tokenizer hook's entry point)."""
         self.pos += 1
-        self.values.append(value)
-        self.positions.append(self.pos)
-        self.metas.append(meta)
-        self.contexts.append(context)
-        self.offsets.append(self._offset)
-        self._offset += len(value) + 1  # value + NUL in the arena
+        self._append(value, _I32.pack(len(value)), _U32.pack(self.pos),
+                     meta, context)
+        self._offset += len(value) + 1
+
+    def extend(self, other: "TokenList") -> None:
+        """Append ``other``'s tokens with fresh consecutive positions
+        after this list's (swish_token_list_add_token's ++pos), as the
+        XInclude merge does. ``other``'s chunks are shared, not copied."""
+        n = other._n
+        if not n:
+            return
+        self.value_chunks += other.value_chunks
+        self.len_chunks += other.len_chunks
+        self.pos_chunks.append(np.arange(self.pos + 1, self.pos + n + 1,
+                                         dtype=np.uint32).tobytes())
+        for meta, context, k in other.runs:
+            self._add_run(meta, context, k)
+        self._n += n
+        self.pos += n
+        self._offset += other._offset
+
+    def map_values(self, fn) -> None:
+        """Replace every value ``v`` by ``fn(v)`` (the stemmer), as one
+        rewrite of the arena. If ``fn`` raises, the list is unchanged."""
+        vals = [fn(v) for v in self.values]
+        lens = np.fromiter(map(len, vals), np.int32, len(vals))
+        self.value_chunks = [b"".join(vals)]
+        self.len_chunks = [lens.tobytes()]
+        self.pos_chunks = [b"".join(self.pos_chunks)]
+        self._offset = int(lens.sum()) + len(vals)
+
+    def _lens(self) -> np.ndarray:
+        return np.frombuffer(b"".join(self.len_chunks), np.int32)
+
+    @property
+    def values(self) -> list[bytes]:
+        data = b"".join(self.value_chunks)
+        ends = np.cumsum(self._lens()).tolist()
+        return [data[a:b] for a, b in zip([0] + ends, ends)]
+
+    @property
+    def positions(self) -> list[int]:
+        return np.frombuffer(b"".join(self.pos_chunks), np.uint32).tolist()
+
+    @property
+    def metas(self) -> list[str]:
+        return [m for m, _, k in self.runs for _ in range(k)]
+
+    @property
+    def contexts(self) -> list[str]:
+        return [c for _, c, k in self.runs for _ in range(k)]
+
+    @property
+    def offsets(self) -> list[int]:
+        step = self._lens().astype(np.int64) + 1
+        return (np.cumsum(step) - step).tolist()
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self._n
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TokenList):
+            return NotImplemented
+        return (self._n == other._n
+                and b"".join(self.len_chunks) == b"".join(other.len_chunks)
+                and b"".join(self.value_chunks)
+                == b"".join(other.value_chunks)
+                and b"".join(self.pos_chunks) == b"".join(other.pos_chunks)
+                and self.runs == other.runs)
+
+    __hash__ = None
 
 
 def _cp_at(tb: bytes, p: int) -> int:
@@ -256,22 +366,13 @@ except Exception:  # pragma: no cover
 
 
 def tokenize_into(tl: TokenList, data: bytes, meta: str, context: str) -> int:
+    """Tokenize one flushed buffer into ``tl`` as one arena chunk;
+    returns the tokens added (the nwords contribution,
+    parser.c:2761-2788)."""
     if _native is not None:
-        # offsets are accumulated inside the C scan (the per-call
-        # Python accumulate() over every token was a visible slice
-        # of single-core extraction time)
-        vals, poss, offs, newpos, newoff = _native.tokenize(
+        vals, lens, poss, tl.pos, tl._offset = _native.tokenize(
             data, tl.pos, tl._offset)
-        n = len(vals)
-        if n:
-            tl.values.extend(vals)
-            tl.positions.extend(poss)
-            tl.offsets.extend(offs)
-            tl._offset = newoff
-            tl.metas.extend([meta] * n)
-            tl.contexts.extend([context] * n)
-        tl.pos = newpos
-        return n
+        return tl._append(vals, lens, poss, meta, context)
     return _tokenize_into_py(tl, data, meta, context)
 
 
@@ -300,12 +401,9 @@ def _tokenize_into_py(tl: TokenList, data: bytes, meta: str,
             s = data.decode("utf-8", errors="replace")
         lower = s.translate(LOWER_MAP)
 
-    nstart = len(tl)
-    values = tl.values
-    positions = tl.positions
-    offsets = tl.offsets
+    values: list[bytes] = []
+    positions: list[int] = []
     pos = tl.pos
-    off = tl._offset
     findall = _RUN_RE.findall
     strip_chars = _STRIP_CHARS
 
@@ -339,8 +437,6 @@ def _tokenize_into_py(tl: TokenList, data: bytes, meta: str,
                         pos += 1
                         values.append(v)
                         positions.append(pos)
-                        offsets.append(off)
-                        off += len(v) + 1
                     else:
                         at_end = (si == last_seg and seg.endswith(run)
                                   and ri == nruns - 1)
@@ -348,17 +444,14 @@ def _tokenize_into_py(tl: TokenList, data: bytes, meta: str,
                             pos += 1
                             values.append(v)
                             positions.append(pos)
-                            offsets.append(off)
-                            off += len(v) + 1
         if si != last_seg:
             pos += 1  # the bumper byte this segment boundary represents
-    n_new = len(values) - nstart
-    if n_new:
-        tl.metas.extend([meta] * n_new)
-        tl.contexts.extend([context] * n_new)
+    lens = np.fromiter(map(len, values), np.int32, len(values))
     tl.pos = pos
-    tl._offset = off
-    return n_new
+    tl._offset += int(lens.sum()) + len(values)
+    return tl._append(b"".join(values), lens.tobytes(),
+                      np.array(positions, np.uint32).tobytes(), meta,
+                      context)
 
 
 def _emit_run(run: str, ascii_mode: bool, at_end: bool) -> list[bytes]:
@@ -396,10 +489,10 @@ def _native_selftest() -> bool:
     for s in samples:
         tl = TokenList()
         _tokenize_into_py(tl, s, "m", "c")
-        vals, poss, offs, newpos, newoff = _native.tokenize(s, 0, 0)
-        if (list(vals) != tl.values or list(poss) != tl.positions
-                or list(offs) != tl.offsets or newpos != tl.pos
-                or newoff != tl._offset):
+        got = _native.tokenize(s, 0, 0)
+        want = (b"".join(tl.value_chunks), b"".join(tl.len_chunks),
+                b"".join(tl.pos_chunks), tl.pos, tl._offset)
+        if got != want:
             return False
     return True
 

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+
 STDIN = pathlib.Path("/root/reference/src/test_stdin")
 PERL = pathlib.Path("/root/reference/bindings/perl/t")
 T_HTML = STDIN.parent / "test_docs" / "t.html"
@@ -19,7 +21,7 @@ def run_lint_stdin(path: pathlib.Path) -> str:
     r = subprocess.run(
         [sys.executable, "-m", "swishray", "lint", "-"],
         input=path.read_bytes(), capture_output=True,
-        cwd="/root/repo")
+        cwd=ROOT)
     return r.stdout.decode()
 
 
@@ -46,7 +48,7 @@ def test_perl_multi_doc_stream():
 def test_cli_lint_file():
     r = subprocess.run(
         [sys.executable, "-m", "swishray", "lint", "-v", str(T_HTML)],
-        capture_output=True, cwd="/root/repo")
+        capture_output=True, cwd=ROOT)
     assert b"nwords: 6" in r.stdout
     assert b"total words: 6" in r.stdout
 
@@ -55,7 +57,7 @@ def test_cli_tokenize():
     r = subprocess.run(
         [sys.executable, "-m", "swishray", "tokenize", "++foo++",
          "http://FOOBAR.COM/"],
-        capture_output=True, cwd="/root/repo")
+        capture_output=True, cwd=ROOT)
     lines = r.stdout.decode().splitlines()
     assert lines[0] == "parsed 1 tokens: foo"
     assert lines[1] == "parsed 3 tokens: http foobar com"
@@ -65,7 +67,7 @@ def test_cli_tokenize():
 def test_cli_header_roundtrip():
     r = subprocess.run(
         [sys.executable, "-m", "swishray", "header", str(DOM_CONF)],
-        capture_output=True, cwd="/root/repo")
+        capture_output=True, cwd=ROOT)
     assert b"doc.one.two" in r.stdout
 
 
@@ -81,7 +83,7 @@ def test_cli_dump_matches_reference_shape(tmp_path):
 
     doc = str(T_HTML)
     r = subprocess.run([sys.executable, "-m", "swishray", "dump", doc],
-                       capture_output=True, cwd="/root/repo")
+                       capture_output=True, cwd=ROOT)
     mine = json.loads(r.stdout)
     assert mine["nwords"] == 6
     assert set(mine) >= {"uri", "nwords", "mime", "parser", "encoding",

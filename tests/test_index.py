@@ -1,10 +1,13 @@
 """Inverted-index sink + searcher (swish_xapian analog, swishray/index.py)."""
 
 import collections
+import pathlib
 import shutil
 
 import pyarrow as pa
 import pytest
+
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
 
 
 CORPUS = [
@@ -107,6 +110,48 @@ def test_meta_prefixed_terms_from_extraction_stream(ray_session, idx_dir):
         "term": "hello", "doc_count": 1, "total_tf": 1}
     # no meta filter -> both
     assert s.doc_stats("hello")["total_tf"] == 3
+
+
+def test_postings_from_extract_pages_full_output(ray_session, idx_dir):
+    """Real ``ExtractPages(emit="full")`` output (dictionary-encoded
+    metas) through the token_col/meta_col path: the postings are
+    exactly the (doc, meta, term) counts of the in-process records, and
+    no unobserved combination appears as a ``tf == 0`` posting."""
+    import os
+
+    import pyarrow.dataset as pads
+    import ray.data as rd
+    from swishray.extractor import DocumentExtractor
+    from swishray.index import build_index
+    from swishray.pipeline import ExtractPages
+    pages = pa.table({
+        "url": [f"https://x.example/{i}.html" for i in range(6)],
+        "html": [(f"<html><head><title>Doc {i} title</title>"
+                  f'<meta name="author" content="writer {i % 2}"></head>'
+                  f"<body><h1>Head {i}</h1><p>alpha beta {i} beta</p>"
+                  f"<b>bold alpha</b></body></html>").encode()
+                 for i in range(6)]})
+    out = ExtractPages(emit="full")(pages)
+    assert pa.types.is_dictionary(out.schema.field("token_metas").type
+                                  .value_type)
+    res = build_index(rd.from_arrow(out), idx_dir, key="url",
+                      text_col=None, token_col="token_values",
+                      meta_col="token_metas", num_buckets=2)
+    post = pads.dataset(os.path.join(res["path"], "data"),
+                        partitioning="hive").to_table(
+        filter=pads.field("kind") == "p",
+        columns=["key", "meta", "term", "tf"]).to_pylist()
+    got = {(r["key"], r["meta"], r["term"]): r["tf"] for r in post}
+    assert len(got) == len(post)
+    assert min(got.values()) > 0
+    want = collections.Counter()
+    ex = DocumentExtractor()
+    for url, body in zip(pages["url"].to_pylist(),
+                         pages["html"].to_pylist()):
+        rec = ex.extract(url, body)
+        for v, m in zip(rec.token_values, rec.token_metas):
+            want[(url, m, v.decode())] += 1
+    assert got == dict(want)
 
 
 def test_bm25_ranking_matches_direct_computation(ray_session, idx_dir):
@@ -229,7 +274,7 @@ def test_cli_phrase_search(ray_session, idx_dir):
         [sys.executable, "-m", "swishray", "search", "--index",
          idx_dir, "--phrase", "quick", "brown"],
         capture_output=True, text=True, check=True,
-        cwd="/root/repo").stdout.splitlines()
+        cwd=ROOT).stdout.splitlines()
     assert out[0] == "1 2 occurrences=3"
     assert out[1] == "2 1 occurrences=2"
 
@@ -341,7 +386,7 @@ def test_cli_query_search(ray_session, idx_dir):
          idx_dir, "-q", "(hash OR join)", "AND", "scan", "NOT",
          "window"],
         capture_output=True, text=True, check=True,
-        cwd="/root/repo").stdout.splitlines()
+        cwd=ROOT).stdout.splitlines()
     assert out == ["1 2 score=3", "2 3 score=3"]
 
 
@@ -438,7 +483,7 @@ def test_cli_output_format(ray_session, idx_dir):
          "n_chars desc", "-x",
          '<swishrank>\\t<swishdocpath>\\t<lang>\\n'],
         capture_output=True, text=True, check=True,
-        cwd="/root/repo").stdout
+        cwd=ROOT).stdout
     assert out == "2\t1\ten\n3\t2\tde\n2\t5\tde\n"
 
 
@@ -491,12 +536,12 @@ def test_cli_delete_and_range(ray_session, idx_dir):
     subprocess.run(
         [sys.executable, "-m", "swishray", "delete", "--index",
          idx_dir, "--key-type", "int", "2"],
-        capture_output=True, text=True, check=True, cwd="/root/repo")
+        capture_output=True, text=True, check=True, cwd=ROOT)
     out = subprocess.run(
         [sys.executable, "-m", "swishray", "search", "--index",
          idx_dir, "-q", "scan", "-L", "n_chars 20 60"],
         capture_output=True, text=True, check=True,
-        cwd="/root/repo").stdout.splitlines()
+        cwd=ROOT).stdout.splitlines()
     assert out == ["1 1 score=1", "2 5 score=1"]
 
 

@@ -3,11 +3,14 @@
 resumable partitioned parquet)."""
 
 import glob
+import pathlib
 import subprocess
 import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
 
 
 def _pages(path, n=40):
@@ -41,7 +44,7 @@ def test_pipeline_cli_end_to_end(tmp_path):
         [sys.executable, "-m", "swishray", "pipeline", "--pages",
          pages, "--out", out, "--num-cpus", "4", "--gopher",
          "--line-dedup", "--exact-dedup", "--near-dedup", "0.8"],
-        capture_output=True, text=True, check=True, cwd="/root/repo",
+        capture_output=True, text=True, check=True, cwd=ROOT,
         timeout=420)
     assert "'errors': 0" in res.stdout
     import pyarrow.dataset as pads
@@ -99,7 +102,7 @@ def test_media_cli_file_and_dedup(tmp_path):
     f.write_bytes(encode_png(img))
     res = subprocess.run(
         [sys.executable, "-m", "swishray", "media", "--file", str(f)],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=ROOT)
     assert res.returncode == 0, res.stderr
     meta = json.loads(res.stdout)
     assert (meta["format"], meta["width"], meta["height"]) == \
@@ -122,7 +125,7 @@ def test_media_cli_file_and_dedup(tmp_path):
         [sys.executable, "-m", "swishray", "media", "--table",
          str(tbl), "--out", str(out), "--mode", "dedup",
          "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=ROOT)
     assert res.returncode == 0, res.stderr[-2000:]
     pairs = pq.read_table(out)
     got = sorted(zip(pairs.column("a").to_pylist(),

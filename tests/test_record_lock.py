@@ -1,7 +1,7 @@
 """Full-record behaviour lock for ``ExtractPages(emit="full")``.
 
-For the seeded ``perfbench/corpus.py`` markup_dense and text_bulk
-tables (seeds 31 and 32), every column of every output row is frozen
+For the seeded ``perfbench/corpus.py`` markup_dense, text_bulk and
+dedup_chain tables (seeds 31 and 32), every column of every output row is frozen
 as a 32-bit digest of its LOGICAL value: the docinfo fields, title,
 text, every metaname and property buffer (as sorted key/value pairs)
 and the whole token stream (values, positions, metas, contexts). The
@@ -32,7 +32,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # perfbench/, when run as a script
 GOLDEN = ROOT / "tests" / "goldens" / "record_lock.json"
 TABLES = [("markup_dense", 31), ("markup_dense", 32),
-          ("text_bulk", 31), ("text_bulk", 32)]
+          ("text_bulk", 31), ("text_bulk", 32),
+          ("dedup_chain", 31), ("dedup_chain", 32)]
 
 
 def _canon(v, out: bytearray) -> None:

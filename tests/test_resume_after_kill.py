@@ -12,6 +12,7 @@ must not poison the suite's shared one).
 
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -19,9 +20,11 @@ import tempfile
 import textwrap
 import time
 
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+
 SCRIPT = textwrap.dedent("""
     import sys
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO_ROOT)
     import ray
     import pyarrow as pa
     import ray.data as rd
@@ -53,12 +56,12 @@ SCRIPT = textwrap.dedent("""
     summary = write_partitioned(ext, out_dir, num_buckets=16)
     print("SUMMARY:" + str(summary))
     ray.shutdown()
-""")
+""").replace("REPO_ROOT", repr(ROOT))
 
 
 def _run(out_dir: str, slow: bool = False, kill_after: float | None = None):
     cmd = [sys.executable, "-c", SCRIPT, out_dir] + (["--slow"] if slow else [])
-    p = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+    p = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL)
     if kill_after is None:
         out, _ = p.communicate(timeout=300)

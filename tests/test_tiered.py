@@ -6,6 +6,7 @@ TXT encoding normalization), error rows, unified schema, and the
 slim per-tier metrics aggregate.  End-to-end parity is additionally
 oracle-checked by the ``tier_extract`` queries() entry."""
 import gzip
+import pathlib
 
 import pyarrow as pa
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from swishray.ops.pdftext import build_simple_pdf
 from swishray.ops.tiered import (TieredExtract, sniff_tier,
                                  tier_metrics, tiered_extract)
+
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
 
 GOOD = ("The quick brown fox jumps over the lazy dog and then runs "
         "away into the forest with a bone it found there by the old "
@@ -134,7 +137,7 @@ def test_cli_tiered_extract(tmp_path):
         [sys.executable, "-m", "swishray", "extract",
          "--pages", str(pages), "--out", str(out), "--tiered",
          "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=ROOT,
         env={**__import__("os").environ, "RAY_ADDRESS": ""})
     assert r.returncode == 0, r.stderr[-2000:]
     got = pa.concat_tables([

@@ -8,13 +8,16 @@ extraction, and the two store probes of ops.increment, each probe fed
 by an unmaterialized upstream (a stage that reserved the only CPU
 would starve it and hang silently)."""
 
+import pathlib
 import subprocess
 import sys
 import textwrap
 
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+
 SCRIPT = textwrap.dedent("""
     import sys
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO_ROOT)
     import ray, pyarrow as pa
     import ray.data as rd
     ray.init(address="local", num_cpus=1, include_dashboard=False,
@@ -64,10 +67,10 @@ SCRIPT = textwrap.dedent("""
     shutil.rmtree(store)
     ray.shutdown()
     print("TINY_OK")
-""")
+""").replace("REPO_ROOT", repr(ROOT))
 
 
 def test_one_cpu_session_no_deadlock():
-    r = subprocess.run([sys.executable, "-c", SCRIPT],
+    r = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT,
                        capture_output=True, timeout=240)
     assert b"TINY_OK" in r.stdout, (r.stdout[-500:], r.stderr[-800:])
