@@ -26,6 +26,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
+from ..util import row_columns
 from .dedup import DEFAULT_BUCKET_CAP, hamming_near_dups
 
 _N_WINDOWS = 8
@@ -96,20 +97,16 @@ class AudioHashes:
         raise NotImplementedError(
             f"unknown audio container (header={blob[:4]!r})")
 
+    def _row(self, blob: bytes | None) -> tuple:
+        samples, rate = self._samples(blob or b"")
+        return spectral_hash64(samples, rate), None
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        hs, errs = [], []
-        for blob in batch.column(self.col).to_pylist():
-            try:
-                samples, rate = self._samples(blob or b"")
-                hs.append(spectral_hash64(samples, rate))
-                errs.append(None)
-            except Exception as e:  # noqa: BLE001 — per-row channel
-                hs.append(None)
-                errs.append(f"{type(e).__name__}: {e}")
         return pa.table({
             self.key: batch.column(self.key),
-            "audiohash": pa.array(hs, type=pa.int64()),
-            "error": pa.array(errs, type=pa.string()),
+            **row_columns(batch.column(self.col).to_pylist(), self._row,
+                          [("audiohash", pa.int64()),
+                           ("error", pa.string())]),
         })
 
 

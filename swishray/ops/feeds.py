@@ -22,18 +22,19 @@ with ``kind`` in ``{"rss", "atom"}``; ``entry_id`` falls back to the
 link when guid/id is absent.  Gzip bodies unwrap inline.
 
 Scale shape: pure map-side fan-out (task-cached by default, the
-extract_links rationale); output rows are slim strings — bound input
-blocks with ``rebatch_by_bytes`` like every fan-out extraction stage.
+extract_links rationale); output rows are slim strings. The stage does
+not bound its input blocks itself: a caller with giant bodies may
+apply ``pipeline.rebatch_by_bytes`` first.
 """
 from __future__ import annotations
 
-import gzip
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
 
 from ..libxml import SaxTarget, xml_parse
+from ..util import gunzip
 
 # channel-level tags that share names with entry fields (an RSS
 # channel has its own <title>/<link>): fields only collect INSIDE an
@@ -136,9 +137,8 @@ class ParseFeeds:
 
     def _doc_rows(self, body: bytes) -> list[tuple]:
         if body[:2] == b"\x1f\x8b":
-            try:
-                body = gzip.decompress(body)
-            except OSError:
+            body = gunzip(body)
+            if body is None:
                 return []
         tgt = _FeedTarget()
         xml_parse(body, tgt)

@@ -24,6 +24,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
+from ..util import row_columns
 from .dedup import DEFAULT_BUCKET_CAP, hamming_near_dups
 
 
@@ -95,23 +96,16 @@ class ImageHashes:
         self.col = col
         self.codecs = codecs
 
+    def _row(self, blob: bytes | None) -> tuple:
+        arr, _ = self.codecs.decode_image(blob)
+        return dhash64(arr), ahash64(arr), None
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        dh, ah, errs = [], [], []
-        for blob in batch.column(self.col).to_pylist():
-            try:
-                arr, _ = self.codecs.decode_image(blob)
-                dh.append(dhash64(arr))
-                ah.append(ahash64(arr))
-                errs.append(None)
-            except Exception as e:  # noqa: BLE001 — per-row channel
-                dh.append(None)
-                ah.append(None)
-                errs.append(f"{type(e).__name__}: {e}")
         return pa.table({
             self.key: batch.column(self.key),
-            "dhash": pa.array(dh, type=pa.int64()),
-            "ahash": pa.array(ah, type=pa.int64()),
-            "error": pa.array(errs, type=pa.string()),
+            **row_columns(batch.column(self.col).to_pylist(), self._row,
+                          [("dhash", pa.int64()), ("ahash", pa.int64()),
+                           ("error", pa.string())]),
         })
 
 
@@ -163,18 +157,11 @@ class VideoHashes:
         self.col = col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        hs, errs = [], []
-        for blob in batch.column(self.col).to_pylist():
-            try:
-                hs.append(self._hash(blob or b""))
-                errs.append(None)
-            except Exception as e:  # noqa: BLE001
-                hs.append(None)
-                errs.append(f"{type(e).__name__}: {e}")
         return pa.table({
             self.key: batch.column(self.key),
-            "vhash": pa.array(hs, type=pa.int64()),
-            "error": pa.array(errs, type=pa.string()),
+            **row_columns(batch.column(self.col).to_pylist(),
+                          lambda blob: (self._hash(blob or b""), None),
+                          [("vhash", pa.int64()), ("error", pa.string())]),
         })
 
     def _hash(self, blob: bytes) -> int:

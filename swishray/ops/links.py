@@ -25,8 +25,8 @@ Three layers:
 
 Scale notes: extraction is pure map-side; anchor text is capped
 (``max_anchor_chars``) so a pathological page cannot inflate the
-output row; giant pages should be pre-bounded with
-``rebatch_by_bytes`` like every extraction stage.
+output row. The stage does not bound its input blocks itself: a
+caller with giant pages may apply ``pipeline.rebatch_by_bytes`` first.
 """
 from __future__ import annotations
 

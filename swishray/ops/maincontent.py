@@ -28,8 +28,9 @@ blocks).  The stage is stateful: the class-rule regex, stopword
 set and libxml2 dispatcher are warm per worker.
 
 Scale notes: pure map-side (no shuffle); output carries only the main
-text (bounded by input size).  Giant pages should be pre-bounded with
-``rebatch_by_bytes`` like every other extraction stage.
+text (bounded by input size).  The stage does not bound its input
+blocks itself: a caller with giant pages may apply
+``pipeline.rebatch_by_bytes`` first.
 """
 from __future__ import annotations
 

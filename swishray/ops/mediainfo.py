@@ -42,13 +42,16 @@ from typing import Any
 
 import pyarrow as pa
 
+from ..util import row_columns
+
 
 def _corrupt_guard(fn):
     """Parsers promise ValueError for structurally corrupt input;
     adversarial bytes can otherwise surface as struct.error /
     IndexError / OverflowError from offset arithmetic, which would
-    escape the inspect stage's error-column catch and kill the
-    worker (fuzz-verified in tests/test_mediainfo.py)."""
+    reach callers of the parsers (and the inspect stage's error
+    column) as a bare offset fault instead of a named corrupt input
+    (fuzz-verified in tests/test_mediainfo.py)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -803,12 +806,21 @@ _INSPECT_SCHEMA = pa.schema([
     ("size_bytes", pa.int64()),
     ("error", pa.string()),
 ])
+# the per-row fields InspectMedia._inspect fills (the key, size_bytes
+# and error come from elsewhere), and the value range of each integer
+# one: a header value outside it is a corrupt row
+_ROW_FIELDS = [f for f in _INSPECT_SCHEMA
+               if f.name not in ("media_id", "size_bytes", "error")]
+_INT_RANGE = {f.name: (-(1 << f.type.bit_width - 1),
+                       (1 << f.type.bit_width - 1) - 1)
+              for f in _ROW_FIELDS if pa.types.is_signed_integer(f.type)}
 
 
 class InspectMedia:
     """Stateful map stage: one metadata row per blob, header-only (no
     sample decode). Unknown magics and corrupt headers land in the
-    error column (multimodal taxonomy); every known container —
+    error column (multimodal taxonomy), as does any other failure of
+    one row (``util.row_columns``); every known container —
     decodable or inspect-only — yields container/codec/dims/duration
     as available."""
 
@@ -935,28 +947,25 @@ class InspectMedia:
         out["n_frames"] = hi.get("n_frames")
         return out
 
+    def _row(self, blob: bytes | None) -> tuple:
+        info = self._inspect(blob or b"")
+        for name, (lo, hi) in _INT_RANGE.items():
+            v = info[name]
+            if v is not None and not lo <= v <= hi:
+                # a corrupt header field (e.g. a WebM Duration float
+                # past int64) is this row's error, not the batch's
+                raise ValueError(f"corrupt header: {name}={v} does not "
+                                 f"fit {_INSPECT_SCHEMA.field(name).type}")
+        return tuple(info[f.name] for f in _ROW_FIELDS) + (None,)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key).to_pylist()
-        payload = batch.column(self.col)
-        rows = {f.name: [] for f in _INSPECT_SCHEMA}
-        for i, k in enumerate(keys):
-            blob = payload[i].as_py()
-            rows["media_id"].append(k)
-            rows["size_bytes"].append(len(blob) if blob else 0)
-            try:
-                info = self._inspect(blob or b"")
-                err = None
-            except (NotImplementedError, ValueError) as exc:
-                info = {"container": None, "codec": None,
-                        "width": None, "height": None,
-                        "duration_ms": None, "n_tracks": None,
-                        "n_frames": None, "sample_rate": None,
-                        "channels": None}
-                err = f"{type(exc).__name__}: {exc}"
-            for name, v in info.items():
-                rows[name].append(v)
-            rows["error"].append(err)
-        return pa.Table.from_pydict(rows, schema=_INSPECT_SCHEMA)
+        blobs = batch.column(self.col).to_pylist()
+        cols = row_columns(blobs, self._row,
+                           [(f.name, f.type) for f in _ROW_FIELDS]
+                           + [("error", pa.string())])
+        cols["media_id"] = batch.column(self.key).to_pylist()
+        cols["size_bytes"] = [len(b) if b else 0 for b in blobs]
+        return pa.Table.from_pydict(cols, schema=_INSPECT_SCHEMA)
 
 
 def synth_mp4_blob(duration_ms: int, width: int, height: int,

@@ -32,6 +32,8 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
+from ..util import row_columns
+
 
 def synth_image_blob(seed: int, width: int = 32, height: int = 24,
                      channels: int = 3) -> bytes:
@@ -90,30 +92,16 @@ class DecodeImages:
                 self._feature(raw.tobytes()), None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key).to_pylist()
-        blobs = batch.column(self.col).to_pylist()
-        w_, h_, c_, s_, f_, e_ = [], [], [], [], [], []
-        for blob in blobs:
-            try:
-                w, h, c, psum, feat, err = self._decode(blob or b"")
-            except Exception as e:
-                w = h = c = psum = 0
-                feat = [0.0] * self.FEATURE_DIM
-                err = f"{type(e).__name__}: {e}"
-            w_.append(w)
-            h_.append(h)
-            c_.append(c)
-            s_.append(psum)
-            f_.append(feat)
-            e_.append(err)
         return pa.table({
-            self.key: pa.array(keys),
-            "width": pa.array(w_, type=pa.int32()),
-            "height": pa.array(h_, type=pa.int32()),
-            "channels": pa.array(c_, type=pa.int32()),
-            "pixel_sum": pa.array(s_, type=pa.int64()),
-            "feature": pa.array(f_, type=pa.list_(pa.float32())),
-            "error": pa.array(e_, type=pa.string()),
+            self.key: pa.array(batch.column(self.key).to_pylist()),
+            **row_columns(
+                batch.column(self.col).to_pylist(),
+                lambda blob: self._decode(blob or b""),
+                [("width", pa.int32()), ("height", pa.int32()),
+                 ("channels", pa.int32()), ("pixel_sum", pa.int64()),
+                 ("feature", pa.list_(pa.float32())),
+                 ("error", pa.string())],
+                failure=(0, 0, 0, 0, [0.0] * self.FEATURE_DIM)),
         })
 
 
@@ -155,31 +143,22 @@ class SampleAudioFrames:
         raise NotImplementedError(
             f"unknown audio container (header={blob[:4]!r})")
 
+    def _row(self, blob: bytes | None) -> tuple:
+        samples, rate = self._samples(blob or b"")
+        sampled = samples[::self.every_n]
+        mean = (float(np.abs(sampled.astype(np.float64)).mean())
+                if len(sampled) else 0.0)
+        return rate, len(sampled), mean, None
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key).to_pylist()
-        blobs = batch.column(self.col).to_pylist()
-        rates, counts, means, errs = [], [], [], []
-        for blob in blobs:
-            try:
-                samples, rate = self._samples(blob or b"")
-                sampled = samples[::self.every_n]
-                rates.append(rate)
-                counts.append(len(sampled))
-                means.append(float(np.abs(
-                    sampled.astype(np.float64)).mean())
-                    if len(sampled) else 0.0)
-                errs.append(None)
-            except Exception as e:
-                rates.append(0)
-                counts.append(0)
-                means.append(0.0)
-                errs.append(f"{type(e).__name__}: {e}")
         return pa.table({
-            self.key: pa.array(keys),
-            "sample_rate": pa.array(rates, type=pa.int32()),
-            "n_frames_sampled": pa.array(counts, type=pa.int32()),
-            "mean_abs_amplitude": pa.array(means, type=pa.float64()),
-            "error": pa.array(errs, type=pa.string()),
+            self.key: pa.array(batch.column(self.key).to_pylist()),
+            **row_columns(batch.column(self.col).to_pylist(), self._row,
+                          [("sample_rate", pa.int32()),
+                           ("n_frames_sampled", pa.int32()),
+                           ("mean_abs_amplitude", pa.float64()),
+                           ("error", pa.string())],
+                          failure=(0, 0, 0.0)),
         })
 
 
@@ -255,32 +234,22 @@ class SampleVideoFrames:
             f"unknown video container (header={blob[:9]!r}); "
             "inter-frame-coded video has no codec here")
 
+    def _row(self, blob: bytes | None) -> tuple:
+        n, all_frames = self._frames(blob or b"")
+        frames = all_frames[::self.every_n]
+        return (n, frames.shape[0], [float(f.mean()) for f in frames],
+                int(frames.sum(dtype=np.int64)), None)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key).to_pylist()
-        blobs = batch.column(self.col).to_pylist()
-        nfr, sampled, lum, ysum, errs = [], [], [], [], []
-        for blob in blobs:
-            try:
-                n, all_frames = self._frames(blob or b"")
-                frames = all_frames[::self.every_n]
-                nfr.append(n)
-                sampled.append(frames.shape[0])
-                lum.append([float(f.mean()) for f in frames])
-                ysum.append(int(frames.sum(dtype=np.int64)))
-                errs.append(None)
-            except Exception as e:
-                nfr.append(0)
-                sampled.append(0)
-                lum.append([])
-                ysum.append(0)
-                errs.append(f"{type(e).__name__}: {e}")
         return pa.table({
-            self.key: pa.array(keys),
-            "n_frames": pa.array(nfr, type=pa.int32()),
-            "n_sampled": pa.array(sampled, type=pa.int32()),
-            "frame_luminance": pa.array(lum, type=pa.list_(pa.float32())),
-            "y_sum": pa.array(ysum, type=pa.int64()),
-            "error": pa.array(errs, type=pa.string()),
+            self.key: pa.array(batch.column(self.key).to_pylist()),
+            **row_columns(batch.column(self.col).to_pylist(), self._row,
+                          [("n_frames", pa.int32()),
+                           ("n_sampled", pa.int32()),
+                           ("frame_luminance", pa.list_(pa.float32())),
+                           ("y_sum", pa.int64()),
+                           ("error", pa.string())],
+                          failure=(0, 0, [], 0)),
         })
 
 
@@ -348,27 +317,15 @@ class ResizeImages:
         return self.codecs.encode_png(self._nn(arr))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key).to_pylist()
-        blobs = batch.column(self.col).to_pylist()
-        out_b, out_w, out_h, out_e = [], [], [], []
-        for blob in blobs:
-            try:
-                nb = self._resize(blob or b"")
-                out_b.append(nb)
-                out_w.append(self.out_w)
-                out_h.append(self.out_h)
-                out_e.append(None)
-            except Exception as e:
-                out_b.append(b"")
-                out_w.append(0)
-                out_h.append(0)
-                out_e.append(f"{type(e).__name__}: {e}")
         return pa.table({
-            self.key: pa.array(keys),
-            "payload": pa.array(out_b, type=pa.binary()),
-            "width": pa.array(out_w, type=pa.int32()),
-            "height": pa.array(out_h, type=pa.int32()),
-            "error": pa.array(out_e, type=pa.string()),
+            self.key: pa.array(batch.column(self.key).to_pylist()),
+            **row_columns(
+                batch.column(self.col).to_pylist(),
+                lambda blob: (self._resize(blob or b""), self.out_w,
+                              self.out_h, None),
+                [("payload", pa.binary()), ("width", pa.int32()),
+                 ("height", pa.int32()), ("error", pa.string())],
+                failure=(b"", 0, 0)),
         })
 
 

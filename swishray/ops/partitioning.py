@@ -1,11 +1,8 @@
 """Explicit partitioning / skew operators (north_rule requirements:
 "documents are bucketed by size-aware repartition to defeat skew from
 giant HTML blobs, with groupby-on-host salting for pathological
-domains").
+domains"). The size-aware half is ``pipeline.rebatch_by_bytes``.
 
-  * split_by_size   — route giant rows to their own small batches so a
-                      100 MB page never rides in a 64-row batch
-                      (memory-aware batching, SURVEY.md §4)
   * salted_group_count — two-phase groupby: hot keys are salted into
                       sub-buckets for the wide partial aggregate, then
                       merged in a tiny final groupby; no single reducer
@@ -19,7 +16,6 @@ from typing import Any
 from zlib import crc32
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def url_host(url: str) -> str:
@@ -32,37 +28,6 @@ def add_host(ds: Any, col: str = "url", out: str = "host") -> Any:
         hosts = [url_host(u) for u in batch.column(col).to_pylist()]
         return batch.append_column(out, pa.array(hosts, type=pa.string()))
     return ds.map_batches(f, batch_format="pyarrow")
-
-
-def split_by_size(ds: Any, col: str = "html",
-                  threshold_bytes: int = 1 << 20) -> tuple[Any, Any]:
-    """Partition a pages dataset into (small, big) by payload size.
-    Callers process `big` with batch_size=1 (or low concurrency) and
-    `small` with normal batching, then union the outputs — giant blobs
-    stop skewing batch memory and wall time."""
-    def small(batch: pa.Table) -> pa.Table:
-        ln = pc.binary_length(batch.column(col))
-        return batch.filter(pc.less_equal(ln, threshold_bytes))
-
-    def big(batch: pa.Table) -> pa.Table:
-        ln = pc.binary_length(batch.column(col))
-        return batch.filter(pc.greater(ln, threshold_bytes))
-
-    return (ds.map_batches(small, batch_format="pyarrow"),
-            ds.map_batches(big, batch_format="pyarrow"))
-
-
-def extract_pages_size_aware(ds: Any, threshold_bytes: int = 1 << 20,
-                             big_batch_size: int = 1, **kw) -> Any:
-    """The size-aware flagship: split, extract each side with a batch
-    size fit to its row weight, union the record streams."""
-    from ..pipeline import extract_pages
-    small, big = split_by_size(ds, threshold_bytes=threshold_bytes)
-    out_small = extract_pages(small, **kw)
-    kw_big = dict(kw)
-    kw_big["batch_size"] = big_batch_size
-    out_big = extract_pages(big, **kw_big)
-    return out_small.union(out_big)
 
 
 def salted_group_count(ds: Any, key: str, salt_buckets: int = 16,

@@ -43,6 +43,8 @@ from typing import Any
 
 import pyarrow as pa
 
+from ..util import row_columns
+
 # dictionary immediately preceding a stream body; non-greedy so
 # nested dicts inside (rare, for these purposes) don't over-capture
 _STREAM_RE = re.compile(
@@ -210,45 +212,31 @@ class PdfTextExtract:
         self.mode = mode
         self.password = password
 
+    def _row(self, body: bytes | str | None) -> tuple:
+        if body is None:
+            return "", 0, 0, "none", "null_body"
+        if isinstance(body, str):
+            body = body.encode("latin-1", "replace")
+        if self.mode == "auto":
+            txt, mode, used, skipped, err = pdf_extract(body,
+                                                        self.password)
+        else:
+            txt, used, skipped, err = pdf_text_from_bytes(body)
+            mode = "scan"
+        return txt, used, skipped, mode, err
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        auto = self.mode == "auto"
-        texts, nus, nsk, errs, modes = [], [], [], [], []
-        for body in batch.column(self.pdf_col).to_pylist():
-            if body is None:
-                texts.append("")
-                nus.append(0)
-                nsk.append(0)
-                errs.append("null_body")
-                modes.append("none")
-                continue
-            if isinstance(body, str):
-                body = body.encode("latin-1", "replace")
-            try:
-                if auto:
-                    txt, mode, used, skipped, err = pdf_extract(
-                        body, self.password)
-                else:
-                    txt, used, skipped, err = pdf_text_from_bytes(
-                        body)
-                    mode = "scan"
-            except Exception as ex:  # noqa: BLE001 — per-row discipline
-                txt, used, skipped, err = "", 0, 0, type(ex).__name__
-                mode = "error"
-            texts.append(txt)
-            nus.append(used)
-            nsk.append(skipped)
-            errs.append(err)
-            modes.append(mode)
-        cols = {
-            self.key: batch.column(self.key),
-            "text": pa.array(texts, pa.large_string()),
-            "n_streams": pa.array(nus, pa.int64()),
-            "n_skipped_streams": pa.array(nsk, pa.int64()),
-            "error": pa.array(errs, pa.string()),
-        }
-        if auto:
-            cols["mode"] = pa.array(modes, pa.string())
-        return pa.table(cols)
+        cols = row_columns(batch.column(self.pdf_col).to_pylist(),
+                           self._row,
+                           [("text", pa.large_string()),
+                            ("n_streams", pa.int64()),
+                            ("n_skipped_streams", pa.int64()),
+                            ("mode", pa.string()), ("error", pa.string())],
+                           failure=("", 0, 0, "error"))
+        mode = cols.pop("mode")
+        if self.mode == "auto":
+            cols["mode"] = mode
+        return pa.table({self.key: batch.column(self.key), **cols})
 
 
 def extract_pdf_text(ds: Any, pdf_col: str = "pdf", key: str = "url",

@@ -17,18 +17,19 @@ round).  Gzip bodies (``sitemap.xml.gz``) are unwrapped inline.
 
 Scale shape: pure map-side (task-cached by default, same rationale as
 ``extract_links``); output rows are slim strings.  A 50k-URL sitemap
-(the protocol max) yields 50k rows from one input row — bound input
-blocks with ``rebatch_by_bytes`` like every fan-out extraction stage.
+(the protocol max) yields 50k rows from one input row. The stage does
+not bound its input blocks itself: a caller may apply
+``pipeline.rebatch_by_bytes`` first.
 """
 from __future__ import annotations
 
-import gzip
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
 
 from ..libxml import SaxTarget, xml_parse
+from ..util import gunzip
 
 _ENTRY_TAGS = (b"url", b"sitemap")
 _FIELD_TAGS = (b"loc", b"lastmod", b"changefreq", b"priority")
@@ -93,9 +94,8 @@ class ParseSitemaps:
 
     def _doc_rows(self, body: bytes) -> list[tuple]:
         if body[:2] == b"\x1f\x8b":
-            try:
-                body = gzip.decompress(body)
-            except OSError:
+            body = gunzip(body)
+            if body is None:
                 return []
         tgt = _SitemapTarget()
         xml_parse(body, tgt)

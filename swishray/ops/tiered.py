@@ -33,13 +33,13 @@ size, same as the single-tier stages.
 
 from __future__ import annotations
 
-import gzip as _gzip
 import re
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
 
+from ..util import gunzip
 from .maincontent import MainContentExtract
 from .pdftext import pdf_extract
 
@@ -108,9 +108,8 @@ class TieredExtract:
                 body = body.encode("utf-8")
             if body[:2] == b"\x1f\x8b":
                 was_gz[i] = True
-                try:
-                    body = _gzip.decompress(body)
-                except OSError:
+                body = gunzip(body)
+                if body is None:
                     tiers[i] = TIER_TXT
                     errors[i] = "bad_gzip"
                     continue

@@ -483,18 +483,6 @@ def project_properties(extracted: "Any", config: "Any",
     return extracted.map_batches(project, batch_format="pyarrow")
 
 
-def configure_for_pages(target_block_mb: int = 64,
-                        preserve_order: bool = False) -> None:
-    """DataContext tuning for wide binary page rows (ray_guide.md
-    memory notes): smaller target blocks so a handful of giant html
-    blobs per block doesn't balloon worker heaps; order free unless a
-    sink needs it."""
-    from ray.data import DataContext
-    ctx = DataContext.get_current()
-    ctx.target_max_block_size = target_block_mb * 1024 * 1024
-    ctx.execution_options.preserve_order = preserve_order
-
-
 def top_n_words(extracted: "Any", n: int = 20) -> "Any":
     """§2.5 countwords.pl: token -> (total count, doc count), sorted
     desc, limit N. Pre-aggregates per batch (vectorized in polars)
@@ -550,32 +538,6 @@ def top_n_words(extracted: "Any", n: int = 20) -> "Any":
         Sum("count_partial", alias_name="total_count"),
         Sum("docs_partial", alias_name="doc_count"))
     return agg.sort("total_count", descending=True).limit(n)
-
-
-def extraction_metrics(extracted: "Any") -> dict:
-    """north_rule per-run extraction metrics: docs, errors (by kind),
-    bytes, words — one aggregate pass over the record stream."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        err = batch.column("error")
-        n_err = batch.num_rows - err.null_count
-        return pa.table({
-            "docs": pa.array([batch.num_rows], type=pa.int64()),
-            "errors": pa.array([n_err], type=pa.int64()),
-            "bytes": pa.array([int(pc.sum(batch.column("size")).as_py()
-                                   or 0)], type=pa.int64()),
-            "words": pa.array([int(pc.sum(batch.column("nwords")).as_py()
-                                   or 0)], type=pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum
-    parts = extracted.map_batches(partial, batch_format="pyarrow")
-    row = parts.aggregate(Sum("docs", alias_name="docs"),
-                          Sum("errors", alias_name="errors"),
-                          Sum("bytes", alias_name="bytes"),
-                          Sum("words", alias_name="words"))
-    return {k: int(v) for k, v in row.items()}
 
 
 def parse_sort_string(sort_string: str) -> list[tuple[str, bool]]:

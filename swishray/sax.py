@@ -17,6 +17,8 @@ instead of killing the job (SURVEY.md §4 retries row).
 
 from __future__ import annotations
 
+import dataclasses
+
 from . import constants as C
 from .config import Config
 from .libxml import html_tag_lookup_isinline
@@ -153,21 +155,12 @@ class ExtractionState:
 
     def _own_config(self) -> Config:
         if not self._cfg_copied:
+            # every field carries over; only the two tables a vivify
+            # writes are copied
             cfg = self.config
-            clone = Config(
-                metanames=dict(cfg.metanames),
-                properties=dict(cfg.properties),
-                parsers=cfg.parsers, mimes=cfg.mimes,
-                tag_aliases=cfg.tag_aliases, index=cfg.index,
-                stringlists=cfg.stringlists, misc=cfg.misc,
-                tokenize=cfg.tokenize,
-                cascade_meta_context=cfg.cascade_meta_context,
-                ignore_xmlns=cfg.ignore_xmlns,
-                follow_xinclude=cfg.follow_xinclude,
-                undef_metas=cfg.undef_metas, undef_attrs=cfg.undef_attrs,
-                max_meta_id=cfg.max_meta_id, max_prop_id=cfg.max_prop_id,
-                enforce_property_max=cfg.enforce_property_max)
-            self.config = clone
+            self.config = dataclasses.replace(
+                cfg, metanames=dict(cfg.metanames),
+                properties=dict(cfg.properties))
             self._cfg_copied = True
         return self.config
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gzip
+import zlib
+
+import pyarrow as pa
+
 # per-worker-process cache of stateful-stage instances: Ray reuses
 # worker processes, so state built on first call is amortized across
 # every later batch the worker runs. Least recently used out past
@@ -56,6 +61,40 @@ def map_batches_stateful(ds, cls, fn_constructor_kwargs=None, **mb_kwargs):
     key = hashlib.md5(blob).hexdigest()
     fn = functools.partial(_cached_call, _cls=cls, _kwargs=kwargs, _key=key)
     return ds.map_batches(fn, **mb_kwargs)
+
+
+def row_columns(values, fn, fields, failure=()) -> dict:
+    """The one per-row failure path of the row-wise stages: a bad row
+    becomes an error row, never a dead batch (libswish3 warns and
+    goes on per document, parser.c:1393-1447).
+
+    ``fn(value)`` returns one tuple per row in ``fields`` order
+    (``(name, Arrow type)`` pairs, ``error`` last); an error the
+    function returns itself (``"null_body"``, ``"not_pdf"``) is kept
+    as is. A row whose ``fn`` raises becomes ``failure`` (one value
+    per field before ``error``; empty = all null) plus
+    ``error = "<Type>: <message>"``. Returns ``{name: pa.Array}``."""
+    fail = tuple(failure) or (None,) * (len(fields) - 1)
+    cols: list[list] = [[] for _ in fields]
+    for v in values:
+        try:
+            out = fn(v)
+        except Exception as e:  # noqa: BLE001 — the per-row channel
+            out = fail + (f"{type(e).__name__}: {e}",)
+        for col, x in zip(cols, out):
+            col.append(x)
+    return {name: pa.array(col, type=t)
+            for (name, t), col in zip(fields, cols)}
+
+
+def gunzip(data: bytes) -> bytes | None:
+    """``gzip.decompress``, or None for a bad member of any kind: a
+    truncated one (EOFError), a corrupt deflate stream (zlib.error) or
+    a bad header or CRC (OSError)."""
+    try:
+        return gzip.decompress(data)
+    except (OSError, EOFError, zlib.error):
+        return None
 
 
 def _session_cpus() -> int:

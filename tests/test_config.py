@@ -95,3 +95,33 @@ def test_inline_xml_string():
     cfg = Config.default().add(
         "<swish><MetaNames><zap/></MetaNames></swish>")
     assert "zap" in cfg.metanames
+
+
+def test_vivify_copy_keeps_every_config_field():
+    """A document that vivifies a metaname parses against a private
+    copy of the config; every field but the two tables it writes must
+    carry over, including fields added to Config later."""
+    import dataclasses
+    from swishray.extractor import DocumentExtractor, resolve_docinfo
+    from swishray.sax import ExtractionState
+    cfg = Config.default().add(
+        "<swish><UndefinedMetaTags>auto</UndefinedMetaTags>"
+        "<UndefinedXMLAttributes>auto</UndefinedXMLAttributes></swish>")
+    cfg.cascade_meta_context = True
+    cfg.ignore_xmlns = False
+    cfg.follow_xinclude = False
+    cfg.enforce_property_max = True
+    cfg.misc["probe"] = "1"
+    body = b"<doc><fresh>hello world</fresh></doc>"
+    state = ExtractionState(cfg, uri="a.xml")
+    DocumentExtractor(cfg)._docparse(
+        body, state, resolve_docinfo(cfg, "a.xml", len(body)))
+    assert state.config is not cfg
+    vivified = state.config.metanames.keys() - cfg.metanames.keys()
+    assert "fresh" in vivified
+    # each vivified metaname takes the next id
+    want = dict(max_meta_id=cfg.max_meta_id + len(vivified))
+    for f in dataclasses.fields(Config):
+        if f.name not in ("metanames", "properties"):
+            assert getattr(state.config, f.name) \
+                == want.get(f.name, getattr(cfg, f.name)), f.name

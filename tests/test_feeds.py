@@ -2,6 +2,7 @@
 import gzip
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 
@@ -74,3 +75,16 @@ def test_parse_feeds_garbage_and_empty(ray_session):
         "url": pa.array(["x", "y"], pa.string()),
         "body": pa.array([b"not xml at all", b""], pa.large_binary())}))
     assert parse_feeds(ds).count() == 0
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate"])
+def test_bad_gzip_member_gives_no_rows(damage):
+    # a truncated member raises EOFError and a bad deflate block
+    # zlib.error; neither may kill the batch its neighbours ride in
+    from swishray.ops.feeds import ParseFeeds
+    z = gzip.compress(RSS, mtime=0)
+    bad = z[:-12] if damage == "truncated" else z[:10] + b"\xff" + z[11:]
+    out = ParseFeeds()(pa.table({
+        "url": pa.array(["bad", "r"], pa.string()),
+        "body": pa.array([bad, RSS], pa.large_binary())}))
+    assert out.column("url").to_pylist() == ["r", "r"]

@@ -463,11 +463,54 @@ def test_inspect_ogg_and_webm(ray_session):
     assert out.loc[2, "duration_ms"] == 3000
 
 
+def test_webm_duration_past_int64_is_one_error_row():
+    """A flipped exponent byte in the WebM Duration float (offset 33,
+    0x40 -> 0x46) gives duration_ms ~ 7.9e31: that row becomes a
+    ValueError row and the valid row next to it is intact."""
+    import pyarrow as pa
+    from swishray.ops.mediainfo import synth_webm_blob
+    good = synth_webm_blob(1000, 64, 48)
+    bad = bytearray(good)
+    assert bad[33] == 0x40
+    bad[33] = 0x46
+    out = InspectMedia()(pa.table({
+        "media_id": pa.array([1, 2], pa.int64()),
+        "payload": pa.array([bytes(bad), good], pa.binary())}))
+    rows = out.to_pylist()
+    assert rows[0]["error"].startswith("ValueError: ")
+    assert "duration_ms" in rows[0]["error"]
+    assert rows[0]["container"] is None
+    assert rows[0]["size_bytes"] == len(good)
+    assert rows[1]["error"] is None
+    assert (rows[1]["container"], rows[1]["duration_ms"],
+            rows[1]["width"]) == ("webm", 1000, 64)
+
+
+def test_inspect_any_row_exception_is_an_error_row():
+    import pyarrow as pa
+    from swishray.ops.mediainfo import synth_webm_blob
+
+    class Boom(InspectMedia):
+        def _inspect(self, blob):
+            if blob == b"boom":
+                raise KeyError("boom")
+            return super()._inspect(blob)
+
+    out = Boom()(pa.table({
+        "media_id": pa.array([1, 2], pa.int64()),
+        "payload": pa.array([b"boom", synth_webm_blob(1000, 64, 48)],
+                            pa.binary())})).to_pylist()
+    assert out[0]["error"] == "KeyError: 'boom'"
+    assert out[0]["size_bytes"] == 4
+    assert out[1]["error"] is None and out[1]["duration_ms"] == 1000
+
+
 def test_fuzz_inspect_never_escapes_error_taxonomy():
     """Adversarial robustness: random mutations + truncations of
     valid fixtures must land in the two documented error classes
     (or parse), never in struct.error / IndexError — those would
-    kill the inspect worker instead of filling the error column."""
+    reach the error column as bare offset faults instead of a
+    named corrupt input."""
     import random
     from swishray.ops.mediainfo import (synth_mp3_blob,
                                         synth_mp4_blob,

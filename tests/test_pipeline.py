@@ -58,6 +58,28 @@ def test_extract_error_rows_do_not_kill_job(ray_session):
     assert by_url["b.html"]["nwords"] == 2
 
 
+def test_row_columns_failure_path():
+    from swishray.util import row_columns
+
+    def fn(v):
+        if v is None:
+            return 0, "null_body"  # a row's own error is kept
+        return 10 // v, None
+
+    fields = [("q", pa.int64()), ("error", pa.string())]
+    cols = row_columns([5, 0, None], fn, fields, failure=(-1,))
+    assert cols["q"].type == pa.int64()
+    assert cols["q"].to_pylist() == [2, -1, 0]
+    assert cols["error"].to_pylist() == [
+        None, "ZeroDivisionError: integer division or modulo by zero",
+        "null_body"]
+    # no failure values: the failed row is null in every field
+    assert row_columns([0], fn, fields)["q"].to_pylist() == [None]
+    empty = row_columns([], fn, fields)
+    assert [len(a) for a in empty.values()] == [0, 0]
+    assert empty["error"].type == pa.string()
+
+
 def test_truncation_flag(ray_session):
     import ray.data as rd
     from swishray.pipeline import ExtractPages
@@ -189,25 +211,6 @@ def test_windows_ops(ray_session):
     assert t.count() > 0
     s = sessionize(ev, 1800)
     assert s.count() > 0
-
-
-def test_size_aware_split_and_extract(ray_session):
-    import ray.data as rd
-    from swishray.ops.partitioning import (split_by_size,
-                                           extract_pages_size_aware)
-    tbl = pa.table({
-        "url": ["small.html", "big.html"],
-        "html": pa.array([b"<p>tiny</p>", b"<p>" + b"w " * 200000 + b"</p>"],
-                         type=pa.binary()),
-    })
-    ds = rd.from_arrow(tbl)
-    small, big = split_by_size(ds, threshold_bytes=1000)
-    assert small.count() == 1 and big.count() == 1
-    out = extract_pages_size_aware(rd.from_arrow(tbl),
-                                   threshold_bytes=1000).take_all()
-    by_url = {r["url"]: r for r in out}
-    assert by_url["small.html"]["nwords"] == 1
-    assert by_url["big.html"]["nwords"] == 200000
 
 
 def test_salted_group_count(ray_session):

@@ -3,9 +3,10 @@ oracle-checked by the queries() sitemap_parse entry."""
 import gzip
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
-from swishray.ops.sitemaps import parse_sitemaps
+from swishray.ops.sitemaps import ParseSitemaps, parse_sitemaps
 
 URLSET = (b'<?xml version="1.0" encoding="UTF-8"?>'
           b'<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9">'
@@ -66,3 +67,15 @@ def test_entities_and_noxmlns(ray_session):
             b'</url></urlset>')
     df = _parse([{"src": "e", "body": body}])
     assert df["loc"].tolist() == ["https://a.example/?a=1&b=2"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate"])
+def test_bad_gzip_member_gives_no_rows(damage):
+    # EOFError (truncated) and zlib.error (bad deflate block) are not
+    # OSError; the bad member yields no rows, its neighbour parses
+    z = gzip.compress(URLSET, mtime=0)
+    bad = z[:-12] if damage == "truncated" else z[:10] + b"\xff" + z[11:]
+    out = ParseSitemaps(key="src")(pa.table({
+        "src": pa.array(["bad", "ok"], pa.string()),
+        "body": pa.array([bad, URLSET], pa.large_binary())}))
+    assert out.column("src").to_pylist() == ["ok", "ok"]

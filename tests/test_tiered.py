@@ -86,6 +86,19 @@ def test_error_rows_keep_schema():
     assert d["was_gzip"] == [False, True]
 
 
+@pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate"])
+def test_damaged_gzip_member_is_bad_gzip_row(damage):
+    # EOFError (truncated) and zlib.error (bad deflate block) land in
+    # the row's error like any other bad member
+    z = gzip.compress(HTML, mtime=0)
+    bad = z[:-12] if damage == "truncated" else z[:10] + b"\xff" + z[11:]
+    out = _run([("bad", bad), ("h", HTML)])
+    assert out["tier"] == ["txt", "html"]
+    assert out["error"] == ["bad_gzip", None]
+    assert out["was_gzip"] == [True, False]
+    assert out["tier_text"][0] == ""
+
+
 def test_dataset_stage_and_metrics(ray_session):
     import ray
 
