@@ -13,13 +13,14 @@ The engine consumes table rows (url + body bytes) rather than files;
 from __future__ import annotations
 
 import gzip as _gzip
+import re
 from dataclasses import dataclass, field
 
 from . import constants as C
 from .config import Config
 from .libxml import check_utf8, html_parse, xml_parse
 from .mime import file_ext, get_mime_type, get_parser
-from .sax import ExtractionState, ParseAbort, concat_buffers
+from .sax import ExtractionState, ParseAbort, collapse_plan, concat_buffers
 from .text import scrub_nulls
 from .tokenizer import TokenList
 
@@ -114,6 +115,9 @@ class DocumentExtractor:
         # skip, mirroring SWISH_WARN "Skipping XInclude"). With no
         # resolver, xi:include elements record an error marker row.
         self.xinclude_resolver = xinclude_resolver
+        # which elements the SAX front-end may fold into text runs; a
+        # function of the config alone, so built once here
+        self.sax_plan = collapse_plan(self.config)
 
     # -- encoding helpers ----------------------------------------------
 
@@ -123,8 +127,13 @@ class DocumentExtractor:
             return C.DEFAULT_ENCODING
         return self.swish_encoding
 
-    @staticmethod
-    def _xml_declared_encoding(data: bytes) -> str | None:
+    # EncodingDecl: S 'encoding' Eq ('"' EncName '"' | "'" EncName "'"),
+    # Eq ::= S? '=' S?
+    _ENCODING_DECL = re.compile(
+        rb"""encoding[ \t\r\n]*=[ \t\r\n]*(?:"([^"]*)"|'([^']*)')""")
+
+    @classmethod
+    def _xml_declared_encoding(cls, data: bytes) -> str | None:
         """The encoding libxml2 records in ctxt->encoding: the XML
         declaration's encoding value, verbatim (document_encoding,
         parser.c:2733-2759)."""
@@ -134,16 +143,11 @@ class DocumentExtractor:
             return None
         end = head.find(b"?>", i)
         decl = head[i:end if end > 0 else len(head)]
-        for quote in (b'"', b"'"):
-            key = b"encoding="
-            k = decl.find(key)
-            if k >= 0:
-                rest = decl[k + len(key):]
-                if rest[:1] == quote:
-                    close = rest.find(quote, 1)
-                    if close > 0:
-                        return rest[1:close].decode("latin-1")
-        return None
+        m = cls._ENCODING_DECL.search(decl)
+        if m is None:
+            return None
+        return (m.group(1) if m.group(1) is not None
+                else m.group(2)).decode("latin-1")
 
     # -- main entry -----------------------------------------------------
 
@@ -161,7 +165,8 @@ class DocumentExtractor:
         pipeline._binary_views)."""
         cfg = self.config
         di = resolve_docinfo(cfg, uri, len(body), mime, parser)
-        state = ExtractionState(cfg, uri=uri, tokenizer=self.tokenizer)
+        state = ExtractionState(cfg, uri=uri, tokenizer=self.tokenizer,
+                                sax_plan=self.sax_plan)
         if self.xinclude_resolver is not None and cfg.follow_xinclude:
             state.xinclude_cb = self._xinclude_cb(state, 0)
         rec = ExtractionRecord(docinfo=di)
@@ -268,7 +273,8 @@ class DocumentExtractor:
             di.parser = C.PARSER_TXT
         parent._own_config()
         child = ExtractionState(parent.config, uri=xuri,
-                                tokenizer=self.tokenizer)
+                                tokenizer=self.tokenizer,
+                                sax_plan=parent.sax_plan)
         # share the parent's (already copied) doc-local config view so
         # vivifications propagate BOTH ways, like the reference's
         # single s3->config — while the top-level CoW still isolates

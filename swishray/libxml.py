@@ -16,9 +16,12 @@ SAX events into one ``(rc, events)`` batch, in the tuple format
 documented at the top of ``_native/swishsax.c``; ``_replay`` then
 feeds the batch to a consumer. Two front-ends build the same batch:
 the C extension ``swishsax`` (used when it loads) and the ctypes
-``_Recorder`` here. At import ``_sax_selftest`` checks that both
-return equal batches on a small corpus, and a mismatch drops the
-C front-end.
+``_Recorder`` here. A target with a ``sax_plan`` (a ``SaxPlan``, which
+the extraction state carries) gets its inert elements folded into run
+events: swishsax folds them in its callbacks, the ctypes path by
+``_collapse`` over the recorded events. At import ``_sax_selftest``
+checks that both return equal batches on a small corpus, with a plan
+and without one, and a mismatch drops the C front-end.
 
 Entry points mirror parser.c:
   * xml_parse(buffer, target)  — xmlSAXUserParseMemory with SAX2 magic
@@ -42,6 +45,7 @@ from ctypes import (
     CFUNCTYPE, POINTER, Structure, c_char_p, c_int, c_uint, c_void_p,
     string_at, cast,
 )
+from typing import NamedTuple
 
 _lib = None
 
@@ -270,6 +274,85 @@ def _parse_ctypes(buffer: bytes, html: bool) -> tuple[int, list]:
     return _recorder.parse(buffer, html)
 
 
+class SaxPlan(NamedTuple):
+    """A run-collapse plan (sax.collapse_plan builds it from a Config;
+    the semantics are in the header of _native/swishsax.c)."""
+    keep: frozenset  # lowercased names that are never inert
+    xml: bool        # XML elements may be inert
+    xml_atts: bool   # ... even when they carry attributes
+
+
+_XINCLUDE_NSS = (b"http://www.w3.org/2003/XInclude",
+                 b"http://www.w3.org/2001/XInclude")
+_KEEP = "keep"
+
+
+def _inert_bump(plan: SaxPlan, name: bytes, html: bool):
+    """``_KEEP``, or the bump_word an inert element sets (None:
+    unchanged) — swishsax.c classify_name."""
+    if not name or not name.isascii():
+        return _KEEP
+    low = name.lower()
+    if low in plan.keep:
+        return _KEEP
+    if not html:
+        return True if plan.xml else _KEEP
+    if low in (b"br", b"img"):
+        return True
+    ii = html_tag_lookup_isinline(low)
+    return None if ii is None else ii == 0
+
+
+def _collapse(events: list, plan: SaxPlan, html: bool) -> list:
+    """Fold a full event batch into the batch swishsax builds under
+    ``plan``: each run of inert elements and the characters among them
+    becomes one (9, lead, reset, data, trail, last) event."""
+    out: list = []
+    bumps: dict = {}
+    run = None  # [lead, reset, pieces, cur, last]
+
+    def end_run():
+        out.append((9, run[0], run[1], b"".join(run[2]),
+                    bool(run[2]) and run[3] is True, run[4]))
+
+    for ev in events:
+        t = ev[0]
+        if t == 3 and run is not None:
+            if run[2]:
+                if run[3]:
+                    run[2].append(b"\x03")
+            else:
+                run[0] = run[3]
+            run[2].append(ev[1])
+            run[3] = None
+            continue
+        k = _KEEP
+        if t in (1, 2, 5, 6):
+            k = bumps.get(ev[1], bumps)
+            if k is bumps:
+                k = bumps[ev[1]] = _inert_bump(plan, ev[1], html)
+            if t == 5 and (ev[3] in _XINCLUDE_NSS
+                           or (ev[4] is not None and not plan.xml_atts)):
+                k = _KEEP
+            elif t == 1 and ev[2] is not None and ev[1].lower() == b"meta":
+                k = _KEEP
+        if k is _KEEP:
+            if run is not None:
+                end_run()
+                run = None
+            out.append(ev)
+            continue
+        if run is None:
+            run = [None, False, [], None, None]
+        if k is not None:
+            run[3] = run[4] = k
+        if not html:
+            run[1] = True
+    if run is not None:
+        end_run()
+    return out
+
+
 def _replay(events: list, target) -> None:
     """Feed an event batch to ``target``: its fused ``replay(events)``
     when it has one (ExtractionState), else the SaxTarget methods —
@@ -304,28 +387,31 @@ def _replay(events: list, target) -> None:
             target.end_document()
 
 
+def _parse(buffer: bytes, target, html: bool) -> int:
+    plan = getattr(target, "sax_plan", None)
+    if _sax_native is not None:
+        native = _sax_native.parse_html if html else _sax_native.parse_xml
+        rc, events = native(buffer, plan)
+    else:
+        rc, events = _parse_ctypes(buffer, html)
+        if plan is not None:
+            events = _collapse(events, plan, html)
+    _replay(events, target)
+    return rc
+
+
 def xml_parse(buffer: bytes, target) -> int:
     """SAX2 parse of an in-memory XML document (parser.c:2450-2535).
     Returns 0 if well-formed, else the libxml2 errNo; SAX events fired
     for whatever prefix parsed (no recovery flag, like the reference)."""
-    if _sax_native is not None:
-        rc, events = _sax_native.parse_xml(buffer)
-    else:
-        rc, events = _parse_ctypes(buffer, html=False)
-    _replay(events, target)
-    return rc
+    return _parse(buffer, target, html=False)
 
 
 def html_parse(buffer: bytes, target) -> int:
     """HTML tag-soup SAX parse (parser.c:2537-2597): NUL-terminated
     buffer, libxml2's own meta-charset detection, default encoding
     ISO-8859-1 per the HTML spec — all inside libxml2."""
-    if _sax_native is not None:
-        rc, events = _sax_native.parse_html(buffer)
-    else:
-        rc, events = _parse_ctypes(buffer, html=True)
-    _replay(events, target)
-    return rc
+    return _parse(buffer, target, html=True)
 
 
 def check_utf8(data: bytes) -> bool:
@@ -367,24 +453,33 @@ def html_tag_lookup_isinline(tag: bytes) -> int | None:
 _SAX_SELFTEST_DOCS = [
     ("html", b"<html><head><title>T &amp; t</title>"
              b"<meta name=\"a\" content=\"b\"></head>"
-             b"<body class=x checked>Hello <b>world</b>"
-             b"<!-- note --> tail</body></html>"),
+             b"<body class=x checked>Hello <b>world</b><br>x<span>y</span>"
+             b"<!-- note --> tail<custom>c</custom><p>z</body></html>"),
     ("html", b"<p>broken <div unclosed>soup &lt;tag"),
     ("xml", b"<?xml version=\"1.0\"?>\n<doc xmlns:n=\"urn:x\">"
             b"<n:a k=\"v\" empty=\"\" later=\"skipped\">body</n:a>"
-            b"<![CDATA[cd &amp; ata]]><!-- c --></doc>"),
+            b"<![CDATA[cd &amp; ata]]><!-- c --><title>t</title></doc>"),
     ("xml", b"<doc><open>no close"),
     ("xml", b"<a><b x=\"1\" y=\"2\">t1</b>t2<c/></a>"),
+]
+_SAX_SELFTEST_PLANS = [
+    SaxPlan(frozenset({b"title", b"p"}), True, False),
+    SaxPlan(frozenset({b"a"}), True, True),
 ]
 
 
 def _sax_selftest() -> bool:
-    """The ctypes and C front-ends must return equal (rc, events)."""
+    """The ctypes and C front-ends must return equal (rc, events), with
+    and without a plan."""
     for kind, doc in _SAX_SELFTEST_DOCS:
-        native = (_sax_native.parse_html if kind == "html"
-                  else _sax_native.parse_xml)
-        if _parse_ctypes(doc, kind == "html") != native(doc):
+        html = kind == "html"
+        native = _sax_native.parse_html if html else _sax_native.parse_xml
+        rc, events = _parse_ctypes(doc, html)
+        if (rc, events) != native(doc):
             return False
+        for plan in _SAX_SELFTEST_PLANS:
+            if (rc, _collapse(events, plan, html)) != native(doc, plan):
+                return False
     return True
 
 

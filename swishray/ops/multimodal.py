@@ -93,7 +93,7 @@ class DecodeImages:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return pa.table({
-            self.key: pa.array(batch.column(self.key).to_pylist()),
+            self.key: batch.column(self.key),
             **row_columns(
                 batch.column(self.col).to_pylist(),
                 lambda blob: self._decode(blob or b""),
@@ -152,7 +152,7 @@ class SampleAudioFrames:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return pa.table({
-            self.key: pa.array(batch.column(self.key).to_pylist()),
+            self.key: batch.column(self.key),
             **row_columns(batch.column(self.col).to_pylist(), self._row,
                           [("sample_rate", pa.int32()),
                            ("n_frames_sampled", pa.int32()),
@@ -242,7 +242,7 @@ class SampleVideoFrames:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return pa.table({
-            self.key: pa.array(batch.column(self.key).to_pylist()),
+            self.key: batch.column(self.key),
             **row_columns(batch.column(self.col).to_pylist(), self._row,
                           [("n_frames", pa.int32()),
                            ("n_sampled", pa.int32()),
@@ -318,7 +318,7 @@ class ResizeImages:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return pa.table({
-            self.key: pa.array(batch.column(self.key).to_pylist()),
+            self.key: batch.column(self.key),
             **row_columns(
                 batch.column(self.col).to_pylist(),
                 lambda blob: (self._resize(blob or b""), self.out_w,

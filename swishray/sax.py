@@ -7,6 +7,11 @@ the three tag stacks (dom/meta/prop), the character buffers with \\x03
 position bumpers, flush-to-NamedBuffer, property capture, and the
 noindex/index comment toggles.
 
+It consumes libxml2 event batches (``replay``). ``collapse_plan``
+names, once per Config, the elements whose open and close only set
+bump_word; the front-end folds those into run events, so the state
+machine runs per kept element and per text run, not per element.
+
 All buffer content is bytes (the \\x03-joined buffers are byte-exact
 deliverables); tag and config names are str.
 
@@ -21,12 +26,9 @@ import dataclasses
 
 from . import constants as C
 from .config import Config
-from .libxml import html_tag_lookup_isinline
+from .libxml import _XINCLUDE_NSS, SaxPlan, html_tag_lookup_isinline
 from .text import glibc_lower, skip_ws, str_all_ws, trim_ws
 from .tokenizer import TokenList, tokenize_into
-
-_XINCLUDE_NSS = (b"http://www.w3.org/2003/XInclude",
-                 b"http://www.w3.org/2001/XInclude")
 
 # process-wide tag-name decode cache: tag vocabularies are tiny and
 # wildly repetitive (~50 distinct names per million events), so the
@@ -45,6 +47,41 @@ def _dtag(name: bytes) -> str:
 
 class ParseAbort(Exception):
     """Raised where the reference would SWISH_CROAK (process exit)."""
+
+
+def collapse_plan(config: Config) -> SaxPlan | None:
+    """The run-collapse plan for ``config`` (event semantics in the
+    header of _native/swishsax.c), or None when no element can be
+    proven inert for every document.
+
+    An element is inert when its open and close in ``ExtractionState``
+    reduce to a bump_word update (and, for XML, ``ignore_content = 0``).
+    That holds when no configured name contains a '.' (or is empty), so
+    dom-path contexts are never built or matched, and no undefined-name
+    policy is auto/autoall, so no document can vivify a name: the plan
+    is then a function of the config alone. An element is kept when its
+    lowercased name is a metaname, property or tag alias (any of which
+    may push a stack entry or flush a buffer) or the default metaname
+    (the metastack's base entry, which a close of that raw name would
+    pop); the front-end also keeps an HTML ``<meta>`` start with
+    attributes (meta synthesis). XML elements also need
+    ``ignore_xmlns`` (a prefix would change the name), no
+    XMLClassAttributes, and an undefined-tag policy that neither raises
+    nor ignores; attributes are allowed only when undefined attributes
+    are ignored or disabled."""
+    tables = (config.metanames, config.properties, config.tag_aliases)
+    if any("." in k or not k for t in tables for k in t):
+        return None
+    auto = (C.UNDEF_AUTO, C.UNDEF_AUTOALL)
+    if config.undef_metas in auto or config.undef_attrs in auto:
+        return None
+    keep = frozenset(k.encode("utf-8") for t in tables for k in t) | {
+        C.DEFAULT_METANAME.encode()}
+    xml = (config.ignore_xmlns
+           and not config.stringlists.get("XMLClassAttributes")
+           and config.undef_metas not in (C.UNDEF_ERROR, C.UNDEF_IGNORE))
+    xml_atts = config.undef_attrs in (C.UNDEF_IGNORE, C.UNDEF_DISABLE)
+    return SaxPlan(keep, xml, xml and xml_atts)
 
 
 class _Tag:
@@ -100,7 +137,8 @@ class _TagStack:
 class ExtractionState:
     """swish_ParserData equivalent for one document."""
 
-    def __init__(self, config: Config, uri: str = "", tokenizer=None):
+    def __init__(self, config: Config, uri: str = "", tokenizer=None,
+                 sax_plan: SaxPlan | None = None):
         # per-document copy-on-write view of the mutable config parts:
         # undef auto policies vivify metanames mid-parse
         # (parser.c:478-491) and must stay document-local so workers are
@@ -108,6 +146,9 @@ class ExtractionState:
         self.config = config
         self._cfg_copied = False
         self.uri = uri
+        # the front-end folds inert elements into run events under it
+        # (collapse_plan(config), or None for the full event stream)
+        self.sax_plan = sax_plan
         self._tokenize = tokenizer if tokenizer is not None else tokenize_into
         self.is_html = False
         self.bump_word = True          # init_parser_data: starts TRUE
@@ -145,11 +186,6 @@ class ExtractionState:
         # only attribute-free bakes with side-effect-free policies land
         # here (see bake_tag)
         self._bake_cache: dict[str, tuple] = {}
-        # replay fast path: RAW tag bytes -> (baked, bump) for tags
-        # whose open/close provably reduce to a bump_word update (see
-        # _classify_fast); keyed by bytes so the hot loop skips even
-        # the name decode
-        self._fast_sax: dict[bytes, tuple] = {}
 
     # -- config copy-on-write -------------------------------------------
 
@@ -179,7 +215,6 @@ class ExtractionState:
         # if a dotted name just appeared, start materializing domstack
         # contexts so DOM-path matches can hit from here on
         self._bake_cache.clear()
-        self._fast_sax.clear()
         if "." in name and not self._dotted_names:
             self._dotted_names = True
             self.domstack.build_context = True
@@ -516,56 +551,21 @@ class ExtractionState:
             self.flush_buffer(st.baked, st.context)
         self.domstack.pop()
 
-    def _classify_fast(self, raw: bytes, name: str) -> None:
-        """Admit ``name`` to the replay fast map when its open/close
-        provably reduce to a bump_word update under the CURRENT state:
-
-          * its attribute-free bake is cached with no side effects
-            (undef_reset False — HTML entries always are);
-          * it is not <meta> (attributes change its bake);
-          * its baked name is in neither metanames nor properties, so
-            open_tag pushes no meta/prop stack entry — and therefore
-            no stack head can carry this RAW name (an alias maps raw
-            to a member baked, which classifies interesting), so
-            close_tag's pop_on_match can never fire for it;
-          * the domstack push/pop it would do is INERT: with no dotted
-            configured names, contexts are never built ("" misses
-            every hash) and flatten_with is never called — guarded by
-            the caller's can_fast gate, which also excludes the
-            undef auto policies that could vivify new members (or a
-            first dotted name) mid-document via <meta>.
-        """
-        c = self._bake_cache.get(name)
-        if c is None or c[2]:
-            return
-        baked = c[0]
-        cfg = self.config
-        if name.lower() == "meta":
-            return
-        if baked is not None and (baked in cfg.metanames
-                                  or baked in cfg.properties):
-            return
-        if len(self._fast_sax) < 1 << 14:
-            self._fast_sax[raw] = (baked, c[1])
-
     def replay(self, events: list) -> None:
         """The only event entry point: consume one ``(rc, events)``
         batch's event list (tuple format at the top of
         _native/swishsax.c; both libxml2 front-ends build it). The
-        per-event handlers are inlined, with a per-tag-name FAST PATH
-        for boring tags (see _classify_fast) — the per-tag Python
-        state machine was the measured per-core hot path (~480k
-        open/close calls per 200 HTML docs). Rare events (XInclude,
-        comments, the end-of-document flush) take small branches."""
+        per-event handlers are inlined. A run event (9) stands for a
+        stretch of inert elements and their text (see collapse_plan)
+        and is applied in one step: a reset of ignore_content, then
+        the run's text buffered as buffer_characters would buffer its
+        pieces, with the bump in force before, between and after them.
+        Rare events (XInclude, comments, the end-of-document flush)
+        take small branches."""
         open_tag = self.open_tag
         close_tag = self.close_tag
         dtag = _dtag
         bumper = C.TOKENPOS_BUMPER
-        cfg = self.config
-        can_fast = (self.is_html and not self._dotted_names
-                    and cfg.undef_metas not in (C.UNDEF_AUTO,
-                                                C.UNDEF_AUTOALL))
-        fast = self._fast_sax
         for ev in events:
             t = ev[0]
             if t == 3:
@@ -581,14 +581,25 @@ class ExtractionState:
                         self.bump_word = False
                     mb += ev[1]
                     pb += ev[1]
+            elif t == 9:
+                # (9, lead, reset, data, trail, last)
+                if ev[2] and self.ignore_content:
+                    self.ignore_content = 0
+                if ev[3] and not self.ignore_content:
+                    mb = self.meta_buf
+                    pb = self.prop_buf
+                    lead = ev[1]
+                    if lead or (lead is None and self.bump_word):
+                        if mb:
+                            mb += bumper
+                        if pb:
+                            pb += bumper
+                    mb += ev[3]
+                    pb += ev[3]
+                    self.bump_word = ev[4]
+                elif ev[5] is not None:
+                    self.bump_word = ev[5]
             elif t == 1:
-                if can_fast:
-                    c = fast.get(ev[1])
-                    if c is not None:
-                        self.tag = c[0]
-                        if c[1] is not None:
-                            self.bump_word = c[1]
-                        continue
                 name = dtag(ev[1])
                 atts = ev[2]
                 if atts is not None and name.lower() == "meta":
@@ -597,16 +608,7 @@ class ExtractionState:
                 else:
                     a = None
                 open_tag(name, a, None)
-                if can_fast and a is None:
-                    self._classify_fast(ev[1], name)
             elif t == 2:
-                if can_fast:
-                    c = fast.get(ev[1])
-                    if c is not None:
-                        self.tag = c[0]
-                        if c[1] is not None:
-                            self.bump_word = c[1]
-                        continue
                 close_tag(dtag(ev[1]), None)
             elif t == 5:
                 atts = ev[4]

@@ -133,13 +133,13 @@ def test_cleanwsp_mutation_quirk():
 
 
 def test_fast_replay_matches_per_event_path():
-    """The replay fast path (boring-tag classification) must produce
-    records byte-identical to the slow per-event path — toggled by
-    no-op'ing the classifier so the fast map never populates."""
+    """Replaying the collapsed event stream (inert elements folded into
+    text runs) must produce records byte-identical to replaying every
+    event — toggled by building the extractor with no collapse plan."""
     from unittest import mock
 
+    import swishray.extractor as extractor_mod
     from swishray.extractor import DocumentExtractor
-    from swishray.sax import ExtractionState
 
     docs = [
         (b"<html><head><title>T one</title>"
@@ -155,12 +155,15 @@ def test_fast_replay_matches_per_event_path():
          + b" plain</p>" * 50),
     ]
     ex = DocumentExtractor()
+    assert ex.sax_plan is not None
     fast = [ex.extract(f"https://x/{i}.html", d)
             for i, d in enumerate(docs)]
-    with mock.patch.object(ExtractionState, "_classify_fast",
-                           lambda self, raw, name: None):
-        slow = [ex.extract(f"https://x/{i}.html", d)
-                for i, d in enumerate(docs)]
+    with mock.patch.object(extractor_mod, "collapse_plan",
+                           lambda config: None):
+        ex = DocumentExtractor()
+    assert ex.sax_plan is None
+    slow = [ex.extract(f"https://x/{i}.html", d)
+            for i, d in enumerate(docs)]
     for f, s in zip(fast, slow):
         assert f.metanames == s.metanames
         assert f.properties == s.properties
@@ -168,3 +171,18 @@ def test_fast_replay_matches_per_event_path():
         assert f.token_values == s.token_values
         assert f.token_positions == s.token_positions
         assert f.token_metas == s.token_metas
+
+
+@pytest.mark.parametrize("decl", [
+    b'encoding = "ISO-8859-1"', b"encoding\t=\n'ISO-8859-1'",
+    b'encoding="ISO-8859-1"'])
+def test_xml_declared_encoding_allows_space_around_eq(decl):
+    """XML's Eq production is S? '=' S?: libxml2 honours the declared
+    encoding however it is spaced (the latin1 body decodes to 'café'),
+    and docinfo reports it, as the reference reports ctxt->encoding."""
+    from swishray.extractor import DocumentExtractor
+
+    body = b'<?xml version="1.0" ' + decl + b'?><doc>caf\xe9</doc>'
+    rec = DocumentExtractor().extract("x.xml", body)
+    assert rec.token_values == ["café".encode()]
+    assert rec.docinfo.encoding == "ISO-8859-1"

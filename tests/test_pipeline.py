@@ -474,6 +474,28 @@ def test_resize_images_stage(ray_session):
     assert bad.column("error").to_pylist()[0] is not None
 
 
+def test_multimodal_key_column_keeps_its_type():
+    """The decode/sample/resize stages pass the key column through: an
+    empty batch keeps an int64 key (not null-typed) and a large_string
+    key stays large_string."""
+    from swishray.ops.multimodal import (DecodeImages, ResizeImages,
+                                         SampleAudioFrames,
+                                         SampleVideoFrames)
+    empty = pa.table({"media_id": pa.array([], pa.int64()),
+                      "payload": pa.array([], pa.binary())})
+    for stage in (DecodeImages(), SampleAudioFrames(), SampleVideoFrames(),
+                  ResizeImages()):
+        out = stage(empty)
+        assert out.num_rows == 0
+        assert out.schema.field("media_id").type == pa.int64(), stage
+    keyed = pa.table({"media_id": pa.array(["a", "b"], pa.large_string()),
+                      "payload": pa.array([b"JUNK", b""], pa.binary())})
+    out = DecodeImages()(keyed)
+    assert out.schema.field("media_id").type == pa.large_string()
+    assert out.column("media_id").to_pylist() == ["a", "b"]
+    assert all(e is not None for e in out.column("error").to_pylist())
+
+
 def test_extract_pages_nul_bytes_match_unit_extractor(ray_session):
     """The zero-copy view contract: rows WITH a NUL byte must take
     the bytes+scrub path and extract byte-identically to the unit
