@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def discrete_quantiles(ds: Any, col: str, qs: Sequence[float]) -> Any:
@@ -58,49 +59,59 @@ def discrete_quantiles(ds: Any, col: str, qs: Sequence[float]) -> Any:
                      "value": pa.array(out_v)})
 
 
+def _value_counts(t: pa.Table, group: str, col: str, n: str) -> pa.Table:
+    """(group, col, n) counts of the non-null ``col`` values — an
+    Arrow hash aggregate, exact for strings with NUL bytes (pandas'
+    string hashing stops at the first NUL and merges such values).
+    Summing partial ``n`` columns when given one, counting rows
+    otherwise."""
+    t = t.filter(pc.is_valid(t.column(col)))
+    agg, name = (((n, "sum"), f"{n}_sum") if n in t.column_names
+                 else (([], "count_all"), "count_all"))
+    out = t.group_by([group, col], use_threads=False).aggregate([agg])
+    return pa.table({group: out.column(group), col: out.column(col),
+                     n: out.column(name)})
+
+
 def discrete_quantiles_per_group(ds: Any, group: str, col: str,
                                  qs: Sequence[float]) -> Any:
     """EXACT per-group quantiles (quantile_disc semantics, same
     contract as :func:`discrete_quantiles`): the shuffle carries the
     map-side-combined (group, value, count) histogram — never raw
-    rows — and the quantile walk runs per group over its (tiny)
-    histogram, vectorized. Partitioning assumption: one GROUP'S
-    distinct-value histogram fits in a task (the raw group row count
-    is irrelevant)."""
-    import math
+    rows — and one :func:`~.joins.hash_exchange` on ``group`` walks
+    every group of a bucket at once. Partitioning assumption: one
+    GROUP'S distinct-value histogram fits in a task (the raw group
+    row count is irrelevant)."""
     import numpy as np
-    import pandas as pd
     from fractions import Fraction
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([group, col]).to_pandas()
-        vc = df.groupby([group, col], sort=False).size() \
-            .reset_index(name="__n")
-        return pa.Table.from_pandas(vc, preserve_index=False)
-
-    hist = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby([group, col]).aggregate(Sum("__n", alias_name="n"))
+    from .joins import hash_exchange, run_starts
 
     qlist = [float(q) for q in qs]
 
-    def walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(col)
-        cum = g["n"].to_numpy().cumsum()
-        total = int(cum[-1]) if len(cum) else 0
-        vals = g[col].to_numpy()
-        out_v = []
-        for q in qlist:
-            # exact ceil(q * n) - 1 — same rational arithmetic and
-            # convention as the global op (PERCENTILE_DISC rule)
-            target = (max(0, math.ceil(Fraction(str(q)) * total) - 1)
-                      if total else 0)
-            out_v.append(vals[np.searchsorted(cum, target, "right")]
-                         if total else None)
-        return pd.DataFrame({group: [g[group].iloc[0]] * len(qlist),
-                             "q": qlist, "value": out_v})
+    def walk(t: pa.Table) -> pa.Table:
+        t = _value_counts(t, group, col, "__n").sort_by(
+            [(group, "ascending"), (col, "ascending")])
+        starts = run_starts(t, [group])
+        n = t.column("__n").to_numpy(zero_copy_only=False)
+        cum = np.cumsum(n)
+        base = (cum - n)[starts]  # rows before each group
+        total = cum[np.append(starts[1:], len(n)) - 1] - base
+        # exact ceil(q * total) - 1 on q's decimal fraction (float
+        # truncation can be off by one: q=0.29, n=100 gives 28.999...)
+        idx = np.stack([np.searchsorted(cum, base + np.maximum(
+            -(-f.numerator * total // f.denominator) - 1, 0), "right")
+            for f in map(Fraction, map(str, qlist))], axis=1)
+        return pa.table({
+            group: t.column(group).take(
+                pa.array(np.repeat(starts, len(qlist)))),
+            "q": pa.array(np.tile(qlist, len(starts)), pa.float64()),
+            "value": t.column(col).take(pa.array(idx.ravel()))})
 
-    return hist.groupby(group).map_groups(walk, batch_format="pandas")
+    return hash_exchange(
+        ds.map_batches(lambda t: _value_counts(t, group, col, "__n"),
+                       batch_format="pyarrow"),
+        group, walk, batch_format="pyarrow")
 
 
 def continuous_quantiles(ds: Any, col: str, qs: Sequence[float],
@@ -259,37 +270,50 @@ def collect_sorted(ds: Any, group: str, col: str, sep: str = ",",
                    max_group_bytes: int = 256 * 1024 * 1024) -> Any:
     """SQL ``string_agg(col, sep ORDER BY order, col)`` per group —
     Ray Data has no collect/list aggregate; this is the explicit one
-    (clickstream paths, per-host url rosters). Moving every value to
-    its group is inherent to collection; the exchange carries only
-    (group, order, col). Partitioning assumption: one group's values
-    fit in a task (same contract as sessionize) — GUARDED: a group
-    whose collected string would exceed ``max_group_bytes`` raises a
-    clear error instead of silently OOM-ing the task (mirror of
-    semdedup's max_cluster guard). For unbounded hot groups, shard
-    the key upstream (e.g. salt by time bucket, the
-    windows.sessionize_salted pattern) or raise the cap knowingly."""
-    import pandas as pd
+    (clickstream paths, per-host url rosters). Null values are
+    skipped, as in SQL. Moving every value to its group is inherent
+    to collection; the exchange carries only (group, order, col), and
+    each bucket joins all of its groups in one Arrow list join.
+    Partitioning assumption: one group's values fit in a task (same
+    contract as sessionize) — GUARDED: a group whose collected string
+    would exceed ``max_group_bytes`` raises a clear error instead of
+    silently OOM-ing the task (mirror of semdedup's max_cluster
+    guard). For unbounded hot groups, shard the key upstream (e.g.
+    salt by time bucket, the windows.sessionize_salted pattern) or
+    raise the cap knowingly."""
+    import numpy as np
+
+    from .joins import hash_exchange, run_starts
 
     cols = [group, col] + ([order] if order and order != col else [])
-    by = ([order] if order else []) + [col]
+    by = [group] + ([order] if order else []) + [col]
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        vals = g[col].astype(str)
-        approx = int(vals.str.len().sum()) + len(sep) * len(g)
-        if approx > max_group_bytes:
+    def fn(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t.column(col))) \
+            .sort_by([(c, "ascending") for c in by])
+        starts = run_starts(t, [group])
+        ends = np.append(starts[1:], t.num_rows)
+        vals = pc.cast(t.column(col), pa.large_string()).combine_chunks()
+        size = pc.utf8_length(vals).to_numpy(zero_copy_only=False) \
+            + len(sep)
+        approx = np.add.reduceat(size, starts) if len(starts) else size
+        if (approx > max_group_bytes).any():
+            i = int(np.argmax(approx > max_group_bytes))
+            hot = t.column(group)[int(starts[i])].as_py()
             raise ValueError(
-                f"collect_sorted: group {g[group].iloc[0]!r} would "
-                f"collect ~{approx} bytes (> max_group_bytes="
+                f"collect_sorted: group {hot!r} "
+                f"would collect ~{approx[i]} bytes (> max_group_bytes="
                 f"{max_group_bytes}); salt the group key upstream "
                 "(sessionize_salted pattern) or raise the cap")
-        g = g.sort_values(by, kind="mergesort")
-        return pd.DataFrame({
-            group: [g[group].iloc[0]],
-            out: [sep.join(g[col].astype(str))],
-            "n_items": [len(g)]})
+        lists = pa.LargeListArray.from_arrays(
+            pa.array(np.append(starts, t.num_rows), pa.int64()), vals)
+        return pa.table({
+            group: t.column(group).take(pa.array(starts)),
+            out: pc.binary_join(lists, pa.scalar(sep, pa.large_string())),
+            "n_items": pa.array(ends - starts, pa.int64())})
 
-    return ds.select_columns(cols).groupby(group) \
-        .map_groups(fn, batch_format="pandas")
+    return hash_exchange(ds.select_columns(cols), group, fn,
+                         batch_format="pyarrow")
 
 
 def mode_per_group(ds: Any, group: str, col: str) -> Any:
@@ -298,27 +322,19 @@ def mode_per_group(ds: Any, group: str, col: str) -> Any:
     map-side-combined (group, value, count) histogram, never raw
     rows — a hot group's row count is irrelevant, only its distinct-
     value count."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
+    from .joins import first_of_runs, hash_exchange
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([group, col]).to_pandas()
-        vc = df.groupby([group, col], sort=False).size() \
-            .reset_index(name="__n")
-        return pa.Table.from_pandas(vc, preserve_index=False)
+    def pick(t: pa.Table) -> pa.Table:
+        top = first_of_runs(_value_counts(t, group, col, "n"), [group],
+                            [("n", "descending"), (col, "ascending")])
+        return pa.table({group: top.column(group),
+                         "mode": top.column(col),
+                         "mode_n": top.column("n")})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby([group, col]).aggregate(Sum("__n", alias_name="n"))
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n", col], ascending=[False, True],
-                          kind="mergesort")
-        return pd.DataFrame({
-            group: [g[group].iloc[0]],
-            "mode": [g[col].iloc[0]],
-            "mode_n": [int(g["n"].iloc[0])]})
-
-    return hist.groupby(group).map_groups(pick, batch_format="pandas")
+    return hash_exchange(
+        ds.map_batches(lambda t: _value_counts(t, group, col, "n"),
+                       batch_format="pyarrow"),
+        group, pick, batch_format="pyarrow")
 
 
 def topk_per_group(ds: Any, group: str, order: str, k: int = 3,
@@ -329,20 +345,22 @@ def topk_per_group(ds: Any, group: str, order: str, k: int = 3,
     BEFORE the shuffle, so the exchange carries <= k x #groups x
     #blocks rows and a hot group cannot concentrate its full row set
     in one reduce task."""
-    import pandas as pd
+    import numpy as np
 
-    by = [order] + ([tiebreak] if tiebreak else [])
-    asc = [not descending] + ([True] if tiebreak else [])
+    from .joins import hash_exchange, run_starts
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(by, ascending=asc)
-                  .groupby(group, sort=False).head(k))
+    sort = ([(group, "ascending"),
+             (order, "descending" if descending else "ascending")]
+            + ([(tiebreak, "ascending")] if tiebreak else []))
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(by, ascending=asc).head(k)
+    def top(t: pa.Table) -> pa.Table:
+        t = t.sort_by(sort)
+        starts = run_starts(t, [group])
+        first = np.repeat(starts, np.diff(np.append(starts, t.num_rows)))
+        return t.filter(pa.array(np.arange(t.num_rows) - first < k))
 
-    pre = ds.map_batches(combine, batch_format="pandas")
-    return pre.groupby(group).map_groups(final, batch_format="pandas")
+    return hash_exchange(ds.map_batches(top, batch_format="pyarrow"),
+                         group, top, batch_format="pyarrow")
 
 
 def hash_sample(ds: Any, rate: float, key: str = "doc_id",
@@ -865,47 +883,51 @@ def pivot_table(ds: Any, row_key: str, col_key: str, val_col: str,
     column per DISTINCT col_key value. Two slim passes: (1) the
     column universe — a (col_key) groupby whose result is the
     bounded set of output columns (sorted for a deterministic
-    schema); (2) a map-side pre-aggregated (row, col, sum) exchange
-    followed by a per-row-group widening. Missing cells are 0, so a
+    schema); (2) map-side (row, col, sum) partials and one exchange
+    on the row key whose buckets widen all their rows in one
+    scatter-add. Missing cells are 0, so a
     SQL replay uses COALESCE(SUM(..) FILTER (..), 0).
 
     Partitioning assumption: |distinct col_key| is a report-shaped
     bound (≤ thousands) — it becomes the schema; rows are unbounded."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    import numpy as np
+
+    from .joins import hash_exchange, run_starts
 
     universe = sorted(
         r[col_key]
         for r in ds.groupby(col_key).count().take_all())
     names = [f"{prefix}{u}" for u in universe]
+    cells = pa.array([str(u) for u in universe], pa.string())
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = pa.table({
+        t = pa.table({
             "__r": batch.column(row_key),
-            "__c": batch.column(col_key),
-            "__v": pc.cast(batch.column(val_col), pa.int64()),
-        }).to_pandas()
-        agg = (df.groupby(["__r", "__c"], sort=False)["__v"]
-               .sum().reset_index())
-        return pa.table({
-            "__r": pa.array(agg["__r"]),
-            "__c": pa.array(agg["__c"], pa.string()),
-            "sv": pa.array(agg["__v"], type=pa.int64()),
-        })
+            "__c": pc.cast(batch.column(col_key), pa.string()),
+            "sv": pc.cast(batch.column(val_col), pa.int64())})
+        out = t.group_by(["__r", "__c"], use_threads=False) \
+            .aggregate([("sv", "sum")])
+        return pa.table({"__r": out.column("__r"), "__c": out.column("__c"),
+                         "sv": out.column("sv_sum")})
 
-    slim = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["__r", "__c"])
-            .aggregate(Sum("sv", alias_name="sv")))
+    def widen(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("__r", "ascending")])
+        starts = run_starts(t, ["__r"])
+        row = np.repeat(np.arange(len(starts)),
+                        np.diff(np.append(starts, t.num_rows)))
+        cell = pc.index_in(t.column("__c"), value_set=cells) \
+            .to_numpy(zero_copy_only=False)
+        wide = np.zeros((len(starts), len(universe)), dtype=np.int64)
+        np.add.at(wide, (row, cell),
+                  pc.fill_null(t.column("sv"), 0).to_numpy(
+                      zero_copy_only=False))
+        out = {row_key: t.column("__r").take(pa.array(starts))}
+        for j, nm in enumerate(names):
+            out[nm] = pa.array(wide[:, j])
+        return pa.table(out)
 
-    def widen(g: pd.DataFrame) -> pd.DataFrame:
-        by = dict(zip(g["__c"], g["sv"]))
-        out = {row_key: [g["__r"].iloc[0]]}
-        for u, nm in zip(universe, names):
-            out[nm] = [int(by.get(u, 0))]
-        return pd.DataFrame(out)
-
-    return slim.groupby("__r").map_groups(widen)
+    return hash_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                         "__r", widen, batch_format="pyarrow")
 
 
 def count_distinct_per_group(ds: Any, group: str, col: str) -> Any:
@@ -986,43 +1008,44 @@ def gap_fill_counts(ds: Any, group: str, ts_col: str,
     """Per-group period counts with ZERO-FILLED gaps between each
     group's first and last period — the time-series resample shape.
     The raw stream is reduced map-side to (group, period, n) partial
-    counts; after the slim groupby, each group's dense period range
-    is regenerated inside one per-group task (periods-per-group is
-    the documented bound — days × years, not rows)."""
+    counts; one exchange on ``group`` then regenerates every group's
+    dense period range in a bucket at once (periods-per-group is the
+    documented bound — days × years, not rows)."""
     import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from .joins import hash_exchange, run_starts
 
     step = {"day": 86_400_000_000, "hour": 3_600_000_000,
             "minute": 60_000_000}[unit]
 
     def partial(batch: pa.Table) -> pa.Table:
         p = pc.floor_temporal(batch.column(ts_col), unit=unit)
-        df = pa.table({group: batch.column(group),
-                       "__p": pc.cast(p, pa.int64())}).to_pandas()
-        agg = (df.groupby([group, "__p"], sort=False).size()
-               .reset_index(name="__n"))
+        t = pa.table({group: batch.column(group),
+                      "__p": pc.cast(p, pa.int64())})
+        return _value_counts(t, group, "__p", "n")
+
+    def fill(t: pa.Table) -> pa.Table:
+        t = _value_counts(t, group, "__p", "n").sort_by(
+            [(group, "ascending"), ("__p", "ascending")])
+        starts = run_starts(t, [group])
+        ends = np.append(starts[1:], t.num_rows)
+        p = t.column("__p").to_numpy(zero_copy_only=False)
+        lo, hi = p[starts], p[ends - 1]
+        lens = (hi - lo) // step + 1
+        off = np.cumsum(lens) - lens  # first output row of each group
+        run = np.repeat(np.arange(len(starts)), ends - starts)
+        n = np.zeros(int(lens.sum()), dtype=np.int64)
+        n[off[run] + (p - lo[run]) // step] = \
+            t.column("n").to_numpy(zero_copy_only=False)
+        period = np.repeat(lo - off * step, lens) \
+            + np.arange(len(n), dtype=np.int64) * step
         return pa.table({
-            group: pa.array(agg[group]),
-            "__p": pa.array(agg["__p"], type=pa.int64()),
-            "__n": pa.array(agg["__n"], type=pa.int64())})
+            group: t.column(group).take(pa.array(np.repeat(starts, lens))),
+            "period": pa.array(period, pa.timestamp("us")),
+            "n": pa.array(n)})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([group, "__p"])
-              .aggregate(Sum("__n", alias_name="n")))
-
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        lo, hi = g["__p"].min(), g["__p"].max()
-        full = np.arange(lo, hi + step, step, dtype=np.int64)
-        have = dict(zip(g["__p"], g["n"]))
-        return pd.DataFrame({
-            group: [g[group].iloc[0]] * len(full),
-            "period": pd.to_datetime(full, unit="us"),
-            "n": np.array([have.get(p, 0) for p in full],
-                          dtype=np.int64)})
-
-    return counts.groupby(group).map_groups(fill)
+    return hash_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                         group, fill, batch_format="pyarrow")
 
 
 def ranked_topk(ds: Any, key: str, order_cols, descending,

@@ -11,12 +11,13 @@ ntile bucketing.
 
 Two execution shapes, both streaming-safe:
 
-* :func:`analytic` — ``groupby(partition).map_groups`` with a fully
-  vectorized pandas/numpy kernel. Partitioning assumption: one
-  partition key's rows fit in one group (the same contract as
-  ``sessionize``). This is the right default: analytic partitions
-  (a user, a domain, a day) are orders of magnitude smaller than
-  the corpus.
+* :func:`analytic` — one :func:`~.joins.hash_exchange` on the
+  partition key whose kernel sorts its bucket by (partition, order)
+  and evaluates every partition at once from the partition runs.
+  Partitioning assumption: one partition key's rows fit in one task
+  (the same contract as ``sessionize``). This is the right default:
+  analytic partitions (a user, a domain, a day) are orders of
+  magnitude smaller than the corpus.
 * :func:`running_sum_salted` — the skew-proof escape hatch for the
   one function whose math permits it (prefix sums are associative):
   salt the partition by an order-contiguous period, prefix-sum
@@ -30,8 +31,8 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 # ---------------------------------------------------------------------------
@@ -140,108 +141,107 @@ def _order_key_frame(order_by: Sequence) -> tuple:
     return cols, asc
 
 
-def _apply_specs(g: pd.DataFrame, order_cols: list, specs: list,
-                 rank_cols: list | None = None) -> pd.DataFrame:
-    n = len(g)
-    arange1 = None
+def _apply_specs(t: pa.Table, parts: list, rank_cols: list,
+                 specs: list) -> pa.Table:
+    """Evaluate ``specs`` over a bucket sorted by (partition, order):
+    every partition at once, from its run bounds — ``first`` (row of
+    its partition's first row), ``size`` (rows in it) and ``pos``
+    (0-based position in it). Sequential recurrences (cumsum, cummax,
+    rolling, ewm) run as one pandas ``groupby(run)`` call."""
+    from .joins import run_starts
 
-    def rn1() -> np.ndarray:
-        nonlocal arange1
-        if arange1 is None:
-            arange1 = np.arange(1, n + 1, dtype=np.int64)
-        return arange1
+    n = t.num_rows
+    starts = run_starts(t, parts)
+    lens = np.diff(np.append(starts, n))
+    run = np.repeat(np.arange(len(starts)), lens)
+    first = starts[run]
+    size = lens[run]
+    pos = np.arange(n, dtype=np.int64) - first
+    # ties on the RANK key (rank_cols, default the order key) share a
+    # peer group; rank0 = 0-based position of a row's first peer
+    peers = run_starts(t, parts + rank_cols)
+    peer = np.repeat(np.arange(len(peers)), np.diff(np.append(peers, n)))
+    rank0 = peers[peer] - first
 
-    # change flags over the RANK key (ties share rank), computed once;
-    # rank_cols defaults to the full order key, but SQL commonly ranks
-    # on a prefix of it while row_number consumes a unique suffix
-    change = None
+    def grouped(col: str):
+        return t.column(col).to_pandas().groupby(run, sort=False)
 
-    def change_flags() -> np.ndarray:
-        nonlocal change
-        if change is None:
-            if n == 0:
-                change = np.zeros(0, dtype=bool)
-            else:
-                keys = g[rank_cols or order_cols]
-                neq = keys.ne(keys.shift())
-                # NaN != NaN in pandas .ne — treat equal-null as tie
-                bothna = keys.isna() & keys.isna().shift(fill_value=False)
-                change = (neq & ~bothna).any(axis=1).to_numpy()
-                change[0] = True
-        return change
-
+    out = {}
     for s in specs:
-        kind, out = s["kind"], s["out"]
+        kind, name = s["kind"], s["out"]
         if kind == "row_number":
-            g[out] = rn1()
+            out[name] = pa.array(pos + 1)
         elif kind == "rank":
-            r = np.where(change_flags(), rn1(), 0)
-            g[out] = np.maximum.accumulate(r) if n else r
+            out[name] = pa.array(rank0 + 1)
         elif kind == "dense_rank":
-            g[out] = change_flags().cumsum().astype(np.int64)
+            out[name] = pa.array(peer - peer[first] + 1)
         elif kind == "ewma":
-            g[out] = g[s["col"]].ewm(alpha=s["alpha"],
-                                     adjust=False).mean()
+            out[name] = pa.array(grouped(s["col"]).ewm(
+                alpha=s["alpha"], adjust=False).mean().to_numpy(),
+                from_pandas=True)
         elif kind == "percent_rank":
-            if n <= 1:
-                g[out] = np.zeros(n, dtype=np.float64)
-            else:
-                r = np.where(change_flags(), rn1(), 0)
-                r = np.maximum.accumulate(r)
-                g[out] = (r - 1).astype(np.float64) / np.float64(n - 1)
+            out[name] = pa.array(np.where(
+                size > 1, rank0 / np.maximum(size - 1, 1).astype(
+                    np.float64), 0.0))
         elif kind == "cume_dist":
-            grp = change_flags().cumsum()
-            ends = pd.Series(rn1()).groupby(grp).transform("max") \
-                .to_numpy()
-            g[out] = ends.astype(np.float64) / np.float64(n)
+            end = np.append(peers[1:], n)[peer]  # past its last peer
+            out[name] = pa.array((end - first).astype(np.float64)
+                                 / size.astype(np.float64))
         elif kind == "first_value":
-            g[out] = g[s["col"]].iloc[0] if n else g[s["col"]]
+            out[name] = t.column(s["col"]).take(pa.array(first))
         elif kind == "last_value":
-            g[out] = g[s["col"]].iloc[-1] if n else g[s["col"]]
+            out[name] = t.column(s["col"]).take(pa.array(first + size - 1))
         elif kind in ("lag", "lead"):
-            src = g[s["col"]]
-            if pd.api.types.is_integer_dtype(src.dtype):
-                # keep ints null-able instead of NaN-floating
-                src = src.astype("Int64")
-            g[out] = src.shift(s["n"] if kind == "lag" else -s["n"])
+            src = np.arange(n) + (-s["n"] if kind == "lag" else s["n"])
+            outside = (src < first) | (src >= first + size)
+            out[name] = t.column(s["col"]).take(pa.array(
+                np.clip(src, 0, max(n - 1, 0)), mask=outside))
         elif kind == "running_sum":
-            g[out] = g[s["col"]].cumsum()
+            out[name] = pa.array(grouped(s["col"]).cumsum(),
+                                 from_pandas=True)
         elif kind == "running_max":
-            g[out] = g[s["col"]].cummax()
+            out[name] = pa.array(grouped(s["col"]).cummax(),
+                                 from_pandas=True)
         elif kind == "range_sum":
-            # requires the sort to lead with the ts column
-            ts = g[s["ts"]].to_numpy()
-            tsi = ts.astype("datetime64[us]").astype(np.int64) \
-                if ts.dtype.kind == "M" else ts.astype(np.int64)
-            span = int(round(s["n"] * 1_000_000)) \
-                if ts.dtype.kind == "M" else int(s["n"])
-            v = g[s["col"]].to_numpy()
-            cum = np.concatenate(([0], np.cumsum(v)))
-            # RANGE frame: [cur - span, cur] INCLUDING ts-peers of
-            # the current row (the SQL peer rule)
-            hi = np.searchsorted(tsi, tsi, "right")
-            lo = np.searchsorted(tsi, tsi - span, "left")
-            res = cum[hi] - cum[lo]
-            if pd.api.types.is_integer_dtype(g[s["col"]].dtype):
-                res = res.astype(np.int64)
-            g[out] = res
+            # requires the sort to lead with the ts column; lay the
+            # partitions end to end more than ``span`` apart so one
+            # searchsorted serves them all
+            ts = t.column(s["ts"])
+            if pa.types.is_timestamp(ts.type):
+                ts = pc.cast(ts, pa.timestamp("us"))
+                span = int(round(s["n"] * 1_000_000))
+            else:
+                span = int(s["n"])
+            tsi = pc.cast(ts, pa.int64()).to_numpy(zero_copy_only=False)
+            width = tsi[starts + lens - 1] - tsi[starts] + span + 1
+            lane = tsi - tsi[first] + (np.cumsum(width) - width)[run]
+            hi = np.searchsorted(lane, lane, "right")  # past ts-peers
+            lo = np.searchsorted(lane, lane - span, "left")
+            cum = grouped(s["col"]).cumsum().to_numpy()
+            out[name] = pa.array(cum[hi - 1] - np.where(
+                lo > first, cum[np.maximum(lo - 1, 0)], 0),
+                from_pandas=True)
         elif kind == "rolling_sum":
-            v = g[s["col"]].rolling(s["n"], min_periods=1).sum()
-            if pd.api.types.is_integer_dtype(g[s["col"]].dtype):
-                v = v.astype(np.int64)
-            g[out] = v
+            v = grouped(s["col"]).rolling(
+                s["n"], min_periods=1).sum().to_numpy()
+            c = t.column(s["col"])
+            if pa.types.is_integer(c.type) and c.null_count == 0:
+                v = v.astype(np.int64)  # integer sums stay integer
+            out[name] = pa.array(v, from_pandas=True)
         elif kind == "ntile":
-            # SQL NTILE(k): first (n % k) tiles get ceil(n/k) rows
-            k = s["n"]
-            base, extra = divmod(n, k)
-            sizes = np.full(min(k, n) if base == 0 else k, base,
-                            dtype=np.int64)
-            sizes[:extra] += 1
-            g[out] = np.repeat(
-                np.arange(1, len(sizes) + 1, dtype=np.int64), sizes)[:n]
+            # SQL NTILE(k): the first (size % k) tiles get one more row
+            base, extra = np.divmod(size, s["n"])
+            cut = extra * (base + 1)
+            out[name] = pa.array(np.where(
+                pos < cut, pos // (base + 1),
+                extra + (pos - cut) // np.maximum(base, 1)) + 1)
         else:  # pragma: no cover
             raise ValueError(f"unknown analytic spec kind: {kind}")
-    return g
+    for name, col in out.items():
+        i = t.schema.get_field_index(name)
+        t = (t.set_column(i, name, col) if i >= 0
+             else t.append_column(name, col))
+    return t
 
 
 def analytic(ds: Any, partition_by: str | list, order_by: Sequence,
@@ -259,14 +259,20 @@ def analytic(ds: Any, partition_by: str | list, order_by: Sequence,
     unique tie-breaker column for deterministic output (the SQL
     contract is identical).
     """
+    from .joins import hash_exchange
+
     order_cols, asc = _order_key_frame(order_by)
+    parts = [partition_by] if isinstance(partition_by, str) \
+        else list(partition_by)
+    sort = [(c, "ascending") for c in parts] + [
+        (c, "ascending" if a else "descending")
+        for c, a in zip(order_cols, asc)]
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_cols, ascending=asc, kind="mergesort"
-                          ).reset_index(drop=True)
-        return _apply_specs(g, order_cols, specs, rank_cols)
+    def fn(t: pa.Table) -> pa.Table:
+        return _apply_specs(t.sort_by(sort), parts,
+                            rank_cols or order_cols, specs)
 
-    return ds.groupby(partition_by).map_groups(fn, batch_format="pandas")
+    return hash_exchange(ds, partition_by, fn, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +294,13 @@ def rank_salted(ds: Any, partition_by: str, col: str,
     ROW_NUMBER has no such form (it is order-dependent within ties);
     use :func:`analytic` with a unique tie-break for that.
 
-    Key/value contract: ``partition_by`` and ``col`` ride a string
-    composite key, exact for integer and string columns (floats
-    would round-trip through repr — rank floats by a fixed-point
-    integer projection instead)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    from .joins import _schema_or_materialize, hash_join
+    Key contract: the census and the join back key on the real
+    (partition_by, col) columns, so any orderable types work. Rows
+    whose ``col`` is null get no rank and are dropped (an inner join
+    never matches a null key)."""
+    from .aggregates import _value_counts
+    from .joins import (_schema_or_materialize, hash_exchange, hash_join,
+                        run_starts)
 
     # one schema probe that never pays an all-to-all lineage twice
     # (the joins.py _schema_or_materialize contract)
@@ -304,78 +308,34 @@ def rank_salted(ds: Any, partition_by: str, col: str,
     if in_schema is None:  # all-empty input: nothing to rank
         return ds
 
-    def ks(batch: pa.Table) -> pa.Array:
-        return pc.binary_join_element_wise(
-            pc.cast(batch.column(partition_by), pa.string()),
-            pc.cast(batch.column(col), pa.string()), "\x00")
+    def census(t: pa.Table) -> pa.Table:
+        return _value_counts(t, partition_by, col, "__n")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"__ks": ks(batch).to_pandas()})
-        vc = df["__ks"].value_counts()
-        return pa.table({"__ks": pa.array(vc.index, pa.string()),
-                         "__n": pa.array(vc.to_numpy(), pa.int64())})
-
-    hist = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__ks").aggregate(Sum("__n", alias_name="n"))
-
-    coltype = dict(zip(in_schema.names, in_schema.types))[col]
-
-    def split_ks(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"__g": pa.array([], pa.string()),
-                             "__v": pa.array([], coltype),
-                             "__ks": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        parts = pc.split_pattern(t.column("__ks"), "\x00")
-        return pa.table({
-            "__g": pc.list_element(parts, 0),
-            "__v": pc.cast(pc.list_element(parts, 1), coltype),
-            "__ks": t.column("__ks"),
-            "n": pc.cast(t.column("n"), pa.int64())})
-
-    hist = hist.map_batches(split_ks, batch_format="pyarrow")
-
-    def ranks(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__v", ascending=not descending,
-                          kind="mergesort").reset_index(drop=True)
-        cum = g["n"].cumsum()
-        g[out] = (cum - g["n"] + 1).astype("int64")
-        cols = ["__ks", out]
+    def ranks(t: pa.Table) -> pa.Table:
+        # rank = 1 + rows with a better value in the partition: one
+        # sort of the bucket's (partition, value, count) census
+        t = census(t).sort_by([
+            (partition_by, "ascending"),
+            (col, "descending" if descending else "ascending")])
+        starts = run_starts(t, [partition_by])
+        first = np.repeat(starts, np.diff(np.append(starts, t.num_rows)))
+        n = t.column("__n").to_numpy(zero_copy_only=False)
+        before = np.cumsum(n) - n  # rows ahead in the whole bucket
+        cols = {partition_by: t.column(partition_by), col: t.column(col),
+                out: pa.array(before - before[first] + 1)}
         if dense_out:
-            g[dense_out] = pd.RangeIndex(1, len(g) + 1).astype("int64")
-            cols.append(dense_out)
-        return g[cols]
+            cols[dense_out] = pa.array(np.arange(t.num_rows) - first + 1)
+        return pa.table(cols)
 
-    # per-partition group over the CENSUS (rows = distinct values)
-    rk = hist.groupby("__g").map_groups(ranks, batch_format="pandas")
-
-    def add_ks(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__ks", ks(batch))
-
-    rows = ds.map_batches(add_ks, batch_format="pyarrow")
-
-    # an all-empty input loses its schema through map_batches (the
-    # Ray 2.49 empty-side trap) and hash_join needs one; the guard's
-    # null-key sentinel row never matches the inner join
-    from .joins import schema_guard
-    rows_schema = pa.schema(
-        list(zip(in_schema.names, in_schema.types))
-        + [("__ks", pa.string())])
-    rk_fields = [("__ks", pa.string()), (out, pa.int64())]
-    if dense_out:
-        rk_fields.append((dense_out, pa.int64()))
-    rows = schema_guard(rows, rows_schema)
-    rk = schema_guard(rk, pa.schema(rk_fields))
-    joined = hash_join(rows, rk, key="__ks", how="inner")
+    rk = hash_exchange(ds.map_batches(census, batch_format="pyarrow"),
+                       partition_by, ranks, batch_format="pyarrow")
+    joined = hash_join(ds, rk, key=[partition_by, col], how="inner")
+    names = [out] + ([dense_out] if dense_out else [])
 
     def finish(t: pa.Table) -> pa.Table:
-        names = {out: f"{out}_r"}
-        if dense_out:
-            names[dense_out] = f"{dense_out}_r"
-        cols = {c: t.column(c) for c in t.column_names
-                if c not in ("__ks", *names.values())}
-        for want, got in names.items():
-            cols[want] = pc.cast(t.column(got), pa.int64())
+        drop = set(names) | {f"{c}_r" for c in names}
+        cols = {c: t.column(c) for c in t.column_names if c not in drop}
+        cols.update({c: t.column(f"{c}_r") for c in names})
         return pa.table(cols)
 
     return joined.map_batches(finish, batch_format="pyarrow")
@@ -393,95 +353,67 @@ def running_sum_salted(ds: Any, key: str, ts_col: str, val_col: str,
     skew-proof: a key with a pathological row count never lands in
     one task.
 
-    Phase 1 groups by ``(key, salt)`` where salt =
-    ``floor_temporal(ts, salt_unit)`` — order-contiguous, so the
-    within-salt prefix sums are exact segments of the global one.
-    Phase 2 groups the per-salt TOTALS by key (rows = salts per key,
-    not events per key) and exclusive-prefix-sums them into offsets.
-    Phase 3 joins the offsets back on ``(key, salt)`` and adds.
+    The salt is ``floor_temporal(ts, salt_unit)`` — order-contiguous,
+    so the within-salt prefix sums are exact segments of the global
+    one. Three :func:`~.joins.hash_exchange` passes, none per key:
+
+    * offsets — map-side per-(key, salt) partial totals, exchanged on
+      ``key`` (rows = salts per key, not events per key) and
+      exclusive-prefix-summed per key;
+    * pieces — the rows, exchanged on ``(key, salt)`` and
+      prefix-summed within each salt;
+    * a hash join of pieces and offsets on ``(key, salt)`` adds them.
+
     Result is identical to the unsalted ``analytic(...,
-    running_sum(...))`` (t:test_running_sum_salted_equal)."""
-    import pyarrow.compute as pc
-    from swishray.ops.joins import _schema_or_materialize, hash_join
+    running_sum(...))`` (t:test_running_sum_salted_equals_unsalted)."""
+    from .joins import (_schema_or_materialize, hash_exchange, hash_join,
+                        run_starts)
 
     # one schema probe that never pays an all-to-all lineage twice
     ds, in_schema = _schema_or_materialize(ds)
     if in_schema is None:  # all-empty input: nothing to sum
         return ds
+    keys = [key, "__salt"]
+    order = keys + [ts_col] + ([tiebreak] if tiebreak else [])
 
     def add_salt(batch: pa.Table) -> pa.Table:
-        salt = pc.cast(pc.floor_temporal(batch.column(ts_col),
-                                         unit=salt_unit), pa.int64())
-        ks = pc.binary_join_element_wise(
-            pc.cast(batch.column(key), pa.string()),
-            pc.cast(salt, pa.string()), "\x00")
-        return batch.append_column("__salt", salt) \
-                    .append_column("__ks", ks)
+        salt = pc.floor_temporal(batch.column(ts_col), unit=salt_unit)
+        return batch.append_column("__salt", pc.cast(salt, pa.int64()))
 
-    order_cols = [ts_col] + ([tiebreak] if tiebreak else [])
+    salted = ds.map_batches(add_salt, batch_format="pyarrow")
 
-    def within(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_cols, kind="mergesort"
-                          ).reset_index(drop=True)
-        g[out] = g[val_col].cumsum()
-        g["__salt_total"] = g[val_col].sum()
-        return g
+    def totals(t: pa.Table, col: str) -> pa.Table:
+        agg = t.group_by(keys, use_threads=False).aggregate([(col, "sum")])
+        return pa.table({key: agg.column(key), "__salt": agg.column("__salt"),
+                         "__off": pc.fill_null(agg.column(f"{col}_sum"), 0)})
 
-    pieces = ds.map_batches(add_salt, batch_format="pyarrow") \
-        .groupby("__ks").map_groups(within, batch_format="pandas")
-    # pieces is a DIAMOND dependency (feeds both the totals exchange
-    # and the join's left side); without a materialize the phase-1
-    # all-to-all executes TWICE — Ray Data has no common-subexpression
-    # reuse across consumers. Blocks are object-store-resident and
-    # spillable, so this holds at corpus scale.
-    pieces = pieces.materialize()
+    def offsets(t: pa.Table) -> pa.Table:
+        t = totals(t, "__off").sort_by([(c, "ascending") for c in keys])
+        starts = run_starts(t, [key])
+        first = np.repeat(starts, np.diff(np.append(starts, t.num_rows)))
+        tot = t.column("__off").to_numpy(zero_copy_only=False)
+        before = np.cumsum(tot) - tot  # sums ahead in the whole bucket
+        return t.set_column(2, "__off", pa.array(before - before[first]))
 
-    # per-(key, salt) totals ride a second, far smaller exchange
-    # (rows = distinct (key, salt) pairs, not events)
-    totals = pieces.groupby("__ks").max("__salt_total")
+    def within(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending") for c in order])
+        starts = run_starts(t, keys)
+        run = np.repeat(np.arange(len(starts)),
+                        np.diff(np.append(starts, t.num_rows)))
+        rsum = t.column(val_col).to_pandas().groupby(run).cumsum()
+        return t.append_column(out, pa.array(rsum, from_pandas=True))
 
-    def tot_shape(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"__key": pa.array([], pa.string()),
-                             "__salt": pa.array([], pa.int64()),
-                             "__ks": pa.array([], pa.string()),
-                             "__tot": pa.array([], pa.float64())})
-        parts = pc.split_pattern(t.column("__ks"), "\x00")
-        return pa.table({
-            "__key": pc.list_element(parts, 0),
-            "__salt": pc.cast(pc.list_element(parts, 1), pa.int64()),
-            "__ks": t.column("__ks"),
-            "__tot": pc.cast(t.column("max(__salt_total)"),
-                             pa.float64())})
-
-    totals = totals.map_batches(tot_shape, batch_format="pyarrow")
-
-    def offsets(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__salt", kind="mergesort"
-                          ).reset_index(drop=True)
-        g["__off"] = g["__tot"].cumsum() - g["__tot"]
-        return g[["__ks", "__off"]]
-
-    off = totals.groupby("__key").map_groups(offsets,
-                                             batch_format="pandas")
-
-    # empty-input schema loss guard (same contract as rank_salted)
-    from .joins import schema_guard
-    in_fields = list(zip(in_schema.names, in_schema.types))
-    left_schema = pa.schema(
-        in_fields + [("__ks", pa.string()),
-                     (out, dict(in_fields)[val_col])])
-    off_schema = pa.schema([("__ks", pa.string()),
-                            ("__off", pa.float64())])
-    left = schema_guard(pieces.drop_columns(["__salt_total", "__salt"]),
-                        left_schema)
-    joined = hash_join(left, schema_guard(off, off_schema),
-                       key="__ks", how="inner")
+    off = hash_exchange(
+        salted.map_batches(lambda t: totals(t, val_col),
+                           batch_format="pyarrow"),
+        key, offsets, batch_format="pyarrow")
+    pieces = hash_exchange(salted, keys, within, batch_format="pyarrow")
+    joined = hash_join(pieces, off, key=keys, how="inner")
 
     def finish(t: pa.Table) -> pa.Table:
         rsum = pc.add(t.column(out), pc.cast(t.column("__off_r"),
                                              t.column(out).type))
         t = t.set_column(t.schema.get_field_index(out), out, rsum)
-        return t.drop_columns(["__ks", "__off_r"])
+        return t.drop_columns(["__salt", "__off_r"])
 
     return joined.map_batches(finish, batch_format="pyarrow")

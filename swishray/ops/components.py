@@ -253,11 +253,10 @@ def triangle_count(edges: Any, a: str = "a", b: str = "b",
     degree shuffle, two tiny hash-joins to attach degrees, the wedge
     shuffle.  Output: one row ``{triangles: int64}``."""
     import numpy as np
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     from ..util import _session_cpus
-    from .joins import hash_exchange
+    from .joins import hash_exchange, run_starts
     B = max(8, 2 * _session_cpus())
 
     def canon(batch: pa.Table) -> pa.Table:
@@ -338,31 +337,27 @@ def triangle_count(edges: Any, a: str = "a", b: str = "b",
     oriented = with_deg.map_batches(orient, batch_format="pyarrow") \
         .materialize()  # consumers: wedge gen + closure probe
 
-    def wedges(g: pd.DataFrame) -> pa.Table:
-        outs = []
-        for _, grp in g.groupby("src", sort=False):
-            # order out-neighbors by (degree, id) so the wedge
-            # (x, y) matches the oriented edge direction x -> y
-            nb = grp.sort_values(["ddst", "dst"])["dst"] \
-                .to_numpy(np.int64)
-            d = len(nb)
-            if d < 2:
-                continue
-            i, j = np.triu_indices(d, 1)
-            outs.append(np.stack([nb[i], nb[j]], axis=1))
-        if not outs:
-            return pa.table({
-                "x": pa.array([], type=pa.int64()),
-                "y": pa.array([], type=pa.int64()),
-                "wn": pa.array([], type=pa.int64()),
-                "en": pa.array([], type=pa.int64())})
-        m = np.concatenate(outs)
+    def wedges(t: pa.Table) -> pa.Table:
+        # out-neighbors ordered by (degree, id) so the wedge (x, y)
+        # matches the oriented edge direction x -> y; every row pairs
+        # with the rows after it in its src run (vectorized triu)
+        t = t.sort_by([("src", "ascending"), ("ddst", "ascending"),
+                       ("dst", "ascending")])
+        starts = run_starts(t, ["src"])
+        lens = np.diff(np.append(starts, t.num_rows))
+        after = np.repeat(starts + lens, lens) - np.arange(t.num_rows) - 1
+        i = np.repeat(np.arange(t.num_rows), after)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after,
+                                                  after)
+        nb = t.column("dst").to_numpy(zero_copy_only=False)
         return pa.table({
-            "x": pa.array(m[:, 0]), "y": pa.array(m[:, 1]),
-            "wn": pa.array(np.ones(len(m), dtype=np.int64)),
-            "en": pa.array(np.zeros(len(m), dtype=np.int64))})
+            "x": pa.array(nb[i], pa.int64()),
+            "y": pa.array(nb[j], pa.int64()),
+            "wn": pa.array(np.ones(len(i), dtype=np.int64)),
+            "en": pa.array(np.zeros(len(i), dtype=np.int64))})
 
-    wedge_rows = hash_exchange(oriented, "src", wedges, B)
+    wedge_rows = hash_exchange(oriented, "src", wedges, B,
+                               batch_format="pyarrow")
 
     edge_rows = oriented.map_batches(
         lambda t: pa.table({

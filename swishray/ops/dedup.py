@@ -121,8 +121,7 @@ def exact_dedup(ds: Any, col: str = "text", key: str = "doc_id",
     (e.g. a union of snapshots): a final keep-one-per-key pass (again
     map-side combined) collapses them.
     """
-    import pandas as pd
-    from .joins import hash_join
+    from .joins import first_of_runs, hash_exchange, hash_join
 
     hashed = add_content_hash(ds, col)
     winners = exact_dedup_keys(hashed, col, key, hash_col="content_hash")
@@ -130,17 +129,11 @@ def exact_dedup(ds: Any, col: str = "text", key: str = "doc_id",
     if unique_keys:
         return kept
 
-    def combine_first(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        return pa.Table.from_pandas(
-            df.drop_duplicates(subset=[key], keep="first"),
-            preserve_index=False)
+    def first(t: pa.Table) -> pa.Table:
+        return first_of_runs(t, [key])
 
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.head(1)
-
-    return kept.map_batches(combine_first, batch_format="pyarrow") \
-        .groupby(key).map_groups(first, batch_format="pandas")
+    return hash_exchange(kept.map_batches(first, batch_format="pyarrow"),
+                         key, first, batch_format="pyarrow")
 
 
 # ---- minhash + LSH ----------------------------------------------------
@@ -299,23 +292,18 @@ def lsh_candidate_pairs(sigs: Any, bands: int = 16,
     """Explode signatures to (band_id, band_hash, key) rows, shuffle on
     a SUPERBUCKET (a :func:`~.joins.hash_exchange` on band_hash, 4x
     the default bucket count), pair up within band buckets. Returns
-    candidate pairs (a < b), deduped per block — a pair matching in
-    several bands can appear once per band; consumers dedup the
-    (small) final set.
+    candidate pairs (a < b), deduped per superbucket — a pair matching
+    in several bands can appear once per superbucket; consumers dedup
+    the (small) final set.
 
-    Superbuckets keep the reduce side vectorized: the shuffle
-    co-locates many band buckets per group, and one PANDAS groupby
-    inside the task walks them — thousands of per-band-bucket Ray
-    map_groups invocations (one Python frame + block build each) were
-    the measured r2 cost, not the bytes. Skew note: a superbucket
-    holds ~#buckets/#superbuckets band buckets, and the star cap
-    below bounds any single bucket, so group size stays ~uniform.
+    One task handles a superbucket: it sorts the band rows, finds
+    the band-bucket runs and pairs up only the runs of 2 or more
+    members (nearly every band bucket is a singleton).
 
     Buckets larger than ``bucket_cap`` emit star pairs only (see
     module docstring) so one boilerplate-heavy bucket cannot explode
     into O(n^2) pairs."""
-    import pandas as pd
-    from .joins import default_join_partitions, hash_exchange
+    from .joins import default_join_partitions, hash_exchange, run_starts
 
     def explode(batch: pa.Table) -> pa.Table:
         """Vectorized banding: the (n, num_perm) signature matrix
@@ -342,33 +330,28 @@ def lsh_candidate_pairs(sigs: Any, bands: int = 16,
             key: batch.column(key).combine_chunks().take(idx),
         })
 
-    def pairs_super(g: pd.DataFrame) -> pa.Table:
-        """One task handles a superbucket: vectorized pandas groupby
-        over its band buckets, numpy pair expansion per bucket.
-        Output is an explicitly-typed Arrow table — pandas blocks
-        here surface as PandasBlockSchema downstream, which defeats
-        Ray's schema dedup (unhashable) and costs a unification pass
-        per bundle."""
-        kt = pa.array(g[key].iloc[:1]).type
-        outs_a, outs_b = [], []
-        for _, grp in g.groupby(["band_id", "band_hash"], sort=False):
-            ks = np.unique(grp[key].to_numpy())
-            a, b = _bucket_pairs(ks, bucket_cap)
-            if len(a):
-                outs_a.append(a)
-                outs_b.append(b)
-        if not outs_a:
-            return pa.table({"a": pa.array([], kt),
-                             "b": pa.array([], kt)})
-        m = pd.DataFrame({
-            "a": np.concatenate(outs_a),
-            "b": np.concatenate(outs_b)}).drop_duplicates()
-        return pa.table({"a": pa.array(m["a"]).cast(kt),
-                         "b": pa.array(m["b"]).cast(kt)})
+    def pairs_super(t: pa.Table) -> pa.Table:
+        kt = t.schema.field(key).type
+        band = ["band_id", "band_hash"]
+        t = t.sort_by([(c, "ascending") for c in band + [key]])
+        t = t.take(pa.array(run_starts(t, band + [key])))  # members
+        ks = t.column(key).to_numpy(zero_copy_only=False)
+        starts = run_starts(t, band)
+        ends = np.append(starts[1:], len(ks))
+        big = ends - starts > 1
+        outs_a, outs_b = [ks[:0]], [ks[:0]]
+        for s, e in zip(starts[big], ends[big]):
+            a, b = _bucket_pairs(ks[s:e], bucket_cap)
+            outs_a.append(a)
+            outs_b.append(b)
+        pairs = pa.table({"a": pa.array(np.concatenate(outs_a), kt),
+                          "b": pa.array(np.concatenate(outs_b), kt)})
+        return pairs.group_by(["a", "b"], use_threads=False).aggregate([])
 
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
     return hash_exchange(exploded, "band_hash", pairs_super,
-                         4 * default_join_partitions())
+                         4 * default_join_partitions(),
+                         batch_format="pyarrow")
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -502,16 +485,12 @@ def minhash_dedup(ds: Any, threshold: float = 0.8, num_perm: int = 64,
         one materialize barrier on the (slim, pair-shaped) candidate
         table, which also sanitizes the schema-less empty blocks the
         groupby-based candidate stage emits.
-      * attach/verify: two BUCKETED merges (pairs ⋈ sets on a, then
-        on b) — union under one schema, groupby a fixed hash-bucket
-        count, one vectorized pandas merge per bucket. Grouping on
-        buckets rather than keys matters: Ray invokes the map_groups
-        function once per group, and per-KEY invocation overhead (a
-        Python frame + block build per document) was the measured r2
-        bench cost. Pair dedup across LSH bands is free in stage A
-        (all copies hash to the same a-bucket). The final exact
-        Jaccard is one vectorized ``np.intersect1d`` per pair
-        (:func:`hashed_jaccard`) inside map_batches.
+      * attach/verify: two :func:`~.joins.hash_exchange` merges
+        (pairs ⋈ sets on a, then on b; see
+        :func:`attach_pair_sets`). Pair dedup across LSH bands is
+        free in stage A (all copies hash to the same a-bucket). The
+        final exact Jaccard is one vectorized ``np.intersect1d`` per
+        pair (:func:`hashed_jaccard`) inside map_batches.
 
     The ``key`` column may be any integer or string type — its Arrow
     type is carried through to the output ``a``/``b`` columns."""
@@ -626,7 +605,7 @@ def hamming_near_dups(ds: Any, hash_col: str, key: str,
     any orderable type (the key column's Arrow type is carried
     through the exchange); ``hash_col`` must be non-null — filter
     error rows upstream (image/audio callers do)."""
-    import pandas as pd
+    from .joins import first_of_runs, hash_exchange, run_starts
 
     if max_hamming <= 3:
         nbands = 4
@@ -641,54 +620,61 @@ def hamming_near_dups(ds: Any, hash_col: str, key: str,
 
     def explode(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        sh = np.asarray(batch.column(hash_col).to_pylist(),
-                        dtype=np.int64)
+        sh = batch.column(hash_col).to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
         u = sh.view(np.uint64)
         bvals = np.empty((n, nbands), dtype=np.int32)
         for b in range(nbands):
             bvals[:, b] = ((u >> np.uint64(width * b))
                            & np.uint64((1 << width) - 1)).astype(
                                np.int32)
-        ks = np.repeat(np.asarray(batch.column(key).to_pylist()),
-                       nbands)
+        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), nbands))
         return pa.table({
-            key: pa.array(ks, type=batch.schema.field(key).type),
+            key: batch.column(key).take(idx),
             "band_id": pa.array(
                 np.tile(np.arange(nbands, dtype=np.int32), n)),
             "band_val": pa.array(bvals.ravel()),
             hash_col: pa.array(np.repeat(sh, nbands)),
         })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        rows = sorted(g[[key, hash_col]].drop_duplicates()
-                       .itertuples(index=False), key=lambda r: r[0])
-        a, b, d = [], [], []
+    def pairs(t: pa.Table) -> pa.Table:
+        band = ["band_id", "band_val"]
+        t = first_of_runs(t, band + [key, hash_col])  # members
+        ks = t.column(key)
+        hs = t.column(hash_col).to_numpy(zero_copy_only=False) \
+            .view(np.uint64)
+        starts = run_starts(t, band)
+        ends = np.append(starts[1:], t.num_rows)
+        big = ends - starts > 1
+        ia, ib = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for s, e in zip(starts[big], ends[big]):
+            i, j = _bucket_pairs(np.arange(s, e), bucket_cap)
+            ia.append(i)
+            ib.append(j)
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        ham = _popcount64(hs[ia] ^ hs[ib])
+        keep = ham <= max_hamming
+        return pa.table({"a": ks.take(pa.array(ia[keep])),
+                         "b": ks.take(pa.array(ib[keep])),
+                         "hamming": pa.array(ham[keep])})
 
-        def emit(ri, rj):
-            x = (ri[1] ^ rj[1]) & 0xFFFFFFFFFFFFFFFF
-            ham = bin(x).count("1")
-            if ham <= max_hamming:
-                a.append(ri[0])
-                b.append(rj[0])
-                d.append(ham)
+    def distinct(t: pa.Table) -> pa.Table:
+        return first_of_runs(t, ["a", "b"])
 
-        if len(rows) <= bucket_cap:
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    emit(rows[i], rows[j])
-        else:
-            hub = rows[0]
-            for r in rows[1:]:
-                emit(hub, r)
-        return pd.DataFrame({"a": a, "b": b, "hamming": d})
+    cand = hash_exchange(signed.map_batches(explode, batch_format="pyarrow"),
+                         ["band_id", "band_val"], pairs,
+                         batch_format="pyarrow")
+    return hash_exchange(cand, "a", distinct, batch_format="pyarrow")
 
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.head(1)
 
-    cand = signed.map_batches(explode, batch_format="pyarrow") \
-        .groupby(["band_id", "band_val"]).map_groups(pairs,
-                                                     batch_format="pandas")
-    return cand.groupby(["a", "b"]).map_groups(first, batch_format="pandas")
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Set bits per uint64 (SWAR popcount), as int64."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) \
+        + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)) \
+        .astype(np.int64)
 
 
 def simhash_near_dups(ds: Any, max_hamming: int = 3, col: str = "text",

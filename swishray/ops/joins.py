@@ -207,19 +207,36 @@ def default_join_partitions(cap: int = 64) -> int:
 _TAG = "__hx"
 
 
-def hash_exchange(ds: Any, key: str, fn, num_buckets: int | None = None,
+def hash_exchange(ds: Any, key: str | list[str], fn,
+                  num_buckets: int | None = None,
                   batch_format: str = "pandas") -> Any:
     """The keyed exchange: route every row to bucket
     ``_key_hash64(key) % num_buckets`` (default
     :func:`default_join_partitions`) and run ``fn`` once per bucket —
-    one vectorized pandas/polars pass over all of a bucket's keys.
-    All rows of one key reach the same ``fn`` call. ``fn`` never sees
-    the bucket tag, so it never leaks into the output and exchanges
-    chain freely.
+    one vectorized pass over all of a bucket's keys. ``key`` is one
+    column or a list of them; a list folds the per-column hashes
+    through splitmix64, and a single key routes exactly as
+    ``_key_hash64`` says. All rows of one key reach the same ``fn``
+    call. ``fn`` never sees the bucket tag, so it never leaks into
+    the output and exchanges chain freely.
 
     Buckets, not keys: Ray invokes the map_groups fn once per group,
     and per-key invocation overhead (a Python frame + block build per
-    key), not the bytes moved, was the measured bench cost.
+    key, ~1.2 ms at 1 CPU), not the bytes moved, is the cost. So a
+    per-key ``fn`` sorts its bucket and works on the key runs
+    (:func:`run_starts`, :func:`first_of_runs`) or whole-bucket
+    reducers, and returns Arrow when a Ray aggregate reads its
+    output (that aggregate is ~20x slower over pandas blocks).
+
+    The only per-group ``map_groups`` left outside this function are
+    sites whose group count configuration bounds (the exchange-shape
+    test reads this list): ``increment.write_fingerprint_store`` and
+    ``manifest._write_grouped`` (``num_buckets`` buckets),
+    ``clustering.semdedup`` (``k`` clusters),
+    ``similarity.brute_force_topk`` and ``similarity.ivf_topk`` (the
+    driver's query list), ``similarity.cosine_dup_pairs`` (``grid``
+    squared cells) and ``similarity.cosine_dup_pairs_ivf``
+    (``n_centroids`` buckets).
 
     The input is coalesced to ``default_join_partitions()`` blocks
     before it is tagged and shuffled. Ray's groupby emits one
@@ -244,11 +261,15 @@ def hash_exchange(ds: Any, key: str, fn, num_buckets: int | None = None,
     Partitioning assumption: one bucket's rows fit a task heap; salt
     hot keys upstream."""
     import numpy as np
+    from .dedup import _mix64
     nb = num_buckets or default_join_partitions()
+    keys = [key] if isinstance(key, str) else list(key)
 
     def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash64(batch.column(key)) % np.uint64(nb)) \
-            .astype(np.int32)
+        h = _key_hash64(batch.column(keys[0]))
+        for k in keys[1:]:
+            h = _mix64(h ^ _key_hash64(batch.column(k)))
+        b = (h % np.uint64(nb)).astype(np.int32)
         return batch.append_column(_TAG, pa.array(b))
 
     def untagged(g):
@@ -260,6 +281,37 @@ def hash_exchange(ds: Any, key: str, fn, num_buckets: int | None = None,
     return ds.repartition(default_join_partitions()) \
         .map_batches(tag, batch_format="pyarrow") \
         .groupby(_TAG).map_groups(untagged, batch_format=batch_format)
+
+
+def run_starts(t: pa.Table, keys: list[str], brk=None):
+    """Start rows of the runs of equal ``keys`` in ``t``, which is
+    sorted on them: row 0 plus every row whose key differs from the
+    row before (two nulls are equal). ``brk`` (one bool per row)
+    starts extra runs inside a key — a session gap, a value change.
+    Returns int64 row indices; the per-key kernels reduce over the
+    runs with ``np.*.reduceat`` or take their first rows."""
+    import numpy as np
+    new = np.zeros(t.num_rows, dtype=bool) if brk is None \
+        else np.array(brk, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        c = t.column(k).combine_chunks()
+        a, b = c[1:], c[:-1]
+        same = pc.or_kleene(pc.equal(a, b),
+                            pc.and_(pc.is_null(a), pc.is_null(b)))
+        new[1:] |= ~pc.fill_null(same, False).to_numpy(
+            zero_copy_only=False)
+    return np.flatnonzero(new)
+
+
+def first_of_runs(t: pa.Table, keys: list[str],
+                  order: list | tuple = ()) -> pa.Table:
+    """The first row of every ``keys`` run once ``t`` is sorted by
+    ``keys`` and then by ``order`` (``(column, "ascending" |
+    "descending")`` pairs; nulls last): per-key arg-min/max, mode and
+    keep-one in one stable sort."""
+    t = t.sort_by([(k, "ascending") for k in keys] + list(order))
+    return t.take(pa.array(run_starts(t, keys)))
 
 
 def _schema_types(schema) -> dict:
@@ -393,11 +445,12 @@ def _join_empty_side(left: Any, lschema, right: Any, rschema,
     return left if lschema is not None else right
 
 
-def hash_join(left: Any, right: Any, key: str,
+def hash_join(left: Any, right: Any, key: str | list[str],
               num_buckets: int | None = None, how: str = "inner") -> Any:
     """Both-sides-large partitioned hash join: union both sides under
     a padded common schema, then one :func:`hash_exchange` on the key
-    with a polars join per bucket. Documented partitioning
+    (one column or a list) with a polars join per bucket. Documented
+    partitioning
     assumption: each bucket's slice of both sides fits in one task's
     heap (raise num_buckets for skew; salt hot keys upstream)."""
     left, lschema = _schema_or_materialize(left)
@@ -406,8 +459,9 @@ def hash_join(left: Any, right: Any, key: str,
         out = _join_empty_side(left, lschema, right, rschema, how)
         if out is not None:
             return out
-    lcols = [c for c in lschema.names if c != key]
-    rcols = [c for c in rschema.names if c != key]
+    keys = [key] if isinstance(key, str) else list(key)
+    lcols = [c for c in lschema.names if c not in keys]
+    rcols = [c for c in rschema.names if c not in keys]
     rcols_out = [c + "_r" for c in rcols]
     ltypes = _schema_types(lschema)
     rtypes = _schema_types(rschema)
@@ -419,14 +473,14 @@ def hash_join(left: Any, right: Any, key: str,
             other_out: list[str]):
         def f(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            arrays = {key: batch.column(key),
-                      "__side": pa.array([side] * n)}
+            arrays = {k: batch.column(k) for k in keys}
+            arrays["__side"] = pa.array([side] * n)
             for c, co in zip(own, own_out):
                 arrays[co] = batch.column(c)
             for co in other_out:
                 arrays[co] = pa.nulls(n, type=types[co])
             # stable column order so both sides union under one schema
-            order = [key, "__side"] + lcols + rcols_out
+            order = keys + ["__side"] + lcols + rcols_out
             return pa.table({c: arrays[c] for c in order})
         return f
 
@@ -445,13 +499,13 @@ def hash_join(left: Any, right: Any, key: str,
         from ..util import import_polars
         pl = import_polars()
         df = pl.from_arrow(g)
-        lg = df.filter(pl.col("__side") == "l").select([key] + lcols)
+        lg = df.filter(pl.col("__side") == "l").select(keys + lcols)
         rg = df.filter(pl.col("__side") == "r").select(
-            [key] + rcols_out)
-        out = lg.join(rg, on=key,
+            keys + rcols_out)
+        out = lg.join(rg, on=keys,
                       how="full" if how == "outer" else how,
                       coalesce=(how != "inner"))
-        return out.select([key] + lcols + rcols_out).to_arrow()
+        return out.select(keys + lcols + rcols_out).to_arrow()
 
     joined = hash_exchange(l.union(r), key, join_bucket, num_buckets,
                            batch_format="pyarrow")
@@ -461,7 +515,7 @@ def hash_join(left: Any, right: Any, key: str,
     # to its declared Arrow type (NaN -> null precedes a non-float
     # target cast for sides that arrived as pandas blocks upstream).
     want = dict(types)
-    want[key] = ltypes[key]
+    want.update({k: ltypes[k] for k in keys})
 
     def restore_types(t: pa.Table) -> pa.Table:
         if t.num_columns == 0:
@@ -542,9 +596,10 @@ def asof_join(left: Any, right: Any, on: str, left_ts: str,
 
     Ray Data has no native as-of; the scale shape is the tagged-union
     + keyed-shuffle composition: both sides project to slim tagged
-    rows, ONE groupby on the join key co-locates each key's rows, and
-    a per-group pandas merge_asof does the time alignment. Moves each
-    side once; group size = rows per key (salt hot keys upstream).
+    rows, ONE :func:`hash_exchange` on the join key co-locates each
+    key's rows, and one pandas ``merge_asof(by=on)`` per bucket does
+    the time alignment. Moves each side once; one key's rows fit a
+    task (salt hot keys upstream).
 
     Ties on ``right_ts`` pick the last row in (right_ts,
     right_tiebreak) sort order — pass ``right_tiebreak`` for a
@@ -564,11 +619,9 @@ def asof_join(left: Any, right: Any, on: str, left_ts: str,
         # stays unmatched; the ``__r_*`` columns cannot be typed, so
         # the degenerate shape is the left unchanged (documented)
         return left
-    lschema = lsch.base_schema
-    rschema = rsch.base_schema
-    lcols = list(lschema.names)
-    ltypes = {c: lschema.field(c).type for c in lcols}
-    rtypes = {c: rschema.field(c).type for c in [right_ts] + right_cols}
+    lcols = list(lsch.names)
+    ltypes = _schema_types(lsch)
+    rtypes = _schema_types(rsch)
     out_r = ["__r_" + rc for rc in right_cols]
     ts_type = rtypes[right_ts]
 
@@ -601,47 +654,29 @@ def asof_join(left: Any, right: Any, on: str, left_ts: str,
     tb = ("__r_" + right_tiebreak
           if right_tiebreak and right_tiebreak in right_cols else None)
 
-    def _pd_dtype(t) -> str:
-        # the padded union runs int columns through NaN-bearing
-        # float64; restore nullable pandas dtypes so Arrow gets the
-        # original types back (ints with nulls -> Int64 -> int64+null)
-        if pa.types.is_integer(t):
-            return "Int64"
-        if pa.types.is_floating(t):
-            return "float64"
-        if pa.types.is_timestamp(t):
-            # keep the tz for tz-aware columns — a naive dtype string
-            # would strip it (or raise) in astype
-            return (f"datetime64[{t.unit}, {t.tz}]" if t.tz
-                    else f"datetime64[{t.unit}]")
-        if pa.types.is_boolean(t):
-            return "boolean"
-        return "object"
+    out_schema = pa.schema(
+        [(c, ltypes[c]) for c in lcols]
+        + [(o, rtypes[rc]) for o, rc in zip(out_r, right_cols)])
 
-    dtype_map = {c: _pd_dtype(ltypes[c]) for c in lcols}
-    dtype_map.update({"__r_" + rc: _pd_dtype(rtypes[rc])
-                      for rc in right_cols})
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == 1]
-        rg = g[g["__side"] == 0]
+    def merge(t: pa.Table) -> pa.Table:
+        side = t.column("__side")
+        lg = t.filter(pc.equal(side, 1)).select(lcols).to_pandas()
         if not len(lg):
-            return pd.DataFrame({c: pd.Series(dtype=d)
-                                 for c, d in dtype_map.items()})
-        if not len(rg):
-            out = lg[lcols].copy()
-            for c in out_r:
-                out[c] = None
-            return out.astype(dtype_map)
-        rs = rg.sort_values(["__rts"] + ([tb] if tb else []))
-        ls = lg.sort_values(left_ts)
+            return out_schema.empty_table()
+        # the backward match on a right_ts tie is the LAST row in
+        # (right_ts, tiebreak) order — a stable sort makes it so
+        rg = t.filter(pc.equal(side, 0)).select([on, "__rts"] + out_r) \
+            .sort_by([("__rts", "ascending")]
+                     + ([(tb, "ascending")] if tb else []))
         merged = pd.merge_asof(
-            ls[lcols], rs[["__rts"] + out_r],
-            left_on=left_ts, right_on="__rts",
+            lg.sort_values(left_ts, kind="mergesort"), rg.to_pandas(),
+            left_on=left_ts, right_on="__rts", by=on,
             direction="backward")
-        return merged[lcols + out_r].astype(dtype_map)
+        return pa.Table.from_pandas(merged[lcols + out_r],
+                                    schema=out_schema,
+                                    preserve_index=False)
 
-    return l.union(r).groupby(on).map_groups(merge, batch_format="pandas")
+    return hash_exchange(l.union(r), on, merge, batch_format="pyarrow")
 
 
 def range_join_broadcast(ds: Any, intervals: list[tuple], value_col: str,

@@ -7,7 +7,7 @@ Determinism at any parallelism: packing is defined per GROUP (an
 explicit ``group_col``, e.g. ``doc_id % n_shards``), docs ordered by
 key within the group — NOT per Ray block, whose boundaries vary with
 parallelism. One group = one packing shard = one task's heap; size
-groups to O(100 MB) of text. The groupby is the only exchange and it
+groups to O(100 MB) of text. The keyed exchange is the only one and it
 moves each doc's text exactly once — the same cost class as any
 shuffle-to-sink repartition.
 """
@@ -27,34 +27,37 @@ def pack_documents(ds: Any, max_tokens: int, group_col: str,
     """-> (group_col, chunk_id, n_tokens, text). Whitespace tokens
     (the corpus-oracle contract); every doc contributes its words plus
     one ``eod`` sentinel; all chunks are exactly ``max_tokens`` long
-    except the group's final partial chunk."""
-    import pandas as pd
+    except the group's final partial chunk. One
+    :func:`~.joins.hash_exchange` on ``group_col``; each bucket
+    packs all of its groups in (group, key) order."""
+    import numpy as np
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(key)
-        toks: list[str] = []
-        for t in g[col]:
-            toks.extend((t or "").split())
-            toks.append(eod)
-        grp = g[group_col].iloc[0]
-        rows = []
-        for ci, start in enumerate(range(0, len(toks), max_tokens)):
-            chunk = toks[start:start + max_tokens]
-            rows.append((grp, ci, len(chunk), " ".join(chunk)))
-        return pd.DataFrame(rows, columns=[group_col, "chunk_id",
-                                           "n_tokens", "text"])
+    from .joins import hash_exchange, run_starts
 
-    out = ds.groupby(group_col).map_groups(pack, batch_format="pandas")
-
-    def fix_types(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def pack(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(group_col, "ascending"), (key, "ascending")])
+        starts = run_starts(t, [group_col])
+        texts = t.column(col).to_pylist()
+        first, cid, ntok, chunks = [], [], [], []
+        for s, e in zip(starts, np.append(starts[1:], len(texts))):
+            toks: list[str] = []
+            for text in texts[s:e]:
+                toks.extend((text or "").split())
+                toks.append(eod)
+            for ci, at in enumerate(range(0, len(toks), max_tokens)):
+                chunk = toks[at:at + max_tokens]
+                first.append(s)  # a row of the chunk's group
+                cid.append(ci)
+                ntok.append(len(chunk))
+                chunks.append(" ".join(chunk))
         return pa.table({
-            group_col: pc.cast(batch.column(group_col), pa.int64()),
-            "chunk_id": pc.cast(batch.column("chunk_id"), pa.int64()),
-            "n_tokens": pc.cast(batch.column("n_tokens"), pa.int64()),
-            "text": pc.cast(batch.column("text"), pa.large_string()),
-        })
-    return out.map_batches(fix_types, batch_format="pyarrow")
+            group_col: t.column(group_col).take(
+                pa.array(first, pa.int64())),
+            "chunk_id": pa.array(cid, pa.int64()),
+            "n_tokens": pa.array(ntok, pa.int64()),
+            "text": pa.array(chunks, pa.large_string())})
+
+    return hash_exchange(ds, group_col, pack, batch_format="pyarrow")
 
 
 def chunk_documents(ds, max_words: int, overlap: int = 0,

@@ -156,44 +156,46 @@ def survivorship_merge(ds: Any, cluster: str, rules: dict,
     ``cluster`` itself is implicit) names a column whose per-cluster
     MINIMUM identifies the survivor.
 
-    Scale shape: records ride ONE cluster-keyed shuffle (merging
-    inherently co-locates a cluster); each reduce task processes its
-    clusters with vectorized pandas kernels.  Documented contract
-    (shared with collect_sorted): a cluster fits one task — dedup
-    clusters are output-sized, orders of magnitude below corpus
-    scale."""
-    import pandas as pd
+    Scale shape: records ride ONE cluster-keyed
+    :func:`~.joins.hash_exchange` (merging inherently co-locates a
+    cluster); each bucket resolves every rule for all its clusters
+    with one sort each.  Documented contract (shared with
+    collect_sorted): a cluster fits one task — dedup clusters are
+    output-sized, orders of magnitude below corpus scale."""
+    import pyarrow.compute as pc
+
+    from .joins import first_of_runs, hash_exchange
 
     allowed = {"min", "max", "longest", "mode"}
     bad = {r for r in rules.values()} - allowed
     if bad:
         raise ValueError(f"unknown survivorship rules: {bad}")
+    picks = ([(keep_key, "min")] if keep_key is not None else []) \
+        + list(rules.items())
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        out = {cluster: [g[cluster].iloc[0]]}
-        if keep_key is not None:
-            out[keep_key] = [g[keep_key].min()]
-        for col, rule in rules.items():
-            s = g[col]
-            if rule == "min":
-                out[col] = [s.min()]
-            elif rule == "max":
-                out[col] = [s.max()]
-            elif rule == "longest":
-                tmp = pd.DataFrame({
-                    "v": s.to_numpy(),
-                    "l": s.astype(str).str.len().to_numpy()})
-                tmp = tmp.sort_values(["l", "v"],
-                                      ascending=[False, True])
-                out[col] = [tmp["v"].iloc[0]]
-            else:  # mode
-                vc = (pd.DataFrame({"v": s})
-                      .groupby("v", sort=False).size()
-                      .reset_index(name="n")
-                      .sort_values(["n", "v"],
-                                   ascending=[False, True]))
-                out[col] = [vc["v"].iloc[0]]
-        return pd.DataFrame(out)
+    def pick(t: pa.Table, col: str, rule: str) -> pa.Array:
+        # one row per cluster, in cluster order: the first row of each
+        # cluster run under the rule's sort (nulls sort last)
+        v = t.column(col)
+        if rule == "longest":
+            t = pa.table({cluster: t.column(cluster), col: v,
+                          "__len": pc.utf8_length(pc.cast(v, pa.string()))})
+            order = [("__len", "descending"), (col, "ascending")]
+        elif rule == "mode":
+            t = t.group_by([cluster, col], use_threads=False) \
+                .aggregate([([], "count_all")])
+            # a null value never wins over a counted one
+            t = t.append_column("__n", pc.if_else(
+                pc.is_valid(t.column(col)), t.column("count_all"), -1))
+            order = [("__n", "descending"), (col, "ascending")]
+        else:
+            order = [(col, "ascending" if rule == "min" else "descending")]
+        return first_of_runs(t, [cluster], order).column(col)
 
-    return ds.groupby(cluster).map_groups(merge,
-                                          batch_format="pandas")
+    def merge(t: pa.Table) -> pa.Table:
+        out = {cluster: first_of_runs(t, [cluster]).column(cluster)}
+        for col, rule in picks:
+            out[col] = pick(t, col, rule)
+        return pa.table(out)
+
+    return hash_exchange(ds, cluster, merge, batch_format="pyarrow")

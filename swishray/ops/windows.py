@@ -1,14 +1,16 @@
 """Stream-shaped operators over the events table.
 
-Ray Data is a (streaming-)batch engine: windows are expressed as a
-computed window-start column + groupby (tumbling), or per-key sorted
-map_groups (sessionization) — the partitioning/ordering assumptions
-are explicit (ray_guide.md streaming section)."""
+Ray Data is a (streaming-)batch engine: a tumbling or hopping window
+is a computed window-start column plus a groupby aggregate; a
+per-key ordered window (sessions, SCD-2 runs) is one
+:func:`~.joins.hash_exchange` whose kernel sorts its bucket and cuts
+it into runs (:func:`~.joins.run_starts`)."""
 
 from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -29,88 +31,92 @@ def tumbling_counts(ds: Any, every: str = "hour") -> Any:
         Sum("value", alias_name="sum_value"))
 
 
+def _event_sessions(t: pa.Table, keys: list[str]) -> pa.Table:
+    """Every event as a one-event session (``keys`` ride along)."""
+    ts = t.column("ts")
+    return pa.table({
+        "session_start": ts, "session_end": ts,
+        "n_events": pc.cast(pc.is_valid(t.column("event_id")), pa.int64()),
+        "sum_value": pc.cast(pc.fill_null(t.column("value"), 0),
+                             pa.float64()),
+        **{k: t.column(k) for k in keys}})
+
+
+def _merge_sessions(t: pa.Table, keys: list[str],
+                    gap_seconds: float) -> pa.Table:
+    """Merge a bucket's session rows in (keys, session_start) order:
+    a row joins the session before it unless a key changes or it
+    starts more than ``gap_seconds`` after that session's last row
+    ends. Output: (session_start, session_end, n_events, sum_value,
+    user_id)."""
+    from .joins import run_starts
+    t = t.sort_by([(k, "ascending") for k in keys + ["session_start"]])
+    start = t.column("session_start").to_numpy()
+    end = t.column("session_end").to_numpy()
+    gap = np.zeros(len(start), dtype=bool)
+    gap[1:] = start[1:] - end[:-1] > np.timedelta64(
+        int(gap_seconds * 10**6), "us")
+    starts = run_starts(t, keys, gap)
+
+    def total(c: str):
+        v = t.column(c).to_numpy()
+        return np.add.reduceat(v, starts) if len(starts) else v
+
+    first = pa.array(starts)
+    last = pa.array(np.append(starts[1:], len(start)) - 1)
+    return pa.table({
+        "session_start": t.column("session_start").take(first),
+        "session_end": t.column("session_end").take(last),
+        "n_events": total("n_events"), "sum_value": total("sum_value"),
+        "user_id": t.column("user_id").take(first)})
+
+
 def sessionize(ds: Any, gap_seconds: int = 1800) -> Any:
-    """Per-user sessionization: sort each user's events by ts inside
-    map_groups, split on gaps > gap_seconds. Partitioning assumption:
-    one user's events fit in one group (holds for user-keyed logs;
-    salt by day for pathological users)."""
-    import pandas as pd
+    """Per-user sessionization: a new session starts where a user's
+    next event comes more than ``gap_seconds`` after the previous
+    one. One exchange on user_id; each bucket sorts by (user, ts) and
+    cuts sessions on key changes and gaps. Partitioning assumption:
+    one user's events fit in one task (:func:`sessionize_salted`
+    splits pathological users)."""
+    from .joins import hash_exchange
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts")
-        gaps = g["ts"].diff().dt.total_seconds().fillna(0)
-        sid = (gaps > gap_seconds).cumsum()
-        out = g.groupby(sid).agg(
-            session_start=("ts", "min"), session_end=("ts", "max"),
-            n_events=("event_id", "count"), sum_value=("value", "sum"))
-        out["user_id"] = g["user_id"].iloc[0]
-        return out.reset_index(drop=True)
+    def sessions(t: pa.Table) -> pa.Table:
+        keys = ["user_id"]
+        return _merge_sessions(_event_sessions(t, keys), keys, gap_seconds)
 
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pandas")
+    return hash_exchange(ds, "user_id", sessions, batch_format="pyarrow")
 
 
 def sessionize_salted(ds: Any, gap_seconds: int = 1800,
                       salt_unit: str = "day") -> Any:
     """Skew-proof sessionization: salt the key to (user, period) so a
-    pathological user's events split across many groups, sessionize
-    within each salted group, then merge ONLY the boundary-adjacent
+    pathological user's events split across many buckets, sessionize
+    within each salted key, then merge ONLY the boundary-adjacent
     session pieces in a second, session-level pass.
 
     Correctness: a session crossing a period boundary is split into
     pieces whose boundary gap equals the original inter-event gap, so
     "merge adjacent pieces when start_next - end_prev <= gap" restores
     exactly the unsalted sessions (t:test_sessionize_salted_equal).
-    The second pass groups SESSIONS per user (not events): group size
-    = sessions per user, orders of magnitude below event counts.
+    The second pass exchanges SESSIONS per user (not events): rows =
+    sessions per user, orders of magnitude below event counts.
     """
-    import pandas as pd
+    from .joins import hash_exchange
+    keys = ["user_id", "__salt"]
 
     def add_salt(batch: pa.Table) -> pa.Table:
         salt = pc.floor_temporal(batch.column("ts"), unit=salt_unit)
         return batch.append_column("__salt", salt)
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts")
-        gaps = g["ts"].diff().dt.total_seconds().fillna(0)
-        sid = (gaps > gap_seconds).cumsum()
-        out = g.groupby(sid).agg(
-            session_start=("ts", "min"), session_end=("ts", "max"),
-            n_events=("event_id", "count"), sum_value=("value", "sum"))
-        out["user_id"] = g["user_id"].iloc[0]
-        return out.reset_index(drop=True)
+    def pieces(t: pa.Table) -> pa.Table:
+        return _merge_sessions(_event_sessions(t, keys), keys, gap_seconds)
 
-    pieces = ds.map_batches(add_salt, batch_format="pyarrow") \
-        .groupby(["user_id", "__salt"]).map_groups(
-            sessions, batch_format="pandas")
-
-    def merge_boundaries(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("session_start").reset_index(drop=True)
-        rows = []
-        cur = None
-        for r in g.itertuples(index=False):
-            if cur is not None and (
-                    (r.session_start - cur["session_end"])
-                    .total_seconds() <= gap_seconds):
-                cur["session_end"] = max(cur["session_end"],
-                                         r.session_end)
-                cur["n_events"] += r.n_events
-                cur["sum_value"] += r.sum_value
-            else:
-                if cur is not None:
-                    rows.append(cur)
-                cur = {"user_id": r.user_id,
-                       "session_start": r.session_start,
-                       "session_end": r.session_end,
-                       "n_events": r.n_events,
-                       "sum_value": r.sum_value}
-        if cur is not None:
-            rows.append(cur)
-        return pd.DataFrame(rows, columns=["user_id", "session_start",
-                                           "session_end", "n_events",
-                                           "sum_value"])
-
-    return pieces.groupby("user_id").map_groups(
-        merge_boundaries, batch_format="pandas")
+    salted = hash_exchange(ds.map_batches(add_salt, batch_format="pyarrow"),
+                           keys, pieces, batch_format="pyarrow")
+    return hash_exchange(
+        salted, "user_id",
+        lambda t: _merge_sessions(t, ["user_id"], gap_seconds),
+        batch_format="pyarrow")
 
 
 def funnel_counts(ds: Any, steps: list, user_col: str = "user_id",
@@ -324,41 +330,34 @@ def scd2_intervals(ds: Any, key: str, ts_col: str, col: str) -> Any:
     answers "what changed between two snapshots", this materializes
     the full change history a time-travel join needs.
 
-    Scale shape: per-key ordering rides the analytic window
-    machinery (callers select only key/ts/value columns); the
-    run-collapse is vectorized inside each key group; output is one
-    row per VALUE RUN, not per observation.  Ties on ``ts_col``
-    within a key must not occur (observation streams are unique per
-    (key, ts) — the reference's crawl model).
+    Scale shape: one :func:`~.joins.hash_exchange` on ``key`` over
+    the slim (key, ts, value) columns; each bucket sorts by (key, ts)
+    and cuts value runs; output is one row per VALUE RUN, not per
+    observation.  Ties on ``ts_col`` within a key must not occur
+    (observation streams are unique per (key, ts) — the reference's
+    crawl model).
     Output: (key, value, valid_from, valid_to, n_obs)."""
-    import numpy as np
-    import pandas as pd
+    from .joins import hash_exchange, run_starts
 
-    def runs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(ts_col)
-        v = g[col].to_numpy()
-        ts = g[ts_col]
-        new_run = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            new_run[1:] = v[1:] != v[:-1]
-        starts = np.flatnonzero(new_run)
-        ends = np.append(starts[1:], len(g))
-        # valid_to = ts of the NEXT run's first row; NaT/None on the
-        # open (current) run — pandas keeps the ts dtype and maps the
-        # missing slot to null in Arrow
-        valid_to = ts.iloc[np.minimum(ends, len(g) - 1)] \
-            .reset_index(drop=True)
-        valid_to[ends >= len(g)] = None
-        return pd.DataFrame({
-            key: g[key].iloc[0],
-            col: v[starts],
-            "valid_from": ts.iloc[starts].reset_index(drop=True),
-            "valid_to": valid_to,
-            "n_obs": (ends - starts).astype(np.int64),
-        })
+    def runs(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(key, "ascending"), (ts_col, "ascending")])
+        starts = run_starts(t, [key, col])  # a value run within a key
+        ends = np.append(starts[1:], t.num_rows)
+        ts = t.column(ts_col)
+        # valid_to = ts of the NEXT run's first row while that run is
+        # the same key; null on a key's open (current) run
+        nxt = np.minimum(ends, t.num_rows - 1)
+        is_open = np.isin(ends, np.append(run_starts(t, [key]),
+                                          t.num_rows))
+        return pa.table({
+            key: t.column(key).take(pa.array(starts)),
+            col: t.column(col).take(pa.array(starts)),
+            "valid_from": ts.take(pa.array(starts)),
+            "valid_to": ts.take(pa.array(nxt, mask=is_open)),
+            "n_obs": pa.array(ends - starts, pa.int64())})
 
-    slim = ds.select_columns([key, ts_col, col])
-    return slim.groupby(key).map_groups(runs, batch_format="pandas")
+    return hash_exchange(ds.select_columns([key, ts_col, col]), key, runs,
+                         batch_format="pyarrow")
 
 
 def sliding_distinct(ds: Any, key: str, ts_col: str, width_s: int,

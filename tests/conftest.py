@@ -35,3 +35,18 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir():
     return "/root/testdata/sf0.001"
+
+
+@pytest.fixture
+def spread(ray_session):
+    """``spread(keys)`` asserts the keys reach at least 3
+    ``hash_exchange`` buckets, so a per-key op test crosses buckets."""
+    import numpy as np
+    import pyarrow as pa
+    from swishray.ops.joins import _key_hash64, default_join_partitions
+
+    def check(keys):
+        nb = np.uint64(default_join_partitions())
+        hit = set((_key_hash64(pa.array(list(keys))) % nb).tolist())
+        assert len(hit) >= 3, f"keys reach only buckets {hit}"
+    return check

@@ -106,12 +106,13 @@ def test_ntile_fewer_rows_than_tiles(ray_session):
     assert list(out.tile) == [1, 2]
 
 
-def test_running_sum_salted_equals_unsalted(ray_session):
+def test_running_sum_salted_equals_unsalted(ray_session, spread):
     import ray.data as rd
     from swishray.ops.analytic import (analytic, running_sum,
                                        running_sum_salted)
 
-    t = _events(500, users=5, seed=11)
+    t = _events(500, users=9, seed=11)
+    spread(range(9))
     ds = rd.from_arrow(t).repartition(8)
     plain = analytic(ds, "user_id", ["ts", "event_id"],
                      [running_sum("iv", out="rsum")]).to_pandas()
@@ -131,7 +132,8 @@ def test_running_sum_salted_one_user_many_salts(ray_session):
     salted path splits them into 40 groups and still reconstructs
     the exact global prefix sum."""
     import ray.data as rd
-    from swishray.ops.analytic import running_sum_salted
+    from swishray.ops.analytic import (analytic, running_sum,
+                                       running_sum_salted)
 
     n = 400
     ts = pd.to_datetime("2024-03-01") + pd.to_timedelta(
@@ -142,15 +144,20 @@ def test_running_sum_salted_one_user_many_salts(ray_session):
         "ts": pa.array(ts, type=pa.timestamp("us")),
         "iv": pa.array((np.arange(n) % 7).astype(np.int64)),
     })
+    ds = rd.from_arrow(t).repartition(8)
     out = running_sum_salted(
-        rd.from_arrow(t).repartition(8), key="user_id", ts_col="ts",
+        ds, key="user_id", ts_col="ts",
         val_col="iv", out="rsum", salt_unit="day",
         tiebreak="event_id").to_pandas().sort_values("event_id")
     want = (np.arange(n) % 7).cumsum()
     assert out.rsum.astype(int).tolist() == list(want)
+    plain = analytic(ds, "user_id", ["ts", "event_id"],
+                     [running_sum("iv", out="rsum")]).to_pandas() \
+        .sort_values("event_id")
+    assert plain.rsum.tolist() == out.rsum.tolist()
 
 
-def test_rank_salted_equals_groupwise(ray_session):
+def test_rank_salted_equals_groupwise(ray_session, spread):
     """Histogram-based RANK/DENSE_RANK == the map_groups analytic
     path, including heavy ties — and it never groups raw rows."""
     import ray.data as rd
@@ -159,9 +166,10 @@ def test_rank_salted_equals_groupwise(ray_session):
 
     rng = np.random.default_rng(13)
     t = pa.table({
-        "g": pa.array(rng.integers(0, 4, 800).astype(np.int64)),
+        "g": pa.array(rng.integers(0, 9, 800).astype(np.int64)),
         "v": pa.array(rng.integers(0, 12, 800).astype(np.int64)),
         "id": pa.array(np.arange(800, dtype=np.int64))})
+    spread(range(9))
     ds = rd.from_arrow(t).repartition(6)
 
     a = rank_salted(ds, "g", "v", descending=True,
@@ -272,3 +280,58 @@ def test_transition_counts(ray_session):
                             col="event_type").to_pandas()
     got = {(r.src, r.dst): r.n for r in out.itertuples(index=False)}
     assert got == {("a", "b"): 1, ("b", "a"): 1, ("b", "b"): 1}
+
+
+def test_every_spec_many_partitions(ray_session, spread):
+    """Every spec kind over 24 partitions keyed by a LIST
+    (user_id, d), across blocks and buckets, vs a per-partition
+    pandas replay; ts is hour-floored so rank ties occur."""
+    import ray.data as rd
+    from swishray.ops.analytic import (analytic, cume_dist, dense_rank,
+                                       ewma, first_value, lag,
+                                       last_value, lead, ntile,
+                                       percent_rank, range_sum, rank,
+                                       rolling_sum, row_number,
+                                       running_max, running_sum)
+
+    df = _events(600, users=12, seed=21).to_pandas()
+    df["ts"] = df.ts.dt.floor("h")
+    df["d"] = df.event_id % 2
+    spread(range(12))
+    specs = [row_number(), rank(), dense_rank(), lag("iv"),
+             lead("iv", 2), running_sum("iv"), rolling_sum("iv", 3),
+             running_max("iv"), ntile(5), percent_rank(), cume_dist(),
+             first_value("event_id"), last_value("event_id"),
+             range_sum("iv", "ts", 7200), ewma("iv", 0.3)]
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    out = analytic(rd.from_arrow(t).repartition(6), ["user_id", "d"],
+                   ["ts", "event_id"], specs,
+                   rank_cols=["ts"]).to_pandas()
+    assert len(out) == len(df)
+    eq = np.testing.assert_array_equal
+    for (u, d), g in df.groupby(["user_id", "d"]):
+        g = g.sort_values(["ts", "event_id"]).reset_index(drop=True)
+        m = out[(out.user_id == u) & (out.d == d)] \
+            .set_index("event_id").loc[g.event_id]
+        n = len(g)
+        r = g.ts.rank(method="min").to_numpy()
+        eq(m.rn, np.arange(1, n + 1))
+        eq(m.rnk, r)
+        eq(m.drnk, g.ts.rank(method="dense"))
+        eq(m.iv_lag1.to_numpy(float), g.iv.shift(1).to_numpy(float))
+        eq(m.iv_lead2.to_numpy(float), g.iv.shift(-2).to_numpy(float))
+        eq(m.iv_rsum, g.iv.cumsum())
+        eq(m.iv_roll3, g.iv.rolling(3, min_periods=1).sum())
+        eq(m.iv_rmax, g.iv.cummax())
+        base, extra = divmod(n, 5)
+        eq(m.tile, np.repeat(np.arange(1, 6),
+                             [base + (i < extra) for i in range(5)])[:n])
+        eq(m.prnk, (r - 1) / (n - 1) if n > 1 else np.zeros(n))
+        eq(m.cdist, g.ts.rank(method="max") / n)
+        assert (m.event_id_first == g.event_id.iloc[0]).all()
+        assert (m.event_id_last == g.event_id.iloc[-1]).all()
+        sec = g.ts.astype("int64") // 10**3
+        eq(m.iv_range, [g.iv[(sec >= s - 7200 * 10**3) & (sec <= s)].sum()
+                        for s in sec])
+        assert np.allclose(m.iv_ewma,
+                           g.iv.ewm(alpha=0.3, adjust=False).mean())

@@ -346,3 +346,75 @@ def test_containment_join_vs_bruteforce(ray_session):
             if c >= thr:
                 want[(i, j)] = round(c, 12)
     assert got == want
+
+
+def test_exact_dedup_repeated_keys_many_buckets(ray_session, spread):
+    """unique_keys=False over a 3-snapshot union: one row per
+    surviving key, the min key of every content group."""
+    import ray.data as rd
+    from swishray.ops.dedup import exact_dedup
+
+    n = 120
+    tbl = pa.table({"doc_id": pa.array(range(n), type=pa.int64()),
+                    "text": [f"body {i % 37}" for i in range(n)]})
+    spread(range(n))
+    snaps = rd.from_arrow(tbl).repartition(3)
+    for _ in range(2):
+        snaps = snaps.union(rd.from_arrow(tbl).repartition(2))
+    kept = exact_dedup(snaps, unique_keys=False).take_all()
+    assert sorted(r["doc_id"] for r in kept) == list(range(37))
+
+
+def test_hamming_pairs_match_brute_force(ray_session, spread):
+    """Banded Hamming blocking finds exactly the all-pairs answer
+    (pigeonhole: distance <= 3 shares one of 4 bands)."""
+    import ray.data as rd
+    from swishray.ops.dedup import hamming_near_dups
+
+    rng = np.random.default_rng(6)
+    base = rng.integers(0, 2**63, 40).tolist()
+    u = np.array([base[i % 40] ^ sum(1 << int(b) for b in rng.choice(
+        64, rng.integers(0, 5), replace=False)) for i in range(200)],
+        dtype=np.uint64)  # 40 families, 0-4 flipped bits each
+    keys = [f"doc-{i:03d}" for i in range(200)]
+    spread(keys)
+    ds = rd.from_arrow(pa.table({
+        "k": keys, "h": pa.array(u.view(np.int64))})).repartition(5)
+    got = {(r["a"], r["b"], r["hamming"])
+           for r in hamming_near_dups(ds, "h", "k").take_all()}
+    want = set()
+    for i in range(200):
+        for j in range(200):
+            d = bin(int(u[i] ^ u[j])).count("1")
+            if keys[i] < keys[j] and d <= 3:
+                want.add((keys[i], keys[j], d))
+    assert got == want and len(want) > 50
+
+
+def test_lsh_candidates_match_band_collisions(ray_session):
+    """lsh_candidate_pairs == every (a < b) pair sharing a band
+    bucket, computed in-process from the same band hashes."""
+    import ray.data as rd
+    from swishray.ops.dedup import (band_hash_matrix, lsh_candidate_pairs,
+                                    minhash_signatures)
+
+    base = ["alpha beta gamma delta epsilon zeta eta theta",
+            "one two three four five six seven eight nine",
+            "red green blue cyan magenta yellow black white"]
+    texts = [base[i % 3] + (f" extra{i}" if i % 2 else "")
+             for i in range(60)]
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(60), type=pa.int64()),
+        "text": texts})).repartition(4)
+    sigs = minhash_signatures(ds).materialize()
+    got = {(r["a"], r["b"]) for r in
+           lsh_candidate_pairs(sigs, bands=16).take_all()}
+    rows = sigs.take_all()
+    flat = np.concatenate([np.asarray(r["minhash"], np.uint64)
+                           for r in rows])
+    bh = band_hash_matrix(flat, len(rows), 16)
+    ids = [r["doc_id"] for r in rows]
+    want = {(min(ids[i], ids[j]), max(ids[i], ids[j]))
+            for i in range(len(ids)) for j in range(len(ids))
+            if ids[i] != ids[j] and (bh[i] == bh[j]).any()}
+    assert got == want and len(want) > 100

@@ -91,6 +91,70 @@ def test_hash_exchange_contract(ray_session, kind):
     assert chained.to_pandas().sort_values("v")["k"].tolist() == keys
 
 
+def test_hash_exchange_list_key(ray_session):
+    """A list key sends all rows of each (k1, k2) to one fn call; a
+    one-column list buckets exactly like the bare column name."""
+    import numpy as np
+    import ray.data as rd
+    from swishray.ops.joins import _key_hash64, hash_exchange
+
+    t = pa.table({"k1": [i % 7 for i in range(300)],
+                  "k2": [f"s{i % 5}" for i in range(300)],
+                  "v": list(range(300))})
+    ds = rd.from_arrow(t).repartition(5)
+
+    def calls(key):
+        def fn(g: pa.Table) -> pa.Table:
+            keys = sorted(set(zip(g.column("k1").to_pylist(),
+                                  g.column("k2").to_pylist())))
+            return pa.table({"keys": [repr(keys)], "n": [g.num_rows]})
+        return hash_exchange(ds, key, fn, num_buckets=4,
+                             batch_format="pyarrow").take_all()
+
+    pairs = calls(["k1", "k2"])
+    seen = [k for r in pairs for k in eval(r["keys"])]
+    assert len(seen) == len(set(seen)) == 35
+    assert sum(r["n"] for r in pairs) == 300
+
+    def k1_buckets(rows):
+        return sorted(sorted({k for k, _ in eval(r["keys"])})
+                      for r in rows)
+    assert k1_buckets(calls("k1")) == k1_buckets(calls(["k1"]))
+    want = {}
+    for k in range(7):
+        b = _key_hash64(pa.array([k]))[0] % np.uint64(4)
+        want.setdefault(int(b), []).append(k)
+    assert k1_buckets(calls("k1")) == sorted(want.values())
+
+
+def test_map_groups_only_in_keyed_exchange():
+    """Every ``.map_groups(`` call under swishray/ is hash_exchange's
+    own or sits in a site that hash_exchange's docstring lists as
+    bounded by configuration — and every listed site still exists."""
+    import ast
+    import pathlib
+    import re
+
+    from swishray.ops.joins import hash_exchange
+
+    listed = hash_exchange.__doc__.split("The only per-group")[1] \
+        .split("The input is coalesced")[0]
+    allowed = set(re.findall(r"``(\w+)\.(\w+)``", listed))
+    assert len(allowed) >= 7
+    root = pathlib.Path(__file__).resolve().parent.parent / "swishray"
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Attribute) and \
+                        node.func.attr == "map_groups":
+                    found.add((path.stem, name))
+    assert found - allowed == {("joins", "hash_exchange")}
+    assert allowed <= found
+
+
 def test_custom_tokenizer_hook():
     from swishray.extractor import DocumentExtractor
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def test_asof_join_interleaved(ray_session):
@@ -60,7 +61,7 @@ def test_discrete_quantiles_exact(ray_session):
         assert out[q] == sv[max(0, math.ceil(q * len(sv)) - 1)]
 
 
-def test_topk_per_group_combiner_equivalence(ray_session):
+def test_topk_per_group_combiner_equivalence(ray_session, spread):
     """The map-side combiner must not change results vs a plain
     per-group sort+head."""
     import ray.data as rd
@@ -72,6 +73,7 @@ def test_topk_per_group_combiner_equivalence(ray_session):
         "x": rng.randint(0, 100, size=2000),
         "id": np.arange(2000),
     })
+    spread(range(7))
     ds = rd.from_pandas(df).repartition(16)
     got = topk_per_group(ds, "g", "x", k=4, tiebreak="id").to_pandas()
     want = (df.sort_values(["x", "id"], ascending=[False, True])
@@ -118,9 +120,11 @@ def test_cosine_ivf_recall(ray_session):
     assert recall >= 0.9, f"recall {recall}"
 
 
-def test_sessionize_salted_equal(ray_session):
+def test_sessionize_salted_equal(ray_session, spread):
     """Salted sessionization (skew-proof two-phase) equals the plain
-    per-user form, including sessions crossing the salt boundary."""
+    per-user form and a single-process pandas replay, including
+    sessions crossing the salt boundary and a hot user whose events
+    span ~40 daily salts."""
     import datetime
     import ray.data as rd
     from swishray.ops.windows import sessionize, sessionize_salted
@@ -129,13 +133,15 @@ def test_sessionize_salted_equal(ray_session):
     rows = {"event_id": [], "user_id": [], "ts": [], "value": []}
     eid = 0
     base = datetime.datetime(2024, 1, 1)
-    for u in range(6):
+    for u in range(7):
         t = base + datetime.timedelta(minutes=int(rng.randint(0, 600)))
-        for _ in range(300):
+        for _ in range(300 if u < 6 else 1500):
             # cluster of short gaps, occasional > gap jumps; some
             # sessions deliberately straddle midnight
             step = int(rng.choice([60, 120, 200, 5000],
                                   p=[0.5, 0.3, 0.15, 0.05]))
+            if u == 6:  # the hot user: ~40 days of events
+                step *= 6
             t = t + datetime.timedelta(seconds=step)
             rows["event_id"].append(eid)
             rows["user_id"].append(u)
@@ -162,6 +168,18 @@ def test_sessionize_salted_equal(ray_session):
     days = {s[1].date() != s[2].date() for s in plain}
     assert True in days
     assert plain == salted
+    hot = [s for s in plain if s[0] == 6]
+    assert (hot[-1][2] - hot[0][1]).days >= 30
+
+    spread(range(7))
+    df = tbl.to_pandas().sort_values(["user_id", "ts"])
+    want = []
+    for u, g in df.groupby("user_id"):
+        sid = (g.ts.diff().dt.total_seconds() > 1800).cumsum()
+        for _, s in g.groupby(sid):
+            want.append((u, s.ts.min(), s.ts.max(), len(s),
+                         round(s.value.sum(), 6)))
+    assert plain == sorted(want)
 
 
 def test_hash_sample_stable_split(ray_session):
@@ -556,7 +574,7 @@ def test_profile(ray_session):
     assert sub["column"].tolist() == ["s"]
 
 
-def test_quantiles_per_group_matches_walk(ray_session):
+def test_quantiles_per_group_matches_walk(ray_session, spread):
     """Per-group exact quantile_disc vs a local sorted-multiset walk,
     including a one-row group and a skewed value histogram."""
     import ray.data as rd
@@ -564,18 +582,23 @@ def test_quantiles_per_group_matches_walk(ray_session):
     from swishray.ops.aggregates import discrete_quantiles_per_group
 
     rng = np.random.default_rng(7)
-    g = np.repeat(["a", "b", "c"], [500, 40, 1])
+    names = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    sizes = [500, 40, 1, 7, 30, 3, 12, 60]
+    g = np.repeat(names, sizes)
     v = np.concatenate([
         rng.choice([1, 2, 3, 3, 3, 9], 500),
         rng.integers(0, 100, 40),
-        [42]]).astype(np.int64)
+        [42]] + [rng.integers(-5, 5, n) for n in sizes[3:]]) \
+        .astype(np.int64)
+    spread(names)
     t = pa.table({"g": pa.array(g), "v": pa.array(v)})
     qs = [0.1, 0.29, 0.5, 0.9, 1.0]
     out = discrete_quantiles_per_group(
         rd.from_arrow(t).repartition(6), "g", "v", qs).to_pandas()
 
     import math
-    for grp in ["a", "b", "c"]:
+    assert len(out) == len(names) * len(qs)
+    for grp in names:
         vals = np.sort(v[g == grp])
         for q in qs:
             idx = max(0, math.ceil(Fraction(str(q)) * len(vals)) - 1)
@@ -894,3 +917,194 @@ def test_collect_sorted_group_size_guard(ray_session):
     out = collect_sorted(ds, "g", "v",
                          max_group_bytes=10_000_000).take_all()
     assert out[0]["n_items"] == 50
+
+
+def test_mode_per_group_nul_strings(ray_session):
+    """Values that differ only after a NUL byte stay distinct (pandas'
+    string hashing stops at the first NUL and merged them)."""
+    import ray.data as rd
+    from swishray.ops.aggregates import mode_per_group
+
+    t = pa.table({"g": pa.array([1, 1, 1], pa.int64()),
+                  "v": ["a\x00b", "a\x00c", "a\x00c"]})
+    got = mode_per_group(rd.from_arrow(t), "g", "v").take_all()
+    assert [(r["g"], r["mode"], r["mode_n"]) for r in got] == \
+        [(1, "a\x00c", 2)]
+
+
+def test_quantiles_per_group_nul_strings(ray_session):
+    import ray.data as rd
+    from swishray.ops.aggregates import discrete_quantiles_per_group
+
+    t = pa.table({"g": ["x\x00a", "x\x00b", "x\x00b"],
+                  "v": pa.array([1, 5, 7], pa.int64())})
+    got = discrete_quantiles_per_group(rd.from_arrow(t), "g", "v",
+                                       [0.5, 1.0]).take_all()
+    assert sorted((r["g"], r["q"], r["value"]) for r in got) == [
+        ("x\x00a", 0.5, 1), ("x\x00a", 1.0, 1),
+        ("x\x00b", 0.5, 5), ("x\x00b", 1.0, 7)]
+
+
+def test_collect_sorted_and_mode_many_groups(ray_session, spread):
+    """Many groups over many blocks vs a single-process pandas
+    replay: string_agg ORDER BY (o, v) and the (count desc, value
+    asc) mode."""
+    import ray.data as rd
+    from swishray.ops.aggregates import collect_sorted, mode_per_group
+
+    rng = np.random.default_rng(4)
+    n = 900
+    df = pd.DataFrame({
+        "g": [f"grp-{i}" for i in rng.integers(0, 40, n)],
+        "o": rng.integers(0, 50, n),
+        "v": [f"v{i}" for i in rng.integers(0, 6, n)]})
+    spread(df.g.unique())
+    ds = rd.from_pandas(df).repartition(7)
+
+    got = collect_sorted(ds, "g", "v", sep="|", order="o").to_pandas()
+    want = {g: ("|".join(d.sort_values(["o", "v"]).v), len(d))
+            for g, d in df.groupby("g")}
+    assert {r.g: (r["items"], r.n_items) for _, r in got.iterrows()} \
+        == want
+
+    got = mode_per_group(ds, "g", "v").to_pandas()
+    want = {}
+    for g, d in df.groupby("g"):
+        vc = d.v.value_counts().reset_index()
+        vc.columns = ["v", "n"]
+        top = vc.sort_values(["n", "v"], ascending=[False, True]).iloc[0]
+        want[g] = (top.v, top.n)
+    assert {r.g: (r["mode"], r.mode_n) for _, r in got.iterrows()} \
+        == want
+
+
+def test_scd2_intervals_many_keys(ray_session, spread):
+    import ray.data as rd
+    from swishray.ops.windows import scd2_intervals
+
+    rng = np.random.default_rng(9)
+    rows = []
+    for k in range(25):
+        for ts in rng.choice(1000, rng.integers(1, 30), replace=False):
+            rows.append((k, int(ts), str(rng.choice(["a", "b", "c"]))))
+    df = pd.DataFrame(rows, columns=["k", "ts", "v"])
+    spread(range(25))
+    out = scd2_intervals(rd.from_pandas(df).repartition(6),
+                         key="k", ts_col="ts", col="v").to_pandas()
+    got = sorted((r.k, r.v, r.valid_from,
+                  None if pd.isna(r.valid_to) else int(r.valid_to),
+                  r.n_obs) for _, r in out.iterrows())
+    want = []
+    for k, d in df.sort_values("ts").groupby("k"):
+        run = (d.v != d.v.shift()).cumsum()
+        firsts = [g.ts.iloc[0] for _, g in d.groupby(run)]
+        for i, (_, g) in enumerate(d.groupby(run)):
+            nxt = firsts[i + 1] if i + 1 < len(firsts) else None
+            want.append((k, g.v.iloc[0], g.ts.iloc[0], nxt, len(g)))
+    assert got == sorted(want)
+
+
+def test_asof_join_many_keys(ray_session, spread):
+    """Many keys over many blocks vs a brute-force backward scan."""
+    import ray.data as rd
+    from swishray.ops.joins import asof_join
+
+    rng = np.random.default_rng(12)
+    left = pd.DataFrame({"lid": np.arange(300),
+                         "k": rng.integers(0, 30, 300),
+                         "ts": rng.integers(0, 1000, 300)})
+    right = pd.DataFrame({"k": rng.integers(0, 30, 200),
+                          "rts": rng.integers(0, 1000, 200),
+                          "val": np.arange(200)})
+    spread(range(30))
+    out = asof_join(rd.from_pandas(left).repartition(5),
+                    rd.from_pandas(right).repartition(4),
+                    on="k", left_ts="ts", right_ts="rts",
+                    right_cols=["val"], right_tiebreak="val").take_all()
+    got = {r["lid"]: r["__r_val"] for r in out}
+    want = {}
+    for r in left.itertuples():
+        c = right[(right.k == r.k) & (right.rts <= r.ts)]
+        want[r.lid] = (None if c.empty else
+                       int(c.sort_values(["rts", "val"]).val.iloc[-1]))
+    assert got == want
+
+
+def test_survivorship_merge_many_clusters(ray_session, spread):
+    import ray.data as rd
+    from swishray.ops.partitioning import survivorship_merge
+
+    rng = np.random.default_rng(3)
+    n = 400
+    df = pd.DataFrame({
+        "cluster": rng.integers(0, 30, n),
+        "doc_id": rng.permutation(n),
+        "text": ["x" * int(i) + "y" for i in rng.integers(0, 5, n)],
+        "lang": rng.choice(["en", "de", "fr"], n),
+        "n": rng.integers(0, 100, n)})
+    spread(range(30))
+    out = survivorship_merge(
+        rd.from_pandas(df).repartition(6), "cluster",
+        {"text": "longest", "lang": "mode", "n": "min"},
+        keep_key="doc_id").to_pandas().set_index("cluster").sort_index()
+    assert list(out.index) == sorted(df.cluster.unique())
+    for c, d in df.groupby("cluster"):
+        row = out.loc[c]
+        assert row.doc_id == d.doc_id.min()
+        assert row.n == d.n.min()
+        assert row.text == sorted(d.text, key=lambda s: (-len(s), s))[0]
+        vc = d.lang.value_counts()
+        assert row.lang == min(vc[vc == vc.max()].index)
+
+
+def _empty_events():
+    return pa.table({
+        "event_id": pa.array([], pa.int64()),
+        "user_id": pa.array([], pa.int64()),
+        "ts": pa.array([], pa.timestamp("us")),
+        "value": pa.array([], pa.float64()),
+        "g": pa.array([], pa.string())})
+
+
+@pytest.mark.parametrize("op", [
+    "sessionize", "sessionize_salted", "scd2", "quantiles", "collect",
+    "mode", "topk", "pivot", "gap_fill", "survivorship", "analytic",
+    "rank_salted", "running_sum_salted", "pack", "asof", "exact_dedup",
+    "hamming"])
+def test_keyed_ops_empty_input(ray_session, op):
+    """A typed but empty input yields no rows and no error through
+    every per-key exchange op."""
+    import ray.data as rd
+    from swishray.ops import (aggregates, analytic, dedup, joins,
+                              packing, partitioning, windows)
+
+    ev = rd.from_arrow(_empty_events())
+    run = {
+        "sessionize": lambda: windows.sessionize(ev),
+        "sessionize_salted": lambda: windows.sessionize_salted(ev),
+        "scd2": lambda: windows.scd2_intervals(ev, "user_id", "ts", "g"),
+        "quantiles": lambda: aggregates.discrete_quantiles_per_group(
+            ev, "g", "event_id", [0.5]),
+        "collect": lambda: aggregates.collect_sorted(ev, "user_id", "g"),
+        "mode": lambda: aggregates.mode_per_group(ev, "g", "event_id"),
+        "topk": lambda: aggregates.topk_per_group(ev, "g", "value"),
+        "pivot": lambda: aggregates.pivot_table(ev, "user_id", "g",
+                                                "event_id"),
+        "gap_fill": lambda: aggregates.gap_fill_counts(ev, "g", "ts"),
+        "survivorship": lambda: partitioning.survivorship_merge(
+            ev, "user_id", {"g": "mode"}),
+        "analytic": lambda: analytic.analytic(
+            ev, "user_id", ["ts"], [analytic.row_number()]),
+        "rank_salted": lambda: analytic.rank_salted(ev, "g", "event_id"),
+        "running_sum_salted": lambda: analytic.running_sum_salted(
+            ev, "user_id", "ts", "value"),
+        "pack": lambda: packing.pack_documents(
+            ev, 8, "user_id", col="g", key="event_id"),
+        "asof": lambda: joins.asof_join(
+            ev, ev, "user_id", "ts", "ts", ["value"]),
+        "exact_dedup": lambda: dedup.exact_dedup(
+            ev, "g", "event_id", unique_keys=False),
+        "hamming": lambda: dedup.hamming_near_dups(ev, "event_id",
+                                                   "user_id"),
+    }[op]
+    assert run().take_all() == []

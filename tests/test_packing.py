@@ -22,14 +22,16 @@ def test_pack_documents_exact_chunks(ray_session):
     assert len(got) == 3
 
 
-def test_pack_documents_parallelism_invariant(ray_session):
+def test_pack_documents_parallelism_invariant(ray_session, spread):
     """Same output at 1 block and many blocks (packing is group-
-    defined, not block-defined)."""
+    defined, not block-defined), and equal to a single-process
+    replay of every group's token stream."""
     import ray.data as rd
-    from swishray.ops.packing import pack_documents
+    from swishray.ops.packing import EOD, pack_documents
+    spread(range(6))
     t = pa.table({
         "doc_id": pa.array(range(40), pa.int64()),
-        "grp": pa.array([i % 4 for i in range(40)], pa.int64()),
+        "grp": pa.array([i % 6 for i in range(40)], pa.int64()),
         "text": pa.array([f"w{i} w{i} w{i}" for i in range(40)],
                          pa.string())})
     a = sorted((r["grp"], r["chunk_id"], r["n_tokens"], r["text"])
@@ -39,6 +41,14 @@ def test_pack_documents_parallelism_invariant(ray_session):
     b = sorted((r["grp"], r["chunk_id"], r["n_tokens"], r["text"])
                for r in pack_documents(many, 7, "grp").take_all())
     assert a == b
+    want = []
+    for g in range(6):
+        toks = [w for i in range(g, 40, 6)
+                for w in [f"w{i}"] * 3 + [EOD]]
+        want += [(g, c, len(toks[c * 7:c * 7 + 7]),
+                  " ".join(toks[c * 7:c * 7 + 7]))
+                 for c in range(-(-len(toks) // 7))]
+    assert a == sorted(want)
     # every non-final chunk is exactly full
     per_grp_max = {}
     for grp, ci, n, _ in a:

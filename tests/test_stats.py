@@ -123,13 +123,15 @@ def test_grouping_sets_rollup_cube(ray_session):
     assert len(cube) == len(out) + 2
 
 
-def test_pivot_table(ray_session):
+def test_pivot_table(ray_session, spread):
     import pandas as pd
     import ray.data as rd
     from swishray.ops.aggregates import pivot_table
 
     rng = np.random.default_rng(5)
-    r = rng.choice(["r1", "r2", "r3", "r4"], 700)
+    rows = [f"r{i}" for i in range(1, 10)]
+    spread(rows)
+    r = rng.choice(rows, 700)
     c = rng.choice(["A", "B", "C"], 700)
     v = rng.integers(0, 9, 700)
     # r4 never sees column C -> must still be 0, not missing
@@ -268,6 +270,32 @@ def test_gap_fill_counts(ray_session):
     g2 = out[out.g == "g2"]
     assert len(g2) == 1 and g2.n.iloc[0] == 1
 
+
+
+def test_gap_fill_counts_many_groups(ray_session, spread):
+    """Many groups over many blocks vs a pandas resample replay."""
+    import pandas as pd
+    import ray.data as rd
+    from swishray.ops.aggregates import gap_fill_counts
+
+    rng = np.random.default_rng(8)
+    n = 600
+    df = pd.DataFrame({
+        "g": [f"g{i}" for i in rng.integers(0, 20, n)],
+        "ts": pd.to_datetime("2024-01-01") + pd.to_timedelta(
+            rng.integers(0, 30 * 86400, n), unit="s")})
+    spread(df.g.unique())
+    t = pa.table({"g": pa.array(df.g),
+                  "ts": pa.array(df.ts, type=pa.timestamp("us"))})
+    out = gap_fill_counts(rd.from_arrow(t).repartition(5), "g", "ts",
+                          unit="day").to_pandas()
+    got = sorted((r.g, r.period, r.n) for _, r in out.iterrows())
+    want = []
+    for g, d in df.groupby("g"):
+        c = d.ts.dt.floor("D").value_counts()
+        for day in pd.date_range(c.index.min(), c.index.max(), freq="D"):
+            want.append((g, day, int(c.get(day, 0))))
+    assert got == sorted(want)
 
 def test_unnest_list(ray_session):
     import ray.data as rd
