@@ -4,8 +4,9 @@ Seven extensions, each independently optional and each A/B-verified
 against its pure-Python (or ctypes) path by the module that uses it
 before first use:
   * ``swishtok`` — the C tokenizer (tokenizer._native_selftest)
-  * ``swishsax`` — the C event-batching SAX front-end, checked against
-    the ctypes event stream (libxml._sax_selftest)
+  * ``swishsax`` — the C SAX front-end, checked against the ctypes
+    event stream (libxml._sax_selftest), and the extraction state
+    machine, checked against the event replay (sax._machine_selftest)
   * ``swishpng`` — the PNG scanline un-filter kernel
     (ops.codecs._native_selftest)
   * ``swishjpeg`` — the JPEG entropy-decode scan loop

@@ -115,8 +115,9 @@ class DocumentExtractor:
         # skip, mirroring SWISH_WARN "Skipping XInclude"). With no
         # resolver, xi:include elements record an error marker row.
         self.xinclude_resolver = xinclude_resolver
-        # which elements the SAX front-end may fold into text runs; a
-        # function of the config alone, so built once here
+        # the plan under which swishsax's extraction machine runs a
+        # whole document (None: the event replay); a function of the
+        # config alone, so built once here
         self.sax_plan = collapse_plan(self.config)
 
     # -- encoding helpers ----------------------------------------------

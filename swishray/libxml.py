@@ -11,17 +11,26 @@ characters, comment; cdataBlock is left NULL so CDATA falls back to
 characters, and ignorableWhitespace is left NULL so the HTML parser
 drops "blank" runs — both exactly as the reference behaves.
 
-There is one event path. A libxml2 front-end records a whole document's
-SAX events into one ``(rc, events)`` batch, in the tuple format
-documented at the top of ``_native/swishsax.c``; ``_replay`` then
-feeds the batch to a consumer. Two front-ends build the same batch:
-the C extension ``swishsax`` (used when it loads) and the ctypes
-``_Recorder`` here. A target with a ``sax_plan`` (a ``SaxPlan``, which
-the extraction state carries) gets its inert elements folded into run
-events: swishsax folds them in its callbacks, the ctypes path by
-``_collapse`` over the recorded events. At import ``_sax_selftest``
-checks that both return equal batches on a small corpus, with a plan
-and without one, and a mismatch drops the C front-end.
+Which path runs when (formats in the header of ``_native/swishsax.c``):
+
+  * An ExtractionState whose ``sax_plan`` carries a machine (a config
+    that passes ``sax.collapse_plan``'s gate, with swishsax loaded)
+    goes through swishsax's extraction machine: one C call runs
+    libxml2 with handlers that do the state machine's work and returns
+    the finished buffers and the ordered flushes, which
+    ``ExtractionState.apply`` tokenizes in Python. A document the
+    machine declines (or whose tokenizer hook raises) is re-parsed
+    through the full event stream below.
+  * Everything else gets the full event stream: a libxml2 front-end
+    records a whole document's SAX events into one ``(rc, events)``
+    batch and ``_replay`` feeds it to the target
+    (``ExtractionState.replay`` or a SaxTarget's methods). Two
+    front-ends build the same batch: the C extension ``swishsax`` (used
+    when it loads) and the ctypes ``_Recorder`` here. At import
+    ``_sax_selftest`` checks that both return equal batches on a small
+    corpus, and a mismatch drops the C front-end (and with it the
+    machine); ``sax`` checks the machine against the replay the same
+    way.
 
 Entry points mirror parser.c:
   * xml_parse(buffer, target)  — xmlSAXUserParseMemory with SAX2 magic
@@ -275,82 +284,19 @@ def _parse_ctypes(buffer: bytes, html: bool) -> tuple[int, list]:
 
 
 class SaxPlan(NamedTuple):
-    """A run-collapse plan (sax.collapse_plan builds it from a Config;
-    the semantics are in the header of _native/swishsax.c)."""
-    keep: frozenset  # lowercased names that are never inert
-    xml: bool        # XML elements may be inert
-    xml_atts: bool   # ... even when they carry attributes
+    """An extraction plan (sax.collapse_plan builds it from a Config
+    that passes its gate)."""
+    machine: object  # swishsax's compiled extraction machine, or None
 
 
 _XINCLUDE_NSS = (b"http://www.w3.org/2003/XInclude",
                  b"http://www.w3.org/2001/XInclude")
-_KEEP = "keep"
 
 
-def _inert_bump(plan: SaxPlan, name: bytes, html: bool):
-    """``_KEEP``, or the bump_word an inert element sets (None:
-    unchanged) — swishsax.c classify_name."""
-    if not name or not name.isascii():
-        return _KEEP
-    low = name.lower()
-    if low in plan.keep:
-        return _KEEP
-    if not html:
-        return True if plan.xml else _KEEP
-    if low in (b"br", b"img"):
-        return True
-    ii = html_tag_lookup_isinline(low)
-    return None if ii is None else ii == 0
-
-
-def _collapse(events: list, plan: SaxPlan, html: bool) -> list:
-    """Fold a full event batch into the batch swishsax builds under
-    ``plan``: each run of inert elements and the characters among them
-    becomes one (9, lead, reset, data, trail, last) event."""
-    out: list = []
-    bumps: dict = {}
-    run = None  # [lead, reset, pieces, cur, last]
-
-    def end_run():
-        out.append((9, run[0], run[1], b"".join(run[2]),
-                    bool(run[2]) and run[3] is True, run[4]))
-
-    for ev in events:
-        t = ev[0]
-        if t == 3 and run is not None:
-            if run[2]:
-                if run[3]:
-                    run[2].append(b"\x03")
-            else:
-                run[0] = run[3]
-            run[2].append(ev[1])
-            run[3] = None
-            continue
-        k = _KEEP
-        if t in (1, 2, 5, 6):
-            k = bumps.get(ev[1], bumps)
-            if k is bumps:
-                k = bumps[ev[1]] = _inert_bump(plan, ev[1], html)
-            if t == 5 and (ev[3] in _XINCLUDE_NSS
-                           or (ev[4] is not None and not plan.xml_atts)):
-                k = _KEEP
-            elif t == 1 and ev[2] is not None and ev[1].lower() == b"meta":
-                k = _KEEP
-        if k is _KEEP:
-            if run is not None:
-                end_run()
-                run = None
-            out.append(ev)
-            continue
-        if run is None:
-            run = [None, False, [], None, None]
-        if k is not None:
-            run[3] = run[4] = k
-        if not html:
-            run[1] = True
-    if run is not None:
-        end_run()
-    return out
+def compile_machine(spec: tuple):
+    """swishsax's extraction machine for ``spec`` (the tuple
+    sax.collapse_plan builds), or None without swishsax."""
+    return _sax_native.compile(spec) if _sax_native is not None else None
 
 
 def _replay(events: list, target) -> None:
@@ -388,14 +334,19 @@ def _replay(events: list, target) -> None:
 
 
 def _parse(buffer: bytes, target, html: bool) -> int:
-    plan = getattr(target, "sax_plan", None)
-    if _sax_native is not None:
-        native = _sax_native.parse_html if html else _sax_native.parse_xml
-        rc, events = native(buffer, plan)
-    else:
+    if _sax_native is None:
         rc, events = _parse_ctypes(buffer, html)
-        if plan is not None:
-            events = _collapse(events, plan, html)
+    else:
+        plan = getattr(target, "sax_plan", None)
+        if plan is not None and plan.machine is not None:
+            run = (_sax_native.extract_html if html
+                   else _sax_native.extract_xml)
+            result = run(buffer, plan.machine)
+            # None: the machine declined the document
+            if result is not None and target.apply(result):
+                return result[0]
+        rc, events = (_sax_native.parse_html if html
+                      else _sax_native.parse_xml)(buffer)
     _replay(events, target)
     return rc
 
@@ -462,28 +413,19 @@ _SAX_SELFTEST_DOCS = [
     ("xml", b"<doc><open>no close"),
     ("xml", b"<a><b x=\"1\" y=\"2\">t1</b>t2<c/></a>"),
 ]
-_SAX_SELFTEST_PLANS = [
-    SaxPlan(frozenset({b"title", b"p"}), True, False),
-    SaxPlan(frozenset({b"a"}), True, True),
-]
 
 
 def _sax_selftest() -> bool:
-    """The ctypes and C front-ends must return equal (rc, events), with
-    and without a plan."""
+    """The ctypes and C front-ends must return equal (rc, events)."""
     for kind, doc in _SAX_SELFTEST_DOCS:
         html = kind == "html"
         native = _sax_native.parse_html if html else _sax_native.parse_xml
-        rc, events = _parse_ctypes(doc, html)
-        if (rc, events) != native(doc):
+        if _parse_ctypes(doc, html) != native(doc):
             return False
-        for plan in _SAX_SELFTEST_PLANS:
-            if (rc, _collapse(events, plan, html)) != native(doc, plan):
-                return False
     return True
 
 
-try:  # optional C event-batching front-end (see _native/swishsax.c)
+try:  # optional C front-end and machine (see _native/swishsax.c)
     from ._native import swishsax as _sax_native
 except Exception:  # pragma: no cover
     _sax_native = None

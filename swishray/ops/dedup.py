@@ -373,14 +373,16 @@ def attach_pair_sets(cand: Any, sets: Any, key: str, ktype) -> Any:
     :func:`~.joins.hash_exchange` merges, on a then on b. Shared by
     minhash_dedup, setsim_join and containment_join.
 
-    Each reduce task runs one vectorized pandas merge over its bucket
-    instead of Ray invoking a Python function per key. All copies of
+    Each reduce task runs one vectorized merge over its bucket (Arrow
+    on a, pandas on b) instead of Ray invoking a Python function per
+    key. All copies of
     a pair (duplicated e.g. across LSH bands) hash to the same
-    a-bucket, so stage A's drop_duplicates is a GLOBAL pair dedup for
+    a-bucket, so stage A's pair group_by is a GLOBAL pair dedup for
     free. No column is ever null-padded (set rows carry
     their own key in the unused slot), so int64 keys never pass
     through float64/NaN (exact for keys > 2^53 too)."""
     import pandas as pd
+    import pyarrow.compute as pc
     from .joins import hash_exchange
 
     def tag_pairs_a(batch: pa.Table) -> pa.Table:
@@ -409,25 +411,23 @@ def attach_pair_sets(cand: Any, sets: Any, key: str, ktype) -> Any:
                 "__sh": batch.column("__sh"), "__is_set": ones})
         return f
 
-    def merge_a(g: pd.DataFrame) -> pa.Table:
-        ps = g.loc[g["__is_set"] == 0, ["a", "b"]].drop_duplicates()
-        ss = g.loc[g["__is_set"] == 1, ["a", "__sh"]] \
-            .drop_duplicates(subset=["a"])
-        m = ps.merge(ss, on="a", how="inner")
-        # explicit Arrow types: pandas object-bytes would surface as
-        # 'binary' while every arrow stage emits 'large_binary', and
-        # the mixed schemas cost a unification pass per bundle (plus
-        # a worker warning per block)
+    def merge_a(g: pa.Table) -> pa.Table:
+        # Arrow group_by, not pandas drop_duplicates: pandas 2.2 merges
+        # string pairs that differ only after a NUL byte
+        is_set = pc.equal(g.column("__is_set"), 1)
+        ps = g.filter(pc.invert(is_set)).group_by(["a", "b"]).aggregate([])
+        ss = (g.filter(is_set).group_by("a", use_threads=False)
+              .aggregate([("__sh", "first")]))
+        m = ps.join(ss, "a", join_type="inner")
         return pa.table({
-            "a": pa.array(m["a"], type=ktype),
-            "b": pa.array(m["b"], type=ktype),
-            "__sha": pa.array(m["__sh"].tolist(),
-                              type=pa.large_binary())})
+            "a": m.column("a").cast(ktype),
+            "b": m.column("b").cast(ktype),
+            "__sha": m.column("__sh_first").cast(pa.large_binary())})
 
     stage_a = hash_exchange(
         cand.map_batches(tag_pairs_a, batch_format="pyarrow").union(
             sets.map_batches(tag_sets("a"), batch_format="pyarrow")),
-        "a", merge_a)
+        "a", merge_a, batch_format="pyarrow")
 
     def tag_pairs_b(batch: pa.Table) -> pa.Table:
         return pa.table({

@@ -303,19 +303,22 @@ def transition_counts(ds: Any, key: str, order_by, col: str) -> Any:
                  specs=[lead(col)])
     nxt = f"{col}_lead1"
 
-    def census(batch) -> "pa.Table":
-        import pandas as pd  # noqa: F401
-        df = batch[[col, nxt]]
-        df = df[df[nxt].notna()]
-        agg = (df.groupby([col, nxt], sort=False).size()
-               .reset_index(name="__n"))
+    def census(batch: "pa.Table") -> "pa.Table":
+        # Arrow group_by, not pandas groupby: pandas 2.2 merges states
+        # that differ only after a NUL byte; rows with a null state or
+        # no next state are dropped, as pandas' groupby dropped them
         import pyarrow as pa
+        import pyarrow.compute as pc
+        t = batch.select([col, nxt])
+        t = t.filter(pc.and_(pc.is_valid(t.column(col)),
+                             pc.is_valid(t.column(nxt))))
+        agg = t.group_by([col, nxt]).aggregate([([], "count_all")])
         return pa.table({
-            "src": pa.array(agg[col], type=pa.large_string()),
-            "dst": pa.array(agg[nxt], type=pa.large_string()),
-            "__n": pa.array(agg["__n"], type=pa.int64())})
+            "src": agg.column(col).cast(pa.large_string()),
+            "dst": agg.column(nxt).cast(pa.large_string()),
+            "__n": agg.column("count_all").cast(pa.int64())})
 
-    return (w.map_batches(census, batch_format="pandas")
+    return (w.map_batches(census, batch_format="pyarrow")
             .groupby(["src", "dst"])
             .aggregate(Sum("__n", alias_name="n")))
 

@@ -48,9 +48,9 @@ def _binary_views(col) -> list:
     contain a NUL byte (where the reference's no_nulls scrub must
     run, io.c:43-73) are detected with ONE vectorized kernel and
     materialized to bytes so the scrub path sees them; everything
-    downstream (extractor._docparse) can skip the scan for views."""
-    import pyarrow.compute as pc
-
+    downstream (extractor._docparse) can skip the scan for views.
+    The scan is one pass over each chunk's data between its first and
+    last offsets; its hits map to rows by offset."""
     if isinstance(col, pa.ChunkedArray):
         chunks = col.chunks
     else:
@@ -70,9 +70,13 @@ def _binary_views(col) -> list:
         # are mutable); a read-only view is still zero-copy
         data = (memoryview(bufs[2]).toreadonly()
                 if bufs[2] is not None else memoryview(b""))
-        hn = pc.fill_null(pc.match_substring(ch, "\x00"), False) \
-            .to_numpy(zero_copy_only=False)
-        nulls = (pc.is_null(ch).to_numpy(zero_copy_only=False)
+        hn = np.zeros(n, bool)
+        lo, hi = int(offs[0]), int(offs[n])
+        if hi > lo:
+            hits = np.flatnonzero(
+                np.frombuffer(bufs[2], np.uint8, hi - lo, lo) == 0) + lo
+            hn[np.searchsorted(offs, hits, "right") - 1] = True
+        nulls = (ch.is_null().to_numpy(zero_copy_only=False)
                  if ch.null_count else None)
         for i in range(n):
             if nulls is not None and nulls[i]:
@@ -82,6 +86,24 @@ def _binary_views(col) -> list:
             else:
                 out.append(data[offs[i]:offs[i + 1]])
     return out
+
+
+def _utf8_column(values: list[bytes]) -> pa.Array:
+    """``values`` as a large_string column, each decoded as
+    ``v.decode("utf-8", "replace")`` would: the joined bytes become
+    the column's data buffer, and only a batch that fails UTF-8
+    validation is decoded row by row."""
+    offs = np.zeros(len(values) + 1, np.int64)
+    np.cumsum([len(v) for v in values], out=offs[1:])
+    arr = pa.Array.from_buffers(
+        pa.large_string(), len(values),
+        [None, pa.py_buffer(offs), pa.py_buffer(b"".join(values))])
+    try:
+        arr.validate(full=True)
+    except pa.ArrowInvalid:
+        arr = pa.array([v.decode("utf-8", "replace") for v in values],
+                       pa.large_string())
+    return arr
 
 
 # Largest byte or element count an int32 Arrow offset can address. A
@@ -283,10 +305,8 @@ class ExtractPages:
             if truncated:
                 err = f"truncated@{cap}" + (f";{err}" if err else "")
             cols["error"].append(err)
-            title = rec.metanames.get(C.TITLE_METANAME, b"")
-            text = rec.metanames.get(C.DEFAULT_METANAME, b"")
-            cols["title"].append(title.decode("utf-8", "replace"))
-            cols["text"].append(text.decode("utf-8", "replace"))
+            cols["title"].append(rec.metanames.get(C.TITLE_METANAME, b""))
+            cols["text"].append(rec.metanames.get(C.DEFAULT_METANAME, b""))
             if emit_buffers:
                 cols["metanames"].append(
                     [(k, v.decode("utf-8", "replace"))
@@ -299,7 +319,9 @@ class ExtractPages:
 
         arrays: dict[str, pa.Array] = {}
         for name, typ in self.OUTPUT_BASE_FIELDS:
-            arrays[name] = pa.array(cols[name], type=typ)
+            arrays[name] = (_utf8_column(cols[name])
+                            if typ == pa.large_string()
+                            else pa.array(cols[name], type=typ))
         if emit_buffers:
             mtype = pa.map_(pa.string(), pa.large_string())
             arrays["metanames"] = pa.array(cols["metanames"], type=mtype)

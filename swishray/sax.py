@@ -7,10 +7,16 @@ the three tag stacks (dom/meta/prop), the character buffers with \\x03
 position bumpers, flush-to-NamedBuffer, property capture, and the
 noindex/index comment toggles.
 
-It consumes libxml2 event batches (``replay``). ``collapse_plan``
-names, once per Config, the elements whose open and close only set
-bump_word; the front-end folds those into run events, so the state
-machine runs per kept element and per text run, not per element.
+Two paths run it (which one when: the header of libxml.py):
+
+  * For a Config that passes ``collapse_plan``'s gate, swishsax's C
+    extraction machine runs these handlers inside the libxml2 parse
+    and returns the finished buffers and the ordered buffer flushes;
+    ``ExtractionState.apply`` tokenizes the flushes (through the
+    default tokenizer or a ``tokenizer=`` hook alike) and takes the
+    buffers. The Python handlers below do not run for such a document.
+  * Otherwise, and for a document the machine declines,
+    ``ExtractionState.replay`` consumes the full libxml2 event batch.
 
 All buffer content is bytes (the \\x03-joined buffers are byte-exact
 deliverables); tag and config names are str.
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from . import constants as C
+from . import constants as C, libxml
 from .config import Config
 from .libxml import _XINCLUDE_NSS, SaxPlan, html_tag_lookup_isinline
 from .text import glibc_lower, skip_ws, str_all_ws, trim_ws
@@ -49,39 +55,41 @@ class ParseAbort(Exception):
     """Raised where the reference would SWISH_CROAK (process exit)."""
 
 
-def collapse_plan(config: Config) -> SaxPlan | None:
-    """The run-collapse plan for ``config`` (event semantics in the
-    header of _native/swishsax.c), or None when no element can be
-    proven inert for every document.
+# undefined-name policy codes of the machine spec (swishsax.c U_*)
+_POLICY = {C.UNDEF_ERROR: 1, C.UNDEF_IGNORE: 2, C.UNDEF_INDEX: 3}
 
-    An element is inert when its open and close in ``ExtractionState``
-    reduce to a bump_word update (and, for XML, ``ignore_content = 0``).
-    That holds when no configured name contains a '.' (or is empty), so
-    dom-path contexts are never built or matched, and no undefined-name
-    policy is auto/autoall, so no document can vivify a name: the plan
-    is then a function of the config alone. An element is kept when its
-    lowercased name is a metaname, property or tag alias (any of which
-    may push a stack entry or flush a buffer) or the default metaname
-    (the metastack's base entry, which a close of that raw name would
-    pop); the front-end also keeps an HTML ``<meta>`` start with
-    attributes (meta synthesis). XML elements also need
-    ``ignore_xmlns`` (a prefix would change the name), no
-    XMLClassAttributes, and an undefined-tag policy that neither raises
-    nor ignores; attributes are allowed only when undefined attributes
-    are ignored or disabled."""
+# cleared at import when the machine fails _machine_selftest
+_machine_ok = True
+
+
+def collapse_plan(config: Config) -> SaxPlan | None:
+    """The extraction plan for ``config``: its swishsax machine (None
+    without swishsax), or None when the config is outside the gate the
+    machine covers, so every document replays the full event stream.
+
+    The gate: no configured name contains a '.' (or is empty), so
+    dom-path contexts are never built or matched, and no
+    undefined-name policy is auto/autoall, so no document can vivify a
+    name and the state machine's tables are a function of the config
+    alone. The machine itself declines the documents it cannot finish
+    identically (the header of _native/swishsax.c lists them)."""
     tables = (config.metanames, config.properties, config.tag_aliases)
     if any("." in k or not k for t in tables for k in t):
         return None
     auto = (C.UNDEF_AUTO, C.UNDEF_AUTOALL)
     if config.undef_metas in auto or config.undef_attrs in auto:
         return None
-    keep = frozenset(k.encode("utf-8") for t in tables for k in t) | {
-        C.DEFAULT_METANAME.encode()}
-    xml = (config.ignore_xmlns
-           and not config.stringlists.get("XMLClassAttributes")
-           and config.undef_metas not in (C.UNDEF_ERROR, C.UNDEF_IGNORE))
-    xml_atts = config.undef_attrs in (C.UNDEF_IGNORE, C.UNDEF_DISABLE)
-    return SaxPlan(keep, xml, xml and xml_atts)
+    if not _machine_ok:
+        return SaxPlan(None)
+    return SaxPlan(libxml.compile_machine((
+        [(k, m.alias_for) for k, m in config.metanames.items()],
+        [(k, p.alias_for, bool(p.verbatim))
+         for k, p in config.properties.items()],
+        list(config.tag_aliases.items()),
+        _POLICY.get(config.undef_metas, 0),
+        _POLICY.get(config.undef_attrs, 0),
+        config.cascade_meta_context, config.tokenize, config.ignore_xmlns,
+        bool(config.stringlists.get("XMLClassAttributes")))))
 
 
 class _Tag:
@@ -146,8 +154,8 @@ class ExtractionState:
         self.config = config
         self._cfg_copied = False
         self.uri = uri
-        # the front-end folds inert elements into run events under it
-        # (collapse_plan(config), or None for the full event stream)
+        # collapse_plan(config): libxml runs its machine for this
+        # document, or None for the full event stream
         self.sax_plan = sax_plan
         self._tokenize = tokenizer if tokenizer is not None else tokenize_into
         self.is_html = False
@@ -551,17 +559,39 @@ class ExtractionState:
             self.flush_buffer(st.baked, st.context)
         self.domstack.pop()
 
+    def apply(self, result: tuple) -> bool:
+        """Take one result of swishsax's extraction machine (format in
+        the header of _native/swishsax.c) into this fresh state:
+        tokenize each flush in order, then adopt the finished buffers,
+        and raise the machine's ParseAbort, if any, after both. Returns
+        False when the tokenizer raised, with the token list reset: the
+        caller then replays the full event stream, whose partial record
+        is the one the Python handlers leave where the tokenizer
+        raises."""
+        rc, error, metanames, properties, flushes = result
+        if flushes:
+            tl = self.token_list
+            tokenize = self._tokenize
+            n = 0
+            try:
+                for data, meta, context in flushes:
+                    n += tokenize(tl, data, meta, context)
+            except Exception:
+                self.token_list = TokenList()
+                return False
+            self.nwords += n
+        self.metanames = metanames
+        self.properties = properties
+        if error is not None:
+            raise ParseAbort(error)
+        return True
+
     def replay(self, events: list) -> None:
-        """The only event entry point: consume one ``(rc, events)``
-        batch's event list (tuple format at the top of
-        _native/swishsax.c; both libxml2 front-ends build it). The
-        per-event handlers are inlined. A run event (9) stands for a
-        stretch of inert elements and their text (see collapse_plan)
-        and is applied in one step: a reset of ignore_content, then
-        the run's text buffered as buffer_characters would buffer its
-        pieces, with the bump in force before, between and after them.
-        Rare events (XInclude, comments, the end-of-document flush)
-        take small branches."""
+        """Consume one full ``(rc, events)`` batch's event list (tuple
+        format at the top of _native/swishsax.c; both libxml2
+        front-ends build it). The per-event handlers are inlined; rare
+        events (XInclude, comments, the end-of-document flush) take
+        small branches."""
         open_tag = self.open_tag
         close_tag = self.close_tag
         dtag = _dtag
@@ -581,24 +611,6 @@ class ExtractionState:
                         self.bump_word = False
                     mb += ev[1]
                     pb += ev[1]
-            elif t == 9:
-                # (9, lead, reset, data, trail, last)
-                if ev[2] and self.ignore_content:
-                    self.ignore_content = 0
-                if ev[3] and not self.ignore_content:
-                    mb = self.meta_buf
-                    pb = self.prop_buf
-                    lead = ev[1]
-                    if lead or (lead is None and self.bump_word):
-                        if mb:
-                            mb += bumper
-                        if pb:
-                            pb += bumper
-                    mb += ev[3]
-                    pb += ev[3]
-                    self.bump_word = ev[4]
-                elif ev[5] is not None:
-                    self.bump_word = ev[5]
             elif t == 1:
                 name = dtag(ev[1])
                 atts = ev[2]
@@ -688,3 +700,42 @@ def concat_buffers(parent_nb: dict, child_nb: dict) -> None:
             if pbuf:
                 pbuf += C.TOKENPOS_BUMPER
             pbuf += cbuf
+
+
+def _machine_selftest() -> bool:
+    """The machine must leave the state the replay leaves (buffers,
+    token stream, nwords, ParseAbort) on libxml's self-test corpus,
+    under the default config and one with aliases, properties and
+    cascading contexts."""
+    variant = Config.default()
+    variant.add("<swish><MetaNames><b/><doc/></MetaNames>"
+                "<PropertyNames><b/><title/></PropertyNames>"
+                "<TagAlias><swishtitle>span</swishtitle></TagAlias>"
+                "<CascadeMetaContext>1</CascadeMetaContext></swish>")
+    for cfg in (Config.default(), variant):
+        plan = collapse_plan(cfg)
+        if plan is None or plan.machine is None:
+            return plan is not None
+        for kind, doc in libxml._SAX_SELFTEST_DOCS:
+            got = []
+            for p in (plan, None):
+                st = ExtractionState(cfg, sax_plan=p)
+                st.is_html = kind == "html"
+                try:
+                    (libxml.html_parse if st.is_html
+                     else libxml.xml_parse)(doc, st)
+                    err = None
+                except ParseAbort as e:
+                    err = str(e)
+                got.append((err, st.nwords, st.token_list,
+                            {k: bytes(v) for k, v in st.metanames.items()},
+                            {k: bytes(v) for k, v in st.properties.items()}))
+            if got[0] != got[1]:
+                return False
+    return True
+
+
+try:
+    _machine_ok = _machine_selftest()
+except Exception:  # pragma: no cover - host-dependent
+    _machine_ok = False

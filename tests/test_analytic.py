@@ -335,3 +335,21 @@ def test_every_spec_many_partitions(ray_session, spread):
                         for s in sec])
         assert np.allclose(m.iv_ewma,
                            g.iv.ewm(alpha=0.3, adjust=False).mean())
+
+
+def test_transition_counts_nul_states(ray_session):
+    """States that differ only after a NUL byte are counted apart
+    (pandas 2.2 groupby merged them)."""
+    import pyarrow as pa
+    import ray.data as rd
+    from swishray.ops.windows import transition_counts
+
+    t = pa.table({
+        "user_id": pa.array([1, 1, 1, 1], type=pa.int64()),
+        "ts": pa.array([1, 2, 3, 4], type=pa.int64()),
+        "event_type": pa.array(["a\x00b", "z", "a\x00c", "z"])})
+    out = transition_counts(rd.from_arrow(t), key="user_id",
+                            order_by=["ts"], col="event_type").to_pandas()
+    got = {(r.src, r.dst): r.n for r in out.itertuples(index=False)}
+    assert got == {("a\x00b", "z"): 1, ("z", "a\x00c"): 1,
+                   ("a\x00c", "z"): 1}

@@ -133,9 +133,9 @@ def test_cleanwsp_mutation_quirk():
 
 
 def test_fast_replay_matches_per_event_path():
-    """Replaying the collapsed event stream (inert elements folded into
-    text runs) must produce records byte-identical to replaying every
-    event — toggled by building the extractor with no collapse plan."""
+    """The extraction machine (one native call per document) must
+    produce records byte-identical to replaying every event — toggled
+    by building the extractor with no plan."""
     from unittest import mock
 
     import swishray.extractor as extractor_mod

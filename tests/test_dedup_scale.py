@@ -418,3 +418,26 @@ def test_lsh_candidates_match_band_collisions(ray_session):
             for i in range(len(ids)) for j in range(len(ids))
             if ids[i] != ids[j] and (bh[i] == bh[j]).any()}
     assert got == want and len(want) > 100
+
+
+def test_attach_pair_sets_keeps_nul_distinct_keys(ray_session):
+    """Candidate pairs whose string keys differ only after a NUL byte
+    stay two pairs when they share an exchange bucket (pandas 2.2
+    drop_duplicates merged them)."""
+    import ray.data as rd
+    from swishray.ops.dedup import attach_pair_sets
+    from swishray.ops.joins import _key_hash64, default_join_partitions
+
+    nb = np.uint64(default_join_partitions())
+    keys = [f"k\x00{i}" for i in range(64)]
+    bucket = (_key_hash64(pa.array(keys)) % nb).tolist()
+    k1, k2 = [k for k, b in zip(keys, bucket) if b == bucket[0]][:2]
+    cand = rd.from_arrow(pa.table({
+        "a": pa.array([k1, k2, k1], pa.large_string()),
+        "b": pa.array(["z", "z", "z"], pa.large_string())}))
+    sets = rd.from_arrow(pa.table({
+        "doc": pa.array([k1, k2, "z"], pa.large_string()),
+        "__sh": pa.array([b"s1", b"s2", b"sz"], pa.large_binary())}))
+    out = attach_pair_sets(cand, sets, "doc", pa.large_string()).to_pandas()
+    got = sorted(zip(out.a, out.b, out.__sha, out.__shb))
+    assert got == [(k1, "z", b"s1", b"sz"), (k2, "z", b"s2", b"sz")]

@@ -523,3 +523,40 @@ def test_extract_pages_nul_bytes_match_unit_extractor(ray_session):
         assert out[url]["nwords"] == rec.docinfo.nwords, url
         want = rec.metanames.get("swishdefault", b"")
         assert out[url]["text"] == want.decode("utf-8", "replace"), url
+
+
+def test_binary_views_nul_rows():
+    """A row with a NUL byte comes back as bytes (the scrub path sees
+    it), every other row as a zero-copy view and a null as b"": a NUL
+    as the chunk's first and last byte, inside a sliced chunk, next to
+    null rows, in binary and large_binary chunks."""
+    import pyarrow as pa
+    from swishray.pipeline import _binary_views
+
+    rows = [b"\x00head", b"plain", None, b"mid\x00dle", b"", None,
+            b"x", b"tail\x00"]
+    for typ in (pa.binary(), pa.large_binary()):
+        arr = pa.array(rows, typ)
+        for col in (arr, arr.slice(1), arr.slice(3, 3), arr.slice(4, 3),
+                    pa.chunked_array([arr.slice(0, 3), arr.slice(3)])):
+            want = col.to_pylist()
+            views = _binary_views(col)
+            assert [bytes(v) for v in views] == [w or b"" for w in want]
+            assert [type(v) is bytes for v in views] == [
+                w is None or b"\x00" in w for w in want]
+
+
+def test_utf8_column_matches_per_row_decode():
+    """The buffer-built title/text column equals the per-row
+    ``decode("utf-8", "replace")`` column, for a valid batch and for a
+    batch with one invalid row: a lone continuation byte, an encoded
+    surrogate, an overlong encoding."""
+    import pyarrow as pa
+    from swishray.pipeline import _utf8_column
+
+    ok = [b"alpha", "café 日本".encode(), b""]
+    for bad in (None, b"\x80", b"a\xed\xa0\x80b", b"\xc0\xaf"):
+        vals = ok + ([bad] if bad is not None else [])
+        want = pa.array([v.decode("utf-8", "replace") for v in vals],
+                        pa.large_string())
+        assert _utf8_column(vals).equals(want)

@@ -1,24 +1,30 @@
-"""Run collapse: under a collapse plan the SAX front-end folds inert
-elements into text runs. Extraction through the collapsed stream must
-give the same records as through the full event stream, for every
-branch of the plan's gates."""
+"""The extraction machine against the replay. Under a plan (a config
+inside sax.collapse_plan's gate) swishsax's C machine runs the state
+machine inside the libxml2 parse; without one, the full event stream
+feeds the Python replay. Both must give the same records, in every
+column, for every gate of the plan, every config branch the machine
+covers and every way it declines a document (XInclude, a non-ASCII
+name, a raising tokenizer hook)."""
 
 import dataclasses
 import importlib.util
 import pathlib
 import random
+import sys
 
 import pytest
 
 import swishray.extractor as extractor_mod
-from swishray import libxml
+from swishray import libxml, sax
 from swishray.config import Config
 from swishray.extractor import DocumentExtractor
+from swishray.pipeline import ExtractPages
+from swishray.tokenizer import tokenize_into
 
 from test_sax_frontends import CORPUS, _PART
 
-_FUZZ = pathlib.Path(__file__).resolve().parent.parent / "tools" / \
-    "fuzz_extraction.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_FUZZ = ROOT / "tools" / "fuzz_extraction.py"
 
 
 def _fuzz_module():
@@ -28,9 +34,11 @@ def _fuzz_module():
     return mod
 
 
-# inputs that reach the gates the fuzz generators do not: prefixes,
+# inputs that reach the branches the fuzz generators do not: prefixes,
 # XInclude, upper case, non-ASCII names, class attributes, dotted
-# paths, and noindex/index comments around inert elements
+# paths, noindex/index comments around inline and block elements, and
+# <meta> synthesis edge cases (attribute values named "name", valueless
+# attributes, stack base names, non-ASCII names, raw-case lookups)
 _HAND = [
     ("https://h.example/ns.xml",
      b"<?xml version=\"1.0\"?>\n<r xmlns:p=\"urn:p\" xmlns:q=\"urn:q\">"
@@ -69,6 +77,35 @@ _HAND = [
      b"<meta name=\"author\" content=\"au\">y<b>z</b></body></html>"),
     ("https://h.example/metas.xml",
      b"<doc><meta name=\"keywords\" content=\"k\">m</meta><meta/>t</doc>"),
+    ("https://h.example/metaedge.html",
+     b"<html><head><meta content=name name=keywords>"
+     b"<meta checked name=author content=gone>"
+     b"<meta name=SwishTitle content=\"raw case\">"
+     b"<meta name=b content=\"inline meta\"><meta name=div content=blk>"
+     b"<meta name=swishdefault content=\"base name\">"
+     b"<meta name=\"\" content=empty><meta name=x content=\"\">"
+     b"</head><body>one<meta name=title content=t2>two</body></html>"),
+    ("https://h.example/metaslash.html",
+     b"<p>a<meta name=\"/\" content=\"slash\">b</p>"),
+    ("https://h.example/metaunicode.html",
+     "<p>a<meta name=\"kéy\" content=\"v\">b</p>".encode()),
+    ("https://h.example/metalatin1.html",
+     b"<p>a<meta name=\"keywords\" content=\"caf\xe9\">b</p>"),
+    ("https://h.example/atts.xml",
+     b"<doc><item id=\"A1\" type=\"Big Thing\">v<b k=\"x\"/></item>"
+     b"<title lang=\"EN\">t</title><p:x xmlns:p=\"urn:p\" a=\"B\">y</p:x>"
+     b"</doc>"),
+    ("https://h.example/attsunicode.xml",
+     "<doc><item type=\"Ünï\">v</item></doc>".encode()),
+    ("https://h.example/ctrl.html",
+     b"<html><head><title>\x01 ctl\tt\x02 </title></head><body>"
+     b"<b>\x05 x \x06</b> <b> </b>y<b>pre<b>\x05\x06 </b></b>"
+     b"</body></html>"),
+    # nested properties around whitespace split by a bump: the
+    # property buffer " \x03 " cleans down to nothing, so it joins the
+    # inner property once and the outer one not at all
+    ("https://h.example/bumpws.xml",
+     b"<doc><b>pre<b> <x/> </b></b><item>i<em> <br/> </em></item></doc>"),
 ]
 
 
@@ -79,7 +116,9 @@ def _corpus():
             for i in range(160)]
     docs += [(f"https://f.example/{i}.xml", fz.gen_xml(rng))
              for i in range(120)]
-    return docs + list(CORPUS) + _HAND
+    selftest = [(f"https://s.example/{i}.{kind}", doc)
+                for i, (kind, doc) in enumerate(libxml._SAX_SELFTEST_DOCS)]
+    return docs + list(CORPUS) + selftest + _HAND
 
 
 _DOCS = _corpus()
@@ -112,7 +151,27 @@ CONFIGS = [
     ("cascade_meta_context",
      "<swish><CascadeMetaContext>1</CascadeMetaContext>"
      "<MetaNames><b/><doc/></MetaNames></swish>", {}, True),
+    ("verbatim_property",
+     "<swish><PropertyNames><b verbatim=\"1\"/><title verbatim=\"1\"/>"
+     "<item/></PropertyNames></swish>", {}, True),
+    # aliases of both kinds, and alias_for targets that are not
+    # configured: a metaname buffer is created on first flush, a
+    # property target aborts the document
+    ("aliases",
+     "<swish><MetaNames><swishtitle>heading h1</swishtitle>"
+     "<b alias_for=\"ghostmeta\"/></MetaNames>"
+     "<PropertyNames><item>value em</item><i alias_for=\"ghostprop\"/>"
+     "</PropertyNames><TagAlias><item>entry</item></TagAlias></swish>",
+     {}, True),
+    ("tokenize_off", None, {"tokenize": False}, True),
 ]
+
+# the documents the machine declines under the default config: the
+# XInclude elements and the non-ASCII element or <meta> names (the
+# HTML parser reads unicode.html's "<él>" as text)
+_DECLINED = {"https://h.example/xi.xml", "https://x.example/inc.xml",
+             "https://h.example/unicode.xml",
+             "https://h.example/metaunicode.html"}
 
 
 def _config(xml, overrides):
@@ -136,41 +195,98 @@ def _records(cfg):
                          ids=[c[0] for c in CONFIGS])
 def test_collapsed_stream_gives_full_stream_records(
         monkeypatch, name, xml, overrides, has_plan):
-    plan, collapsed = _records(_config(xml, overrides))
+    plan, machine = _records(_config(xml, overrides))
     assert (plan is not None) == has_plan
     monkeypatch.setattr(extractor_mod, "collapse_plan", lambda config: None)
-    none, full = _records(_config(xml, overrides))
+    none, replay = _records(_config(xml, overrides))
     assert none is None
-    for (uri, _), c, f in zip(_DOCS, collapsed, full):
-        assert c == f, (name, uri)
+    for (uri, _), m, r in zip(_DOCS, machine, replay):
+        assert m == r, (name, uri)
 
 
-def test_run_events_pin_the_encoding():
-    """Both front-ends fold inert elements into (9, lead, reset, data,
-    trail, last): \\x03 joins two pieces across a block-level (bump)
-    element, and kept elements and comments end a run."""
-    plan = DocumentExtractor().sax_plan
-    html = (b"<html><body><p>alpha <b>beta</b> x<br>y</p><!-- c -->"
-            b"<div>z</div></body></html>")
-    xml = b"<doc><a>x<b>y</b></a><title>t</title></doc>"
-    want_html = [
-        (7,), (9, None, False, b"", False, True), (1, b"body", None),
-        (9, True, False, b"alpha beta x\x03y", True, True), (4, b" c "),
-        (9, True, False, b"z", True, True), (2, b"body"),
-        (9, None, False, b"", False, True), (8,)]
-    want_xml = [
-        (7,), (9, True, True, b"x\x03y", True, True),
-        (5, b"title", None, None, None), (3, b"t"), (6, b"title", None),
-        (9, None, True, b"", False, True), (8,)]
-    for body, is_html, want in ((html, True, want_html),
-                                (xml, False, want_xml)):
-        rc, events = libxml._parse_ctypes(body, is_html)
-        assert libxml._collapse(events, plan, is_html) == want
-        if libxml._sax_native is not None:
-            parse = (libxml._sax_native.parse_html if is_html
-                     else libxml._sax_native.parse_xml)
-            assert parse(body, plan) == (rc, want)
-            assert parse(body) == (rc, events)
+def _replayed(monkeypatch) -> list:
+    """The uris of the documents that reach ExtractionState.replay."""
+    uris = []
+    replay = sax.ExtractionState.replay
+
+    def spy(self, events):
+        uris.append(self.uri)
+        return replay(self, events)
+    monkeypatch.setattr(sax.ExtractionState, "replay", spy)
+    return uris
+
+
+def test_machine_declines_only_what_it_cannot_finish(monkeypatch):
+    """With a machine, every document but the ones it declines is
+    extracted without the Python replay."""
+    ex = DocumentExtractor(
+        xinclude_resolver={"https://x.example/part.xml": _PART}.get)
+    if ex.sax_plan.machine is None:
+        pytest.skip("swishsax is not loaded")
+    uris = _replayed(monkeypatch)
+    for uri, body in _DOCS:
+        ex.extract(uri, body)
+    assert set(uris) == _DECLINED
+
+
+def _boom_hook(tl, data, meta, context):
+    if b"boom" in data:
+        raise RuntimeError("boom")
+    return tokenize_into(tl, data, meta, context)
+
+
+def test_raising_tokenizer_hook_declines(monkeypatch):
+    """A tokenizer hook that raises stops the record where the replay
+    stops it: the document is re-parsed through the event stream, so
+    the error and the partial buffers and tokens are the replay's."""
+    docs = [("https://t.example/a.html",
+             b"<html><head><title>first words</title></head><body>"
+             b"<p>before</p><meta name=keywords content=\"kw boom\">"
+             b"<p>after</p></body></html>"),
+            ("https://t.example/b.xml",
+             b"<doc><title>t boom</title><item>more</item></doc>"),
+            ("https://t.example/c.html", b"<p>no marker here</p>")]
+    uris = _replayed(monkeypatch)
+    ex = DocumentExtractor(tokenizer=_boom_hook)
+    got = [ex.extract(u, b) for u, b in docs]
+    if ex.sax_plan.machine is not None:
+        assert uris == [docs[0][0], docs[1][0]]
+    ex.sax_plan = None
+    want = [ex.extract(u, b) for u, b in docs]
+    assert [r.error for r in got] == ["RuntimeError: boom"] * 2 + [None]
+    for g, w in zip(got, want):
+        assert dataclasses.asdict(g) == dataclasses.asdict(w)
+
+
+@pytest.mark.parametrize("workload,seed", [
+    ("markup_dense", 31), ("markup_dense", 32),
+    ("text_bulk", 31), ("text_bulk", 32)])
+def test_machine_matches_replay_on_benchmark_tables(monkeypatch, workload,
+                                                    seed):
+    """Both benchmark workloads give equal ``emit="full"`` tables
+    through the machine and through the replay."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.corpus import make_table
+
+    table, _ = make_table(workload, seed)
+    enc = "UTF-8" if workload == "markup_dense" else "ISO-8859-1"
+    got = ExtractPages(emit="full", swish_encoding=enc)(table)
+    monkeypatch.setattr(extractor_mod, "collapse_plan", lambda config: None)
+    want = ExtractPages(emit="full", swish_encoding=enc)(table)
+    assert got.equals(want)
+
+
+def test_fuzz_tool_compares_machine_with_replay():
+    """tools/fuzz_extraction.py's machine-vs-replay comparison, at a
+    small seeded count (a long run covers the machine further)."""
+    assert _fuzz_module().machine_mismatches(150, 12) == []
+
+
+def test_machine_selftest_passed():
+    """A failing import self-test silently drops the machine."""
+    if libxml._sax_native is not None:
+        assert sax._machine_ok
+        assert DocumentExtractor().sax_plan.machine is not None
 
 
 class _Anchors(libxml.SaxTarget):

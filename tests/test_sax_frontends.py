@@ -1,7 +1,8 @@
 """The two libxml2 front-ends — the swishsax C extension and the ctypes
 recorder in libxml.py — feed one event path, so extraction through
-either must give identical records, with a collapse plan (inert
-elements folded into runs) and without one."""
+either must give identical records. With a plan, swishsax runs its
+extraction machine, and the ctypes fallback (no swishsax) replays the
+full event stream: those records must match too."""
 
 import dataclasses
 
@@ -79,24 +80,9 @@ def _check_fallback(monkeypatch, undef_attrs):
         assert "a.k" in ns_metas and "a.later" not in ns_metas
 
 
-def test_frontends_build_equal_batches_with_a_plan():
-    plan = DocumentExtractor().sax_plan
-    assert plan is not None
-    for uri, body in CORPUS:
-        html = uri.endswith(".html")
-        rc, events = libxml._parse_ctypes(body, html)
-        collapsed = libxml._collapse(events, plan, html)
-        assert any(ev[0] == 9 for ev in collapsed), uri
-        if libxml._sax_native is not None:
-            parse = (libxml._sax_native.parse_html if html
-                     else libxml._sax_native.parse_xml)
-            assert parse(body, plan) == (rc, collapsed), uri
-            assert parse(body, None) == (rc, events), uri
-
-
 def test_noindex_around_inert_elements_keeps_tokens(monkeypatch):
-    """Runs of inert elements between noindex/index comments keep the
-    tokens of the full event stream: hidden text stays out, and an
+    """Elements between noindex/index comments keep the tokens of the
+    full event stream on both paths: hidden text stays out, and an
     ignored stretch leaves bump_word as its elements set it, so
     'two' joins the inline 'six' after it (and 'eight' the 'ten')."""
     body = (b"<html><body><p>one <b>two</b><!-- noindex --><i>three</i>"

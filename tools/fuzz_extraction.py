@@ -1,17 +1,30 @@
-"""Full-extraction A/B fuzzer: random markup through BOTH the engine
-and the reference binary, comparing complete records.
+"""Full-extraction A/B fuzzer: random markup through the engine's two
+state-machine paths, and through the engine and the reference binary,
+comparing complete records.
 
 Generates adversarial documents — nested/unclosed/misnested tags,
 entities, comments (incl. noindex/index/SwishCommand), CDATA, HTML
 <meta> tags, attributes with empty/missing values, unicode text,
-bumper bytes — far beyond the curated corpora. Any mismatch is a real
-conformance bug.
+bumper bytes — far beyond the curated corpora. Two comparisons:
+
+  * machine vs replay (always): every document is extracted through
+    swishsax's C extraction machine and through the full event stream
+    with the Python replay, under each of MACHINE_CONFIGS; the records
+    must be equal in every field.
+  * engine vs reference (when the reference's golden_dump is built,
+    tools/build_reference.sh): the default-config record must equal
+    the reference's.
+
+Any mismatch is a real bug.
 
 Usage: python tools/fuzz_extraction.py [n_docs] [seed]
 """
 
 import base64
+import dataclasses
+import gzip
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -20,7 +33,22 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
+from swishray.config import Config  # noqa: E402
 from swishray.extractor import DocumentExtractor  # noqa: E402
+
+GOLDEN_DUMP = "/tmp/refbuild/golden_dump"
+
+# configs for the machine-vs-replay comparison (None: the default);
+# the second reaches metaname and property aliases, verbatim and
+# non-verbatim properties, cascading contexts and the ignore policy
+MACHINE_CONFIGS = [
+    None,
+    "<swish><MetaNames><b/><item/>title</MetaNames>"
+    "<PropertyNames><b verbatim=\"1\"/><item>value</item></PropertyNames>"
+    "<TagAlias><swishtitle>span name</swishtitle></TagAlias>"
+    "<CascadeMetaContext>1</CascadeMetaContext>"
+    "<UndefinedMetaTags>ignore</UndefinedMetaTags></swish>",
+]
 
 WORDS = ["alpha", "beta", "Gamma", "DELTA", "x1", "don't", "__init__",
          "naïve", "café", "中文词", "ΣΟΦΙΑ", "a", "-", "++", "42",
@@ -128,7 +156,7 @@ def gen_xml(rng) -> bytes:
 
 
 def compare(ex, path: pathlib.Path) -> str | None:
-    r = subprocess.run(["/tmp/refbuild/golden_dump", str(path)],
+    r = subprocess.run([GOLDEN_DUMP, str(path)],
                        capture_output=True, env={"LC_ALL": "C.utf8"})
     lines = r.stdout.split(b"\n")
     try:
@@ -158,29 +186,64 @@ def compare(ex, path: pathlib.Path) -> str | None:
     return None
 
 
+def gen_doc(rng) -> tuple[bytes, str]:
+    """One random document and its file suffix."""
+    kind = rng.random()
+    if kind < 0.45:
+        return gen_html(rng), ".html"
+    if kind < 0.8:
+        return gen_xml(rng), ".xml"
+    if kind < 0.92:
+        # plain text (uri-as-title path)
+        body = rand_text(rng, html=False).encode()
+        for _ in range(rng.randint(0, 6)):
+            body += b"\n" + rand_text(rng, html=False).encode()
+        return body, ".txt"
+    return gzip.compress(gen_html(rng)), ".html.gz"
+
+
+def machine_mismatches(n: int, seed: int) -> list[str]:
+    """Extract ``n`` seeded documents through the machine and through
+    the replay under each of MACHINE_CONFIGS; one line per document
+    whose records differ."""
+    out = []
+    for ci, xml in enumerate(MACHINE_CONFIGS):
+        cfg = Config.default()
+        if xml:
+            cfg.add(xml)
+        machine = DocumentExtractor(cfg)
+        replay = DocumentExtractor(cfg)
+        replay.sax_plan = None  # the full event stream
+        rng = random.Random(seed)
+        for i in range(n):
+            body, suffix = gen_doc(rng)
+            uri = f"https://fuzz.example/doc{i:05d}{suffix}"
+            a = dataclasses.asdict(machine.extract(uri, body))
+            b = dataclasses.asdict(replay.extract(uri, body))
+            if a != b:
+                diff = sorted(k for k in a if a[k] != b[k])
+                out.append(f"config {ci} doc{i} ({suffix}): {diff}")
+    return out
+
+
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 400
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1234
+    fails = 0
+    for line in machine_mismatches(n, seed):
+        fails += 1
+        print(f"MACHINE MISMATCH {line}")
+    print(f"machine vs replay: {n} docs x {len(MACHINE_CONFIGS)} configs, "
+          f"{fails} mismatches")
+    if not os.path.exists(GOLDEN_DUMP):
+        print(f"no {GOLDEN_DUMP}: reference comparison skipped")
+        sys.exit(1 if fails else 0)
     rng = random.Random(seed)
     ex = DocumentExtractor()
-    fails = crashes = 0
+    crashes = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(n):
-            kind = rng.random()
-            if kind < 0.45:
-                body, suffix = gen_html(rng), ".html"
-            elif kind < 0.8:
-                body, suffix = gen_xml(rng), ".xml"
-            elif kind < 0.92:
-                # plain text (uri-as-title path)
-                body = rand_text(rng, html=False).encode()
-                for _ in range(rng.randint(0, 6)):
-                    body += b"\n" + rand_text(rng, html=False).encode()
-                suffix = ".txt"
-            else:
-                import gzip as _g
-                inner = gen_html(rng)
-                body, suffix = _g.compress(inner), ".html.gz"
+            body, suffix = gen_doc(rng)
             p = pathlib.Path(tmp) / f"doc{i:05d}{suffix}"
             p.write_bytes(body)
             res = compare(ex, p)
@@ -189,7 +252,8 @@ def main():
             elif res is not None:
                 fails += 1
                 print(f"MISMATCH doc{i} ({suffix}): {res}")
-                (pathlib.Path("/tmp") / f"fuzzfail_{i}{suffix}").write_bytes(body)
+                (pathlib.Path(tempfile.gettempdir())
+                 / f"fuzzfail_{i}{suffix}").write_bytes(body)
                 if fails >= 8:
                     break
     print(f"extraction fuzz: {n} docs, {fails} mismatches, "
