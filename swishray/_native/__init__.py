@@ -1,22 +1,27 @@
-"""Optional native accelerators (import-try gated, per task brief).
+"""Optional native accelerators, each verified once through ``checked``.
 
-Seven extensions, each independently optional and each A/B-verified
-against its pure-Python (or ctypes) path by the module that uses it
-before first use:
+Seven extensions, each independently optional. A module that uses one
+takes its handle only through ``checked(_native.<name>, selftest)``,
+once at import, where ``selftest`` is that module's own A/B check of
+the candidate build against its pure-Python (or ctypes) path:
   * ``swishtok`` — the C tokenizer (tokenizer._native_selftest)
   * ``swishsax`` — the C SAX front-end, checked against the ctypes
-    event stream (libxml._sax_selftest), and the extraction state
-    machine, checked against the event replay (sax._machine_selftest)
+    event stream (libxml._sax_selftest); on that handle, the
+    extraction state machine, checked against the event replay
+    (sax._machine_selftest)
   * ``swishpng`` — the PNG scanline un-filter kernel
     (ops.codecs._native_selftest)
   * ``swishjpeg`` — the JPEG entropy-decode scan loop
     (ops.jpeg._native_selftest)
   * ``swishwebp`` — the VP8L (WebP lossless) pixel loop
     (ops.webp._native_selftest)
-  * ``swishlzw`` — the GIF and TIFF LZW decoders (ops.codecs,
-    ops.tiff._native_selftest)
+  * ``swishlzw`` — the GIF and TIFF LZW decoders, checked once per
+    use (ops.codecs._lzw_selftest, ops.tiff._native_selftest)
   * ``swishaes`` — AES-128/192/256 ECB/CBC for the PDF security
-    handler (ops.pdfcrypt._aes_selftest, FIPS-197 vectors)
+    handler (ops.pdfcrypt._aes_native_selftest, FIPS-197 vectors)
+
+A check that returns anything but True, or raises, leaves that module's
+handle None, and its pure path runs for the life of the process.
 
 Each extension is built into this directory as
 ``<name>.<digest><EXT_SUFFIX>``, the digest taken over its ``.c``
@@ -25,8 +30,8 @@ loaded; if it is absent and a C compiler is available it is compiled
 quietly (atomic rename, safe under concurrent workers) and the
 extension's builds for other digests are deleted. So an edited source
 is never served by a stale binary whose interface no longer matches
-its Python caller. Any failure leaves the symbol ``None`` and the
-pure-Python/ctypes path runs.
+its Python caller. Any failure to build or load leaves the symbol
+``None``.
 
 Set SWISHRAY_NO_NATIVE=1 to force the non-native paths.
 """
@@ -126,6 +131,18 @@ def _load() -> None:
     swishwebp = _load_one("swishwebp", [], [])
     swishlzw = _load_one("swishlzw", [], [])
     swishaes = _load_one("swishaes", [], [])
+
+
+def checked(mod, selftest):
+    """``mod`` when ``selftest(mod)`` returns True; None when ``mod`` is
+    None (the check is not called), or the check returns anything else
+    or raises."""
+    if mod is None:
+        return None
+    try:
+        return mod if selftest(mod) is True else None
+    except Exception:
+        return None
 
 
 _load()

@@ -7,15 +7,16 @@
  *
  *   parse_html/parse_xml(data) -> (rc, events)
  *     The full event stream: the document's SAX events as one Python
- *     list. libxml.py:_replay feeds it to a SaxTarget, or to
- *     sax.ExtractionState.replay for an extraction without a machine.
+ *     list. libxml.py:_replay feeds it to a SaxTarget, and sax.py
+ *     feeds it to ExtractionState.replay for an extraction without a
+ *     machine.
  *
  *   extract_html/extract_xml(data, machine) -> result | None
  *     The extraction state machine: libxml2 runs with handlers that do
  *     what sax.ExtractionState does (bake_tag, the meta and prop tag
  *     stacks, flush_buffer, add_stack_to_prop_buf, buffer_characters,
  *     the noindex/index/swishcommand comments, the end-of-document
- *     flush), for a config that passes sax.collapse_plan's gate.
+ *     flush), for a config that passes sax.machine_spec's gate.
  *     ``machine`` is what compile(spec) built from that config. The
  *     result is (rc, error|None, metanames, properties, flushes):
  *     the finished named buffers as {name: bytes} dicts in the order
@@ -286,7 +287,7 @@ cb_end_element_ns(void *ud, const xmlChar *localname,
 /* ------------------------------------------------------------------ */
 /* the machine: a compiled config                                      */
 
-/* undefined-name policies (sax.collapse_plan passes these codes) */
+/* undefined-name policies (sax.machine_spec passes these codes) */
 enum { U_OTHER = 0, U_ERROR = 1, U_IGNORE = 2, U_INDEX = 3 };
 
 typedef struct {

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 from . import constants as C
 from .config import Config
-from .libxml import check_utf8, html_parse, xml_parse
+from .libxml import check_utf8
 from .mime import file_ext, get_mime_type, get_parser
-from .sax import ExtractionState, ParseAbort, collapse_plan, concat_buffers
+from .sax import (ExtractionState, ParseAbort, concat_buffers, html_parse,
+                  machine_for, xml_parse)
 from .text import scrub_nulls
 from .tokenizer import TokenList
 
@@ -115,10 +116,9 @@ class DocumentExtractor:
         # skip, mirroring SWISH_WARN "Skipping XInclude"). With no
         # resolver, xi:include elements record an error marker row.
         self.xinclude_resolver = xinclude_resolver
-        # the plan under which swishsax's extraction machine runs a
-        # whole document (None: the event replay); a function of the
-        # config alone, so built once here
-        self.sax_plan = collapse_plan(self.config)
+        # swishsax's extraction machine for this config, which runs a
+        # whole document in one call (None: the event replay)
+        self.machine = machine_for(self.config)
 
     # -- encoding helpers ----------------------------------------------
 
@@ -166,8 +166,7 @@ class DocumentExtractor:
         pipeline._binary_views)."""
         cfg = self.config
         di = resolve_docinfo(cfg, uri, len(body), mime, parser)
-        state = ExtractionState(cfg, uri=uri, tokenizer=self.tokenizer,
-                                sax_plan=self.sax_plan)
+        state = ExtractionState(cfg, uri=uri, tokenizer=self.tokenizer)
         if self.xinclude_resolver is not None and cfg.follow_xinclude:
             state.xinclude_cb = self._xinclude_cb(state, 0)
         rec = ExtractionRecord(docinfo=di)
@@ -216,9 +215,9 @@ class DocumentExtractor:
             # NUL-free, so the reference's NUL cut is a no-op split
             body_h = (body.split(b"\x00")[0]
                       if isinstance(body, (bytes, bytearray)) else body)
-            html_parse(body_h, state)
+            html_parse(body_h, state, self.machine)
         elif p0 == "X":
-            xml_parse(body, state)
+            xml_parse(body, state, self.machine)
             enc = self._xml_declared_encoding(body)
             di.encoding = enc if enc else self.swish_encoding
         elif p0 == "T":
@@ -274,8 +273,7 @@ class DocumentExtractor:
             di.parser = C.PARSER_TXT
         parent._own_config()
         child = ExtractionState(parent.config, uri=xuri,
-                                tokenizer=self.tokenizer,
-                                sax_plan=parent.sax_plan)
+                                tokenizer=self.tokenizer)
         # share the parent's (already copied) doc-local config view so
         # vivifications propagate BOTH ways, like the reference's
         # single s3->config — while the top-level CoW still isolates

@@ -11,33 +11,28 @@ characters, comment; cdataBlock is left NULL so CDATA falls back to
 characters, and ignorableWhitespace is left NULL so the HTML parser
 drops "blank" runs — both exactly as the reference behaves.
 
-Which path runs when (formats in the header of ``_native/swishsax.c``):
+What this module decides (formats in the header of
+``_native/swishsax.c``): which front-end records a document's SAX
+events. A front-end records a whole document's events into one
+``(rc, events)`` batch (``parse_events``). Two build the same batch:
+the C extension ``swishsax`` (``_sax_native``, taken through
+``_native.checked`` with ``_sax_selftest``, which compares it with the
+ctypes front-end on a small corpus) and the ctypes ``_Recorder`` here,
+which runs when swishsax is absent or fails that check. ``_replay``
+feeds a batch to a SaxTarget's methods.
 
-  * An ExtractionState whose ``sax_plan`` carries a machine (a config
-    that passes ``sax.collapse_plan``'s gate, with swishsax loaded)
-    goes through swishsax's extraction machine: one C call runs
-    libxml2 with handlers that do the state machine's work and returns
-    the finished buffers and the ordered flushes, which
-    ``ExtractionState.apply`` tokenizes in Python. A document the
-    machine declines (or whose tokenizer hook raises) is re-parsed
-    through the full event stream below.
-  * Everything else gets the full event stream: a libxml2 front-end
-    records a whole document's SAX events into one ``(rc, events)``
-    batch and ``_replay`` feeds it to the target
-    (``ExtractionState.replay`` or a SaxTarget's methods). Two
-    front-ends build the same batch: the C extension ``swishsax`` (used
-    when it loads) and the ctypes ``_Recorder`` here. At import
-    ``_sax_selftest`` checks that both return equal batches on a small
-    corpus, and a mismatch drops the C front-end (and with it the
-    machine); ``sax`` checks the machine against the replay the same
-    way.
+Whether a document is extracted by swishsax's extraction machine or by
+replaying this batch into ``sax.ExtractionState`` is decided in
+``sax`` alone (``sax.html_parse``/``sax.xml_parse``).
 
 Entry points mirror parser.c:
   * xml_parse(buffer, target)  — xmlSAXUserParseMemory with SAX2 magic
-    and global entity substitution on (parser.c:287-288, 2450-2535)
+    and global entity substitution on (parser.c:287-288, 2450-2535),
+    for a SaxTarget
   * html_parse(buffer, target) — htmlSAXParseDoc with NUL-terminated
     buffer (htmlCreateMemoryParserCtxt(buf, xmlStrlen(buf)),
-    parser.c:2553)
+    parser.c:2553), for a SaxTarget
+  * parse_events(buffer, html) — the ``(rc, events)`` batch
   * check_utf8(data)           — xmlCheckUTF8 (set_encoding,
     parser.c:2725)
   * html_tag_is_inline(tag)    — htmlTagLookup()->isinline, the
@@ -54,7 +49,8 @@ from ctypes import (
     CFUNCTYPE, POINTER, Structure, c_char_p, c_int, c_uint, c_void_p,
     string_at, cast,
 )
-from typing import NamedTuple
+
+from . import _native
 
 _lib = None
 
@@ -131,8 +127,7 @@ class _xmlSAXHandler(Structure):
 class SaxTarget:
     """Per-event interface for the small ops targets (feeds, sitemaps,
     links, main content). ``_replay`` calls these methods for each
-    event of a batch; a target with its own ``replay(events)``
-    (ExtractionState) consumes the batch directly instead."""
+    event of a batch."""
 
     def start_document(self) -> None: ...
     def end_document(self) -> None: ...
@@ -283,31 +278,19 @@ def _parse_ctypes(buffer: bytes, html: bool) -> tuple[int, list]:
     return _recorder.parse(buffer, html)
 
 
-class SaxPlan(NamedTuple):
-    """An extraction plan (sax.collapse_plan builds it from a Config
-    that passes its gate)."""
-    machine: object  # swishsax's compiled extraction machine, or None
+def parse_events(buffer: bytes, html: bool) -> tuple[int, list]:
+    """One document's ``(rc, events)`` batch from swishsax when it
+    passed its check, else from the ctypes recorder."""
+    if _sax_native is None:
+        return _parse_ctypes(buffer, html)
+    return (_sax_native.parse_html if html
+            else _sax_native.parse_xml)(buffer)
 
 
-_XINCLUDE_NSS = (b"http://www.w3.org/2003/XInclude",
-                 b"http://www.w3.org/2001/XInclude")
-
-
-def compile_machine(spec: tuple):
-    """swishsax's extraction machine for ``spec`` (the tuple
-    sax.collapse_plan builds), or None without swishsax."""
-    return _sax_native.compile(spec) if _sax_native is not None else None
-
-
-def _replay(events: list, target) -> None:
-    """Feed an event batch to ``target``: its fused ``replay(events)``
-    when it has one (ExtractionState), else the SaxTarget methods —
-    same calls, same order, same payloads. An exception stops the
-    replay where it was raised."""
-    replay = getattr(target, "replay", None)
-    if replay is not None:
-        replay(events)
-        return
+def _replay(events: list, target: SaxTarget) -> None:
+    """Feed an event batch to the SaxTarget methods — one call per
+    event, in order. An exception stops the replay where it was
+    raised."""
     chars = target.characters
     start_el = target.start_element
     end_el = target.end_element
@@ -333,32 +316,20 @@ def _replay(events: list, target) -> None:
             target.end_document()
 
 
-def _parse(buffer: bytes, target, html: bool) -> int:
-    if _sax_native is None:
-        rc, events = _parse_ctypes(buffer, html)
-    else:
-        plan = getattr(target, "sax_plan", None)
-        if plan is not None and plan.machine is not None:
-            run = (_sax_native.extract_html if html
-                   else _sax_native.extract_xml)
-            result = run(buffer, plan.machine)
-            # None: the machine declined the document
-            if result is not None and target.apply(result):
-                return result[0]
-        rc, events = (_sax_native.parse_html if html
-                      else _sax_native.parse_xml)(buffer)
+def _parse(buffer: bytes, target: SaxTarget, html: bool) -> int:
+    rc, events = parse_events(buffer, html)
     _replay(events, target)
     return rc
 
 
-def xml_parse(buffer: bytes, target) -> int:
+def xml_parse(buffer: bytes, target: SaxTarget) -> int:
     """SAX2 parse of an in-memory XML document (parser.c:2450-2535).
     Returns 0 if well-formed, else the libxml2 errNo; SAX events fired
     for whatever prefix parsed (no recovery flag, like the reference)."""
     return _parse(buffer, target, html=False)
 
 
-def html_parse(buffer: bytes, target) -> int:
+def html_parse(buffer: bytes, target: SaxTarget) -> int:
     """HTML tag-soup SAX parse (parser.c:2537-2597): NUL-terminated
     buffer, libxml2's own meta-charset detection, default encoding
     ISO-8859-1 per the HTML spec — all inside libxml2."""
@@ -415,24 +386,16 @@ _SAX_SELFTEST_DOCS = [
 ]
 
 
-def _sax_selftest() -> bool:
+def _sax_selftest(native) -> bool:
     """The ctypes and C front-ends must return equal (rc, events)."""
     for kind, doc in _SAX_SELFTEST_DOCS:
         html = kind == "html"
-        native = _sax_native.parse_html if html else _sax_native.parse_xml
-        if _parse_ctypes(doc, html) != native(doc):
+        parse = native.parse_html if html else native.parse_xml
+        if _parse_ctypes(doc, html) != parse(doc):
             return False
     return True
 
 
-try:  # optional C front-end and machine (see _native/swishsax.c)
-    from ._native import swishsax as _sax_native
-except Exception:  # pragma: no cover
-    _sax_native = None
-
-if _sax_native is not None:
-    try:
-        if not _sax_selftest():  # pragma: no cover - host-dependent
-            _sax_native = None
-    except Exception:  # pragma: no cover
-        _sax_native = None
+# the C front-end (and the handle sax checks its machine on), or None
+# for the ctypes recorder
+_sax_native = _native.checked(_native.swishsax, _sax_selftest)

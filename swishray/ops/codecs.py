@@ -32,6 +32,8 @@ import zlib
 
 import numpy as np
 
+from .. import _native
+
 # Safety cap for attacker-controlled dimensions: decoders allocate
 # output buffers from header fields BEFORE touching sample data, so a
 # 100-byte blob could otherwise claim a multi-GB canvas and OOM the
@@ -154,13 +156,7 @@ def _unfilter_py(raw: bytes, h: int, stride: int,
     return out
 
 
-try:  # optional C accelerator (A/B-verified below; see _native)
-    from .._native import swishpng as _native_png
-except Exception:  # pragma: no cover - import-time environment
-    _native_png = None
-
-
-def _native_selftest() -> bool:
+def _native_selftest(native) -> bool:
     """A/B the C unfilter against the numpy reference on a case that
     exercises all five filter types with multi-byte pixels."""
     rng = np.random.RandomState(7)
@@ -171,17 +167,13 @@ def _native_selftest() -> bool:
         raw += rng.randint(0, 256, stride, dtype=np.uint8).tobytes()
     want = _unfilter_py(bytes(raw), h, stride, fbpp)
     got = np.frombuffer(
-        _native_png.unfilter(bytes(raw), h, stride, fbpp),
+        native.unfilter(bytes(raw), h, stride, fbpp),
         np.uint8).reshape(h, stride)
     return bool((want == got).all())
 
 
-if _native_png is not None:
-    try:
-        if not _native_selftest():  # pragma: no cover - host-dependent
-            _native_png = None
-    except Exception:  # pragma: no cover
-        _native_png = None
+# the C un-filter kernel, or None for the numpy path
+_native_png = _native.checked(_native.swishpng, _native_selftest)
 
 
 def _unfilter(raw: bytes, h: int, stride: int, fbpp: int) -> np.ndarray:
@@ -716,10 +708,7 @@ def decode_ppm(blob: bytes) -> tuple[np.ndarray, dict]:
 # GIF (87a/89a): LZW decode, palettes, interlace, frame compositing
 
 
-try:  # optional C LZW kernel (A/B-gated at module end)
-    from .._native import swishlzw as _native_lzw
-except Exception:  # pragma: no cover - import-time environment
-    _native_lzw = None
+_native_lzw = None  # the C LZW kernel once checked at module end
 
 
 def _gif_lzw(data: bytes, min_code: int, n_pixels: int) -> np.ndarray:
@@ -1283,30 +1272,20 @@ def decode_image(blob: bytes) -> tuple[np.ndarray, dict]:
     return arr, meta
 
 
-def _lzw_selftest() -> bool:
+def _lzw_selftest(native) -> bool:
     """Native GIF-LZW kernel must match the pure path on an
     encode_gif stream (clear-heavy) — tests/test_codecs.py adds A/B
     fuzz over table-growth streams from an independent encoder."""
     idx = (np.arange(64, dtype=np.uint8) % 7).reshape(8, 8)
     pal = np.stack([np.arange(8, dtype=np.uint8) * 30] * 3, axis=1)
     blob = encode_gif(idx, pal)
-    # extract the first frame's LZW payload
-    frames, _ = decode_gif(blob)  # exercises whichever path is live
     global _native_lzw
-    native = _native_lzw
     try:
-        _native_lzw = None
-        a = decode_gif(blob)[0]
+        want = decode_gif(blob)[0]
         _native_lzw = native
-        b = decode_gif(blob)[0]
-        return bool(np.array_equal(a, b))
+        return bool(np.array_equal(want, decode_gif(blob)[0]))
     finally:
-        _native_lzw = native
-
-
-if _native_lzw is not None:
-    try:
-        if not _lzw_selftest():  # pragma: no cover
-            _native_lzw = None
-    except Exception:  # pragma: no cover
         _native_lzw = None
+
+
+_native_lzw = _native.checked(_native.swishlzw, _lzw_selftest)

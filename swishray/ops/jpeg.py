@@ -32,10 +32,9 @@ import struct
 
 import numpy as np
 
-try:  # optional C entropy-decode kernel (A/B-gated at module end)
-    from .._native import swishjpeg as _native_jpeg
-except Exception:  # pragma: no cover - import-time environment
-    _native_jpeg = None
+from .. import _native
+
+_native_jpeg = None  # the C scan decoder once checked below
 
 # natural (row-major) index of the i-th coefficient in zigzag order
 ZIGZAG = np.array([
@@ -885,7 +884,7 @@ def encode_jpeg(arr: np.ndarray, qtable: np.ndarray | None = None,
 # streams against libjpeg-turbo)
 
 
-def _native_selftest() -> bool:
+def _native_selftest(native) -> bool:
     global _native_jpeg
     rng = np.random.default_rng(7)
     cases = [
@@ -893,7 +892,6 @@ def _native_selftest() -> bool:
          dict(subsampling="420", dri=2)),
         (rng.integers(0, 256, (17, 9)).astype(np.uint8), dict()),
     ]
-    native = _native_jpeg
     try:
         for img, kw in cases:
             blob = encode_jpeg(img, **kw)
@@ -905,15 +903,10 @@ def _native_selftest() -> bool:
                 return False
         return True
     finally:
-        _native_jpeg = native
-
-
-if _native_jpeg is not None:
-    try:
-        if not _native_selftest():  # pragma: no cover
-            _native_jpeg = None
-    except Exception:  # pragma: no cover
         _native_jpeg = None
+
+
+_native_jpeg = _native.checked(_native.swishjpeg, _native_selftest)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import struct
 
+from .. import _native
+
 __all__ = ["rc4", "AES", "StandardDecryptor", "StandardEncryptor"]
 
 # the 32-byte padding string from ISO 32000-1 §7.6.3.3 (a published
@@ -63,10 +65,7 @@ def rc4(key: bytes, data: bytes) -> bytes:
 # ---------------------------------------------------------------------
 # AES (FIPS-197), from scratch
 
-try:
-    from .._native import swishaes as _NATIVE
-except Exception:  # noqa: BLE001 — optional accelerator
-    _NATIVE = None
+_NATIVE = None  # the swishaes C kernel once checked below
 
 
 def _aes_tables() -> tuple[bytes, bytes, list, list]:
@@ -231,56 +230,57 @@ class AES:
         return bytes(out)
 
 
-def _aes_selftest() -> None:
-    """FIPS-197 Appendix C known-answer vectors (public spec),
-    run against BOTH the pure path and (when present) the swishaes C
-    kernel, plus random pure-vs-native CBC cross-checks — the kernel
-    is disabled on any mismatch (repo-wide A/B gating discipline)."""
-    global _NATIVE
-    import hashlib as _h
+# FIPS-197 Appendix C known-answer vectors (public spec)
+_AES_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
+_AES_KAT = [
+    ("000102030405060708090a0b0c0d0e0f",
+     "69c4e0d86a7b0430d8cdb78070b4c55a"),
+    ("000102030405060708090a0b0c0d0e0f1011121314151617",
+     "dda97ca4864cdfe06eaf70a0ec0d7191"),
+    ("000102030405060708090a0b0c0d0e0f"
+     "101112131415161718191a1b1c1d1e1f",
+     "8ea2b7ca516745bfeafc49904b496089"),
+]
 
-    pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-    cases = [
-        ("000102030405060708090a0b0c0d0e0f",
-         "69c4e0d86a7b0430d8cdb78070b4c55a"),
-        ("000102030405060708090a0b0c0d0e0f1011121314151617",
-         "dda97ca4864cdfe06eaf70a0ec0d7191"),
-        ("000102030405060708090a0b0c0d0e0f"
-         "101112131415161718191a1b1c1d1e1f",
-         "8ea2b7ca516745bfeafc49904b496089"),
-    ]
-    native, _NATIVE = _NATIVE, None  # first prove the pure path
-    for key_hex, ct_hex in cases:
+
+def _aes_selftest() -> None:
+    """The FIPS-197 vectors on the pure path and the classic RC4
+    vector: a mismatch fails the import."""
+    pt = _AES_PT
+    for key_hex, ct_hex in _AES_KAT:
         a = AES(bytes.fromhex(key_hex))
         ct = bytes.fromhex(ct_hex)
         assert a.encrypt_block(pt) == ct, "AES encrypt self-test"
         assert a.decrypt_block(ct) == pt, "AES decrypt self-test"
-    if native is not None:
-        try:
-            for key_hex, ct_hex in cases:
-                key = bytes.fromhex(key_hex)
-                rk = native.expand(key)
-                assert native.ecb(rk, pt, 1) == bytes.fromhex(ct_hex)
-                assert native.ecb(rk, bytes.fromhex(ct_hex), 0) == pt
-            for trial in range(8):
-                blob = _h.sha256(b"swishaes%d" % trial).digest() * 6
-                key = blob[:16 + 8 * (trial % 3)]
-                iv, data = blob[32:48], blob[48:48 + 32 * 2]
-                pure = AES(key)
-                rk = native.expand(key)
-                assert native.cbc_encrypt(rk, iv, data) == \
-                    pure.cbc_encrypt(data, iv)
-                assert native.cbc_decrypt(rk, iv, data) == \
-                    pure.cbc_decrypt(data, iv)
-            _NATIVE = native
-        except Exception:  # noqa: BLE001 — kernel stays disabled
-            _NATIVE = None
     # RC4 classic public vector
     assert rc4(b"Key", b"Plaintext") == bytes.fromhex(
         "bbf316e8d940af0ad3"), "RC4 self-test"
 
 
+def _aes_native_selftest(native) -> bool:
+    """The swishaes kernel on the FIPS-197 vectors, plus random
+    CBC cross-checks against the pure path."""
+    pt = _AES_PT
+    for key_hex, ct_hex in _AES_KAT:
+        rk = native.expand(bytes.fromhex(key_hex))
+        ct = bytes.fromhex(ct_hex)
+        if native.ecb(rk, pt, 1) != ct or native.ecb(rk, ct, 0) != pt:
+            return False
+    for trial in range(8):
+        blob = hashlib.sha256(b"swishaes%d" % trial).digest() * 6
+        key = blob[:16 + 8 * (trial % 3)]
+        iv, data = blob[32:48], blob[48:48 + 32 * 2]
+        pure = AES(key)
+        rk = native.expand(key)
+        if (native.cbc_encrypt(rk, iv, data) != pure.cbc_encrypt(data, iv)
+                or native.cbc_decrypt(rk, iv, data)
+                != pure.cbc_decrypt(data, iv)):
+            return False
+    return True
+
+
 _aes_selftest()
+_NATIVE = _native.checked(_native.swishaes, _aes_native_selftest)
 
 
 # ---------------------------------------------------------------------

@@ -42,6 +42,8 @@ import zlib
 
 import numpy as np
 
+from .. import _native
+
 # tag ids (TIFF 6.0 section 8)
 _T_WIDTH = 256
 _T_LENGTH = 257
@@ -106,10 +108,7 @@ def _tag(entries: dict, tag: int, default=None):
     return entries[tag][2]
 
 
-try:  # optional C LZW kernel (A/B-gated at module end)
-    from .._native import swishlzw as _native_lzw
-except Exception:  # pragma: no cover - import-time environment
-    _native_lzw = None
+_native_lzw = None  # the C LZW kernel once checked at module end
 
 
 def _tiff_lzw(data: bytes, expected: int) -> bytes:
@@ -656,20 +655,14 @@ def encode_tiff(arr: np.ndarray, compression: str = "none",
     return bytes(body)
 
 
-def _native_selftest() -> bool:
-    import numpy as _np
-    rng = _np.random.default_rng(7)
+def _native_selftest(native) -> bool:
+    rng = np.random.default_rng(7)
     for n in (0, 1, 500, 20000):
-        data = bytes(rng.integers(0, 8, n).astype(_np.uint8) * 31)
+        data = bytes(rng.integers(0, 8, n).astype(np.uint8) * 31)
         enc = _tiff_lzw_encode(data)
-        if _native_lzw.tiff_decode(enc, n) != _tiff_lzw_py(enc, n):
+        if native.tiff_decode(enc, n) != _tiff_lzw_py(enc, n):
             return False
     return True
 
 
-if _native_lzw is not None:
-    try:
-        if not _native_selftest():  # pragma: no cover
-            _native_lzw = None
-    except Exception:  # pragma: no cover
-        _native_lzw = None
+_native_lzw = _native.checked(_native.swishlzw, _native_selftest)

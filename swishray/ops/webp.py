@@ -38,6 +38,8 @@ import struct
 
 import numpy as np
 
+from .. import _native
+
 # LZ77 distance mapping: plane codes 1..120 -> 2-D offsets. The
 # spec's table is exactly the (dx, dy) pairs with dy in 0..7,
 # dx in -7..8 (dx > 0 when dy == 0), sorted by squared distance with
@@ -57,10 +59,7 @@ _CLC_ORDER = (17, 18, 0, 1, 2, 3, 4, 5, 16, 6, 7, 8, 9, 10, 11, 12,
 
 _DIST_MAP_ARR = np.asarray(_DIST_MAP, np.int32).reshape(-1)
 
-try:  # optional C pixel-loop kernel (A/B-gated at module end)
-    from .._native import swishwebp as _native_webp
-except Exception:  # pragma: no cover - import-time environment
-    _native_webp = None
+_native_webp = None  # the C pixel-loop kernel once checked at module end
 
 
 class _Bits:
@@ -721,7 +720,7 @@ def decode_webp_frames(blob: bytes) -> tuple[np.ndarray, dict]:
 # DISABLED (conservative: the pure path is always correct).
 
 
-def _native_selftest() -> bool:
+def _native_selftest(native) -> bool:
     global _native_webp
     import ctypes
     lw = ctypes.CDLL("libwebp.so.7")
@@ -734,7 +733,6 @@ def _native_selftest() -> bool:
               * np.array([1, 2, 3]) // 3 % 256)
     cases = [rng.integers(0, 256, (20, 30, 4)), smooth,
              rng.integers(0, 4, (30, 40, 3)) * 80]
-    native = _native_webp
     try:
         for img in cases:
             rgba = np.ascontiguousarray(img.astype(np.uint8))
@@ -754,15 +752,10 @@ def _native_selftest() -> bool:
                 return False
         return True
     finally:
-        _native_webp = native
-
-
-if _native_webp is not None:
-    try:
-        if not _native_selftest():  # pragma: no cover
-            _native_webp = None
-    except Exception:  # pragma: no cover
         _native_webp = None
+
+
+_native_webp = _native.checked(_native.swishwebp, _native_selftest)
 
 
 

@@ -106,6 +106,21 @@ def _utf8_column(values: list[bytes]) -> pa.Array:
     return arr
 
 
+_MAP_TYPE = pa.map_(pa.string(), pa.large_string())
+
+
+def _map_column(rows: list[dict[str, bytes]]) -> pa.Array:
+    """``rows`` as a ``map<string, large_string>`` column, each value
+    decoded as ``_utf8_column`` decodes it."""
+    offs = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum([len(r) for r in rows], out=offs[1:])
+    keys = [k for r in rows for k in r]
+    values = [v for r in rows for v in r.values()]
+    return pa.MapArray.from_arrays(
+        pa.array(offs), pa.array(keys, pa.string()), _utf8_column(values),
+        type=_MAP_TYPE)
+
+
 # Largest byte or element count an int32 Arrow offset can address. A
 # batch whose token stream is larger is split into several chunks.
 _MAX_INT32_OFFSET = 2**31 - 1
@@ -279,9 +294,7 @@ class ExtractPages:
         cols: dict[str, list] = {k: [] for k, _ in self.OUTPUT_BASE_FIELDS}
         emit_buffers = self.emit in ("buffers", "full")
         emit_tokens = self.emit == "full"
-        if emit_buffers:
-            cols["metanames"] = []
-            cols["properties"] = []
+        maps = {"metanames": [], "properties": []} if emit_buffers else {}
         tokens = []
 
         cap = self.max_doc_bytes
@@ -308,12 +321,8 @@ class ExtractPages:
             cols["title"].append(rec.metanames.get(C.TITLE_METANAME, b""))
             cols["text"].append(rec.metanames.get(C.DEFAULT_METANAME, b""))
             if emit_buffers:
-                cols["metanames"].append(
-                    [(k, v.decode("utf-8", "replace"))
-                     for k, v in rec.metanames.items()])
-                cols["properties"].append(
-                    [(k, v.decode("utf-8", "replace"))
-                     for k, v in rec.properties.items()])
+                maps["metanames"].append(rec.metanames)
+                maps["properties"].append(rec.properties)
             if emit_tokens:
                 tokens.append(rec.tokens)
 
@@ -322,10 +331,8 @@ class ExtractPages:
             arrays[name] = (_utf8_column(cols[name])
                             if typ == pa.large_string()
                             else pa.array(cols[name], type=typ))
-        if emit_buffers:
-            mtype = pa.map_(pa.string(), pa.large_string())
-            arrays["metanames"] = pa.array(cols["metanames"], type=mtype)
-            arrays["properties"] = pa.array(cols["properties"], type=mtype)
+        for name, rows in maps.items():
+            arrays[name] = _map_column(rows)
         if emit_tokens:
             arrays.update(token_columns(tokens))
         for k in self.keep_input_columns:

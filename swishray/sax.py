@@ -7,16 +7,20 @@ the three tag stacks (dom/meta/prop), the character buffers with \\x03
 position bumpers, flush-to-NamedBuffer, property capture, and the
 noindex/index comment toggles.
 
-Two paths run it (which one when: the header of libxml.py):
+Two paths run it, and this module alone picks one per document
+(``html_parse``/``xml_parse``; libxml.py only records events):
 
-  * For a Config that passes ``collapse_plan``'s gate, swishsax's C
-    extraction machine runs these handlers inside the libxml2 parse
-    and returns the finished buffers and the ordered buffer flushes;
-    ``ExtractionState.apply`` tokenizes the flushes (through the
-    default tokenizer or a ``tokenizer=`` hook alike) and takes the
-    buffers. The Python handlers below do not run for such a document.
+  * For a Config that passes ``machine_spec``'s gate, ``machine_for``
+    compiles swishsax's C extraction machine, which runs these
+    handlers inside the libxml2 parse and returns the finished buffers
+    and the ordered buffer flushes; ``ExtractionState.apply``
+    tokenizes the flushes (through the default tokenizer or a
+    ``tokenizer=`` hook alike) and takes the buffers. The Python
+    handlers below do not run for such a document. The machine is
+    used only when ``_machine_selftest`` passed on the checked swishsax
+    front-end (``_machine``, taken through ``_native.checked``).
   * Otherwise, and for a document the machine declines,
-    ``ExtractionState.replay`` consumes the full libxml2 event batch.
+    ``ExtractionState.replay`` consumes libxml's full event batch.
 
 All buffer content is bytes (the \\x03-joined buffers are byte-exact
 deliverables); tag and config names are str.
@@ -30,9 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from . import constants as C, libxml
+from . import _native, constants as C, libxml
 from .config import Config
-from .libxml import _XINCLUDE_NSS, SaxPlan, html_tag_lookup_isinline
+from .libxml import html_tag_lookup_isinline
 from .text import glibc_lower, skip_ws, str_all_ws, trim_ws
 from .tokenizer import TokenList, tokenize_into
 
@@ -55,33 +59,31 @@ class ParseAbort(Exception):
     """Raised where the reference would SWISH_CROAK (process exit)."""
 
 
+_XINCLUDE_NSS = (b"http://www.w3.org/2003/XInclude",
+                 b"http://www.w3.org/2001/XInclude")
+
 # undefined-name policy codes of the machine spec (swishsax.c U_*)
 _POLICY = {C.UNDEF_ERROR: 1, C.UNDEF_IGNORE: 2, C.UNDEF_INDEX: 3}
 
-# cleared at import when the machine fails _machine_selftest
-_machine_ok = True
 
-
-def collapse_plan(config: Config) -> SaxPlan | None:
-    """The extraction plan for ``config``: its swishsax machine (None
-    without swishsax), or None when the config is outside the gate the
-    machine covers, so every document replays the full event stream.
+def machine_spec(config: Config) -> tuple | None:
+    """The spec swishsax compiles its extraction machine from, or None
+    when ``config`` is outside the gate the machine covers, so every
+    document replays the full event stream.
 
     The gate: no configured name contains a '.' (or is empty), so
-    dom-path contexts are never built or matched, and no
-    undefined-name policy is auto/autoall, so no document can vivify a
-    name and the state machine's tables are a function of the config
-    alone. The machine itself declines the documents it cannot finish
-    identically (the header of _native/swishsax.c lists them)."""
+    dom-path contexts are never matched, and no undefined-name policy
+    is auto/autoall, so no document can vivify a name and the state
+    machine's tables are a function of the config alone. The machine
+    itself declines the documents it cannot finish identically (the
+    header of _native/swishsax.c lists them)."""
     tables = (config.metanames, config.properties, config.tag_aliases)
     if any("." in k or not k for t in tables for k in t):
         return None
     auto = (C.UNDEF_AUTO, C.UNDEF_AUTOALL)
     if config.undef_metas in auto or config.undef_attrs in auto:
         return None
-    if not _machine_ok:
-        return SaxPlan(None)
-    return SaxPlan(libxml.compile_machine((
+    return (
         [(k, m.alias_for) for k, m in config.metanames.items()],
         [(k, p.alias_for, bool(p.verbatim))
          for k, p in config.properties.items()],
@@ -89,7 +91,17 @@ def collapse_plan(config: Config) -> SaxPlan | None:
         _POLICY.get(config.undef_metas, 0),
         _POLICY.get(config.undef_attrs, 0),
         config.cascade_meta_context, config.tokenize, config.ignore_xmlns,
-        bool(config.stringlists.get("XMLClassAttributes")))))
+        bool(config.stringlists.get("XMLClassAttributes")))
+
+
+def machine_for(config: Config):
+    """swishsax's compiled extraction machine for ``config``, or None
+    (outside the gate, or no checked machine): a function of the
+    config alone, so a DocumentExtractor builds it once."""
+    spec = machine_spec(config)
+    if spec is None or _machine is None:
+        return None
+    return _machine.compile(spec)
 
 
 class _Tag:
@@ -102,26 +114,21 @@ class _Tag:
 
 
 class _TagStack:
-    """parser.c:2939-3101. head == items[-1]; context built at push by
-    flattening baked names bottom->top with the stack's join char.
+    """parser.c:2939-3101. head == items[-1]; a tag's context is the
+    baked names bottom->top joined with the stack's join char, built
+    at push from the head's."""
 
-    ``build_context=False`` skips materializing contexts (used for the
-    domstack when no configured name contains a '.' — the dotted
-    DOM-path lookups can never hit, so the O(depth) join per push is
-    pure waste on deep HTML)."""
+    __slots__ = ("items", "join")
 
-    __slots__ = ("items", "join", "build_context")
-
-    def __init__(self, join: str, build_context: bool = True):
+    def __init__(self, join: str):
         self.items: list[_Tag] = []
         self.join = join
-        self.build_context = build_context
 
     def push(self, raw: str, baked: str) -> _Tag:
-        t = _Tag(raw, baked, "")
-        self.items.append(t)
-        if self.build_context:
-            t.context = self.join.join(x.baked for x in self.items)
+        items = self.items
+        t = _Tag(raw, baked, items[-1].context + self.join + baked
+                 if items else baked)
+        items.append(t)
         return t
 
     def pop(self) -> _Tag | None:
@@ -139,14 +146,14 @@ class _TagStack:
 
     def flatten_with(self, baked: str) -> str:
         """flatten_tag_stack(baked, stack, join) — parser.c:2817-2866."""
-        return self.join.join([x.baked for x in self.items] + [baked])
+        items = self.items
+        return items[-1].context + self.join + baked if items else baked
 
 
 class ExtractionState:
     """swish_ParserData equivalent for one document."""
 
-    def __init__(self, config: Config, uri: str = "", tokenizer=None,
-                 sax_plan: SaxPlan | None = None):
+    def __init__(self, config: Config, uri: str = "", tokenizer=None):
         # per-document copy-on-write view of the mutable config parts:
         # undef auto policies vivify metanames mid-parse
         # (parser.c:478-491) and must stay document-local so workers are
@@ -154,9 +161,6 @@ class ExtractionState:
         self.config = config
         self._cfg_copied = False
         self.uri = uri
-        # collapse_plan(config): libxml runs its machine for this
-        # document, or None for the full event stream
-        self.sax_plan = sax_plan
         self._tokenize = tokenizer if tokenizer is not None else tokenize_into
         self.is_html = False
         self.bump_word = True          # init_parser_data: starts TRUE
@@ -182,14 +186,13 @@ class ExtractionState:
         self.metastack.push(C.DEFAULT_METANAME, C.DEFAULT_METANAME)
         self.propstack = _TagStack(C.DOM_CHAR)
         self.propstack.push(C.DOM_STR, C.DOM_STR)
-        # dotted DOM-path lookups can only ever hit when some
-        # configured name contains a '.' — otherwise skip the per-push
-        # context join entirely (hot path on deep HTML)
+        # dotted DOM-path alias lookups can only ever hit when some
+        # configured name contains a '.'; without one, bakes cache
         self._dotted_names = any(
             "." in k for k in config.metanames) or any(
             "." in k for k in config.properties) or any(
             "." in k for k in config.tag_aliases)
-        self.domstack = _TagStack(C.DOT, build_context=self._dotted_names)
+        self.domstack = _TagStack(C.DOT)
         # per-document bake cache: tag -> (baked, bump, undef_reset);
         # only attribute-free bakes with side-effect-free policies land
         # here (see bake_tag)
@@ -219,17 +222,11 @@ class ExtractionState:
         self._after_vivify(name)
 
     def _after_vivify(self, name: str) -> None:
-        # vivification changes what's "defined": drop cached bakes and,
-        # if a dotted name just appeared, start materializing domstack
-        # contexts so DOM-path matches can hit from here on
+        # vivification changes what's "defined": drop cached bakes, and
+        # a dotted name turns the DOM-path alias lookup on
         self._bake_cache.clear()
-        if "." in name and not self._dotted_names:
+        if "." in name:
             self._dotted_names = True
-            self.domstack.build_context = True
-            running: list[str] = []
-            for t in self.domstack.items:
-                running.append(t.baked)
-                t.context = C.DOT.join(running)
 
     # -- NamedBuffer ops (namedbuffer.c:166-241) ------------------------
 
@@ -702,28 +699,56 @@ def concat_buffers(parent_nb: dict, child_nb: dict) -> None:
             pbuf += cbuf
 
 
-def _machine_selftest() -> bool:
-    """The machine must leave the state the replay leaves (buffers,
-    token stream, nwords, ParseAbort) on libxml's self-test corpus,
-    under the default config and one with aliases, properties and
-    cascading contexts."""
+def _parse(body: bytes, state: ExtractionState, machine, html: bool,
+           native) -> int:
+    """Extract one document into ``state``: through ``machine`` (built
+    by ``native.compile``) when there is one and it finishes the
+    document, else by replaying libxml's event batch. Returns libxml's
+    rc."""
+    if machine is not None:
+        result = (native.extract_html if html
+                  else native.extract_xml)(body, machine)
+        # None: the machine declined the document
+        if result is not None and state.apply(result):
+            return result[0]
+    rc, events = libxml.parse_events(body, html)
+    state.replay(events)
+    return rc
+
+
+def html_parse(body: bytes, state: ExtractionState, machine) -> int:
+    """html_parser (parser.c:2537-2597) into ``state``; ``machine`` is
+    ``machine_for(config)``, or None for the event replay."""
+    return _parse(body, state, machine, True, _machine)
+
+
+def xml_parse(body: bytes, state: ExtractionState, machine) -> int:
+    """xml_parser (parser.c:2450-2535) into ``state``; ``machine`` is
+    ``machine_for(config)``, or None for the event replay. Returns 0
+    if well-formed, else the libxml2 errNo."""
+    return _parse(body, state, machine, False, _machine)
+
+
+def _machine_selftest(native) -> bool:
+    """``native``'s machine must leave the state the replay leaves
+    (buffers, token stream, nwords, ParseAbort) on libxml's self-test
+    corpus, under the default config and one with aliases, properties
+    and cascading contexts."""
     variant = Config.default()
     variant.add("<swish><MetaNames><b/><doc/></MetaNames>"
                 "<PropertyNames><b/><title/></PropertyNames>"
                 "<TagAlias><swishtitle>span</swishtitle></TagAlias>"
                 "<CascadeMetaContext>1</CascadeMetaContext></swish>")
     for cfg in (Config.default(), variant):
-        plan = collapse_plan(cfg)
-        if plan is None or plan.machine is None:
-            return plan is not None
+        machine = native.compile(machine_spec(cfg))
         for kind, doc in libxml._SAX_SELFTEST_DOCS:
+            html = kind == "html"
             got = []
-            for p in (plan, None):
-                st = ExtractionState(cfg, sax_plan=p)
-                st.is_html = kind == "html"
+            for m in (machine, None):
+                st = ExtractionState(cfg)
+                st.is_html = html
                 try:
-                    (libxml.html_parse if st.is_html
-                     else libxml.xml_parse)(doc, st)
+                    _parse(doc, st, m, html, native)
                     err = None
                 except ParseAbort as e:
                     err = str(e)
@@ -735,7 +760,6 @@ def _machine_selftest() -> bool:
     return True
 
 
-try:
-    _machine_ok = _machine_selftest()
-except Exception:  # pragma: no cover - host-dependent
-    _machine_ok = False
+# swishsax's checked front-end, when its extraction machine also passed
+# _machine_selftest; None: every document replays
+_machine = _native.checked(libxml._sax_native, _machine_selftest)

@@ -45,6 +45,7 @@ import struct
 
 import numpy as np
 
+from . import _native as _ext
 from ._uniprops import WORD_RANGES, LOWER_MAP
 from .constants import BUMPER_CHR, MAX_WORD_LEN, MIN_WORD_LEN
 
@@ -359,12 +360,6 @@ def _long_run_utf8(run: str, at_buffer_end: bool) -> list[bytes]:
 
 _RUN_RE = re.compile(f"[{_WORD_CLASS}]+")
 
-try:  # optional C accelerator (A/B-verified identical; see _native)
-    from ._native import swishtok as _native
-except Exception:  # pragma: no cover
-    _native = None
-
-
 def tokenize_into(tl: TokenList, data: bytes, meta: str, context: str) -> int:
     """Tokenize one flushed buffer into ``tl`` as one arena chunk;
     returns the tokens added (the nwords contribution,
@@ -472,7 +467,7 @@ def _emit_run(run: str, ascii_mode: bool, at_end: bool) -> list[bytes]:
     return _long_run_utf8(run, at_end)
 
 
-def _native_selftest() -> bool:
+def _native_selftest(native) -> bool:
     """A/B-verify the C accelerator against the validated Python path
     on a classification-sensitive sample before trusting it. Guards
     against a host whose runtime glibc tables differ from the frozen
@@ -489,7 +484,7 @@ def _native_selftest() -> bool:
     for s in samples:
         tl = TokenList()
         _tokenize_into_py(tl, s, "m", "c")
-        got = _native.tokenize(s, 0, 0)
+        got = native.tokenize(s, 0, 0)
         want = (b"".join(tl.value_chunks), b"".join(tl.len_chunks),
                 b"".join(tl.pos_chunks), tl.pos, tl._offset)
         if got != want:
@@ -497,9 +492,5 @@ def _native_selftest() -> bool:
     return True
 
 
-if _native is not None:
-    try:
-        if not _native_selftest():  # pragma: no cover - host-dependent
-            _native = None
-    except Exception:  # pragma: no cover
-        _native = None
+# the C accelerator, or None for the Python scanner
+_native = _ext.checked(_ext.swishtok, _native_selftest)

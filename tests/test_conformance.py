@@ -132,13 +132,63 @@ def test_cleanwsp_mutation_quirk():
         or rec.metanames["swishtitle"].startswith(b"\nalpha\n")
 
 
+def test_dotted_config_pins_contexts_and_buffers():
+    """Under dotted names the tag stacks' contexts decide what matches:
+    a literal ``doc.title`` element, a DOM-path metaname and property
+    (``doc.item``), a DOM-path TagAlias (``doc.sub`` -> headline), and
+    an ``auto`` XML attribute that vivifies the first dotted name
+    (``item.type``) in the middle of a document, after which the child
+    ``<type>`` matches it by its DOM path."""
+    dotted = Config.default().add(
+        "<swish><MetaNames><doc.title/><doc.item/><headline/></MetaNames>"
+        "<PropertyNames><doc.item/></PropertyNames>"
+        "<TagAlias><headline>doc.sub</headline></TagAlias>"
+        "<UndefinedXMLAttributes>auto</UndefinedXMLAttributes></swish>")
+    rec = DocumentExtractor(dotted).extract(
+        "x.xml",
+        b"<doc><title>T one</title><sub>S two</sub>"
+        b"<item kind=\"K\">i <b>three</b></item><doc.title>dt</doc.title>"
+        b"<other><sub>s4</sub><item>i5</item></other></doc>")
+    assert rec.error is None
+    assert rec.token_values == [b"t", b"one", b"s", b"two", b"k", b"i",
+                                b"three", b"dt", b"s4", b"i5"]
+    assert rec.token_positions == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
+    assert rec.token_metas == [
+        "swishtitle", "swishtitle", "headline", "headline", "item.kind",
+        "doc.item", "doc.item", "doc.title", "swishdefault", "swishdefault"]
+    assert rec.token_contexts == [
+        "swishdefault/swishtitle", "swishdefault/swishtitle",
+        "swishdefault/headline", "swishdefault/headline",
+        "swishdefault/item.kind", "swishdefault/doc.item",
+        "swishdefault/doc.item", "swishdefault/doc.title",
+        "swishdefault", "swishdefault"]
+    assert {k: v for k, v in rec.metanames.items() if v} == {
+        "swishdefault": b"s4\x03i5", "swishtitle": b"T one",
+        "doc.title": b"dt", "doc.item": b"i \x03three",
+        "headline": b"S two", "item.kind": b"k"}
+    assert {k: v for k, v in rec.properties.items() if v} == {
+        "swishtitle": b"T one", "doc.item": b"i  three"}
+
+    vivify = Config.default().add(
+        "<swish><UndefinedXMLAttributes>auto</UndefinedXMLAttributes>"
+        "</swish>")
+    rec = DocumentExtractor(vivify).extract(
+        "y.xml", b"<item type=\"A\">one<type>two</type><b>three</b></item>")
+    assert rec.error is None
+    assert rec.token_values == [b"a", b"one", b"two", b"three"]
+    assert rec.token_metas == ["item.type", "swishdefault", "type",
+                               "swishdefault"]
+    assert rec.token_contexts == ["swishdefault/item.type", "swishdefault",
+                                  "swishdefault/type", "swishdefault"]
+    assert {k: v for k, v in rec.metanames.items() if v} == {
+        "swishdefault": b"one\x03three", "item.type": b"a", "type": b"two"}
+
+
 def test_fast_replay_matches_per_event_path():
     """The extraction machine (one native call per document) must
     produce records byte-identical to replaying every event — toggled
-    by building the extractor with no plan."""
-    from unittest import mock
-
-    import swishray.extractor as extractor_mod
+    by clearing the extractor's machine."""
+    from swishray import sax
     from swishray.extractor import DocumentExtractor
 
     docs = [
@@ -155,13 +205,13 @@ def test_fast_replay_matches_per_event_path():
          + b" plain</p>" * 50),
     ]
     ex = DocumentExtractor()
-    assert ex.sax_plan is not None
+    # the default config is inside the machine's gate, with or
+    # without a checked swishsax
+    assert sax.machine_spec(ex.config) is not None
+    assert (ex.machine is not None) == (sax._machine is not None)
     fast = [ex.extract(f"https://x/{i}.html", d)
             for i, d in enumerate(docs)]
-    with mock.patch.object(extractor_mod, "collapse_plan",
-                           lambda config: None):
-        ex = DocumentExtractor()
-    assert ex.sax_plan is None
+    ex.machine = None
     slow = [ex.extract(f"https://x/{i}.html", d)
             for i, d in enumerate(docs)]
     for f, s in zip(fast, slow):

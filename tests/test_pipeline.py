@@ -560,3 +560,27 @@ def test_utf8_column_matches_per_row_decode():
         want = pa.array([v.decode("utf-8", "replace") for v in vals],
                         pa.large_string())
         assert _utf8_column(vals).equals(want)
+
+
+def test_map_column_matches_per_row_build():
+    """The buffer-built metanames/properties map column equals the
+    per-row build from ``(name, v.decode("utf-8", "replace"))`` pairs,
+    for a batch mixing an invalid-UTF-8 value, an empty value and an
+    empty map, and for an empty batch."""
+    from swishray.pipeline import _map_column
+
+    mtype = pa.map_(pa.string(), pa.large_string())
+    batches = [
+        [{"swishtitle": "tï".encode(), "swishdefault": b"a\x03b"},
+         {},
+         {"swishtitle": b"caf\xe9", "keywords": b""},
+         {"swishdefault": b"\xc0\xaf ok"}],
+        [{}],
+        [],
+    ]
+    for rows in batches:
+        want = pa.array([[(k, v.decode("utf-8", "replace"))
+                          for k, v in r.items()] for r in rows], mtype)
+        got = _map_column(rows)
+        assert got.type == mtype
+        assert got.equals(want)

@@ -1,8 +1,8 @@
-"""The extraction machine against the replay. Under a plan (a config
-inside sax.collapse_plan's gate) swishsax's C machine runs the state
-machine inside the libxml2 parse; without one, the full event stream
+"""The extraction machine against the replay. For a config inside
+sax.machine_spec's gate, swishsax's C machine runs the state machine
+inside the libxml2 parse; without a machine, the full event stream
 feeds the Python replay. Both must give the same records, in every
-column, for every gate of the plan, every config branch the machine
+column, for every condition of the gate, every config branch the machine
 covers and every way it declines a document (XInclude, a non-ASCII
 name, a raising tokenizer hook)."""
 
@@ -14,7 +14,6 @@ import sys
 
 import pytest
 
-import swishray.extractor as extractor_mod
 from swishray import libxml, sax
 from swishray.config import Config
 from swishray.extractor import DocumentExtractor
@@ -123,7 +122,7 @@ def _corpus():
 
 _DOCS = _corpus()
 
-# (id, config XML or None, attribute overrides, plan expected)
+# (id, config XML or None, attribute overrides, inside the gate)
 CONFIGS = [
     ("default", None, {}, True),
     ("alias_onto_metaname",
@@ -187,17 +186,19 @@ def _records(cfg):
     ex = DocumentExtractor(
         cfg, xinclude_resolver={"https://x.example/part.xml": _PART,
                                 "https://h.example/part.xml": _PART}.get)
-    return ex.sax_plan, [dataclasses.asdict(ex.extract(u, b))
-                         for u, b in _DOCS]
+    return ex.machine, [dataclasses.asdict(ex.extract(u, b))
+                        for u, b in _DOCS]
 
 
-@pytest.mark.parametrize("name,xml,overrides,has_plan", CONFIGS,
+@pytest.mark.parametrize("name,xml,overrides,in_gate", CONFIGS,
                          ids=[c[0] for c in CONFIGS])
 def test_collapsed_stream_gives_full_stream_records(
-        monkeypatch, name, xml, overrides, has_plan):
-    plan, machine = _records(_config(xml, overrides))
-    assert (plan is not None) == has_plan
-    monkeypatch.setattr(extractor_mod, "collapse_plan", lambda config: None)
+        monkeypatch, name, xml, overrides, in_gate):
+    cfg = _config(xml, overrides)
+    assert (sax.machine_spec(cfg) is not None) == in_gate
+    m, machine = _records(cfg)
+    assert (m is not None) == (in_gate and sax._machine is not None)
+    monkeypatch.setattr(sax, "_machine", None)
     none, replay = _records(_config(xml, overrides))
     assert none is None
     for (uri, _), m, r in zip(_DOCS, machine, replay):
@@ -221,7 +222,7 @@ def test_machine_declines_only_what_it_cannot_finish(monkeypatch):
     extracted without the Python replay."""
     ex = DocumentExtractor(
         xinclude_resolver={"https://x.example/part.xml": _PART}.get)
-    if ex.sax_plan.machine is None:
+    if ex.machine is None:
         pytest.skip("swishsax is not loaded")
     uris = _replayed(monkeypatch)
     for uri, body in _DOCS:
@@ -249,9 +250,9 @@ def test_raising_tokenizer_hook_declines(monkeypatch):
     uris = _replayed(monkeypatch)
     ex = DocumentExtractor(tokenizer=_boom_hook)
     got = [ex.extract(u, b) for u, b in docs]
-    if ex.sax_plan.machine is not None:
+    if ex.machine is not None:
         assert uris == [docs[0][0], docs[1][0]]
-    ex.sax_plan = None
+    ex.machine = None
     want = [ex.extract(u, b) for u, b in docs]
     assert [r.error for r in got] == ["RuntimeError: boom"] * 2 + [None]
     for g, w in zip(got, want):
@@ -271,7 +272,7 @@ def test_machine_matches_replay_on_benchmark_tables(monkeypatch, workload,
     table, _ = make_table(workload, seed)
     enc = "UTF-8" if workload == "markup_dense" else "ISO-8859-1"
     got = ExtractPages(emit="full", swish_encoding=enc)(table)
-    monkeypatch.setattr(extractor_mod, "collapse_plan", lambda config: None)
+    monkeypatch.setattr(sax, "_machine", None)
     want = ExtractPages(emit="full", swish_encoding=enc)(table)
     assert got.equals(want)
 
@@ -285,8 +286,8 @@ def test_fuzz_tool_compares_machine_with_replay():
 def test_machine_selftest_passed():
     """A failing import self-test silently drops the machine."""
     if libxml._sax_native is not None:
-        assert sax._machine_ok
-        assert DocumentExtractor().sax_plan.machine is not None
+        assert sax._machine is libxml._sax_native
+        assert DocumentExtractor().machine is not None
 
 
 class _Anchors(libxml.SaxTarget):
@@ -298,8 +299,8 @@ class _Anchors(libxml.SaxTarget):
 
 
 def test_sax_target_gets_every_element():
-    """SaxTargets carry no plan, so they see the full stream even right
-    after an extraction under a plan."""
+    """SaxTargets never go through the machine, so they see the full
+    stream even right after an extraction by the machine."""
     body = (b"<html><body><p>x <a href=1>one</a> y <a>two</a>"
             b"<div><a href=3><b>three</b></a></div></p></body></html>")
     DocumentExtractor().extract("https://a.example/x.html", body)

@@ -1,12 +1,13 @@
 """The two libxml2 front-ends — the swishsax C extension and the ctypes
 recorder in libxml.py — feed one event path, so extraction through
-either must give identical records. With a plan, swishsax runs its
-extraction machine, and the ctypes fallback (no swishsax) replays the
-full event stream: those records must match too."""
+either must give identical records. For a config inside the machine's
+gate, swishsax runs its extraction machine, and the ctypes fallback (no
+swishsax) replays the full event stream: those records must match
+too."""
 
 import dataclasses
 
-from swishray import _native, libxml, tokenizer
+from swishray import libxml, sax
 from swishray.config import Config
 from swishray.extractor import DocumentExtractor
 
@@ -42,11 +43,13 @@ CORPUS = [
 
 def _extract_all(undef_attrs):
     cfg = Config.default()
-    # "auto": XML attributes become metanames, and no plan applies
+    # "auto": XML attributes become metanames, outside the machine's gate
     cfg.undef_attrs = undef_attrs
     ex = DocumentExtractor(
         cfg, xinclude_resolver={"https://x.example/part.xml": _PART}.get)
-    assert (ex.sax_plan is None) == (undef_attrs == "auto")
+    in_gate = undef_attrs != "auto"
+    assert (sax.machine_spec(cfg) is not None) == in_gate
+    assert (ex.machine is not None) == (in_gate and sax._machine is not None)
     return [ex.extract(uri, body) for uri, body in CORPUS]
 
 
@@ -62,7 +65,9 @@ def _check_fallback(monkeypatch, undef_attrs):
     native = _extract_all(undef_attrs)
     calls = []
     parse_ctypes = libxml._parse_ctypes
+    # no swishsax: neither the C front-end nor its machine
     monkeypatch.setattr(libxml, "_sax_native", None)
+    monkeypatch.setattr(sax, "_machine", None)
     monkeypatch.setattr(libxml, "_parse_ctypes", lambda buf, html: (
         calls.append(html) or parse_ctypes(buf, html)))
     fallback = _extract_all(undef_attrs)
@@ -90,17 +95,10 @@ def test_noindex_around_inert_elements_keeps_tokens(monkeypatch):
             b"<div>eight</div><!--noindex--><b>nine</b><!-- index -->"
             b"ten</p></body></html>")
     want = [b"one", b"twosix", b"seven", b"eightten"]
-    for native in (libxml._sax_native, None):
+    for native, machine in ((libxml._sax_native, sax._machine),
+                            (None, None)):
         monkeypatch.setattr(libxml, "_sax_native", native)
+        monkeypatch.setattr(sax, "_machine", machine)
         rec = DocumentExtractor().extract("https://x.example/n.html", body)
         assert rec.token_values == want
         assert rec.token_positions == [1, 2, 3, 5]
-
-
-def test_native_frontends_load_when_built():
-    """A failing import self-test silently drops the engine onto the
-    slower path; catch that wherever the extensions were built."""
-    if _native.swishsax is not None:
-        assert libxml._sax_native is not None
-    if _native.swishtok is not None:
-        assert tokenizer._native is not None

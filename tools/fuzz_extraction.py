@@ -213,7 +213,7 @@ def machine_mismatches(n: int, seed: int) -> list[str]:
             cfg.add(xml)
         machine = DocumentExtractor(cfg)
         replay = DocumentExtractor(cfg)
-        replay.sax_plan = None  # the full event stream
+        replay.machine = None  # the full event stream
         rng = random.Random(seed)
         for i in range(n):
             body, suffix = gen_doc(rng)
