@@ -2045,11 +2045,14 @@ def q_video_dedup(sf_dir: str):
 
 
 def q_extract_fixture_corpus(sf_dir: str):
-    """Flagship over the reference fixture corpus (conformance shapes:
-    metanames/properties maps + token columns)."""
+    """Flagship over the seeded markup_dense corpus (HTML with metas,
+    namespaced XML, tag soup, NUL and empty rows; 120 pages), emitting
+    the full record: metanames/properties maps + token columns."""
+    import ray.data as rd
+    from perfbench.corpus import make_table
     from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
-    return extract_pages(fixture_pages(120), emit="full") \
+    table, _ = make_table("markup_dense", 31, 0.2)
+    return extract_pages(rd.from_arrow(table), emit="full") \
         .select_columns(["url", "nwords", "title", "error"])
 
 

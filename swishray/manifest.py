@@ -16,25 +16,15 @@ lineage + metrics". Design (SURVEY.md §4 checkpoint row):
     buckets and never trusts a bucket without its manifest (partial
     ``bucket=NNNN.tmp-*`` staging dirs are ignored and reaped).
 
-Two write modes, different durability/throughput trade-offs (both
-memory-bounded, both multi-file per bucket):
-
-  * ``mode="grouped"`` (default): one keyed shuffle co-locates each
-    bucket in a reduce task; the task writes the bucket out in
-    row-chunked part files — no pandas conversion. Buckets commit
-    INCREMENTALLY as their reduce task finishes, so a killed run
-    keeps every finished bucket. A reduce task holds its whole bucket,
-    so the bucket COUNT is auto-sized from the input's byte size
-    (``target_bucket_bytes`` per bucket, default 2 GiB) and persisted
-    in ``_layout.json`` for resume — a fixed count would put ~1.5 TB
-    in one task at 100 TB.
-  * ``mode="stream"``: no shuffle at all — every map task appends its
-    batch's slice of each bucket as a uniquely-named part file in the
-    bucket's staging dir; per-bucket manifests are derived from a tiny
-    per-file stats aggregate when the stream drains, then all staging
-    dirs rename into place. Maximum throughput (zero data movement),
-    but durability granularity is the whole run: a mid-run kill
-    commits nothing (resume re-runs uncommitted buckets only).
+One writer, memory-bounded and multi-file per bucket: one keyed
+shuffle co-locates each bucket in a reduce task, and the task writes
+the bucket out in row-chunked part files — no pandas conversion.
+Buckets commit INCREMENTALLY as their reduce task finishes, so a
+killed run keeps every finished bucket. A reduce task holds its whole
+bucket, so the bucket COUNT is auto-sized from the input's byte size
+(``target_bucket_bytes`` per bucket, default 2 GiB) and persisted in
+``_layout.json`` for resume — a fixed count would put ~1.5 TB in one
+task at 100 TB.
 """
 
 from __future__ import annotations
@@ -87,7 +77,7 @@ DEFAULT_TARGET_BUCKET_BYTES = 1 << 31  # 2 GiB per reduce task
 
 
 def _resolve_layout(extracted: Any, out_dir: str,
-                    num_buckets: int | None, mode: str,
+                    num_buckets: int | None,
                     target_bucket_bytes: int) -> tuple[Any, int]:
     """Pick (and PERSIST) the bucket count.
 
@@ -95,7 +85,7 @@ def _resolve_layout(extracted: Any, out_dir: str,
     byte size so one bucket targets ``target_bucket_bytes`` — a fixed
     count (the r2 default of 64) puts ~1.5 TB in a single reduce
     task's group at 100 TB. The materialize is the same full
-    object-store pass the grouped mode's shuffle performs anyway
+    object-store pass the writer's shuffle performs anyway
     (spill-backed, streaming-safe), so auto-sizing costs no extra
     I/O class, only an earlier barrier.
 
@@ -107,10 +97,6 @@ def _resolve_layout(extracted: Any, out_dir: str,
     if os.path.exists(layout_path):
         with open(layout_path) as f:
             layout = json.load(f)
-        if layout.get("mode") != mode:
-            raise ValueError(
-                f"resume with mode={mode!r} but {layout_path} recorded "
-                f"mode={layout['mode']!r}")
         if num_buckets is not None and num_buckets != layout["num_buckets"]:
             raise ValueError(
                 f"resume with num_buckets={num_buckets} but "
@@ -123,20 +109,20 @@ def _resolve_layout(extracted: Any, out_dir: str,
         num_buckets = int(min(65536, max(
             16, math.ceil(size / max(1, target_bucket_bytes)))))
     with open(layout_path, "w") as f:
-        json.dump({"num_buckets": int(num_buckets), "mode": mode}, f)
+        json.dump({"num_buckets": int(num_buckets)}, f)
     return extracted, int(num_buckets)
 
 
 def write_partitioned(extracted: Any, out_dir: str,
                       num_buckets: int | None = None,
-                      resume: bool = True, mode: str = "grouped",
+                      resume: bool = True,
                       rows_per_file: int = 32768,
                       target_bucket_bytes: int =
                       DEFAULT_TARGET_BUCKET_BYTES,
                       key_col: str = "url") -> dict:
     """Write extraction output partitioned by url-hash bucket with
     per-bucket lineage manifests; skips buckets whose manifest already
-    exists. See the module docstring for the two modes.
+    exists. See the module docstring for the write path.
 
     ``num_buckets=None`` (default) auto-sizes buckets to
     ``target_bucket_bytes`` each and records the layout in
@@ -153,7 +139,7 @@ def write_partitioned(extracted: Any, out_dir: str,
 
     os.makedirs(out_dir, exist_ok=True)
     extracted, num_buckets = _resolve_layout(
-        extracted, out_dir, num_buckets, mode, target_bucket_bytes)
+        extracted, out_dir, num_buckets, target_bucket_bytes)
     # staging dirs from a previous killed run are partial: reap them
     for name in os.listdir(out_dir):
         if name.startswith("bucket=") and ".tmp" in name:
@@ -171,12 +157,7 @@ def write_partitioned(extracted: Any, out_dir: str,
             return batch.filter(mask)
         bucketed = bucketed.map_batches(drop_done, batch_format="pyarrow")
 
-    if mode == "grouped":
-        stats = _write_grouped(bucketed, out_dir, run_id, rows_per_file)
-    elif mode == "stream":
-        stats = _write_streamed(bucketed, out_dir, run_id, rows_per_file)
-    else:
-        raise ValueError(f"unknown write mode: {mode!r}")
+    stats = _write_grouped(bucketed, out_dir, run_id, rows_per_file)
     return {
         "written": len(stats),
         "skipped": len(done),
@@ -231,64 +212,6 @@ def _write_grouped(bucketed: Any, out_dir: str, run_id: str,
 
     return bucketed.groupby("bucket").map_groups(
         write_bucket, batch_format="pyarrow").take_all()
-
-
-def _write_streamed(bucketed: Any, out_dir: str, run_id: str,
-                    rows_per_file: int) -> list[dict]:
-    """Shuffle-free writer: each map task appends its slice of each
-    bucket as its own uniquely-named part file; manifests derive from
-    the (tiny) per-file stats stream after the pipeline drains."""
-    import pyarrow.parquet as pq
-
-    def write_slices(batch: pa.Table) -> pa.Table:
-        t0 = time.time()
-        rows = {"bucket": [], "rows": [], "errors": [], "nwords": [],
-                "bytes": [], "seconds": []}
-        bcol = batch.column("bucket")
-        for b in pc.unique(bcol).to_pylist():
-            sl = batch.filter(pc.equal(bcol, b)).drop_columns(["bucket"])
-            stage = os.path.join(out_dir, f"bucket={b:04d}.tmp-{run_id}")
-            os.makedirs(stage, exist_ok=True)
-            pq.write_table(sl, os.path.join(
-                stage, f"part-{uuid.uuid4().hex[:12]}.parquet"))
-            n_err, nw = _table_stats(sl)
-            rows["bucket"].append(int(b))
-            rows["rows"].append(sl.num_rows)
-            rows["errors"].append(n_err)
-            rows["nwords"].append(nw)
-            rows["bytes"].append(int(sl.nbytes))
-            rows["seconds"].append(time.time() - t0)
-        return pa.table({
-            "bucket": pa.array(rows["bucket"], type=pa.int32()),
-            "rows": pa.array(rows["rows"], type=pa.int64()),
-            "errors": pa.array(rows["errors"], type=pa.int64()),
-            "nwords": pa.array(rows["nwords"], type=pa.int64()),
-            "bytes": pa.array(rows["bytes"], type=pa.int64()),
-            "seconds": pa.array(rows["seconds"], type=pa.float64()),
-        })
-
-    stats_rows = bucketed.map_batches(
-        write_slices, batch_format="pyarrow").take_all()
-
-    per_bucket: dict[int, dict] = {}
-    for s in stats_rows:
-        m = per_bucket.setdefault(s["bucket"], {
-            "bucket": int(s["bucket"]), "rows": 0, "errors": 0,
-            "nwords": 0 if s["nwords"] is not None else None,
-            "bytes": 0, "files": 0, "seconds": 0.0})
-        m["rows"] += int(s["rows"])
-        m["errors"] += int(s["errors"])
-        if m["nwords"] is not None and s["nwords"] is not None:
-            m["nwords"] += int(s["nwords"])
-        m["bytes"] += int(s["bytes"])
-        m["files"] += 1
-        m["seconds"] = round(m["seconds"] + float(s["seconds"]), 3)
-
-    for b, manifest in sorted(per_bucket.items()):
-        stage = os.path.join(out_dir, f"bucket={b:04d}.tmp-{run_id}")
-        _finalize_bucket(out_dir, b, stage, manifest)
-    return [{"rows": m["rows"], "errors": m["errors"]}
-            for m in per_bucket.values()]
 
 
 def read_manifests(out_dir: str) -> list[dict]:

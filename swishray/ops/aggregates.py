@@ -1103,6 +1103,9 @@ def rrf_fuse(a: Any, b: Any, key: str, k_const: int = 60) -> Any:
             })
         return f
 
+    # both lists are tiny: materialize them, since a union of two
+    # streaming sort/limit branches hangs a 1-CPU session (Ray 2.49)
+    a, b = a.materialize(), b.materialize()
     merged = (a.map_batches(contrib("a"), batch_format="pyarrow")
               .union(b.map_batches(contrib("b"),
                                    batch_format="pyarrow"))

@@ -375,7 +375,7 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
                   emit: Literal["text", "buffers", "full"] = "buffers",
                   batch_size: int = 64,
                   keep_input_columns: tuple[str, ...] = (),
-                  xinclude_docs=None, num_cpus: float = 1) -> "Any":
+                  xinclude_docs=None) -> "Any":
     """The flagship stage: Dataset of pages -> Dataset of extraction
     records. Tasks with warm per-worker parser state
     (``util.map_batches_stateful``); small batch_size because rows are
@@ -386,18 +386,7 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
     adds the ``metanames``/``properties`` maps; ``"full"`` adds the
     token stream, ``token_values: list<binary>``, ``token_positions:
     list<uint32>``, ``token_metas``/``token_contexts:
-    list<dictionary<int32, string>>``.
-
-    ``num_cpus`` is each extraction task's CPU request, so it caps
-    how many tasks run at once. The extraction kernel is
-    memory-bandwidth-bound once the C SAX front-end removed most
-    per-byte Python cost; on bandwidth-saturated hosts fewer, wider
-    tasks (``num_cpus=2`` -> cores/2 at once) can beat one per core
-    (measured on a 32-core host when this stage still ran as an actor
-    pool of the same per-worker width: 32 one-core workers ~4-5k
-    docs/s vs 16 two-core ~6.4k docs/s). On a real multi-node cluster,
-    size it to the node's measured bandwidth ceiling, not its core
-    count."""
+    list<dictionary<int32, string>>``."""
     from .util import map_batches_stateful
     fn_kwargs = dict(config_xml=config_xml, swish_encoding=swish_encoding,
                      emit=emit, keep_input_columns=keep_input_columns,
@@ -408,7 +397,6 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        num_cpus=num_cpus,
     )
 
 

@@ -32,6 +32,21 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def corpus_pages(ray_session):
+    """``corpus_pages(workload, seed, n_rows)``: a Dataset of the first
+    ``n_rows`` of the seeded ``perfbench/corpus.py`` table (url, html,
+    doc_id), in 4 blocks so map stages run as several tasks."""
+    import ray.data as rd
+    from perfbench.corpus import BASE_ROWS, make_table
+
+    def pages(workload, seed, n_rows):
+        table, _ = make_table(workload, seed, n_rows / BASE_ROWS[workload])
+        assert table.num_rows == n_rows
+        return rd.from_arrow(table).repartition(4)
+    return pages
+
+
 @pytest.fixture(scope="session")
 def sf_dir():
     return "/root/testdata/sf0.001"

@@ -8,21 +8,21 @@ import tempfile
 import pyarrow as pa
 import pytest
 
-from swishray.synth import _FIXDIR
+from test_config import TC
 
-SWISH_XML = _FIXDIR.parent / "test_configs" / "swish.xml"
+SWISH_XML = TC / "swish.xml"
 
 
-@pytest.mark.needs_path(_FIXDIR)
-def test_write_partitioned_and_resume(ray_session):
+def test_write_partitioned_and_resume(corpus_pages):
     from swishray.manifest import (read_manifests, write_partitioned,
                                    completed_buckets)
     from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
+
+    pages = corpus_pages("markup_dense", 3, 60)
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        ext = extract_pages(fixture_pages(60), emit="text")
+        ext = extract_pages(pages, emit="text")
         s1 = write_partitioned(ext, out, num_buckets=8)
         assert s1["rows"] == 60 and s1["skipped"] == 0
         mans = read_manifests(out)
@@ -30,14 +30,14 @@ def test_write_partitioned_and_resume(ray_session):
         assert all("nwords" in m and "seconds" in m for m in mans)
         done_before = completed_buckets(out)
         # rerun: everything already complete -> all skipped
-        ext2 = extract_pages(fixture_pages(60), emit="text")
+        ext2 = extract_pages(pages, emit="text")
         s2 = write_partitioned(ext2, out, num_buckets=8)
         assert s2["written"] == 0 and s2["skipped"] == len(done_before)
         # kill one bucket's manifest -> only that bucket rewrites
         victim = sorted(done_before)[0]
         os.remove(os.path.join(out, f"bucket={victim:04d}",
                                "_manifest.json"))
-        ext3 = extract_pages(fixture_pages(60), emit="text")
+        ext3 = extract_pages(pages, emit="text")
         s3 = write_partitioned(ext3, out, num_buckets=8)
         assert s3["written"] == 1
         assert s3["skipped"] == len(done_before) - 1
@@ -65,47 +65,22 @@ def _read_all_buckets(out):
     return sorted(urls)
 
 
-@pytest.mark.needs_path(_FIXDIR)
-def test_write_partitioned_multifile_bucket(ray_session):
+def test_write_partitioned_multifile_bucket(corpus_pages):
     """A bucket larger than one part file streams out as several files
-    (grouped mode never holds a bucket as a single write unit)."""
+    (the writer never holds a bucket as a single write unit)."""
     from swishray.manifest import read_manifests, write_partitioned
     from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        ext = extract_pages(fixture_pages(120), emit="text")
+        ext = extract_pages(corpus_pages("markup_dense", 3, 120),
+                            emit="text")
         s = write_partitioned(ext, out, num_buckets=2, rows_per_file=16)
         assert s["rows"] == 120
         mans = read_manifests(out)
         assert any(m["files"] > 1 for m in mans)
         assert sum(m["rows"] for m in mans) == 120
         assert len(_read_all_buckets(out)) == 120
-
-
-@pytest.mark.needs_path(_FIXDIR)
-def test_write_partitioned_stream_mode(ray_session):
-    """Shuffle-free streamed writer: same contents, manifests derived
-    from the per-file stats aggregate, resume skips complete buckets."""
-    from swishray.manifest import read_manifests, write_partitioned
-    from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
-
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        ext = extract_pages(fixture_pages(60), emit="text", batch_size=16)
-        s = write_partitioned(ext, out, num_buckets=8, mode="stream")
-        assert s["rows"] == 60 and s["skipped"] == 0
-        mans = read_manifests(out)
-        assert sum(m["rows"] for m in mans) == 60
-        urls1 = _read_all_buckets(out)
-        assert len(urls1) == 60
-        # rerun skips everything
-        ext2 = extract_pages(fixture_pages(60), emit="text")
-        s2 = write_partitioned(ext2, out, num_buckets=8, mode="stream")
-        assert s2["written"] == 0 and s2["skipped"] == len(mans)
-        assert _read_all_buckets(out) == urls1
 
 
 def test_swish_stream_source(ray_session):
@@ -214,11 +189,25 @@ def test_write_partitioned_autosized_layout(ray_session, tmp_path):
                            target_bucket_bytes=64 * 1024)
     assert s2["written"] == 0 and s2["skipped"] == layout["num_buckets"]
 
-    # conflicting explicit count or mode is an error, not corruption
+    # a conflicting explicit count is an error, not corruption
     with pytest.raises(ValueError):
         write_partitioned(ds, out, num_buckets=layout["num_buckets"] + 1)
-    with pytest.raises(ValueError):
-        write_partitioned(ds, out, mode="stream")
+
+
+def test_write_partitioned_resumes_layout_with_mode(ray_session, tmp_path):
+    """A ``_layout.json`` written when the writer still recorded a
+    write ``mode`` resumes on its recorded bucket count."""
+    import ray.data as rd
+    from swishray.manifest import read_manifests, write_partitioned
+
+    out = tmp_path / "old"
+    out.mkdir()
+    (out / "_layout.json").write_text(
+        json.dumps({"num_buckets": 4, "mode": "stream"}))
+    tbl = pa.table({"url": [f"https://ex.com/{i}" for i in range(40)]})
+    s = write_partitioned(rd.from_arrow(tbl), str(out))
+    assert s["rows"] == 40 and 1 <= s["written"] <= 4
+    assert all(m["bucket"] < 4 for m in read_manifests(str(out)))
 
 
 def test_warc_roundtrip_plain_and_gzip(ray_session, tmp_path):

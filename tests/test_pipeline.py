@@ -1,28 +1,49 @@
 """Ray Data pipeline integration tests (one shared Ray session)."""
 
-import pathlib
-
 import pyarrow as pa
 import pytest
 
-FIX = pathlib.Path("/root/reference/src/test_docs")
+
+def _row_kinds(url: str, body: bytes) -> set[str]:
+    """The input shapes a corpus row exercises."""
+    if not body:
+        return {"empty"}
+    kinds = {url.rsplit("/", 1)[-1].split(".", 1)[1]}  # html, xml, txt.gz
+    if url.endswith(".xml") and b"xmlns:" in body:
+        kinds.add("namespaced xml")
+    if body.endswith(b"<p unclosed=yes>"):
+        kinds.add("tag soup")
+    if b"\x00" in body and not url.endswith(".gz"):
+        kinds.add("nul")
+    if url.endswith(".txt"):
+        try:
+            body.decode("utf-8")
+        except UnicodeDecodeError:
+            kinds.add("latin1")
+    return kinds
 
 
-@pytest.mark.needs_path(FIX)
-def test_extract_pages_matches_unit_extractor(ray_session):
+@pytest.mark.parametrize("workload, want", [
+    ("markup_dense", {"html", "namespaced xml", "tag soup", "nul",
+                      "empty"}),
+    ("text_bulk", {"html", "txt", "latin1", "txt.gz"}),
+])
+def test_extract_pages_matches_unit_extractor(corpus_pages, workload,
+                                              want):
     """Pipeline output == direct per-document extraction (the unit
     path is itself byte-identical to the reference, test_conformance)."""
     from swishray.config import Config
     from swishray.extractor import DocumentExtractor
     from swishray.pipeline import extract_pages
-    from swishray.synth import fixture_pages
 
-    ds = fixture_pages(40)
+    ds = corpus_pages(workload, 11, 40 if workload == "markup_dense" else 24)
+    rows = ds.take_all()
+    assert want <= set().union(*(_row_kinds(r["url"], r["html"])
+                                 for r in rows))
     out = {r["url"]: r for r in
            extract_pages(ds, emit="full").take_all()}
     ex = DocumentExtractor(Config.default())
-    rows = fixture_pages(40).take_all()
-    assert len(out) == 40
+    assert len(out) == len(rows)
     for r in rows:
         rec = ex.extract(r["url"], r["html"])
         o = out[r["url"]]
@@ -31,13 +52,6 @@ def test_extract_pages_matches_unit_extractor(ray_session):
             r["url"]
         assert o["token_values"] == rec.token_values or \
             list(o["token_values"]) == rec.token_values, r["url"]
-
-
-def test_fixture_pages_names_missing_corpus(tmp_path, monkeypatch):
-    from swishray import synth
-    monkeypatch.setattr(synth, "_FIXDIR", tmp_path)
-    with pytest.raises(FileNotFoundError, match=str(tmp_path)):
-        synth.fixture_pages_table(4)
 
 
 def test_extract_error_rows_do_not_kill_job(ray_session):
@@ -93,13 +107,11 @@ def test_truncation_flag(ray_session):
     assert out.column("error").to_pylist()[0].startswith("truncated@50")
 
 
-@pytest.mark.needs_path(FIX)
-def test_facet_and_topwords(ray_session):
+def test_facet_and_topwords(corpus_pages):
     from swishray.pipeline import (extract_pages, facet_counts,
                                    top_n_words, total_word_count,
                                    files_parsed_count, dedup_by_url)
-    from swishray.synth import fixture_pages
-    ds = fixture_pages(30)
+    ds = corpus_pages("markup_dense", 10, 30)
     ext = extract_pages(ds, emit="full")
     assert files_parsed_count(ext) == 30
     assert total_word_count(ext) > 0
@@ -109,7 +121,7 @@ def test_facet_and_topwords(ray_session):
     fc = facet_counts(ext, "title").take_all()
     assert all(r["count()"] >= 1 for r in fc)
     # dedup: double the corpus, expect original count back
-    doubled = ds.union(fixture_pages(30))
+    doubled = ds.union(corpus_pages("markup_dense", 10, 30))
     ext2 = extract_pages(doubled, emit="text")
     assert dedup_by_url(ext2).count() == 30
 

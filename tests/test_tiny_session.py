@@ -4,9 +4,10 @@ Every stateful stage runs as tasks through util.map_batches_stateful
 and every equi-join is the task-based hash_join, so no operator holds
 a CPU between batches and a single CPU must carry any pipeline to the
 end. This test pins that in a subprocess with a hard timeout: dedup,
-extraction, and the two store probes of ops.increment, each probe fed
+extraction, the two store probes of ops.increment, each probe fed
 by an unmaterialized upstream (a stage that reserved the only CPU
-would starve it and hang silently)."""
+would starve it and hang silently), and a reciprocal-rank fusion of
+two top-k lists read from one parquet file."""
 
 import pathlib
 import subprocess
@@ -64,6 +65,18 @@ SCRIPT = textwrap.dedent("""
     kept = dedup_against_store(new, os.path.join(store, "mh"),
                                threshold=0.5).count()
     assert kept == 4, kept
+    # two top-k lists over one parquet scan, fused: the union of two
+    # unmaterialized sort/limit branches must not starve the one CPU
+    import pyarrow.parquet as pq
+    from swishray.ops.aggregates import ranked_topk, rrf_fuse
+    pq.write_table(pa.table({
+        "k": pa.array(range(40), type=pa.int64()),
+        "v": pa.array([(i * 7) % 40 for i in range(40)],
+                      type=pa.int64())}), os.path.join(store, "t.parquet"))
+    t = rd.read_parquet(os.path.join(store, "t.parquet"))
+    fused = rrf_fuse(ranked_topk(t, "k", ["v", "k"], [True, False], 5),
+                     ranked_topk(t, "k", ["k"], [True], 5), "k")
+    assert fused.count() == 10
     shutil.rmtree(store)
     ray.shutdown()
     print("TINY_OK")
