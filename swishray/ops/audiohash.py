@@ -68,7 +68,7 @@ def spectral_hash64(samples: np.ndarray, rate: int) -> int:
 
 
 class AudioHashes:
-    """Actor stage: decode each audio blob (WAV via the RIFF/PCM
+    """Stateful task stage: decode each audio blob (WAV via the RIFF/PCM
     decoder, SWAU test container) and emit the spectral fingerprint.
     Per-row error channel, same taxonomy as the decode stages."""
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 
 from ..libxml import SaxTarget, xml_parse
-from ..util import gunzip
+from ..util import body_bytes, explode_rows
 
 # channel-level tags that share names with entry fields (an RSS
 # channel has its own <title>/<link>): fields only collect INSIDE an
@@ -42,6 +41,8 @@ from ..util import gunzip
 _ENTRY_TAGS = (b"item", b"entry")
 _FIELD_TAGS = (b"title", b"link", b"guid", b"pubdate", b"description",
                b"id", b"updated", b"summary")
+_FIELDS = tuple((name, pa.large_string()) for name in (
+    "kind", "title", "link", "entry_id", "updated", "summary"))
 
 
 def _att(atts, name: bytes) -> bytes | None:
@@ -75,6 +76,7 @@ class _FeedTarget(SaxTarget):
                 self.kind = "atom"
         if tag in _ENTRY_TAGS:
             self._in_entry = True
+            self._field = None
             self._buf = {}
             self._atom_link = None
             self._atom_link_rel = None
@@ -116,13 +118,6 @@ class _FeedTarget(SaxTarget):
         elif self._field == tag:
             self._field = None
 
-    # feeds without namespaces may arrive as SAX1 events
-    def start_element(self, name: bytes, atts=None) -> None:
-        self.start_element_ns(name, None, None, atts)
-
-    def end_element(self, name: bytes) -> None:
-        self.end_element_ns(name, None)
-
     def characters(self, data: bytes) -> None:
         if self._in_entry and self._field is not None:
             self._buf[self._field].append(data)
@@ -135,35 +130,20 @@ class ParseFeeds:
         self.body_col = body_col
         self.key = key
 
-    def _doc_rows(self, body: bytes) -> list[tuple]:
-        if body[:2] == b"\x1f\x8b":
-            body = gunzip(body)
-            if body is None:
-                return []
+    @staticmethod
+    def _doc_rows(body) -> list[tuple]:
+        body = body_bytes(body)
+        if body is None:
+            return []
         tgt = _FeedTarget()
         xml_parse(body, tgt)
         return tgt.rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key)
-        bodies = batch.column(self.body_col).to_pylist()
-        per_doc = []
-        for body in bodies:
-            if body is None:
-                per_doc.append([])
-                continue
-            if isinstance(body, str):
-                body = body.encode("utf-8")
-            per_doc.append(self._doc_rows(body))
-        lens = np.array([len(r) for r in per_doc], dtype=np.int64)
-        flat = [r for rs in per_doc for r in rs]
-        kidx = np.repeat(np.arange(len(per_doc), dtype=np.int64), lens)
-        cols = {self.key: keys.take(pa.array(kidx))}
-        for i, name in enumerate(("kind", "title", "link", "entry_id",
-                                  "updated", "summary")):
-            cols[name] = pa.array([r[i] for r in flat],
-                                  pa.large_string())
-        return pa.table(cols)
+        keys, cols = explode_rows(
+            batch.column(self.key), batch.column(self.body_col).to_pylist(),
+            self._doc_rows, _FIELDS)
+        return pa.table({self.key: keys, **cols})
 
 
 def parse_feeds(ds: Any, body_col: str = "body", key: str = "url",

@@ -85,7 +85,7 @@ def ahash64(arr: np.ndarray) -> int:
 
 
 class ImageHashes:
-    """Actor stage: decode each media blob and emit perceptual
+    """Stateful task stage: decode each media blob and emit perceptual
     hashes. Errors land in the per-row ``error`` column with the
     exception class name (NotImplementedError = recognized-but-
     uncoded format, ValueError = corrupt file), hashes null."""
@@ -144,7 +144,7 @@ def vhash64(frames: np.ndarray) -> int:
 
 
 class VideoHashes:
-    """Actor stage: decode each video blob (Y4M / MJPEG-AVI / GIF /
+    """Stateful task stage: decode each video blob (Y4M / MJPEG-AVI / GIF /
     SWVI via the SampleVideoFrames luma rules) and emit the majority
     dHash fingerprint over every ``every_n``-th frame."""
 

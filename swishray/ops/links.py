@@ -23,20 +23,22 @@ Three layers:
    dst-sum groupby and a driver-side dangling-mass scalar.  O(iters)
    shuffles of (node, float64) — never the edge payload.
 
-Scale notes: extraction is pure map-side; anchor text is capped
-(``max_anchor_chars``) so a pathological page cannot inflate the
-output row. The stage does not bound its input blocks itself: a
+Scale notes: extraction is pure map-side; anchor text is capped at
+400 characters so a pathological page cannot inflate the output
+row. The stage does not bound its input blocks itself: a
 caller with giant pages may apply ``pipeline.rebatch_by_bytes`` first.
 """
 from __future__ import annotations
 
 import re
 from typing import Any
+from urllib.parse import urljoin
 
 import numpy as np
 import pyarrow as pa
 
 from ..libxml import SaxTarget, html_parse
+from ..util import body_bytes, explode_rows
 
 # tag -> attribute carrying the outbound URL (public HTML semantics)
 _URL_ATTRS = {
@@ -46,6 +48,10 @@ _URL_ATTRS = {
 }
 
 _WS_RE = re.compile(r"\s+")
+_ANCHOR_CAP = 400
+_FIELDS = (("seq", pa.int64()), ("tag", pa.large_string()),
+           ("href", pa.large_string()), ("resolved", pa.large_string()),
+           ("rel", pa.large_string()), ("anchor_text", pa.large_string()))
 
 
 class _LinkTarget(SaxTarget):
@@ -56,11 +62,10 @@ class _LinkTarget(SaxTarget):
     nested ``<a>`` finalises the previous one first — browser
     behavior).  ``<base href>`` is recorded once (first wins)."""
 
-    def __init__(self, max_anchor_chars: int) -> None:
+    def __init__(self) -> None:
         self.links: list[tuple[str, str, str]] = []  # tag, url, rel
         self.anchors: dict[int, list[bytes]] = {}
         self.base: str | None = None
-        self._cap = max_anchor_chars
         self._open_a: int | None = None  # index into links
         self._a_len = 0
 
@@ -106,93 +111,62 @@ class _LinkTarget(SaxTarget):
         if name.lower() == b"a" and self._open_a is not None:
             self._finish_a()
 
-    # XML documents can carry links too (xhtml); route SAX2 through
-    # the same handlers
-    def start_element_ns(self, localname: bytes, prefix, uri,
-                         atts=None) -> None:
-        self.start_element(localname, atts)
-
-    def end_element_ns(self, localname: bytes, prefix) -> None:
-        self.end_element(localname)
-
     def characters(self, data: bytes) -> None:
-        if self._open_a is not None and self._a_len < self._cap:
+        if self._open_a is not None and self._a_len < _ANCHOR_CAP:
             self.anchors[self._open_a].append(data)
             self._a_len += len(data)
 
 
 class ExtractLinks:
-    """Actor-pool stage: html -> one row per harvested link."""
+    """Stateful task stage: html -> one row per harvested link."""
 
     def __init__(self, html_col: str = "html", url_col: str | None = "url",
-                 key: str = "url", max_anchor_chars: int = 400,
-                 resolve: bool = True) -> None:
+                 key: str = "url") -> None:
         self.html_col = html_col
         self.url_col = url_col
         self.key = key
-        self.cap = max_anchor_chars
-        self.resolve = resolve
 
-    def _doc_links(self, body: bytes, page_url: str | None):
-        tgt = _LinkTarget(self.cap)
+    @staticmethod
+    def _doc_links(doc) -> list[tuple]:
+        body, page_url = doc
+        body = body_bytes(body)
+        if body is None:
+            return []
+        tgt = _LinkTarget()
         html_parse(body, tgt)
-        from urllib.parse import urljoin
         base = tgt.base or page_url or ""
         out = []
         for i, (tag, url, rel) in enumerate(tgt.links):
-            if self.resolve:
-                try:
-                    resolved = urljoin(base, url) if base else url
-                except ValueError:
-                    resolved = url
-            else:
+            try:
+                resolved = urljoin(base, url) if base else url
+            except ValueError:
                 resolved = url
             raw = b"".join(tgt.anchors.get(i, []))
             anchor = _WS_RE.sub(
-                " ", raw.decode("utf-8", "replace")).strip()[: self.cap]
+                " ", raw.decode("utf-8", "replace")).strip()[:_ANCHOR_CAP]
             out.append((i, tag, url, resolved, rel, anchor))
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key)
         bodies = batch.column(self.html_col).to_pylist()
         urls = (batch.column(self.url_col).to_pylist()
                 if self.url_col and self.url_col in batch.column_names
                 else [None] * len(bodies))
-        per_doc = []
-        for body, page_url in zip(bodies, urls):
-            if body is None:
-                per_doc.append([])
-                continue
-            if isinstance(body, str):
-                body = body.encode("utf-8")
-            per_doc.append(self._doc_links(body, page_url))
-
-        lens = np.array([len(ls) for ls in per_doc], dtype=np.int64)
-        flat = [l for ls in per_doc for l in ls]
-        kidx = np.repeat(np.arange(len(per_doc), dtype=np.int64), lens)
-        return pa.table({
-            self.key: keys.take(pa.array(kidx)),
-            "seq": pa.array([l[0] for l in flat], pa.int64()),
-            "tag": pa.array([l[1] for l in flat], pa.large_string()),
-            "href": pa.array([l[2] for l in flat], pa.large_string()),
-            "resolved": pa.array([l[3] for l in flat],
-                                 pa.large_string()),
-            "rel": pa.array([l[4] for l in flat], pa.large_string()),
-            "anchor_text": pa.array([l[5] for l in flat],
-                                    pa.large_string()),
-        })
+        keys, cols = explode_rows(batch.column(self.key),
+                                  zip(bodies, urls), self._doc_links,
+                                  _FIELDS)
+        return pa.table({self.key: keys, **cols})
 
 
 def extract_links(ds: Any, html_col: str = "html",
                   url_col: str | None = "url", key: str = "url",
-                  batch_size: int = 64, **kwargs) -> Any:
+                  batch_size: int = 64) -> Any:
     """Dataset-level href harvest (see module docstring)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, ExtractLinks,
         fn_constructor_kwargs=dict(html_col=html_col, url_col=url_col,
-                                   key=key, **kwargs),
+                                   key=key),
         batch_format="pyarrow", batch_size=batch_size)
 
 

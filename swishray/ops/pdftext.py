@@ -198,7 +198,7 @@ def pdf_extract(data: bytes, password: bytes = b""
 
 
 class PdfTextExtract:
-    """Actor-pool stage: binary PDF column -> (text, n_streams,
+    """Stateful task stage: binary PDF column -> (text, n_streams,
     n_skipped_streams, error).  ``mode="scan"`` (default) is the
     round-4 syntactic tier with its original schema; ``mode="auto"``
     runs the structured-first cascade (:func:`pdf_extract`) and adds

@@ -164,7 +164,7 @@ def _decide_host(rules: list, sub: pa.Array) -> np.ndarray:
 
 
 class RobotsFilter:
-    """Actor stage: annotate/filter URL rows by REP permission.
+    """Stateful task stage: annotate/filter URL rows by REP permission.
 
     ``ref`` is a ray.put of {host: robots_body}; rules are parsed
     once per worker here, not per batch."""

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 
 from ..libxml import SaxTarget, xml_parse
-from ..util import gunzip
+from ..util import body_bytes, explode_rows
 
 _ENTRY_TAGS = (b"url", b"sitemap")
 _FIELD_TAGS = (b"loc", b"lastmod", b"changefreq", b"priority")
+_FIELDS = tuple((name, pa.large_string()) for name in (
+    "kind", "loc", "lastmod", "changefreq", "priority"))
 
 
 class _SitemapTarget(SaxTarget):
@@ -49,6 +50,7 @@ class _SitemapTarget(SaxTarget):
         tag = localname.lower()
         if tag in _ENTRY_TAGS:
             self._in = tag
+            self._field = None
             self._buf = {}
         elif self._in is not None and tag in _FIELD_TAGS:
             self._field = tag
@@ -72,14 +74,6 @@ class _SitemapTarget(SaxTarget):
         elif self._field == tag:
             self._field = None
 
-    # some sitemaps omit the xmlns and libxml2 may emit SAX1 events;
-    # route them through the same handlers
-    def start_element(self, name: bytes, atts=None) -> None:
-        self.start_element_ns(name, None, None, atts)
-
-    def end_element(self, name: bytes) -> None:
-        self.end_element_ns(name, None)
-
     def characters(self, data: bytes) -> None:
         if self._in is not None and self._field is not None:
             self._buf[self._field].append(data)
@@ -92,35 +86,20 @@ class ParseSitemaps:
         self.xml_col = xml_col
         self.key = key
 
-    def _doc_rows(self, body: bytes) -> list[tuple]:
-        if body[:2] == b"\x1f\x8b":
-            body = gunzip(body)
-            if body is None:
-                return []
+    @staticmethod
+    def _doc_rows(body) -> list[tuple]:
+        body = body_bytes(body)
+        if body is None:
+            return []
         tgt = _SitemapTarget()
         xml_parse(body, tgt)
         return tgt.rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key)
-        bodies = batch.column(self.xml_col).to_pylist()
-        per_doc = []
-        for body in bodies:
-            if body is None:
-                per_doc.append([])
-                continue
-            if isinstance(body, str):
-                body = body.encode("utf-8")
-            per_doc.append(self._doc_rows(body))
-        lens = np.array([len(r) for r in per_doc], dtype=np.int64)
-        flat = [r for rs in per_doc for r in rs]
-        kidx = np.repeat(np.arange(len(per_doc), dtype=np.int64), lens)
-        cols = {self.key: keys.take(pa.array(kidx))}
-        for i, name in enumerate(("kind", "loc", "lastmod",
-                                  "changefreq", "priority")):
-            cols[name] = pa.array([r[i] for r in flat],
-                                  pa.large_string())
-        return pa.table(cols)
+        keys, cols = explode_rows(
+            batch.column(self.key), batch.column(self.xml_col).to_pylist(),
+            self._doc_rows, _FIELDS)
+        return pa.table({self.key: keys, **cols})
 
 
 def parse_sitemaps(ds: Any, xml_col: str = "body", key: str = "url",

@@ -11,7 +11,7 @@ tier kernel inside the same ``map_batches`` call:
 * ``pdf``  -> :func:`swishray.ops.pdftext.pdf_extract`
               (structured xref/font/encryption parse with layout,
               syntactic-scan fallback — the mode="auto" cascade)
-* ``html`` -> :class:`swishray.ops.maincontent.MainContentExtract`
+* ``html`` -> :func:`swishray.ops.maincontent.main_content`
               (DOM-heuristic boilerplate strip; also XML)
 * ``txt``  -> encoding-normalized plain text (UTF-8 strict, else
               latin-1 -> UTF-8, NULs stripped — extractor.py txt
@@ -25,8 +25,8 @@ tier-agnostic.
 
 Scale notes: pure map stage (no shuffle); routing partitions the
 batch by tier and runs each kernel VECTORIZED over its subset, then
-scatters results back to input order.  Warm state (compiled class
-rules, stopword set, libxml2 dispatcher) is built once per worker.  Giant
+scatters results back to input order.  Warm state (the libxml2
+dispatcher) is built once per worker.  Giant
 mixed batches are fine: memory is bounded by batch_size × mean doc
 size, same as the single-tier stages.
 """
@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..util import gunzip
-from .maincontent import MainContentExtract
+from .maincontent import main_content
 from .pdftext import pdf_extract
 
 _WS_BOM = b" \t\r\n\x0c\x0b"
@@ -74,19 +74,15 @@ def _normalize_txt(body: bytes) -> str:
 
 
 class TieredExtract:
-    """Actor-pool router stage; see module docstring.
-
-    ``mc_kwargs`` feed the embedded :class:`MainContentExtract`
-    (min_chars, max_link_density, min_stopword_density, ...).
-    """
+    """Stateful task router stage; see module docstring.
+    ``min_stopword_density`` feeds the html tier's
+    :func:`~swishray.ops.maincontent.main_content`."""
 
     def __init__(self, body_col: str = "body", key: str = "url",
-                 **mc_kwargs: Any) -> None:
+                 min_stopword_density: float = 0.25) -> None:
         self.body_col = body_col
         self.key = key
-        # embedded html kernel works on positional sub-batches
-        self.mc = MainContentExtract(html_col="__body", key="__pos",
-                                     **mc_kwargs)
+        self.min_stop = min_stopword_density
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = batch.column(self.key)
@@ -126,13 +122,8 @@ class TieredExtract:
                 texts[i] = _normalize_txt(body)
 
         if html_pos:
-            sub = pa.table({
-                "__pos": pa.array(html_pos, pa.int64()),
-                "__body": pa.array(html_bodies, pa.large_binary()),
-            })
-            out = self.mc(sub)
-            for pos, txt in zip(out.column("__pos").to_pylist(),
-                                out.column("main_text").to_pylist()):
+            main, _, _ = main_content(html_bodies, self.min_stop)
+            for pos, txt in zip(html_pos, main):
                 texts[pos] = txt
 
         tarr = pa.array(texts, type=pa.large_string())
@@ -149,13 +140,14 @@ class TieredExtract:
 
 def tiered_extract(ds: Any, body_col: str = "body", key: str = "url",
                    batch_size: int = 64,
-                   **mc_kwargs: Any) -> Any:
+                   min_stopword_density: float = 0.25) -> Any:
     """Dataset-level tiered extraction (see module docstring)."""
     from ..util import map_batches_stateful
     return map_batches_stateful(
         ds, TieredExtract,
-        fn_constructor_kwargs=dict(body_col=body_col, key=key,
-                                   **mc_kwargs),
+        fn_constructor_kwargs=dict(
+            body_col=body_col, key=key,
+            min_stopword_density=min_stopword_density),
         batch_format="pyarrow", batch_size=batch_size)
 
 

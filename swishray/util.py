@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import zlib
 
+import numpy as np
 import pyarrow as pa
 
 # per-worker-process cache of stateful-stage instances: Ray reuses
@@ -85,6 +86,35 @@ def row_columns(values, fn, fields, failure=()) -> dict:
             col.append(x)
     return {name: pa.array(col, type=t)
             for (name, t), col in zip(fields, cols)}
+
+
+def explode_rows(keys, values, fn, fields):
+    """The one-to-many sibling of :func:`row_columns`, for the stages
+    that emit any number of rows per input row (feed entries, sitemap
+    urls, links, main-content blocks).
+
+    ``fn(value)`` returns a list of tuples in ``fields`` order
+    (``(name, Arrow type)`` pairs). Returns ``(key column repeated once
+    per emitted row, {name: pa.Array})``."""
+    per_row = [fn(v) for v in values]
+    lens = np.fromiter(map(len, per_row), np.int64, len(per_row))
+    flat = [r for rows in per_row for r in rows]
+    cols = list(zip(*flat)) or [()] * len(fields)
+    idx = np.repeat(np.arange(len(per_row), dtype=np.int64), lens)
+    return keys.take(pa.array(idx)), {
+        name: pa.array(list(col), type=t)
+        for (name, t), col in zip(fields, cols)}
+
+
+def body_bytes(body) -> bytes | None:
+    """The body contract of the :func:`explode_rows` stages: None stays
+    None (no rows), a str is encoded as UTF-8, and a gzip member is
+    unwrapped through :func:`gunzip` (a bad member is None too)."""
+    if isinstance(body, str):
+        body = body.encode("utf-8")
+    if body is not None and body[:2] == b"\x1f\x8b":
+        return gunzip(body)
+    return body
 
 
 def gunzip(data: bytes) -> bytes | None:

@@ -43,6 +43,14 @@ ATOM = b"""<?xml version="1.0"?>
 </feed>"""
 
 
+# an entry that opens inside an open field of another entry, then a
+# well-formed sibling entry (the nested one used to raise KeyError and
+# kill the batch)
+NESTED_RSS = (b"<rss><item><title>a<item>b</item></title></item>"
+              b"<item><title>after</title>"
+              b"<link>https://s.example/ok</link></item></rss>")
+
+
 def test_parse_feeds(ray_session):
     from swishray.ops.feeds import parse_feeds
     ds = rd.from_arrow(pa.table({
@@ -72,9 +80,12 @@ def test_parse_feeds(ray_session):
 def test_parse_feeds_garbage_and_empty(ray_session):
     from swishray.ops.feeds import parse_feeds
     ds = rd.from_arrow(pa.table({
-        "url": pa.array(["x", "y"], pa.string()),
-        "body": pa.array([b"not xml at all", b""], pa.large_binary())}))
-    assert parse_feeds(ds).count() == 0
+        "url": pa.array(["x", "y", "n"], pa.string()),
+        "body": pa.array([b"not xml at all", b"", NESTED_RSS],
+                         pa.large_binary())}))
+    rows = parse_feeds(ds).take_all()
+    assert [(r["url"], r["title"], r["link"]) for r in rows] == [
+        ("n", "after", "https://s.example/ok")]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate"])

@@ -2,11 +2,14 @@
 (ops/links.py).  extract_links / link_graph are also oracle-checked
 by the queries() entries; pagerank is validated here against a dense
 numpy power iteration (same dangling handling)."""
+import gzip
+
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from swishray.ops.links import extract_links, link_graph, pagerank
+from swishray.ops.links import (ExtractLinks, extract_links, link_graph,
+                                pagerank)
 
 HTML0 = (b'<html><head><base href="https://base.example/dir/">'
          b'<link rel="stylesheet" href="style.css"></head><body>'
@@ -53,6 +56,16 @@ def test_extract_links_page_url_fallback_and_nulls(ray_session):
     assert (df["doc_id"] == 2).sum() == 0  # null html -> no rows
     # no page url and no base: href passes through unresolved
     assert df[df.doc_id == 3].iloc[0]["resolved"] == "rel.html"
+
+
+def test_extract_links_gzip_body_matches_plain():
+    out = ExtractLinks(key="doc_id")(pa.table({
+        "doc_id": [0, 1], "url": ["https://page.example/p0"] * 2,
+        "html": [HTML0, gzip.compress(HTML0)]})).to_pydict()
+    doc = out.pop("doc_id")
+    assert doc == [0] * 5 + [1] * 5
+    for col in out.values():
+        assert col[:5] == col[5:]
 
 
 def test_extract_links_malformed(ray_session):

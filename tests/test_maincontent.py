@@ -4,6 +4,8 @@ Covers the three rule families (skip tags, tag-class rules, density
 classification), the neighbour-promotion pass, and the Dataset-level
 stage.  The end-to-end chrome-suppression contract is additionally
 oracle-checked by the ``main_content`` queries() entry."""
+import gzip
+
 import pyarrow as pa
 import pytest
 
@@ -113,6 +115,17 @@ def test_empty_and_null_docs():
     d = t.to_pydict()
     assert d["main_text"] == ["", ""]
     assert d["n_blocks"] == [0, 0]
+
+
+def test_gzip_body_matches_plain():
+    html = (b"<html><body><nav><a href='/'>Home</a></nav><h2>Head</h2>"
+            + GOOD_PARA + b"</body></html>")
+    m = MainContentExtract(html_col="html", key="url")
+    d = m(pa.table({"url": ["p", "z"],
+                    "html": [html, gzip.compress(html)]})).to_pydict()
+    assert d["main_text"] == ["Head\n" + GOOD_TEXT] * 2
+    for col in ("n_blocks", "n_content_blocks", "main_chars"):
+        assert d[col][0] == d[col][1] > 0
 
 
 def test_entities_unescaped():

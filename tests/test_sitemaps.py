@@ -25,6 +25,12 @@ INDEX = (b'<?xml version="1.0"?>'
          b'<sitemap><loc>https://a.example/sm2.xml.gz</loc></sitemap>'
          b'</sitemapindex>')
 
+# an entry that opens inside an open field of another entry, then a
+# well-formed sibling entry (the nested one used to raise KeyError and
+# kill the batch)
+NESTED_URLSET = (b"<urlset><url><loc>a<url>b</url></loc></url>"
+                 b"<url><loc>https://a.example/ok</loc></url></urlset>")
+
 
 def _parse(items):
     ds = rd.from_items(items).repartition(2)
@@ -49,6 +55,7 @@ def test_sitemapindex_and_gzip(ray_session):
         {"src": "z", "body": gzip.compress(URLSET)},
         {"src": "n", "body": None},
         {"src": "bad", "body": b"\x1f\x8bnot-really-gzip"},
+        {"src": "nest", "body": NESTED_URLSET},
     ])
     idx = df[df.src == "i"]
     assert idx["kind"].tolist() == ["sitemap", "sitemap"]
@@ -59,6 +66,7 @@ def test_sitemapindex_and_gzip(ray_session):
     assert z["kind"].tolist() == ["url", "url"]  # gzip unwrapped
     assert (df.src == "n").sum() == 0
     assert (df.src == "bad").sum() == 0  # bad gzip: no rows, no crash
+    assert df[df.src == "nest"]["loc"].tolist() == ["https://a.example/ok"]
 
 
 def test_entities_and_noxmlns(ray_session):
