@@ -2206,11 +2206,12 @@ def q_line_dedup(sf_dir: str):
     (swishray/ops/boilerplate.py) over synthetic multi-line pages:
     header + body + one of five footers. The hot census must strip
     the header (every doc) and each footer (~N/5 docs) while keeping
-    unique body lines. Runs the fully distributed join mode — the
-    100-TB path; pytest asserts broadcast mode is identical."""
+    unique body lines. Runs the fully distributed join path — the
+    100-TB path; pytest asserts the broadcast path is identical."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from swishray.ops.boilerplate import remove_duplicate_lines
+    from swishray.ops.boilerplate import (hot_line_hashes,
+                                          remove_duplicate_lines_join)
 
     def pages(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -2224,7 +2225,7 @@ def q_line_dedup(sf_dir: str):
 
     ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         pages, batch_format="pyarrow")
-    return remove_duplicate_lines(ds, mode="join", key="doc_id")
+    return remove_duplicate_lines_join(ds, hot_line_hashes(ds))
 
 
 def q_boilerplate_domain(sf_dir: str):
@@ -2233,11 +2234,12 @@ def q_boilerplate_domain(sf_dir: str):
     ``group_col``): each host's nav line and rotating promo footer
     repeat WITHIN the host and must be stripped there, while the
     'ONE PER HOST' line (exactly one doc per host carries it) must
-    survive — a global census would kill it. Join mode = the 100-TB
+    survive — a global census would kill it. Join path = the 100-TB
     path; pytest asserts broadcast equality."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from swishray.ops.boilerplate import remove_duplicate_lines
+    from swishray.ops.boilerplate import (hot_line_hashes,
+                                          remove_duplicate_lines_join)
 
     def pages(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -2258,8 +2260,8 @@ def q_boilerplate_domain(sf_dir: str):
     ds = _docs(sf_dir, ["doc_id", "text"]) \
         .repartition(2 * default_join_partitions()) \
         .map_batches(pages, batch_format="pyarrow")
-    return remove_duplicate_lines(ds, mode="join", key="doc_id",
-                                  group_col="host")
+    return remove_duplicate_lines_join(
+        ds, hot_line_hashes(ds, group_col="host"), group_col="host")
 
 
 def q_span_dedup(sf_dir: str):
@@ -3156,15 +3158,12 @@ def _with_blocklist_urls(ds):
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def _q_url_blocklist(sf_dir: str, mode: str):
+def _q_url_blocklist(sf_dir: str, blocklist):
     import pyarrow as pa
     import pyarrow.compute as pc
-    from swishray.ops.filters import url_blocklist
 
     ds = _with_blocklist_urls(_docs(sf_dir, ["doc_id"]))
-    out = url_blocklist(
-        ds, ["example.org", "gamma.example.net"],
-        key="doc_id", mode=mode)
+    out = blocklist(ds, ["example.org", "gamma.example.net"])
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -3176,16 +3175,19 @@ def _q_url_blocklist(sf_dir: str, mode: str):
 
 
 def q_url_blocklist(sf_dir: str):
-    """UT1-style domain blocklist, small-list path: ONE anchored RE2
-    alternation, a single vectorized kernel per batch."""
-    return _q_url_blocklist(sf_dir, "regex")
+    """UT1-style domain blocklist through the public operator: a
+    two-entry list is broadcast, and each batch tests its hosts'
+    suffix chains with one vectorized pc.is_in."""
+    from swishray.ops.filters import url_blocklist
+    return _q_url_blocklist(sf_dir, url_blocklist)
 
 
 def q_url_blocklist_join(sf_dir: str):
-    """Same semantics via the big-list path (millions of domains):
-    host suffix chains semi-join the blocklist Dataset — identical
-    oracle as the regex mode."""
-    return _q_url_blocklist(sf_dir, "join")
+    """Same semantics via the big-list join path (millions of
+    domains): distinct hosts' suffix chains join the blocklist and
+    the blocked hosts join back — identical oracle."""
+    from swishray.ops.filters import url_blocklist_join
+    return _q_url_blocklist(sf_dir, url_blocklist_join)
 
 
 def q_decontaminate(sf_dir: str):
@@ -4322,13 +4324,13 @@ def q_robots_filter(sf_dir: str):
 
 def q_robots_filter_join(sf_dir: str):
     """Same REP policies as robots_filter, but through the
-    both-sides-large JOIN path (rules compiled map-side, slim
-    host-keyed exchange, disallowed keys joined back) — the mode a
-    10^8-host crawl uses; same oracle closed form."""
+    both-sides-large JOIN path (rules compiled on the cluster, slim
+    host-keyed exchange, disallowed URLs joined back) — the path a
+    10^8-host crawl takes; same oracle closed form."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
-    from swishray.ops.robots import robots_filter
+    from swishray.ops.robots import robots_filter_join, robots_rules
 
     def synth(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -4350,7 +4352,7 @@ def q_robots_filter_join(sf_dir: str):
                  b"User-agent: *\nDisallow: /\nAllow: /ok\n"]}))
     ds = _docs(sf_dir, ["doc_id"]).map_batches(
         synth, batch_format="pyarrow")
-    out = robots_filter(ds, robots, key="doc_id", mode="join")
+    out = robots_filter_join(ds, robots_rules(robots))
     return out.map_batches(
         lambda t: pa.table({
             "doc_id": pc.cast(t.column("doc_id"), pa.int64()),

@@ -14,18 +14,17 @@ Ray-Data shape (two passes, one slim exchange):
   per doc). ``groupby(hash).sum`` then filters to hashes with
   ``n_docs >= min_docs``. Only 16-byte hash/count pairs ride this
   exchange — never line text.
-* **Pass 2 — strip.**
-  - ``mode="broadcast"`` (default): the hot-hash set is ``ray.put``
-    once and read inside a map-only pass that splits, filters, and
-    reassembles each doc **within its own batch** — zero shuffles, no
-    text movement. Right whenever the hot set fits in a worker heap
-    (it is bounded by lines repeated across >= min_docs docs — site
-    boilerplate, orders of magnitude smaller than the corpus).
-  - ``mode="join"``: fully distributed — docs explode to
-    ``(key, line_no, line, hash)`` rows, co-partitioned with the hot
-    hashes by hash bucket (anti semi-join), then re-grouped by key to
-    reassemble. Line text rides exactly two exchanges; no driver state,
-    no size cap. Use when the hot set itself is huge.
+* **Pass 2 — strip.** The hot-hash set is the small side
+  (``joins.small_side``). When it fits, it rides one ``ray.put`` into
+  a map-only pass that splits, filters, and reassembles each doc
+  **within its own batch** — zero shuffles, no text movement; it is
+  bounded by lines repeated across >= min_docs docs (site
+  boilerplate), orders of magnitude smaller than the corpus.
+  Otherwise :func:`remove_duplicate_lines_join` runs fully
+  distributed: docs explode to ``(key, line_no, line, hash)`` rows,
+  co-partitioned with the hot hashes by hash bucket (anti semi-join),
+  then re-grouped by key to reassemble. Line text rides exactly two
+  exchanges; no driver state, no size cap.
 
 64-bit hashing note: equality is by hash, so a 2^-64 collision can
 strip a unique line; the same trade CCNet's shard-hash dedup makes.
@@ -35,7 +34,7 @@ style per-site boilerplate: strip a nav bar repeated across one
 host's pages without touching a sentence that happens to appear once
 on many unrelated hosts).  Implementation is one line: the line hash
 is salted with the group's key hash (``mix64(line_hash XOR
-group_hash)``), so both passes, both modes, and the slim-exchange
+group_hash)``), so both passes, both strip paths, and the slim-exchange
 property are unchanged — (group, line) identity rides the same 8
 bytes a global line identity does.
 """
@@ -57,19 +56,26 @@ def _line_hashes(lines: list[str]):
     return _key_hash64(pa.array(lines, pa.string()))
 
 
-def _line_hashes_arr(arr: pa.Array):
-    from .joins import _key_hash64
-    return _key_hash64(arr)
-
-
-def _scope_hashes(h, batch: pa.Table, group_col, lens):
-    """Salt uint64 line hashes with the per-doc group hash (see
-    module doc): (group, line) identity in the same 8 bytes."""
+def _batch_lines(batch: pa.Table, col: str, sep: str, group_col):
+    """Every line of a batch, flattened: ``(doc index, line, int64
+    hash)``. With ``group_col`` the hash is salted with the doc's
+    group hash (see module doc): (group, line) identity in the same
+    8 bytes."""
     import numpy as np
+    import pyarrow.compute as pc
     from .dedup import _mix64
     from .joins import _key_hash64
-    gh = _key_hash64(batch.column(group_col).combine_chunks())
-    return _mix64(h ^ np.repeat(gh, lens))
+    lines = _split_lines(batch.column(col), sep)
+    if isinstance(lines, pa.ChunkedArray):
+        lines = lines.combine_chunks()
+    lens = pc.list_value_length(lines).to_numpy(zero_copy_only=False)
+    flat = pc.list_flatten(lines)
+    h = _key_hash64(flat)
+    if group_col is not None:
+        gh = _key_hash64(batch.column(group_col).combine_chunks())
+        h = _mix64(h ^ np.repeat(gh, lens))
+    return (np.repeat(np.arange(batch.num_rows), lens), flat,
+            h.astype(np.int64))
 
 
 def hot_line_hashes(ds: Any, col: str = "text", min_docs: int = 2,
@@ -83,17 +89,7 @@ def hot_line_hashes(ds: Any, col: str = "text", min_docs: int = 2,
         """Vectorized: flatten all lines, hash once, dedupe (doc,hash)
         pairs, one pandas value_counts — no per-doc Python loop."""
         import pandas as pd
-        import pyarrow.compute as pc
-        lines = _split_lines(batch.column(col), sep)
-        if isinstance(lines, pa.ChunkedArray):
-            lines = lines.combine_chunks()
-        lens = pc.list_value_length(lines).to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(lines)
-        doc_idx = np.repeat(np.arange(batch.num_rows), lens)
-        h = _line_hashes_arr(flat)
-        if group_col is not None:
-            h = _scope_hashes(h, batch, group_col, lens)
-        h = h.astype(np.int64)
+        doc_idx, _, h = _batch_lines(batch, col, sep, group_col)
         df = pd.DataFrame({"d": doc_idx, "h": h}).drop_duplicates()
         vc = df["h"].value_counts()
         return pa.table({
@@ -112,8 +108,7 @@ def hot_line_hashes(ds: Any, col: str = "text", min_docs: int = 2,
 
 def remove_duplicate_lines(ds: Any, col: str = "text",
                            key: str = "doc_id", min_docs: int = 2,
-                           sep: str = "\n", mode: str = "broadcast",
-                           out_col: str = "text_clean",
+                           sep: str = "\n", out_col: str = "text_clean",
                            group_col: str | None = None) -> Any:
     """Strip corpus-wide duplicate lines from every doc (duplicate
     WITHIN ``group_col`` — e.g. per-host — when given).
@@ -122,55 +117,55 @@ def remove_duplicate_lines(ds: Any, col: str = "text",
     line is boilerplate keeps an empty string, not a dropped row.
     """
     import numpy as np
+    import ray
+
+    from .joins import small_side
+
     hot = hot_line_hashes(ds, col=col, min_docs=min_docs, sep=sep,
-                          group_col=group_col)
+                          group_col=group_col).materialize()
+    small = small_side(hot, pa.schema([("line_hash", pa.int64())]))
+    if small is None:
+        return remove_duplicate_lines_join(
+            ds, hot, col=col, key=key, sep=sep, out_col=out_col,
+            group_col=group_col)
+    hot_ref = ray.put(np.sort(small.column("line_hash").to_numpy()))
 
-    if mode == "broadcast":
-        import ray
-        hot_np = np.array(
-            [r["line_hash"] for r in hot.take_all()], dtype=np.int64)
-        hot_ref = ray.put(np.sort(hot_np))
+    def strip(batch: pa.Table) -> pa.Table:
+        """Vectorized: one flatten + one searchsorted membership
+        over the whole batch, per-doc reassembly via a pandas
+        groupby join — no per-doc Python loop."""
+        import pandas as pd
+        hs = ray.get(hot_ref)
+        n = batch.num_rows
+        doc_idx, flat, h = _batch_lines(batch, col, sep, group_col)
+        if len(hs) and len(h):
+            idx = np.searchsorted(hs, h)
+            idx[idx == len(hs)] = 0
+            dup = hs[idx] == h
+        else:
+            dup = np.zeros(len(h), dtype=bool)
+        df = pd.DataFrame({"d": doc_idx,
+                           "l": flat.to_pandas()})[~dup]
+        joined = df.groupby("d", sort=False)["l"].agg(sep.join)
+        txt = joined.reindex(np.arange(n)).fillna("")
+        removed = np.bincount(doc_idx[dup], minlength=n)
+        return pa.table({
+            key: batch.column(key),
+            out_col: pa.array(txt.values, pa.large_string()),
+            "n_lines_removed": pa.array(
+                removed.astype(np.int64)),
+        })
+    return ds.map_batches(strip, batch_format="pyarrow")
 
-        def strip(batch: pa.Table) -> pa.Table:
-            """Vectorized: one flatten + one searchsorted membership
-            over the whole batch, per-doc reassembly via a pandas
-            groupby join — no per-doc Python loop."""
-            import pandas as pd
-            import pyarrow.compute as pc
-            hs = ray.get(hot_ref)
-            lines = _split_lines(batch.column(col), sep)
-            if isinstance(lines, pa.ChunkedArray):
-                lines = lines.combine_chunks()
-            lens = pc.list_value_length(lines).to_numpy(
-                zero_copy_only=False)
-            flat = pc.list_flatten(lines)
-            n = batch.num_rows
-            doc_idx = np.repeat(np.arange(n), lens)
-            h = _line_hashes_arr(flat)
-            if group_col is not None:
-                h = _scope_hashes(h, batch, group_col, lens)
-            h = h.astype(np.int64)
-            if len(hs) and len(h):
-                idx = np.searchsorted(hs, h)
-                idx[idx == len(hs)] = 0
-                dup = hs[idx] == h
-            else:
-                dup = np.zeros(len(h), dtype=bool)
-            df = pd.DataFrame({"d": doc_idx,
-                               "l": flat.to_pandas()})[~dup]
-            joined = df.groupby("d", sort=False)["l"].agg(sep.join)
-            txt = joined.reindex(np.arange(n)).fillna("")
-            removed = np.bincount(doc_idx[dup], minlength=n)
-            return pa.table({
-                key: batch.column(key),
-                out_col: pa.array(txt.values, pa.large_string()),
-                "n_lines_removed": pa.array(
-                    removed.astype(np.int64)),
-            })
-        return ds.map_batches(strip, batch_format="pyarrow")
 
-    if mode != "join":
-        raise ValueError(f"mode must be broadcast|join, got {mode!r}")
+def remove_duplicate_lines_join(ds: Any, hot: Any, col: str = "text",
+                                key: str = "doc_id", sep: str = "\n",
+                                out_col: str = "text_clean",
+                                group_col: str | None = None) -> Any:
+    """:func:`remove_duplicate_lines` against a hot-hash set
+    (:func:`hot_line_hashes` of the same ``col``/``sep``/
+    ``group_col``) too large to broadcast; see the module doc."""
+    import numpy as np
 
     # fully distributed: explode -> co-partition with hot hashes ->
     # anti-filter -> regroup by key.  The doc key rides as
@@ -318,8 +313,8 @@ def remove_duplicate_spans(ds: Any, n: int = 13, col: str = "text",
     Two passes: the hot census above (slim hash exchange), then a
     broadcast map-only strip — the hot set is bounded by spans
     repeated across docs (raise ``n``/``min_docs`` if a pathological
-    corpus inflates it; a join-mode strip would follow
-    remove_duplicate_lines' explode/regroup shape).
+    corpus inflates it; a join-path strip would follow
+    remove_duplicate_lines_join's explode/regroup shape).
 
     Coverage is computed vectorized: one cumsum over the flat
     hot-start indicator, one windowed difference per word — no

@@ -23,8 +23,7 @@ link when guid/id is absent.  Gzip bodies unwrap inline.
 
 Scale shape: pure map-side fan-out (task-cached by default, the
 extract_links rationale); output rows are slim strings. The stage does
-not bound its input blocks itself: a caller with giant bodies may
-apply ``pipeline.rebatch_by_bytes`` first.
+not bound its input blocks itself.
 """
 from __future__ import annotations
 

@@ -15,7 +15,7 @@ these filters are per-document policy rules.
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -256,132 +256,101 @@ def _host_of(batch: pa.Table, url_col: str):
     ext = pc.extract_regex(_text_col(batch, url_col), URL_HOST_RE)
     host = pc.utf8_lower(pc.coalesce(
         pc.struct_field(ext, "m"), ""))
-    return pc.replace_substring_regex(host, r":[0-9]+$", "")
+    return pc.cast(pc.replace_substring_regex(host, r":[0-9]+$", ""),
+                   pa.large_string())
+
+
+def _blocklist(domains: Sequence[str]) -> pa.Array:
+    return pa.array(sorted({d.lower().lstrip(".") for d in domains}
+                           - {""}), pa.large_string())
+
+
+def _suffix_chain(host: pa.Array):
+    """Every host's suffix chain, bare TLD included (``a.b.c`` gives
+    ``a.b.c``, ``b.c`` and ``c``), as (host row, suffix) arrays: an
+    entry equals one of them exactly when the host equals the entry
+    or ends with ``"." + entry``. One vectorized strip per label."""
+    import pyarrow.compute as pc
+    rows, sfx = [np.arange(len(host))], [host]
+    while len(sfx[-1]):
+        more = pc.match_substring(sfx[-1], ".")
+        rows.append(rows[-1][more.to_numpy(zero_copy_only=False)])
+        sfx.append(pc.replace_substring_regex(
+            sfx[-1].filter(more), r"^[^.]*\.", ""))
+    return np.concatenate(rows), pa.concat_arrays(sfx)
 
 
 def url_blocklist(ds: Any, domains: Sequence[str],
-                  url_col: str = "url", key: str | None = None,
-                  mode: str = "auto") -> Any:
-    """Flag rows whose URL host falls under any blocked domain
-    (exact host match or any-subdomain match — ``example.org`` blocks
-    ``example.org`` and ``a.b.example.org``), the UT1/RefinedWeb-style
+                  url_col: str = "url") -> Any:
+    """Flag rows whose URL host falls under any blocked domain: the
+    host equals an entry or ends with ``"." + entry``, so
+    ``example.org`` blocks ``example.org`` and ``a.b.example.org``,
+    and ``com`` blocks every ``.com`` host. The UT1/RefinedWeb-style
     adult/spam-domain filter. Non-destructive: returns the input
     columns plus ``host`` and ``blocked`` (filter downstream).
 
-    Two scale modes: ``regex`` (default for small lists) compiles ONE
-    anchored RE2 alternation and runs a single vectorized kernel per
-    batch — right for hand-curated lists up to a few thousand domains.
-    ``join`` handles blocklists of millions of domains (UT1 is ~4M):
-    the host's suffix chain (``a.b.c`` -> ``a.b.c``, ``b.c``, ``c``)
-    explodes into a slim ``(row, suffix)`` table that semi-joins the
-    blocklist Dataset — no driver-side or per-worker copy of the list.
-    ``auto`` picks regex below 4096 domains."""
-    import numpy as np
+    A list that fits ``joins.small_side`` rides one ``ray.put`` and
+    each batch tests its hosts' suffix chains with one ``pc.is_in``;
+    a larger one (UT1 is ~4M domains) goes through
+    :func:`url_blocklist_join`."""
     import pyarrow.compute as pc
-
-    domains = [d.lower().lstrip(".") for d in domains]
-    if mode == "auto":
-        mode = "regex" if len(domains) < 4096 else "join"
-
-    if mode == "regex":
-        import re as _re
-        alt = "|".join(_re.escape(d) for d in domains) or "(?!)"
-        pat = r"(^|\.)(" + alt + r")$"
-
-        def f(batch: pa.Table) -> pa.Table:
-            host = _host_of(batch, url_col)
-            blocked = (pc.match_substring_regex(host, pat)
-                       if domains else
-                       pa.array(np.zeros(len(batch), dtype=bool)))
-            return batch.append_column("host", pc.cast(
-                host, pa.large_string())).append_column(
-                "blocked", pc.cast(blocked, pa.bool_()))
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    # join mode: explode each host into its domain-suffix chain and
-    # semi-join against the blocklist; assumes `key` uniquely ids rows
-    if key is None:
-        raise ValueError("join mode needs a unique `key` column")
     import ray
 
-    from .joins import default_join_partitions, hash_join
+    from .joins import small_side
 
-    def suffixes(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        h = pd.Series(_host_of(batch, url_col).to_pandas(), dtype=object)
-        keys = batch.column(key)
-        nlab = h.str.count(r"\.").to_numpy() + 1
-        out_k, out_s = [], []
-        # loop over suffix DEPTH (<= ~10 labels), each level a
-        # vectorized split: suffix at level i = host minus its first
-        # i labels; emitted for i <= nlab-2 (a bare TLD is never
-        # blockable) except a single-label host emits itself once
-        for i in range(int(nlab.max(initial=1))):
-            valid = (i <= nlab - 2) | ((i == 0) & (nlab == 1))
-            if not valid.any():
-                break
-            sfx_i = h[valid] if i == 0 else \
-                h[valid].str.split(".", n=i).str[i]
-            out_k.append(keys.take(pa.array(np.flatnonzero(valid))))
-            out_s.append(pa.array(sfx_i.to_numpy(dtype=object),
-                                  pa.large_string()))
-        return pa.table({
-            key: pa.concat_arrays(
-                a.combine_chunks() if isinstance(a, pa.ChunkedArray)
-                else a for a in out_k),
-            "suffix": pa.concat_arrays(out_s)})
+    listed = _blocklist(domains)
+    if small_side(listed) is None:
+        return url_blocklist_join(ds, domains, url_col)
+    ref = ray.put(listed)
 
-    block_tbl = pa.table({"suffix": pa.array(sorted(set(domains)),
-                                             pa.large_string())})
-    bl_ds = ray.data.from_arrow(block_tbl)
-    sfx = ds.map_batches(suffixes, batch_format="pyarrow")
-    hit = hash_join(sfx, bl_ds, "suffix")
-    hit_keys = hit.map_batches(
-        lambda t: t.select([key]), batch_format="pyarrow") \
-        .repartition(default_join_partitions())
+    def f(batch: pa.Table) -> pa.Table:
+        host = _host_of(batch, url_col)
+        rows, sfx = _suffix_chain(host)
+        blocked = np.zeros(len(host), dtype=bool)
+        blocked[rows[pc.is_in(sfx, value_set=ray.get(ref))
+                     .to_numpy(zero_copy_only=False)]] = True
+        return batch.append_column("host", host).append_column(
+            "blocked", pa.array(blocked))
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def url_blocklist_join(ds: Any, domains: Sequence[str],
+                       url_col: str = "url") -> Any:
+    """:func:`url_blocklist` for a list too large to broadcast: each
+    batch's distinct hosts explode into their suffix chains and join
+    the list on the suffix, and the distinct blocked hosts join back
+    to the rows on host. No driver-side or per-worker copy of the
+    list."""
+    import pyarrow.compute as pc
+    import ray.data as rd
     from ray.data.aggregate import Count
-    hit1 = hit_keys.groupby(key).aggregate(Count(alias_name="__hits"))
-    # re-type every block, INCLUDING the schema-less empties the
-    # groupby emits when nothing is blocked; groupbys may also narrow
-    # the key type, and both join sides must union under one schema
-    from .joins import field_type
-    ktype = field_type(ds, key)
 
-    def typed(t: pa.Table) -> pa.Table:
-        if key not in t.column_names:
-            return pa.table({key: pa.array([], ktype),
-                             "__hits": pa.array([], pa.int64())})
-        return pa.table({key: t.column(key).cast(ktype),
-                         "__hits": t.column("__hits").cast(pa.int64())})
+    from .joins import hash_join, schema_guard
 
-    # materialize: hit1 is slim (one 16-byte count row per blocked
-    # key) and the join needs its schema resolvable; when NOTHING is
-    # blocked it stays schema-less (zero blocks) and the join's
-    # empty-side answer would carry no ``__hits_r`` — short-circuit
-    # that case, the answer is known
-    hit1 = hit1.map_batches(typed, batch_format="pyarrow").materialize()
-    if hit1.count() == 0:
-        def none_blocked(batch: pa.Table) -> pa.Table:
-            host = _host_of(batch, url_col)
-            return batch.append_column("host", pc.cast(
-                host, pa.large_string())).append_column(
-                "blocked", pa.array(
-                    np.zeros(len(batch), dtype=bool)))
-        return ds.map_batches(none_blocked, batch_format="pyarrow")
+    def chains(batch: pa.Table) -> pa.Table:
+        hosts = pc.unique(_host_of(batch, url_col))
+        rows, sfx = _suffix_chain(hosts)
+        return pa.table({"__host": hosts.take(pa.array(rows)),
+                         "__sfx": sfx})
 
-    joined = hash_join(ds, hit1, key, how="left")
+    listed = rd.from_arrow(pa.table({"__sfx": _blocklist(domains)}))
+    hits = hash_join(ds.map_batches(chains, batch_format="pyarrow"),
+                     listed, "__sfx")
+    blocked = schema_guard(
+        hits.groupby("__host").aggregate(Count(alias_name="__n")),
+        pa.schema([("__host", pa.large_string()), ("__n", pa.int64())]))
+    rows = ds.map_batches(
+        lambda t: t.append_column("__host", _host_of(t, url_col)),
+        batch_format="pyarrow")
 
     def shape(batch: pa.Table) -> pa.Table:
-        host = _host_of(batch, url_col)
-        hits = pc.coalesce(pc.cast(batch.column("__hits_r"),
-                                   pa.float64()), 0.0)
-        out = batch.drop_columns(["__hits_r"])
-        return out.append_column("host", pc.cast(
-            host, pa.large_string())).append_column(
-            "blocked", pc.greater(hits, 0.0))
+        return batch.drop_columns(["__host", "__n_r"]).append_column(
+            "host", batch.column("__host")).append_column(
+            "blocked", pc.is_valid(batch.column("__n_r")))
 
-    return joined.map_batches(shape, batch_format="pyarrow")
+    return hash_join(rows, blocked, "__host", how="left").map_batches(
+        shape, batch_format="pyarrow")
 
 
 # -- benchmark decontamination -----------------------------------------
@@ -428,8 +397,7 @@ def _distinct_grams(batch: pa.Table, col: str, n: int):
 
 def decontaminate(ds: Any, bench: Any, n: int = 3,
                   col: str = "text", key: str = "doc_id",
-                  bench_col: str = "text",
-                  mode: str = "broadcast") -> Any:
+                  bench_col: str = "text") -> Any:
     """Benchmark decontamination: flag training documents that share
     any word ``n``-gram with a held-out benchmark/eval set (the
     GPT-3/PaLM-style 13-gram overlap scrub, run here over exact
@@ -438,30 +406,62 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
     the doc's distinct-gram count and ``n_matched`` how many of those
     appear anywhere in the benchmark.
 
-    ``broadcast`` mode (default): benchmark gram set is collected once
-    (benchmarks are small — MBs, not corpus-scale), shipped via
-    ``ray.put``, and membership runs as one vectorized ``pc.is_in``
-    per batch — exact string matching, no hash-collision caveat, no
-    shuffle of the corpus. ``join`` mode handles benchmark sets too
-    large to broadcast: slim distinct ``(key, gram)`` pairs semi-join
-    the benchmark grams, then a count-by-key joins back — corpus text
-    never rides a shuffle, only gram strings do."""
-    import numpy as np
+    The benchmark's distinct gram set is the small side: when it fits
+    ``joins.small_side`` it rides one ``ray.put`` and membership is
+    one vectorized ``pc.is_in`` per batch (exact string matching, no
+    shuffle of the corpus); otherwise :func:`decontaminate_join`
+    joins the grams."""
     import pyarrow.compute as pc
     import ray
 
-    def doc_grams(batch: pa.Table) -> pa.Table:
-        g_doc, g_str = _distinct_grams(batch, col, n)
-        kcol = batch.column(key)
-        keys = kcol.take(pa.array(g_doc, pa.int64()))
-        return pa.table({key: keys,
-                         "gram": pa.array(list(g_str),
-                                          pa.large_string())})
+    from .joins import small_side
 
     def bench_grams(batch: pa.Table) -> pa.Table:
         _, g_str = _distinct_grams(batch, bench_col, n)
         return pa.table({"gram": pa.array(sorted(set(g_str)),
                                           pa.large_string())})
+
+    grams = bench.map_batches(bench_grams,
+                              batch_format="pyarrow").materialize()
+    small = small_side(grams, pa.schema([("gram", pa.large_string())]))
+    if small is None:
+        return decontaminate_join(ds, grams, n, col, key)
+    ref = ray.put(pc.unique(small.column("gram")))
+
+    def flag(batch: pa.Table) -> pa.Table:
+        g_doc, g_str = _distinct_grams(batch, col, n)
+        hit = pc.is_in(pa.array(g_str, pa.large_string()),
+                       value_set=ray.get(ref)).to_numpy(
+            zero_copy_only=False)
+        n_matched = np.bincount(g_doc[hit], minlength=len(batch))
+        return pa.table({
+            key: batch.column(key),
+            "n_grams": pa.array(np.bincount(
+                g_doc, minlength=len(batch)).astype(np.int64)),
+            "n_matched": pa.array(n_matched.astype(np.int64)),
+            "contaminated": pa.array(n_matched > 0),
+        })
+
+    return ds.map_batches(flag, batch_format="pyarrow")
+
+
+def decontaminate_join(ds: Any, grams: Any, n: int = 3,
+                       col: str = "text", key: str = "doc_id") -> Any:
+    """:func:`decontaminate` for a benchmark gram set (``grams``, a
+    Dataset with a ``gram`` column) too large to broadcast: slim
+    distinct ``(key, gram)`` pairs join the distinct benchmark grams,
+    then a count by key joins back. Corpus text never rides a
+    shuffle, only gram strings do."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Count
+
+    from .joins import field_type, hash_join, schema_guard
+
+    def doc_grams(batch: pa.Table) -> pa.Table:
+        g_doc, g_str = _distinct_grams(batch, col, n)
+        return pa.table({key: batch.column(key).take(
+                             pa.array(g_doc, pa.int64())),
+                         "gram": pa.array(g_str, pa.large_string())})
 
     def gram_counts(batch: pa.Table) -> pa.Table:
         g_doc, _ = _distinct_grams(batch, col, n)
@@ -470,49 +470,6 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
         return pa.table({key: batch.column(key),
                          "n_grams": pa.array(cnt)})
 
-    if mode == "broadcast":
-        bset = set()
-        for b in bench.map_batches(
-                bench_grams, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow"):
-            bset.update(b.column("gram").to_pylist())
-        bench_arr = ray.put(pa.array(sorted(bset), pa.large_string()))
-
-        class Flag:
-            def __init__(self, ref):
-                self.grams = ray.get(ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                g_doc, g_str = _distinct_grams(batch, col, n)
-                if len(g_doc):
-                    hit = pc.is_in(
-                        pa.array(list(g_str), pa.large_string()),
-                        value_set=self.grams) \
-                        .to_numpy(zero_copy_only=False)
-                else:
-                    hit = np.empty(0, dtype=bool)
-                n_grams = np.bincount(
-                    g_doc, minlength=len(batch)).astype(np.int64)
-                n_matched = np.bincount(
-                    g_doc, weights=hit.astype(np.float64),
-                    minlength=len(batch)).astype(np.int64)
-                return pa.table({
-                    key: batch.column(key),
-                    "n_grams": pa.array(n_grams),
-                    "n_matched": pa.array(n_matched),
-                    "contaminated": pa.array(n_matched > 0),
-                })
-
-        from ..util import map_batches_stateful
-        return map_batches_stateful(
-            ds, Flag, fn_constructor_kwargs={"ref": bench_arr},
-            batch_format="pyarrow")
-
-    # join mode
-    from ray.data.aggregate import Count
-
-    from .joins import field_type, hash_join, schema_guard
-
     ktype = field_type(ds, key)
     # schema_guard on bgrams: an empty/short benchmark produces zero
     # grams and the side would reach the join schema-less; on hits: a
@@ -520,8 +477,7 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
     # outcome) does the same to the final left join. Both are inner/
     # left right-sides, so the guards' null sentinels never surface.
     bgrams = schema_guard(
-        bench.map_batches(bench_grams, batch_format="pyarrow")
-        .groupby("gram").aggregate(Count(alias_name="__b")),
+        grams.groupby("gram").aggregate(Count(alias_name="__b")),
         pa.schema([("gram", pa.large_string()), ("__b", pa.int64())]))
     dgrams = ds.map_batches(doc_grams, batch_format="pyarrow")
     hits = schema_guard(

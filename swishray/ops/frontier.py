@@ -13,8 +13,10 @@ into one lazy Dataset plan.  Output: ``(url, site, n_refs)`` —
 ``n_refs`` (how many harvested links pointed at the url) doubles as
 a cheap crawl-priority prior.
 
-Scale shape is inherited from the parts: harvest/canonicalize/robots/
-blocklist are pure map-side with broadcast side-state; the only
+Scale shape is inherited from the parts: harvest/canonicalize are
+pure map-side; robots and blocklist broadcast their side-state when
+``joins.small_side`` measures it small and hash-join it otherwise,
+so a robots table or blocklist of any size works here.  The other
 shuffles are the (url) count groupby — slim two-column rows — and
 cap_per_group's slim (site, url) winners exchange.  Every stage is
 oracle- or pytest-verified on its own; this module only wires them.
@@ -34,7 +36,9 @@ def build_frontier(pages: Any, *, robots: Any = None,
                    strip_params: tuple = (),
                    include_nofollow: bool = False) -> Any:
     """See module docstring.  ``robots``: optional (host, body)
-    table/Dataset; ``blocklist``: blocked domain suffixes;
+    table/Dataset, of any size (:func:`~.robots.robots_filter`);
+    ``blocklist``: blocked domains, each blocking itself and its
+    subdomains, of any length (:func:`~.filters.url_blocklist`);
     ``per_site_cap``: max frontier urls per registrable site."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count

@@ -25,8 +25,7 @@ Three layers:
 
 Scale notes: extraction is pure map-side; anchor text is capped at
 400 characters so a pathological page cannot inflate the output
-row. The stage does not bound its input blocks itself: a
-caller with giant pages may apply ``pipeline.rebatch_by_bytes`` first.
+row. The stage does not bound its input blocks itself.
 """
 from __future__ import annotations
 

@@ -29,8 +29,7 @@ the libxml2 dispatcher warms itself per worker.
 
 Scale notes: pure map-side (no shuffle); output carries only the main
 text (bounded by input size).  The stage does not bound its input
-blocks itself: a caller with giant pages may apply
-``pipeline.rebatch_by_bytes`` first.
+blocks itself.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Explicit partitioning / skew operators (north_rule requirements:
 "documents are bucketed by size-aware repartition to defeat skew from
 giant HTML blobs, with groupby-on-host salting for pathological
-domains"). The size-aware half is ``pipeline.rebatch_by_bytes``.
+domains"). This module holds the salting half.
 
   * salted_group_count — two-phase groupby: hot keys are salted into
                       sub-buckets for the wide partial aggregate, then

@@ -15,27 +15,25 @@ spec (RFC 9309 + the original robotstxt.org conventions):
 * an empty ``Disallow:`` means allow-all; a missing robots.txt means
   allow-all.
 
-Scale shape — TWO modes (``robots_filter(mode=...)``):
+Scale shape: :func:`robots_rules` compiles the robots table on the
+cluster into one per-host rules table, and :func:`robots_filter`
+measures it with ``joins.small_side``:
 
-* ``broadcast``: the rule table rides one ``ray.put``; per batch the
+* when it fits, the table rides one ``ray.put``; per batch the
   filter extracts host+path with one vectorized RE2 pass, groups rows
   by host, and walks each host's ordered rule list with
   ``pc.match_substring_regex`` over that host's path subarray (rules
   per host are tens, not thousands) — no per-URL Python regex loop,
-  URLs never ride a shuffle.  Right for hand-sized host universes
-  (the driver materializes the robots table).
-* ``join``: both-sides-large — a real crawl has 10^7-10^8 hosts and
-  their robots bodies do NOT fit one driver dict.  Rules compile
-  MAP-SIDE over the robots Dataset into a slim (host, rules) table;
-  a slim (key, host, path) projection of the URLs hash-joins it on
-  host; verdicts keep only the DISALLOWED keys (default is allow),
-  and that usually-tiny blocked set left-joins back to the full rows
-  (the url_blocklist big-list shape, filters.py).  Driver state: none.
-* ``auto`` (default): broadcast below ``broadcast_max_hosts``, join
-  above it (join needs a unique ``key`` column).
+  URLs never ride a shuffle;
+* otherwise :func:`robots_filter_join`: a slim (url, host, path)
+  projection of the URLs hash-joins the rules on host, verdicts keep
+  only the DISALLOWED urls (default is allow), and that usually-tiny
+  distinct blocked set left-joins back to the full rows on the URL.
+  Driver state: none.
 """
 from __future__ import annotations
 
+import json
 import re
 from typing import Any
 
@@ -106,11 +104,13 @@ def compile_robots(body: bytes | str | None,
             best, best_len = rules, len(a)
     if best is None:
         return []
-    out = [(allow, len(pat), _pattern_re2(pat))
-           for allow, pat in best]
-    # most specific first; allow wins ties (sort is stable)
-    out.sort(key=lambda r: (-r[1], not r[0]))
-    return out
+    return _most_specific_first(
+        [(allow, len(pat), _pattern_re2(pat)) for allow, pat in best])
+
+
+def _most_specific_first(rules: list) -> list:
+    """Longest pattern first; allow wins ties (the sort is stable)."""
+    return sorted(rules, key=lambda r: (-r[1], not r[0]))
 
 
 def robots_allowed(rules: list, path: str) -> bool:
@@ -163,31 +163,81 @@ def _decide_host(rules: list, sub: pa.Array) -> np.ndarray:
     return verdict
 
 
+def _allowed(host: pa.Array, path: pa.Array, rules_of) -> np.ndarray:
+    """Per-row verdict: rows grouped by host, each host's rules
+    (``rules_of(host)``, falsy for none) walked over its paths."""
+    hosts_np = host.to_numpy(zero_copy_only=False)
+    allowed = np.ones(len(host), dtype=bool)
+    for h in np.unique(hosts_np):
+        rules = rules_of(h)
+        if rules:
+            idx = np.flatnonzero(hosts_np == h)
+            allowed[idx] = _decide_host(rules, path.take(pa.array(idx)))
+    return allowed
+
+
+_RULES = pa.schema([("__rhost", pa.large_string()),
+                    ("__rules", pa.large_string())])
+
+
+def robots_rules(robots: Any, host_col: str = "host",
+                 body_col: str = "body", agent: str = "*") -> Any:
+    """The per-host rules table both paths of :func:`robots_filter`
+    read: ``(__rhost, __rules)``, one row per lowercased host with
+    rules, ``__rules`` the JSON of its ``compile_robots`` list.
+    Bodies compile on the cluster, in one keyed exchange on the host.
+    A host listed more than once gets all its bodies' rules, sorted
+    most specific first, as RFC 9309 §2.2.1 combines the groups that
+    match one agent. Allow-all hosts drop out. Returned materialized,
+    so both paths share one execution."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from .joins import hash_exchange
+
+    if isinstance(robots, pa.Table):
+        robots = rd.from_arrow(robots)
+
+    def keyed(t: pa.Table) -> pa.Table:
+        return t.append_column("__rhost", pc.utf8_lower(
+            pc.cast(t.column(host_col), pa.large_string())))
+
+    def merge(t: pa.Table) -> pa.Table:
+        rules: dict = {}
+        for h, b in zip(t.column("__rhost").to_pylist(),
+                        t.column(body_col).to_pylist()):
+            if h:
+                rules.setdefault(h, []).extend(compile_robots(b, agent))
+        hosts = [h for h, r in rules.items() if r]
+        return pa.table({
+            "__rhost": pa.array(hosts, pa.large_string()),
+            "__rules": pa.array(
+                [json.dumps(_most_specific_first(rules[h]))
+                 for h in hosts], pa.large_string())})
+
+    return hash_exchange(
+        robots.map_batches(keyed, batch_format="pyarrow"), "__rhost",
+        merge, batch_format="pyarrow").materialize()
+
+
 class RobotsFilter:
     """Stateful task stage: annotate/filter URL rows by REP permission.
 
-    ``ref`` is a ray.put of {host: robots_body}; rules are parsed
-    once per worker here, not per batch."""
+    ``ref`` is a ray.put of the :func:`robots_rules` table; its JSON
+    decodes once per worker here, not per batch."""
 
-    def __init__(self, ref, url_col: str, agent: str,
-                 keep_only: bool) -> None:
+    def __init__(self, ref, url_col: str, keep_only: bool) -> None:
         import ray
         self.url_col = url_col
         self.keep_only = keep_only
-        bodies = ray.get(ref)
-        self.rules = {h.lower(): compile_robots(b, agent)
-                      for h, b in bodies.items()}
+        t = ray.get(ref)
+        self.rules = {h: json.loads(r) for h, r in zip(
+            t.column("__rhost").to_pylist(),
+            t.column("__rules").to_pylist())}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         host, path = _extract_hostpath(batch, self.url_col)
-        hosts_np = host.to_numpy(zero_copy_only=False)
-        allowed = np.ones(len(batch), dtype=bool)
-        for h in np.unique(hosts_np):
-            rules = self.rules.get(h)
-            if not rules:
-                continue
-            idx = np.flatnonzero(hosts_np == h)
-            allowed[idx] = _decide_host(rules, path.take(pa.array(idx)))
+        allowed = _allowed(host, path, self.rules.get)
         if self.keep_only:
             return batch.filter(pa.array(allowed))
         return batch.append_column("robots_allowed",
@@ -197,140 +247,78 @@ class RobotsFilter:
 def robots_filter(ds: Any, robots: Any, url_col: str = "url",
                   host_col: str = "host", body_col: str = "body",
                   agent: str = "*", keep_only: bool = False,
-                  batch_size: int = 4096,
-                  key: str | None = None, mode: str = "auto",
-                  broadcast_max_hosts: int = 65536) -> Any:
+                  batch_size: int = 4096) -> Any:
     """Filter/annotate a URL Dataset by robots.txt permission.
 
-    ``robots``: a (host, body) table/Dataset — one robots.txt per
-    host.  With ``keep_only=True`` disallowed rows are dropped;
-    otherwise a boolean ``robots_allowed`` column is appended.
+    ``robots``: a (host, body) table/Dataset of robots.txt bodies; a
+    host listed twice gets both bodies' rules (:func:`robots_rules`).
+    With ``keep_only=True`` disallowed rows are dropped; otherwise a
+    boolean ``robots_allowed`` column is appended.
 
-    ``mode='broadcast'`` materializes the robots table on the driver
-    and broadcasts {host: body} once via ``ray.put`` — right when the
-    host universe fits a driver dict.  ``mode='join'`` never
-    materializes anything: rules compile map-side, a slim
-    (key, host, path) projection joins them on host, and only the
-    DISALLOWED keys join back to the full rows — the shape that
-    survives a real crawl's 10^7-10^8 hosts (needs ``key``, a unique
-    row id).  ``'auto'`` picks broadcast when the robots side counts
-    at most ``broadcast_max_hosts`` rows (or no ``key`` was given)."""
+    The compiled rules table rides one ``ray.put`` when it fits
+    ``joins.small_side``; otherwise :func:`robots_filter_join` joins
+    it, with nothing materialized on the driver."""
     import ray
 
     from ..util import map_batches_stateful
+    from .joins import small_side
 
-    if mode == "auto":
-        n_hosts = (robots.num_rows if isinstance(robots, pa.Table)
-                   else robots.count())
-        mode = ("broadcast" if key is None
-                or n_hosts <= broadcast_max_hosts else "join")
-
-    if mode == "join":
-        return _robots_filter_join(
-            ds, robots, url_col=url_col, host_col=host_col,
-            body_col=body_col, agent=agent, keep_only=keep_only,
-            key=key, batch_size=batch_size)
-
-    if not isinstance(robots, pa.Table):
-        robots = pa.Table.from_pylist(robots.take_all())
-    hosts = robots.column(host_col).to_pylist()
-    bodies = robots.column(body_col).to_pylist()
-    ref = ray.put(dict(zip(hosts, bodies)))
+    rules = robots_rules(robots, host_col, body_col, agent)
+    small = small_side(rules, _RULES)
+    if small is None:
+        return robots_filter_join(ds, rules, url_col, keep_only)
     return map_batches_stateful(
         ds, RobotsFilter,
-        fn_constructor_kwargs=dict(ref=ref, url_col=url_col,
-                                   agent=agent, keep_only=keep_only),
+        fn_constructor_kwargs=dict(ref=ray.put(small), url_col=url_col,
+                                   keep_only=keep_only),
         batch_format="pyarrow", batch_size=batch_size)
 
 
-def _robots_filter_join(ds: Any, robots: Any, *, url_col: str,
-                        host_col: str, body_col: str, agent: str,
-                        keep_only: bool, key: str | None,
-                        batch_size: int) -> Any:
-    """Both-sides-large robots filtering (see robots_filter).
-
-    Exchanges are slim end to end: (host, compiled-rules) — one row
-    per host WITH rules, allow-all hosts drop out; (key, host, path)
-    — three columns per URL; (key) — disallowed rows only.  The full
-    URL rows ride exactly one left join against that blocked set."""
-    import json
-
+def robots_filter_join(ds: Any, rules: Any, url_col: str = "url",
+                       keep_only: bool = False) -> Any:
+    """:func:`robots_filter` against a :func:`robots_rules` table too
+    large to broadcast. Exchanges are slim: (host, rules), one row
+    per host with rules; (url, host, path) per URL row; the distinct
+    disallowed URLs. The full rows ride exactly one left join, keyed
+    on the URL, so every input row comes out once."""
     import pyarrow.compute as pc
-    import ray.data as rd
+    from ray.data.aggregate import Count
 
-    from .joins import field_type, hash_join, schema_guard
+    from .joins import hash_join, schema_guard
 
-    if key is None:
-        raise ValueError("robots_filter(mode='join') needs a unique "
-                         "`key` column to route verdicts back")
-    if isinstance(robots, pa.Table):
-        robots = rd.from_arrow(robots)
-
-    def compile_rules(t: pa.Table) -> pa.Table:
-        hs, blobs = [], []
-        for h, b in zip(t.column(host_col).to_pylist(),
-                        t.column(body_col).to_pylist()):
-            rules = compile_robots(b, agent)
-            if rules and h:  # allow-all hosts contribute nothing
-                hs.append(str(h).lower())
-                blobs.append(json.dumps([(a, ln, p)
-                                         for a, ln, p in rules]))
-        return pa.table({"__rhost": pa.array(hs, pa.large_string()),
-                         "__rules": pa.array(blobs, pa.large_string())})
-
-    rules_ds = schema_guard(
-        robots.map_batches(compile_rules, batch_format="pyarrow"),
-        pa.schema([("__rhost", pa.large_string()),
-                   ("__rules", pa.large_string())]))
-
-    ktype = field_type(ds, key)
+    def url_key(batch: pa.Table):
+        return pc.cast(batch.column(url_col), pa.large_string())
 
     def slim(batch: pa.Table) -> pa.Table:
         host, path = _extract_hostpath(batch, url_col)
-        return pa.table({key: batch.column(key).cast(ktype),
-                         "__rhost": pc.cast(host, pa.large_string()),
-                         "__path": pc.cast(path, pa.large_string())})
-
-    probes = schema_guard(
-        ds.map_batches(slim, batch_format="pyarrow"),
-        pa.schema([(key, ktype), ("__rhost", pa.large_string()),
-                   ("__path", pa.large_string())]))
-
-    # inner join: URLs on rule-less hosts drop out (default allow)
-    joined = hash_join(probes, rules_ds, "__rhost", how="inner")
+        return pa.table({"__url": url_key(batch), "__rhost": host,
+                         "__path": path})
 
     def verdicts(t: pa.Table) -> pa.Table:
-        keys = t.column(key).combine_chunks()
-        paths = t.column("__path").combine_chunks()
-        blobs = t.column("__rules_r")
-        hosts_np = np.asarray(t.column("__rhost").to_pylist(),
-                              dtype=object)
-        bad = []
-        for h in np.unique(hosts_np):
-            idx = np.flatnonzero(hosts_np == h)
-            rules = json.loads(blobs[int(idx[0])].as_py())
-            v = _decide_host(rules, paths.take(pa.array(idx)))
-            bad.append(keys.take(pa.array(idx[~v])))
-        ks = (pa.concat_arrays([a.combine_chunks()
-                                if isinstance(a, pa.ChunkedArray)
-                                else a for a in bad])
-              if bad else pa.array([], ktype))
-        # null keys (unparseable URLs) never match the join back
-        return pa.table({key: ks.cast(ktype),
-                         "__bl": pa.array([1] * len(ks), pa.int8())})
+        host = t.column("__rhost").combine_chunks()
+        rules_of = dict(zip(host.to_pylist(),
+                            t.column("__rules_r").to_pylist()))
+        allowed = _allowed(host, t.column("__path").combine_chunks(),
+                           lambda h: json.loads(rules_of[h]))
+        return t.select(["__url"]).filter(pa.array(~allowed))
 
+    # inner join: URLs on rule-less hosts drop out (default allow)
+    joined = hash_join(ds.map_batches(slim, batch_format="pyarrow"),
+                       schema_guard(rules, _RULES), "__rhost")
     blocked = schema_guard(
-        joined.map_batches(verdicts, batch_format="pyarrow"),
-        pa.schema([(key, ktype), ("__bl", pa.int8())]))
-
-    out = hash_join(ds, blocked, key, how="left")
+        joined.map_batches(verdicts, batch_format="pyarrow")
+        .groupby("__url").aggregate(Count(alias_name="__bl")),
+        pa.schema([("__url", pa.large_string()), ("__bl", pa.int64())]))
+    rows = ds.map_batches(lambda t: t.append_column("__url", url_key(t)),
+                          batch_format="pyarrow")
 
     def shape(batch: pa.Table) -> pa.Table:
         allowed = pc.is_null(batch.column("__bl_r"))
-        batch = batch.drop_columns(["__bl_r"])
+        batch = batch.drop_columns(["__url", "__bl_r"])
         if keep_only:
             return batch.filter(allowed)
-        return batch.append_column(
-            "robots_allowed", pc.cast(allowed, pa.bool_()))
+        return batch.append_column("robots_allowed", allowed)
 
-    return out.map_batches(shape, batch_format="pyarrow")
+    # null URLs never match the join back: allowed, as in broadcast
+    return hash_join(rows, blocked, "__url", how="left").map_batches(
+        shape, batch_format="pyarrow")

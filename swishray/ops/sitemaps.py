@@ -18,8 +18,7 @@ round).  Gzip bodies (``sitemap.xml.gz``) are unwrapped inline.
 Scale shape: pure map-side (task-cached by default, same rationale as
 ``extract_links``); output rows are slim strings.  A 50k-URL sitemap
 (the protocol max) yields 50k rows from one input row. The stage does
-not bound its input blocks itself: a caller may apply
-``pipeline.rebatch_by_bytes`` first.
+not bound its input blocks itself.
 """
 from __future__ import annotations
 

@@ -341,35 +341,6 @@ class ExtractPages:
         return pa.table(arrays)
 
 
-def rebatch_by_bytes(ds: "Any", col: str = "html",
-                     target_bytes: int = 8 << 20) -> "Any":
-    """Size-aware rebatching to defeat giant-blob skew (north-star
-    partitioning rule): slice each incoming batch so no output block
-    carries more than ~``target_bytes`` of ``col`` payload — a 100 MB
-    html blob travels alone instead of ballooning a 128-row batch's
-    heap. Generator UDF: each yielded slice becomes its own block, so
-    downstream stage batches stay byte-bounded regardless of row
-    count; zero-copy (pure Arrow slices)."""
-    import pyarrow.compute as pc
-
-    def slices(batch: pa.Table):
-        sizes = pc.binary_length(
-            pc.cast(batch.column(col), pa.large_binary())).to_numpy(
-            zero_copy_only=False).astype("int64")
-        cum = np.cumsum(sizes)
-        start = 0
-        base = 0
-        for i in range(len(sizes)):
-            if cum[i] - base > target_bytes and i > start:
-                yield batch.slice(start, i - start)
-                start = i
-                base = cum[i - 1]
-        if start < batch.num_rows:
-            yield batch.slice(start)
-
-    return ds.map_batches(slices, batch_format="pyarrow")
-
-
 def extract_pages(ds: "Any", *, config_xml: str | None = None,
                   swish_encoding: str = C.DEFAULT_ENCODING,
                   emit: Literal["text", "buffers", "full"] = "buffers",

@@ -1,7 +1,11 @@
 """C4/CCNet-style duplicate-line removal (swishray/ops/boilerplate.py)."""
 
+import random
+
 import pyarrow as pa
 import pytest
+
+from swishray.ops import joins
 
 
 DOCS = [
@@ -29,18 +33,59 @@ def _ds(rows=DOCS):
         "text": pa.array([r[1] for r in rows], pa.string())}))
 
 
-@pytest.mark.parametrize("mode", ["broadcast", "join"])
-def test_remove_duplicate_lines(ray_session, mode):
+def _seeded(seed):
+    """(doc_id, host, text) rows: seed 0 gives all-unique docs (an
+    empty hot set); others draw lines from a small pool, with empty
+    lines and None texts."""
+    if seed == 0:
+        return [(i, "a", f"only {i}\nalso {i}") for i in range(6)]
+    rng = random.Random(seed)
+    pool = ["HEADER", "FOOTER", "nav", ""] + [f"u{i}" for i in range(12)]
+    return [(i, rng.choice("ab"),
+             None if rng.random() < 0.1 else "\n".join(
+                 rng.choices(pool, k=rng.randint(1, 4))))
+            for i in range(30)]
+
+
+def _strip_oracle(rows, min_docs=2):
+    """Scalar strip of (doc_id, group, text) rows: a line is hot when
+    ``min_docs`` distinct docs of its group hold it."""
+    from collections import Counter
+    docs = {i: (g, (t or "").split("\n")) for i, g, t in rows}
+    n = Counter((g, ln) for g, ls in docs.values() for ln in set(ls))
+    out = {}
+    for i, (g, ls) in docs.items():
+        kept = [ln for ln in ls if n[(g, ln)] < min_docs]
+        out[i] = ("\n".join(kept), len(ls) - len(kept))
+    return out
+
+
+def _paths(seeds=(0, 1, 2)):
+    return [pytest.param("broadcast", None, id="broadcast"),
+            pytest.param("join", None, id="join")] + [
+        pytest.param(m, s, id=f"{m}-seed{s}")
+        for s in seeds for m in ("broadcast", "join")]
+
+
+@pytest.mark.parametrize("mode,seed", _paths())
+def test_remove_duplicate_lines(ray_session, monkeypatch, mode, seed):
     from swishray.ops.boilerplate import remove_duplicate_lines
-    out = remove_duplicate_lines(_ds(), mode=mode).take_all()
+    if mode == "join":
+        monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 0)
+    if seed is None:
+        rows, expect = DOCS, EXPECT
+    else:
+        rows = [(i, t) for i, _, t in _seeded(seed)]
+        expect = _strip_oracle([(i, None, t) for i, t in rows])
+    out = remove_duplicate_lines(_ds(rows)).take_all()
     got = {r["doc_id"]: (r["text_clean"], r["n_lines_removed"])
            for r in out}
-    assert got == EXPECT
+    assert got == expect
 
 
-def test_modes_agree_on_corpus(ray_session, sf_dir):
-    """broadcast (map-only) and join (fully distributed) must produce
-    identical results on a real corpus slice."""
+def test_modes_agree_on_corpus(ray_session, sf_dir, monkeypatch):
+    """The broadcast (map-only) and join (fully distributed) paths
+    must produce identical results on a real corpus slice."""
     import ray.data as rd
     from swishray.ops.boilerplate import remove_duplicate_lines
 
@@ -54,11 +99,10 @@ def test_modes_agree_on_corpus(ray_session, sf_dir):
                          columns=["doc_id", "text"]).map_batches(
         pages, batch_format="pyarrow")
     a = sorted((r["doc_id"], r["text_clean"], r["n_lines_removed"])
-               for r in remove_duplicate_lines(ds, mode="broadcast")
-               .take_all())
+               for r in remove_duplicate_lines(ds).take_all())
+    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 0)
     b = sorted((r["doc_id"], r["text_clean"], r["n_lines_removed"])
-               for r in remove_duplicate_lines(ds, mode="join")
-               .take_all())
+               for r in remove_duplicate_lines(ds).take_all())
     assert a == b
     assert all(row[2] >= 1 for row in a)  # the header is always hot
 
@@ -130,24 +174,28 @@ GROUP_EXPECT = {
 }
 
 
-def _gds():
+def _gds(rows=GROUPED):
     import ray.data as rd
     return rd.from_arrow(pa.table({
-        "doc_id": pa.array([r[0] for r in GROUPED], pa.int64()),
-        "host": pa.array([r[1] for r in GROUPED], pa.string()),
-        "text": pa.array([r[2] for r in GROUPED], pa.string())}))
+        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+        "host": pa.array([r[1] for r in rows], pa.string()),
+        "text": pa.array([r[2] for r in rows], pa.string())}))
 
 
-@pytest.mark.parametrize("mode", ["broadcast", "join"])
-def test_group_scoped_boilerplate(ray_session, mode):
+@pytest.mark.parametrize("mode,seed", _paths(seeds=(0, 3)))
+def test_group_scoped_boilerplate(ray_session, monkeypatch, mode, seed):
     """group_col scopes the census per host: a line shared across
     hosts but unique within each is kept; per-host repeats go."""
     from swishray.ops.boilerplate import remove_duplicate_lines
+    if mode == "join":
+        monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 0)
+    rows = GROUPED if seed is None else _seeded(seed)
+    expect = GROUP_EXPECT if seed is None else _strip_oracle(rows)
     out = remove_duplicate_lines(
-        _gds(), mode=mode, group_col="host").take_all()
+        _gds(rows), group_col="host").take_all()
     got = {r["doc_id"]: (r["text_clean"], r["n_lines_removed"])
            for r in out}
-    assert got == GROUP_EXPECT
+    assert got == expect
 
 
 def test_group_scoped_differs_from_global(ray_session):

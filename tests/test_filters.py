@@ -3,9 +3,14 @@ benchmark decontamination (ops/filters.py).  The closed-form
 roundtrips are also oracle-checked by the c4_clean / gopher_quality /
 cap_domains / url_blocklist[_join] / decontaminate queries()
 entries."""
+import random
+import re
+
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from swishray.ops import joins
 from swishray.ops.filters import (c4_clean, cap_per_group,
                                   decontaminate, gopher_quality,
                                   url_blocklist)
@@ -112,35 +117,98 @@ def _url_ds():
                           for i, u in enumerate(_URLS)]).repartition(2)
 
 
-def test_url_blocklist_regex(ray_session):
-    df = url_blocklist(_url_ds(), ["example.org"], key="doc_id",
-                       mode="regex").to_pandas() \
+def _blocked(ds, domains, budget=None, monkeypatch=None):
+    """url_blocklist's flags by row id; ``budget`` 0 forces the join
+    path through the public function."""
+    if budget is not None:
+        monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+    df = url_blocklist(ds, domains).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
+    assert len(df) == ds.count()
+    return df
+
+
+def test_url_blocklist_regex(ray_session):
+    df = _blocked(_url_ds(), ["example.org"])
     assert df["blocked"].tolist() == _BLOCKED
     assert df.loc[4, "host"] == "sub.spam.example.org"
     # substring of a label must NOT match (notexample.org)
     assert not df.loc[3, "blocked"]
 
 
-def test_url_blocklist_join_agrees(ray_session):
-    df = url_blocklist(_url_ds(), ["example.org"], key="doc_id",
-                       mode="join").to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+def test_url_blocklist_join_agrees(ray_session, monkeypatch):
+    df = _blocked(_url_ds(), ["example.org"], 0, monkeypatch)
     assert df["blocked"].tolist() == _BLOCKED
+    assert df.loc[4, "host"] == "sub.spam.example.org"
+    # same output columns, in the same order, on both paths
+    assert list(df.columns) == ["doc_id", "url", "host", "blocked"]
 
 
 def test_url_blocklist_empty_list(ray_session):
-    df = url_blocklist(_url_ds(), [], key="doc_id",
-                       mode="regex").to_pandas()
+    df = _blocked(_url_ds(), [])
     assert not df["blocked"].any()
 
 
-def test_url_blocklist_join_no_hits(ray_session):
+def test_url_blocklist_join_no_hits(ray_session, monkeypatch):
     # empty hit set exercises the schema-less-empty-block join path
-    df = url_blocklist(_url_ds(), ["nomatch.invalid"], key="doc_id",
-                       mode="join").to_pandas()
+    df = _blocked(_url_ds(), ["nomatch.invalid"], 0, monkeypatch)
     assert not df["blocked"].any()
     assert len(df) == len(_URLS)
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["broadcast", "join"])
+def test_url_blocklist_bare_tld(ray_session, monkeypatch, budget):
+    # a bare TLD entry blocks every host under it, on both paths
+    urls = ["http://x.example.com/a", "http://example.com/b",
+            "http://localhost/c", "http://a.b.org/d"]
+    ds = rd.from_items([{"doc_id": i, "url": u}
+                        for i, u in enumerate(urls)])
+    df = _blocked(ds, ["com"], budget, monkeypatch)
+    assert df["blocked"].tolist() == [True, True, False, False]
+
+
+_LABELS = ["a", "b", "ex", "Example", "org", "com", "co", "uk"]
+
+
+def _seeded_urls(rng, n):
+    """URLs over a tiny label alphabet, so hosts repeat and nest;
+    mixed case, ports and None URLs included."""
+    urls = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            urls.append(None)
+            continue
+        host = ".".join(rng.choice(_LABELS)
+                        for _ in range(rng.randint(1, 4)))
+        port = rng.choice(["", ":8080"])
+        urls.append(f"{rng.choice(['http', 'HTTPS'])}://{host}{port}/p")
+    return urls
+
+
+def _blocklist_oracle(url, domains):
+    m = url and re.match(r"^[A-Za-z][A-Za-z0-9+.-]*://([^/?#:]+)", url)
+    host = m.group(1).lower() if m else ""
+    ds = {d.lower().lstrip(".") for d in domains} - {""}
+    return any(host == d or host.endswith("." + d) for d in ds)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_url_blocklist_paths_agree_seeded(ray_session, monkeypatch, seed):
+    """Both paths equal the docstring rule (host equals an entry or
+    ends with "." + entry) on seeded URLs and lists: TLD entries,
+    mixed case, a leading dot, and an empty list (seed 3)."""
+    rng = random.Random(seed)
+    urls = _seeded_urls(rng, 60)
+    domains = [] if seed == 3 else [
+        rng.choice(["", "."]) + ".".join(
+            rng.choice(_LABELS) for _ in range(rng.randint(1, 2)))
+        for _ in range(4)]
+    ds = rd.from_items([{"doc_id": i, "url": u}
+                        for i, u in enumerate(urls)]).repartition(3)
+    want = [_blocklist_oracle(u, domains) for u in urls]
+    assert _blocked(ds, domains)["blocked"].tolist() == want
+    assert _blocked(ds, domains, 0, monkeypatch)["blocked"].tolist() \
+        == want
 
 
 def _decon_inputs():
@@ -164,36 +232,74 @@ def test_decontaminate_broadcast(ray_session):
     assert out["n_matched"].tolist() == [1, 0, 0, 1]
 
 
-def test_decontaminate_join_agrees(ray_session):
+def test_decontaminate_join_agrees(ray_session, monkeypatch):
     d, b = _decon_inputs()
     a = decontaminate(d, b, n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    j = decontaminate(d, b, n=3, mode="join").to_pandas() \
+    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 0)
+    j = decontaminate(d, b, n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert a[["doc_id", "n_grams", "n_matched", "contaminated"]] \
         .equals(j[["doc_id", "n_grams", "n_matched", "contaminated"]])
 
 
-def test_decontaminate_join_clean_corpus(ray_session):
-    # zero hits is the COMMON production outcome; the join-mode `hits`
+def test_decontaminate_join_clean_corpus(ray_session, monkeypatch):
+    # zero hits is the COMMON production outcome; the join-path `hits`
     # side is then all-empty and (Ray 2.49) empty blocks never reach
     # the join shuffle — schema_guard's sentinel keeps it alive
+    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 0)
     d, _ = _decon_inputs()
     clean_bench = rd.from_items(
         [{"text": "totally unrelated benchmark words here"}])
-    out = decontaminate(d, clean_bench, n=3, mode="join").to_pandas() \
+    out = decontaminate(d, clean_bench, n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert out["contaminated"].tolist() == [False] * 4
     assert out["n_matched"].tolist() == [0] * 4
     assert out["n_grams"].tolist() == [3, 3, 0, 1]
 
 
-def test_decontaminate_join_empty_bench(ray_session):
+def test_decontaminate_join_empty_bench(ray_session, monkeypatch):
+    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 0)
     d, b = _decon_inputs()
-    out = decontaminate(d, b.filter(lambda r: False), n=3,
-                        mode="join").to_pandas() \
+    out = decontaminate(d, b.filter(lambda r: False), n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert out["contaminated"].tolist() == [False] * 4
+
+
+def _grams(text, n):
+    words = [w for w in re.split(" +", text or "") if w]
+    return {" ".join(words[i:i + n]) for i in range(len(words) - n + 1)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decontaminate_paths_agree_seeded(ray_session, monkeypatch,
+                                          seed):
+    """Both paths count distinct shared trigrams exactly, on seeded
+    texts over a small vocabulary with None and empty texts, runs of
+    spaces, and an empty benchmark (seed 3)."""
+    rng = random.Random(seed)
+    vocab = ["a", "b", "c", "d"]
+
+    def text():
+        if rng.random() < 0.1:
+            return rng.choice([None, ""])
+        return (" " * rng.randint(1, 2)).join(
+            rng.choice(vocab) for _ in range(rng.randint(0, 8)))
+    docs = [{"doc_id": i, "text": text()} for i in range(40)]
+    bench = [{"text": text() or "x"} for _ in range(0 if seed == 3 else 3)]
+    bench_ds = (rd.from_items(bench) if bench else rd.from_items(
+        [{"text": "x"}]).filter(lambda r: False))
+    bgrams = set().union(*[_grams(r["text"], 3) for r in bench])
+    want = [(len(_grams(r["text"], 3)),
+             len(_grams(r["text"], 3) & bgrams)) for r in docs]
+    ds = rd.from_items(docs).repartition(3)
+    for budget in (None, 0):
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        out = decontaminate(ds, bench_ds, n=3).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        assert list(zip(out["n_grams"], out["n_matched"])) == want
+        assert out["contaminated"].tolist() == [m > 0 for _, m in want]
 
 
 def test_self_dup_all_unique_corpus(ray_session):

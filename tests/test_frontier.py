@@ -1,8 +1,10 @@
 """End-to-end crawl-frontier assembly (ops/frontier.py): harvest ->
 canonicalize -> robots -> blocklist -> dedup/count -> per-site cap."""
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from swishray.ops import joins
 from swishray.ops.frontier import build_frontier
 
 
@@ -47,6 +49,22 @@ def test_build_frontier_end_to_end(ray_session):
     assert got["https://t.example/keep"] == 3
     assert out["site"].tolist() == ["cap.example", "cap.example",
                                     "t.example"]
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["default", "join"])
+def test_build_frontier_large_blocklist(ray_session, monkeypatch, budget):
+    """A 5,000-entry blocklist needs no row key: the frontier passes
+    none, and both the broadcast and the join path must take it."""
+    if budget is not None:
+        monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+    blocklist = ["blocked.example"] + [f"d{i}.invalid"
+                                       for i in range(4999)]
+    ds = rd.from_items(_pages()).repartition(2)
+    out = build_frontier(ds, robots=ROBOTS, blocklist=blocklist,
+                         per_site_cap=2).to_pandas()
+    assert sorted(out["url"]) == [
+        "https://cap.example/c1", "https://cap.example/c2",
+        "https://t.example/keep"]
 
 
 def test_build_frontier_minimal(ray_session):

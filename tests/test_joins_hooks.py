@@ -17,6 +17,29 @@ def test_anti_semi_join(ray_session):
     assert sorted(r["url"] for r in only) == ["u1", "u3"]
 
 
+def test_small_side_budget(ray_session, monkeypatch):
+    """The broadcast-or-join rule: a side at or under the budget
+    comes back as one table, a side over it as None."""
+    import ray.data as rd
+    from swishray.ops import joins
+    tbl = pa.table({"k": pa.array([f"k{i}" for i in range(100)],
+                                  pa.large_string())})
+    ds = rd.from_arrow(tbl).repartition(3).materialize()
+    arr = tbl.column("k").combine_chunks()
+    for side, size in ((tbl, tbl.nbytes), (arr, arr.nbytes),
+                       (ds, ds.size_bytes())):
+        monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", size)
+        got = joins.small_side(side)
+        assert sorted(got.column(0).to_pylist()) == \
+            sorted(tbl.column("k").to_pylist())
+        monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", size - 1)
+        assert joins.small_side(side) is None
+    # an empty Dataset comes back as the empty table of the schema
+    schema = pa.schema([("k", pa.large_string())])
+    empty = joins.small_side(ds.filter(lambda r: False), schema)
+    assert empty.num_rows == 0 and empty.schema == schema
+
+
 def test_broadcast_lookup_join(ray_session):
     import ray.data as rd
     from swishray.ops.joins import broadcast_lookup_join

@@ -241,27 +241,6 @@ def test_warc_skips_non_response_records(ray_session):
                                       "https://w.test/1"]
 
 
-def test_rebatch_by_bytes_bounds_blocks(ray_session):
-    import ray.data as rd
-    from swishray.pipeline import rebatch_by_bytes
-    # 1 giant row among many small ones
-    rows = [b"x" * 100] * 50 + [b"G" * 500_000] + [b"y" * 100] * 50
-    t = pa.table({"url": pa.array([f"u{i}" for i in range(101)]),
-                  "html": pa.array(rows, pa.binary())})
-    out = rebatch_by_bytes(rd.from_arrow(t), target_bytes=10_000)
-    # content preserved exactly, order included
-    got = out.take_all()
-    assert [r["url"] for r in got] == [f"u{i}" for i in range(101)]
-    # every materialized block's payload is bounded by target + one row
-    blocks = [b for b in out.map_batches(
-        lambda tb: pa.table({"nbytes": pa.array(
-            [sum(len(v.as_py()) for v in tb.column("html"))])}),
-        batch_size=None, batch_format="pyarrow").take_all()]
-    for b in blocks:
-        assert b["nbytes"] <= 10_000 + 500_000  # giant row rides alone
-    assert any(b["nbytes"] >= 500_000 for b in blocks)
-
-
 def test_write_warc_roundtrip(ray_session, tmp_path):
     """write_warc -> read_warc round-trips urls and bodies; files are
     content-addressed so a second identical run rewrites in place."""
