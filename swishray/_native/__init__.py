@@ -4,7 +4,9 @@ Seven extensions, each independently optional. A module that uses one
 takes its handle only through ``checked(_native.<name>, selftest)``,
 once at import, where ``selftest`` is that module's own A/B check of
 the candidate build against its pure-Python (or ctypes) path:
-  * ``swishtok`` — the C tokenizer (tokenizer._native_selftest)
+  * ``swishtok`` — the C tokenizer (tokenizer._native_selftest); on
+    that handle, the batch record arena, checked against the reference
+    route's columns (pipeline._arena_selftest)
   * ``swishsax`` — the C SAX front-end, checked against the ctypes
     event stream (libxml._sax_selftest); on that handle, the
     extraction state machine, checked against the event replay

@@ -11,7 +11,8 @@
  *     feeds it to ExtractionState.replay for an extraction without a
  *     machine.
  *
- *   extract_html/extract_xml(data, machine) -> result | None
+ *   extract_html/extract_xml(data, machine, arena=None)
+ *       -> result | None
  *     The extraction state machine: libxml2 runs with handlers that do
  *     what sax.ExtractionState does (bake_tag, the meta and prop tag
  *     stacks, flush_buffer, add_stack_to_prop_buf, buffer_characters,
@@ -21,15 +22,20 @@
  *     result is (rc, error|None, metanames, properties, flushes):
  *     the finished named buffers as {name: bytes} dicts in the order
  *     the Python state would hold them, and every flush the tokenizer
- *     must see, in order, as (data, meta, context). ``error`` is the
- *     ParseAbort message of a document the reference would croak on,
- *     next to the buffers as they stood then. None means the machine
+ *     must see, in order, as (data, meta, context). Given a batch's
+ *     record arena (swishtok.c's Arena), the machine instead writes the
+ *     buffers, in that order, into the arena's open row through the C
+ *     API it reads from the capsule ``Arena._api``, and the result is
+ *     (rc, error|None, flushes); the caller tokenizes the flushes into
+ *     the same row. ``error`` is the ParseAbort message of a document
+ *     the reference would croak on, next to the buffers as they stood
+ *     then. None means the machine
  *     declines the document (an XInclude element, a non-ASCII element
  *     name, XML prefix or <meta> name, <meta> content that is not
  *     strict UTF-8, XML attributes under XMLClassAttributes, a
  *     non-ASCII attribute the undefined-attribute policy would read,
- *     an emptied meta stack) and the caller re-parses it through the
- *     event stream.
+ *     an emptied meta stack), with nothing written to the arena, and
+ *     the caller re-parses it through the event stream.
  *
  * Event tuples (the ctypes recorder, libxml.py:_Recorder, builds the
  * same ones; libxml._sax_selftest checks the two batches with ==):
@@ -1401,15 +1407,64 @@ buffers_dict(Machine *m, Buf *bufs, const int *order, int n)
     return dict;
 }
 
+/* swishtok's Arena C API, read from the capsule ``Arena._api`` (the
+ * same struct is declared in swishtok.c) */
+typedef struct {
+    int (*put)(PyObject *arena, int which, PyObject *key, const char *p,
+               Py_ssize_t n);
+} ArenaAPI;
+
+static const ArenaAPI *
+arena_api(PyObject *arena)
+{
+    static PyTypeObject *type;
+    static const ArenaAPI *api;
+    if (Py_TYPE(arena) != type) {
+        PyObject *cap = PyObject_GetAttrString((PyObject *)Py_TYPE(arena),
+                                               "_api");
+        const ArenaAPI *a = cap == NULL ? NULL
+            : PyCapsule_GetPointer(cap, "swishtok.Arena._api");
+        Py_XDECREF(cap);    /* the type's dict keeps the capsule */
+        if (a == NULL)
+            return NULL;
+        type = Py_TYPE(arena);
+        api = a;
+    }
+    return api;
+}
+
+/* the finished named buffers into the arena's open row, metanames in
+ * the order the Python state would hold them */
+static int
+buffers_put(const ArenaAPI *api, PyObject *arena, Machine *m, Doc *d)
+{
+    for (int i = 0; i < d->n_morder; i++) {
+        Buf *b = &d->mbufs[d->morder[i]];
+        if (api->put(arena, 0, m->names[d->morder[i]].str, b->p,
+                     (Py_ssize_t)b->len) < 0)
+            return -1;
+    }
+    for (int i = 0; i < m->n_props; i++) {
+        Buf *b = &d->pbufs[m->props[i]];
+        if (api->put(arena, 1, m->names[m->props[i]].str, b->p,
+                     (Py_ssize_t)b->len) < 0)
+            return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 extract(PyObject *args, int html)
 {
     Py_buffer view;
-    PyObject *cap;
-    if (!PyArg_ParseTuple(args, "y*O", &view, &cap))
+    PyObject *cap, *arena = Py_None;
+    const ArenaAPI *api = NULL;
+    if (!PyArg_ParseTuple(args, "y*O|O", &view, &cap, &arena))
         return NULL;
     Machine *m = PyCapsule_GetPointer(cap, "swishsax.machine");
-    if (m == NULL) {
+    if (m != NULL && arena != Py_None)
+        api = arena_api(arena);
+    if (m == NULL || (arena != Py_None && api == NULL)) {
         PyBuffer_Release(&view);
         return NULL;
     }
@@ -1447,15 +1502,18 @@ extract(PyObject *args, int html)
     }
     PyBuffer_Release(&view);
     PyObject *out = NULL;
+    PyObject *error = d.error ? d.error : Py_None;
     if (d.stop == DECLINED) {
         out = Py_None;
         Py_INCREF(out);
+    } else if (d.stop != FAILED && api != NULL) {
+        if (buffers_put(api, arena, m, &d) == 0)
+            out = Py_BuildValue("(iOO)", rc, error, d.flushes);
     } else if (d.stop != FAILED) {
         PyObject *mdict = buffers_dict(m, d.mbufs, d.morder, d.n_morder);
         PyObject *pdict = buffers_dict(m, d.pbufs, m->props, m->n_props);
         if (mdict != NULL && pdict != NULL)
-            out = Py_BuildValue("(iONNO)", rc,
-                                d.error ? d.error : Py_None, mdict, pdict,
+            out = Py_BuildValue("(iONNO)", rc, error, mdict, pdict,
                                 d.flushes);
         else {
             Py_XDECREF(mdict);
@@ -1488,11 +1546,11 @@ static PyMethodDef methods[] = {
     {"compile", compile_machine, METH_VARARGS,
      "compile(spec) -> machine"},
     {"extract_xml", extract_xml, METH_VARARGS,
-     "extract_xml(data, machine) -> (rc, error, metanames, properties, "
-     "flushes) | None"},
+     "extract_xml(data, machine, arena=None) -> (rc, error, metanames, "
+     "properties, flushes) | (rc, error, flushes) | None"},
     {"extract_html", extract_html, METH_VARARGS,
-     "extract_html(data, machine) -> (rc, error, metanames, properties, "
-     "flushes) | None"},
+     "extract_html(data, machine, arena=None) -> (rc, error, metanames, "
+     "properties, flushes) | (rc, error, flushes) | None"},
     {NULL, NULL, 0, NULL},
 };
 

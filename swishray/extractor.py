@@ -20,8 +20,8 @@ from . import constants as C
 from .config import Config
 from .libxml import check_utf8
 from .mime import file_ext, get_mime_type, get_parser
-from .sax import (ExtractionState, ParseAbort, concat_buffers, html_parse,
-                  machine_for, xml_parse)
+from .sax import (ArenaRow, ExtractionState, ParseAbort, concat_buffers,
+                  html_parse, machine_for, xml_parse)
 from .text import scrub_nulls
 from .tokenizer import TokenList
 
@@ -153,8 +153,8 @@ class DocumentExtractor:
     # -- main entry -----------------------------------------------------
 
     def extract(self, uri: str, body: bytes | memoryview,
-                mime: str | None = None,
-                parser: str | None = None) -> ExtractionRecord:
+                mime: str | None = None, parser: str | None = None,
+                arena=None) -> ExtractionRecord:
         """Parse one document; never raises — failures land in
         record.error (the per-row error side-channel, SURVEY.md §4).
 
@@ -163,9 +163,35 @@ class DocumentExtractor:
         no_nulls scrub (io.c:43-73) triggers only on NUL bytes, so
         the view path skips it exactly when the reference would
         no-op; NUL-carrying rows arrive as bytes (see
-        pipeline._binary_views)."""
+        pipeline._binary_views).
+
+        With ``arena``, a batch's record arena (``swishtok.Arena``, see
+        ``pipeline.ExtractPages``), the record's buffers and tokens are
+        written into the arena's open row, which is then committed, and
+        the returned record carries only ``docinfo`` and ``error``. A
+        row ``_into_arena`` takes goes through the machine straight into
+        the arena; every other row is extracted as without an arena and
+        then added to it."""
+        di = resolve_docinfo(self.config, uri, len(body), mime, parser)
+        if arena is None:
+            return self._record(uri, body, di)
+        rec = ExtractionRecord(docinfo=di)
+        if self._into_arena(body, di, arena, rec):
+            arena.commit()
+            return rec
+        rec = self._record(uri, body, di)
+        tl = rec.tokens
+        arena.add_buffers(rec.metanames, rec.properties)
+        arena.add_tokens(b"".join(tl.value_chunks), b"".join(tl.len_chunks),
+                         b"".join(tl.pos_chunks), tl.runs)
+        arena.commit()
+        return ExtractionRecord(docinfo=di, error=rec.error)
+
+    def _record(self, uri: str, body: bytes | memoryview,
+                di: DocInfo) -> ExtractionRecord:
+        """``extract`` without an arena: one record through an
+        ExtractionState."""
         cfg = self.config
-        di = resolve_docinfo(cfg, uri, len(body), mime, parser)
         state = ExtractionState(cfg, uri=uri, tokenizer=self.tokenizer)
         if self.xinclude_resolver is not None and cfg.follow_xinclude:
             state.xinclude_cb = self._xinclude_cb(state, 0)
@@ -180,6 +206,38 @@ class DocumentExtractor:
 
         self._finish(rec, state)
         return rec
+
+    def _into_arena(self, body: bytes | memoryview, di: DocInfo, arena,
+                    rec: ExtractionRecord) -> bool:
+        """Extract a plain HTML or XML row (not gzipped, NUL-free, not
+        empty; no stemmer or property cap) through the machine straight
+        into ``arena``'s open row: no ExtractionState is built. False,
+        with nothing of the row in the arena, when the row is not one
+        of those or the machine does not finish it."""
+        p0 = di.parser[:1].upper()
+        if (self.machine is None or p0 not in ("H", "X") or di.is_gzipped
+                or not body or self.stemmer is not None
+                or self.config.enforce_property_max
+                or (not isinstance(body, memoryview) and b"\x00" in body)):
+            return False
+        row = ArenaRow(arena, self.tokenizer)
+        try:
+            if p0 == "H":
+                rc = html_parse(body, row, self.machine)
+            else:
+                rc = xml_parse(body, row, self.machine)
+            if rc is None:
+                return False
+        except ParseAbort as e:
+            rec.error = str(e)
+        except Exception as e:  # defensive: never kill the batch
+            rec.error = f"{type(e).__name__}: {e}"
+        # html_parser's docinfo encoding is the env default; the XML
+        # parser's is the declaration's (see _docparse)
+        enc = None if p0 == "H" else self._xml_declared_encoding(body)
+        di.encoding = enc if enc else self.swish_encoding
+        di.nwords = row.nwords
+        return True
 
     def _docparse(self, body: bytes, state: ExtractionState,
                   di: DocInfo) -> None:

@@ -14,8 +14,9 @@ Scale design notes (SURVEY.md §4):
     once per worker process and reused by every later batch
     (swish_3 equivalent)
   * batches are Arrow in / Arrow out; the per-document parse is
-    necessarily row-oriented (SAX), but all column assembly is
-    vectorized and the tokenizer is regex-at-C-speed
+    necessarily row-oriented (SAX), but each row's tokens, text and
+    named buffers are written once, in C, into the batch's record
+    arena, whose buffers become the Arrow columns (ExtractPages)
   * per-row failures land in the `error` column — a bad page never
     kills the job (reference recovers/warns, parser.c:1393-1447)
   * oversized html blobs are truncated at MAX_FILE_LEN with an error
@@ -31,7 +32,7 @@ from typing import Any, Literal
 import numpy as np
 import pyarrow as pa
 
-from . import constants as C
+from . import _native, constants as C, tokenizer
 from .config import Config
 from .extractor import DocumentExtractor
 
@@ -88,22 +89,34 @@ def _binary_views(col) -> list:
     return out
 
 
-def _utf8_column(values: list[bytes]) -> pa.Array:
-    """``values`` as a large_string column, each decoded as
-    ``v.decode("utf-8", "replace")`` would: the joined bytes become
-    the column's data buffer, and only a batch that fails UTF-8
-    validation is decoded row by row."""
-    offs = np.zeros(len(values) + 1, np.int64)
-    np.cumsum([len(v) for v in values], out=offs[1:])
-    arr = pa.Array.from_buffers(
-        pa.large_string(), len(values),
-        [None, pa.py_buffer(offs), pa.py_buffer(b"".join(values))])
+def _large_utf8(n: int, offsets: pa.Buffer, data: pa.Buffer,
+                utf8: bool = False) -> pa.Array:
+    """A large_string column of ``n`` rows over int64 ``offsets`` and
+    ``data``, each row decoded as ``v.decode("utf-8", "replace")``
+    would: the buffers are used as they are, and only a batch that
+    fails UTF-8 validation is decoded row by row. ``utf8``: the data
+    is known to be strict UTF-8 (the record arena checked it as it
+    wrote it), so only the offsets are validated."""
+    arr = pa.Array.from_buffers(pa.large_string(), n, [None, offsets, data])
+    if utf8:
+        arr.validate()
+        return arr
     try:
         arr.validate(full=True)
     except pa.ArrowInvalid:
-        arr = pa.array([v.decode("utf-8", "replace") for v in values],
+        arr = pa.array([v.decode("utf-8", "replace") for v in
+                        arr.view(pa.large_binary()).to_pylist()],
                        pa.large_string())
     return arr
+
+
+def _utf8_column(values: list[bytes]) -> pa.Array:
+    """``values`` as a large_string column (``_large_utf8``): the
+    joined bytes become the column's data buffer."""
+    offs = np.zeros(len(values) + 1, np.int64)
+    np.cumsum([len(v) for v in values], out=offs[1:])
+    return _large_utf8(len(values), pa.py_buffer(offs),
+                       pa.py_buffer(b"".join(values)))
 
 
 _MAP_TYPE = pa.map_(pa.string(), pa.large_string())
@@ -162,11 +175,27 @@ def _row_chunks(vbounds: np.ndarray, tbounds: np.ndarray) -> list[int]:
             return bounds
 
 
+def _token_lists(parts: list) -> dict[str, Any]:
+    """The token columns from their row-boundary chunks: each part is
+    ``(rows, row_offsets, children)``, one int32 offsets buffer shared
+    by the chunk's four lists and each list's child array by name."""
+    cols: dict[str, list] = {}
+    for rows, row_offs, children in parts:
+        for name, child in children.items():
+            cols.setdefault(name, []).append(pa.Array.from_buffers(
+                pa.list_(child.type), rows, [None, row_offs],
+                children=[child]))
+    return {k: v[0] if len(v) == 1 else pa.chunked_array(v)
+            for k, v in cols.items()}
+
+
 def token_columns(tokens: list) -> dict[str, Any]:
     """The ``emit="full"`` token columns of a batch, one row per
     ``TokenList``, built from the lists' arena chunks: the batch's
     value bytes, lengths and positions are each joined once and become
-    Arrow buffers, with no per-token Python object.
+    Arrow buffers, with no per-token Python object. This is the
+    reference route; a batch with a record arena builds the same
+    columns in ``_arena_columns``.
 
     ``token_values`` is ``list<binary>``, ``token_positions``
     ``list<uint32>``, ``token_metas``/``token_contexts``
@@ -190,13 +219,13 @@ def token_columns(tokens: list) -> dict[str, Any]:
     voffs = np.zeros(len(lens) + 1, np.int64)
     np.cumsum(lens, out=voffs[1:])
 
-    cols: dict[str, list] = {}
+    parts = []
     bounds = _row_chunks(voffs[toffs], toffs)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         t0, t1 = int(toffs[r0]), int(toffs[r1])
         b0, b1 = int(voffs[t0]), int(voffs[t1])
-        row_offs = pa.py_buffer((toffs[r0:r1 + 1] - t0).astype(np.int32))
-        children = {
+        parts.append((r1 - r0, pa.py_buffer(
+            (toffs[r0:r1 + 1] - t0).astype(np.int32)), {
             "token_values": pa.Array.from_buffers(
                 pa.binary(), t1 - t0,
                 [None,
@@ -205,13 +234,128 @@ def token_columns(tokens: list) -> dict[str, Any]:
             "token_positions": pa.Array.from_buffers(
                 pa.uint32(), t1 - t0,
                 [None, positions.slice(4 * t0, 4 * (t1 - t0))]),
-            **{name: arr.slice(t0, t1 - t0) for name, arr in dicts.items()}}
-        for name, child in children.items():
-            cols.setdefault(name, []).append(pa.Array.from_buffers(
-                pa.list_(child.type), r1 - r0, [None, row_offs],
-                children=[child]))
-    return {k: v[0] if len(v) == 1 else pa.chunked_array(v)
-            for k, v in cols.items()}
+            **{name: arr.slice(t0, t1 - t0) for name, arr in dicts.items()}}))
+    return _token_lists(parts)
+
+
+def _arena_columns(arena, emit: str) -> dict[str, Any]:
+    """``title``, ``text`` and, by ``emit``, the map and token columns
+    of a batch's record arena: ``arena.finish()``'s buffers (layout in
+    the header of _native/swishtok.c) become the arrays' buffers as
+    they are. Only the dictionaries and the per-chunk slices are made
+    here."""
+    n, utf8, title, text, metanames, properties, tokens = arena.finish()
+    buf = pa.py_buffer
+    cols = {"title": _large_utf8(n, buf(title[0]), buf(title[1]), utf8[0]),
+            "text": _large_utf8(n, buf(text[0]), buf(text[1]), utf8[0])}
+    if emit in ("buffers", "full"):
+        for name, (entries, key_offs, keys, val_offs, vals), ok in (
+                ("metanames", metanames, utf8[0]),
+                ("properties", properties, utf8[1])):
+            m = len(key_offs) // 4 - 1
+            cols[name] = pa.MapArray.from_arrays(
+                pa.Array.from_buffers(pa.int32(), n + 1, [None, buf(entries)]),
+                pa.Array.from_buffers(pa.string(), m,
+                                      [None, buf(key_offs), buf(keys)]),
+                _large_utf8(m, buf(val_offs), buf(vals), ok), type=_MAP_TYPE)
+    if emit != "full":
+        return cols
+    chunks, values, ends, positions, rows, metas, contexts = tokens
+    values, ends, positions, rows = map(buf, (values, ends, positions, rows))
+    dicts = {name: pa.DictionaryArray.from_arrays(
+                 pa.Array.from_buffers(pa.int32(), len(idx) // 4,
+                                       [None, buf(idx)]),
+                 pa.array(labels, pa.string()))
+             for name, (idx, labels) in (("token_metas", metas),
+                                         ("token_contexts", contexts))}
+    parts = []
+    # chunk c's offsets start with its own leading 0: c slots in
+    for c, (r0, r1, t0, t1, b0, b1) in enumerate(chunks):
+        parts.append((r1 - r0, rows.slice(4 * (r0 + c), 4 * (r1 - r0 + 1)), {
+            "token_values": pa.Array.from_buffers(
+                pa.binary(), t1 - t0,
+                [None, ends.slice(4 * (t0 + c), 4 * (t1 - t0 + 1)),
+                 values.slice(b0, b1 - b0)]),
+            "token_positions": pa.Array.from_buffers(
+                pa.uint32(), t1 - t0,
+                [None, positions.slice(4 * t0, 4 * (t1 - t0))]),
+            **{name: arr.slice(t0, t1 - t0) for name, arr in dicts.items()}}))
+    cols.update(_token_lists(parts))
+    return cols
+
+
+_DOCINFO_FIELDS = [
+    ("url", pa.string()),
+    ("mime", pa.string()),
+    ("parser", pa.string()),
+    ("encoding", pa.string()),
+    ("ext", pa.string()),
+    ("size", pa.int64()),
+    ("nwords", pa.int32()),
+    ("error", pa.string()),
+]
+_TOKEN_COLUMNS = ("token_values", "token_positions", "token_metas",
+                  "token_contexts")
+
+
+def _extract_columns(ex: DocumentExtractor, batch: pa.Table, emit: str,
+                     cap: int, arena) -> dict[str, Any]:
+    """The output columns of ``ExtractPages`` for ``batch``, through the
+    record ``arena`` (a fresh ``swishtok.Arena``), or with None through
+    the reference route: per-row records joined by ``_utf8_column``,
+    ``_map_column`` and ``token_columns``."""
+    urls = batch.column("url").to_pylist()
+    htmls = _binary_views(batch.column("html"))
+    n = len(urls)
+    # optional per-row mime/parser overrides (the stdin-header
+    # path: Content-Type / Parser-Type, docinfo.c:123-199)
+    names = batch.column_names
+    mimes = (batch.column("mime").to_pylist() if "mime" in names
+             else [None] * n)
+    parsers = (batch.column("parser").to_pylist() if "parser" in names
+               else [None] * n)
+
+    cols: dict[str, list] = {k: [] for k, _ in _DOCINFO_FIELDS}
+    records = []
+    for i in range(n):
+        url = urls[i]
+        body = htmls[i] or b""
+        truncated = False
+        if len(body) > cap:
+            body = body[:cap]
+            truncated = True
+        rec = ex.extract(url, body, mime=mimes[i], parser=parsers[i],
+                         arena=arena)
+        di = rec.docinfo
+        cols["url"].append(url)
+        cols["mime"].append(di.mime)
+        cols["parser"].append(di.parser)
+        cols["encoding"].append(di.encoding)
+        cols["ext"].append(di.ext)
+        cols["size"].append(di.size)
+        cols["nwords"].append(di.nwords)
+        err = rec.error
+        if truncated:
+            err = f"truncated@{cap}" + (f";{err}" if err else "")
+        cols["error"].append(err)
+        if arena is None:
+            records.append(rec)
+
+    arrays: dict[str, Any] = {name: pa.array(cols[name], type=typ)
+                              for name, typ in _DOCINFO_FIELDS}
+    if arena is not None:
+        arrays.update(_arena_columns(arena, emit))
+        return arrays
+    arrays["title"] = _utf8_column(
+        [r.metanames.get(C.TITLE_METANAME, b"") for r in records])
+    arrays["text"] = _utf8_column(
+        [r.metanames.get(C.DEFAULT_METANAME, b"") for r in records])
+    if emit in ("buffers", "full"):
+        arrays["metanames"] = _map_column([r.metanames for r in records])
+        arrays["properties"] = _map_column([r.properties for r in records])
+    if emit == "full":
+        arrays.update(token_columns([r.tokens for r in records]))
+    return arrays
 
 
 class ExtractPages:
@@ -228,18 +372,17 @@ class ExtractPages:
     ``token_values: list<binary>``, ``token_positions: list<uint32>``,
     ``token_metas`` and ``token_contexts:
     list<dictionary<int32, string>>`` (built by ``token_columns``);
-    then ``keep_input_columns`` unchanged.
+    then ``keep_input_columns`` unchanged, none of which may have an
+    output column's name.
+
+    Each batch is extracted into one record arena (``_arena``,
+    swishtok's ``Arena``): every row goes once through
+    ``DocumentExtractor.extract``, which writes it into the arena, and
+    the arena's buffers become the output columns. Without the
+    checked arena, the records are joined into columns instead.
     """
 
-    OUTPUT_BASE_FIELDS = [
-        ("url", pa.string()),
-        ("mime", pa.string()),
-        ("parser", pa.string()),
-        ("encoding", pa.string()),
-        ("ext", pa.string()),
-        ("size", pa.int64()),
-        ("nwords", pa.int32()),
-        ("error", pa.string()),
+    OUTPUT_BASE_FIELDS = _DOCINFO_FIELDS + [
         ("title", pa.large_string()),
         ("text", pa.large_string()),
     ]
@@ -255,6 +398,16 @@ class ExtractPages:
         self.emit = emit
         self.max_doc_bytes = max_doc_bytes
         self.keep_input_columns = tuple(keep_input_columns)
+        out = [k for k, _ in self.OUTPUT_BASE_FIELDS]
+        if emit in ("buffers", "full"):
+            out += ["metanames", "properties"]
+        if emit == "full":
+            out += _TOKEN_COLUMNS
+        for k in self.keep_input_columns:
+            if k in out:
+                raise ValueError(
+                    f"keep_input_columns: {k!r} is an output column of "
+                    f"emit={emit!r}")
         # XInclude doc map: {resolved_uri: bytes}, a plain dict or a
         # ray.ObjectRef to one (broadcast with ray.put once — fetched
         # once per worker when the extractor is built, never
@@ -279,62 +432,11 @@ class ExtractPages:
         return self._ex
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ex = self._extractor()
-        urls = batch.column("url").to_pylist()
-        htmls = _binary_views(batch.column("html"))
-        n = len(urls)
-        # optional per-row mime/parser overrides (the stdin-header
-        # path: Content-Type / Parser-Type, docinfo.c:123-199)
-        names = batch.column_names
-        mimes = (batch.column("mime").to_pylist() if "mime" in names
-                 else [None] * n)
-        parsers = (batch.column("parser").to_pylist() if "parser" in names
-                   else [None] * n)
-
-        cols: dict[str, list] = {k: [] for k, _ in self.OUTPUT_BASE_FIELDS}
-        emit_buffers = self.emit in ("buffers", "full")
-        emit_tokens = self.emit == "full"
-        maps = {"metanames": [], "properties": []} if emit_buffers else {}
-        tokens = []
-
-        cap = self.max_doc_bytes
-        for i in range(n):
-            url = urls[i]
-            body = htmls[i] or b""
-            truncated = False
-            if len(body) > cap:
-                body = body[:cap]
-                truncated = True
-            rec = ex.extract(url, body, mime=mimes[i], parser=parsers[i])
-            di = rec.docinfo
-            cols["url"].append(url)
-            cols["mime"].append(di.mime)
-            cols["parser"].append(di.parser)
-            cols["encoding"].append(di.encoding)
-            cols["ext"].append(di.ext)
-            cols["size"].append(di.size)
-            cols["nwords"].append(di.nwords)
-            err = rec.error
-            if truncated:
-                err = f"truncated@{cap}" + (f";{err}" if err else "")
-            cols["error"].append(err)
-            cols["title"].append(rec.metanames.get(C.TITLE_METANAME, b""))
-            cols["text"].append(rec.metanames.get(C.DEFAULT_METANAME, b""))
-            if emit_buffers:
-                maps["metanames"].append(rec.metanames)
-                maps["properties"].append(rec.properties)
-            if emit_tokens:
-                tokens.append(rec.tokens)
-
-        arrays: dict[str, pa.Array] = {}
-        for name, typ in self.OUTPUT_BASE_FIELDS:
-            arrays[name] = (_utf8_column(cols[name])
-                            if typ == pa.large_string()
-                            else pa.array(cols[name], type=typ))
-        for name, rows in maps.items():
-            arrays[name] = _map_column(rows)
-        if emit_tokens:
-            arrays.update(token_columns(tokens))
+        # sized to the batch's bodies, the arena seldom grows
+        arena = (_arena.Arena(_MAX_INT32_OFFSET, batch.column("html").nbytes)
+                 if _arena is not None else None)
+        arrays = _extract_columns(self._extractor(), batch, self.emit,
+                                  self.max_doc_bytes, arena)
         for k in self.keep_input_columns:
             if k in batch.column_names:
                 arrays[k] = batch.column(k)
@@ -581,3 +683,42 @@ def dedup_by_url(extracted: "Any") -> "Any":
     pre = extracted.map_batches(keep_first, batch_format="pandas")
     return hash_exchange(pre, "url", keep_first,
                          4 * default_join_partitions())
+
+
+def _arena_selftest(tok) -> bool:
+    """``tok``'s record arena must give the reference route's
+    ``emit="full"`` table on a batch of every kind of row (HTML and XML
+    through the machine, one it declines, TXT, latin1, gzip, NUL,
+    empty and null), both whole and split into row chunks."""
+    import gzip
+
+    rows = [
+        b"<html><head><title>T t</title><meta name=keywords "
+        b"content='k w'></head><body><p>Hello <b>World</b></p></body>"
+        b"</html>",
+        b"<?xml version='1.0'?><doc><title>x</title><item>one two</item>"
+        b"</doc>",
+        "café plain".encode(), b"latin1 caf\xe9",
+        gzip.compress(b"<p>zipped words</p>"), b"<p>nul\x00row</p>", b"",
+        None, "<doc><él>y</él>z</doc>".encode(),
+        b"<p>" + b"Alpha beta <b>gamma</b> delta. " * 9 + b"</p>"]
+    exts = ["html", "xml", "txt", "txt", "html.gz", "html", "html", "html",
+            "xml", "html"]
+    batch = pa.table({
+        "url": [f"https://s.example/{i}.{e}" for i, e in enumerate(exts)],
+        "html": pa.array(rows, pa.binary())})
+    ex = DocumentExtractor(swish_encoding="ISO-8859-1")
+    want = pa.table(_extract_columns(ex, batch, "full", C.MAX_FILE_LEN,
+                                     None))
+    # 256: no row's tokens pass it, the batch's do
+    for limit in (_MAX_INT32_OFFSET, 256):
+        got = pa.table(_extract_columns(ex, batch, "full", C.MAX_FILE_LEN,
+                                        tok.Arena(limit)))
+        if not got.equals(want):
+            return False
+    return True
+
+
+# swishtok's checked build, when its record arena passed
+# _arena_selftest; None: batches take the reference route
+_arena = _native.checked(tokenizer._native, _arena_selftest)

@@ -15,10 +15,13 @@ Two paths run it, and this module alone picks one per document
     handlers inside the libxml2 parse and returns the finished buffers
     and the ordered buffer flushes; ``ExtractionState.apply``
     tokenizes the flushes (through the default tokenizer or a
-    ``tokenizer=`` hook alike) and takes the buffers. The Python
-    handlers below do not run for such a document. The machine is
-    used only when ``_machine_selftest`` passed on the checked swishsax
-    front-end (``_machine``, taken through ``_native.checked``).
+    ``tokenizer=`` hook alike) and takes the buffers. In a batch
+    (``ArenaRow``), the machine writes the buffers into the batch's
+    record arena instead, the flushes are tokenized into it the same
+    way, and no ExtractionState is built. The Python handlers below
+    do not run for such a document. The machine is used only when
+    ``_machine_selftest`` passed on the checked swishsax front-end
+    (``_machine``, taken through ``_native.checked``).
   * Otherwise, and for a document the machine declines,
     ``ExtractionState.replay`` consumes libxml's full event batch.
 
@@ -699,12 +702,60 @@ def concat_buffers(parent_nb: dict, child_nb: dict) -> None:
             pbuf += cbuf
 
 
-def _parse(body: bytes, state: ExtractionState, machine, html: bool,
-           native) -> int:
+class ArenaRow:
+    """A document the machine extracts straight into the open row of a
+    batch's record arena (``swishtok.Arena``), in place of an
+    ExtractionState: ``html_parse``/``xml_parse`` take it as their
+    ``state``. The flushes go through ``tokenize``, the extractor's
+    tokenizer hook or ``tokenize_into``, with the arena as the token
+    list; ``nwords`` is their sum once parsed."""
+
+    __slots__ = ("arena", "tokenize", "nwords")
+
+    def __init__(self, arena, tokenizer=None):
+        self.arena = arena
+        self.tokenize = tokenizer if tokenizer is not None else tokenize_into
+        self.nwords = 0
+
+
+def _fill_row(body, row: ArenaRow, machine, html: bool, native):
+    """Run ``machine`` over one document into ``row``'s arena: libxml's
+    rc, or None when the machine declines the document or the tokenizer
+    raises, with the row's writes dropped; the caller then replays the
+    document into an ExtractionState, as ``ExtractionState.apply``'s
+    caller does. Raises ParseAbort after the writes, as ``apply``
+    does."""
+    arena = row.arena
+    result = None
+    try:
+        result = (native.extract_html if html
+                  else native.extract_xml)(body, machine, arena)
+        if result is None:
+            return None
+        rc, error, flushes = result
+        tokenize = row.tokenize
+        n = 0
+        for data, meta, context in flushes:
+            n += tokenize(arena, data, meta, context)
+    except Exception:
+        arena.rollback()
+        if result is None:
+            raise  # the machine itself failed, not the tokenizer
+        return None
+    row.nwords = n
+    if error is not None:
+        raise ParseAbort(error)
+    return rc
+
+
+def _parse(body: bytes, state, machine, html: bool, native) -> int | None:
     """Extract one document into ``state``: through ``machine`` (built
     by ``native.compile``) when there is one and it finishes the
     document, else by replaying libxml's event batch. Returns libxml's
-    rc."""
+    rc. ``state`` may be an ArenaRow (see ``_fill_row``): then a
+    document the machine does not finish returns None."""
+    if state.__class__ is ArenaRow:
+        return _fill_row(body, state, machine, html, native)
     if machine is not None:
         result = (native.extract_html if html
                   else native.extract_xml)(body, machine)
@@ -716,14 +767,16 @@ def _parse(body: bytes, state: ExtractionState, machine, html: bool,
     return rc
 
 
-def html_parse(body: bytes, state: ExtractionState, machine) -> int:
-    """html_parser (parser.c:2537-2597) into ``state``; ``machine`` is
+def html_parse(body: bytes, state, machine) -> int | None:
+    """html_parser (parser.c:2537-2597) into ``state`` (an
+    ExtractionState, or with a ``machine`` an ArenaRow); ``machine`` is
     ``machine_for(config)``, or None for the event replay."""
     return _parse(body, state, machine, True, _machine)
 
 
-def xml_parse(body: bytes, state: ExtractionState, machine) -> int:
-    """xml_parser (parser.c:2450-2535) into ``state``; ``machine`` is
+def xml_parse(body: bytes, state, machine) -> int | None:
+    """xml_parser (parser.c:2450-2535) into ``state`` (an
+    ExtractionState, or with a ``machine`` an ArenaRow); ``machine`` is
     ``machine_for(config)``, or None for the event replay. Returns 0
     if well-formed, else the libxml2 errNo."""
     return _parse(body, state, machine, False, _machine)

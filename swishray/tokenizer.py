@@ -28,12 +28,14 @@ Reproduces src/libswish3/tokenizer.c:
 Storage follows swish_TokenList's arena (tokenizer.c:366-437): a
 ``TokenList`` keeps one chunk per flushed buffer, three flat buffers
 of token bytes, int32 lengths and uint32 positions, plus one
-``(meta, context, count)`` run, and no Python object per token.
+``(meta, context, count)`` run, and no Python object per token. In a
+batch, ``pipeline.ExtractPages`` passes swishtok's record arena in
+place of a TokenList, and ``tokenize_into`` scans into it in C.
 
-Two scanners fill it. The ``swishtok`` C extension returns a buffer's
-chunk in one call and is used whenever it builds, loads and matches
-the Python scanner on a sample (``_native_selftest``). The Python
-scanner is the validated reference-exact implementation: one
+Two scanners fill a TokenList. The ``swishtok`` C extension returns a
+buffer's chunk in one call and is used whenever it builds, loads and
+matches the Python scanner on a sample (``_native_selftest``). The
+Python scanner is the validated reference-exact implementation: one
 compiled-regex scan per buffer, with faithful per-char fallbacks only
 for tokens that need the quirky strip or exceed 256 bytes.
 """
@@ -104,8 +106,8 @@ class TokenList:
     positions (``value_chunks``/``len_chunks``/``pos_chunks``), plus
     one ``(meta, context, count)`` entry in ``runs`` (adjacent runs of
     the same pair merge). Nothing is kept per token as a Python object;
-    ``pipeline.ExtractPages`` joins a batch's chunks into its Arrow
-    token columns directly.
+    ``pipeline.token_columns`` joins a batch's chunks into its Arrow
+    token columns directly (the reference route of ``ExtractPages``).
 
     ``values``, ``positions``, ``metas``, ``contexts`` and ``offsets``
     are read-only list views of the same stream for the CLI, tests and
@@ -134,6 +136,7 @@ class TokenList:
             self.pos_chunks.append(positions)
             self._add_run(meta, context, n)
             self._n += n
+            self._offset += len(values) + n
         return n
 
     def _add_run(self, meta: str, context: str, n: int) -> None:
@@ -148,7 +151,6 @@ class TokenList:
         self.pos += 1
         self._append(value, _I32.pack(len(value)), _U32.pack(self.pos),
                      meta, context)
-        self._offset += len(value) + 1
 
     def extend(self, other: "TokenList") -> None:
         """Append ``other``'s tokens with fresh consecutive positions
@@ -363,10 +365,13 @@ _RUN_RE = re.compile(f"[{_WORD_CLASS}]+")
 def tokenize_into(tl: TokenList, data: bytes, meta: str, context: str) -> int:
     """Tokenize one flushed buffer into ``tl`` as one arena chunk;
     returns the tokens added (the nwords contribution,
-    parser.c:2761-2788)."""
+    parser.c:2761-2788). ``tl`` may also be a batch's record arena
+    (``swishtok.Arena``, see ``pipeline.ExtractPages``), which the C
+    scanner fills in place: the tokens join its open row."""
+    if tl.__class__ is not TokenList:
+        return tl.tokenize(data, meta, context)
     if _native is not None:
-        vals, lens, poss, tl.pos, tl._offset = _native.tokenize(
-            data, tl.pos, tl._offset)
+        vals, lens, poss, tl.pos = _native.tokenize(data, tl.pos)
         return tl._append(vals, lens, poss, meta, context)
     return _tokenize_into_py(tl, data, meta, context)
 
@@ -443,7 +448,6 @@ def _tokenize_into_py(tl: TokenList, data: bytes, meta: str,
             pos += 1  # the bumper byte this segment boundary represents
     lens = np.fromiter(map(len, values), np.int32, len(values))
     tl.pos = pos
-    tl._offset += int(lens.sum()) + len(values)
     return tl._append(b"".join(values), lens.tobytes(),
                       np.array(positions, np.uint32).tobytes(), meta,
                       context)
@@ -484,9 +488,9 @@ def _native_selftest(native) -> bool:
     for s in samples:
         tl = TokenList()
         _tokenize_into_py(tl, s, "m", "c")
-        got = native.tokenize(s, 0, 0)
+        got = native.tokenize(s, 0)
         want = (b"".join(tl.value_chunks), b"".join(tl.len_chunks),
-                b"".join(tl.pos_chunks), tl.pos, tl._offset)
+                b"".join(tl.pos_chunks), tl.pos)
         if got != want:
             return False
     return True

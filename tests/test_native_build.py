@@ -84,9 +84,10 @@ def test_checked_raising_check_gives_none():
     assert _native.checked(object(), boom) is None
 
 
-# (extension, module, handle) for each of the nine gates
+# (extension, module, handle) for each of the ten gates
 GATES = [
     ("swishtok", "swishray.tokenizer", "_native"),
+    ("swishtok", "swishray.pipeline", "_arena"),
     ("swishsax", "swishray.libxml", "_sax_native"),
     ("swishsax", "swishray.sax", "_machine"),
     ("swishpng", "swishray.ops.codecs", "_native_png"),

@@ -11,6 +11,9 @@ bumper bytes — far beyond the curated corpora. Two comparisons:
     swishsax's C extraction machine and through the full event stream
     with the Python replay, under each of MACHINE_CONFIGS; the records
     must be equal in every field.
+  * arena vs record (when swishtok's record arena is built): the same
+    documents, in batches of BATCH, through ``ExtractPages``' record
+    arena; every output row must equal its document's record.
   * engine vs reference (when the reference's golden_dump is built,
     tools/build_reference.sh): the default-config record must equal
     the reference's.
@@ -33,6 +36,9 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
+import pyarrow as pa  # noqa: E402
+
+from swishray import constants as C, pipeline  # noqa: E402
 from swishray.config import Config  # noqa: E402
 from swishray.extractor import DocumentExtractor  # noqa: E402
 
@@ -226,6 +232,63 @@ def machine_mismatches(n: int, seed: int) -> list[str]:
     return out
 
 
+BATCH = 64
+
+
+def _row_of(rec) -> dict:
+    """A per-document record as the output row ``ExtractPages(emit=
+    "full")`` gives for it."""
+    def text(v: bytes) -> str:
+        return v.decode("utf-8", "replace")
+    di = rec.docinfo
+    return {
+        "mime": di.mime, "parser": di.parser, "encoding": di.encoding,
+        "ext": di.ext, "size": di.size, "nwords": di.nwords,
+        "error": rec.error,
+        "title": text(rec.metanames.get(C.TITLE_METANAME, b"")),
+        "text": text(rec.metanames.get(C.DEFAULT_METANAME, b"")),
+        "metanames": [(k, text(v)) for k, v in rec.metanames.items()],
+        "properties": [(k, text(v)) for k, v in rec.properties.items()],
+        "token_values": rec.token_values,
+        "token_positions": rec.token_positions,
+        "token_metas": rec.token_metas,
+        "token_contexts": rec.token_contexts}
+
+
+def arena_mismatches(n: int, seed: int) -> list[str]:
+    """Extract ``n`` seeded documents, ``BATCH`` at a time, through the
+    record arena under each of MACHINE_CONFIGS, and compare each output
+    row with the document's own record; one line per differing row.
+    Empty when the arena is not built."""
+    if pipeline._arena is None:
+        return []
+    out = []
+    for ci, xml in enumerate(MACHINE_CONFIGS):
+        cfg = Config.default()
+        if xml:
+            cfg.add(xml)
+        ex = DocumentExtractor(cfg)
+        rng = random.Random(seed)
+        docs = []
+        for i in range(n):
+            body, suffix = gen_doc(rng)
+            docs.append((f"https://fuzz.example/doc{i:05d}{suffix}", body))
+        for b0 in range(0, n, BATCH):
+            part = docs[b0:b0 + BATCH]
+            batch = pa.table({"url": [u for u, _ in part],
+                              "html": pa.array([b for _, b in part],
+                                               pa.binary())})
+            got = pa.table(pipeline._extract_columns(
+                ex, batch, "full", C.MAX_FILE_LEN,
+                pipeline._arena.Arena(pipeline._MAX_INT32_OFFSET))).to_pylist()
+            for i, (row, (uri, body)) in enumerate(zip(got, part)):
+                want = _row_of(ex.extract(uri, body))
+                diff = sorted(k for k in want if row[k] != want[k])
+                if diff:
+                    out.append(f"config {ci} doc{b0 + i} ({uri}): {diff}")
+    return out
+
+
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 400
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1234
@@ -235,6 +298,15 @@ def main():
         print(f"MACHINE MISMATCH {line}")
     print(f"machine vs replay: {n} docs x {len(MACHINE_CONFIGS)} configs, "
           f"{fails} mismatches")
+    if pipeline._arena is None:
+        print("no record arena: arena comparison skipped")
+    else:
+        arena_fails = arena_mismatches(n, seed)
+        for line in arena_fails:
+            print(f"ARENA MISMATCH {line}")
+        fails += len(arena_fails)
+        print(f"arena vs record: {n} docs x {len(MACHINE_CONFIGS)} configs, "
+              f"{len(arena_fails)} mismatches")
     if not os.path.exists(GOLDEN_DUMP):
         print(f"no {GOLDEN_DUMP}: reference comparison skipped")
         sys.exit(1 if fails else 0)
