@@ -817,7 +817,11 @@ def main(argv=None) -> int:
                     choices=["text", "buffers", "full"])
     pe.add_argument("--config", action="append")
     pe.add_argument("--num-cpus", type=int, default=8)
-    pe.add_argument("--batch-size", type=int, default=64)
+    pe.add_argument("--batch-size", type=int, default=64,
+                    help="rows per extraction task when the input's size "
+                         "is unknown before the stage runs; otherwise "
+                         "tasks are sized from its rows and bytes and "
+                         "the session's CPUs (util.task_rows)")
     pe.add_argument("--num-buckets", type=int, default=64)
     pe.add_argument("--no-resume", action="store_true")
     pe.add_argument("--tiered", action="store_true",
@@ -899,7 +903,11 @@ def main(argv=None) -> int:
     pp2.add_argument("--out", required=True)
     pp2.add_argument("--num-cpus", type=int, default=8)
     pp2.add_argument("--num-buckets", type=int, default=None)
-    pp2.add_argument("--batch-size", type=int, default=64)
+    pp2.add_argument("--batch-size", type=int, default=64,
+                     help="rows per extraction task when the input's size "
+                          "is unknown before the stage runs; otherwise "
+                          "tasks are sized from its rows and bytes and "
+                          "the session's CPUs (util.task_rows)")
     pp2.add_argument("--tiered", action="store_true",
                      help="content-sniff cascade (pdf/html/txt/gzip) "
                           "instead of assuming markup")
@@ -966,7 +974,10 @@ def main(argv=None) -> int:
                     help="RFC 3986 canonicalization of resolved urls")
     pk.add_argument("--iters", type=int, default=10)
     pk.add_argument("--num-cpus", type=int, default=8)
-    pk.add_argument("--batch-size", type=int, default=64)
+    pk.add_argument("--batch-size", type=int, default=64,
+                    help="rows per extract_links task (a constant; only "
+                         "extract and pipeline size their extraction "
+                         "tasks from the input)")
     pk.add_argument("--num-buckets", type=int, default=64)
     pk.set_defaults(fn=cmd_links)
 

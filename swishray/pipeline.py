@@ -3,7 +3,7 @@
 Flagship graph (SURVEY.md §7.2):
 
     pages = ray.data.read_parquet(path)     # url, warc_ts, html, text, lang
-    extract_pages(pages, batch_size=B)      # ExtractPages, one warm
+    extract_pages(pages)                    # ExtractPages, one warm
                                             #   libxml2 + config +
                                             #   tokenizer per worker
       .write_parquet(out)                   # or downstream aggregates
@@ -13,6 +13,11 @@ Scale design notes (SURVEY.md §4):
     util.map_batches_stateful; config/libxml2/chartables are built
     once per worker process and reused by every later batch
     (swish_3 equivalent)
+  * tasks are sized at run time (util.task_rows): from the input's
+    rows and bytes as Ray knows them before the stage runs, one task
+    per CPU, or more when a task would read over util.TASK_BYTES;
+    each task is about one ExtractPages call. batch_size is the rows
+    per task only when Ray does not know the input's size
   * batches are Arrow in / Arrow out; the per-document parse is
     necessarily row-oriented (SAX), but each row's tokens, text and
     named buffers are written once, in C, into the batch's record
@@ -451,8 +456,17 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
                   xinclude_docs=None) -> "Any":
     """The flagship stage: Dataset of pages -> Dataset of extraction
     records. Tasks with warm per-worker parser state
-    (``util.map_batches_stateful``); small batch_size because rows are
-    whole web pages (memory-aware batching, SURVEY.md §4).
+    (``util.map_batches_stateful``), each about one ``ExtractPages``
+    call.
+
+    Rows per task come from ``util.task_rows``: when Ray knows the
+    input's rows and bytes before the stage runs (a materialized or
+    ``from_arrow`` dataset, ``read_parquet``), ``cpus * ceil(bytes /
+    (util.TASK_BYTES * cpus))`` tasks, never more than rows, so every
+    CPU gets work and a task's output stays under Ray's block size.
+    ``batch_size`` is the rows per task only when the size is unknown
+    (after a lazy ``map_batches``). Output rows and values do not
+    depend on the task size.
 
     ``emit`` picks the output schema (``ExtractPages``): ``"text"``
     gives the docinfo fields, ``title`` and ``text``; ``"buffers"``
@@ -460,7 +474,7 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
     token stream, ``token_values: list<binary>``, ``token_positions:
     list<uint32>``, ``token_metas``/``token_contexts:
     list<dictionary<int32, string>>``."""
-    from .util import map_batches_stateful
+    from .util import map_batches_stateful, task_rows
     fn_kwargs = dict(config_xml=config_xml, swish_encoding=swish_encoding,
                      emit=emit, keep_input_columns=keep_input_columns,
                      xinclude_docs=xinclude_docs)
@@ -468,7 +482,7 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
         ds, ExtractPages,
         fn_constructor_kwargs=fn_kwargs,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=task_rows(ds, batch_size),
         zero_copy_batch=True,
     )
 

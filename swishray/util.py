@@ -46,8 +46,6 @@ def map_batches_stateful(ds, cls, fn_constructor_kwargs=None, **mb_kwargs):
     files which can change between calls takes a kwarg that changes
     with them (``increment.dedup_against_store`` passes the store's
     metadata, generation included)."""
-    import functools
-
     kwargs = dict(fn_constructor_kwargs or {})
     # cache key: deterministic digest of the constructor kwargs,
     # computed ONCE on the driver (kwargs values may be unhashable —
@@ -60,8 +58,47 @@ def map_batches_stateful(ds, cls, fn_constructor_kwargs=None, **mb_kwargs):
         from ray import cloudpickle
         blob = cloudpickle.dumps(tuple(sorted(kwargs.items())))
     key = hashlib.md5(blob).hexdigest()
-    fn = functools.partial(_cached_call, _cls=cls, _kwargs=kwargs, _key=key)
-    return ds.map_batches(fn, **mb_kwargs)
+
+    def stage(batch):
+        return _cached_call(batch, cls, kwargs, key)
+    # Ray names the stage after its function: MapBatches(ExtractPages)
+    # in stats, task names and tracebacks
+    stage.__name__ = cls.__name__
+    return ds.map_batches(stage, **mb_kwargs)
+
+
+# input bytes per task of a whole-page stage: a text-heavy
+# emit="full" extraction writes about 7x its input, and this keeps
+# that at half of Ray's 128 MiB target_max_block_size, past which the
+# output buffer cuts the task's block into copied slices (16 MiB ran
+# no faster on 10x the benchmark corpora at 1, 2 and 4 CPUs)
+TASK_BYTES = 8 << 20
+
+
+def rows_per_task(rows: int, nbytes: int, cpus: int) -> int:
+    """The task-size rule: ``cpus * ceil(nbytes / (TASK_BYTES * cpus))``
+    tasks, so every CPU gets work and no task reads much more than
+    ``TASK_BYTES``, but never more tasks than rows."""
+    cpus = max(1, cpus)
+    per_cpu = max(1, -(-nbytes // (TASK_BYTES * cpus)))
+    tasks = max(1, min(rows, cpus * per_cpu))
+    return max(1, -(-rows // tasks))
+
+
+def task_rows(ds, batch_size: int) -> int:
+    """Rows per task for a stage that takes whole pages, to pass as its
+    ``map_batches(batch_size=...)``. Ray bundles whole blocks into a
+    task until it holds that many rows, so a task makes one call, or
+    two when its last block overshoots.
+    Sized by :func:`rows_per_task` from the rows and bytes Ray knows
+    before the stage runs (the plan's metadata; ``count()`` and
+    ``size_bytes()`` would run it) and the session's CPUs. When Ray
+    does not know them (after a lazy ``map_batches``), ``batch_size``
+    rows per task."""
+    meta = ds._logical_plan.dag.infer_metadata()
+    if not meta.num_rows or meta.size_bytes is None:
+        return batch_size
+    return rows_per_task(meta.num_rows, meta.size_bytes, _session_cpus())
 
 
 def row_columns(values, fn, fields, failure=()) -> dict:
