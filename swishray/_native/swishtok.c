@@ -27,12 +27,15 @@
  *
  * One batch's extraction records in Arrow layout, written once. Rows
  * are written one at a time into the open row, which ``commit()`` ends
- * and ``rollback()`` drops. Into the open row:
+ * and ``rollback()`` drops. Every token of a row is written here as it
+ * is made: the arena is the row's token list, whether the extraction
+ * machine's flushes or an ExtractionState fill it, so nothing copies a
+ * finished token stream in. Into the open row:
  *   tokenize(data, meta, context) -> n   a flush, scanned as tokenize()
  *                                        scans it (positions from the
  *                                        row's ``pos``)
- *   add(value, meta, context)            one token (TokenList.add)
- *   add_tokens(values, lens, positions, runs)  a TokenList's stream
+ *   add(value, meta, context)            one token at ++pos
+ *                                        (TokenList.add)
  *   add_buffers(metanames, properties)   a record's {str: bytes} dicts
  * and, from C, through the capsule ``Arena._api`` (struct ArenaAPI),
  * put(arena, which, key, p, n): one metaname (which 0) or property
@@ -955,71 +958,6 @@ arena_add(Arena *a, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-arena_add_tokens(Arena *a, PyObject *args)
-{
-    Py_buffer v, l, p;
-    PyObject *runs, *res = NULL;
-    Py_ssize_t n, total = 0;
-    Out o;
-    if (!PyArg_ParseTuple(args, "y*y*y*O!", &v, &l, &p, &PyList_Type,
-                          &runs))
-        return NULL;
-    n = l.len / 4;
-    if (arena_open(a) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < n; i++)
-        total += ((const int32_t *)l.buf)[i];
-    if (l.len != 4 * n || p.len != 4 * n || total != v.len) {
-        PyErr_SetString(PyExc_ValueError, "add_tokens: lengths disagree");
-        goto done;
-    }
-    total = 0;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(runs); i++) {
-        PyObject *r = PyList_GET_ITEM(runs, i);
-        if (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 3
-            || !PyUnicode_Check(PyTuple_GET_ITEM(r, 0))
-            || !PyUnicode_Check(PyTuple_GET_ITEM(r, 1))) {
-            PyErr_SetString(PyExc_TypeError,
-                            "add_tokens: runs are (meta, context, count)");
-            goto done;
-        }
-        total += PyLong_AsSsize_t(PyTuple_GET_ITEM(r, 2));
-    }
-    if (PyErr_Occurred())
-        goto done;
-    if (total != n) {
-        PyErr_SetString(PyExc_ValueError, "add_tokens: runs disagree");
-        goto done;
-    }
-    out_init(&o, a);
-    if (mem_reserve(o.values, v.len) < 0 || mem_reserve(o.ends, 4 * n) < 0
-        || mem_put(o.positions, p.buf, p.len) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        o.values->len += ((const int32_t *)l.buf)[i];
-        MEM_I32(o.ends)[o.ends->len / 4 + i] =
-            (int32_t)(uint32_t)(o.values->len - o.base);
-    }
-    memcpy(o.values->p + o.values->len - v.len, v.buf, v.len);
-    o.ends->len += 4 * n;
-    a->ntok += n;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(runs); i++) {
-        PyObject *r = PyList_GET_ITEM(runs, i);
-        Py_ssize_t k = PyLong_AsSsize_t(PyTuple_GET_ITEM(r, 2));
-        if (k && add_run(a, PyTuple_GET_ITEM(r, 0), PyTuple_GET_ITEM(r, 1),
-                         k) < 0)
-            goto done;
-    }
-    res = Py_None;
-    Py_INCREF(res);
-done:
-    PyBuffer_Release(&v);
-    PyBuffer_Release(&l);
-    PyBuffer_Release(&p);
-    return res;
-}
-
 /* strict UTF-8, as Python's decoder and Arrow's validation read it
  * (no overlongs, surrogates or code points past U+10FFFF); ASCII is
  * taken eight bytes at a time */
@@ -1296,9 +1234,6 @@ static PyMethodDef arena_methods[] = {
     {"add", (PyCFunction)arena_add, METH_VARARGS,
      "add(value, meta, context): one token into the open row "
      "(TokenList.add)"},
-    {"add_tokens", (PyCFunction)arena_add_tokens, METH_VARARGS,
-     "add_tokens(values, lens, positions, runs): a TokenList's stream "
-     "into the open row"},
     {"add_buffers", (PyCFunction)arena_add_buffers, METH_VARARGS,
      "add_buffers(metanames, properties): a record's {str: bytes} "
      "buffers into the open row"},

@@ -27,18 +27,7 @@ from dataclasses import dataclass, field
 
 from . import constants as C
 from ._mime_data import EXT_TO_MIME
-from .text import glibc_lower
-
-
-def string_to_boolean(val: str | None) -> bool:
-    """string.c:82-107 — note 'true'/'t' are NOT accepted (fall through
-    to false); only y/Y/1/on/ON are true."""
-    if not val:
-        return False
-    c0 = val[0]
-    if c0 in "Yy1" or val[:2] in ("on", "ON"):
-        return True
-    return False
+from .text import glibc_lower, string_to_boolean
 
 
 @dataclass

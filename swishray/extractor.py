@@ -165,125 +165,116 @@ class DocumentExtractor:
         no-op; NUL-carrying rows arrive as bytes (see
         pipeline._binary_views).
 
-        With ``arena``, a batch's record arena (``swishtok.Arena``, see
-        ``pipeline.ExtractPages``), the record's buffers and tokens are
-        written into the arena's open row, which is then committed, and
-        the returned record carries only ``docinfo`` and ``error``. A
-        row ``_into_arena`` takes goes through the machine straight into
-        the arena; every other row is extracted as without an arena and
-        then added to it."""
+        The body is prepared once (``_prelude``), then takes one of two
+        routes. With ``arena``, a batch's record arena
+        (``swishtok.Arena``, see ``pipeline.ExtractPages``), an HTML or
+        XML row the machine finishes goes straight into the arena's
+        open row (``sax.ArenaRow``). Every other row goes through an
+        ExtractionState whose token list is the arena, and ``_finish``
+        adds its buffers; a row the machine declined replays there, so
+        the machine runs at most once per row. The row is then
+        committed, and the returned record carries only ``docinfo`` and
+        ``error``. A stemmer rewrites a finished token list, which an
+        arena cannot take back, so ``arena`` with a stemmer raises
+        ValueError."""
+        if arena is not None and self.stemmer is not None:
+            raise ValueError("extract: a stemmer cannot write into an arena")
         di = resolve_docinfo(self.config, uri, len(body), mime, parser)
-        if arena is None:
-            return self._record(uri, body, di)
         rec = ExtractionRecord(docinfo=di)
-        if self._into_arena(body, di, arena, rec):
-            arena.commit()
-            return rec
-        rec = self._record(uri, body, di)
-        tl = rec.tokens
-        arena.add_buffers(rec.metanames, rec.properties)
-        arena.add_tokens(b"".join(tl.value_chunks), b"".join(tl.len_chunks),
-                         b"".join(tl.pos_chunks), tl.runs)
-        arena.commit()
-        return ExtractionRecord(docinfo=di, error=rec.error)
-
-    def _record(self, uri: str, body: bytes | memoryview,
-                di: DocInfo) -> ExtractionRecord:
-        """``extract`` without an arena: one record through an
-        ExtractionState."""
-        cfg = self.config
-        state = ExtractionState(cfg, uri=uri, tokenizer=self.tokenizer)
-        if self.xinclude_resolver is not None and cfg.follow_xinclude:
-            state.xinclude_cb = self._xinclude_cb(state, 0)
-        rec = ExtractionRecord(docinfo=di)
-
         try:
-            self._docparse(body, state, di)
+            body = self._prelude(body, di)
         except ParseAbort as e:
             rec.error = str(e)
-        except Exception as e:  # defensive: never kill the batch
-            rec.error = f"{type(e).__name__}: {e}"
-
-        self._finish(rec, state)
+        machine = self.machine
+        if (arena is not None and rec.error is None and machine is not None
+                and di.parser[:1].upper() in ("H", "X")
+                and not self.config.enforce_property_max):
+            row = ArenaRow(arena, self.tokenizer)
+            if self._parse_row(body, row, di, machine, rec) is not None:
+                di.nwords = row.nwords
+                arena.commit()
+                return rec
+            machine = None  # the machine declined the row: replay it
+        state = ExtractionState(self.config, uri=uri,
+                                tokenizer=self.tokenizer)
+        if arena is not None:
+            state.token_list = arena
+        if self.xinclude_resolver is not None and self.config.follow_xinclude:
+            state.xinclude_cb = self._xinclude_cb(state, 0)
+        if rec.error is None:
+            self._parse_row(body, state, di, machine, rec)
+        self._finish(rec, state, arena)
         return rec
 
-    def _into_arena(self, body: bytes | memoryview, di: DocInfo, arena,
-                    rec: ExtractionRecord) -> bool:
-        """Extract a plain HTML or XML row (not gzipped, NUL-free, not
-        empty; no stemmer or property cap) through the machine straight
-        into ``arena``'s open row: no ExtractionState is built. False,
-        with nothing of the row in the arena, when the row is not one
-        of those or the machine does not finish it."""
-        p0 = di.parser[:1].upper()
-        if (self.machine is None or p0 not in ("H", "X") or di.is_gzipped
-                or not body or self.stemmer is not None
-                or self.config.enforce_property_max
-                or (not isinstance(body, memoryview) and b"\x00" in body)):
-            return False
-        row = ArenaRow(arena, self.tokenizer)
+    def _parse_row(self, body: bytes | memoryview, state, di: DocInfo,
+                   machine, rec: ExtractionRecord) -> int | None:
+        """``_dispatch`` for one row, its failure recorded in
+        ``rec.error``. None, with nothing of the row in the arena, when
+        ``state`` is an ArenaRow (the machine route) whose document the
+        machine declines or whose tokenizer hook raises."""
         try:
-            if p0 == "H":
-                rc = html_parse(body, row, self.machine)
-            else:
-                rc = xml_parse(body, row, self.machine)
-            if rc is None:
-                return False
+            return self._dispatch(body, state, di, machine)
         except ParseAbort as e:
             rec.error = str(e)
         except Exception as e:  # defensive: never kill the batch
             rec.error = f"{type(e).__name__}: {e}"
-        # html_parser's docinfo encoding is the env default; the XML
-        # parser's is the declaration's (see _docparse)
-        enc = None if p0 == "H" else self._xml_declared_encoding(body)
-        di.encoding = enc if enc else self.swish_encoding
-        di.nwords = row.nwords
-        return True
+        return 0
 
-    def _docparse(self, body: bytes, state: ExtractionState,
-                  di: DocInfo) -> None:
-        """docparser (parser.c:2450-2535): gunzip, NUL scrub, dispatch
-        to the HTML/XML/TXT parser. Shared by extract() and XInclude
-        child parses; raises ParseAbort on unparseable input."""
+    def _prelude(self, body: bytes | memoryview,
+                 di: DocInfo) -> bytes | memoryview:
+        """docparser's prelude (parser.c:2450-2535): gunzip, NUL scrub,
+        the post-gunzip size reset and the empty check. Returns the
+        body every route parses; raises ParseAbort on a body that
+        cannot be gunzipped or is empty."""
         if di.is_gzipped:
             try:
                 body = _gzip.decompress(body)
             except Exception as e:
                 raise ParseAbort(f"gzip: {e}") from e
+            di.size = len(body)  # docparser resets size post-gunzip
         # io.c no_nulls: NUL and \x03 -> newline (only when a NUL
         # exists, matching the reference's guard). A memoryview body
         # is NUL-free by the zero-copy contract (extract docstring)
         # so the scrub is the same no-op it would be on the bytes.
+        # The scrub keeps the length, and leaves nothing for the
+        # reference's NUL cut before the HTML parse to cut.
         if isinstance(body, (bytes, bytearray)):
             body = scrub_nulls(body)
-        if di.is_gzipped:
-            di.size = len(body)  # docparser resets size post-gunzip
-
         if not body:
             # docparser: empty doc -> warn, no parse, empty record
             raise ParseAbort("empty-document")
+        return body
 
+    def _docparse(self, body: bytes, state: ExtractionState,
+                  di: DocInfo) -> None:
+        """docparser (parser.c:2450-2535): the prelude, then dispatch to
+        the HTML/XML/TXT parser. XInclude children parse through it;
+        raises ParseAbort on unparseable input."""
+        self._dispatch(self._prelude(body, di), state, di, self.machine)
+
+    def _dispatch(self, body: bytes | memoryview, state, di: DocInfo,
+                  machine) -> int | None:
+        """Parse a prepared body into ``state`` (an ExtractionState, or
+        on the machine route an ArenaRow) with the parser ``di`` names;
+        ``machine`` is ``self.machine``, or None for the event replay.
+        Returns ``html_parse``/``xml_parse``'s rc (0 for TXT)."""
         p0 = di.parser[:1].upper()
         if p0 == "H":
-            state.is_html = True
             # html_parser (parser.c:2537-2597): docinfo encoding is
             # the env default — libxml2 does its own charset
             # switching internally
             di.encoding = self.swish_encoding
-            # post-scrub bytes and contract-clean views are both
-            # NUL-free, so the reference's NUL cut is a no-op split
-            body_h = (body.split(b"\x00")[0]
-                      if isinstance(body, (bytes, bytearray)) else body)
-            html_parse(body_h, state, self.machine)
-        elif p0 == "X":
-            xml_parse(body, state, self.machine)
+            return html_parse(body, state, machine)
+        if p0 == "X":
+            rc = xml_parse(body, state, machine)
             enc = self._xml_declared_encoding(body)
             di.encoding = enc if enc else self.swish_encoding
-        elif p0 == "T":
+            return rc
+        if p0 == "T":
             self._txt_parse(body, state, di)
-        else:
-            raise ParseAbort(
-                f"no parser known for MIME '{di.mime}' "
-                f"parser '{di.parser}'")
+            return 0
+        raise ParseAbort(
+            f"no parser known for MIME '{di.mime}' parser '{di.parser}'")
 
     # -- XInclude (process_xinclude / xinclude_handler) ------------------
 
@@ -346,8 +337,11 @@ class DocumentExtractor:
             pass
 
         # xinclude_handler: child tokens append with fresh consecutive
-        # parent positions (swish_token_list_add_token ++pos)
-        parent.token_list.extend(child.token_list)
+        # parent positions (swish_token_list_add_token ++pos), into the
+        # parent's TokenList or the batch arena alike
+        sink, tl = parent.token_list, child.token_list
+        for value, meta, context in zip(tl.values, tl.metas, tl.contexts):
+            sink.add(value, meta, context)
         parent.nwords += child.nwords
         concat_buffers(parent.metanames, child.metanames)
         concat_buffers(parent.properties, child.properties)
@@ -382,8 +376,8 @@ class DocumentExtractor:
         state.buffer_characters(di.uri.encode("utf-8"))
         state.flush_buffer(C.TITLE_METANAME, C.TITLE_METANAME)
 
-    def _finish(self, rec: ExtractionRecord,
-                state: ExtractionState) -> None:
+    def _finish(self, rec: ExtractionRecord, state: ExtractionState,
+                arena=None) -> None:
         rec.docinfo.nwords = state.nwords
         rec.metanames = {k: bytes(v) for k, v in state.metanames.items()}
         rec.properties = {k: bytes(v) for k, v in state.properties.items()}
@@ -403,13 +397,20 @@ class DocumentExtractor:
                                 txt[:prop.max].encode("utf-8")
                     except UnicodeDecodeError:
                         rec.properties[name] = val[:prop.max]
-        tl = state.token_list
-        if self.stemmer is not None and len(tl):
-            try:
-                tl.map_values(self.stemmer)
-            except Exception as e:  # extract() never raises per-row
-                if rec.error is None:
-                    rec.error = f"stemmer: {type(e).__name__}: {e}"
-        rec.tokens = tl
+        if arena is not None:
+            # the arena holds the row's tokens already: the buffers
+            # join them there, not in the returned record
+            arena.add_buffers(rec.metanames, rec.properties)
+            arena.commit()
+            rec.metanames, rec.properties = {}, {}
+        else:
+            tl = state.token_list
+            if self.stemmer is not None and len(tl):
+                try:
+                    tl.map_values(self.stemmer)
+                except Exception as e:  # extract() never raises per-row
+                    if rec.error is None:
+                        rec.error = f"stemmer: {type(e).__name__}: {e}"
+            rec.tokens = tl
         if rec.error is None and state.parse_error is not None:
             rec.error = state.parse_error

@@ -29,15 +29,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
-
-def _mat(batch_col) -> np.ndarray:
-    return np.asarray(batch_col.to_pylist(), dtype=np.float64)
-
-
-def _unit(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return m / n
+from .similarity import _mat, _norm
 
 
 def _bootstrap(ds: Any, k: int, seed: int, col: str,
@@ -66,7 +58,7 @@ def _bootstrap(ds: Any, k: int, seed: int, col: str,
     if sm.size == 0:  # empty corpus: no vectors to seed from
         return np.zeros((0, 0), dtype=np.float64)
     if normalize:
-        sm = _unit(sm)
+        sm = _norm(sm)
     rng = np.random.RandomState(seed)
     return sm[rng.choice(len(sm), size=min(k, len(sm)),
                          replace=False)].copy()
@@ -97,7 +89,7 @@ def kmeans(ds: Any, col: str = "embedding", key: str = "vec_id",
         def partial(batch: pa.Table, _ref=cent_ref) -> pa.Table:
             c = ray.get(_ref)
             m = _mat(batch.column(col))
-            mm = _unit(m) if normalize else m
+            mm = _norm(m) if normalize else m
             if normalize:
                 a = np.argmax(mm @ c.T, axis=1)
             else:
@@ -134,7 +126,7 @@ def kmeans(ds: Any, col: str = "embedding", key: str = "vec_id",
         nonempty = counts > 0
         new[nonempty] = sums[nonempty] / counts[nonempty, None]
         if normalize:
-            new[nonempty] = _unit(new[nonempty])
+            new[nonempty] = _norm(new[nonempty])
         cent = new
 
     return cent
@@ -151,7 +143,7 @@ def assign_clusters(ds: Any, centroids: np.ndarray,
     def f(batch: pa.Table) -> pa.Table:
         c = ray.get(ref)
         m = _mat(batch.column(col))
-        mm = _unit(m) if normalize else m
+        mm = _norm(m) if normalize else m
         if normalize:
             a = np.argmax(mm @ c.T, axis=1)
         else:
@@ -200,7 +192,7 @@ def semdedup(ds: Any, col: str = "embedding", key: str = "vec_id",
     # the ONE cluster-keyed shuffle — no join needed
     def assign_with_vec(batch: pa.Table) -> pa.Table:
         c = ray.get(ref)
-        mm = _unit(_mat(batch.column(col)))
+        mm = _norm(_mat(batch.column(col)))
         a = np.argmax(mm @ c.T, axis=1)
         return pa.table({key: batch.column(key),
                          col: batch.column(col),
@@ -216,7 +208,7 @@ def semdedup(ds: Any, col: str = "embedding", key: str = "vec_id",
                 f"cluster of {len(g)} rows exceeds max_cluster="
                 f"{max_cluster}; raise k so clusters shrink")
         g = g.sort_values(key).reset_index(drop=True)
-        m = _unit(np.asarray(g[vcol].to_list(), dtype=np.float64))
+        m = _norm(np.asarray(g[vcol].to_list(), dtype=np.float64))
         sim = m @ m.T
         n = len(g)
         kept_mask = np.zeros(n, dtype=bool)

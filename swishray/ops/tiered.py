@@ -64,8 +64,10 @@ def sniff_tier(body: bytes) -> str:
 
 
 def _normalize_txt(body: bytes) -> str:
-    """extractor.py:268-277 txt semantics: strict UTF-8 else assume
-    latin-1; NULs stripped (swish_slurp no_nulls)."""
+    """The txt tier's own rule: NUL bytes are dropped, then the body
+    decodes as strict UTF-8, else as latin-1. It is not the
+    extractor's TXT parser, which turns NULs into newlines and decodes
+    a non-UTF-8 body by ``SWISH_ENCODING``."""
     body = body.replace(b"\x00", b"")
     try:
         return body.decode("utf-8")

@@ -54,7 +54,7 @@ def _binary_views(col) -> list:
     contain a NUL byte (where the reference's no_nulls scrub must
     run, io.c:43-73) are detected with ONE vectorized kernel and
     materialized to bytes so the scrub path sees them; everything
-    downstream (extractor._docparse) can skip the scan for views.
+    downstream (extractor._prelude) can skip the scan for views.
     The scan is one pass over each chunk's data between its first and
     last offsets; its hits map to rows by offset."""
     if isinstance(col, pa.ChunkedArray):

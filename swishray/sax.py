@@ -15,15 +15,27 @@ Two paths run it, and this module alone picks one per document
     handlers inside the libxml2 parse and returns the finished buffers
     and the ordered buffer flushes; ``ExtractionState.apply``
     tokenizes the flushes (through the default tokenizer or a
-    ``tokenizer=`` hook alike) and takes the buffers. In a batch
-    (``ArenaRow``), the machine writes the buffers into the batch's
-    record arena instead, the flushes are tokenized into it the same
-    way, and no ExtractionState is built. The Python handlers below
-    do not run for such a document. The machine is used only when
-    ``_machine_selftest`` passed on the checked swishsax front-end
-    (``_machine``, taken through ``_native.checked``).
+    ``tokenizer=`` hook alike) and takes the buffers. The Python
+    handlers below do not run for such a document. The machine is
+    used only when ``_machine_selftest`` passed on the checked
+    swishsax front-end (``_machine``, taken through
+    ``_native.checked``).
   * Otherwise, and for a document the machine declines,
     ``ExtractionState.replay`` consumes libxml's full event batch.
+
+In a batch, each row takes one of two routes into the batch's record
+arena (``swishtok.Arena``, see ``extractor.DocumentExtractor.extract``),
+and the arena is the one token sink of both:
+
+  * the machine route (``ArenaRow``): the machine writes the buffers
+    into the arena, the flushes are tokenized into it, and no
+    ExtractionState is built;
+  * the record route: every other row (TXT, an empty or broken gzip
+    body, a property cap, a document the machine declined) runs
+    through an ExtractionState whose ``token_list`` is the arena, so
+    its tokens are written there as they are made, and the extractor
+    adds its buffers at the end. A document the machine declined on
+    the machine route replays here without running the machine again.
 
 All buffer content is bytes (the \\x03-joined buffers are byte-exact
 deliverables); tag and config names are str.
@@ -564,8 +576,9 @@ class ExtractionState:
         the header of _native/swishsax.c) into this fresh state:
         tokenize each flush in order, then adopt the finished buffers,
         and raise the machine's ParseAbort, if any, after both. Returns
-        False when the tokenizer raised, with the token list reset: the
-        caller then replays the full event stream, whose partial record
+        False when the tokenizer raised, with the token list rolled
+        back (a TokenList or the batch arena's open row): the caller
+        then replays the full event stream, whose partial record
         is the one the Python handlers leave where the tokenizer
         raises."""
         rc, error, metanames, properties, flushes = result
@@ -577,7 +590,7 @@ class ExtractionState:
                 for data, meta, context in flushes:
                     n += tokenize(tl, data, meta, context)
             except Exception:
-                self.token_list = TokenList()
+                tl.rollback()
                 return False
             self.nwords += n
         self.metanames = metanames
@@ -722,9 +735,9 @@ def _fill_row(body, row: ArenaRow, machine, html: bool, native):
     """Run ``machine`` over one document into ``row``'s arena: libxml's
     rc, or None when the machine declines the document or the tokenizer
     raises, with the row's writes dropped; the caller then replays the
-    document into an ExtractionState, as ``ExtractionState.apply``'s
-    caller does. Raises ParseAbort after the writes, as ``apply``
-    does."""
+    document, without the machine, into an ExtractionState whose token
+    list is the arena. Raises ParseAbort after the writes, as
+    ``ExtractionState.apply`` does."""
     arena = row.arena
     result = None
     try:
@@ -763,6 +776,7 @@ def _parse(body: bytes, state, machine, html: bool, native) -> int | None:
         if result is not None and state.apply(result):
             return result[0]
     rc, events = libxml.parse_events(body, html)
+    state.is_html = html
     state.replay(events)
     return rc
 
@@ -799,7 +813,6 @@ def _machine_selftest(native) -> bool:
             got = []
             for m in (machine, None):
                 st = ExtractionState(cfg)
-                st.is_html = html
                 try:
                     _parse(doc, st, m, html, native)
                     err = None

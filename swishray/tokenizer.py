@@ -109,6 +109,14 @@ class TokenList:
     ``pipeline.token_columns`` joins a batch's chunks into its Arrow
     token columns directly (the reference route of ``ExtractPages``).
 
+    Its writers are the ones of a batch's record arena
+    (``swishtok.Arena``), which an ExtractionState takes in its place
+    on the record route: ``tokenize_into``, ``add`` (one token, as a
+    tokenizer hook or the XInclude merge adds it) and ``rollback``
+    (drop every token, after a tokenizer hook raised in
+    ``ExtractionState.apply``). Only ``map_values``, the stemmer's
+    rewrite of a finished list, has no arena counterpart.
+
     ``values``, ``positions``, ``metas``, ``contexts`` and ``offsets``
     are read-only list views of the same stream for the CLI, tests and
     fuzz tools; ``offsets`` index the NUL-joined arena the reference
@@ -152,22 +160,9 @@ class TokenList:
         self._append(value, _I32.pack(len(value)), _U32.pack(self.pos),
                      meta, context)
 
-    def extend(self, other: "TokenList") -> None:
-        """Append ``other``'s tokens with fresh consecutive positions
-        after this list's (swish_token_list_add_token's ++pos), as the
-        XInclude merge does. ``other``'s chunks are shared, not copied."""
-        n = other._n
-        if not n:
-            return
-        self.value_chunks += other.value_chunks
-        self.len_chunks += other.len_chunks
-        self.pos_chunks.append(np.arange(self.pos + 1, self.pos + n + 1,
-                                         dtype=np.uint32).tobytes())
-        for meta, context, k in other.runs:
-            self._add_run(meta, context, k)
-        self._n += n
-        self.pos += n
-        self._offset += other._offset
+    def rollback(self) -> None:
+        """Drop every token, as ``Arena.rollback`` drops its open row's."""
+        self.__init__()
 
     def map_values(self, fn) -> None:
         """Replace every value ``v`` by ``fn(v)`` (the stemmer), as one

@@ -48,14 +48,11 @@ def test_native_and_python_fill_the_same_arena(data):
     assert (nat.pos, nat._offset) == (py.pos, py._offset)
 
 
-def test_add_extend_and_map_values():
+def test_add_and_map_values():
     tl = TokenList()
     tokenize_into(tl, b"one two", "a", "a")
-    child = TokenList()
-    tokenize_into(child, b"\x03\x03three", "b", "b")
-    child.add(b"four", "b", "b")
-    tl.extend(child)
-    # the child's tokens get fresh consecutive positions
+    for v in (b"three", b"four"):
+        tl.add(v, "b", "b")
     assert tl.values == [b"one", b"two", b"three", b"four"]
     assert tl.positions == [1, 2, 3, 4]
     assert tl.runs == [("a", "a", 2), ("b", "b", 2)]

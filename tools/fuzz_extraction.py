@@ -5,7 +5,9 @@ comparing complete records.
 Generates adversarial documents — nested/unclosed/misnested tags,
 entities, comments (incl. noindex/index/SwishCommand), CDATA, HTML
 <meta> tags, attributes with empty/missing values, unicode text,
-bumper bytes — far beyond the curated corpora. Two comparisons:
+bumper bytes, NUL-bearing markup, latin1 and gzip'd text, empty
+bodies and XInclude documents — far beyond the curated corpora.
+Three comparisons:
 
   * machine vs replay (always): every document is extracted through
     swishsax's C extraction machine and through the full event stream
@@ -13,7 +15,9 @@ bumper bytes — far beyond the curated corpora. Two comparisons:
     must be equal in every field.
   * arena vs record (when swishtok's record arena is built): the same
     documents, in batches of BATCH, through ``ExtractPages``' record
-    arena; every output row must equal its document's record.
+    arena, under MACHINE_CONFIGS and an XInclude config whose resolver
+    serves a few seeded child documents; every output row must equal
+    its document's record.
   * engine vs reference (when the reference's golden_dump is built,
     tools/build_reference.sh): the default-config record must equal
     the reference's.
@@ -54,6 +58,9 @@ MACHINE_CONFIGS = [
     "<TagAlias><swishtitle>span name</swishtitle></TagAlias>"
     "<CascadeMetaContext>1</CascadeMetaContext>"
     "<UndefinedMetaTags>ignore</UndefinedMetaTags></swish>",
+    # most documents abort on an undefined name: partial records and
+    # the docinfo of aborted rows
+    "<swish><UndefinedMetaTags>error</UndefinedMetaTags></swish>",
 ]
 
 WORDS = ["alpha", "beta", "Gamma", "DELTA", "x1", "don't", "__init__",
@@ -192,20 +199,79 @@ def compare(ex, path: pathlib.Path) -> str | None:
     return None
 
 
+def gen_text(rng) -> bytes:
+    body = rand_text(rng, html=False).encode()
+    for _ in range(rng.randint(0, 6)):
+        body += b"\n" + rand_text(rng, html=False).encode()
+    return body
+
+
+def with_nuls(rng, body: bytes) -> bytes:
+    """``body`` with a few NUL bytes (the no_nulls scrub's input)."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(body))
+        body = body[:i] + b"\x00" + body[i:]
+    return body
+
+
+# what an XInclude document's hrefs name: the children XINCLUDE_DOCS
+# serves (one includes another, one is TXT) and one it lacks
+XINCLUDE_HREFS = ["child0.xml", "child1.xml", "child2.xml", "child3.txt",
+                  "nested.xml", "missing.xml"]
+
+
+def gen_xinclude(rng) -> bytes:
+    parts = ['<doc xmlns:xi="http://www.w3.org/2001/XInclude">']
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            t = rng.choice(XML_TAGS)
+            parts.append(f"<{t}>{rand_text(rng, html=False)}</{t}>")
+        else:
+            parse = ' parse="text"' if rng.random() < 0.2 else ""
+            parts.append(f'<xi:include href="{rng.choice(XINCLUDE_HREFS)}"'
+                         f"{parse}/>")
+    parts.append("</doc>")
+    return "\n".join(parts).encode()
+
+
+def xinclude_docs(seed: int) -> dict[str, bytes]:
+    """The seeded child documents the XInclude config's resolver
+    serves, by resolved uri."""
+    rng = random.Random(seed)
+    base = "https://fuzz.example/"
+    docs = {f"{base}child{k}.xml": gen_xml(rng) for k in range(3)}
+    docs[f"{base}child3.txt"] = gen_text(rng)
+    docs[f"{base}nested.xml"] = (
+        b'<part xmlns:xi="http://www.w3.org/2001/XInclude"><a>nested</a>'
+        b'<xi:include href="child0.xml"/></part>')
+    return docs
+
+
 def gen_doc(rng) -> tuple[bytes, str]:
     """One random document and its file suffix."""
     kind = rng.random()
-    if kind < 0.45:
+    if kind < 0.4:
         return gen_html(rng), ".html"
-    if kind < 0.8:
+    if kind < 0.7:
         return gen_xml(rng), ".xml"
-    if kind < 0.92:
+    if kind < 0.78:
         # plain text (uri-as-title path)
-        body = rand_text(rng, html=False).encode()
-        for _ in range(rng.randint(0, 6)):
-            body += b"\n" + rand_text(rng, html=False).encode()
-        return body, ".txt"
-    return gzip.compress(gen_html(rng)), ".html.gz"
+        return gen_text(rng), ".txt"
+    if kind < 0.81:
+        # latin1 text: not UTF-8, so SWISH_ENCODING decides
+        return (gen_text(rng).decode().encode("latin-1", "replace")
+                + b" caf\xe9"), ".txt"
+    if kind < 0.84:
+        return gzip.compress(gen_text(rng)), ".txt.gz"
+    if kind < 0.88:
+        return gzip.compress(gen_html(rng)), ".html.gz"
+    if kind < 0.92:
+        return with_nuls(rng, gen_html(rng)), ".html"
+    if kind < 0.95:
+        return with_nuls(rng, gen_xml(rng)), ".xml"
+    if kind < 0.98:
+        return gen_xinclude(rng), ".xml"
+    return b"", rng.choice([".html", ".xml", ".txt"])
 
 
 def machine_mismatches(n: int, seed: int) -> list[str]:
@@ -257,17 +323,20 @@ def _row_of(rec) -> dict:
 
 def arena_mismatches(n: int, seed: int) -> list[str]:
     """Extract ``n`` seeded documents, ``BATCH`` at a time, through the
-    record arena under each of MACHINE_CONFIGS, and compare each output
-    row with the document's own record; one line per differing row.
-    Empty when the arena is not built."""
+    record arena under each of MACHINE_CONFIGS and under the default
+    config with an XInclude resolver over ``xinclude_docs(seed)``, and
+    compare each output row with the document's own record; one line
+    per differing row. Empty when the arena is not built."""
     if pipeline._arena is None:
         return []
     out = []
-    for ci, xml in enumerate(MACHINE_CONFIGS):
+    configs = [(xml, None) for xml in MACHINE_CONFIGS]
+    configs.append((None, xinclude_docs(seed).get))
+    for ci, (xml, resolver) in enumerate(configs):
         cfg = Config.default()
         if xml:
             cfg.add(xml)
-        ex = DocumentExtractor(cfg)
+        ex = DocumentExtractor(cfg, xinclude_resolver=resolver)
         rng = random.Random(seed)
         docs = []
         for i in range(n):
@@ -305,8 +374,8 @@ def main():
         for line in arena_fails:
             print(f"ARENA MISMATCH {line}")
         fails += len(arena_fails)
-        print(f"arena vs record: {n} docs x {len(MACHINE_CONFIGS)} configs, "
-              f"{len(arena_fails)} mismatches")
+        print(f"arena vs record: {n} docs x {len(MACHINE_CONFIGS) + 1} "
+              f"configs, {len(arena_fails)} mismatches")
     if not os.path.exists(GOLDEN_DUMP):
         print(f"no {GOLDEN_DUMP}: reference comparison skipped")
         sys.exit(1 if fails else 0)
