@@ -2210,8 +2210,8 @@ def q_line_dedup(sf_dir: str):
     100-TB path; pytest asserts the broadcast path is identical."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from swishray.ops.boilerplate import (hot_line_hashes,
-                                          remove_duplicate_lines_join)
+    from swishray.ops.boilerplate import remove_duplicate_lines
+    from swishray.ops.joins import join_path
 
     def pages(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -2225,7 +2225,8 @@ def q_line_dedup(sf_dir: str):
 
     ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         pages, batch_format="pyarrow")
-    return remove_duplicate_lines_join(ds, hot_line_hashes(ds))
+    with join_path():
+        return remove_duplicate_lines(ds)
 
 
 def q_boilerplate_domain(sf_dir: str):
@@ -2238,8 +2239,8 @@ def q_boilerplate_domain(sf_dir: str):
     path; pytest asserts broadcast equality."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from swishray.ops.boilerplate import (hot_line_hashes,
-                                          remove_duplicate_lines_join)
+    from swishray.ops.boilerplate import remove_duplicate_lines
+    from swishray.ops.joins import default_join_partitions, join_path
 
     def pages(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -2256,12 +2257,11 @@ def q_boilerplate_domain(sf_dir: str):
             pc.coalesce(batch.column("text"), ""), "\n", promo, "")
         return pa.table({"doc_id": did, "host": host, "text": t})
 
-    from swishray.ops.joins import default_join_partitions
     ds = _docs(sf_dir, ["doc_id", "text"]) \
         .repartition(2 * default_join_partitions()) \
         .map_batches(pages, batch_format="pyarrow")
-    return remove_duplicate_lines_join(
-        ds, hot_line_hashes(ds, group_col="host"), group_col="host")
+    with join_path():
+        return remove_duplicate_lines(ds, group_col="host")
 
 
 def q_span_dedup(sf_dir: str):
@@ -3184,10 +3184,12 @@ def q_url_blocklist(sf_dir: str):
 
 def q_url_blocklist_join(sf_dir: str):
     """Same semantics via the big-list join path (millions of
-    domains): distinct hosts' suffix chains join the blocklist and
-    the blocked hosts join back — identical oracle."""
-    from swishray.ops.filters import url_blocklist_join
-    return _q_url_blocklist(sf_dir, url_blocklist_join)
+    domains): the hosts' suffix chains join the blocklist and the
+    hits join back to the rows on the URL — identical oracle."""
+    from swishray.ops.filters import url_blocklist
+    from swishray.ops.joins import join_path
+    with join_path():
+        return _q_url_blocklist(sf_dir, url_blocklist)
 
 
 def q_decontaminate(sf_dir: str):
@@ -3923,9 +3925,9 @@ def q_histogram(sf_dir: str):
 
 def q_zscore(sf_dir: str):
     """Per-language length outliers |z| > 1.5 — the exact-moment
-    table is broadcast via ray.put into a map-side filter; z is the
-    same fixed double expression on both engines so boundary rows
-    select identically."""
+    table is looked up through joins.lookup (broadcast at this size)
+    into a map-side filter; z is the same fixed double expression on
+    both engines so boundary rows select identically."""
     import pyarrow as pa
     import pyarrow.compute as pc
     from swishray.ops.stats import zscore_outliers
@@ -4324,13 +4326,14 @@ def q_robots_filter(sf_dir: str):
 
 def q_robots_filter_join(sf_dir: str):
     """Same REP policies as robots_filter, but through the
-    both-sides-large JOIN path (rules compiled on the cluster, slim
-    host-keyed exchange, disallowed URLs joined back) — the path a
-    10^8-host crawl takes; same oracle closed form."""
+    both-sides-large JOIN path (rules compiled on the cluster, each
+    URL's host joins them, the hits join back on the URL) — the path
+    a 10^8-host crawl takes; same oracle closed form."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
-    from swishray.ops.robots import robots_filter_join, robots_rules
+    from swishray.ops.joins import join_path
+    from swishray.ops.robots import robots_filter
 
     def synth(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -4352,7 +4355,8 @@ def q_robots_filter_join(sf_dir: str):
                  b"User-agent: *\nDisallow: /\nAllow: /ok\n"]}))
     ds = _docs(sf_dir, ["doc_id"]).map_batches(
         synth, batch_format="pyarrow")
-    out = robots_filter_join(ds, robots_rules(robots))
+    with join_path():
+        out = robots_filter(ds, robots)
     return out.map_batches(
         lambda t: pa.table({
             "doc_id": pc.cast(t.column("doc_id"), pa.int64()),

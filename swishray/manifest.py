@@ -221,11 +221,3 @@ def read_manifests(out_dir: str) -> list[dict]:
                                "_manifest.json")) as f:
             out.append(json.load(f))
     return out
-
-
-def read_partitioned(out_dir: str):
-    """Read back all completed buckets as one Dataset."""
-    import ray.data as rd
-    paths = [os.path.join(out_dir, f"bucket={b:04d}")
-             for b in sorted(completed_buckets(out_dir))]
-    return rd.read_parquet(paths)

@@ -483,15 +483,12 @@ def stratified_hash_sample(ds: Any, rates: "dict[str, float]",
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def build_vocab(ds: Any, col: str = "text", min_count: int = 2,
-                max_size: int | None = None) -> pa.Table:
-    """Frequency vocabulary with stable ids (tokenizer-training prep):
-    whitespace tokens, corpus-wide counts via map-side partial
-    Counters (the shuffle moves (token, partial) rows, never text),
-    min-count cut, deterministic id = rank by (count desc, token asc).
-    Returns an in-memory table — a vocab is small BY CONSTRUCTION
-    (min_count + max_size bound it), which is what makes the final
-    driver-side id assignment legitimate at any corpus scale."""
+def _vocab_counts(ds: Any, col: str, min_count: int,
+                  max_size: int | None) -> Any:
+    """Dataset ``(token, n)`` of the whitespace tokens of ``col``
+    seen at least ``min_count`` times, the ``max_size`` most frequent
+    (count desc, token asc) when given: map-side partial counts, so
+    the shuffle moves (token, partial) rows, never text."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
@@ -505,24 +502,33 @@ def build_vocab(ds: Any, col: str = "text", min_count: int = 2,
             "token": pa.array(vc.index, pa.string()),
             "__n": pa.array(vc.to_numpy(dtype=np.int64))})
 
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("token").aggregate(Sum("__n", alias_name="n"))
-
     def cut(batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.greater_equal(batch.column("n"), min_count))
-    vocab = counts.map_batches(cut, batch_format="pyarrow") \
-        .sort(["n", "token"], descending=[True, False])
+
+    counts = ds.map_batches(partial, batch_format="pyarrow") \
+        .groupby("token").aggregate(Sum("__n", alias_name="n")) \
+        .map_batches(cut, batch_format="pyarrow")
     if max_size is not None:
-        vocab = vocab.limit(max_size)
-    tbl = pa.Table.from_pylist(vocab.take_all())
-    return pa.table({
-        "token": tbl.column("token") if tbl.num_rows else
-        pa.array([], pa.string()),
-        "n": pc.cast(tbl.column("n"), pa.int64()) if tbl.num_rows else
-        pa.array([], pa.int64()),
-        "id": pa.array(range(tbl.num_rows), pa.int64()),
-    })
+        counts = counts.sort(["n", "token"],
+                             descending=[True, False]).limit(max_size)
+    return counts
+
+
+def build_vocab(ds: Any, col: str = "text", min_count: int = 2,
+                max_size: int | None = None) -> pa.Table:
+    """Frequency vocabulary with stable ids (tokenizer-training prep):
+    whitespace tokens, corpus-wide counts (:func:`_vocab_counts`),
+    min-count cut, deterministic id = rank by (count desc, token asc).
+    Returns an in-memory table: the caller asks for the vocabulary on
+    the driver, and ``min_count``/``max_size`` are what bound it."""
+    rows = _vocab_counts(ds, col, min_count, max_size).take_all()
+    tbl = pa.table({
+        "token": pa.array([r["token"] for r in rows], pa.string()),
+        "n": pa.array([r["n"] for r in rows], pa.int64())}) \
+        .sort_by([("n", "descending"), ("token", "ascending")])
+    return tbl.append_column(
+        "id", pa.array(range(tbl.num_rows), pa.int64()))
 
 
 def resample_to_mix(ds: Any, weights: "dict[str, int]",
@@ -1165,59 +1171,42 @@ def impute_group_mean(ds: Any, group: str, col: str,
                       out: str | None = None) -> Any:
     """Null imputation by per-group mean: nulls in an integer-valued
     column become their group's mean of the NON-NULL values, computed
-    from exact int64 partial sums (mean = Σx/n in one double divide —
+    from exact int64 sums (mean = Σx/n in one double divide —
     bit-replayable against SUM()/COUNT() SQL, unlike engine-native
     AVG accumulation order).  Two-pass: one slim (group, n, sx)
-    exchange, then the tiny means table is BROADCAST into a pure
-    map-side fill — the corpus itself never shuffles.  Groups that
-    are entirely null stay null."""
+    aggregate, then every row looks up its group's mean through
+    ``joins.lookup`` — broadcast when the table is small, so the
+    corpus itself never shuffles.  Groups that are entirely null
+    stay null."""
     import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
+
+    from .joins import lookup
 
     out = out or f"{col}_imp"
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.is_valid(batch.column(col)))
-        x = pc.cast(t.column(col), pa.int64())
-        df = pa.table({group: t.column(group),
-                       "__x": x}).to_pandas()
-        agg = (df.groupby(group, sort=False)
-               .agg(n=("__x", "count"), sx=("__x", "sum"))
-               .reset_index())
-        return pa.table({
-            group: pa.array(agg[group]),
-            "n": pa.array(agg["n"], type=pa.int64()),
-            "sx": pa.array(agg["sx"], type=pa.int64())})
+    def mean(t: pa.Table) -> pa.Table:
+        n = pc.cast(t.column("n"), pa.float64())
+        sx = pc.cast(t.column("sx"), pa.float64())
+        return pa.table({group: t.column(group), "mean": pc.if_else(
+            pc.greater(n, 0), pc.divide(sx, n), None)})
 
-    sums = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(group)
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("sx", alias_name="sx"))).to_pandas()
-    means = ({g: float(sx) / float(n)
-              for g, n, sx in zip(sums[group], sums["n"], sums["sx"])
-              if n > 0}
-             if group in sums.columns else {})  # empty input: no groups
+    def fold(batch: pa.Table, _, found: pa.Table) -> pa.Table:
+        x = pc.cast(batch.column(col), pa.float64()) \
+            .to_numpy(zero_copy_only=False)
+        fill = pc.cast(found.column("mean"), pa.float64()) \
+            .to_numpy(zero_copy_only=False)
+        v = np.where(np.isnan(x), fill, x)
+        return batch.append_column(
+            out, pa.array(v, type=pa.float64(), from_pandas=True))
 
-    import ray
-    means_ref = ray.put(means)
-
-    class Fill:
-        def __init__(self, ref):
-            self.means = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            gs = batch.column(group).to_pylist()
-            x = pc.cast(batch.column(col), pa.float64()) \
-                .to_numpy(zero_copy_only=False)
-            fill = np.array([self.means.get(g, np.nan)
-                             for g in gs])
-            v = np.where(np.isnan(x), fill, x)
-            return batch.append_column(
-                out, pa.array(v, type=pa.float64(),
-                              from_pandas=True))
-
-    from ..util import map_batches_stateful
-    return map_batches_stateful(
-        ds, Fill, fn_constructor_kwargs=dict(ref=means_ref),
+    x64 = ds.map_batches(
+        lambda t: pa.table({group: t.column(group),
+                            "x": pc.cast(t.column(col), pa.int64())}),
         batch_format="pyarrow")
+    means = x64.groupby(group).aggregate(
+        Count("x", ignore_nulls=True, alias_name="n"),
+        Sum("x", alias_name="sx")).map_batches(mean,
+                                               batch_format="pyarrow")
+    return lookup(ds, means, group, fold)

@@ -289,68 +289,26 @@ def url_blocklist(ds: Any, domains: Sequence[str],
     adult/spam-domain filter. Non-destructive: returns the input
     columns plus ``host`` and ``blocked`` (filter downstream).
 
-    A list that fits ``joins.small_side`` rides one ``ray.put`` and
-    each batch tests its hosts' suffix chains with one ``pc.is_in``;
-    a larger one (UT1 is ~4M domains) goes through
-    :func:`url_blocklist_join`."""
+    Each host's suffix chain looks up the list through
+    :func:`~.joins.lookup`, keyed by the URL: a list within the
+    broadcast budget is one ``pc.index_in`` per batch, a longer one
+    (UT1 is ~4M domains) is hash-joined."""
     import pyarrow.compute as pc
-    import ray
 
-    from .joins import small_side
+    from .joins import lookup
 
-    listed = _blocklist(domains)
-    if small_side(listed) is None:
-        return url_blocklist_join(ds, domains, url_col)
-    ref = ray.put(listed)
+    def chain(batch: pa.Table):
+        return _suffix_chain(_host_of(batch, url_col))
 
-    def f(batch: pa.Table) -> pa.Table:
-        host = _host_of(batch, url_col)
-        rows, sfx = _suffix_chain(host)
-        blocked = np.zeros(len(host), dtype=bool)
-        blocked[rows[pc.is_in(sfx, value_set=ray.get(ref))
+    def fold(batch: pa.Table, rows, found: pa.Table) -> pa.Table:
+        blocked = np.zeros(batch.num_rows, dtype=bool)
+        blocked[rows[pc.is_valid(found.column("__sfx"))
                      .to_numpy(zero_copy_only=False)]] = True
-        return batch.append_column("host", host).append_column(
-            "blocked", pa.array(blocked))
+        return batch.append_column("host", _host_of(batch, url_col)) \
+            .append_column("blocked", pa.array(blocked))
 
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def url_blocklist_join(ds: Any, domains: Sequence[str],
-                       url_col: str = "url") -> Any:
-    """:func:`url_blocklist` for a list too large to broadcast: each
-    batch's distinct hosts explode into their suffix chains and join
-    the list on the suffix, and the distinct blocked hosts join back
-    to the rows on host. No driver-side or per-worker copy of the
-    list."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    from .joins import hash_join, schema_guard
-
-    def chains(batch: pa.Table) -> pa.Table:
-        hosts = pc.unique(_host_of(batch, url_col))
-        rows, sfx = _suffix_chain(hosts)
-        return pa.table({"__host": hosts.take(pa.array(rows)),
-                         "__sfx": sfx})
-
-    listed = rd.from_arrow(pa.table({"__sfx": _blocklist(domains)}))
-    hits = hash_join(ds.map_batches(chains, batch_format="pyarrow"),
-                     listed, "__sfx")
-    blocked = schema_guard(
-        hits.groupby("__host").aggregate(Count(alias_name="__n")),
-        pa.schema([("__host", pa.large_string()), ("__n", pa.int64())]))
-    rows = ds.map_batches(
-        lambda t: t.append_column("__host", _host_of(t, url_col)),
-        batch_format="pyarrow")
-
-    def shape(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["__host", "__n_r"]).append_column(
-            "host", batch.column("__host")).append_column(
-            "blocked", pc.is_valid(batch.column("__n_r")))
-
-    return hash_join(rows, blocked, "__host", how="left").map_batches(
-        shape, batch_format="pyarrow")
+    return lookup(ds, pa.table({"__sfx": _blocklist(domains)}), "__sfx",
+                  fold, explode=chain, row_key=url_col)
 
 
 # -- benchmark decontamination -----------------------------------------
@@ -406,32 +364,25 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
     the doc's distinct-gram count and ``n_matched`` how many of those
     appear anywhere in the benchmark.
 
-    The benchmark's distinct gram set is the small side: when it fits
-    ``joins.small_side`` it rides one ``ray.put`` and membership is
-    one vectorized ``pc.is_in`` per batch (exact string matching, no
-    shuffle of the corpus); otherwise :func:`decontaminate_join`
-    joins the grams."""
+    Each doc's distinct grams look up the benchmark's grams through
+    :func:`~.joins.lookup`, keyed by ``key``: exact string
+    membership, and corpus text never rides a shuffle. A gram the
+    benchmark's batches list more than once is found once."""
     import pyarrow.compute as pc
-    import ray
 
-    from .joins import small_side
+    from .joins import lookup
 
     def bench_grams(batch: pa.Table) -> pa.Table:
         _, g_str = _distinct_grams(batch, bench_col, n)
         return pa.table({"gram": pa.array(sorted(set(g_str)),
                                           pa.large_string())})
 
-    grams = bench.map_batches(bench_grams,
-                              batch_format="pyarrow").materialize()
-    small = small_side(grams, pa.schema([("gram", pa.large_string())]))
-    if small is None:
-        return decontaminate_join(ds, grams, n, col, key)
-    ref = ray.put(pc.unique(small.column("gram")))
-
-    def flag(batch: pa.Table) -> pa.Table:
+    def grams(batch: pa.Table):
         g_doc, g_str = _distinct_grams(batch, col, n)
-        hit = pc.is_in(pa.array(g_str, pa.large_string()),
-                       value_set=ray.get(ref)).to_numpy(
+        return g_doc, pa.array(g_str, pa.large_string())
+
+    def fold(batch: pa.Table, g_doc, found: pa.Table) -> pa.Table:
+        hit = pc.is_valid(found.column("gram")).to_numpy(
             zero_copy_only=False)
         n_matched = np.bincount(g_doc[hit], minlength=len(batch))
         return pa.table({
@@ -442,62 +393,8 @@ def decontaminate(ds: Any, bench: Any, n: int = 3,
             "contaminated": pa.array(n_matched > 0),
         })
 
-    return ds.map_batches(flag, batch_format="pyarrow")
-
-
-def decontaminate_join(ds: Any, grams: Any, n: int = 3,
-                       col: str = "text", key: str = "doc_id") -> Any:
-    """:func:`decontaminate` for a benchmark gram set (``grams``, a
-    Dataset with a ``gram`` column) too large to broadcast: slim
-    distinct ``(key, gram)`` pairs join the distinct benchmark grams,
-    then a count by key joins back. Corpus text never rides a
-    shuffle, only gram strings do."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    from .joins import field_type, hash_join, schema_guard
-
-    def doc_grams(batch: pa.Table) -> pa.Table:
-        g_doc, g_str = _distinct_grams(batch, col, n)
-        return pa.table({key: batch.column(key).take(
-                             pa.array(g_doc, pa.int64())),
-                         "gram": pa.array(g_str, pa.large_string())})
-
-    def gram_counts(batch: pa.Table) -> pa.Table:
-        g_doc, _ = _distinct_grams(batch, col, n)
-        cnt = np.bincount(g_doc, minlength=len(batch)) \
-            .astype(np.int64)
-        return pa.table({key: batch.column(key),
-                         "n_grams": pa.array(cnt)})
-
-    ktype = field_type(ds, key)
-    # schema_guard on bgrams: an empty/short benchmark produces zero
-    # grams and the side would reach the join schema-less; on hits: a
-    # CLEAN corpus (zero contaminated grams — the common production
-    # outcome) does the same to the final left join. Both are inner/
-    # left right-sides, so the guards' null sentinels never surface.
-    bgrams = schema_guard(
-        grams.groupby("gram").aggregate(Count(alias_name="__b")),
-        pa.schema([("gram", pa.large_string()), ("__b", pa.int64())]))
-    dgrams = ds.map_batches(doc_grams, batch_format="pyarrow")
-    hits = schema_guard(
-        hash_join(dgrams, bgrams, "gram")
-        .groupby(key).aggregate(Count(alias_name="__m")),
-        pa.schema([(key, ktype), ("__m", pa.int64())]))
-    totals = ds.map_batches(gram_counts, batch_format="pyarrow")
-    out = hash_join(totals, hits, key, how="left")
-
-    def shape(batch: pa.Table) -> pa.Table:
-        m = pc.cast(pc.coalesce(pc.cast(
-            batch.column("__m_r"), pa.float64()), 0.0), pa.int64())
-        return pa.table({
-            key: batch.column(key),
-            "n_grams": pc.cast(batch.column("n_grams"), pa.int64()),
-            "n_matched": m,
-            "contaminated": pc.greater(m, 0),
-        })
-
-    return out.map_batches(shape, batch_format="pyarrow")
+    side = bench.map_batches(bench_grams, batch_format="pyarrow")
+    return lookup(ds, side, "gram", fold, explode=grams, row_key=key)
 
 
 def normalize_text(ds: Any, col: str = "text", form: str = "NFC",

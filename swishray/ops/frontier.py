@@ -14,11 +14,12 @@ into one lazy Dataset plan.  Output: ``(url, site, n_refs)`` —
 a cheap crawl-priority prior.
 
 Scale shape is inherited from the parts: harvest/canonicalize are
-pure map-side; robots and blocklist broadcast their side-state when
-``joins.small_side`` measures it small and hash-join it otherwise,
-so a robots table or blocklist of any size works here.  The other
-shuffles are the (url) count groupby — slim two-column rows — and
-cap_per_group's slim (site, url) winners exchange.  Every stage is
+pure map-side; robots and blocklist read their side tables through
+``joins.lookup``, which broadcasts a side ``joins.small_side``
+measures small and hash-joins a larger one, so a robots table or
+blocklist of any size works here.  The other shuffles are the (url)
+count groupby — slim two-column rows — and cap_per_group's slim
+(site, url) winners exchange.  Every stage is
 oracle- or pytest-verified on its own; this module only wires them.
 """
 from __future__ import annotations

@@ -7,14 +7,18 @@ plus keyed upsert/anti-join at the sink (swish_xapian.cpp:563-601,
   * broadcast semi/anti filter — the delete path (--Delete) and
     skip-list path (--Skip-duplicates against an existing index)
   * keep-first upsert — dedup_by_url (pipeline.py)
+  * keyed lookup — :func:`lookup`, the one way an operator reads a
+    side table computed from the corpus (a vocabulary, per-group
+    moments, hot line or span hashes, a blocklist, robots rules)
   * partitioned hash join — :func:`hash_join`, the one both-sides-
     large equi-join (bucket both sides on the key hash, join matching
     buckets)
 
-An operator that keeps both shapes (robots, URL blocklist,
-decontamination, duplicate-line strip) picks one by the one rule in
-:func:`small_side`: broadcast the side when its measured bytes fit
-``BROADCAST_MAX_BYTES``, hash-join it otherwise.
+One rule picks how a lookup moves its side, :func:`small_side`:
+broadcast the side when its measured bytes fit
+``BROADCAST_MAX_BYTES``, hash-join it otherwise. :func:`lookup` runs
+it at plan time, and both paths call the operator's one ``fold``, so
+an operator has one body whichever path its side takes.
 
 Every bucketed operator in the engine (the upsert, the hash join, the
 dedup/set-similarity/graph pair-ups) exchanges rows through the one
@@ -23,9 +27,11 @@ dedup/set-similarity/graph pair-ups) exchanges rows through the one
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any
 from zlib import crc32
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -54,20 +60,6 @@ def semi_join_keys(ds: Any, keys: set | list, col: str = "url") -> Any:
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def broadcast_lookup_join(ds: Any, mapping: dict, key: str,
-                          out: str) -> Any:
-    """Small-side dictionary join (the config-hash pattern): map each
-    row's ``key`` through a broadcast dict into a new column."""
-    import ray
-    ref = ray.put(mapping)
-
-    def f(batch: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        vals = [m.get(k) for k in batch.column(key).to_pylist()]
-        return batch.append_column(out, pa.array(vals))
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
 # A broadcast side is probed in every batch, and pc.is_in rebuilds
 # its hash set from the value array on every call: one 12k-probe call
 # took 0.6 ms against a 0.1 MiB set, 8.6 ms against 2.8 MiB and 210 ms
@@ -83,7 +75,46 @@ def small_side(side: Any, schema: pa.Schema | None = None
     caller hash-joins it. A Dataset is materialized in the object
     store and pulled to the driver only when it fits, so a caller
     that may join it passes it materialized. ``schema`` casts every
-    block; an empty side then comes back as its empty table."""
+    block; an empty side then comes back as its empty table.
+
+    An operator reads a side table computed from the corpus only
+    through :func:`lookup`, which applies this rule. The only other
+    ``take_all()`` and ``ray.put`` calls under ``ops/`` move
+    something bounded (the round-trip test reads this list):
+
+    * per-block partials: ``aggregates.continuous_quantiles``
+      (histogram bins), ``components.connected_components`` (a
+      changed-label count), ``clustering.kmeans`` (per-cluster sums;
+      its ``k`` centroids are broadcast),
+      ``increment.write_fingerprint_store`` (one row per bucket);
+    * a fixed-size sketch: ``joins.bloom_keys`` (the ``m_bits``
+      mask), ``aggregates.hll_count_distinct`` and
+      ``aggregates.profile`` (``2^p`` registers),
+      ``aggregates.cm_topk_words`` (``depth`` x ``width`` counts and
+      ``candidates_per_block`` tokens), ``drift.drift_census`` (the
+      two sides' totals);
+    * an explicit limit: ``bpe.train_bpe`` (``max_words``),
+      ``clustering._bootstrap`` and ``similarity._train_centroids``
+      (``sample_limit``), ``graphdense.dense_pagerank`` and
+      ``graphdense.dense_components`` (``dense_max_nodes``),
+      ``clustering.semdedup`` (``k`` centroids),
+      ``similarity.ivf_topk``, ``similarity.cosine_dup_pairs_ivf`` and
+      ``annstore.write_ivf_index`` (``n_centroids`` centroids; the
+      queries of ``ivf_topk`` are driver-supplied);
+    * a driver-supplied input: ``joins.anti_join_keys``,
+      ``joins.semi_join_keys``, ``joins.range_join_broadcast``,
+      ``joins.cross_join_broadcast``, ``bpe.bpe_token_counts`` (the
+      merges), ``clustering.assign_clusters`` (the centroids),
+      ``similarity.brute_force_topk`` (the queries),
+      ``textstats.quality_model_score`` (the weights),
+      ``increment.dedup_incremental`` (the store's Bloom bitmaps, read
+      from disk, ``bits_per_key`` bits per stored key);
+    * a driver result by API contract: ``aggregates.build_vocab``,
+      ``aggregates.discrete_quantiles`` (one row per distinct value),
+      ``aggregates.pivot_table`` (the distinct ``col_key`` values
+      become the schema), ``aggregates.resample_to_mix`` (one count
+      per class).
+    """
     import ray
     if isinstance(side, (pa.Array, pa.ChunkedArray)):
         side = pa.table({"value": side})
@@ -100,7 +131,229 @@ def small_side(side: Any, schema: pa.Schema | None = None
         tables = [schema.empty_table()] + [
             pa.table({f.name: t.column(f.name).cast(f.type)
                       for f in schema}) for t in tables if t.num_rows]
-    return pa.concat_tables(tables) if tables else pa.table({})
+    # a block with no rows may carry no columns, and blocks may
+    # differ in string width: promote to one schema
+    return pa.concat_tables(tables, promote_options="permissive") \
+        if tables else pa.table({})
+
+
+@contextmanager
+def join_path():
+    """Plans built inside the block take :func:`lookup`'s join path
+    (the budget reads 0, so only an empty side is broadcast); the
+    budget is restored on exit."""
+    global BROADCAST_MAX_BYTES
+    saved, BROADCAST_MAX_BYTES = BROADCAST_MAX_BYTES, 0
+    try:
+        yield
+    finally:
+        BROADCAST_MAX_BYTES = saved
+
+
+def lookup(ds: Any, side: Any, on: str, fold, explode=None,
+           row_key: str | None = None) -> Any:
+    """The keyed lookup: every row of ``ds`` finds its keys in
+    ``side`` (a Dataset or Table with key column ``on``, one row per
+    key) and ``fold`` builds the output batch from them.
+
+    ``explode(batch) -> (row_index, keys)`` gives each row's keys: an
+    int64 array of row positions and an Arrow array of keys, aligned,
+    depending only on each row's own values. Without it each row has
+    one key, its own ``on`` column. ``fold(batch, row_index, found)``
+    gets the input batch, the row positions and ``found``: the
+    side's rows (every column, ``on`` included) aligned with the
+    keys, all null where a key is missing. A null key never matches.
+    With exploded keys a key the side lists twice is found once; an
+    empty side that has no schema (no blocks) gives ``found`` only the
+    ``on`` column, so a side the fold reads values from is built with
+    one (``schema_guard``).
+
+    :func:`small_side` picks the path when the plan is built. A side
+    within the budget is broadcast once, and each batch finds its
+    keys with one ``np.searchsorted`` (integer keys) or one
+    ``pc.index_in``. A larger side is hash-joined: one key per row is
+    a left :func:`hash_join` of the rows with the side; exploded keys
+    go out as slim ``(row_key, ordinal, key)`` rows, inner-join the
+    side, and the hits, one row of lists per ``row_key``, join back
+    to the rows on ``row_key``, where ``explode`` runs again. Either
+    way the same ``fold`` sees the same ``found``, so the paths agree
+    up to row order. Rows that share a ``row_key`` must explode alike
+    (a URL's host chain, a unique ``doc_id``); a row whose
+    ``row_key`` is null finds nothing on either path."""
+    import ray
+    import ray.data as rd
+    if not isinstance(side, pa.Table):
+        side = side.materialize()
+    small = small_side(side)
+    if small is None:
+        if isinstance(side, pa.Table):
+            side = rd.from_arrow(side)
+        if explode is None:
+            return _lookup_join(ds, side, on, fold)
+        return _lookup_join_exploded(ds, side, on, fold, explode, row_key)
+    if on not in small.column_names:  # an empty side without a schema
+        small = pa.table({on: pa.array([], pa.null())})
+    small = small.filter(pc.is_valid(small.column(on))).combine_chunks()
+    if pa.types.is_integer(small.column(on).type):
+        small = small.sort_by(on)
+    ref = ray.put(small)
+
+    def f(batch: pa.Table) -> pa.Table:
+        t = ray.get(ref)
+        ri, keys = _keys(batch, on, explode)
+        idx = _find(t.column(on).combine_chunks(), keys)
+        if row_key is not None:
+            dead = pc.is_null(batch.column(row_key).combine_chunks())
+            idx = pc.if_else(dead.take(pa.array(ri)),
+                             pa.scalar(None, idx.type), idx)
+        return fold(batch, ri, t.take(idx))
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def _keys(batch: pa.Table, on: str, explode):
+    if explode is not None:
+        ri, keys = explode(batch)
+        return np.asarray(ri, dtype=np.int64), keys
+    return np.arange(batch.num_rows), batch.column(on).combine_chunks()
+
+
+def _find(skeys: pa.Array, keys) -> pa.Array:
+    """Row of each key in the broadcast side's key column (no nulls;
+    sorted when integer), null for a miss."""
+    if len(skeys) == 0:
+        return pa.nulls(len(keys), pa.int64())
+    keys = keys.cast(skeys.type)
+    if not pa.types.is_integer(skeys.type):
+        return pc.index_in(keys, value_set=skeys)
+    s = skeys.to_numpy()
+    k = pc.fill_null(keys, 0).to_numpy(zero_copy_only=False)
+    pos = np.minimum(np.searchsorted(s, k), len(s) - 1)
+    hit = (s[pos] == k) & pc.is_valid(keys).to_numpy(
+        zero_copy_only=False)
+    return pa.array(pos, pa.int64(), mask=~hit)
+
+
+def _ordinals(ri: np.ndarray) -> np.ndarray:
+    """Each exploded key's rank among its row's keys, in explode
+    order."""
+    order = np.argsort(ri, kind="stable")
+    s = ri[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]]) if len(s) \
+        else np.zeros(0, np.int64)
+    out = np.empty(len(ri), np.int64)
+    out[order] = np.arange(len(s)) - np.repeat(
+        first, np.diff(np.r_[first, len(s)]))
+    return out
+
+
+def _arrow_schema(ds: Any):
+    """``ds`` (probed once, see :func:`_schema_or_materialize`) and
+    its Arrow schema, None when its columns are unknowable."""
+    ds, sch = _schema_or_materialize(ds)
+    return ds, (None if sch is None
+                else pa.schema(list(_schema_types(sch).items())))
+
+
+def _misses(schema: pa.Schema, n: int) -> pa.Table:
+    return pa.table({f.name: pa.nulls(n, f.type) for f in schema})
+
+
+def _lookup_join(ds: Any, side: Any, on: str, fold) -> Any:
+    """:func:`lookup`'s join path for one key per row: a left
+    :func:`hash_join` of the rows with the side, whose columns ride
+    as ``__f<i>`` so no name meets a row column."""
+    ds, lsch = _arrow_schema(ds)
+    side, ssch = _arrow_schema(side)
+    if lsch is None:
+        return ds  # no rows to fold
+    names, ktype = lsch.names, lsch.field(on).type
+
+    def tag(t: pa.Table) -> pa.Table:
+        cols = {on: t.column(on).cast(ktype)}
+        cols.update((f"__f{i}", t.column(c))
+                    for i, c in enumerate(ssch.names))
+        return pa.table(cols)
+
+    def f(t: pa.Table) -> pa.Table:
+        if "__f0_r" not in t.column_names:  # the side had no rows
+            found = _misses(ssch, t.num_rows)
+        else:
+            found = pa.table({c: t.column(f"__f{i}_r")
+                              for i, c in enumerate(ssch.names)})
+        return fold(t.select(names), np.arange(t.num_rows), found)
+
+    joined = hash_join(ds, side.map_batches(tag, batch_format="pyarrow"),
+                       on, how="left")
+    return joined.map_batches(f, batch_format="pyarrow")
+
+
+def _lookup_join_exploded(ds: Any, side: Any, on: str, fold, explode,
+                          row_key: str) -> Any:
+    """:func:`lookup`'s join path for exploded keys; see its doc."""
+    ds, lsch = _arrow_schema(ds)
+    side, ssch = _arrow_schema(side)
+    if lsch is None:
+        return ds
+    names, ktype = lsch.names, ssch.field(on).type
+    hit_col = {c: c if c == on else c + "_r" for c in ssch.names}
+
+    def pairs(batch: pa.Table) -> pa.Table:
+        ri, keys = _keys(batch, on, explode)
+        rk = batch.column(row_key).take(pa.array(ri))
+        t = pa.table({"__row": rk, "__ord": pa.array(_ordinals(ri)),
+                      on: keys.cast(ktype)})
+        return t.filter(pc.is_valid(rk))
+
+    def collect(t: pa.Table) -> pa.Table:
+        # one row per row key: its hits' ordinals and side columns as
+        # lists, sorted by ordinal; rows sharing the key sent the
+        # same (ordinal, key) pairs, so a repeat is dropped
+        t = t.sort_by([("__row", "ascending"), ("__ord", "ascending")])
+        t = t.take(pa.array(run_starts(t, ["__row", "__ord"])))
+        starts = run_starts(t, ["__row"])
+        offs = pa.array(np.append(starts, t.num_rows), pa.int32())
+
+        def listed(c: str) -> pa.Array:
+            return pa.ListArray.from_arrays(
+                offs, t.column(c).combine_chunks())
+        out = {row_key: t.column("__row").take(pa.array(starts)),
+               "__ord": listed("__ord")}
+        out.update((f"__f{i}", listed(hit_col[c]))
+                   for i, c in enumerate(ssch.names))
+        return pa.table(out)
+
+    def f(t: pa.Table) -> pa.Table:
+        batch = t.select(names)
+        ri, _ = _keys(batch, on, explode)
+        if "__ord_r" not in t.column_names:  # no row had a hit
+            return fold(batch, ri, _misses(ssch, len(ri)))
+        lo = t.column("__ord_r").combine_chunks()
+        parent = pc.list_parent_indices(lo).to_numpy(
+            zero_copy_only=False)
+        got = pc.list_flatten(lo).to_numpy(zero_copy_only=False)
+        ords = _ordinals(ri)
+        # (row, ordinal) as one sortable code; hits come sorted
+        w = int(max(got.max(initial=0), ords.max(initial=0))) + 1
+        have, want = parent * w + got, ri * w + ords
+        pos = np.minimum(np.searchsorted(have, want),
+                         max(len(have) - 1, 0))
+        hit = (have[pos] == want) if len(have) else \
+            np.zeros(len(want), dtype=bool)
+        flat = pa.table({c: pc.list_flatten(
+            t.column(f"__f{i}_r").combine_chunks())
+            for i, c in enumerate(ssch.names)})
+        return fold(batch, ri, flat.take(
+            pa.array(pos, pa.int64(), mask=~hit)))
+
+    keyed, psch = _arrow_schema(
+        ds.map_batches(pairs, batch_format="pyarrow"))
+    if psch is None:  # no row has a key
+        return ds.map_batches(f, batch_format="pyarrow")
+    grouped = hash_exchange(hash_join(keyed, side, on), "__row", collect,
+                            batch_format="pyarrow")
+    joined = hash_join(ds, grouped, row_key, how="left")
+    return joined.map_batches(f, batch_format="pyarrow")
 
 
 DEFAULT_BLOOM_BITS = 1 << 23  # 1 MiB bitmap

@@ -17,19 +17,14 @@ spec (RFC 9309 + the original robotstxt.org conventions):
 
 Scale shape: :func:`robots_rules` compiles the robots table on the
 cluster into one per-host rules table, and :func:`robots_filter`
-measures it with ``joins.small_side``:
-
-* when it fits, the table rides one ``ray.put``; per batch the
-  filter extracts host+path with one vectorized RE2 pass, groups rows
-  by host, and walks each host's ordered rule list with
-  ``pc.match_substring_regex`` over that host's path subarray (rules
-  per host are tens, not thousands) — no per-URL Python regex loop,
-  URLs never ride a shuffle;
-* otherwise :func:`robots_filter_join`: a slim (url, host, path)
-  projection of the URLs hash-joins the rules on host, verdicts keep
-  only the DISALLOWED urls (default is allow), and that usually-tiny
-  distinct blocked set left-joins back to the full rows on the URL.
-  Driver state: none.
+looks every URL's host up in it through ``joins.lookup``, keyed by
+the URL. Per batch the filter extracts host+path with one vectorized
+RE2 pass, groups rows by host, and walks each host's ordered rule
+list with ``pc.match_substring_regex`` over that host's path
+subarray (rules per host are tens, not thousands) — no per-URL Python
+regex loop. A rules table within the broadcast budget is one
+``pc.index_in`` per batch and URLs never ride a shuffle; a larger one
+is hash-joined, with nothing held on the driver.
 """
 from __future__ import annotations
 
@@ -182,18 +177,19 @@ _RULES = pa.schema([("__rhost", pa.large_string()),
 
 def robots_rules(robots: Any, host_col: str = "host",
                  body_col: str = "body", agent: str = "*") -> Any:
-    """The per-host rules table both paths of :func:`robots_filter`
-    read: ``(__rhost, __rules)``, one row per lowercased host with
-    rules, ``__rules`` the JSON of its ``compile_robots`` list.
+    """The per-host rules table :func:`robots_filter` looks up:
+    ``(__rhost, __rules)``, one row per lowercased host with rules,
+    ``__rules`` the JSON of its ``compile_robots`` list.
     Bodies compile on the cluster, in one keyed exchange on the host.
     A host listed more than once gets all its bodies' rules, sorted
     most specific first, as RFC 9309 §2.2.1 combines the groups that
-    match one agent. Allow-all hosts drop out. Returned materialized,
-    so both paths share one execution."""
+    match one agent. Allow-all hosts drop out. The table carries
+    ``joins.schema_guard``'s all-null row, which no host matches, so
+    it keeps its columns when no host has rules."""
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from .joins import hash_exchange
+    from .joins import hash_exchange, schema_guard
 
     if isinstance(robots, pa.Table):
         robots = rd.from_arrow(robots)
@@ -215,39 +211,14 @@ def robots_rules(robots: Any, host_col: str = "host",
                 [json.dumps(_most_specific_first(rules[h]))
                  for h in hosts], pa.large_string())})
 
-    return hash_exchange(
+    return schema_guard(hash_exchange(
         robots.map_batches(keyed, batch_format="pyarrow"), "__rhost",
-        merge, batch_format="pyarrow").materialize()
-
-
-class RobotsFilter:
-    """Stateful task stage: annotate/filter URL rows by REP permission.
-
-    ``ref`` is a ray.put of the :func:`robots_rules` table; its JSON
-    decodes once per worker here, not per batch."""
-
-    def __init__(self, ref, url_col: str, keep_only: bool) -> None:
-        import ray
-        self.url_col = url_col
-        self.keep_only = keep_only
-        t = ray.get(ref)
-        self.rules = {h: json.loads(r) for h, r in zip(
-            t.column("__rhost").to_pylist(),
-            t.column("__rules").to_pylist())}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        host, path = _extract_hostpath(batch, self.url_col)
-        allowed = _allowed(host, path, self.rules.get)
-        if self.keep_only:
-            return batch.filter(pa.array(allowed))
-        return batch.append_column("robots_allowed",
-                                   pa.array(allowed))
+        merge, batch_format="pyarrow"), _RULES)
 
 
 def robots_filter(ds: Any, robots: Any, url_col: str = "url",
                   host_col: str = "host", body_col: str = "body",
-                  agent: str = "*", keep_only: bool = False,
-                  batch_size: int = 4096) -> Any:
+                  agent: str = "*", keep_only: bool = False) -> Any:
     """Filter/annotate a URL Dataset by robots.txt permission.
 
     ``robots``: a (host, body) table/Dataset of robots.txt bodies; a
@@ -255,70 +226,31 @@ def robots_filter(ds: Any, robots: Any, url_col: str = "url",
     With ``keep_only=True`` disallowed rows are dropped; otherwise a
     boolean ``robots_allowed`` column is appended.
 
-    The compiled rules table rides one ``ray.put`` when it fits
-    ``joins.small_side``; otherwise :func:`robots_filter_join` joins
-    it, with nothing materialized on the driver."""
-    import ray
+    Each row's host looks up the compiled rules table through
+    :func:`~.joins.lookup`, keyed by the URL (broadcast within the
+    budget, hash-joined past it), and each batch decodes the rules
+    JSON of its distinct hosts once."""
+    import pyarrow.compute as pc
 
-    from ..util import map_batches_stateful
-    from .joins import small_side
+    from .joins import lookup
+
+    def host(batch: pa.Table):
+        return np.arange(batch.num_rows), \
+            _extract_hostpath(batch, url_col)[0]
+
+    def fold(batch: pa.Table, _, found: pa.Table) -> pa.Table:
+        hosts, path = _extract_hostpath(batch, url_col)
+        found_host = found.column("__rhost").combine_chunks()
+        listed = pc.drop_null(pc.unique(found_host))
+        first = pc.index_in(listed, value_set=found_host)
+        rules = dict(zip(listed.to_pylist(), map(json.loads, found.column(
+            "__rules").take(first).to_pylist())))
+        allowed = _allowed(hosts, path, rules.get)
+        if keep_only:
+            return batch.filter(pa.array(allowed))
+        return batch.append_column("robots_allowed",
+                                   pa.array(allowed))
 
     rules = robots_rules(robots, host_col, body_col, agent)
-    small = small_side(rules, _RULES)
-    if small is None:
-        return robots_filter_join(ds, rules, url_col, keep_only)
-    return map_batches_stateful(
-        ds, RobotsFilter,
-        fn_constructor_kwargs=dict(ref=ray.put(small), url_col=url_col,
-                                   keep_only=keep_only),
-        batch_format="pyarrow", batch_size=batch_size)
-
-
-def robots_filter_join(ds: Any, rules: Any, url_col: str = "url",
-                       keep_only: bool = False) -> Any:
-    """:func:`robots_filter` against a :func:`robots_rules` table too
-    large to broadcast. Exchanges are slim: (host, rules), one row
-    per host with rules; (url, host, path) per URL row; the distinct
-    disallowed URLs. The full rows ride exactly one left join, keyed
-    on the URL, so every input row comes out once."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    from .joins import hash_join, schema_guard
-
-    def url_key(batch: pa.Table):
-        return pc.cast(batch.column(url_col), pa.large_string())
-
-    def slim(batch: pa.Table) -> pa.Table:
-        host, path = _extract_hostpath(batch, url_col)
-        return pa.table({"__url": url_key(batch), "__rhost": host,
-                         "__path": path})
-
-    def verdicts(t: pa.Table) -> pa.Table:
-        host = t.column("__rhost").combine_chunks()
-        rules_of = dict(zip(host.to_pylist(),
-                            t.column("__rules_r").to_pylist()))
-        allowed = _allowed(host, t.column("__path").combine_chunks(),
-                           lambda h: json.loads(rules_of[h]))
-        return t.select(["__url"]).filter(pa.array(~allowed))
-
-    # inner join: URLs on rule-less hosts drop out (default allow)
-    joined = hash_join(ds.map_batches(slim, batch_format="pyarrow"),
-                       schema_guard(rules, _RULES), "__rhost")
-    blocked = schema_guard(
-        joined.map_batches(verdicts, batch_format="pyarrow")
-        .groupby("__url").aggregate(Count(alias_name="__bl")),
-        pa.schema([("__url", pa.large_string()), ("__bl", pa.int64())]))
-    rows = ds.map_batches(lambda t: t.append_column("__url", url_key(t)),
-                          batch_format="pyarrow")
-
-    def shape(batch: pa.Table) -> pa.Table:
-        allowed = pc.is_null(batch.column("__bl_r"))
-        batch = batch.drop_columns(["__url", "__bl_r"])
-        if keep_only:
-            return batch.filter(allowed)
-        return batch.append_column("robots_allowed", allowed)
-
-    # null URLs never match the join back: allowed, as in broadcast
-    return hash_join(rows, blocked, "__url", how="left").map_batches(
-        shape, batch_format="pyarrow")
+    return lookup(ds, rules, "__rhost", fold, explode=host,
+                  row_key=url_col)

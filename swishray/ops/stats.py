@@ -241,27 +241,20 @@ def histogram_fixed(ds: Any, col: str, lo: float, hi: float,
 def zscore_outliers(ds: Any, group: str, col: str,
                     threshold: float = 3.0) -> Any:
     """Rows whose |x − mean| > t·std within their group — the
-    composition pattern: the tiny per-group moment table (exact
-    int64 sums, see group_moments) is collected once and broadcast
-    via ray.put into a pure map-side filter; the corpus itself never
-    shuffles. z is the same fixed double expression on both engines,
-    so even boundary rows select identically."""
-    import numpy as np
-    import ray
-
-    stats_rows = group_moments(ds, group, col).take_all()
-    mu = {r[group]: r["mean_x"] for r in stats_rows}
-    sd = {r[group]: r["std_x"] for r in stats_rows}
-    ref = ray.put((mu, sd))
+    composition pattern: every row looks up its group in the
+    per-group moment table (exact int64 sums, see group_moments)
+    through ``joins.lookup``, which broadcasts it when it is small;
+    the corpus itself never shuffles then. z is the same fixed
+    double expression on both engines, so even boundary rows select
+    identically."""
+    from .joins import lookup
     t = float(threshold)
 
-    def f(batch: pa.Table) -> pa.Table:
-        m, s = ray.get(ref)
-        g = batch.column(group).to_pylist()
+    def fold(batch: pa.Table, _, found: pa.Table) -> pa.Table:
         x = batch.column(col).to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        mus = np.array([m[v] for v in g], dtype=np.float64)
-        sds = np.array([s[v] for v in g], dtype=np.float64)
+        mus = _f64(found.column("mean_x"))
+        sds = _f64(found.column("std_x"))
         with np.errstate(invalid="ignore", divide="ignore"):
             z = (x - mus) / sds
         keep = np.abs(z) > t
@@ -269,40 +262,40 @@ def zscore_outliers(ds: Any, group: str, col: str,
         return out.append_column(
             "z", pa.array(z[keep], type=pa.float64()))
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    moments = group_moments(ds, group, col).select_columns(
+        [group, "mean_x", "std_x"])
+    return lookup(ds, moments, group, fold)
+
+
+def _f64(c) -> np.ndarray:
+    """A looked-up column as float64, NaN where the key was missing."""
+    return pc.cast(c, pa.float64()).to_numpy(zero_copy_only=False)
 
 
 def minmax_normalize(ds: Any, group: str, col: str,
                      out: str = "x_norm") -> Any:
     """Per-group min-max feature scaling (x − min)/(max − min) —
-    the tiny exact min/max table is broadcast via ray.put into a
-    map-side transform (zscore_outliers' composition pattern); the
+    every row looks up its group's exact min/max through
+    ``joins.lookup`` (zscore_outliers' composition pattern); the
     division is one double op, so a SQL replay matches bit-for-bit.
     Constant groups (max == min) map to 0.0."""
-    import ray
     from ray.data.aggregate import Max, Min
 
-    mm = ds.groupby(group).aggregate(
-        Min(col, alias_name="lo"), Max(col, alias_name="hi")) \
-        .take_all()
-    table = {r[group]: (float(r["lo"]), float(r["hi"])) for r in mm}
-    ref = ray.put(table)
+    from .joins import lookup
 
-    def f(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-        m = _ray.get(ref)
-        g = batch.column(group).to_pylist()
+    def fold(batch: pa.Table, _, found: pa.Table) -> pa.Table:
         x = batch.column(col).to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        lo = np.array([m[v][0] for v in g], dtype=np.float64)
-        hi = np.array([m[v][1] for v in g], dtype=np.float64)
+        lo, hi = _f64(found.column("lo")), _f64(found.column("hi"))
         span = hi - lo
         with np.errstate(invalid="ignore", divide="ignore"):
             z = (x - lo) / span
         z = np.where(span > 0, z, 0.0)
         return batch.append_column(out, pa.array(z, type=pa.float64()))
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    mm = ds.groupby(group).aggregate(
+        Min(col, alias_name="lo"), Max(col, alias_name="hi"))
+    return lookup(ds, mm, group, fold)
 
 
 def winsorize(ds: Any, col: str, q_lo: float = 0.05,

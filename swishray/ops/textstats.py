@@ -436,39 +436,62 @@ URL_QUERY_RE = r"\?(?P<m>[^#]*)"
 URL_SITE_RE = r"(?P<m>[^.]+\.[^.]+)$"
 
 
-def _doc_bigrams(batch: pa.Table, col: str):
-    """Vectorized within-doc adjacent word pairs: flatten the
-    whitespace words (the _WORDS_SQL universe, empties dropped),
-    shift by one, keep pairs that stay inside their document.
-    Returns (bigram large_string array, doc-row index array)."""
+def _doc_words(batch: pa.Table, col: str, sep: str = " +"):
+    """Each doc's non-empty words split on ``sep``, flat: (doc-row
+    index array, word large_string array)."""
     import numpy as np
     import pyarrow.compute as pc
 
     txt = pc.coalesce(pc.cast(batch.column(col), pa.large_string()),
                       "")
-    words = pc.split_pattern_regex(txt, " +")
+    words = pc.split_pattern_regex(txt, sep)
     if isinstance(words, pa.ChunkedArray):
         words = words.combine_chunks()
     offs = words.offsets.to_numpy(zero_copy_only=False)
-    offs = offs - offs[0]
-    flat = words.flatten()
-    nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
     rows = np.repeat(np.arange(len(offs) - 1), np.diff(offs))
-    # compact away empty tokens first so adjacency skips them (the
-    # SQL replay filters then windows, same order)
-    keep = np.flatnonzero(nonempty)
-    if len(keep) == 0:
-        return pa.array([], pa.large_string()), np.zeros(0, np.int64)
-    fw = flat.take(pa.array(keep))
-    fr = rows[keep]
-    same = fr[:-1] == fr[1:]
-    if not same.any():
-        return pa.array([], pa.large_string()), np.zeros(0, np.int64)
-    left = fw.slice(0, len(fw) - 1).filter(pa.array(same))
+    flat = words.flatten()
+    keep = pc.not_equal(flat, "")
+    return rows[keep.to_numpy(zero_copy_only=False)], flat.filter(keep)
+
+
+def _doc_bigrams(batch: pa.Table, col: str):
+    """Vectorized within-doc adjacent word pairs: the whitespace
+    words (the _WORDS_SQL universe, empties dropped first, so
+    adjacency skips them as the SQL replay does) shifted by one, kept
+    where the pair stays inside its document. Returns (bigram
+    large_string array, doc-row index array)."""
+    import pyarrow.compute as pc
+
+    rows, fw = _doc_words(batch, col)
+    same = rows[:-1] == rows[1:]
+    left = fw.slice(0, max(len(fw) - 1, 0)).filter(pa.array(same))
     right = fw.slice(1).filter(pa.array(same))
     bi = pc.binary_join_element_wise(
         left, right, pa.scalar(" ", pa.large_string()))
-    return bi, fr[:-1][same]
+    return bi, rows[:-1][same]
+
+
+def _rarity(key: str, freq_sum: str, n_keys: str):
+    """The fold of word_rarity and bigram_rarity: per doc, the exact
+    int64 sum of its keys' vocabulary counts, its key count and how
+    many keys the vocabulary lacks."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    def fold(batch: pa.Table, rows, found: pa.Table) -> pa.Table:
+        n_docs = batch.num_rows
+        cnt = pc.cast(found.column("n"), pa.int64())
+        miss = pc.is_null(cnt).to_numpy(zero_copy_only=False)
+        sums = np.zeros(n_docs, dtype=np.int64)
+        np.add.at(sums, rows, pc.fill_null(cnt, 0).to_numpy())
+        return pa.table({
+            key: batch.column(key),
+            freq_sum: pa.array(sums),
+            n_keys: pa.array(np.bincount(
+                rows, minlength=n_docs).astype(np.int64)),
+            "n_oov": pa.array(np.bincount(
+                rows[miss], minlength=n_docs).astype(np.int64))})
+    return fold
 
 
 def bigram_rarity(ds: Any, col: str = "text", key: str = "doc_id",
@@ -483,18 +506,18 @@ def bigram_rarity(ds: Any, col: str = "text", key: str = "doc_id",
     spam, keyword stuffing) scores low where the unigram signal
     cannot see it.
 
-    Same scale shape as word_rarity: the bigram vocabulary is bounded
-    BY CONSTRUCTION (min_count + max_vocab), broadcasts once via
-    ``ray.put``, and membership is one vectorized ``pc.index_in`` per
-    batch — corpus text never rides a shuffle; the count exchange
-    carries (bigram, partial) rows with map-side combining."""
+    Same scale shape as word_rarity: every doc's bigrams look up the
+    bigram vocabulary (cut by ``min_count`` and ``max_vocab``)
+    through ``joins.lookup``; within the broadcast budget that is one
+    vectorized ``pc.index_in`` per batch and corpus text never rides
+    a shuffle. The count exchange carries (bigram, partial) rows
+    with map-side combining."""
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
     from ray.data.aggregate import Sum
 
-    from ..util import map_batches_stateful
+    from .joins import lookup, schema_guard
 
     def partial(batch: pa.Table) -> pa.Table:
         bi, _ = _doc_bigrams(batch, col)
@@ -514,42 +537,13 @@ def bigram_rarity(ds: Any, col: str = "text", key: str = "doc_id",
     if max_vocab is not None:
         counts = counts.sort(["n", "bigram"],
                              descending=[True, False]).limit(max_vocab)
-    vocab = pa.Table.from_pylist(counts.take_all())
-    if vocab.num_rows == 0:
-        vocab = pa.table({"bigram": pa.array([], pa.large_string()),
-                          "n": pa.array([], pa.int64())})
-    ref = ray.put((pc.cast(vocab.column("bigram"),
-                           pa.large_string()).combine_chunks(),
-                   vocab.column("n").to_numpy(zero_copy_only=False)
-                   .astype(np.int64)))
 
-    class Score:
-        def __init__(self, ref) -> None:
-            self.bigrams, self.counts = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            bi, brows = _doc_bigrams(batch, col)
-            n_docs = batch.num_rows
-            freq_sum = np.zeros(n_docs, dtype=np.int64)
-            n_bi = np.zeros(n_docs, dtype=np.int64)
-            n_oov = np.zeros(n_docs, dtype=np.int64)
-            if len(bi):
-                idx = pc.index_in(bi, value_set=self.bigrams) \
-                    .to_numpy(zero_copy_only=False)
-                hit = ~np.isnan(idx)
-                np.add.at(n_bi, brows, 1)
-                np.add.at(n_oov, brows[~hit], 1)
-                np.add.at(freq_sum, brows[hit],
-                          self.counts[idx[hit].astype(np.int64)])
-            return pa.table({
-                key: batch.column(key),
-                "bi_freq_sum": pa.array(freq_sum),
-                "n_bigrams": pa.array(n_bi),
-                "n_oov": pa.array(n_oov)})
-
-    return map_batches_stateful(
-        ds, Score, fn_constructor_kwargs={"ref": ref},
-        batch_format="pyarrow")
+    vocab = schema_guard(counts, pa.schema([("bigram", pa.large_string()),
+                                            ("n", pa.int64())]))
+    return lookup(ds, vocab, "bigram",
+                  _rarity(key, "bi_freq_sum", "n_bigrams"),
+                  explode=lambda b: _doc_bigrams(b, col)[::-1],
+                  row_key=key)
 
 
 def url_parts(ds: Any, col: str = "url", key: str | None = None) -> Any:
@@ -616,61 +610,21 @@ def word_rarity(ds: Any, col: str = "text", key: str = "doc_id",
     boilerplate hashes); high = stopword soup.  Integer outputs keep
     the oracle hash-exact — derive float scores downstream.
 
-    Scale shape: the vocabulary is bounded BY CONSTRUCTION
-    (``min_count``/``max_vocab``, aggregates.build_vocab) so it
-    broadcasts once via ``ray.put`` and membership runs as one
-    vectorized ``pc.index_in`` per batch; the corpus itself never
-    rides a shuffle.  Pass a prebuilt ``vocab`` (token,n) to score
-    against a reference corpus instead of the input's own."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray
-
-    from ..util import map_batches_stateful
-    from .aggregates import build_vocab
+    Scale shape: every doc's words look up the vocabulary's counts
+    (``min_count``/``max_vocab``, aggregates._vocab_counts) through
+    ``joins.lookup``: within the broadcast budget one vectorized
+    ``pc.index_in`` per batch and the corpus never rides a shuffle,
+    past it a hash join.  Pass a prebuilt ``vocab`` (token,n) to
+    score against a reference corpus instead of the input's own."""
+    from .aggregates import _vocab_counts
+    from .joins import lookup, schema_guard
 
     if vocab is None:
-        vocab = build_vocab(ds, col=col, min_count=min_count,
-                            max_size=max_vocab)
-    ref = ray.put((vocab.column("token").combine_chunks(),
-                   vocab.column("n").to_numpy(zero_copy_only=False)
-                   .astype(np.int64)))
-
-    class Score:
-        def __init__(self, ref) -> None:
-            self.tokens, self.counts = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            txt = pc.coalesce(pc.cast(batch.column(col),
-                                      pa.large_string()), "")
-            words = pc.split_pattern_regex(txt, " +")
-            if isinstance(words, pa.ChunkedArray):
-                words = words.combine_chunks()
-            flat = words.flatten()
-            offs = words.offsets.to_numpy(zero_copy_only=False)
-            nonempty = pc.not_equal(flat, "") \
-                .to_numpy(zero_copy_only=False)
-            idx = pc.index_in(flat, value_set=self.tokens)
-            iv = idx.to_numpy(zero_copy_only=False)  # float w/ nan
-            hit = ~np.isnan(iv) & nonempty
-            freq = np.zeros(len(flat), dtype=np.int64)
-            freq[hit] = self.counts[iv[hit].astype(np.int64)]
-            c_f = np.concatenate(([0], np.cumsum(freq)))
-            c_w = np.concatenate(([0], np.cumsum(
-                nonempty.astype(np.int64))))
-            c_o = np.concatenate(([0], np.cumsum(
-                (nonempty & ~hit).astype(np.int64))))
-            lo, hi = offs[:-1] - offs[0], offs[1:] - offs[0]
-            return pa.table({
-                key: batch.column(key),
-                "freq_sum": pa.array(c_f[hi] - c_f[lo]),
-                "n_words": pa.array(c_w[hi] - c_w[lo]),
-                "n_oov": pa.array(c_o[hi] - c_o[lo]),
-            })
-
-    return map_batches_stateful(
-        ds, Score, fn_constructor_kwargs={"ref": ref},
-        batch_format="pyarrow")
+        vocab = schema_guard(
+            _vocab_counts(ds, col, min_count, max_vocab),
+            pa.schema([("token", pa.string()), ("n", pa.int64())]))
+    return lookup(ds, vocab, "token", _rarity(key, "freq_sum", "n_words"),
+                  explode=lambda b: _doc_words(b, col), row_key=key)
 
 
 def url_canonicalize(ds: Any, col: str = "url",
@@ -847,35 +801,21 @@ def tfidf_topk(ds: Any, col: str = "text", key: str = "doc_id",
 
     Scale shape: pass 1 builds the document-frequency table over
     DISTINCT (doc, term) pairs — a slim (term, partial_df) exchange
-    with map-side combining; ``min_df``/``max_vocab`` bound it BY
-    CONSTRUCTION so it broadcasts once via ``ray.put``. Pass 2 is
-    pure map-side: a document's words live in its own row, so the
-    per-doc top-k needs no shuffle at all — one flatten + index_in +
-    pandas groupby/head per batch."""
-    import numpy as np
+    with map-side combining, cut by ``min_df``/``max_vocab``. Pass 2
+    looks every doc's words up in it through ``joins.lookup``
+    (broadcast within the budget, so no shuffle: a document's words
+    live in its own row); the per-doc top-k is one pandas
+    groupby/head per batch."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
     from ray.data.aggregate import Sum
 
-    from ..util import map_batches_stateful
-
-    def _flat_words(batch: pa.Table):
-        txt = pc.coalesce(pc.cast(batch.column(col),
-                                  pa.large_string()), "")
-        words = pc.split_pattern_regex(txt, r"\s+")
-        if isinstance(words, pa.ChunkedArray):
-            words = words.combine_chunks()
-        offs = words.offsets.to_numpy(zero_copy_only=False)
-        return words.flatten(), offs - offs[0]
+    from .joins import lookup, schema_guard
 
     def df_partial(batch: pa.Table) -> pa.Table:
-        flat, offs = _flat_words(batch)
-        fd = pd.DataFrame({
-            "term": flat.to_pandas(),
-            "row": np.repeat(np.arange(len(offs) - 1),
-                             np.diff(offs))})
-        fd = fd[fd.term != ""].drop_duplicates()
+        rows, flat = _doc_words(batch, col, r"\s+")
+        fd = pd.DataFrame({"term": flat.to_pandas(), "row": rows}) \
+            .drop_duplicates()
         vc = fd.term.value_counts()
         return pa.table({"term": pa.array(vc.index, pa.large_string()),
                          "pdf": pa.array(vc.to_numpy(), pa.int64())})
@@ -889,56 +829,33 @@ def tfidf_topk(ds: Any, col: str = "text", key: str = "doc_id",
     if max_vocab is not None:
         dfs = dfs.sort(["df", "term"], descending=[True, False]) \
             .limit(max_vocab)
-    df_tbl = pa.Table.from_pylist(dfs.take_all())
-    n_docs = ds.count()
-    if df_tbl.num_rows == 0:
-        df_tbl = pa.table({"term": pa.array([], pa.large_string()),
-                           "df": pa.array([], pa.int64())})
-    ref = ray.put((df_tbl.column("term").combine_chunks(),
-                   df_tbl.column("df").to_numpy(zero_copy_only=False)
-                   .astype(np.int64), int(n_docs)))
+    n_docs = float(ds.count())
 
-    class TopK:
-        def __init__(self, ref) -> None:
-            self.terms, self.df, self.n = ray.get(ref)
+    def top(batch: pa.Table, rows, found: pa.Table) -> pa.Table:
+        hit = pc.is_valid(found.column("term"))
+        g = pd.DataFrame({
+            "row": rows[hit.to_numpy(zero_copy_only=False)],
+            "term": found.column("term").filter(hit).to_pandas(),
+            "df": found.column("df").filter(hit).to_pandas()})
+        tc = g.groupby(["row", "term", "df"]).size() \
+            .reset_index(name="tf")
+        tc["score"] = tc.tf.to_numpy() * n_docs / tc.df.to_numpy()
+        tc = tc.sort_values(["row", "score", "term"],
+                            ascending=[True, False, True],
+                            kind="mergesort")
+        tc = tc.groupby("row", sort=False).head(k)
+        return pa.table({
+            key: batch.column(key).take(pa.array(tc.row.to_numpy(),
+                                                 pa.int64())),
+            "term": pa.array(tc.term.to_numpy(), pa.large_string()),
+            "tf": pa.array(tc.tf.to_numpy(), pa.int64()),
+            "df": pa.array(tc.df.to_numpy(), pa.int64())})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            flat, offs = _flat_words(batch)
-            idx = pc.index_in(flat, value_set=self.terms) \
-                .to_numpy(zero_copy_only=False)
-            rows = np.repeat(np.arange(len(offs) - 1), np.diff(offs))
-            hit = ~np.isnan(idx)
-            if not hit.any():
-                return pa.table({
-                    key: batch.column(key).take(
-                        pa.array([], pa.int64())),
-                    "term": pa.array([], pa.large_string()),
-                    "tf": pa.array([], pa.int64()),
-                    "df": pa.array([], pa.int64())})
-            g = pd.DataFrame({"row": rows[hit],
-                              "tid": idx[hit].astype(np.int64)})
-            tc = g.groupby(["row", "tid"]).size().reset_index(name="tf")
-            dfv = self.df[tc.tid.to_numpy()]
-            tc["df"] = dfv
-            tc["score"] = tc.tf.to_numpy() * float(self.n) / dfv
-            terms = self.terms.take(
-                pa.array(tc.tid.to_numpy())).to_pandas()
-            tc["term"] = terms.to_numpy()
-            tc = tc.sort_values(["row", "score", "term"],
-                                ascending=[True, False, True],
-                                kind="mergesort")
-            tc = tc.groupby("row", sort=False).head(k)
-            ridx = pa.array(tc.row.to_numpy())
-            return pa.table({
-                key: batch.column(key).take(ridx),
-                "term": pa.array(tc.term.to_numpy(),
-                                 pa.large_string()),
-                "tf": pa.array(tc.tf.to_numpy(), pa.int64()),
-                "df": pa.array(tc.df.to_numpy(), pa.int64())})
-
-    return map_batches_stateful(
-        ds, TopK, fn_constructor_kwargs={"ref": ref},
-        batch_format="pyarrow")
+    side = schema_guard(dfs, pa.schema([("term", pa.large_string()),
+                                        ("df", pa.int64())]))
+    return lookup(ds, side, "term", top,
+                  explode=lambda b: _doc_words(b, col, r"\s+"),
+                  row_key=key)
 
 
 def snippets(ds: Any, terms: Sequence[str], col: str = "text",

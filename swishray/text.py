@@ -23,11 +23,6 @@ _CTRL_TO_WS = bytes(0x20 if b < 32 else b for b in range(256))
 _NO_NULLS = bytes.maketrans(b"\x00\x03", b"\n\n")
 
 
-def is_ascii(data: bytes) -> bool:
-    """string.c:259 swish_is_ascii — no byte >= 0x80."""
-    return data.isascii()
-
-
 def str_all_ws(data: bytes) -> bool:
     """string.c:569-590 — every byte is ASCII whitespace.
 

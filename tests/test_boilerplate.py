@@ -208,53 +208,61 @@ def test_group_scoped_differs_from_global(ray_session):
     assert got[3] == "gamma body"         # NAV A global count = 2
 
 
-def test_remove_duplicate_spans(ray_session):
+def test_remove_duplicate_spans(ray_session, monkeypatch):
     """Lee-et-al-style span cut: a shared 6-word slogan (covered by
     hot 4-grams) vanishes as one span wherever it appears; unique
     text and sub-n repeats survive."""
     from swishray.ops.boilerplate import remove_duplicate_spans
+    from swishray.ops import joins
 
-    slogan = "all your base are belong here"
-    rows = [
-        (1, f"intro words {slogan} tail one"),
-        (2, f"{slogan} second doc body"),
-        (3, "totally unique text with no repeats at all"),
-        (4, "short repeat short repeat"),   # 2-grams repeat, < n
-        (5, f"middle {slogan}"),
-    ]
-    import ray.data as rd
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "text": pa.array([r[1] for r in rows], pa.string())}))
-    out = {r["doc_id"]: r for r in
-           remove_duplicate_spans(ds, n=4).take_all()}
-    assert out[1]["text_clean"] == "intro words tail one"
-    assert out[1]["n_words_removed"] == 6
-    assert out[2]["text_clean"] == "second doc body"
-    assert out[3]["text_clean"] == rows[2][1]
-    assert out[3]["n_words_removed"] == 0
-    assert out[4]["text_clean"] == rows[3][1]
-    assert out[5]["text_clean"] == "middle"
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        slogan = "all your base are belong here"
+        rows = [
+            (1, f"intro words {slogan} tail one"),
+            (2, f"{slogan} second doc body"),
+            (3, "totally unique text with no repeats at all"),
+            (4, "short repeat short repeat"),   # 2-grams repeat, < n
+            (5, f"middle {slogan}"),
+        ]
+        import ray.data as rd
+        ds = rd.from_arrow(pa.table({
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "text": pa.array([r[1] for r in rows], pa.string())}))
+        out = {r["doc_id"]: r for r in
+               remove_duplicate_spans(ds, n=4).take_all()}
+        assert out[1]["text_clean"] == "intro words tail one"
+        assert out[1]["n_words_removed"] == 6
+        assert out[2]["text_clean"] == "second doc body"
+        assert out[3]["text_clean"] == rows[2][1]
+        assert out[3]["n_words_removed"] == 0
+        assert out[4]["text_clean"] == rows[3][1]
+        assert out[5]["text_clean"] == "middle"
 
 
-def test_remove_duplicate_spans_overlap_merge(ray_session):
+def test_remove_duplicate_spans_overlap_merge(ray_session, monkeypatch):
     """Two hot spans overlapping in one doc merge into one cut; a
     doc that is ENTIRELY a hot span keeps an empty row."""
     from swishray.ops.boilerplate import remove_duplicate_spans
     import ray.data as rd
+    from swishray.ops import joins
 
-    a = "one two three four five"
-    b = "three four five six seven"
-    rows = [
-        (1, a), (2, a),            # make a hot
-        (3, b), (4, b),            # make b hot
-        (5, f"head {a} six seven tail"),  # a + b overlap via suffix
-    ]
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "text": pa.array([r[1] for r in rows], pa.string())}))
-    out = {r["doc_id"]: r for r in
-           remove_duplicate_spans(ds, n=5).take_all()}
-    assert out[1]["text_clean"] == "" and out[1]["n_words_removed"] == 5
-    assert out[5]["text_clean"] == "head tail"
-    assert out[5]["n_words_removed"] == 7
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        a = "one two three four five"
+        b = "three four five six seven"
+        rows = [
+            (1, a), (2, a),            # make a hot
+            (3, b), (4, b),            # make b hot
+            (5, f"head {a} six seven tail"),  # a + b overlap via suffix
+        ]
+        ds = rd.from_arrow(pa.table({
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "text": pa.array([r[1] for r in rows], pa.string())}))
+        out = {r["doc_id"]: r for r in
+               remove_duplicate_spans(ds, n=5).take_all()}
+        assert out[1]["text_clean"] == "" and out[1]["n_words_removed"] == 5
+        assert out[5]["text_clean"] == "head tail"
+        assert out[5]["n_words_removed"] == 7

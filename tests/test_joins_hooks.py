@@ -40,14 +40,79 @@ def test_small_side_budget(ray_session, monkeypatch):
     assert empty.num_rows == 0 and empty.schema == schema
 
 
-def test_broadcast_lookup_join(ray_session):
+_SIDE = pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]})
+
+
+@pytest.mark.parametrize("side,seed", [
+    ("table", 1), ("dataset", 2), ("empty-table", 3),
+    ("empty-dataset", 4)])
+def test_lookup_paths_agree(ray_session, side, seed):
+    """lookup gives the same rows at the default budget and on the
+    join path, for one key per row and for exploded keys: missing and
+    null keys find nulls, an empty side finds nothing, rows sharing a
+    URL row key each get their keys, and a null row key finds
+    nothing."""
+    import random
+
     import ray.data as rd
-    from swishray.ops.joins import broadcast_lookup_join
-    ds = rd.from_arrow(pa.table({"ext": ["html", "txt", "zzz"]}))
-    out = broadcast_lookup_join(ds, {"html": "text/html",
-                                     "txt": "text/plain"},
-                                "ext", "mime").take_all()
-    assert [r["mime"] for r in out] == ["text/html", "text/plain", None]
+    from swishray.ops import joins
+
+    def url_keys(batch: pa.Table):
+        """Each URL's "/"-parts; an empty part is a null key, and a
+        null URL explodes like "a"."""
+        import pyarrow.compute as pc
+        parts = pc.split_pattern(pc.coalesce(batch.column("url"), "a"),
+                                 "/")
+        flat = pc.list_flatten(parts)
+        return (pc.list_parent_indices(parts).to_numpy(),
+                pc.if_else(pc.equal(flat, ""), None, flat))
+
+    def per_key(batch, ri, found):
+        return pa.table({"rid": batch.column("rid").take(pa.array(ri)),
+                         "key": url_keys(batch)[1],
+                         "found": found.column("k"),
+                         "v": found.column("v")})
+
+    def per_row(batch, ri, found):
+        return batch.append_column("found", found.column("k")) \
+            .append_column("v", found.column("v"))
+
+    rng = random.Random(seed)
+    urls = [None] + ["/".join(rng.choice("abcd") if rng.random() < 0.8
+                              else "" for _ in range(rng.randint(1, 4)))
+                     for _ in range(30)]
+    urls += urls[1:4]  # rows that share a URL row key
+    ks = [rng.choice(["a", "b", "d", None]) for _ in urls]
+    ds = rd.from_arrow(pa.table({"rid": range(len(urls)), "url": urls,
+                                 "k": ks})).repartition(3)
+    table = _SIDE.slice(0, 0) if side.startswith("empty") else _SIDE
+    found = dict(zip(*table.to_pydict().values()))
+
+    def rows(out):
+        return sorted((tuple(r.values()) for r in out.take_all()),
+                      key=repr)
+
+    def run():
+        s = table if side.endswith("table") else rd.from_arrow(table)
+        return (rows(joins.lookup(ds, s, "k", per_row)),
+                rows(joins.lookup(ds, s, "k", per_key,
+                                  explode=url_keys, row_key="url")))
+
+    broadcast = run()
+    with joins.join_path():
+        assert joins.BROADCAST_MAX_BYTES == 0
+        joined = run()
+    assert joins.BROADCAST_MAX_BYTES == 8 << 20
+    assert broadcast == joined
+    assert broadcast[0] == sorted(
+        ((i, u, k, k if k in found else None, found.get(k))
+         for i, (u, k) in enumerate(zip(urls, ks))), key=repr)
+    assert broadcast[1] == sorted(
+        ((i, p or None, p if u is not None and p in found else None,
+          found.get(p) if u is not None else None)
+         for i, u in enumerate(urls)
+         for p in ("a" if u is None else u).split("/")),
+        key=repr)
 
 
 def test_hash_join(ray_session):
@@ -175,6 +240,39 @@ def test_map_groups_only_in_keyed_exchange():
                         node.func.attr == "map_groups":
                     found.add((path.stem, name))
     assert found - allowed == {("joins", "hash_exchange")}
+    assert allowed <= found
+
+
+def test_driver_round_trips_are_listed():
+    """Every ``take_all()`` and ``ray.put(`` call under swishray/ops/
+    is ``joins.lookup``'s or ``small_side``'s, or sits in a site that
+    small_side's docstring lists with its bound — and every listed
+    site still exists."""
+    import ast
+    import pathlib
+    import re
+
+    from swishray.ops.joins import small_side
+
+    listed = small_side.__doc__.split("reads this list):")[1]
+    allowed = set(re.findall(r"``(\w+)\.(\w+)``", listed))
+    assert len(allowed) >= 30
+    root = pathlib.Path(__file__).resolve().parent.parent / "swishray" \
+        / "ops"
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and
+                        isinstance(node.func, ast.Attribute)):
+                    continue
+                f = node.func
+                if f.attr == "take_all" or (
+                        f.attr == "put" and isinstance(f.value, ast.Name)
+                        and f.value.id == "ray"):
+                    found.add((path.stem, name))
+    assert found - allowed == {("joins", "lookup")}
     assert allowed <= found
 
 

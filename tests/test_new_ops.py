@@ -330,32 +330,42 @@ def test_build_vocab_ranks(ray_session):
     assert v["id"] == [0, 1]
 
 
-def test_word_rarity_counts(ray_session):
+def test_word_rarity_counts(ray_session, monkeypatch):
     import ray.data as rd
     from swishray.ops.textstats import word_rarity
-    t = pa.table({
-        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "text": pa.array(["b b a", "a  b c", "", None], pa.string())})
-    out = word_rarity(rd.from_arrow(t).repartition(2), min_count=2) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    # corpus counts: a:2 b:3 c:1 -> vocab {a:2, b:3}; c is OOV
-    assert out["doc_id"].tolist() == [0, 1, 2, 3]
-    assert out["freq_sum"].tolist() == [8, 5, 0, 0]   # b+b+a / a+b
-    assert out["n_words"].tolist() == [3, 3, 0, 0]
-    assert out["n_oov"].tolist() == [0, 1, 0, 0]
+    from swishray.ops import joins
+
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        t = pa.table({
+            "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
+            "text": pa.array(["b b a", "a  b c", "", None], pa.string())})
+        out = word_rarity(rd.from_arrow(t).repartition(2), min_count=2) \
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        # corpus counts: a:2 b:3 c:1 -> vocab {a:2, b:3}; c is OOV
+        assert out["doc_id"].tolist() == [0, 1, 2, 3]
+        assert out["freq_sum"].tolist() == [8, 5, 0, 0]   # b+b+a / a+b
+        assert out["n_words"].tolist() == [3, 3, 0, 0]
+        assert out["n_oov"].tolist() == [0, 1, 0, 0]
 
 
-def test_word_rarity_prebuilt_vocab(ray_session):
+def test_word_rarity_prebuilt_vocab(ray_session, monkeypatch):
     import ray.data as rd
     from swishray.ops.textstats import word_rarity
-    ref = pa.table({"token": pa.array(["x", "y"], pa.string()),
-                    "n": pa.array([10, 1], pa.int64())})
-    t = pa.table({"doc_id": pa.array([0], pa.int64()),
-                  "text": pa.array(["x z y x"], pa.string())})
-    out = word_rarity(rd.from_arrow(t), vocab=ref).to_pandas()
-    assert out.loc[0, "freq_sum"] == 21
-    assert out.loc[0, "n_words"] == 4
-    assert out.loc[0, "n_oov"] == 1
+    from swishray.ops import joins
+
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        ref = pa.table({"token": pa.array(["x", "y"], pa.string()),
+                        "n": pa.array([10, 1], pa.int64())})
+        t = pa.table({"doc_id": pa.array([0], pa.int64()),
+                      "text": pa.array(["x z y x"], pa.string())})
+        out = word_rarity(rd.from_arrow(t), vocab=ref).to_pandas()
+        assert out.loc[0, "freq_sum"] == 21
+        assert out.loc[0, "n_words"] == 4
+        assert out.loc[0, "n_oov"] == 1
 
 
 def test_url_canonicalize(ray_session):
@@ -856,23 +866,27 @@ def test_unpivot(ray_session):
     assert out[(out.k == 2) & (out.attr == "y")].value.iloc[0] == 1.5
 
 
-def test_impute_group_mean(ray_session):
+def test_impute_group_mean(ray_session, monkeypatch):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
     from swishray.ops.aggregates import impute_group_mean
+    from swishray.ops import joins
 
-    t = pa.table({
-        "g": pa.array(["a", "a", "a", "b", "b", "c"]),
-        "x": pa.array([1, None, 4, 7, None, None],
-                      type=pa.int64())})
-    out = impute_group_mean(rd.from_arrow(t).repartition(3),
-                            "g", "x").to_pandas()
-    a = out[out.g == "a"].sort_values("x", na_position="last")
-    assert sorted(out[out.g == "a"].x_imp) == [1.0, 2.5, 4.0]
-    assert sorted(out[out.g == "b"].x_imp) == [7.0, 7.0]
-    # all-null group stays null/NaN
-    assert np.isnan(out[out.g == "c"].x_imp.iloc[0])
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        t = pa.table({
+            "g": pa.array(["a", "a", "a", "b", "b", "c"]),
+            "x": pa.array([1, None, 4, 7, None, None],
+                          type=pa.int64())})
+        out = impute_group_mean(rd.from_arrow(t).repartition(3),
+                                "g", "x").to_pandas()
+        a = out[out.g == "a"].sort_values("x", na_position="last")
+        assert sorted(out[out.g == "a"].x_imp) == [1.0, 2.5, 4.0]
+        assert sorted(out[out.g == "b"].x_imp) == [7.0, 7.0]
+        # all-null group stays null/NaN
+        assert np.isnan(out[out.g == "c"].x_imp.iloc[0])
 
 
 def test_sliding_distinct(ray_session):

@@ -204,20 +204,24 @@ def test_histogram_fixed(ray_session):
     assert sum(out.values()) == 7
 
 
-def test_zscore_outliers(ray_session):
+def test_zscore_outliers(ray_session, monkeypatch):
     import ray.data as rd
     from swishray.ops.stats import zscore_outliers
+    from swishray.ops import joins
 
-    rng = np.random.default_rng(9)
-    x = rng.integers(95, 105, 300)
-    x[7] = 100000  # the outlier
-    t = pa.table({"g": pa.array(["a"] * 300),
-                  "k": pa.array(range(300), type=pa.int64()),
-                  "x": pa.array(x, type=pa.int64())})
-    out = zscore_outliers(rd.from_arrow(t).repartition(4),
-                          "g", "x", threshold=3.0).to_pandas()
-    assert list(out.k) == [7]
-    assert out.z.iloc[0] > 10
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        rng = np.random.default_rng(9)
+        x = rng.integers(95, 105, 300)
+        x[7] = 100000  # the outlier
+        t = pa.table({"g": pa.array(["a"] * 300),
+                      "k": pa.array(range(300), type=pa.int64()),
+                      "x": pa.array(x, type=pa.int64())})
+        out = zscore_outliers(rd.from_arrow(t).repartition(4),
+                              "g", "x", threshold=3.0).to_pandas()
+        assert list(out.k) == [7]
+        assert out.z.iloc[0] > 10
 
 
 def test_count_distinct_per_group(ray_session):
@@ -311,16 +315,20 @@ def test_unnest_list(ray_session):
     assert list(out.val) == [1.5, 2.5, 7.0]
 
 
-def test_minmax_normalize(ray_session):
+def test_minmax_normalize(ray_session, monkeypatch):
     import ray.data as rd
     from swishray.ops.stats import minmax_normalize
+    from swishray.ops import joins
 
-    t = pa.table({"g": ["a", "a", "a", "b", "b"],
-                  "x": pa.array([10, 20, 30, 7, 7], type=pa.int64())})
-    out = minmax_normalize(rd.from_arrow(t).repartition(2),
-                           "g", "x").to_pandas().sort_values(
-        ["g", "x"]).reset_index(drop=True)
-    assert list(out.x_norm) == [0.0, 0.5, 1.0, 0.0, 0.0]
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        t = pa.table({"g": ["a", "a", "a", "b", "b"],
+                      "x": pa.array([10, 20, 30, 7, 7], type=pa.int64())})
+        out = minmax_normalize(rd.from_arrow(t).repartition(2),
+                               "g", "x").to_pandas().sort_values(
+            ["g", "x"]).reset_index(drop=True)
+        assert list(out.x_norm) == [0.0, 0.5, 1.0, 0.0, 0.0]
 
 
 def test_winsorize(ray_session):

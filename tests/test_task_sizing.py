@@ -31,9 +31,14 @@ def _pages(workload, seed):
 
 
 def _sorted(ds):
+    """The output sorted by url. The blocks join in input order (by
+    their first ``doc_id``, which rises through the input), so the
+    dictionary columns take the input's first-use order whatever
+    order Ray returns the blocks in."""
     import ray
-    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
-    return t.sort_by([("url", "ascending")])
+    blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    blocks.sort(key=lambda t: t.column("doc_id")[0].as_py())
+    return pa.concat_tables(blocks).sort_by([("url", "ascending")])
 
 
 def test_rows_per_task_rule():

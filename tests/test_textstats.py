@@ -50,7 +50,7 @@ def test_readability_counts(ray_session):
     assert list(out.n_syllables) == [6, 3, 6, 0, 0, 4]
 
 
-def test_tfidf_topk(ray_session):
+def test_tfidf_topk(ray_session, monkeypatch):
     """tf-idf top-k vs a local pandas replay; min_df cut, tf ties on
     term, and docs with no qualifying terms emit nothing."""
     import ray.data as rd
@@ -58,41 +58,45 @@ def test_tfidf_topk(ray_session):
     import pandas as pd
     import pyarrow as pa
     from swishray.ops.textstats import tfidf_topk
+    from swishray.ops import joins
 
-    texts = [
-        "apple banana apple cherry",
-        "banana cherry cherry date",
-        "apple date date date",
-        "unique_solo_word only here",   # all df=1 except none
-        "",
-    ]
-    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                  "text": pa.array(texts, pa.string())})
-    out = tfidf_topk(rd.from_arrow(t).repartition(3),
-                     k=2, min_df=2).to_pandas()
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        texts = [
+            "apple banana apple cherry",
+            "banana cherry cherry date",
+            "apple date date date",
+            "unique_solo_word only here",   # all df=1 except none
+            "",
+        ]
+        t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                      "text": pa.array(texts, pa.string())})
+        out = tfidf_topk(rd.from_arrow(t).repartition(3),
+                         k=2, min_df=2).to_pandas()
 
-    # local replay
-    n = len(texts)
-    tok = [(i, w) for i, s in enumerate(texts) for w in s.split() if w]
-    fd = pd.DataFrame(tok, columns=["doc_id", "term"])
-    df = fd.drop_duplicates().groupby("term").size()
-    df = df[df >= 2]
-    tc = fd.groupby(["doc_id", "term"]).size().reset_index(name="tf")
-    tc = tc[tc.term.isin(df.index)]
-    tc["df"] = df[tc.term].to_numpy()
-    tc["score"] = tc.tf.to_numpy() * float(n) / tc.df.to_numpy()
-    want = tc.sort_values(["doc_id", "score", "term"],
-                          ascending=[True, False, True]) \
-        .groupby("doc_id", sort=False).head(2)
+        # local replay
+        n = len(texts)
+        tok = [(i, w) for i, s in enumerate(texts) for w in s.split() if w]
+        fd = pd.DataFrame(tok, columns=["doc_id", "term"])
+        df = fd.drop_duplicates().groupby("term").size()
+        df = df[df >= 2]
+        tc = fd.groupby(["doc_id", "term"]).size().reset_index(name="tf")
+        tc = tc[tc.term.isin(df.index)]
+        tc["df"] = df[tc.term].to_numpy()
+        tc["score"] = tc.tf.to_numpy() * float(n) / tc.df.to_numpy()
+        want = tc.sort_values(["doc_id", "score", "term"],
+                              ascending=[True, False, True]) \
+            .groupby("doc_id", sort=False).head(2)
 
-    got = out.sort_values(["doc_id", "term"]).reset_index(drop=True)
-    want = want[["doc_id", "term", "tf", "df"]] \
-        .sort_values(["doc_id", "term"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got.astype({"tf": "int64", "df": "int64"}),
-        want.astype({"tf": "int64", "df": "int64"}))
-    # doc 3 (all rare terms) and doc 4 (empty) emit no rows
-    assert set(got.doc_id) == {0, 1, 2}
+        got = out.sort_values(["doc_id", "term"]).reset_index(drop=True)
+        want = want[["doc_id", "term", "tf", "df"]] \
+            .sort_values(["doc_id", "term"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            got.astype({"tf": "int64", "df": "int64"}),
+            want.astype({"tf": "int64", "df": "int64"}))
+        # doc 3 (all rare terms) and doc 4 (empty) emit no rows
+        assert set(got.doc_id) == {0, 1, 2}
 
 
 def test_snippets(ray_session):
@@ -127,33 +131,37 @@ def test_snippets(ray_session):
                                  False, False, True]
 
 
-def test_bigram_rarity(ray_session):
+def test_bigram_rarity(ray_session, monkeypatch):
     """Hand-computed bigram census: adjacency never crosses doc
     boundaries, OOV pairs counted, zero-rows for short/empty docs."""
     import ray.data as rd
     import pyarrow as pa
     from swishray.ops.textstats import bigram_rarity
+    from swishray.ops import joins
 
-    texts = [
-        "a b a b",        # bigrams: ab, ba, ab
-        "a b c",          # ab, bc
-        "b a",            # ba
-        "x",              # none
-        "",
-        None,
-    ]
-    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                  "text": pa.array(texts, pa.string())})
-    out = bigram_rarity(rd.from_arrow(t).repartition(3),
-                        min_count=2).to_pandas() \
-        .set_index("doc_id").sort_index()
-    # census: "a b" x3, "b a" x2, "b c" x1, boundary pairs (e.g.
-    # "b a" across doc 0->1) must NOT exist beyond within-doc ones
-    # vocab (min_count=2): {"a b": 3, "b a": 2}
-    assert list(out.n_bigrams) == [3, 2, 1, 0, 0, 0]
-    #  d0: ab(3) + ba(2) + ab(3) = 8; d1: ab(3) + bc OOV; d2: ba(2)
-    assert list(out.bi_freq_sum) == [8, 3, 2, 0, 0, 0]
-    assert list(out.n_oov) == [0, 1, 0, 0, 0, 0]
+    for budget in (None, 0):  # broadcast, then the join path
+        if budget is not None:
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", budget)
+        texts = [
+            "a b a b",        # bigrams: ab, ba, ab
+            "a b c",          # ab, bc
+            "b a",            # ba
+            "x",              # none
+            "",
+            None,
+        ]
+        t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                      "text": pa.array(texts, pa.string())})
+        out = bigram_rarity(rd.from_arrow(t).repartition(3),
+                            min_count=2).to_pandas() \
+            .set_index("doc_id").sort_index()
+        # census: "a b" x3, "b a" x2, "b c" x1, boundary pairs (e.g.
+        # "b a" across doc 0->1) must NOT exist beyond within-doc ones
+        # vocab (min_count=2): {"a b": 3, "b a": 2}
+        assert list(out.n_bigrams) == [3, 2, 1, 0, 0, 0]
+        #  d0: ab(3) + ba(2) + ab(3) = 8; d1: ab(3) + bc OOV; d2: ba(2)
+        assert list(out.bi_freq_sum) == [8, 3, 2, 0, 0, 0]
+        assert list(out.n_oov) == [0, 1, 0, 0, 0, 0]
 
 
 def test_extract_entities(ray_session):
