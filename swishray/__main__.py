@@ -319,7 +319,7 @@ def cmd_index(args) -> int:
                             batch_size=64)
         info = build_index(ext, args.out, key="url", text_col=None,
                            token_col="token_values",
-                           meta_col="token_metas",
+                           meta_col="token_runs",
                            num_buckets=args.num_buckets,
                            positions=args.positions,
                            # extraction-record fields as stored

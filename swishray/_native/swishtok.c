@@ -40,8 +40,10 @@
  * and, from C, through the capsule ``Arena._api`` (struct ArenaAPI),
  * put(arena, which, key, p, n): one metaname (which 0) or property
  * (1) buffer, as the extraction machine in swishsax.c writes them. A
- * metaname named swishtitle or swishdefault is also the row's title
- * or text. ``len(arena)`` is the open row's token count.
+ * metaname named swishtitle is also the row's title. One named
+ * swishdefault is the row's text and is kept only there, not among the
+ * metanames; ``commit()`` refuses a row without one (ValueError).
+ * ``len(arena)`` is the open row's token count.
  *
  * finish() -> (rows, utf8, (title_offsets, title), (text_offsets,
  *              text), metanames, properties, tokens), each buffer a
@@ -53,19 +55,23 @@
  *                      values): int32 per-row entry offsets, int32 key
  *                      offsets (string), int64 value offsets
  *                      (large_string)
- *   tokens: (chunks, values, ends, positions, rows, metas, contexts)
- *     chunks           [(row0, row1, token0, token1, byte0, byte1)]:
- *                      the rows split so that no chunk's token bytes or
- *                      tokens pass ``limit`` (a row past it alone makes
- *                      finish() raise OverflowError)
+ *   tokens: (chunks, values, ends, positions, rows, runs)
+ *     chunks           [(row0, row1, token0, token1, byte0, byte1, run0,
+ *                      run1)]: the rows split so that no chunk's token
+ *                      bytes or tokens pass ``limit`` (a row past it
+ *                      alone makes finish() raise OverflowError)
  *     ends, rows       int32 token end offsets from the chunk's first
  *                      byte, and row end token indices from the chunk's
  *                      first token; chunk c's start at entry token0 + c
  *                      (rows: row0 + c) with a 0 of its own
  *     positions        uint32 per token
- *     metas, contexts  (int32 per-token dictionary indices, the
- *                      dictionary as a list of str in first-use order),
- *                      filled from the runs
+ *     runs: (run_rows, counts, meta_offsets, metas, context_offsets,
+ *            contexts): each row's (meta, context, count) runs, the
+ *                      open row's adjacent runs of one pair merged.
+ *                      run_rows: int32 row end run indices, per chunk
+ *                      as rows are (from run0 + c); counts: int32 per
+ *                      run; metas and contexts: int32 offsets and UTF-8
+ *                      bytes (string), one label per run
  * ``size`` (the batch's input bytes) sizes the text and token buffers
  * up front. The buffers go back to a pool once Arrow no longer reads
  * them (see pool_take).
@@ -248,7 +254,7 @@ typedef struct {
  * fault in and zero (on a virtual machine about half the cost of
  * writing a batch's columns). The pool keeps the last one of each
  * kind; it is free when the pool holds its only reference. */
-#define POOL_KINDS 24     /* an arena's Mems and its two index arrays */
+#define POOL_KINDS 32     /* at least an arena's Mems (NMEM) */
 static PyObject *pool[POOL_KINDS];
 
 /* the free pooled bytearray of ``kind``, or NULL; the caller owns the
@@ -734,7 +740,12 @@ enum {
                     * then offsets from the chunk's first byte */
     POSITIONS,     /* uint32 token positions */
     ROWS,          /* int32 row end token index, per chunk from 0 */
-    CHUNKS,        /* int64 (first row, first token, first byte) */
+    CHUNKS,        /* int64 (first row, first token, first byte, first
+                    * run) */
+    RUN_ROWS,      /* int32 row end run index, per chunk from 0 */
+    RUN_COUNTS,    /* int32 tokens per run */
+    RUN_META_OFFS, RUN_METAS,   /* int32 offsets, UTF-8 bytes */
+    RUN_CTX_OFFS, RUN_CTXS,
     TITLE_OFFS, TITLE, TEXT_OFFS, TEXT,   /* int64 offsets, bytes */
     MAPS,          /* per map (metanames, properties): */
     M_ENTRIES = 0, /*   int32 row end entry index */
@@ -745,6 +756,7 @@ enum {
     M_N,
     NMEM = MAPS + 2 * M_N
 };
+_Static_assert(NMEM <= POOL_KINDS, "every Mem kind has a pool slot");
 
 typedef struct {
     PyObject *meta, *context;
@@ -755,8 +767,8 @@ typedef struct {
     PyObject_HEAD
     Mem m[NMEM];
     Py_ssize_t kept[NMEM];   /* lengths at the last commit */
-    Run *runs;
-    Py_ssize_t nruns, runcap, kept_runs;
+    Run *runs;               /* the open row's runs, written at commit */
+    Py_ssize_t nruns, runcap;
     Py_ssize_t ntok, kept_ntok;
     Py_ssize_t nrows;
     long pos;                /* the open row's position counter */
@@ -764,6 +776,7 @@ typedef struct {
     Py_ssize_t overflow;     /* first row past ``limit`` alone, or -1 */
     int utf8[2];             /* every metaname / property value put was
                               * strict UTF-8 */
+    int has_text;            /* the open row put its swishdefault */
     int finished;
 } Arena;
 
@@ -773,7 +786,7 @@ static int64_t *
 chunk_now(Arena *a)
 {
     Mem *c = &a->m[CHUNKS];
-    return MEM_I64(c) + c->len / 8 - 3;
+    return MEM_I64(c) + c->len / 8 - 4;
 }
 
 static void
@@ -781,15 +794,16 @@ arena_keep(Arena *a)
 {
     for (int i = 0; i < NMEM; i++)
         a->kept[i] = a->m[i].len;
-    a->kept_runs = a->nruns;
     a->kept_ntok = a->ntok;
     a->pos = 0;
+    a->has_text = 0;
 }
 
+/* drop the open row's runs */
 static void
-arena_drop_runs(Arena *a, Py_ssize_t from)
+arena_drop_runs(Arena *a)
 {
-    while (a->nruns > from) {
+    while (a->nruns > 0) {
         Run *r = &a->runs[--a->nruns];
         Py_DECREF(r->meta);
         Py_DECREF(r->context);
@@ -801,7 +815,7 @@ arena_dealloc(Arena *a)
 {
     for (int i = 0; i < NMEM; i++)
         mem_release(&a->m[i]);
-    arena_drop_runs(a, 0);
+    arena_drop_runs(a);
     PyMem_Free(a->runs);
     Py_TYPE(a)->tp_free((PyObject *)a);
 }
@@ -828,7 +842,10 @@ arena_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     /* the leading zeros of every offsets buffer, and the first chunk */
     rc = mem_put_i32(&a->m[ENDS], 0) | mem_put_i32(&a->m[ROWS], 0)
          | mem_put_i64(&a->m[CHUNKS], 0) | mem_put_i64(&a->m[CHUNKS], 0)
-         | mem_put_i64(&a->m[CHUNKS], 0)
+         | mem_put_i64(&a->m[CHUNKS], 0) | mem_put_i64(&a->m[CHUNKS], 0)
+         | mem_put_i32(&a->m[RUN_ROWS], 0)
+         | mem_put_i32(&a->m[RUN_META_OFFS], 0)
+         | mem_put_i32(&a->m[RUN_CTX_OFFS], 0)
          | mem_put_i64(&a->m[TITLE_OFFS], 0)
          | mem_put_i64(&a->m[TEXT_OFFS], 0);
     for (int k = 0; k < 2; k++) {
@@ -874,7 +891,7 @@ static int
 add_run(Arena *a, PyObject *meta, PyObject *context, Py_ssize_t n)
 {
     Run *r;
-    if (a->nruns > a->kept_runs) {
+    if (a->nruns > 0) {
         r = &a->runs[a->nruns - 1];
         if (same_str(r->meta, meta) && same_str(r->context, context)) {
             r->count += n;
@@ -1000,10 +1017,11 @@ utf8_ok(const unsigned char *s, Py_ssize_t n)
     return 1;
 }
 
-/* One named buffer of the open row: ``which`` 0 is a metaname (whose
- * swishtitle and swishdefault values are also the row's title and
- * text), 1 a property. The extraction machine writes through this
- * (the arena's C API). */
+/* One named buffer of the open row: ``which`` 0 is a metaname, 1 a
+ * property. A swishtitle value is also the row's title; a swishdefault
+ * value is the row's text and is stored there only, not as a map
+ * entry. The extraction machine writes through this (the arena's C
+ * API). */
 static int
 arena_put(PyObject *self, int which, PyObject *key, const char *p,
           Py_ssize_t n)
@@ -1014,19 +1032,19 @@ arena_put(PyObject *self, int which, PyObject *key, const char *p,
     const char *ks = PyUnicode_AsUTF8AndSize(key, &kn);
     if (ks == NULL || arena_open(a) < 0)
         return -1;
+    if (a->utf8[which] && !utf8_ok((const unsigned char *)p, n))
+        a->utf8[which] = 0;
+    if (which == 0 && kn == 12 && memcmp(ks, "swishdefault", 12) == 0) {
+        a->has_text = 1;
+        return mem_put(&a->m[TEXT], p, n);
+    }
     if (mem_put(&mc[M_KEYS], ks, kn) < 0
         || mem_put_i32(&mc[M_KEY_OFFS], (int32_t)mc[M_KEYS].len) < 0
         || mem_put(&mc[M_VALS], p, n) < 0
         || mem_put_i64(&mc[M_VAL_OFFS], mc[M_VALS].len) < 0)
         return -1;
-    if (a->utf8[which] && !utf8_ok((const unsigned char *)p, n))
-        a->utf8[which] = 0;
-    if (which == 0) {
-        if (kn == 10 && memcmp(ks, "swishtitle", 10) == 0)
-            return mem_put(&a->m[TITLE], p, n);
-        if (kn == 12 && memcmp(ks, "swishdefault", 12) == 0)
-            return mem_put(&a->m[TEXT], p, n);
-    }
+    if (which == 0 && kn == 10 && memcmp(ks, "swishtitle", 10) == 0)
+        return mem_put(&a->m[TITLE], p, n);
     return 0;
 }
 
@@ -1054,6 +1072,32 @@ arena_add_buffers(Arena *a, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* the open row's runs, appended to the batch's run table */
+static int
+runs_write(Arena *a)
+{
+    Mem *metas = &a->m[RUN_METAS], *ctxs = &a->m[RUN_CTXS];
+    for (Py_ssize_t i = 0; i < a->nruns; i++) {
+        Run *r = &a->runs[i];
+        Py_ssize_t mn, cn;
+        const char *m = PyUnicode_AsUTF8AndSize(r->meta, &mn);
+        const char *c = m ? PyUnicode_AsUTF8AndSize(r->context, &cn) : NULL;
+        if (c == NULL
+            || mem_put_i32(&a->m[RUN_COUNTS], (int32_t)r->count) < 0
+            || mem_put(metas, m, mn) < 0
+            || mem_put_i32(&a->m[RUN_META_OFFS], (int32_t)metas->len) < 0
+            || mem_put(ctxs, c, cn) < 0
+            || mem_put_i32(&a->m[RUN_CTX_OFFS], (int32_t)ctxs->len) < 0)
+            return -1;
+    }
+    if (metas->len > INT32_MAX || ctxs->len > INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "the batch's run labels pass "
+                        "the int32 offset range");
+        return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 arena_commit(Arena *a, PyObject *unused)
 {
@@ -1062,6 +1106,11 @@ arena_commit(Arena *a, PyObject *unused)
     int64_t *c;
     if (arena_open(a) < 0)
         return NULL;
+    /* the text is the map's swishdefault entry, which every record
+     * has: a row without it would read back without that entry */
+    if (!a->has_text)
+        return PyErr_Format(PyExc_ValueError,
+                            "row %zd: no swishdefault buffer", a->nrows);
     c = chunk_now(a);
     if (a->nrows > c[0]
         && (a->kept[VALUES] - c[2] + row_bytes > a->limit
@@ -1080,15 +1129,20 @@ arena_commit(Arena *a, PyObject *unused)
             q[i] = (int32_t)((uint32_t)q[i] - shift);
         e->len += 4;
         if (mem_put_i32(&a->m[ROWS], 0) < 0
+            || mem_put_i32(&a->m[RUN_ROWS], 0) < 0
             || mem_put_i64(&a->m[CHUNKS], a->nrows) < 0
             || mem_put_i64(&a->m[CHUNKS], a->kept_ntok) < 0
-            || mem_put_i64(&a->m[CHUNKS], a->kept[VALUES]) < 0)
+            || mem_put_i64(&a->m[CHUNKS], a->kept[VALUES]) < 0
+            || mem_put_i64(&a->m[CHUNKS], a->m[RUN_COUNTS].len / 4) < 0)
             return NULL;
         c = chunk_now(a);
     }
     if (a->overflow < 0 && (row_bytes > a->limit || row_tok > a->limit))
         a->overflow = a->nrows;
-    if (mem_put_i32(&a->m[ROWS], (int32_t)(a->ntok - c[1])) < 0
+    if (runs_write(a) < 0
+        || mem_put_i32(&a->m[ROWS], (int32_t)(a->ntok - c[1])) < 0
+        || mem_put_i32(&a->m[RUN_ROWS],
+                       (int32_t)(a->m[RUN_COUNTS].len / 4 - c[3])) < 0
         || mem_put_i64(&a->m[TITLE_OFFS], a->m[TITLE].len) < 0
         || mem_put_i64(&a->m[TEXT_OFFS], a->m[TEXT].len) < 0)
         return NULL;
@@ -1099,6 +1153,7 @@ arena_commit(Arena *a, PyObject *unused)
             return NULL;
     }
     a->nrows++;
+    arena_drop_runs(a);
     arena_keep(a);
     Py_RETURN_NONE;
 }
@@ -1108,9 +1163,10 @@ arena_reset(Arena *a)
 {
     for (int i = 0; i < NMEM; i++)
         a->m[i].len = a->kept[i];
-    arena_drop_runs(a, a->kept_runs);
+    arena_drop_runs(a);
     a->ntok = a->kept_ntok;
     a->pos = 0;
+    a->has_text = 0;
 }
 
 static PyObject *
@@ -1120,52 +1176,12 @@ arena_rollback(Arena *a, PyObject *unused)
     Py_RETURN_NONE;
 }
 
-/* per-token dictionary indices of the runs' metas (field 0) or
- * contexts (field 1): (indices, dictionary list) */
-static PyObject *
-run_indices(Arena *a, int field)
-{
-    PyObject *ids = PyDict_New(), *labels = PyList_New(0), *res = NULL;
-    Mem idx = {.kind = NMEM + field};
-    if (ids == NULL || labels == NULL || mem_reserve(&idx, 4 * a->ntok) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < a->nruns; i++) {
-        Run *r = &a->runs[i];
-        PyObject *s = field ? r->context : r->meta;
-        PyObject *id = PyDict_GetItemWithError(ids, s);
-        long v;
-        if (id == NULL) {
-            if (PyErr_Occurred())
-                goto done;
-            v = (long)PyList_GET_SIZE(labels);
-            id = PyLong_FromLong(v);
-            if (id == NULL || PyDict_SetItem(ids, s, id) < 0
-                || PyList_Append(labels, s) < 0) {
-                Py_XDECREF(id);
-                goto done;
-            }
-            Py_DECREF(id);
-        }
-        else
-            v = PyLong_AsLong(id);
-        for (Py_ssize_t j = 0; j < r->count; j++)
-            MEM_I32(&idx)[idx.len / 4 + j] = (int32_t)v;
-        idx.len += 4 * r->count;
-    }
-    res = Py_BuildValue("(NO)", mem_take(&idx), labels);
-done:
-    mem_release(&idx);
-    Py_XDECREF(ids);
-    Py_XDECREF(labels);
-    return res;
-}
-
 static PyObject *
 arena_finish(Arena *a, PyObject *unused)
 {
-    PyObject *chunks, *metas = NULL, *contexts = NULL, *res = NULL;
+    PyObject *chunks;
     Mem *cm = &a->m[CHUNKS];
-    Py_ssize_t nch = cm->len / 24;
+    Py_ssize_t nch = cm->len / 32;
     if (arena_open(a) < 0)
         return NULL;
     arena_reset(a);
@@ -1178,21 +1194,22 @@ arena_finish(Arena *a, PyObject *unused)
     if (chunks == NULL)
         return NULL;
     for (Py_ssize_t i = 0; i < nch; i++) {
-        int64_t *c = MEM_I64(cm) + 3 * i;
+        int64_t *c = MEM_I64(cm) + 4 * i;
         int last = i == nch - 1;
         PyObject *t = Py_BuildValue(
-            "(nnnnnn)", (Py_ssize_t)c[0], last ? a->nrows : (Py_ssize_t)c[3],
-            (Py_ssize_t)c[1], last ? a->ntok : (Py_ssize_t)c[4],
-            (Py_ssize_t)c[2], last ? a->m[VALUES].len : (Py_ssize_t)c[5]);
-        if (t == NULL)
-            goto done;
+            "(nnnnnnnn)", (Py_ssize_t)c[0], last ? a->nrows : (Py_ssize_t)c[4],
+            (Py_ssize_t)c[1], last ? a->ntok : (Py_ssize_t)c[5],
+            (Py_ssize_t)c[2], last ? a->m[VALUES].len : (Py_ssize_t)c[6],
+            (Py_ssize_t)c[3],
+            last ? a->m[RUN_COUNTS].len / 4 : (Py_ssize_t)c[7]);
+        if (t == NULL) {
+            Py_DECREF(chunks);
+            return NULL;
+        }
         PyList_SET_ITEM(chunks, i, t);
     }
-    if ((metas = run_indices(a, 0)) == NULL
-        || (contexts = run_indices(a, 1)) == NULL)
-        goto done;
-    res = Py_BuildValue(
-        "(nN(NN)(NN)(NNNNN)(NNNNN)(ONNNNOO))", a->nrows,
+    return Py_BuildValue(
+        "(nN(NN)(NN)(NNNNN)(NNNNN)(NNNNN(NNNNNN)))", a->nrows,
         Py_BuildValue("(OO)", a->utf8[0] ? Py_True : Py_False,
                       a->utf8[1] ? Py_True : Py_False),
         mem_take(&a->m[TITLE_OFFS]), mem_take(&a->m[TITLE]),
@@ -1207,12 +1224,9 @@ arena_finish(Arena *a, PyObject *unused)
         mem_take(&a->m[MAPS + M_N + M_VALS]),
         chunks, mem_take(&a->m[VALUES]), mem_take(&a->m[ENDS]),
         mem_take(&a->m[POSITIONS]), mem_take(&a->m[ROWS]),
-        metas, contexts);
-done:
-    Py_DECREF(chunks);
-    Py_XDECREF(metas);
-    Py_XDECREF(contexts);
-    return res;
+        mem_take(&a->m[RUN_ROWS]), mem_take(&a->m[RUN_COUNTS]),
+        mem_take(&a->m[RUN_META_OFFS]), mem_take(&a->m[RUN_METAS]),
+        mem_take(&a->m[RUN_CTX_OFFS]), mem_take(&a->m[RUN_CTXS]));
 }
 
 static Py_ssize_t

@@ -98,8 +98,9 @@ def build_index(ds: Any, out_dir: str, *, key: str = "doc_id",
     Input is either a plain corpus (``text_col`` whitespace-tokenized,
     matching the ``_WORDS_SQL`` oracle contract) or extraction records
     (``token_col`` = the ``emit="full"`` token stream, ``meta_col`` =
-    the per-token metaname — the reference's prefixed-term model,
-    swish_xapian.cpp:505-541).
+    the per-token metaname list, or ``"token_runs"``, ``ExtractPages``'
+    run table, which ``pipeline.expand_record`` expands — the
+    reference's prefixed-term model, swish_xapian.cpp:505-541).
 
     ``positions=True`` stores each term's 1-based token positions
     (the reference's ``swish_Token.pos`` model, libswish3.h:360-369;
@@ -126,6 +127,7 @@ def build_index(ds: Any, out_dir: str, *, key: str = "doc_id",
     Returns ``{"segment", "num_buckets", "path"}``. Never materializes
     the dataset; one streaming pass, one partitioned parquet sink.
     """
+    from .pipeline import expand_record
     from .stem import get_stemmer
     stem_fn = get_stemmer(stemmer)   # validates the language early
     prior = [s for s in _load_segments(out_dir)
@@ -172,15 +174,14 @@ def build_index(ds: Any, out_dir: str, *, key: str = "doc_id",
                     lambda v: v.decode("utf-8", "replace")
                     if isinstance(v, bytes) else v)
             if meta_col is not None:
-                metas = batch.column(meta_col)
+                if meta_col == "token_runs":
+                    metas = expand_record(
+                        batch.select([meta_col])).column("token_metas")
+                else:
+                    metas = batch.column(meta_col)
                 if isinstance(metas, pa.ChunkedArray):
                     metas = metas.combine_chunks()
                 mflat = pc.list_flatten(metas)
-                if pa.types.is_dictionary(mflat.type):
-                    # ExtractPages' dictionary metas: a pandas
-                    # Categorical would make the (doc, meta, term)
-                    # groupby emit every unobserved combination
-                    mflat = mflat.dictionary_decode()
                 mflat = mflat.to_pandas().fillna(_DEFAULT_META)
             else:
                 mflat = pd.Series([_DEFAULT_META] * len(flat))

@@ -253,8 +253,7 @@ def zscore_outliers(ds: Any, group: str, col: str,
     def fold(batch: pa.Table, _, found: pa.Table) -> pa.Table:
         x = batch.column(col).to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        mus = _f64(found.column("mean_x"))
-        sds = _f64(found.column("std_x"))
+        mus, sds = _f64(found, "mean_x"), _f64(found, "std_x")
         with np.errstate(invalid="ignore", divide="ignore"):
             z = (x - mus) / sds
         keep = np.abs(z) > t
@@ -267,9 +266,14 @@ def zscore_outliers(ds: Any, group: str, col: str,
     return lookup(ds, moments, group, fold)
 
 
-def _f64(c) -> np.ndarray:
-    """A looked-up column as float64, NaN where the key was missing."""
-    return pc.cast(c, pa.float64()).to_numpy(zero_copy_only=False)
+def _f64(found: pa.Table, name: str) -> np.ndarray:
+    """A looked-up column as float64, NaN where the key was missing.
+    A side without rows has no schema, so ``found`` may lack the
+    column: every key is missing then."""
+    if name not in found.column_names:
+        return np.full(found.num_rows, np.nan)
+    return pc.cast(found.column(name), pa.float64()) \
+        .to_numpy(zero_copy_only=False)
 
 
 def minmax_normalize(ds: Any, group: str, col: str,
@@ -286,7 +290,7 @@ def minmax_normalize(ds: Any, group: str, col: str,
     def fold(batch: pa.Table, _, found: pa.Table) -> pa.Table:
         x = batch.column(col).to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        lo, hi = _f64(found.column("lo")), _f64(found.column("hi"))
+        lo, hi = _f64(found, "lo"), _f64(found, "hi")
         span = hi - lo
         with np.errstate(invalid="ignore", divide="ignore"):
             z = (x - lo) / span

@@ -36,6 +36,7 @@ from typing import Any, Literal
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import _native, constants as C, tokenizer
 from .config import Config
@@ -144,17 +145,10 @@ def _map_column(rows: list[dict[str, bytes]]) -> pa.Array:
 _MAX_INT32_OFFSET = 2**31 - 1
 
 
-def _dictionary_runs(labels: list[str], counts: np.ndarray) -> pa.Array:
-    """``labels[i]`` repeated ``counts[i]`` times, dictionary-encoded
-    with one dictionary for the batch (int32 indices: a tag-rich XML
-    batch can exceed int16, and batches with mixed index widths do not
-    concatenate)."""
-    ids: dict[str, int] = {}
-    idx = np.fromiter((ids.setdefault(s, len(ids)) for s in labels),
-                      np.int32, len(labels))
-    return pa.DictionaryArray.from_arrays(
-        pa.array(np.repeat(idx, counts), pa.int32()),
-        pa.array(list(ids), pa.string()))
+# one row's (meta, context, count) runs: its tokens' metanames and
+# contexts, ``count`` tokens each, in token order
+_RUN_TYPE = pa.struct([("meta", pa.string()), ("context", pa.string()),
+                       ("count", pa.int32())])
 
 
 def _row_chunks(vbounds: np.ndarray, tbounds: np.ndarray) -> list[int]:
@@ -182,11 +176,11 @@ def _row_chunks(vbounds: np.ndarray, tbounds: np.ndarray) -> list[int]:
 
 def _token_lists(parts: list) -> dict[str, Any]:
     """The token columns from their row-boundary chunks: each part is
-    ``(rows, row_offsets, children)``, one int32 offsets buffer shared
-    by the chunk's four lists and each list's child array by name."""
+    ``(rows, {name: (row_offsets, child)})``, each list's int32 offsets
+    buffer and child array by name."""
     cols: dict[str, list] = {}
-    for rows, row_offs, children in parts:
-        for name, child in children.items():
+    for rows, children in parts:
+        for name, (row_offs, child) in children.items():
             cols.setdefault(name, []).append(pa.Array.from_buffers(
                 pa.list_(child.type), rows, [None, row_offs],
                 children=[child]))
@@ -203,10 +197,10 @@ def token_columns(tokens: list) -> dict[str, Any]:
     columns in ``_arena_columns``.
 
     ``token_values`` is ``list<binary>``, ``token_positions``
-    ``list<uint32>``, ``token_metas``/``token_contexts``
-    ``list<dictionary<int32, string>>``. Each is one array, or a
-    ``ChunkedArray`` split at row boundaries when the batch's token
-    bytes or count pass the int32 offset range."""
+    ``list<uint32>``, ``token_runs`` ``list<struct<meta: string,
+    context: string, count: int32>>`` (each list's ``runs``). Each is
+    one array, or a ``ChunkedArray`` split at row boundaries when the
+    batch's token bytes or count pass the int32 offset range."""
     toffs = np.zeros(len(tokens) + 1, np.int64)
     np.cumsum([len(tl) for tl in tokens], out=toffs[1:])
     values = pa.py_buffer(b"".join(c for tl in tokens
@@ -216,11 +210,11 @@ def token_columns(tokens: list) -> dict[str, Any]:
     positions = pa.py_buffer(b"".join(c for tl in tokens
                                       for c in tl.pos_chunks))
     runs = [r for tl in tokens for r in tl.runs]
-    run_counts = np.fromiter((r[2] for r in runs), np.int64, len(runs))
-    dicts = {"token_metas": _dictionary_runs([r[0] for r in runs],
-                                             run_counts),
-             "token_contexts": _dictionary_runs([r[1] for r in runs],
-                                                run_counts)}
+    run_arr = pa.StructArray.from_arrays(
+        [pa.array([r[k] for r in runs], f.type)
+         for k, f in enumerate(_RUN_TYPE)], fields=list(_RUN_TYPE))
+    roffs = np.zeros(len(tokens) + 1, np.int64)
+    np.cumsum([len(tl.runs) for tl in tokens], out=roffs[1:])
     voffs = np.zeros(len(lens) + 1, np.int64)
     np.cumsum(lens, out=voffs[1:])
 
@@ -229,17 +223,20 @@ def token_columns(tokens: list) -> dict[str, Any]:
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         t0, t1 = int(toffs[r0]), int(toffs[r1])
         b0, b1 = int(voffs[t0]), int(voffs[t1])
-        parts.append((r1 - r0, pa.py_buffer(
-            (toffs[r0:r1 + 1] - t0).astype(np.int32)), {
-            "token_values": pa.Array.from_buffers(
+        u0, u1 = int(roffs[r0]), int(roffs[r1])
+        rows = pa.py_buffer((toffs[r0:r1 + 1] - t0).astype(np.int32))
+        parts.append((r1 - r0, {
+            "token_values": (rows, pa.Array.from_buffers(
                 pa.binary(), t1 - t0,
                 [None,
                  pa.py_buffer((voffs[t0:t1 + 1] - b0).astype(np.int32)),
-                 values.slice(b0, b1 - b0)]),
-            "token_positions": pa.Array.from_buffers(
+                 values.slice(b0, b1 - b0)])),
+            "token_positions": (rows, pa.Array.from_buffers(
                 pa.uint32(), t1 - t0,
-                [None, positions.slice(4 * t0, 4 * (t1 - t0))]),
-            **{name: arr.slice(t0, t1 - t0) for name, arr in dicts.items()}}))
+                [None, positions.slice(4 * t0, 4 * (t1 - t0))])),
+            "token_runs": (pa.py_buffer(
+                (roffs[r0:r1 + 1] - u0).astype(np.int32)),
+                run_arr.slice(u0, u1 - u0))}))
     return _token_lists(parts)
 
 
@@ -247,8 +244,7 @@ def _arena_columns(arena, emit: str) -> dict[str, Any]:
     """``title``, ``text`` and, by ``emit``, the map and token columns
     of a batch's record arena: ``arena.finish()``'s buffers (layout in
     the header of _native/swishtok.c) become the arrays' buffers as
-    they are. Only the dictionaries and the per-chunk slices are made
-    here."""
+    they are. Only the per-chunk slices are made here."""
     n, utf8, title, text, metanames, properties, tokens = arena.finish()
     buf = pa.py_buffer
     cols = {"title": _large_utf8(n, buf(title[0]), buf(title[1]), utf8[0]),
@@ -265,26 +261,30 @@ def _arena_columns(arena, emit: str) -> dict[str, Any]:
                 _large_utf8(m, buf(val_offs), buf(vals), ok), type=_MAP_TYPE)
     if emit != "full":
         return cols
-    chunks, values, ends, positions, rows, metas, contexts = tokens
+    chunks, values, ends, positions, rows, runs = tokens
     values, ends, positions, rows = map(buf, (values, ends, positions, rows))
-    dicts = {name: pa.DictionaryArray.from_arrays(
-                 pa.Array.from_buffers(pa.int32(), len(idx) // 4,
-                                       [None, buf(idx)]),
-                 pa.array(labels, pa.string()))
-             for name, (idx, labels) in (("token_metas", metas),
-                                         ("token_contexts", contexts))}
+    run_rows, counts, meta_offs, metas, ctx_offs, ctxs = map(buf, runs)
+    m = len(counts) // 4
+    run_arr = pa.StructArray.from_arrays(
+        [pa.Array.from_buffers(pa.string(), m, [None, meta_offs, metas]),
+         pa.Array.from_buffers(pa.string(), m, [None, ctx_offs, ctxs]),
+         pa.Array.from_buffers(pa.int32(), m, [None, counts])],
+        fields=list(_RUN_TYPE))
     parts = []
     # chunk c's offsets start with its own leading 0: c slots in
-    for c, (r0, r1, t0, t1, b0, b1) in enumerate(chunks):
-        parts.append((r1 - r0, rows.slice(4 * (r0 + c), 4 * (r1 - r0 + 1)), {
-            "token_values": pa.Array.from_buffers(
+    for c, (r0, r1, t0, t1, b0, b1, u0, u1) in enumerate(chunks):
+        row_slots = (4 * (r0 + c), 4 * (r1 - r0 + 1))
+        token_rows = rows.slice(*row_slots)
+        parts.append((r1 - r0, {
+            "token_values": (token_rows, pa.Array.from_buffers(
                 pa.binary(), t1 - t0,
                 [None, ends.slice(4 * (t0 + c), 4 * (t1 - t0 + 1)),
-                 values.slice(b0, b1 - b0)]),
-            "token_positions": pa.Array.from_buffers(
+                 values.slice(b0, b1 - b0)])),
+            "token_positions": (token_rows, pa.Array.from_buffers(
                 pa.uint32(), t1 - t0,
-                [None, positions.slice(4 * t0, 4 * (t1 - t0))]),
-            **{name: arr.slice(t0, t1 - t0) for name, arr in dicts.items()}}))
+                [None, positions.slice(4 * t0, 4 * (t1 - t0))])),
+            "token_runs": (run_rows.slice(*row_slots),
+                           run_arr.slice(u0, u1 - u0))}))
     cols.update(_token_lists(parts))
     return cols
 
@@ -299,8 +299,7 @@ _DOCINFO_FIELDS = [
     ("nwords", pa.int32()),
     ("error", pa.string()),
 ]
-_TOKEN_COLUMNS = ("token_values", "token_positions", "token_metas",
-                  "token_contexts")
+_TOKEN_COLUMNS = ("token_values", "token_positions", "token_runs")
 
 
 def _extract_columns(ex: DocumentExtractor, batch: pa.Table, emit: str,
@@ -308,7 +307,8 @@ def _extract_columns(ex: DocumentExtractor, batch: pa.Table, emit: str,
     """The output columns of ``ExtractPages`` for ``batch``, through the
     record ``arena`` (a fresh ``swishtok.Arena``), or with None through
     the reference route: per-row records joined by ``_utf8_column``,
-    ``_map_column`` and ``token_columns``."""
+    ``_map_column`` and ``token_columns``. Both routes keep a record's
+    ``swishdefault`` buffer only as ``text``, not in ``metanames``."""
     urls = batch.column("url").to_pylist()
     htmls = _binary_views(batch.column("html"))
     n = len(urls)
@@ -354,9 +354,11 @@ def _extract_columns(ex: DocumentExtractor, batch: pa.Table, emit: str,
     arrays["title"] = _utf8_column(
         [r.metanames.get(C.TITLE_METANAME, b"") for r in records])
     arrays["text"] = _utf8_column(
-        [r.metanames.get(C.DEFAULT_METANAME, b"") for r in records])
+        [r.metanames[C.DEFAULT_METANAME] for r in records])
     if emit in ("buffers", "full"):
-        arrays["metanames"] = _map_column([r.metanames for r in records])
+        arrays["metanames"] = _map_column(
+            [{k: v for k, v in r.metanames.items()
+              if k != C.DEFAULT_METANAME} for r in records])
         arrays["properties"] = _map_column([r.properties for r in records])
     if emit == "full":
         arrays.update(token_columns([r.tokens for r in records]))
@@ -372,13 +374,16 @@ class ExtractPages:
 
     Output columns, one row per input row: ``OUTPUT_BASE_FIELDS``
     always; with ``emit="buffers"`` or ``"full"`` also ``metanames``
-    and ``properties`` (``map<string, large_string>``); with
-    ``emit="full"`` also the token stream as four parallel lists,
-    ``token_values: list<binary>``, ``token_positions: list<uint32>``,
-    ``token_metas`` and ``token_contexts:
-    list<dictionary<int32, string>>`` (built by ``token_columns``);
-    then ``keep_input_columns`` unchanged, none of which may have an
-    output column's name.
+    and ``properties`` (``map<string, large_string>``; the
+    ``swishdefault`` buffer, which every record has, is stored once,
+    as ``text``, not in ``metanames``); with ``emit="full"`` also the
+    token stream, ``token_values: list<binary>`` and
+    ``token_positions: list<uint32>`` per token and ``token_runs:
+    list<struct<meta: string, context: string, count: int32>>``, the
+    row's runs of tokens that share a metaname and context (built by
+    ``token_columns``); then ``keep_input_columns`` unchanged, none of
+    which may have an output column's name. ``expand_record`` gives
+    the per-token metaname/context lists and the whole map back.
 
     Each batch is extracted into one record arena (``_arena``,
     swishtok's ``Arena``): every row goes once through
@@ -470,10 +475,12 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
 
     ``emit`` picks the output schema (``ExtractPages``): ``"text"``
     gives the docinfo fields, ``title`` and ``text``; ``"buffers"``
-    adds the ``metanames``/``properties`` maps; ``"full"`` adds the
-    token stream, ``token_values: list<binary>``, ``token_positions:
-    list<uint32>``, ``token_metas``/``token_contexts:
-    list<dictionary<int32, string>>``."""
+    adds the ``metanames`` (without ``swishdefault``, which is
+    ``text``) and ``properties`` maps; ``"full"`` adds the token
+    stream, ``token_values: list<binary>``, ``token_positions:
+    list<uint32>`` and the per-row run table ``token_runs:
+    list<struct<meta: string, context: string, count: int32>>``.
+    ``expand_record`` rebuilds the per-token shape."""
     from .util import map_batches_stateful, task_rows
     fn_kwargs = dict(config_xml=config_xml, swish_encoding=swish_encoding,
                      emit=emit, keep_input_columns=keep_input_columns,
@@ -487,34 +494,49 @@ def extract_pages(ds: "Any", *, config_xml: str | None = None,
     )
 
 
+def _expand_runs(runs: pa.ListArray) -> tuple[pa.Array, pa.Array]:
+    """One ``token_runs`` chunk as per-token ``list<string>`` metanames
+    and contexts: each run's labels repeated ``count`` times."""
+    offs = runs.offsets.to_numpy()
+    flat = pc.list_flatten(runs)
+    counts = flat.field("count").to_numpy()
+    ends = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=ends[1:])
+    row_ends = pa.array(ends[offs - offs[0]].astype(np.int32))
+    idx = pa.array(np.repeat(np.arange(len(counts)), counts))
+    return tuple(pa.ListArray.from_arrays(row_ends,
+                                          flat.field(f).take(idx))
+                 for f in ("meta", "context"))
+
+
+def expand_record(table: pa.Table) -> pa.Table:
+    """``ExtractPages`` output in the per-token shape of an
+    ``ExtractionRecord``: ``token_runs`` becomes ``token_metas`` and
+    ``token_contexts`` (``list<string>``, one label per token), and
+    ``metanames`` gets its ``swishdefault`` entry back from ``text``.
+    Every other column is kept; a table without those columns comes
+    back as it is."""
+    cols: dict[str, Any] = {}
+    for name in table.column_names:
+        col = table.column(name)
+        if name == "token_runs":
+            parts = [_expand_runs(ch) for ch in col.chunks]
+            for i, out in enumerate(("token_metas", "token_contexts")):
+                cols[out] = pa.chunked_array([p[i] for p in parts],
+                                             pa.list_(pa.string()))
+        elif name == "metanames":
+            # the record holds swishdefault first: the config's first
+            # metaname
+            cols[name] = pa.array(
+                [[(C.DEFAULT_METANAME, t)] + m for m, t in
+                 zip(col.to_pylist(), table.column("text").to_pylist())],
+                _MAP_TYPE)
+        else:
+            cols[name] = col
+    return pa.table(cols)
+
+
 # ---- downstream operators over extraction output ----------------------
-
-def total_word_count(extracted: "Any") -> int:
-    """§2.5 twords: global sum of nwords (swish_lint.c:50,152,346)."""
-    return extracted.sum("nwords")
-
-
-def files_parsed_count(extracted: "Any") -> int:
-    """§2.5 files-parsed counter."""
-    return extracted.count()
-
-
-def facet_counts(extracted: "Any", prop: str) -> "Any":
-    """§2.5 FacetFinder (swish_xapian.cpp:224-276): property value ->
-    count over the result set, values split on \\x03."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        vals = []
-        col = batch.column(prop).to_pylist()
-        for v in col:
-            if not v:
-                continue
-            vals.extend(v.split("\x03"))
-        return pa.table({"value": pa.array(vals, type=pa.string())})
-
-    ds = extracted.map_batches(explode, batch_format="pyarrow")
-    return ds.groupby("value").count()
-
 
 def facet_counts_property(extracted: "Any", prop: str) -> "Any":
     """§2.5 FacetFinder over the properties MAP column: each \\x03-split
@@ -661,13 +683,6 @@ def parse_sort_string(sort_string: str) -> list[tuple[str, bool]]:
             i += 1
         out.append((prop, desc))
     return out
-
-
-def sort_by_string(ds: "Any", sort_string: str) -> "Any":
-    """Multi-key result sort from a Swish-e sort string
-    (swish_xapian.cpp:1036-1047)."""
-    keys = parse_sort_string(sort_string)
-    return ds.sort([k for k, _ in keys], descending=[d for _, d in keys])
 
 
 def dedup_by_url(extracted: "Any") -> "Any":

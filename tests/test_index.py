@@ -113,8 +113,8 @@ def test_meta_prefixed_terms_from_extraction_stream(ray_session, idx_dir):
 
 
 def test_postings_from_extract_pages_full_output(ray_session, idx_dir):
-    """Real ``ExtractPages(emit="full")`` output (dictionary-encoded
-    metas) through the token_col/meta_col path: the postings are
+    """Real ``ExtractPages(emit="full")`` output (its ``token_runs``
+    run table) through the token_col/meta_col path: the postings are
     exactly the (doc, meta, term) counts of the in-process records, and
     no unobserved combination appears as a ``tf == 0`` posting."""
     import os
@@ -132,11 +132,10 @@ def test_postings_from_extract_pages_full_output(ray_session, idx_dir):
                   f"<b>bold alpha</b></body></html>").encode()
                  for i in range(6)]})
     out = ExtractPages(emit="full")(pages)
-    assert pa.types.is_dictionary(out.schema.field("token_metas").type
-                                  .value_type)
+    assert "token_metas" not in out.column_names
     res = build_index(rd.from_arrow(out), idx_dir, key="url",
                       text_col=None, token_col="token_values",
-                      meta_col="token_metas", num_buckets=2)
+                      meta_col="token_runs", num_buckets=2)
     post = pads.dataset(os.path.join(res["path"], "data"),
                         partitioning="hive").to_table(
         filter=pads.field("kind") == "p",

@@ -311,14 +311,6 @@ def test_parse_sort_string():
         ("p1", False), ("p2", True), ("p3", False)]
 
 
-def test_sort_by_string(ray_session):
-    import ray.data as rd
-    from swishray.pipeline import sort_by_string
-    ds = rd.from_arrow(pa.table({"a": [1, 1, 2], "b": [5, 9, 1]}))
-    rows = sort_by_string(ds, "a asc b desc").take_all()
-    assert [(r["a"], r["b"]) for r in rows] == [(1, 9), (1, 5), (2, 1)]
-
-
 def test_interval_join_grid(ray_session):
     """Grid-decomposed overlap join vs a local nested-loop replay —
     boundary-exact (lo == v and v == hi included), intervals

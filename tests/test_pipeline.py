@@ -107,19 +107,13 @@ def test_truncation_flag(ray_session):
     assert out.column("error").to_pylist()[0].startswith("truncated@50")
 
 
-def test_facet_and_topwords(corpus_pages):
-    from swishray.pipeline import (extract_pages, facet_counts,
-                                   top_n_words, total_word_count,
-                                   files_parsed_count, dedup_by_url)
+def test_topwords_and_dedup(corpus_pages):
+    from swishray.pipeline import extract_pages, top_n_words, dedup_by_url
     ds = corpus_pages("markup_dense", 10, 30)
     ext = extract_pages(ds, emit="full")
-    assert files_parsed_count(ext) == 30
-    assert total_word_count(ext) > 0
     top = top_n_words(ext, 5).take_all()
     assert len(top) == 5
     assert top[0]["total_count"] >= top[-1]["total_count"]
-    fc = facet_counts(ext, "title").take_all()
-    assert all(r["count()"] >= 1 for r in fc)
     # dedup: double the corpus, expect original count back
     doubled = ds.union(corpus_pages("markup_dense", 10, 30))
     ext2 = extract_pages(doubled, emit="text")

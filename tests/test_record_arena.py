@@ -245,7 +245,7 @@ def test_machine_rows_build_no_extraction_state(monkeypatch):
 @needs_arena
 def test_rolled_back_rows_leave_nothing():
     """A row's writes take effect at commit; a rolled-back row leaves
-    no token, run, buffer or dictionary entry behind."""
+    no token, run or buffer behind."""
     def columns(rows):
         arena = pipeline._arena.Arena(pipeline._MAX_INT32_OFFSET)
         for keep, meta, text in rows:
@@ -258,9 +258,29 @@ def test_rolled_back_rows_leave_nothing():
                    (True, "b", b"three")])
     want = columns([(True, "a", b"one two"), (True, "b", b"three")])
     _assert_equal(got, want)
-    assert got.column("token_metas").combine_chunks().flatten() \
-        .dictionary.to_pylist() == ["a", "b"]
+    assert got.column("token_runs").to_pylist() == [
+        [{"meta": "a", "context": "a", "count": 2}],
+        [{"meta": "b", "context": "b", "count": 1}]]
     assert got.column("token_positions").to_pylist() == [[1, 2], [1]]
+    assert got.column("text").to_pylist() == ["one two", "three"]
+    assert got.column("metanames").to_pylist() == [[], []]
+
+
+@needs_arena
+def test_a_row_without_swishdefault_is_refused():
+    """The text is the map's swishdefault entry, kept once: a row that
+    put none cannot be committed, and can still be rolled back."""
+    arena = pipeline._arena.Arena(pipeline._MAX_INT32_OFFSET)
+    arena.tokenize(b"some words", "swishtitle", "swishtitle")
+    arena.add_buffers({"swishtitle": b"some words"}, {})
+    with pytest.raises(ValueError, match="row 0: no swishdefault"):
+        arena.commit()
+    arena.rollback()
+    arena.add_buffers({"swishdefault": b""}, {})
+    arena.commit()
+    assert pa.table(pipeline._arena_columns(arena, "full")).to_pylist() == [{
+        "title": "", "text": "", "metanames": [], "properties": [],
+        "token_values": [], "token_positions": [], "token_runs": []}]
 
 
 @needs_arena

@@ -5,10 +5,12 @@ dedup_chain tables (seeds 31 and 32), every column of every output row is frozen
 as a 32-bit digest of its LOGICAL value: the docinfo fields, title,
 text, every metaname and property buffer (as sorted key/value pairs)
 and the whole token stream (values, positions, metas, contexts). The
-digest is taken over Python values (``to_pylist``), so a change of
-Arrow encoding (dictionary-typed metas, a columnar token arena) keeps
-it; any change of extracted content breaks it, and the failure names
-the first differing row and column.
+digest is taken over the record in its per-token shape
+(``pipeline.expand_record``: the run table as per-token metas and
+contexts, the ``swishdefault`` buffer back in the map) and over Python
+values, so a change of Arrow encoding (run tables, a columnar token
+arena) keeps it; any change of extracted content breaks it, and the
+failure names the first differing row and column.
 
 Runs in-process, without Ray. After an intended output change,
 regenerate the goldens from the repo root with::
@@ -101,10 +103,10 @@ def record_digests(workload: str, seed: int) -> dict:
     """{"urls": [...], "columns": {name: concatenated 8-hex digests}}
     of one extraction pass over the seeded table."""
     from perfbench.corpus import make_table
-    from swishray.pipeline import ExtractPages
+    from swishray.pipeline import ExtractPages, expand_record
 
     table, _ = make_table(workload, seed)
-    out = ExtractPages(emit="full")(table)
+    out = expand_record(ExtractPages(emit="full")(table))
     cols = {}
     for name in out.column_names:
         col = out.column(name)

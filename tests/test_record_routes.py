@@ -183,8 +183,9 @@ def test_xinclude_merge_renumbers_into_a_token_list_and_an_arena():
     # offsets into the arena's token bytes, which hold no separator
     assert cols["token_values"].to_pylist() == [values]
     assert cols["token_positions"].to_pylist() == [[1, 2, 3, 4, 5, 6]]
-    assert cols["token_metas"].to_pylist() == [tl.metas]
-    assert cols["token_contexts"].to_pylist() == [tl.contexts]
+    expanded = pipeline.expand_record(pa.table(cols))
+    assert expanded.column("token_metas").to_pylist() == [tl.metas]
+    assert expanded.column("token_contexts").to_pylist() == [tl.contexts]
     flat = cols["token_values"].chunk(0).values
     offsets = np.frombuffer(flat.buffers()[1], np.int32, len(flat) + 1,
                             4 * flat.offset)

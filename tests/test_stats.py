@@ -224,6 +224,38 @@ def test_zscore_outliers(ray_session, monkeypatch):
         assert out.z.iloc[0] > 10
 
 
+@pytest.mark.parametrize("path", ["broadcast", "join"])
+def test_zscore_outliers_all_null_groups(ray_session, path):
+    """Rows with a null group find no moments and are never outliers,
+    also when no row has a group: the moment table is then empty, with
+    no schema. A seeded mix of null-group and grouped rows keeps the
+    grouped rows' outlier."""
+    import contextlib
+
+    import ray.data as rd
+    from swishray.ops import joins
+    from swishray.ops.stats import zscore_outliers
+
+    rng = np.random.default_rng(23)
+    x = rng.integers(0, 50, 40)
+    x[5] = 10_000
+    ctx = joins.join_path() if path == "join" else contextlib.nullcontext()
+    none = pa.table({"g": pa.array([None] * 4, pa.string()),
+                     "x": pa.array(x[:4], pa.int64())})
+    with ctx:
+        out = zscore_outliers(rd.from_arrow(none), "g", "x", threshold=1.0)
+    assert out.take_all() == []
+    g = [None if i % 3 == 0 else "a" for i in range(40)]
+    mixed = pa.table({"g": pa.array(g, pa.string()),
+                      "k": pa.array(range(40), pa.int64()),
+                      "x": pa.array(x, pa.int64())})
+    ctx = joins.join_path() if path == "join" else contextlib.nullcontext()
+    with ctx:
+        out = zscore_outliers(rd.from_arrow(mixed).repartition(3), "g",
+                              "x", threshold=3.0)
+    assert [r["k"] for r in out.take_all()] == [5]
+
+
 def test_count_distinct_per_group(ray_session):
     import ray.data as rd
     from swishray.ops.aggregates import count_distinct_per_group

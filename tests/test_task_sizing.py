@@ -30,14 +30,14 @@ def _pages(workload, seed):
         -(-table.num_rows // 64)).materialize()
 
 
-def _sorted(ds):
-    """The output sorted by url. The blocks join in input order (by
-    their first ``doc_id``, which rises through the input), so the
-    dictionary columns take the input's first-use order whatever
-    order Ray returns the blocks in."""
+def _sorted(ds, reverse=False):
+    """The output sorted by url, its blocks joined in input order (by
+    their first ``doc_id``, which rises through the input) or, with
+    ``reverse``, in the opposite order."""
     import ray
     blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    blocks.sort(key=lambda t: t.column("doc_id")[0].as_py())
+    blocks.sort(key=lambda t: t.column("doc_id")[0].as_py(),
+                reverse=reverse)
     return pa.concat_tables(blocks).sort_by([("url", "ascending")])
 
 
@@ -124,3 +124,18 @@ def test_rule_output_equals_64_row_tasks(ray_session, workload, seed, emit):
     assert a.num_rows == ds.count()
     assert a.equals(b)
 
+
+@pytest.mark.parametrize("workload", ["markup_dense", "text_bulk"])
+def test_block_order_does_not_change_the_output(ray_session, workload):
+    """No output column depends on the order its blocks are joined in
+    (no dictionary whose order follows the blocks): 64-row tasks'
+    blocks joined in reverse give an equal table."""
+    ds = _pages(workload, 31)
+    out = util.map_batches_stateful(
+        ds, ExtractPages, fn_constructor_kwargs=dict(
+            swish_encoding=ENCODING[workload], emit="full",
+            keep_input_columns=("doc_id",)),
+        batch_format="pyarrow", batch_size=64,
+        zero_copy_batch=True).materialize()
+    assert out.num_blocks() > 1
+    assert _sorted(out).equals(_sorted(out, reverse=True))

@@ -101,14 +101,21 @@ def test_token_columns_match_the_views():
     cols = pipeline.token_columns(tls)
     assert cols["token_values"].type == pa.list_(pa.binary())
     assert cols["token_positions"].type == pa.list_(pa.uint32())
-    for name in ("token_metas", "token_contexts"):
-        assert cols[name].type == pa.list_(
-            pa.dictionary(pa.int32(), pa.string()))
+    assert cols["token_runs"].type == pa.list_(pa.struct(
+        [("meta", pa.string()), ("context", pa.string()),
+         ("count", pa.int32())]))
     assert _pylists(cols) == {
         "token_values": [tl.values for tl in tls],
         "token_positions": [tl.positions for tl in tls],
-        "token_metas": [tl.metas for tl in tls],
-        "token_contexts": [tl.contexts for tl in tls]}
+        "token_runs": [[{"meta": m, "context": c, "count": k}
+                        for m, c, k in tl.runs] for tl in tls]}
+    expanded = pipeline.expand_record(pa.table(cols))
+    assert expanded.column_names == ["token_values", "token_positions",
+                                     "token_metas", "token_contexts"]
+    assert expanded.column("token_metas").to_pylist() == \
+        [tl.metas for tl in tls]
+    assert expanded.column("token_contexts").to_pylist() == \
+        [tl.contexts for tl in tls]
     empty = pipeline.token_columns([])
     assert all(len(v) == 0 for v in empty.values())
 
@@ -147,7 +154,6 @@ def test_batches_with_different_dictionaries_concatenate():
     ep = ExtractPages(emit="full")
     parts = [ep(pages.slice(i, 1)) for i in range(3)]
     both = pa.concat_tables(parts)
-    assert both.column("token_metas").to_pylist() == \
-        ep(pages).column("token_metas").to_pylist()
-    assert both.combine_chunks().column("token_contexts").to_pylist() == \
-        both.column("token_contexts").to_pylist()
+    assert both.equals(ep(pages))
+    assert both.combine_chunks().column("token_runs").to_pylist() == \
+        both.column("token_runs").to_pylist()

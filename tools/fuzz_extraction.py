@@ -16,8 +16,10 @@ Three comparisons:
   * arena vs record (when swishtok's record arena is built): the same
     documents, in batches of BATCH, through ``ExtractPages``' record
     arena, under MACHINE_CONFIGS and an XInclude config whose resolver
-    serves a few seeded child documents; every output row must equal
-    its document's record.
+    serves a few seeded child documents; every output row's run table
+    must equal its document's runs, and the row in the per-token shape
+    (``pipeline.expand_record``: runs expanded to per-token metas and
+    contexts, ``text`` back in the map) must equal the record.
   * engine vs reference (when the reference's golden_dump is built,
     tools/build_reference.sh): the default-config record must equal
     the reference's.
@@ -303,7 +305,7 @@ BATCH = 64
 
 def _row_of(rec) -> dict:
     """A per-document record as the output row ``ExtractPages(emit=
-    "full")`` gives for it."""
+    "full")`` gives for it, after ``pipeline.expand_record``."""
     def text(v: bytes) -> str:
         return v.decode("utf-8", "replace")
     di = rec.docinfo
@@ -325,8 +327,9 @@ def arena_mismatches(n: int, seed: int) -> list[str]:
     """Extract ``n`` seeded documents, ``BATCH`` at a time, through the
     record arena under each of MACHINE_CONFIGS and under the default
     config with an XInclude resolver over ``xinclude_docs(seed)``, and
-    compare each output row with the document's own record; one line
-    per differing row. Empty when the arena is not built."""
+    compare each output row's runs and its expanded row with the
+    document's own record; one line per differing row. Empty when the
+    arena is not built."""
     if pipeline._arena is None:
         return []
     out = []
@@ -347,12 +350,18 @@ def arena_mismatches(n: int, seed: int) -> list[str]:
             batch = pa.table({"url": [u for u, _ in part],
                               "html": pa.array([b for _, b in part],
                                                pa.binary())})
-            got = pa.table(pipeline._extract_columns(
+            table = pa.table(pipeline._extract_columns(
                 ex, batch, "full", C.MAX_FILE_LEN,
-                pipeline._arena.Arena(pipeline._MAX_INT32_OFFSET))).to_pylist()
+                pipeline._arena.Arena(pipeline._MAX_INT32_OFFSET)))
+            got = pipeline.expand_record(table).to_pylist()
+            runs = table.column("token_runs").to_pylist()
             for i, (row, (uri, body)) in enumerate(zip(got, part)):
-                want = _row_of(ex.extract(uri, body))
+                rec = ex.extract(uri, body)
+                want = _row_of(rec)
                 diff = sorted(k for k in want if row[k] != want[k])
+                if runs[i] != [{"meta": m, "context": c, "count": k}
+                               for m, c, k in rec.tokens.runs]:
+                    diff.append("token_runs")
                 if diff:
                     out.append(f"config {ci} doc{b0 + i} ({uri}): {diff}")
     return out
