@@ -23,6 +23,7 @@ single-process (like the reference CLIs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -51,6 +52,24 @@ def _ray_init(num_cpus) -> bool:
     else:
         ray.init(address=addr, logging_level="ERROR")
     return True
+
+
+@contextlib.contextmanager
+def _ray_session(num_cpus):
+    """The Ray session of a CLI command's body (``_ray_init``). On the
+    way out, also when the body raises, a session it started is drained
+    (``util.drain_ray_data``) and shut down; one it joined is left
+    running."""
+    started = _ray_init(num_cpus)
+    try:
+        yield
+    finally:
+        if started:
+            import ray
+
+            from .util import drain_ray_data
+            drain_ray_data()
+            ray.shutdown()
 
 
 def cmd_lint(args) -> int:
@@ -257,34 +276,31 @@ def cmd_header(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import ray.data as rd
-    from .manifest import write_partitioned
-    from .pipeline import extract_pages
+    with _ray_session(args.num_cpus):
+        import ray.data as rd
+        from .manifest import write_partitioned
+        from .pipeline import extract_pages
 
-    pages = rd.read_parquet(args.pages)
-    config_xml = None
-    if args.config:
-        with open(args.config[0]) as f:
-            config_xml = f.read()
-    if args.tiered:
-        # crawl-mode cascade: content-sniff each body (pdf/html/txt,
-        # gzip unwrap) instead of assuming every page is markup
-        from .ops.tiered import tiered_extract
-        ext = tiered_extract(pages, body_col="html", key="url",
-                             batch_size=args.batch_size)
-    else:
-        ext = extract_pages(pages, emit=args.emit,
-                            config_xml=config_xml,
-                            batch_size=args.batch_size)
-    summary = write_partitioned(ext, args.out,
-                                num_buckets=args.num_buckets,
-                                resume=not args.no_resume)
-    print(summary)
-    if _started_ray:
-        ray.shutdown()
-    return 0
+        pages = rd.read_parquet(args.pages)
+        config_xml = None
+        if args.config:
+            with open(args.config[0]) as f:
+                config_xml = f.read()
+        if args.tiered:
+            # crawl-mode cascade: content-sniff each body (pdf/html/txt,
+            # gzip unwrap) instead of assuming every page is markup
+            from .ops.tiered import tiered_extract
+            ext = tiered_extract(pages, body_col="html", key="url",
+                                 batch_size=args.batch_size)
+        else:
+            ext = extract_pages(pages, emit=args.emit,
+                                config_xml=config_xml,
+                                batch_size=args.batch_size)
+        summary = write_partitioned(ext, args.out,
+                                    num_buckets=args.num_buckets,
+                                    resume=not args.no_resume)
+        print(summary)
+        return 0
 
 
 def cmd_index(args) -> int:
@@ -292,58 +308,52 @@ def cmd_index(args) -> int:
     upsert, swish_xapian.cpp:485-602): pages parquet -> extraction
     (emit="full" token streams) -> segmented postings index. Re-running
     over changed pages upserts (newer segment shadows by url)."""
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import ray.data as rd
-    from .index import build_index
-    from .pipeline import extract_pages
+    with _ray_session(args.num_cpus):
+        import ray.data as rd
+        from .index import build_index
+        from .pipeline import extract_pages
 
-    props = [c for c in (args.props or "").split(",") if c]
-    if args.text_table:
-        docs = rd.read_parquet(args.pages,
-                               columns=[args.key, args.text_col,
-                                        *props])
-        info = build_index(docs, args.out, key=args.key,
-                           text_col=args.text_col,
-                           num_buckets=args.num_buckets,
-                           positions=args.positions,
-                           prop_cols=props or None,
-                           stemmer=args.stemmer)
-    else:
-        pages = rd.read_parquet(args.pages)
-        config_xml = None
-        if args.config:
-            with open(args.config[0]) as f:
-                config_xml = f.read()
-        ext = extract_pages(pages, emit="full", config_xml=config_xml,
-                            batch_size=64)
-        info = build_index(ext, args.out, key="url", text_col=None,
-                           token_col="token_values",
-                           meta_col="token_runs",
-                           num_buckets=args.num_buckets,
-                           positions=args.positions,
-                           # extraction-record fields as stored
-                           # properties (the reference's add_value
-                           # slots: title/size/..., cpp:509-557)
-                           prop_cols=props or None,
-                           stemmer=args.stemmer)
-    print(info)
-    if _started_ray:
-        ray.shutdown()
-    return 0
+        props = [c for c in (args.props or "").split(",") if c]
+        if args.text_table:
+            docs = rd.read_parquet(args.pages,
+                                   columns=[args.key, args.text_col,
+                                            *props])
+            info = build_index(docs, args.out, key=args.key,
+                               text_col=args.text_col,
+                               num_buckets=args.num_buckets,
+                               positions=args.positions,
+                               prop_cols=props or None,
+                               stemmer=args.stemmer)
+        else:
+            pages = rd.read_parquet(args.pages)
+            config_xml = None
+            if args.config:
+                with open(args.config[0]) as f:
+                    config_xml = f.read()
+            ext = extract_pages(pages, emit="full", config_xml=config_xml,
+                                batch_size=64)
+            info = build_index(ext, args.out, key="url", text_col=None,
+                               token_col="token_values",
+                               meta_col="token_runs",
+                               num_buckets=args.num_buckets,
+                               positions=args.positions,
+                               # extraction-record fields as stored
+                               # properties (the reference's add_value
+                               # slots: title/size/..., cpp:509-557)
+                               prop_cols=props or None,
+                               stemmer=args.stemmer)
+        print(info)
+        return 0
 
 
 def cmd_compact(args) -> int:
     """xapian-compact analog: merge all segments into one, resolving
     upsert shadowing and tombstones with a distributed join."""
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    from .index import compact_index
-    print(compact_index(args.index, num_buckets=args.num_buckets,
-                        delete_old=args.delete_old))
-    if _started_ray:
-        ray.shutdown()
-    return 0
+    with _ray_session(args.num_cpus):
+        from .index import compact_index
+        print(compact_index(args.index, num_buckets=args.num_buckets,
+                            delete_old=args.delete_old))
+        return 0
 
 
 def cmd_search(args) -> int:
@@ -420,121 +430,118 @@ def cmd_pipeline(args) -> int:
     this composes them into one lazy plan per phase (the near-dedup
     pair generation and boilerplate census are the only stages that
     need their own passes)."""
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from .manifest import write_partitioned
-    from .pipeline import extract_pages
+    with _ray_session(args.num_cpus):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import ray.data as rd
+        from .manifest import write_partitioned
+        from .pipeline import extract_pages
 
-    stages = []
-    # extraction joins block texts with the \x03 bumper
-    # (SWISH_META_VALUES), not newlines — the line-based stages
-    # (C4, Gopher line fractions, boilerplate) must split on it
-    sep = "\n" if args.text_table else "\x03"
-    if args.text_table:
-        recs = rd.read_parquet(args.pages, columns=["url", "text"])
-        stages.append("read")
-    else:
-        pages = rd.read_parquet(args.pages)
-        if args.tiered:
-            from .ops.tiered import tiered_extract
-            ext = tiered_extract(pages, body_col="html", key="url",
-                                 batch_size=args.batch_size)
+        stages = []
+        # extraction joins block texts with the \x03 bumper
+        # (SWISH_META_VALUES), not newlines — the line-based stages
+        # (C4, Gopher line fractions, boilerplate) must split on it
+        sep = "\n" if args.text_table else "\x03"
+        if args.text_table:
+            recs = rd.read_parquet(args.pages, columns=["url", "text"])
+            stages.append("read")
         else:
-            ext = extract_pages(pages, emit="text",
-                                batch_size=args.batch_size)
-        recs = ext.map_batches(
-            lambda t: pa.table({
-                "url": t.column("url"),
-                "text": pc.cast(pc.coalesce(t.column("text"), ""),
-                                pa.large_string())}),
-            batch_format="pyarrow")
-        stages.append("extract[tiered]" if args.tiered else "extract")
+            pages = rd.read_parquet(args.pages)
+            if args.tiered:
+                from .ops.tiered import tiered_extract
+                ext = tiered_extract(pages, body_col="html", key="url",
+                                     batch_size=args.batch_size)
+            else:
+                ext = extract_pages(pages, emit="text",
+                                    batch_size=args.batch_size)
+            recs = ext.map_batches(
+                lambda t: pa.table({
+                    "url": t.column("url"),
+                    "text": pc.cast(pc.coalesce(t.column("text"), ""),
+                                    pa.large_string())}),
+                batch_format="pyarrow")
+            stages.append("extract[tiered]" if args.tiered else "extract")
 
-    if args.c4:
-        from .ops.filters import c4_clean
-        cleaned = c4_clean(recs, col="text", key="url", sep=sep)
-        recs = cleaned.map_batches(
-            lambda t: pa.table({
-                "url": t.filter(t.column("doc_kept")).column("url"),
-                "text": t.filter(t.column("doc_kept"))
-                .column("clean_text")}),
-            batch_format="pyarrow")
-        stages.append("c4")
-    if args.gopher:
-        from .ops.filters import gopher_filter
-        recs = gopher_filter(recs, col="text", sep=sep)
-        stages.append("gopher")
-    if (args.line_dedup or args.exact_dedup
-            or args.near_dedup is not None or args.exact_against
-            or args.dedup_against):
-        # every stage from here on consumes its input MORE THAN ONCE
-        # (boilerplate census + strip; dedup winners + join-back;
-        # minhash sign + gram sets).  Materialize once so extraction
-        # does not re-run per consumer
-        recs = recs.materialize()
-    if args.line_dedup:
-        from .ops.boilerplate import remove_duplicate_lines
-        recs = remove_duplicate_lines(
-            recs, col="text", key="url", sep=sep,
-            min_docs=args.line_min_docs).map_batches(
-            lambda t: pa.table({
-                "url": t.column("url"),
-                "text": pc.cast(t.column("text_clean"),
-                                pa.large_string())}),
-            batch_format="pyarrow")
-        stages.append("line-dedup")
-    if args.exact_dedup:
-        from .ops.dedup import exact_dedup
-        recs = exact_dedup(recs, col="text", key="url") \
-            .select_columns(["url", "text"])
-        stages.append("exact-dedup")
-    if args.exact_against:
-        from .ops.increment import dedup_incremental
-        recs = dedup_incremental(recs, args.exact_against, col="text")
-        stages.append("exact-against-store")
-    if args.dedup_against:
-        from .ops.increment import dedup_against_store
-        recs = dedup_against_store(
-            recs, args.dedup_against, col="text",
-            threshold=(args.near_dedup
-                       if args.near_dedup is not None else 0.5))
-        stages.append("near-against-store")
-    if args.near_dedup is not None:
-        from .ops.components import dedup_keep_canonical
-        from .ops.dedup import minhash_dedup
-        # the pair stage consumes recs twice (sign + gram sets) —
-        # materialize once so upstream stages don't re-run
-        recs = recs.materialize()
-        pairs = minhash_dedup(recs, threshold=args.near_dedup,
-                              col="text", key="url")
-        recs = dedup_keep_canonical(recs, pairs, key="url") \
-            .select_columns(["url", "text"])
-        stages.append(f"near-dedup@{args.near_dedup}")
+        if args.c4:
+            from .ops.filters import c4_clean
+            cleaned = c4_clean(recs, col="text", key="url", sep=sep)
+            recs = cleaned.map_batches(
+                lambda t: pa.table({
+                    "url": t.filter(t.column("doc_kept")).column("url"),
+                    "text": t.filter(t.column("doc_kept"))
+                    .column("clean_text")}),
+                batch_format="pyarrow")
+            stages.append("c4")
+        if args.gopher:
+            from .ops.filters import gopher_filter
+            recs = gopher_filter(recs, col="text", sep=sep)
+            stages.append("gopher")
+        if (args.line_dedup or args.exact_dedup
+                or args.near_dedup is not None or args.exact_against
+                or args.dedup_against):
+            # every stage from here on consumes its input MORE THAN ONCE
+            # (boilerplate census + strip; dedup winners + join-back;
+            # minhash sign + gram sets).  Materialize once so extraction
+            # does not re-run per consumer
+            recs = recs.materialize()
+        if args.line_dedup:
+            from .ops.boilerplate import remove_duplicate_lines
+            recs = remove_duplicate_lines(
+                recs, col="text", key="url", sep=sep,
+                min_docs=args.line_min_docs).map_batches(
+                lambda t: pa.table({
+                    "url": t.column("url"),
+                    "text": pc.cast(t.column("text_clean"),
+                                    pa.large_string())}),
+                batch_format="pyarrow")
+            stages.append("line-dedup")
+        if args.exact_dedup:
+            from .ops.dedup import exact_dedup
+            recs = exact_dedup(recs, col="text", key="url") \
+                .select_columns(["url", "text"])
+            stages.append("exact-dedup")
+        if args.exact_against:
+            from .ops.increment import dedup_incremental
+            recs = dedup_incremental(recs, args.exact_against, col="text")
+            stages.append("exact-against-store")
+        if args.dedup_against:
+            from .ops.increment import dedup_against_store
+            recs = dedup_against_store(
+                recs, args.dedup_against, col="text",
+                threshold=(args.near_dedup
+                           if args.near_dedup is not None else 0.5))
+            stages.append("near-against-store")
+        if args.near_dedup is not None:
+            from .ops.components import dedup_keep_canonical
+            from .ops.dedup import minhash_dedup
+            # the pair stage consumes recs twice (sign + gram sets) —
+            # materialize once so upstream stages don't re-run
+            recs = recs.materialize()
+            pairs = minhash_dedup(recs, threshold=args.near_dedup,
+                                  col="text", key="url")
+            recs = dedup_keep_canonical(recs, pairs, key="url") \
+                .select_columns(["url", "text"])
+            stages.append(f"near-dedup@{args.near_dedup}")
 
-    if args.index_out:
-        # write_partitioned and build_index both consume recs
-        recs = recs.materialize()
-    summary = write_partitioned(recs, args.out,
-                                num_buckets=args.num_buckets,
-                                resume=not args.no_resume)
-    if args.index_out:
-        # crawl -> corpus -> searchable index in one command (the
-        # reference's end-to-end story: swish_xapian -i over the
-        # cleaned set)
-        from .index import build_index
-        info = build_index(recs, args.index_out, key="url",
-                           text_col="text",
-                           stemmer=args.stemmer)
-        summary["index"] = info["segment"]
-        stages.append("index")
-    summary["stages"] = stages
-    print(summary)
-    if _started_ray:
-        ray.shutdown()
-    return 0
+        if args.index_out:
+            # write_partitioned and build_index both consume recs
+            recs = recs.materialize()
+        summary = write_partitioned(recs, args.out,
+                                    num_buckets=args.num_buckets,
+                                    resume=not args.no_resume)
+        if args.index_out:
+            # crawl -> corpus -> searchable index in one command (the
+            # reference's end-to-end story: swish_xapian -i over the
+            # cleaned set)
+            from .index import build_index
+            info = build_index(recs, args.index_out, key="url",
+                               text_col="text",
+                               stemmer=args.stemmer)
+            summary["index"] = info["segment"]
+            stages.append("index")
+        summary["stages"] = stages
+        print(summary)
+        return 0
 
 
 def cmd_delete(args) -> int:
@@ -558,73 +565,65 @@ def cmd_links(args) -> int:
     """Outlink harvest over a pages parquet: one row per href
     (links mode), the site-level graph rollup (graph mode), or
     PageRank over that graph (pagerank mode)."""
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import ray.data as rd
-    from .manifest import write_partitioned
-    from .ops.links import extract_links, link_graph, pagerank
-    from .ops.textstats import url_canonicalize
+    with _ray_session(args.num_cpus):
+        import ray.data as rd
+        from .manifest import write_partitioned
+        from .ops.links import extract_links, link_graph, pagerank
+        from .ops.textstats import url_canonicalize
 
-    pages = rd.read_parquet(args.pages)
-    if args.mode == "frontier":
-        from .ops.frontier import build_frontier
-        robots = (rd.read_parquet(args.robots)
-                  if args.robots else None)
-        out = build_frontier(
-            pages, robots=robots,
-            blocklist=args.block or (),
-            per_site_cap=args.site_cap,
-            html_col=args.html_col, url_col=args.url_col,
-            canonical=args.canonicalize)
-        print(write_partitioned(out, args.out,
-                                num_buckets=args.num_buckets,
-                                key_col="url"))
-        if _started_ray:
-            ray.shutdown()
-        return 0
-    links = extract_links(pages, html_col=args.html_col,
-                          url_col=args.url_col, key=args.url_col,
-                          batch_size=args.batch_size)
-    if args.canonicalize:
-        links = url_canonicalize(links, col="resolved")
-    if args.mode == "links":
-        out, key = links, args.url_col
-    else:
-        g = link_graph(links, src_col=args.url_col,
-                       dst_col="resolved")
-        if args.mode == "graph":
-            out, key = g, "src_site"
+        pages = rd.read_parquet(args.pages)
+        if args.mode == "frontier":
+            from .ops.frontier import build_frontier
+            robots = (rd.read_parquet(args.robots)
+                      if args.robots else None)
+            out = build_frontier(
+                pages, robots=robots,
+                blocklist=args.block or (),
+                per_site_cap=args.site_cap,
+                html_col=args.html_col, url_col=args.url_col,
+                canonical=args.canonicalize)
+            print(write_partitioned(out, args.out,
+                                    num_buckets=args.num_buckets,
+                                    key_col="url"))
+            return 0
+        links = extract_links(pages, html_col=args.html_col,
+                              url_col=args.url_col, key=args.url_col,
+                              batch_size=args.batch_size)
+        if args.canonicalize:
+            links = url_canonicalize(links, col="resolved")
+        if args.mode == "links":
+            out, key = links, args.url_col
         else:
-            out = pagerank(g, src="src_site", dst="dst_site",
-                           weight="n_links", iters=args.iters)
-            key = "node"
-    summary = write_partitioned(out, args.out,
-                                num_buckets=args.num_buckets,
-                                key_col=key)
-    print(summary)
-    if _started_ray:
-        ray.shutdown()
-    return 0
+            g = link_graph(links, src_col=args.url_col,
+                           dst_col="resolved")
+            if args.mode == "graph":
+                out, key = g, "src_site"
+            else:
+                out = pagerank(g, src="src_site", dst="dst_site",
+                               weight="n_links", iters=args.iters)
+                key = "node"
+        summary = write_partitioned(out, args.out,
+                                    num_buckets=args.num_buckets,
+                                    key_col=key)
+        print(summary)
+        return 0
 
 
 def cmd_profile(args) -> int:
     """Column profiler over a parquet input: rows/nulls/min/max per
     column plus a HyperLogLog distinct estimate."""
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import ray.data as rd
-    from .ops.aggregates import profile
+    with _ray_session(args.num_cpus):
+        import ray.data as rd
+        from .ops.aggregates import profile
 
-    ds = rd.read_parquet(args.table, columns=args.columns or None)
-    t = profile(ds, columns=args.columns or None)
-    for row in t.to_pylist():
-        print(f"{row['column']}\trows={row['n_rows']}"
-              f"\tnulls={row['n_null']}\tmin={row['min']}"
-              f"\tmax={row['max']}"
-              f"\tdistinct~{row['n_distinct_est']}")
-    if _started_ray:
-        ray.shutdown()
-    return 0
+        ds = rd.read_parquet(args.table, columns=args.columns or None)
+        t = profile(ds, columns=args.columns or None)
+        for row in t.to_pylist():
+            print(f"{row['column']}\trows={row['n_rows']}"
+                  f"\tnulls={row['n_null']}\tmin={row['min']}"
+                  f"\tmax={row['max']}"
+                  f"\tdistinct~{row['n_distinct_est']}")
+        return 0
 
 
 def cmd_media(args) -> int:
@@ -655,28 +654,25 @@ def cmd_media(args) -> int:
         meta["channels"] = 1 if arr.ndim == 2 else arr.shape[2]
         print(_json.dumps(meta, sort_keys=True))
         return 0
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import ray.data as rd
-    ds = rd.read_parquet(args.table, columns=[args.key, args.col])
-    if args.mode == "inspect":
-        from .ops.mediainfo import inspect_media
-        out = inspect_media(ds, key=args.key, col=args.col)
-    elif args.mode == "decode":
-        from .ops.multimodal import decode_images
-        out = decode_images(ds, key=args.key, col=args.col)
-    elif args.mode == "hash":
-        from .ops.imagehash import image_hashes
-        out = image_hashes(ds, key=args.key, col=args.col)
-    else:  # dedup
-        from .ops.imagehash import imagehash_near_dups
-        out = imagehash_near_dups(
-            ds, max_hamming=args.max_hamming, key=args.key,
-            col=args.col)
-    out.write_parquet(args.out)
-    if _started_ray:
-        ray.shutdown()
-    return 0
+    with _ray_session(args.num_cpus):
+        import ray.data as rd
+        ds = rd.read_parquet(args.table, columns=[args.key, args.col])
+        if args.mode == "inspect":
+            from .ops.mediainfo import inspect_media
+            out = inspect_media(ds, key=args.key, col=args.col)
+        elif args.mode == "decode":
+            from .ops.multimodal import decode_images
+            out = decode_images(ds, key=args.key, col=args.col)
+        elif args.mode == "hash":
+            from .ops.imagehash import image_hashes
+            out = image_hashes(ds, key=args.key, col=args.col)
+        else:  # dedup
+            from .ops.imagehash import imagehash_near_dups
+            out = imagehash_near_dups(
+                ds, max_hamming=args.max_hamming, key=args.key,
+                col=args.col)
+        out.write_parquet(args.out)
+        return 0
 
 
 def cmd_pdf(args) -> int:
@@ -717,61 +713,58 @@ def cmd_pdf(args) -> int:
             print(_json.dumps({"error": str(e)}), file=sys.stderr)
             return 1
         return 0
-    import ray
-    _started_ray = _ray_init(args.num_cpus)
-    import ray.data as rd
-    ds = rd.read_parquet(args.table, columns=[args.key, args.col])
-    pw = args.password.encode("utf-8") if args.password else b""
-    if args.mode == "text":
-        from .ops.pdftext import extract_pdf_text
-        out = extract_pdf_text(ds, pdf_col=args.col, key=args.key,
-                               mode="auto", password=pw)
-    else:
-        # structural modes share one batch shape: per-row probe with
-        # the per-row error discipline of the extraction stages
-        import pyarrow as _pa
+    with _ray_session(args.num_cpus):
+        import ray.data as rd
+        ds = rd.read_parquet(args.table, columns=[args.key, args.col])
+        pw = args.password.encode("utf-8") if args.password else b""
+        if args.mode == "text":
+            from .ops.pdftext import extract_pdf_text
+            out = extract_pdf_text(ds, pdf_col=args.col, key=args.key,
+                                   mode="auto", password=pw)
+        else:
+            # structural modes share one batch shape: per-row probe with
+            # the per-row error discipline of the extraction stages
+            import pyarrow as _pa
 
-        mode, keyc, colc = args.mode, args.key, args.col
+            mode, keyc, colc = args.mode, args.key, args.col
 
-        def probe(batch: "_pa.Table") -> "_pa.Table":
-            import json as _j
+            def probe(batch: "_pa.Table") -> "_pa.Table":
+                import json as _j
 
-            from .ops.pdfcos import (PdfDocument, PdfError,
-                                     document_info, document_links,
-                                     pdf_info)
-            vals, errs = [], []
-            for body in batch.column(colc).to_pylist():
-                try:
-                    if body is None:
-                        raise PdfError("null_body")
-                    if mode == "inspect":
-                        vals.append(_j.dumps(pdf_info(body),
-                                             sort_keys=True))
-                    elif mode == "info":
-                        vals.append(_j.dumps(
-                            document_info(
-                                PdfDocument(body, password=pw)),
-                            sort_keys=True, ensure_ascii=False))
-                    else:  # links
-                        doc = PdfDocument(body, password=pw)
-                        vals.append(_j.dumps(
-                            [u for _p, u in document_links(doc)]))
-                    errs.append(None)
-                except Exception as ex:  # noqa: BLE001
-                    vals.append(None)
-                    errs.append(str(ex)[:200])
-            return _pa.table({
-                keyc: batch.column(keyc),
-                args.mode: _pa.array(vals, _pa.large_string()),
-                "error": _pa.array(errs, _pa.string()),
-            })
+                from .ops.pdfcos import (PdfDocument, PdfError,
+                                         document_info, document_links,
+                                         pdf_info)
+                vals, errs = [], []
+                for body in batch.column(colc).to_pylist():
+                    try:
+                        if body is None:
+                            raise PdfError("null_body")
+                        if mode == "inspect":
+                            vals.append(_j.dumps(pdf_info(body),
+                                                 sort_keys=True))
+                        elif mode == "info":
+                            vals.append(_j.dumps(
+                                document_info(
+                                    PdfDocument(body, password=pw)),
+                                sort_keys=True, ensure_ascii=False))
+                        else:  # links
+                            doc = PdfDocument(body, password=pw)
+                            vals.append(_j.dumps(
+                                [u for _p, u in document_links(doc)]))
+                        errs.append(None)
+                    except Exception as ex:  # noqa: BLE001
+                        vals.append(None)
+                        errs.append(str(ex)[:200])
+                return _pa.table({
+                    keyc: batch.column(keyc),
+                    args.mode: _pa.array(vals, _pa.large_string()),
+                    "error": _pa.array(errs, _pa.string()),
+                })
 
-        out = ds.map_batches(probe, batch_format="pyarrow",
-                             batch_size=32)
-    out.write_parquet(args.out)
-    if _started_ray:
-        ray.shutdown()
-    return 0
+            out = ds.map_batches(probe, batch_format="pyarrow",
+                                 batch_size=32)
+        out.write_parquet(args.out)
+        return 0
 
 
 def main(argv=None) -> int:

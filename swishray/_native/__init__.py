@@ -9,8 +9,8 @@ the candidate build against its pure-Python (or ctypes) path:
     route's columns (pipeline._arena_selftest)
   * ``swishsax`` — the C SAX front-end, checked against the ctypes
     event stream (libxml._sax_selftest); on that handle, the
-    extraction state machine, checked against the event replay
-    (sax._machine_selftest)
+    extraction state machine, checked through a one-row swishtok
+    arena against the event replay (sax._machine_selftest)
   * ``swishpng`` — the PNG scanline un-filter kernel
     (ops.codecs._native_selftest)
   * ``swishjpeg`` — the JPEG entropy-decode scan loop

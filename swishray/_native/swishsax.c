@@ -11,31 +11,29 @@
  *     feeds it to ExtractionState.replay for an extraction without a
  *     machine.
  *
- *   extract_html/extract_xml(data, machine, arena=None)
- *       -> result | None
+ *   extract_html/extract_xml(data, machine, arena)
+ *       -> (rc, error|None, flushes) | None
  *     The extraction state machine: libxml2 runs with handlers that do
  *     what sax.ExtractionState does (bake_tag, the meta and prop tag
  *     stacks, flush_buffer, add_stack_to_prop_buf, buffer_characters,
  *     the noindex/index/swishcommand comments, the end-of-document
  *     flush), for a config that passes sax.machine_spec's gate.
- *     ``machine`` is what compile(spec) built from that config. The
- *     result is (rc, error|None, metanames, properties, flushes):
- *     the finished named buffers as {name: bytes} dicts in the order
- *     the Python state would hold them, and every flush the tokenizer
- *     must see, in order, as (data, meta, context). Given a batch's
- *     record arena (swishtok.c's Arena), the machine instead writes the
- *     buffers, in that order, into the arena's open row through the C
- *     API it reads from the capsule ``Arena._api``, and the result is
- *     (rc, error|None, flushes); the caller tokenizes the flushes into
- *     the same row. ``error`` is the ParseAbort message of a document
- *     the reference would croak on, next to the buffers as they stood
- *     then. None means the machine
- *     declines the document (an XInclude element, a non-ASCII element
- *     name, XML prefix or <meta> name, <meta> content that is not
- *     strict UTF-8, XML attributes under XMLClassAttributes, a
- *     non-ASCII attribute the undefined-attribute policy would read,
- *     an emptied meta stack), with nothing written to the arena, and
- *     the caller re-parses it through the event stream.
+ *     ``machine`` is what compile(spec) built from that config. Its one
+ *     sink is a record arena (swishtok.c's Arena): the machine writes
+ *     the finished named buffers, metanames in the order the Python
+ *     state would hold them and then the properties, into the arena's
+ *     open row through the C API it reads from the capsule
+ *     ``Arena._api``. ``flushes`` is every flush the tokenizer must
+ *     see, in order, as (data, meta, context); the caller tokenizes
+ *     them into the same row. ``error`` is the ParseAbort message of a
+ *     document the reference would croak on, next to the buffers as
+ *     they stood then. None means the machine declines the document
+ *     (an XInclude element, a non-ASCII element name, XML prefix or
+ *     <meta> name, <meta> content that is not strict UTF-8, XML
+ *     attributes under XMLClassAttributes, a non-ASCII attribute the
+ *     undefined-attribute policy would read, an emptied meta stack),
+ *     with nothing written to the arena, and the caller re-parses it
+ *     through the event stream.
  *
  * Event tuples (the ctypes recorder, libxml.py:_Recorder, builds the
  * same ones; libxml._sax_selftest checks the two batches with ==):
@@ -1390,23 +1388,6 @@ doc_free(Doc *d)
     Py_XDECREF(d->error);
 }
 
-static PyObject *
-buffers_dict(Machine *m, Buf *bufs, const int *order, int n)
-{
-    PyObject *dict = PyDict_New();
-    for (int i = 0; dict != NULL && i < n; i++) {
-        Buf *b = &bufs[order[i]];
-        PyObject *v = PyBytes_FromStringAndSize(b->p, (Py_ssize_t)b->len);
-        if (v == NULL || PyDict_SetItem(dict, m->names[order[i]].str, v)) {
-            Py_XDECREF(v);
-            Py_CLEAR(dict);
-            break;
-        }
-        Py_DECREF(v);
-    }
-    return dict;
-}
-
 /* swishtok's Arena C API, read from the capsule ``Arena._api`` (the
  * same struct is declared in swishtok.c) */
 typedef struct {
@@ -1457,14 +1438,14 @@ static PyObject *
 extract(PyObject *args, int html)
 {
     Py_buffer view;
-    PyObject *cap, *arena = Py_None;
+    PyObject *cap, *arena;
     const ArenaAPI *api = NULL;
-    if (!PyArg_ParseTuple(args, "y*O|O", &view, &cap, &arena))
+    if (!PyArg_ParseTuple(args, "y*OO", &view, &cap, &arena))
         return NULL;
     Machine *m = PyCapsule_GetPointer(cap, "swishsax.machine");
-    if (m != NULL && arena != Py_None)
+    if (m != NULL)
         api = arena_api(arena);
-    if (m == NULL || (arena != Py_None && api == NULL)) {
+    if (api == NULL) {
         PyBuffer_Release(&view);
         return NULL;
     }
@@ -1506,19 +1487,8 @@ extract(PyObject *args, int html)
     if (d.stop == DECLINED) {
         out = Py_None;
         Py_INCREF(out);
-    } else if (d.stop != FAILED && api != NULL) {
-        if (buffers_put(api, arena, m, &d) == 0)
-            out = Py_BuildValue("(iOO)", rc, error, d.flushes);
-    } else if (d.stop != FAILED) {
-        PyObject *mdict = buffers_dict(m, d.mbufs, d.morder, d.n_morder);
-        PyObject *pdict = buffers_dict(m, d.pbufs, m->props, m->n_props);
-        if (mdict != NULL && pdict != NULL)
-            out = Py_BuildValue("(iONNO)", rc, error, mdict, pdict,
-                                d.flushes);
-        else {
-            Py_XDECREF(mdict);
-            Py_XDECREF(pdict);
-        }
+    } else if (d.stop != FAILED && buffers_put(api, arena, m, &d) == 0) {
+        out = Py_BuildValue("(iOO)", rc, error, d.flushes);
     }
     doc_free(&d);
     if (out == NULL && !PyErr_Occurred())
@@ -1546,11 +1516,9 @@ static PyMethodDef methods[] = {
     {"compile", compile_machine, METH_VARARGS,
      "compile(spec) -> machine"},
     {"extract_xml", extract_xml, METH_VARARGS,
-     "extract_xml(data, machine, arena=None) -> (rc, error, metanames, "
-     "properties, flushes) | (rc, error, flushes) | None"},
+     "extract_xml(data, machine, arena) -> (rc, error, flushes) | None"},
     {"extract_html", extract_html, METH_VARARGS,
-     "extract_html(data, machine, arena=None) -> (rc, error, metanames, "
-     "properties, flushes) | (rc, error, flushes) | None"},
+     "extract_html(data, machine, arena) -> (rc, error, flushes) | None"},
     {NULL, NULL, 0, NULL},
 };
 

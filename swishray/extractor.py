@@ -7,7 +7,8 @@ TXT parser (parser.c:2599-2710) and encoding bookkeeping
 (parser.c:2712-2759) — producing one ExtractionRecord per input row.
 
 The engine consumes table rows (url + body bytes) rather than files;
-``extract_document`` is the pure per-row function the Ray actor calls.
+``DocumentExtractor.extract`` extracts one row, and
+``pipeline.ExtractPages`` calls it for every row of a batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import Config
 from .libxml import check_utf8
 from .mime import file_ext, get_mime_type, get_parser
 from .sax import (ArenaRow, ExtractionState, ParseAbort, concat_buffers,
-                  html_parse, machine_for, xml_parse)
+                  html_parse, machine_for, read_row, xml_parse)
 from .text import scrub_nulls
 from .tokenizer import TokenList
 
@@ -93,8 +94,9 @@ def resolve_docinfo(cfg: Config, uri: str, size: int,
 
 class DocumentExtractor:
     """Stateful per-worker extractor: build once (config + libxml2 init
-    + tokenizer tables), call per document. This is the object a Ray
-    actor holds (swish_3 equivalent, swish.c:47-70)."""
+    + tokenizer tables), call per document (swish_3 equivalent,
+    swish.c:47-70). ``pipeline.ExtractPages`` builds one per worker
+    process and reuses it for every batch."""
 
     def __init__(self, config: Config | None = None,
                  swish_encoding: str = C.DEFAULT_ENCODING,
@@ -166,17 +168,18 @@ class DocumentExtractor:
         pipeline._binary_views).
 
         The body is prepared once (``_prelude``), then takes one of two
-        routes. With ``arena``, a batch's record arena
-        (``swishtok.Arena``, see ``pipeline.ExtractPages``), an HTML or
-        XML row the machine finishes goes straight into the arena's
-        open row (``sax.ArenaRow``). Every other row goes through an
-        ExtractionState whose token list is the arena, and ``_finish``
-        adds its buffers; a row the machine declined replays there, so
-        the machine runs at most once per row. The row is then
-        committed, and the returned record carries only ``docinfo`` and
-        ``error``. A stemmer rewrites a finished token list, which an
-        arena cannot take back, so ``arena`` with a stemmer raises
-        ValueError."""
+        routes. An HTML or XML row the machine finishes goes straight
+        into the open row of ``arena``, a batch's record arena
+        (``swishtok.Arena``, see ``pipeline.ExtractPages``), or without
+        one into a one-row arena that ``sax.read_row`` reads back into
+        the record (``sax.ArenaRow``). Every other row (TXT, an empty
+        or broken gzip body, ``enforce_property_max``, a row the
+        machine declined) replays through an ExtractionState whose
+        token list is ``arena``, if given, so the machine runs at most
+        once per row. With ``arena`` the row is committed, and the
+        returned record carries only ``docinfo`` and ``error``. A
+        stemmer rewrites a finished token list, which an arena cannot
+        take back, so ``arena`` with a stemmer raises ValueError."""
         if arena is not None and self.stemmer is not None:
             raise ValueError("extract: a stemmer cannot write into an arena")
         di = resolve_docinfo(self.config, uri, len(body), mime, parser)
@@ -185,16 +188,20 @@ class DocumentExtractor:
             body = self._prelude(body, di)
         except ParseAbort as e:
             rec.error = str(e)
-        machine = self.machine
-        if (arena is not None and rec.error is None and machine is not None
+        if (rec.error is None and self.machine is not None
                 and di.parser[:1].upper() in ("H", "X")
                 and not self.config.enforce_property_max):
-            row = ArenaRow(arena, self.tokenizer)
-            if self._parse_row(body, row, di, machine, rec) is not None:
+            row = ArenaRow(arena, self.machine, self.tokenizer)
+            if self._parse_row(body, row, di, rec) is not None:
                 di.nwords = row.nwords
-                arena.commit()
+                if arena is not None:
+                    arena.commit()
+                else:
+                    rec.metanames, rec.properties, rec.tokens = \
+                        read_row(row.arena)
+                    self._stem(rec)
                 return rec
-            machine = None  # the machine declined the row: replay it
+            # the machine declined the row: it replays below
         state = ExtractionState(self.config, uri=uri,
                                 tokenizer=self.tokenizer)
         if arena is not None:
@@ -202,18 +209,18 @@ class DocumentExtractor:
         if self.xinclude_resolver is not None and self.config.follow_xinclude:
             state.xinclude_cb = self._xinclude_cb(state, 0)
         if rec.error is None:
-            self._parse_row(body, state, di, machine, rec)
+            self._parse_row(body, state, di, rec)
         self._finish(rec, state, arena)
         return rec
 
     def _parse_row(self, body: bytes | memoryview, state, di: DocInfo,
-                   machine, rec: ExtractionRecord) -> int | None:
+                   rec: ExtractionRecord) -> int | None:
         """``_dispatch`` for one row, its failure recorded in
         ``rec.error``. None, with nothing of the row in the arena, when
         ``state`` is an ArenaRow (the machine route) whose document the
-        machine declines or whose tokenizer hook raises."""
+        machine does not finish (``sax._fill_row``)."""
         try:
-            return self._dispatch(body, state, di, machine)
+            return self._dispatch(body, state, di)
         except ParseAbort as e:
             rec.error = str(e)
         except Exception as e:  # defensive: never kill the batch
@@ -250,13 +257,12 @@ class DocumentExtractor:
         """docparser (parser.c:2450-2535): the prelude, then dispatch to
         the HTML/XML/TXT parser. XInclude children parse through it;
         raises ParseAbort on unparseable input."""
-        self._dispatch(self._prelude(body, di), state, di, self.machine)
+        self._dispatch(self._prelude(body, di), state, di)
 
-    def _dispatch(self, body: bytes | memoryview, state, di: DocInfo,
-                  machine) -> int | None:
+    def _dispatch(self, body: bytes | memoryview, state,
+                  di: DocInfo) -> int | None:
         """Parse a prepared body into ``state`` (an ExtractionState, or
-        on the machine route an ArenaRow) with the parser ``di`` names;
-        ``machine`` is ``self.machine``, or None for the event replay.
+        on the machine route an ArenaRow) with the parser ``di`` names.
         Returns ``html_parse``/``xml_parse``'s rc (0 for TXT)."""
         p0 = di.parser[:1].upper()
         if p0 == "H":
@@ -264,9 +270,9 @@ class DocumentExtractor:
             # the env default — libxml2 does its own charset
             # switching internally
             di.encoding = self.swish_encoding
-            return html_parse(body, state, machine)
+            return html_parse(body, state)
         if p0 == "X":
-            rc = xml_parse(body, state, machine)
+            rc = xml_parse(body, state)
             enc = self._xml_declared_encoding(body)
             di.encoding = enc if enc else self.swish_encoding
             return rc
@@ -331,10 +337,8 @@ class DocumentExtractor:
         child.xinclude_cb = self._xinclude_cb(child, depth + 1)
         try:
             self._docparse(body, child, di)
-        except ParseAbort:
-            pass  # reference merges whatever parsed (rc is ignored)
         except Exception:
-            pass
+            pass  # reference merges whatever parsed (rc is ignored)
 
         # xinclude_handler: child tokens append with fresh consecutive
         # parent positions (swish_token_list_add_token ++pos), into the
@@ -404,13 +408,16 @@ class DocumentExtractor:
             arena.commit()
             rec.metanames, rec.properties = {}, {}
         else:
-            tl = state.token_list
-            if self.stemmer is not None and len(tl):
-                try:
-                    tl.map_values(self.stemmer)
-                except Exception as e:  # extract() never raises per-row
-                    if rec.error is None:
-                        rec.error = f"stemmer: {type(e).__name__}: {e}"
-            rec.tokens = tl
+            rec.tokens = state.token_list
+            self._stem(rec)
         if rec.error is None and state.parse_error is not None:
             rec.error = state.parse_error
+
+    def _stem(self, rec: ExtractionRecord) -> None:
+        """The stemmer, if any, over ``rec``'s finished token list."""
+        if self.stemmer is not None and len(rec.tokens):
+            try:
+                rec.tokens.map_values(self.stemmer)
+            except Exception as e:  # extract() never raises per-row
+                if rec.error is None:
+                    rec.error = f"stemmer: {type(e).__name__}: {e}"

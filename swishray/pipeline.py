@@ -716,9 +716,10 @@ def dedup_by_url(extracted: "Any") -> "Any":
 
 def _arena_selftest(tok) -> bool:
     """``tok``'s record arena must give the reference route's
-    ``emit="full"`` table on a batch of every kind of row (HTML and XML
-    through the machine, one it declines, TXT, latin1, gzip, NUL,
-    empty and null), both whole and split into row chunks."""
+    ``emit="full"`` table, every row replayed into a TokenList, on a
+    batch of every kind of row (HTML and XML through the machine, one
+    it declines, TXT, latin1, gzip, NUL, empty and null), both whole
+    and split into row chunks."""
     import gzip
 
     rows = [
@@ -737,7 +738,9 @@ def _arena_selftest(tok) -> bool:
         "url": [f"https://s.example/{i}.{e}" for i, e in enumerate(exts)],
         "html": pa.array(rows, pa.binary())})
     ex = DocumentExtractor(swish_encoding="ISO-8859-1")
-    want = pa.table(_extract_columns(ex, batch, "full", C.MAX_FILE_LEN,
+    ref = DocumentExtractor(swish_encoding="ISO-8859-1")
+    ref.machine = None  # every row replays into a TokenList
+    want = pa.table(_extract_columns(ref, batch, "full", C.MAX_FILE_LEN,
                                      None))
     # 256: no row's tokens pass it, the batch's do
     for limit in (_MAX_INT32_OFFSET, 256):

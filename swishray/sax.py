@@ -7,35 +7,26 @@ the three tag stacks (dom/meta/prop), the character buffers with \\x03
 position bumpers, flush-to-NamedBuffer, property capture, and the
 noindex/index comment toggles.
 
-Two paths run it, and this module alone picks one per document
+Two paths run it, and the state a document is parsed into picks one
 (``html_parse``/``xml_parse``; libxml.py only records events):
 
-  * For a Config that passes ``machine_spec``'s gate, ``machine_for``
-    compiles swishsax's C extraction machine, which runs these
-    handlers inside the libxml2 parse and returns the finished buffers
-    and the ordered buffer flushes; ``ExtractionState.apply``
-    tokenizes the flushes (through the default tokenizer or a
-    ``tokenizer=`` hook alike) and takes the buffers. The Python
-    handlers below do not run for such a document. The machine is
-    used only when ``_machine_selftest`` passed on the checked
-    swishsax front-end (``_machine``, taken through
-    ``_native.checked``).
-  * Otherwise, and for a document the machine declines,
-    ``ExtractionState.replay`` consumes libxml's full event batch.
+  * An ``ArenaRow`` means swishsax's C extraction machine, compiled by
+    ``machine_for`` for a Config inside ``machine_spec``'s gate. It
+    runs these handlers inside the libxml2 parse and writes the
+    finished buffers into the open row of a record arena
+    (``swishtok.Arena``), its one sink; the flushes it returns are
+    tokenized into the same row (by ``tokenize_into`` or a
+    ``tokenizer=`` hook). No ExtractionState is built. The machine
+    runs only when ``_machine_selftest`` passed on the checked
+    swishsax front-end (``_machine``, through ``_native.checked``).
+  * An ``ExtractionState`` means the Python handlers below: for
+    markup, ``ExtractionState.replay`` of libxml's full event batch.
 
-In a batch, each row takes one of two routes into the batch's record
-arena (``swishtok.Arena``, see ``extractor.DocumentExtractor.extract``),
-and the arena is the one token sink of both:
-
-  * the machine route (``ArenaRow``): the machine writes the buffers
-    into the arena, the flushes are tokenized into it, and no
-    ExtractionState is built;
-  * the record route: every other row (TXT, an empty or broken gzip
-    body, a property cap, a document the machine declined) runs
-    through an ExtractionState whose ``token_list`` is the arena, so
-    its tokens are written there as they are made, and the extractor
-    adds its buffers at the end. A document the machine declined on
-    the machine route replays here without running the machine again.
+``extractor.DocumentExtractor.extract`` picks the state per row: the
+machine for markup it may take, with a batch's record arena or a
+one-row arena that ``read_row`` reads back; an ExtractionState for
+every other row (TXT, a property cap, a document the machine
+declined), whose ``token_list`` is the batch's arena if there is one.
 
 All buffer content is bytes (the \\x03-joined buffers are byte-exact
 deliverables); tag and config names are str.
@@ -49,7 +40,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from . import _native, constants as C, libxml
+from . import tokenizer as _tokenizer
 from .config import Config
 from .libxml import html_tag_lookup_isinline
 from .text import glibc_lower, skip_ws, str_all_ws, trim_ws
@@ -571,34 +565,6 @@ class ExtractionState:
             self.flush_buffer(st.baked, st.context)
         self.domstack.pop()
 
-    def apply(self, result: tuple) -> bool:
-        """Take one result of swishsax's extraction machine (format in
-        the header of _native/swishsax.c) into this fresh state:
-        tokenize each flush in order, then adopt the finished buffers,
-        and raise the machine's ParseAbort, if any, after both. Returns
-        False when the tokenizer raised, with the token list rolled
-        back (a TokenList or the batch arena's open row): the caller
-        then replays the full event stream, whose partial record
-        is the one the Python handlers leave where the tokenizer
-        raises."""
-        rc, error, metanames, properties, flushes = result
-        if flushes:
-            tl = self.token_list
-            tokenize = self._tokenize
-            n = 0
-            try:
-                for data, meta, context in flushes:
-                    n += tokenize(tl, data, meta, context)
-            except Exception:
-                tl.rollback()
-                return False
-            self.nwords += n
-        self.metanames = metanames
-        self.properties = properties
-        if error is not None:
-            raise ParseAbort(error)
-        return True
-
     def replay(self, events: list) -> None:
         """Consume one full ``(rc, events)`` batch's event list (tuple
         format at the top of _native/swishsax.c; both libxml2
@@ -716,33 +682,66 @@ def concat_buffers(parent_nb: dict, child_nb: dict) -> None:
 
 
 class ArenaRow:
-    """A document the machine extracts straight into the open row of a
-    batch's record arena (``swishtok.Arena``), in place of an
-    ExtractionState: ``html_parse``/``xml_parse`` take it as their
-    ``state``. The flushes go through ``tokenize``, the extractor's
-    tokenizer hook or ``tokenize_into``, with the arena as the token
-    list; ``nwords`` is their sum once parsed."""
+    """A document ``machine`` (``machine_for``'s) extracts straight
+    into the open row of a record arena (``swishtok.Arena``): a
+    batch's, or with None a one-row arena that ``read_row`` reads back.
+    The flushes go through ``tokenize``, the extractor's tokenizer hook
+    or ``tokenize_into``, with the arena as the token list; ``nwords``
+    is their sum once parsed."""
 
-    __slots__ = ("arena", "tokenize", "nwords")
+    __slots__ = ("arena", "machine", "tokenize", "nwords")
 
-    def __init__(self, arena, tokenizer=None):
-        self.arena = arena
+    def __init__(self, arena, machine, tokenizer=None):
+        # a one-row arena, its chunk limit the int32 offset range
+        self.arena = (arena if arena is not None
+                      else _tokenizer._native.Arena(2**31 - 1))
+        self.machine = machine
         self.tokenize = tokenizer if tokenizer is not None else tokenize_into
         self.nwords = 0
 
 
-def _fill_row(body, row: ArenaRow, machine, html: bool, native):
-    """Run ``machine`` over one document into ``row``'s arena: libxml's
-    rc, or None when the machine declines the document or the tokenizer
-    raises, with the row's writes dropped; the caller then replays the
-    document, without the machine, into an ExtractionState whose token
-    list is the arena. Raises ParseAbort after the writes, as
-    ``ExtractionState.apply`` does."""
+def _labels(offsets, data) -> list[str]:
+    o = offsets.cast("i").tolist()
+    return [str(data[a:b], "utf-8") for a, b in zip(o, o[1:])]
+
+
+def _read_map(buffers, into: dict) -> dict:
+    _, key_offs, keys, val_offs, vals = buffers
+    vo = val_offs.cast("q").tolist()
+    for k, a, b in zip(_labels(key_offs, keys), vo, vo[1:]):
+        into[k] = bytes(vals[a:b])
+    return into
+
+
+def read_row(arena) -> tuple[dict, dict, TokenList]:
+    """Commit the open row of a one-row ``arena`` and read it back as a
+    record: ``metanames`` (``swishdefault`` first, from the row's text,
+    then the map in the order the row put it), ``properties`` and a
+    one-chunk TokenList (``finish()``'s layout is in the header of
+    _native/swishtok.c)."""
+    pos = arena.pos
+    arena.commit()
+    _, _, _, (_, text), metas, props, tokens = arena.finish()
+    _, values, ends, positions, _, (_, counts, mo, ms, co, cs) = tokens
+    runs = list(zip(_labels(mo, ms), _labels(co, cs),
+                    counts.cast("i").tolist()))
+    ends = np.frombuffer(ends, np.int32)
+    tl = TokenList.of_chunk(bytes(values), (ends[1:] - ends[:-1]).tobytes(),
+                            bytes(positions), runs, pos)
+    return (_read_map(metas, {C.DEFAULT_METANAME: bytes(text)}),
+            _read_map(props, {}), tl)
+
+
+def _fill_row(body, row: ArenaRow, html: bool, native):
+    """Run ``row.machine`` over one document into ``row``'s arena:
+    libxml's rc, or None when the machine declines the document, or it
+    or the tokenizer raises, with the row's writes dropped; the caller
+    then replays the document into an ExtractionState. Raises
+    ParseAbort after the writes, which the row keeps."""
     arena = row.arena
-    result = None
     try:
         result = (native.extract_html if html
-                  else native.extract_xml)(body, machine, arena)
+                  else native.extract_xml)(body, row.machine, arena)
         if result is None:
             return None
         rc, error, flushes = result
@@ -752,8 +751,6 @@ def _fill_row(body, row: ArenaRow, machine, html: bool, native):
             n += tokenize(arena, data, meta, context)
     except Exception:
         arena.rollback()
-        if result is None:
-            raise  # the machine itself failed, not the tokenizer
         return None
     row.nwords = n
     if error is not None:
@@ -761,46 +758,41 @@ def _fill_row(body, row: ArenaRow, machine, html: bool, native):
     return rc
 
 
-def _parse(body: bytes, state, machine, html: bool, native) -> int | None:
-    """Extract one document into ``state``: through ``machine`` (built
-    by ``native.compile``) when there is one and it finishes the
-    document, else by replaying libxml's event batch. Returns libxml's
-    rc. ``state`` may be an ArenaRow (see ``_fill_row``): then a
-    document the machine does not finish returns None."""
+def _parse(body: bytes, state, html: bool, native) -> int | None:
+    """Extract one document into ``state`` and return libxml's rc: an
+    ArenaRow through its machine (see ``_fill_row``; None when the
+    machine does not finish the document), an ExtractionState by
+    replaying libxml's event batch."""
     if state.__class__ is ArenaRow:
-        return _fill_row(body, state, machine, html, native)
-    if machine is not None:
-        result = (native.extract_html if html
-                  else native.extract_xml)(body, machine)
-        # None: the machine declined the document
-        if result is not None and state.apply(result):
-            return result[0]
+        return _fill_row(body, state, html, native)
     rc, events = libxml.parse_events(body, html)
     state.is_html = html
     state.replay(events)
     return rc
 
 
-def html_parse(body: bytes, state, machine) -> int | None:
-    """html_parser (parser.c:2537-2597) into ``state`` (an
-    ExtractionState, or with a ``machine`` an ArenaRow); ``machine`` is
-    ``machine_for(config)``, or None for the event replay."""
-    return _parse(body, state, machine, True, _machine)
+def html_parse(body: bytes, state) -> int | None:
+    """html_parser (parser.c:2537-2597) into ``state``, an ArenaRow
+    (the machine) or an ExtractionState (the event replay)."""
+    return _parse(body, state, True, _machine)
 
 
-def xml_parse(body: bytes, state, machine) -> int | None:
-    """xml_parser (parser.c:2450-2535) into ``state`` (an
-    ExtractionState, or with a ``machine`` an ArenaRow); ``machine`` is
-    ``machine_for(config)``, or None for the event replay. Returns 0
-    if well-formed, else the libxml2 errNo."""
-    return _parse(body, state, machine, False, _machine)
+def xml_parse(body: bytes, state) -> int | None:
+    """xml_parser (parser.c:2450-2535) into ``state``, an ArenaRow (the
+    machine) or an ExtractionState (the event replay). Returns 0 if
+    well-formed, else the libxml2 errNo."""
+    return _parse(body, state, False, _machine)
 
 
 def _machine_selftest(native) -> bool:
-    """``native``'s machine must leave the state the replay leaves
-    (buffers, token stream, nwords, ParseAbort) on libxml's self-test
-    corpus, under the default config and one with aliases, properties
-    and cascading contexts."""
+    """``native``'s machine, run into a one-row arena and read back by
+    ``read_row``, must give the record the replay gives (buffers, token
+    stream, nwords, ParseAbort) on libxml's self-test corpus, under the
+    default config and one with aliases, properties and cascading
+    contexts. Without a checked swishtok arena the machine has no sink,
+    and the test fails."""
+    if _tokenizer._native is None:
+        return False
     variant = Config.default()
     variant.add("<swish><MetaNames><b/><doc/></MetaNames>"
                 "<PropertyNames><b/><title/></PropertyNames>"
@@ -809,19 +801,18 @@ def _machine_selftest(native) -> bool:
     for cfg in (Config.default(), variant):
         machine = native.compile(machine_spec(cfg))
         for kind, doc in libxml._SAX_SELFTEST_DOCS:
-            html = kind == "html"
-            got = []
-            for m in (machine, None):
-                st = ExtractionState(cfg)
+            row, st = ArenaRow(None, machine), ExtractionState(cfg)
+            ends = []  # per state: None, the ParseAbort, or "declined"
+            for state in (row, st):
                 try:
-                    _parse(doc, st, m, html, native)
-                    err = None
+                    rc = _parse(doc, state, kind == "html", native)
+                    ends.append("declined" if rc is None else None)
                 except ParseAbort as e:
-                    err = str(e)
-                got.append((err, st.nwords, st.token_list,
-                            {k: bytes(v) for k, v in st.metanames.items()},
-                            {k: bytes(v) for k, v in st.properties.items()}))
-            if got[0] != got[1]:
+                    ends.append(str(e))
+            if ends[0] != "declined" and (
+                    ends[0], row.nwords, *read_row(row.arena)) != (
+                    ends[1], st.nwords, st.metanames, st.properties,
+                    st.token_list):
                 return False
     return True
 

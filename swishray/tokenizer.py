@@ -111,11 +111,11 @@ class TokenList:
 
     Its writers are the ones of a batch's record arena
     (``swishtok.Arena``), which an ExtractionState takes in its place
-    on the record route: ``tokenize_into``, ``add`` (one token, as a
-    tokenizer hook or the XInclude merge adds it) and ``rollback``
-    (drop every token, after a tokenizer hook raised in
-    ``ExtractionState.apply``). Only ``map_values``, the stemmer's
-    rewrite of a finished list, has no arena counterpart.
+    in a batch: ``tokenize_into`` and ``add`` (one token, as a
+    tokenizer hook or the XInclude merge adds it). Only
+    ``map_values``, the stemmer's rewrite of a finished list, has no
+    arena counterpart. The extraction machine writes only into an
+    arena; ``sax.read_row`` reads a one-row arena back (``of_chunk``).
 
     ``values``, ``positions``, ``metas``, ``contexts`` and ``offsets``
     are read-only list views of the same stream for the CLI, tests and
@@ -160,9 +160,15 @@ class TokenList:
         self._append(value, _I32.pack(len(value)), _U32.pack(self.pos),
                      meta, context)
 
-    def rollback(self) -> None:
-        """Drop every token, as ``Arena.rollback`` drops its open row's."""
-        self.__init__()
+    @classmethod
+    def of_chunk(cls, values: bytes, lens: bytes, positions: bytes,
+                 runs: list, pos: int) -> "TokenList":
+        """A list of one chunk (none without a token) and ``pos``."""
+        tl = cls()
+        if tl._append(values, lens, positions, "", ""):
+            tl.runs = runs  # in place of the one run _append adds
+        tl.pos = pos
+        return tl
 
     def map_values(self, fn) -> None:
         """Replace every value ``v`` by ``fn(v)`` (the stemmer), as one

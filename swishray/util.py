@@ -178,6 +178,26 @@ def _session_cpus() -> int:
         return 4
 
 
+# Ray Data's threads that release ObjectRefs as an execution stops (Ray
+# 2.49 names them so; tests/test_session_teardown.py pins the names)
+RAY_DATA_THREADS = ("StreamingExecutor-", "map_tp_")
+
+
+def drain_ray_data() -> None:
+    """Stop every Ray Data execution before the session shuts down: an
+    iterator left unfinished in a reference cycle, collected after
+    ``ray.shutdown()``, drops its ObjectRefs from its threads and Ray
+    ends the process with status 1 ("The core worker has already been
+    shutdown"). So collect the cycles now and join those threads."""
+    import gc
+    import threading
+
+    gc.collect()
+    for th in threading.enumerate():
+        if th.name.startswith(RAY_DATA_THREADS):
+            th.join(30)
+
+
 def import_polars():
     """Import polars defensively against the torn-module race seen in
     fresh Ray workers: a task can observe ``polars`` mid-import

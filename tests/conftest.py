@@ -1,12 +1,12 @@
-import gc
 import os
 import pathlib
 import sys
-import threading
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+
+from swishray.util import drain_ray_data  # noqa: E402
 
 
 def pytest_configure(config):
@@ -33,28 +33,6 @@ def ray_session():
     yield ray
     drain_ray_data()
     ray.shutdown()
-
-
-# Ray Data's threads that release ObjectRefs as an execution stops (Ray
-# 2.49 names them so; tests/test_session_teardown.py pins the names)
-RAY_DATA_THREADS = ("StreamingExecutor-", "map_tp_")
-
-
-def drain_ray_data() -> None:
-    """Stop every Ray Data execution before the session shuts down.
-
-    A dataset iterator that a test left unfinished inside a reference
-    cycle is closed only when the cycle collector runs. Its executor
-    and thread pools then drop their ObjectRefs from their own threads.
-    If that happens after ``ray.shutdown()`` destroyed this process's
-    core worker, Ray ends the process at once with status 1 ("The core
-    worker has already been shutdown ... The process will exit") and
-    pytest prints no summary. So collect the cycles now and wait for
-    the threads that closing them stops."""
-    gc.collect()
-    for th in threading.enumerate():
-        if th.name.startswith(RAY_DATA_THREADS):
-            th.join(30)
 
 
 @pytest.fixture

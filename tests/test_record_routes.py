@@ -8,7 +8,9 @@ the extraction machine finishes goes straight into the arena
 what the routes promise: the machine runs at most once per row, gzip'd
 and NUL-bearing markup reaches the machine, an arena never meets a
 stemmer, and both the XInclude merge and a raising tokenizer hook give
-the same tokens into a TokenList and into the arena."""
+the same tokens into a TokenList and into the arena. A standalone
+``extract`` (no batch arena) takes the machine route too, into a
+one-row arena that ``sax.read_row`` reads back."""
 
 import gzip
 
@@ -23,6 +25,7 @@ from swishray.pipeline import ExtractPages
 
 from test_record_arena import (HAND, _XINCLUDE, _assert_equal, _both,
                                _boom_tokenizer, _hand_table, needs_arena)
+from test_sax_collapse import _fuzz_module
 
 
 def _machine_or_skip(ex: DocumentExtractor) -> None:
@@ -66,6 +69,33 @@ def test_a_declined_row_runs_the_machine_once(monkeypatch):
     _assert_equal(got, _both(monkeypatch, stage, _hand_table(declined))[1])
 
 
+class _FailingMachine(_CountingMachine):
+    """``sax._machine`` whose extraction calls raise, as a failed
+    allocation inside the machine would."""
+
+    def extract_html(self, body, *args):
+        raise MemoryError("swishsax extraction")
+
+    extract_xml = extract_html
+
+
+@needs_arena
+def test_a_failing_machine_call_replays_the_row(monkeypatch):
+    """A machine call that raises leaves nothing of the row in its
+    arena, and the row replays: the batch and a standalone ``extract``
+    give the records the machine gives."""
+    stage = ExtractPages(emit="full")
+    ex = stage._extractor()
+    _machine_or_skip(ex)
+    want = stage(_hand_table())
+    body = dict(HAND)["https://h.example/a.html"]
+    rec = ex.extract("https://h.example/a.html", body)
+    monkeypatch.setattr(sax, "_machine", _FailingMachine(sax._machine))
+    _assert_equal(stage(_hand_table()), want)
+    got = ex.extract("https://h.example/a.html", body)
+    assert got.error is None and got.tokens == rec.tokens
+
+
 @needs_arena
 def test_nul_and_gzip_markup_rows_build_no_extraction_state(monkeypatch):
     """The body is prepared before a route is picked, so gzip'd and
@@ -92,6 +122,35 @@ def test_nul_and_gzip_markup_rows_build_no_extraction_state(monkeypatch):
     assert built == ["https://n.example/plain.txt"]
     _assert_equal(got, _both(monkeypatch, stage, _hand_table(rows))[1])
     assert got.column("error").to_pylist() == [None] * len(rows)
+
+
+def test_a_standalone_extract_takes_the_machine_route(monkeypatch):
+    """A standalone ``extract`` of an HTML or XML row the machine
+    finishes runs it into a one-row arena and reads the record back
+    (``sax.read_row``): it builds no ExtractionState. Every hand-made
+    row's standalone record is that row of ``ExtractPages(emit=
+    "full")``."""
+    ex = DocumentExtractor(xinclude_resolver=_XINCLUDE.get)
+    _machine_or_skip(ex)
+    built = []
+
+    class Counted(sax.ExtractionState):
+        def __init__(self, config, uri="", tokenizer=None):
+            built.append(uri)
+            super().__init__(config, uri, tokenizer)
+    bodies = dict(HAND)
+    with monkeypatch.context() as m:
+        m.setattr(extractor, "ExtractionState", Counted)
+        for uri in ("https://h.example/a.html", "https://h.example/b.xml"):
+            assert ex.extract(uri, bodies[uri]).error is None
+    assert built == []
+
+    row_of = _fuzz_module()._row_of
+    table = ExtractPages(emit="full", xinclude_docs=_XINCLUDE)(_hand_table())
+    rows = pipeline.expand_record(table).to_pylist()
+    for (uri, body), row in zip(HAND, rows):
+        want = row_of(ex.extract(uri, body or b""))
+        assert {k: row[k] for k in want} == want, uri
 
 
 @needs_arena
@@ -126,9 +185,9 @@ class _CappedHooked(ExtractPages):
 def test_a_raising_hook_under_property_max_matches_the_reference(
         monkeypatch):
     """``enforce_property_max`` keeps a row off the machine route, so
-    the record route runs the machine into the arena; a hook that
-    raises there rolls the arena's open row back and the row replays,
-    as the same row does into a TokenList."""
+    each row replays into an ExtractionState whose token list is the
+    arena. A hook that raises there ends the row where it ends the
+    same row replayed into a TokenList."""
     rows = HAND + [
         ("https://c.example/boom.xml",
          b"<doc><blurb>long blurb words</blurb><i>x boom y</i></doc>"),

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from swishray import libxml, sax
+from swishray import libxml, sax, tokenizer
 from swishray.config import Config
 from swishray.extractor import DocumentExtractor
 from swishray.pipeline import ExtractPages
@@ -219,7 +219,9 @@ def _replayed(monkeypatch) -> list:
 
 def test_machine_declines_only_what_it_cannot_finish(monkeypatch):
     """With a machine, every document but the ones it declines is
-    extracted without the Python replay."""
+    extracted without the Python replay. The XInclude child that
+    inc.xml pulls in is merged into its parent's replay, so it replays
+    too."""
     ex = DocumentExtractor(
         xinclude_resolver={"https://x.example/part.xml": _PART}.get)
     if ex.machine is None:
@@ -227,7 +229,7 @@ def test_machine_declines_only_what_it_cannot_finish(monkeypatch):
     uris = _replayed(monkeypatch)
     for uri, body in _DOCS:
         ex.extract(uri, body)
-    assert set(uris) == _DECLINED
+    assert set(uris) == _DECLINED | {"https://x.example/part.xml"}
 
 
 def _boom_hook(tl, data, meta, context):
@@ -288,6 +290,15 @@ def test_machine_selftest_passed():
     if libxml._sax_native is not None:
         assert sax._machine is libxml._sax_native
         assert DocumentExtractor().machine is not None
+
+
+def test_machine_selftest_fails_without_a_token_arena(monkeypatch):
+    """The machine's one sink is swishtok's record arena: without a
+    checked swishtok the self-test fails, so every document replays."""
+    if libxml._sax_native is None:
+        pytest.skip("swishsax is not loaded")
+    monkeypatch.setattr(tokenizer, "_native", None)
+    assert sax._machine_selftest(libxml._sax_native) is False
 
 
 class _Anchors(libxml.SaxTarget):

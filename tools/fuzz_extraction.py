@@ -279,7 +279,9 @@ def gen_doc(rng) -> tuple[bytes, str]:
 def machine_mismatches(n: int, seed: int) -> list[str]:
     """Extract ``n`` seeded documents through the machine and through
     the replay under each of MACHINE_CONFIGS; one line per document
-    whose records differ."""
+    whose records differ. A standalone ``extract`` runs the machine
+    into a one-row record arena, so the machine side is the record
+    ``sax.read_row`` reads back from it."""
     out = []
     for ci, xml in enumerate(MACHINE_CONFIGS):
         cfg = Config.default()
